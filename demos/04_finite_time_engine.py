@@ -16,19 +16,18 @@ import warnings
 
 import numpy as np
 
-from casotto import BathPair, CavityConfig, QuadratureSpec, sweep
+from casotto import BathPair, CavityConfig, sweep
 from casotto.friction import TruncationWarning
 from casotto.trajectory import quintic
 
 warnings.simplefilter("ignore", TruncationWarning)
 
 L0 = math.pi
-spec = QuadratureSpec()
 cfg = CavityConfig(L0=L0, epsilon=0.01, n_modes=64)
 baths = [BathPair(2.0, 1.0)]
 taus = list(np.exp(np.linspace(np.log(0.1), np.log(30.0), 25)))
 
-rows = sweep(cfg, baths, taus, quintic, spec, jobs=4)
+rows = sweep(cfg, baths, taus, quintic)
 print(f"{'tau*w1':>8} {'W':>12} {'eta':>12} {'power':>12}  mode")
 for r in rows:
     rep = r.report

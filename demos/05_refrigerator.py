@@ -12,20 +12,19 @@ import warnings
 
 import numpy as np
 
-from casotto import BathPair, CavityConfig, QuadratureSpec, sweep
+from casotto import BathPair, CavityConfig, sweep
 from casotto.friction import TruncationWarning
 from casotto.trajectory import quintic
 
 warnings.simplefilter("ignore", TruncationWarning)
 
 L0 = math.pi
-spec = QuadratureSpec()
 cfg = CavityConfig(L0=L0, epsilon=0.06, n_modes=64)
 ratios = (0.95, 0.97, 0.99)
 baths = [BathPair(2.0, 2.0 * r) for r in ratios]
 taus = list(np.exp(np.linspace(np.log(0.2), np.log(30.0), 18)))
 
-rows = sweep(cfg, baths, taus, quintic, spec, machine="refrigerator", jobs=4)
+rows = sweep(cfg, baths, taus, quintic, machine="refrigerator")
 ceiling = 1.0 / cfg.epsilon - 1.0
 print(f"adiabatic ceiling: COP = 1/eps - 1 = {ceiling:.4f}\n")
 print(f"{'ratio':>6} {'tau*w1':>8} {'Q':>12} {'COP':>10}  mode")

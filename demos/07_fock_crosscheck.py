@@ -12,7 +12,7 @@ derivation are checked separately against geometric-moment closed forms.
 import math
 import sys
 
-from casotto import CavityConfig, QuadratureSpec, ThermalBath, quintic
+from casotto import CavityConfig, ThermalBath, quintic
 from casotto.fock_oracle import (
     FockConfig,
     export_comparison,
@@ -25,8 +25,7 @@ fock = FockConfig(n_modes=2, n_max=8, dt=0.01, integrator_order=4)
 bath = ThermalBath(2.0)
 
 print("direct evolution vs friction formula (2 modes, dimension 81):")
-report = validate_friction(cfg, bath, quintic(1.0), fock, QuadratureSpec(),
-                           epsilons=(0.01, 0.005))
+report = validate_friction(cfg, bath, quintic(1.0), fock, epsilons=(0.01, 0.005))
 export_comparison(report, sys.stdout)
 print(f"-> ratio extrapolated to eps -> 0: {report.richardson_ratio:.6f}")
 

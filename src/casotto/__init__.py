@@ -3,8 +3,9 @@
 The package computes, in natural units (hbar = c = k_B = 1):
 
 * static-cavity quantities (:mod:`casotto.spectrum`);
-* wall-motion profiles with analytic derivatives, including the
-  friction-cancelling shortcut family (:mod:`casotto.trajectory`);
+* wall-motion profiles as piecewise polynomials with exact derivatives,
+  including the friction-cancelling shortcut family
+  (:mod:`casotto.trajectory`);
 * the second-order friction energy deposited by non-adiabatic strokes,
   its per-mode decomposition and its analytic upper bound
   (:mod:`casotto.friction`);
@@ -13,7 +14,8 @@ The package computes, in natural units (hbar = c = k_B = 1):
 * a dense truncated Fock-space evolution used as an independent
   cross-check of the perturbative results (:mod:`casotto.fock_oracle`).
 
-Oscillatory time integrals are handled by :mod:`casotto.quadrature`; the
+Spectral amplitudes are taken in closed form; :mod:`casotto.quadrature` is
+the numerical-integration oracle the tests compare them against.  The
 command-line front end lives in :mod:`casotto.cli`.
 """
 

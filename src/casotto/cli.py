@@ -49,7 +49,6 @@ from .fock_oracle import (
     validate_friction,
     verify_trace_identities,
 )
-from .quadrature import ConvergenceError, QuadratureSpec
 from .spectrum import CavityConfig, ThermalBath
 from .trajectory import Trajectory, from_samples, quintic, shortcut
 
@@ -78,12 +77,7 @@ _OPTION_SPECS: dict[str, tuple] = {
     "trajectory-file": (str, "", "two-column 't, delta' file for --family sampled"),
     "tau-grid": (str, "", "sweep grid lo:hi:N with optional 'log' suffix"),
     "mode": (str, "engine", "machine type for sweep: engine | refrigerator"),
-    "nodes-per-period": (int, 16, "quadrature nodes per oscillation period"),
-    "panel-order": (int, 10, "Gauss-Legendre nodes per panel"),
-    "rel-tol": (float, 1e-10, "quadrature relative tolerance"),
-    "max-panels": (int, 10**6, "quadrature panel cap"),
     "output": (str, "-", "output file path, '-' for stdout"),
-    "jobs": (int, os.cpu_count() or 1, "parallel workers for sweep"),
     "L0": (float, 1.0, "cavity length for shortcut-check (natural units)"),
     "n": (str, "2,4,10", "comma list of harmonic indices for shortcut-check"),
     "points": (int, 200, "time samples per trace for shortcut-check"),
@@ -97,26 +91,20 @@ _OPTION_SPECS: dict[str, tuple] = {
 
 _COMMAND_OPTIONS: dict[str, tuple[str, ...]] = {
     "friction": ("tau", "beta", "epsilon", "modes", "tail-tol", "family",
-                 "trajectory-file", "nodes-per-period", "panel-order",
-                 "rel-tol", "max-panels", "output"),
+                 "trajectory-file", "output"),
     "bound": ("tau", "beta", "epsilon", "modes", "family", "trajectory-file",
               "output"),
     "engine": ("tau", "beta-a", "beta-ratio", "epsilon", "modes", "tail-tol",
-               "family", "trajectory-file", "nodes-per-period", "panel-order",
-               "rel-tol", "max-panels", "thermalization-time", "output"),
+               "family", "trajectory-file", "thermalization-time", "output"),
     "refrigerator": ("tau", "beta-a", "beta-ratio", "epsilon", "modes",
                      "tail-tol", "family", "trajectory-file",
-                     "nodes-per-period", "panel-order", "rel-tol",
-                     "max-panels", "thermalization-time", "output"),
+                     "thermalization-time", "output"),
     "sweep": ("tau-grid", "beta-a", "beta-ratio", "epsilon", "modes",
               "tail-tol", "family", "trajectory-file", "mode",
-              "nodes-per-period", "panel-order", "rel-tol", "max-panels",
-              "thermalization-time", "jobs", "output"),
-    "shortcut-check": ("tau", "L0", "n", "points", "nodes-per-period",
-                       "panel-order", "rel-tol", "max-panels", "output"),
+              "thermalization-time", "output"),
+    "shortcut-check": ("tau", "L0", "n", "points", "output"),
     "oracle": ("tau", "beta", "epsilon", "modes", "family", "trajectory-file",
                "fock-modes", "n-max", "dt", "integrator-order", "check",
-               "nodes-per-period", "panel-order", "rel-tol", "max-panels",
                "output"),
 }
 
@@ -309,15 +297,6 @@ def _validate(cfg: RunConfig) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _quad_spec(opts) -> QuadratureSpec:
-    return QuadratureSpec(
-        nodes_per_period=int(opts["nodes-per-period"]),
-        panel_order=int(opts["panel-order"]),
-        rel_tol=float(opts["rel-tol"]),
-        max_panels=int(opts["max-panels"]),
-    )
-
-
 def _trajectory(opts, tau: float, L0: float) -> Trajectory:
     fam = str(opts.get("family", "quintic"))
     if fam == "quintic":
@@ -351,22 +330,18 @@ def run(cfg: RunConfig, stream=None) -> int:
     opts = cfg.options
     out = io.StringIO()
     status = 0
-    try:
-        if cfg.command == "friction":
-            status = _run_friction(cfg, out)
-        elif cfg.command == "bound":
-            status = _run_bound(cfg, out)
-        elif cfg.command in ("engine", "refrigerator"):
-            status = _run_single_cycle(cfg, out)
-        elif cfg.command == "sweep":
-            status = _run_sweep(cfg, out)
-        elif cfg.command == "shortcut-check":
-            status = _run_shortcut_check(cfg, out)
-        elif cfg.command == "oracle":
-            status = _run_oracle(cfg, out)
-    except ConvergenceError as exc:
-        out.write(f"# numerical failure: {exc}\n")
-        status = 3
+    if cfg.command == "friction":
+        status = _run_friction(cfg, out)
+    elif cfg.command == "bound":
+        status = _run_bound(cfg, out)
+    elif cfg.command in ("engine", "refrigerator"):
+        status = _run_single_cycle(cfg, out)
+    elif cfg.command == "sweep":
+        status = _run_sweep(cfg, out)
+    elif cfg.command == "shortcut-check":
+        status = _run_shortcut_check(cfg, out)
+    elif cfg.command == "oracle":
+        status = _run_oracle(cfg, out)
 
     text = out.getvalue()
     target = str(opts.get("output", "-"))
@@ -397,7 +372,7 @@ def _run_friction(cfg: RunConfig, out) -> int:
     )
     traj = _trajectory(opts, float(opts["tau"]), L0)
     bath = ThermalBath(float(opts["beta"]))
-    result = friction_energy(cavity, bath, traj, _quad_spec(opts))
+    result = friction_energy(cavity, bath, traj)
     out.write(_header(
         cfg,
         ("k", "diag_term", "create_term", "scatter_term", "cumulative"),
@@ -453,8 +428,7 @@ def _run_single_cycle(cfg: RunConfig, out) -> int:
     traj = _trajectory(opts, float(opts["tau"]), L0)
     runner = nonadiabatic_engine if cfg.command == "engine" else nonadiabatic_refrigerator
     report = runner(
-        cavity, baths, traj, _quad_spec(opts),
-        thermalization_time=float(opts["thermalization-time"]),
+        cavity, baths, traj, thermalization_time=float(opts["thermalization-time"])
     )
     cols = ("tau_omega1", "beta_ratio", "epsilon", "Q", "W", "eta",
             "eta_adiabatic", "power", "mode", "EF_A", "EF_C", "tail_warning")
@@ -516,11 +490,9 @@ def _run_sweep(cfg: RunConfig, out) -> int:
         baths,
         taus,
         family,
-        _quad_spec(opts),
         epsilons=epsilons,
         machine=str(opts["mode"]),
         thermalization_time=float(opts["thermalization-time"]),
-        jobs=int(opts["jobs"]),
     )
     cols = ("tau_omega1", "beta_ratio", "epsilon", "Q", "W", "eta",
             "eta_adiabatic", "power", "mode", "EF_A", "EF_C", "tail_warning")
@@ -536,7 +508,6 @@ def _run_shortcut_check(cfg: RunConfig, out) -> int:
     harmonics = [int(x) for x in str(opts["n"]).split(",") if x.strip()]
     points = int(opts["points"])
     traj = shortcut(quintic(tau), L0)
-    spec = _quad_spec(opts)
     out.write(_header(
         cfg,
         ("n", "t", "I_n", "J_n"),
@@ -551,7 +522,7 @@ def _run_shortcut_check(cfg: RunConfig, out) -> int:
     for n in harmonics:
         for i in range(points + 1):
             t = traj.t_start + traj.duration * i / points
-            I, J = partial_spectral_integral(traj, n, L0, t, spec)
+            I, J = partial_spectral_integral(traj, n, L0, t)
             out.write(f"{n},{_fmt(t)},{_fmt(I)},{_fmt(J)}\n")
     return 0
 
@@ -586,9 +557,7 @@ def _run_oracle(cfg: RunConfig, out) -> int:
     traj = _trajectory(opts, float(opts["tau"]), L0)
     bath = ThermalBath(float(opts["beta"]))
     eps = _single_epsilon(opts)
-    comparison = validate_friction(
-        cavity, bath, traj, fock, _quad_spec(opts), epsilons=(eps, eps / 2.0)
-    )
+    comparison = validate_friction(cavity, bath, traj, fock, epsilons=(eps, eps / 2.0))
     out.write(_header(
         cfg,
         ("epsilon", "E_full", "E_adiab", "E_pert", "ratio", "richardson_ratio"),

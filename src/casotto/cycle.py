@@ -17,9 +17,10 @@ the two strokes enter with the sign dictated by the machine's bookkeeping:
   refrigerator: Q = Q_ad - E_F(C),  W = W_ad + E_F(A) + E_F(C)
 
 where E_F(A) is generated compressing out of the cold thermal state and
-E_F(C) expanding out of the hot one (equal to its forward value by
-direction independence; the implementation recomputes it from the reversed
-profile and asserts the equality instead of assuming it).
+E_F(C) expanding out of the hot one.  Time reversal only rotates the phase
+of the wall velocity's spectral amplitudes, so the friction kernel is
+direction independent and both energies are read from one spectral table
+of the forward profile.
 
 Heat and work are assembled directly from occupation differences, never
 from stroke energies, so the static vacuum offsets cancel identically: the
@@ -31,14 +32,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .friction import SpectralTable, TruncationWarning, friction_energy, spectral_table
-from .quadrature import QuadratureSpec
 from .spectrum import (
     CavityConfig,
     ThermalBath,
@@ -46,7 +45,7 @@ from .spectrum import (
     mode_frequencies,
     occupations,
 )
-from .trajectory import Trajectory, reverse
+from .trajectory import Trajectory
 
 __all__ = [
     "BathPair",
@@ -129,21 +128,28 @@ class CycleReport:
     diagnostics: tuple[str, ...] = field(default_factory=tuple)
 
 
-def _otto_sums(cfg: CavityConfig, baths: BathPair) -> tuple[float, float, float, dict]:
-    """Population-frozen heat/work of the engine bookkeeping and stroke sums.
+def _otto_sums(
+    cfg: CavityConfig, baths: BathPair, machine: str = "engine"
+) -> tuple[float, float, float, dict]:
+    """Population-frozen heat/work in ``machine``'s bookkeeping and stroke sums.
 
     Returns (Q_ad, W_ad, tail, pieces) where pieces holds the four
     occupation-weighted frequency sums needed for the stroke energies.
     Occupations of the hot bath are evaluated at the compressed-cavity
-    frequencies exactly.
+    frequencies exactly.  The engine takes its heat at the compressed
+    frequencies, the refrigerator at the rest frequencies.
     """
     K = cfg.n_modes
     w0 = mode_frequencies(K, cfg.L0)
     w1 = mode_frequencies(K, cfg.L1)
     nA = occupations(baths.beta_A, w0)
     nC = occupations(baths.beta_C, w1)
-    dn = nC - nA
-    terms_Q = w1 * dn
+    if machine == "engine":
+        dn = nC - nA
+        terms_Q = w1 * dn
+    else:
+        dn = nA - nC
+        terms_Q = w0 * dn
     Q_ad = float(np.sum(terms_Q))
     # w1 - w0 = w0 * eps / (1 - eps), evaluated without cancellation
     dw = w0 * (cfg.epsilon / (1.0 - cfg.epsilon))
@@ -242,39 +248,22 @@ def _friction_pair(
     cfg: CavityConfig,
     baths: BathPair,
     traj: Trajectory,
-    spec: QuadratureSpec,
-    tables: tuple[SpectralTable, SpectralTable] | None,
+    table: SpectralTable | None,
 ) -> tuple[float, float, float, bool]:
     """(E_F_A, E_F_C, accumulated error, tail flag) for the two strokes.
 
-    E_F_A: compression out of the cold thermal state, forward profile.
-    E_F_C: expansion out of the hot thermal state, reversed profile.  The
-    kernel is direction-independent, so the reversed value must match the
-    forward one; this is asserted as a consistency check on the quadrature.
+    E_F_A: compression out of the cold thermal state.  E_F_C: expansion out
+    of the hot thermal state.  Reversal leaves the spectral power unchanged,
+    so both come from the forward profile's table.
     """
-    rev = reverse(traj)
-    if tables is None:
-        table_fwd = spectral_table(traj, cfg, spec)
-        table_rev = spectral_table(rev, cfg, spec)
-    else:
-        table_fwd, table_rev = tables
+    if table is None:
+        table = spectral_table(traj, cfg)
     res_A = friction_energy(
-        cfg, ThermalBath(baths.beta_A), traj, spec, table=table_fwd, compute_bound=False
+        cfg, ThermalBath(baths.beta_A), traj, table=table, compute_bound=False
     )
     res_C = friction_energy(
-        cfg, ThermalBath(baths.beta_C), rev, spec, table=table_rev, compute_bound=False
+        cfg, ThermalBath(baths.beta_C), traj, table=table, compute_bound=False
     )
-    res_C_fwd = friction_energy(
-        cfg, ThermalBath(baths.beta_C), traj, spec, table=table_fwd, compute_bound=False
-    )
-    tol = 1e-8 * max(abs(res_C.value), abs(res_C_fwd.value), 1e-300) + 10.0 * (
-        res_C.err + res_C_fwd.err
-    )
-    if abs(res_C.value - res_C_fwd.value) > tol:
-        raise AssertionError(
-            "direction independence violated: reversed-stroke friction "
-            f"{res_C.value:.6e} vs forward {res_C_fwd.value:.6e}"
-        )
     err = res_A.err + res_C.err
     tail_flag = res_A.tail_warning or res_C.tail_warning
     return res_A.value, res_C.value, err, tail_flag
@@ -284,10 +273,9 @@ def nonadiabatic_engine(
     cfg: CavityConfig,
     baths: BathPair,
     traj: Trajectory,
-    spec: QuadratureSpec | None = None,
     *,
     include_casimir: bool = True,
-    tables: tuple[SpectralTable, SpectralTable] | None = None,
+    table: SpectralTable | None = None,
     thermalization_time: float = 0.0,
 ) -> CycleReport:
     """Finite-time engine cycle with friction from both strokes.
@@ -296,10 +284,9 @@ def nonadiabatic_engine(
     ``E_F(A)`` (the expansion stroke deposits its friction after the hot
     contact, where it does not touch Q); both frictions reduce the work.
     """
-    spec = spec or QuadratureSpec()
     _engine_condition(cfg, baths)
     Q_ad, W_ad, tail, pieces = _otto_sums(cfg, baths)
-    ef_a, ef_c, err, friction_tail = _friction_pair(cfg, baths, traj, spec, tables)
+    ef_a, ef_c, err, friction_tail = _friction_pair(cfg, baths, traj, table)
 
     Q = Q_ad - ef_a
     W = W_ad - (ef_a + ef_c)
@@ -337,30 +324,17 @@ def adiabatic_refrigerator(
 ) -> CycleReport:
     """Population-frozen refrigerator; COP equals ``1/eps - 1`` exactly."""
     _refrigerator_condition(cfg, baths)
-    K = cfg.n_modes
-    w0 = mode_frequencies(K, cfg.L0)
-    w1 = mode_frequencies(K, cfg.L1)
-    nA = occupations(baths.beta_A, w0)
-    nC = occupations(baths.beta_C, w1)
-    dn = nA - nC
-    terms_Q = w0 * dn
-    Q_ad = float(np.sum(terms_Q))
-    dw = w0 * (cfg.epsilon / (1.0 - cfg.epsilon))
-    W_ad = float(np.sum(dw * dn))
-    tail = math.nan
-    if K >= 4 and abs(terms_Q[-2]) > 0:
-        rho = abs(terms_Q[-1]) / abs(terms_Q[-2])
-        tail = abs(terms_Q[-1]) * rho / (1.0 - rho) if 0.0 < rho < 1.0 else math.inf
+    Q_ad, W_ad, tail, pieces = _otto_sums(cfg, baths, "refrigerator")
     cop_limit = 1.0 / cfg.epsilon - 1.0
     cop, defined = _safe_ratio(Q_ad, W_ad, limit=cop_limit)
     e0 = casimir_energy(cfg.L0) if include_casimir else 0.0
     e1 = casimir_energy(cfg.L1) if include_casimir else 0.0
     mode = "refrigerator" if Q_ad > 0 else "dissipator"
     return CycleReport(
-        E_A=float(np.sum(w0 * nA)) + e0,
-        E_B=float(np.sum(w1 * nA)) + e1,
-        E_C=float(np.sum(w1 * nC)) + e1,
-        E_D=float(np.sum(w0 * nC)) + e0,
+        E_A=pieces["sum_w0_nA"] + e0,
+        E_B=pieces["sum_w1_nA"] + e1,
+        E_C=pieces["sum_w1_nC"] + e1,
+        E_D=pieces["sum_w0_nC"] + e0,
         Q=Q_ad,
         W=W_ad,
         eta=cop,
@@ -380,10 +354,9 @@ def nonadiabatic_refrigerator(
     cfg: CavityConfig,
     baths: BathPair,
     traj: Trajectory,
-    spec: QuadratureSpec | None = None,
     *,
     include_casimir: bool = True,
-    tables: tuple[SpectralTable, SpectralTable] | None = None,
+    table: SpectralTable | None = None,
     thermalization_time: float = 0.0,
 ) -> CycleReport:
     """Finite-time refrigerator: friction eats the cooling and adds to the bill.
@@ -391,10 +364,9 @@ def nonadiabatic_refrigerator(
     The heat drawn from the cold bath loses the expansion-stroke friction
     ``E_F(C)``; the work consumed gains both frictions.
     """
-    spec = spec or QuadratureSpec()
     _refrigerator_condition(cfg, baths)
     ad = adiabatic_refrigerator(cfg, baths, include_casimir=include_casimir)
-    ef_a, ef_c, err, friction_tail = _friction_pair(cfg, baths, traj, spec, tables)
+    ef_a, ef_c, err, friction_tail = _friction_pair(cfg, baths, traj, table)
 
     Q = ad.Q - ef_c
     W = ad.W + ef_a + ef_c
@@ -468,44 +440,35 @@ def sweep(
     baths: Sequence[BathPair],
     taus: Sequence[float],
     traj_family: Callable[[float], Trajectory],
-    spec: QuadratureSpec | None = None,
     *,
     epsilons: Iterable[float] | None = None,
     machine: str = "engine",
     include_casimir: bool = True,
     thermalization_time: float = 0.0,
-    jobs: int | None = None,
 ) -> list[SweepRow]:
     """Cycle reports over a (bath, epsilon, tau) grid.
 
-    The expensive spectral tables depend only on the trajectory, so they are
-    built once per tau (optionally in parallel over ``jobs`` workers) and
-    shared across every bath and compression ratio.  Rows are ordered
-    deterministically: outer bath ratio, then epsilon, then tau ascending.
-    Failures of individual cells are recorded in the row and do not abort
-    the sweep.
+    The spectral tables depend only on the trajectory, so they are built
+    once per tau and shared across every bath and compression ratio.  Rows
+    are ordered deterministically: outer bath ratio, then epsilon, then tau
+    ascending.  Failures of individual cells are recorded in the row and do
+    not abort the sweep.
     """
     if machine not in ("engine", "refrigerator"):
         raise ValueError(f"machine must be 'engine' or 'refrigerator', got {machine!r}")
     if not baths or len(taus) == 0:
         raise ValueError("sweep needs non-empty bath and tau grids")
-    spec = spec or QuadratureSpec()
     eps_list = list(epsilons) if epsilons is not None else [cfg.epsilon]
     taus = sorted(float(t) for t in taus)
 
-    def build_tables(tau: float):
+    def build_table(tau: float):
         try:
             traj = traj_family(tau)
-            return traj, spectral_table(traj, cfg, spec), spectral_table(reverse(traj), cfg, spec)
+            return traj, spectral_table(traj, cfg)
         except Exception as exc:  # cell failures are recorded, not raised
             return exc
 
-    n_workers = jobs or 1
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            prepared = list(pool.map(build_tables, taus))
-    else:
-        prepared = [build_tables(tau) for tau in taus]
+    prepared = [build_table(tau) for tau in taus]
 
     run = nonadiabatic_engine if machine == "engine" else nonadiabatic_refrigerator
     rows: list[SweepRow] = []
@@ -518,7 +481,7 @@ def sweep(
                         SweepRow(tau * cfg.omega1, bath.ratio, eps, None, error=str(made))
                     )
                     continue
-                traj, tab_f, tab_r = made
+                traj, table = made
                 try:
                     with warnings.catch_warnings():
                         warnings.simplefilter("ignore")
@@ -526,9 +489,8 @@ def sweep(
                             cfg_eps,
                             bath,
                             traj,
-                            spec,
                             include_casimir=include_casimir,
-                            tables=(tab_f, tab_r),
+                            table=table,
                             thermalization_time=thermalization_time,
                         )
                     rows.append(

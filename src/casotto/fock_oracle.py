@@ -26,7 +26,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .friction import friction_energy
-from .quadrature import QuadratureSpec
 from .spectrum import (
     CavityConfig,
     ThermalBath,
@@ -589,7 +588,6 @@ def validate_friction(
     bath: ThermalBath,
     traj: Trajectory,
     fock: FockConfig,
-    spec: QuadratureSpec | None = None,
     epsilons: tuple[float, float] | None = None,
 ) -> FrictionComparison:
     """Measure the non-adiabatic energy directly and compare with E_F.
@@ -601,7 +599,6 @@ def validate_friction(
     sides use the same retained set, so the comparison probes the
     perturbative expansion, not the mode cutoff.
     """
-    spec = spec or QuadratureSpec()
     if epsilons is None:
         epsilons = (cfg.epsilon, cfg.epsilon / 2.0)
     if any(e > 0.02 for e in epsilons):
@@ -618,7 +615,7 @@ def validate_friction(
         rho_end = evolve(rho0, cfg_eps, traj, fock)
         e_full = energy_expectation(rho_end, H_end)
         e_adiab = _adiabatic_energy(rho0, H_start, H_end)
-        ef = friction_energy(cfg_eps, bath, traj, spec, compute_bound=False).value
+        ef = friction_energy(cfg_eps, bath, traj, compute_bound=False).value
         ratio = (e_full - e_adiab) / ef if ef != 0.0 else math.nan
         rows.append(ComparisonRow(eps, e_full, e_adiab, e_adiab + ef, ratio))
 

@@ -31,6 +31,14 @@ ratio.  The frequencies needed are the even multiples ``2 w_k`` plus all
 sums and differences ``w_j +- w_k``; for the equidistant cavity spectrum
 those collapse onto the integer grid ``n * pi / L0``, ``n <= 2K``, which is
 precomputed once per trajectory in :func:`spectral_table`.
+
+Every profile is a piecewise polynomial (:mod:`casotto.trajectory`), so the
+amplitudes have a finite closed form per piece (repeated integration by
+parts, the exact limit of Filon-type quadrature; Filon 1928, Iserles &
+Norsett, Proc. R. Soc. A 461 (2005) 1383), and their only error is
+round-off.  Time reversal maps ``C + iS`` to
+``-exp(i w (t_start + t_end)) (C - iS)``, leaving ``A`` unchanged, which is
+why one table serves both strokes of a cycle.
 """
 
 from __future__ import annotations
@@ -40,8 +48,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import polynomial as P
+from scipy.interpolate import PPoly
 
-from .quadrature import QuadratureSpec, integrate_piecewise
 from .spectrum import (
     CavityConfig,
     ThermalBath,
@@ -74,7 +83,7 @@ class SpectralAmplitudes:
     """Cosine/sine amplitudes of the wall velocity at one frequency.
 
     ``C = integral ddelta(t) cos(omega t) dt`` and likewise ``S`` with sine;
-    ``err`` is the combined quadrature error estimate.  At ``omega = 0`` the
+    ``err`` bounds the round-off of each.  At ``omega = 0`` the
     cosine amplitude is the net displacement and ``S`` vanishes.
     """
 
@@ -93,9 +102,9 @@ class SpectralAmplitudes:
 class SpectralTable:
     """Amplitudes of one trajectory on the grid ``n * pi / L0``, n = 0..2K.
 
-    Precomputing the grid lets one expensive set of quadratures serve every
-    mode pair (the needed sums and differences of equidistant frequencies
-    are again grid points) and every bath and compression ratio.
+    Precomputing the grid lets one table serve every mode pair (the needed
+    sums and differences of equidistant frequencies are again grid points)
+    and every bath and compression ratio.
     """
 
     omega1: float
@@ -120,7 +129,7 @@ class FrictionResult:
     ``per_mode`` rows are ``(k, diag, create, scatter)`` already scaled by
     ``eps**2``; their sum reproduces ``value``.  ``bound`` is the analytic
     upper bound when the profile shape admits one, else None.  ``err`` is
-    the accumulated quadrature error propagated through the mode sums, and
+    the amplitudes' round-off bound propagated through the mode sums, and
     ``value_per_eps2`` the compression-independent core.
     """
 
@@ -135,80 +144,94 @@ class FrictionResult:
     tail_warning: bool
 
 
-def _velocity_integrand(traj: Trajectory, omega: float):
-    def f(t: np.ndarray) -> np.ndarray:
-        v = traj.ddelta(t)
-        return np.stack([v * np.cos(omega * t), v * np.sin(omega * t)], axis=-1)
+# Below this w*h a piece's integral is summed from the Taylor series of its
+# moments: the integration-by-parts boundary terms would cancel there.
+_TAYLOR_BELOW = 3.0
+# (w h)**n / n! < 1e-18 beyond this many terms while w h < 3
+_TAYLOR_TERMS = 32
+_EPS = float(np.finfo(float).eps)
 
-    return f
 
+def _fourier(v: PPoly, omegas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``F(w) = integral v(t) exp(i w t) dt`` over ``v``'s domain, in closed form.
 
-def spectral_amplitudes(
-    traj: Trajectory, omega: float, spec: QuadratureSpec | None = None
-) -> SpectralAmplitudes:
-    """Cosine and sine amplitudes of ``ddelta`` at one frequency.
-
-    Both integrals share one set of velocity evaluations and one panel
-    refinement.  In the deep-adiabatic regime, where resolving the carrier
-    would need more panels than ``spec.max_panels``, the amplitudes of a
-    profile whose velocity vanishes at both ends are instead bounded by one
-    integration by parts, ``|C|, |S| <= TV(ddelta)/omega``: the returned
-    value is zero and the error bar is that bound.
+    Piece ``i`` of ``v``, the polynomial ``p(u)`` in ``u = t - x_i`` on a
+    width ``h``, contributes ``exp(i w x_i) J(w)`` with
+    ``J = integral_0^h p(u) exp(i w u) du``.  For ``w h >= 3`` that is the
+    finite integration-by-parts sum
+    ``sum_m (-1)**m [p^(m)(u) exp(i w u)]_0^h / (i w)**(m+1)``; below, the
+    Taylor series ``h sum_n (i w h)**n / n! sum_j a_j h**j / (j + n + 1)``
+    of the moments.  Returns ``F`` and a first-order round-off bound on it:
+    unit round-off times the terms evaluated with absolute coefficients
+    (weighted by the polynomial order), plus the phase arguments' rounding
+    times the terms that carry each phase.
     """
+    a = v.c[::-1]  # ascending powers of u; one column per piece
+    order = a.shape[0]
+    x0 = v.x[:-1]
+    h = np.diff(v.x)
+    w = np.asarray(omegas, dtype=float)[:, None]
+    wh = w * h
+    J = np.empty(wh.shape, dtype=complex)
+    size = np.empty(wh.shape)  # terms with absolute coefficients
+    carried = np.empty(wh.shape)  # terms multiplied by exp(i w h)
+
+    iw, ip = np.nonzero(wh < _TAYLOR_BELOW)
+    b = a * h ** np.arange(order)[:, None]
+    inv = 1.0 / (np.arange(_TAYLOR_TERMS)[:, None] + np.arange(order)[None, :] + 1.0)
+    moments, moments_abs = inv @ b, inv @ np.abs(b)
+    x = wh[iw, ip]
+    term = np.ones(x.shape, dtype=complex)
+    acc = np.zeros(x.shape, dtype=complex)
+    mag = np.zeros(x.shape)
+    for n in range(_TAYLOR_TERMS):
+        acc += term * moments[n, ip]
+        mag += np.abs(term) * moments_abs[n, ip]
+        term *= 1j * x / (n + 1)
+    J[iw, ip] = h[ip] * acc
+    size[iw, ip] = carried[iw, ip] = h[ip] * mag
+
+    iw, ip = np.nonzero(wh >= _TAYLOR_BELOW)
+    wl = w[iw, 0]
+    carrier = np.exp(1j * wh[iw, ip])
+    acc = np.zeros(wl.shape, dtype=complex)
+    mag = np.zeros(wl.shape)
+    end_mag = np.zeros(wl.shape)
+    d = a
+    for m in range(order):
+        end, start = P.polyval(h, d, tensor=False)[ip], d[0, ip]
+        acc += (end * carrier - start) * ((-1) ** m / (1j * wl) ** (m + 1))
+        mag += (P.polyval(h, np.abs(d), tensor=False)[ip] + np.abs(start)) / wl ** (m + 1)
+        end_mag += np.abs(end) / wl ** (m + 1)
+        d = P.polyder(d)
+    J[iw, ip] = acc
+    size[iw, ip] = mag
+    carried[iw, ip] = end_mag
+
+    F = (np.exp(1j * w * x0) * J).sum(axis=1)
+    bound = (order + 4) * size + wh * carried + w * np.abs(x0) * np.abs(J)
+    return F, _EPS * bound.sum(axis=1)
+
+
+def spectral_amplitudes(traj: Trajectory, omega: float) -> SpectralAmplitudes:
+    """Cosine and sine amplitudes of ``ddelta`` at one frequency."""
     if omega < 0:
         raise ValueError("omega must be non-negative")
-    spec = spec or QuadratureSpec()
-    span = traj.t_end - traj.t_start
-    needed = span * omega * spec.nodes_per_period / (2.0 * math.pi * spec.panel_order)
-    if needed > spec.max_panels:
-        ends = np.array([traj.t_start, traj.t_end])
-        v_ends = float(np.max(np.abs(traj.ddelta(ends))))
-        if v_ends < 1e-9:
-            tv, _, _ = integrate_piecewise(
-                lambda t: np.abs(traj.d2delta(t))[:, None],
-                traj.t_start,
-                traj.t_end,
-                0.0,
-                spec,
-                breakpoints=traj.breakpoints,
-            )
-            bound = float(tv[0]) / omega
-            return SpectralAmplitudes(omega=omega, C=0.0, S=0.0, err=bound)
-    val, err, _ = integrate_piecewise(
-        _velocity_integrand(traj, omega),
-        traj.t_start,
-        traj.t_end,
-        omega,
-        spec,
-        breakpoints=traj.breakpoints,
-    )
+    F, err = _fourier(traj.delta.derivative(), [omega])
     return SpectralAmplitudes(
-        omega=omega, C=float(val[0]), S=float(val[1]), err=float(err[0] + err[1])
+        omega=omega, C=float(F[0].real), S=float(F[0].imag), err=float(err[0])
     )
 
 
-def spectral_table(
-    traj: Trajectory, cfg: CavityConfig, spec: QuadratureSpec | None = None
-) -> SpectralTable:
+def spectral_table(traj: Trajectory, cfg: CavityConfig) -> SpectralTable:
     """Amplitudes at every multiple of ``pi/L0`` up to ``2 * cfg.n_modes``."""
-    spec = spec or QuadratureSpec()
-    n_top = 2 * cfg.n_modes
-    C = np.empty(n_top + 1)
-    S = np.empty(n_top + 1)
-    err = np.empty(n_top + 1)
     w1 = cfg.omega1
-    for n in range(n_top + 1):
-        amp = spectral_amplitudes(traj, n * w1, spec)
-        C[n], S[n], err[n] = amp.C, amp.S, amp.err
-    return SpectralTable(omega1=w1, C=C, S=S, err=err, label=traj.label)
+    F, err = _fourier(traj.delta.derivative(), np.arange(2 * cfg.n_modes + 1) * w1)
+    return SpectralTable(omega1=w1, C=F.real, S=F.imag, err=err, label=traj.label)
 
 
 def partial_spectral_integral(
-    traj: Trajectory,
-    n: int,
-    L0: float,
-    t: float,
-    spec: QuadratureSpec | None = None,
+    traj: Trajectory, n: int, L0: float, t: float
 ) -> tuple[float, float]:
     """Running amplitudes ``(I_n(t), J_n(t))`` of ``ddelta`` up to time ``t``.
 
@@ -223,17 +246,10 @@ def partial_spectral_integral(
         raise ValueError(f"t={t} outside trajectory domain")
     if t == traj.t_start:
         return 0.0, 0.0
-    spec = spec or QuadratureSpec()
-    omega = n * math.pi / L0
-    val, _, _ = integrate_piecewise(
-        _velocity_integrand(traj, omega),
-        traj.t_start,
-        t,
-        omega,
-        spec,
-        breakpoints=traj.breakpoints,
-    )
-    return float(val[0]), float(val[1])
+    v = traj.delta.derivative()
+    k = int(np.searchsorted(v.x, t))  # pieces that start before t
+    F, _ = _fourier(PPoly(v.c[:, :k], np.append(v.x[:k], t)), [n * math.pi / L0])
+    return float(F[0].real), float(F[0].imag)
 
 
 def _tail_estimate(totals: np.ndarray, tail_fit_points: int = 8) -> float:
@@ -280,8 +296,7 @@ def _mode_terms(
     wprime = -np.arange(1, K + 1, dtype=float) * math.pi / cfg.L0**2
     nbar = occupations(bath.beta, w)
     A = table.power
-    # second-order term keeps the bar honest when C and S are zero with a
-    # pure bound as their uncertainty
+    # first- and second-order propagation of the amplitude bounds into C**2 + S**2
     Aerr = 2.0 * (np.abs(table.C) + np.abs(table.S)) * table.err + 2.0 * table.err**2
 
     ks = np.arange(1, K + 1)
@@ -316,7 +331,6 @@ def friction_energy(
     cfg: CavityConfig,
     bath: ThermalBath,
     traj: Trajectory,
-    spec: QuadratureSpec | None = None,
     *,
     table: SpectralTable | None = None,
     compute_bound: bool = True,
@@ -324,17 +338,16 @@ def friction_energy(
     """Friction energy of one stroke of ``traj`` starting from a thermal state.
 
     The profile must carry unit net displacement (either direction).  A
-    precomputed :func:`spectral_table` may be passed to amortise the
-    quadratures over baths and compression ratios.
+    precomputed :func:`spectral_table` may be passed to share it across
+    baths and compression ratios.
     """
-    spec = spec or QuadratureSpec()
     disp = traj.displacement()
     if abs(abs(disp) - 1.0) > 1e-6:
         raise ValueError(
             f"trajectory must be normalised to unit displacement, got {disp:.6g}"
         )
     if table is None:
-        table = spectral_table(traj, cfg, spec)
+        table = spectral_table(traj, cfg)
 
     diag, create, scatter, err_modes = _mode_terms(cfg, bath, table)
     totals = diag + create + scatter
@@ -383,52 +396,33 @@ def friction_energy(
     )
 
 
-def _acceleration_extrema(traj: Trajectory, grid_points: int = 10_000) -> tuple[float, float]:
-    """Locate the single interior max/min of ``d2delta`` and return their values.
+def _acceleration_extrema(traj: Trajectory) -> tuple[float, float]:
+    """Values of the single interior maximum and minimum of ``d2delta``.
 
-    The profile is scanned on a uniform grid; each strict bracket is then
-    refined by golden-section search.  Raises ValueError when the
-    acceleration does not have exactly one interior maximum and one interior
-    minimum.
+    The extrema sit where the third derivative changes sign: at its exact
+    roots or at breakpoints.  Between consecutive such points the jerk keeps
+    one sign, read off at the midpoint (zero on flat pieces, where
+    ``PPoly.roots`` reports NaN).  Raises ValueError when the acceleration
+    does not have exactly one strict interior maximum and one strict
+    interior minimum.
     """
-    t = np.linspace(traj.t_start, traj.t_end, grid_points + 1)
-    d2 = np.asarray(traj.d2delta(t), dtype=float)
-    inner = slice(1, -1)
-    is_max = (d2[inner] > d2[:-2]) & (d2[inner] > d2[2:])
-    is_min = (d2[inner] < d2[:-2]) & (d2[inner] < d2[2:])
-    max_idx = np.flatnonzero(is_max) + 1
-    min_idx = np.flatnonzero(is_min) + 1
-    if len(max_idx) != 1 or len(min_idx) != 1:
+    jerk = traj.delta.derivative(3)
+    roots = jerk.roots(extrapolate=False)
+    points = np.unique(np.concatenate([roots[np.isfinite(roots)], jerk.x]))
+    # a root found an ulp beside a breakpoint would leave a sliver whose
+    # midpoint sign is round-off
+    points = points[np.concatenate([[True], np.diff(points) > 1e-9 * traj.duration])]
+    signs = np.sign(jerk(0.5 * (points[:-1] + points[1:])))
+    inner = points[1:-1]
+    maxima = inner[(signs[:-1] > 0) & (signs[1:] < 0)]
+    minima = inner[(signs[:-1] < 0) & (signs[1:] > 0)]
+    if len(maxima) != 1 or len(minima) != 1:
         raise ValueError(
             "acceleration must have exactly one interior maximum and one "
-            f"interior minimum; found {len(max_idx)} maxima and {len(min_idx)} minima"
+            f"interior minimum; found {len(maxima)} maxima and {len(minima)} minima"
         )
-
-    def golden(lo: float, hi: float, f, n_iter: int = 80) -> float:
-        invphi = (math.sqrt(5.0) - 1.0) / 2.0
-        a, b = lo, hi
-        c = b - invphi * (b - a)
-        d = a + invphi * (b - a)
-        fc = f(c)
-        fd = f(d)
-        for _ in range(n_iter):
-            if fc > fd:
-                b, d, fd = d, c, fc
-                c = b - invphi * (b - a)
-                fc = f(c)
-            else:
-                a, c, fc = c, d, fd
-                d = a + invphi * (b - a)
-                fd = f(d)
-        return f(0.5 * (a + b))
-
-    def at(x: float) -> float:
-        return float(traj.d2delta(np.asarray([x]))[0])
-
-    i = int(max_idx[0])
-    d2_max = golden(t[i - 1], t[i + 1], at)
-    i = int(min_idx[0])
-    d2_min = -golden(t[i - 1], t[i + 1], lambda x: -at(x))
+    acceleration = traj.delta.derivative(2)
+    d2_max, d2_min = float(acceleration(maxima[0])), float(acceleration(minima[0]))
     if not (d2_max > 0.0 > d2_min):
         raise ValueError("acceleration extrema must straddle zero")
     return d2_max, d2_min

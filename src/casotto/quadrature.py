@@ -1,10 +1,15 @@
-"""Oscillation-aware panel quadrature.
+"""Oscillation-aware panel quadrature, kept as an independent oracle.
 
-The integrands met in this package are smooth products of a wall-velocity
-profile with ``cos``/``sin`` carriers of known maximum frequency.  A fixed
-high-order Gauss-Legendre rule per panel, with panels sized to guarantee a
-minimum number of nodes per oscillation period, converges much faster on
-these than generic adaptive schemes and keeps every evaluation auditable.
+The production paths never integrate numerically: every wall profile is a
+piecewise polynomial, and :mod:`casotto.friction` takes its spectral
+amplitudes in closed form.  This module is the reference the tests and the
+acceptance criteria compare those closed forms against.  The integrands
+are smooth products of a wall-velocity profile with ``cos``/``sin``
+carriers of known maximum frequency; a fixed high-order Gauss-Legendre
+rule per panel, with panels sized to guarantee a minimum number of nodes
+per oscillation period, converges fast on them and keeps every evaluation
+auditable.  Integrate piecewise profiles piece by piece (split at
+``delta.x``) to keep that convergence.
 
 Refinement halves every panel until two successive estimates agree to the
 requested relative tolerance; the last refinement delta is reported as the
@@ -14,9 +19,8 @@ criterion, so convergence is also granted once the delta falls below a
 roundoff floor of ``2**-48`` times the integral of ``|f|`` — below that the
 result is indistinguishable from zero at working precision.
 
-:func:`integrate_2d_oracle` is a deliberately slow tensor-product rule kept
-only to brute-force double time integrals in tests.  Production code must
-never call it: its cost is quadratic in the node count.
+:func:`integrate_2d_oracle` is a deliberately slow tensor-product rule that
+brute-forces double time integrals; its cost is quadratic in the node count.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -182,35 +186,6 @@ def integrate_1d(
     return QuadratureResult(float(val[0]), float(err[0]), panels)
 
 
-def integrate_piecewise(
-    f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
-    omega_max: float,
-    spec: QuadratureSpec,
-    breakpoints: Sequence[float] = (),
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Vector integration split at interior smoothness breakpoints.
-
-    Aligning panel edges with the knots of piecewise-defined profiles
-    restores spectral convergence; errors of the pieces add.  More than 32
-    interior breakpoints are ignored (refinement alone is then cheaper).
-    """
-    cuts = sorted(t for t in breakpoints if a < t < b)
-    if not cuts or len(cuts) > 32:
-        return integrate_vector(f, a, b, omega_max, spec)
-    edges = [a, *cuts, b]
-    total = None
-    err_total = None
-    panels = 0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        v, e, p = integrate_vector(f, lo, hi, omega_max, spec)
-        total = v if total is None else total + v
-        err_total = e if err_total is None else err_total + e
-        panels += p
-    return total, err_total, panels
-
-
 def integrate_2d_oracle(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     a: float,
@@ -222,7 +197,7 @@ def integrate_2d_oracle(
 
     ``f(t1, t2)`` must broadcast over same-shape arrays.  The refinement
     contract matches :func:`integrate_1d`, but every halving quadruples the
-    work; keep this out of production paths.
+    work.
     """
     spec = spec or QuadratureSpec()
     if not b > a:

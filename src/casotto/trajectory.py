@@ -1,11 +1,14 @@
-"""Wall-motion profiles and their analytic derivatives.
+"""Wall-motion profiles as piecewise polynomials.
 
 A :class:`Trajectory` is the dimensionless displacement profile ``delta(t)``
 of the moving wall, normalised so that a full compression stroke runs from
-``delta = 0`` to ``delta = 1``.  Profiles carry analytic evaluators for the
-first three time derivatives: the friction bound integrates the third
-derivative, and differentiating a sampled profile twice numerically would
-dominate the error budget.
+``delta = 0`` to ``delta = 1``.  ``delta`` is a
+:class:`scipy.interpolate.PPoly`: its breakpoints ``delta.x`` are the only
+places where the profile loses smoothness, and its derivatives are again
+exact piecewise polynomials (``delta.derivative(m)``).  The friction layer
+relies on this to take the spectral amplitudes in closed form and the
+bound's acceleration extrema as exact roots; differentiating a sampled
+profile numerically would instead dominate the error budget.
 
 Families provided here:
 
@@ -15,20 +18,22 @@ Families provided here:
   Gdot(t-L0)) / (2 L0)`` whose spectral amplitudes vanish at every multiple
   of ``pi/L0``, so the second-order friction energy cancels: photons created
   early in the stroke are reabsorbed before it ends.
-* :func:`from_samples` - smooth interpolation of a user-supplied sampled
-  profile (approximate; see the loosened derivative guarantee below).
+* :func:`from_samples` - clamped cubic-spline interpolation of a
+  user-supplied sampled profile (approximate; see the loosened derivative
+  guarantee below).
 """
 
 from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from numpy.polynomial import Polynomial
+from scipy.interpolate import CubicSpline, PPoly
 
 __all__ = [
     "Trajectory",
@@ -45,33 +50,39 @@ Evaluator = Callable[[np.ndarray], np.ndarray]
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Dimensionless wall profile with analytic derivatives on [t_start, t_end].
+    """Dimensionless wall profile on ``[t_start, t_end] = [delta.x[0], delta.x[-1]]``.
 
-    ``delta``, ``ddelta``, ``d2delta``, ``d3delta`` evaluate the profile and
-    its first three time derivatives; all accept numpy arrays.  ``idelta``,
-    when present, is the running integral of ``delta`` from ``t_start``
-    (used to build shortcut profiles from a ramp).  ``breakpoints`` lists
-    interior times where piecewise-defined profiles lose smoothness so that
-    quadrature can align panel edges with them.
+    ``delta`` is the profile as a piecewise polynomial.  ``ddelta``,
+    ``d2delta`` and ``d3delta`` evaluate its first three time derivatives
+    on numpy arrays; left as None they are the exact derivatives
+    ``delta.derivative(m)``.
     """
 
-    t_start: float
-    t_end: float
-    delta: Evaluator
-    ddelta: Evaluator
-    d2delta: Evaluator
-    d3delta: Evaluator
+    delta: PPoly
     label: str = "trajectory"
-    idelta: Evaluator | None = None
-    breakpoints: tuple[float, ...] = ()
+    ddelta: Evaluator | None = None
+    d2delta: Evaluator | None = None
+    d3delta: Evaluator | None = None
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.t_start) and math.isfinite(self.t_end)):
+        if not isinstance(self.delta, PPoly):
+            raise TypeError("delta must be a scipy.interpolate.PPoly")
+        t0, t1 = self.delta.x[0], self.delta.x[-1]
+        if not (math.isfinite(t0) and math.isfinite(t1)):
             raise ValueError("trajectory domain must be finite")
-        if not self.t_end > self.t_start:
-            raise ValueError(
-                f"empty trajectory domain [{self.t_start}, {self.t_end}]"
-            )
+        if not t1 > t0:
+            raise ValueError(f"empty trajectory domain [{t0}, {t1}]")
+        for order, name in enumerate(("ddelta", "d2delta", "d3delta"), start=1):
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, self.delta.derivative(order))
+
+    @property
+    def t_start(self) -> float:
+        return float(self.delta.x[0])
+
+    @property
+    def t_end(self) -> float:
+        return float(self.delta.x[-1])
 
     @property
     def duration(self) -> float:
@@ -112,11 +123,26 @@ class BoundaryReport:
         )
 
 
-def _poly_eval(coeffs: Sequence[float], s: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(s)
-    for c in reversed(coeffs):
-        out = out * s + c
-    return out
+def _piece(poly: PPoly, i: int) -> Polynomial:
+    """Piece ``i`` of ``poly`` as a polynomial in ``t - poly.x[i]``."""
+    return Polynomial(poly.c[::-1, i])
+
+
+def _from_pieces(pieces: Sequence[tuple[float, float, Polynomial]], order: int) -> PPoly:
+    """Sum of polynomials, each supported on its own window, as one PPoly.
+
+    Each entry ``(lo, hi, p)`` contributes ``p(t - lo)`` on ``[lo, hi]``;
+    the breakpoints are the union of the window edges.
+    """
+    x = np.unique([edge for lo, hi, _ in pieces for edge in (lo, hi)])
+    c = np.zeros((order, len(x) - 1))
+    for lo, hi, p in pieces:
+        for i in range(np.searchsorted(x, lo), np.searchsorted(x, hi)):
+            # re-expand about the piece's own left end; composition trims
+            # vanishing leading coefficients, so pad from the top
+            coef = p(Polynomial([x[i] - lo, 1.0])).coef
+            c[order - len(coef):, i] += coef[::-1]
+    return PPoly(c, x)
 
 
 def quintic(tau: float) -> Trajectory:
@@ -127,37 +153,8 @@ def quintic(tau: float) -> Trajectory:
     """
     if not tau > 0:
         raise ValueError(f"tau must be positive, got {tau}")
-
-    def delta(t):
-        s = np.asarray(t, dtype=float) / tau
-        return _poly_eval((0.0, 0.0, 0.0, 10.0, -15.0, 6.0), s)
-
-    def ddelta(t):
-        s = np.asarray(t, dtype=float) / tau
-        return _poly_eval((0.0, 0.0, 30.0, -60.0, 30.0), s) / tau
-
-    def d2delta(t):
-        s = np.asarray(t, dtype=float) / tau
-        return _poly_eval((0.0, 60.0, -180.0, 120.0), s) / tau**2
-
-    def d3delta(t):
-        s = np.asarray(t, dtype=float) / tau
-        return _poly_eval((60.0, -360.0, 360.0), s) / tau**3
-
-    def idelta(t):
-        s = np.asarray(t, dtype=float) / tau
-        return _poly_eval((0.0, 0.0, 0.0, 0.0, 2.5, -3.0, 1.0), s) * tau
-
-    return Trajectory(
-        t_start=0.0,
-        t_end=tau,
-        delta=delta,
-        ddelta=ddelta,
-        d2delta=d2delta,
-        d3delta=d3delta,
-        label=f"quintic(tau={tau:g})",
-        idelta=idelta,
-    )
+    coeffs = np.array([6.0, -15.0, 10.0, 0.0, 0.0, 0.0]) / tau ** np.arange(5, -1, -1)
+    return Trajectory(PPoly(coeffs[:, None], [0.0, tau]), label=f"quintic(tau={tau:g})")
 
 
 def check_boundary_conditions(traj: Trajectory, tol: float = 1e-9) -> BoundaryReport:
@@ -186,38 +183,26 @@ def check_boundary_conditions(traj: Trajectory, tol: float = 1e-9) -> BoundaryRe
 def reverse(traj: Trajectory) -> Trajectory:
     """Time-reversed profile ``delta(t_end + t_start - t)`` on the same domain.
 
-    Odd derivatives flip sign; reversing twice restores the original
-    pointwise.
+    Each piece is reflected exactly, so odd derivatives flip sign and
+    reversing twice restores the original up to round-off.
     """
-    t0, t1 = traj.t_start, traj.t_end
-    pivot = t0 + t1
-
-    def flip(g: Evaluator, sign: float) -> Evaluator:
-        def wrapped(t):
-            return sign * g(pivot - np.asarray(t, dtype=float))
-
-        return wrapped
-
-    return Trajectory(
-        t_start=t0,
-        t_end=t1,
-        delta=flip(traj.delta, 1.0),
-        ddelta=flip(traj.ddelta, -1.0),
-        d2delta=flip(traj.d2delta, 1.0),
-        d3delta=flip(traj.d3delta, -1.0),
-        label=f"reversed({traj.label})",
-        idelta=None,
-        breakpoints=tuple(sorted(pivot - b for b in traj.breakpoints)),
-    )
+    x = traj.delta.x
+    edges = (x[0] + x[-1]) - x[::-1]
+    edges[0], edges[-1] = x[0], x[-1]
+    # piece i, p(u) on [x_i, x_i+1], becomes p(h_i - u) on the mirrored window
+    pieces = [
+        (edges[-2 - i], edges[-1 - i], _piece(traj.delta, i)(Polynomial([x[i + 1] - x[i], -1.0])))
+        for i in range(len(x) - 1)
+    ]
+    return Trajectory(_from_pieces(pieces, traj.delta.c.shape[0]), label=f"reversed({traj.label})")
 
 
 def shortcut(ramp: Trajectory, L0: float) -> Trajectory:
     """Friction-cancelling profile built from a monotone ramp.
 
-    The ramp plays the role of the velocity shape ``Gdot`` on ``[0, tau]``;
-    outside that interval it is extended by its endpoint values, so ``G`` is
-    linear far from the stroke.  The resulting profile lives on
-    ``[-L0, L0 + tau]`` with
+    The ramp plays the role of the velocity shape ``Gdot`` on ``[t0, t0 +
+    tau]``; outside that interval it is extended by its endpoint values.
+    The resulting profile lives on ``[t0 - L0, t0 + tau + L0]`` with
 
         ddelta(t) = (Gdot(t + L0) - Gdot(t - L0)) / (2 L0 (r1 - r0))
 
@@ -232,11 +217,10 @@ def shortcut(ramp: Trajectory, L0: float) -> Trajectory:
     """
     if not L0 > 0:
         raise ValueError(f"L0 must be positive, got {L0}")
-    tau = ramp.duration
-    t0 = ramp.t_start
-    ends = ramp.delta(np.array([ramp.t_start, ramp.t_end]))
+    t0, t1 = ramp.t_start, ramp.t_end
+    ends = ramp.delta(np.array([t0, t1]))
     r0, r1 = float(ends[0]), float(ends[1])
-    slopes = ramp.ddelta(np.array([ramp.t_start, ramp.t_end]))
+    slopes = ramp.ddelta(np.array([t0, t1]))
     if max(abs(float(slopes[0])), abs(float(slopes[1]))) > 1e-9:
         raise ValueError(
             "ramp exterior slopes differ from its endpoint derivatives: "
@@ -246,71 +230,16 @@ def shortcut(ramp: Trajectory, L0: float) -> Trajectory:
     if abs(r1 - r0) < 1e-12:
         raise ValueError("ramp endpoint values coincide; zero net displacement")
 
-    if ramp.idelta is None:
-        # smooth antiderivative of the ramp via a dense clamped spline
-        xs = np.linspace(ramp.t_start, ramp.t_end, 4001)
-        spl = CubicSpline(xs, ramp.delta(xs), bc_type="clamped").antiderivative()
-
-        def ramp_integral(x):
-            return spl(np.asarray(x, dtype=float))
-
-    else:
-        ramp_integral = ramp.idelta
-
     norm = 2.0 * L0 * (r1 - r0)
-
-    def gdot(x):
-        x = np.asarray(x, dtype=float)
-        inside = np.clip(x, ramp.t_start, ramp.t_end)
-        return np.where(
-            x < ramp.t_start, r0, np.where(x > ramp.t_end, r1, ramp.delta(inside))
-        )
-
-    def gval(x):
-        x = np.asarray(x, dtype=float)
-        inside = np.clip(x, ramp.t_start, ramp.t_end)
-        core = ramp_integral(inside)
-        left = r0 * (x - ramp.t_start)
-        right = ramp_integral(np.asarray(ramp.t_end)) + r1 * (x - ramp.t_end)
-        return np.where(x < ramp.t_start, left, np.where(x > ramp.t_end, right, core))
-
-    def gderiv(order: int):
-        g = {1: ramp.ddelta, 2: ramp.d2delta}[order]
-
-        def wrapped(x):
-            x = np.asarray(x, dtype=float)
-            inside = np.clip(x, ramp.t_start, ramp.t_end)
-            out = np.asarray(g(inside), dtype=float)
-            return np.where((x < ramp.t_start) | (x > ramp.t_end), 0.0, out)
-
-        return wrapped
-
-    gdot1 = gderiv(1)
-    gdot2 = gderiv(2)
-
-    lo = t0 - L0
-    hi = t0 + tau + L0
-    offset = float(gval(np.asarray(lo + L0)) - gval(np.asarray(lo - L0)))
-
-    def make(evaluator, shift=0.0):
-        def profile(t):
-            t = np.asarray(t, dtype=float)
-            return (evaluator(t + L0) - evaluator(t - L0) - shift) / norm
-
-        return profile
-    knots = {t0 - L0, t0 + tau - L0, t0 + L0, t0 + tau + L0}
-    interior = tuple(sorted(k for k in knots if lo < k < hi))
-    return Trajectory(
-        t_start=lo,
-        t_end=hi,
-        delta=make(gval, shift=offset),
-        ddelta=make(gdot),
-        d2delta=make(gdot1),
-        d3delta=make(gdot2),
-        label=f"shortcut({ramp.label}, L0={L0:g})",
-        idelta=None,
-        breakpoints=interior,
-    )
+    x = ramp.delta.x
+    pieces = [(t0 - L0, t0 + L0, Polynomial([-r0 / norm])),
+              (t1 - L0, t1 + L0, Polynomial([r1 / norm]))]
+    for i in range(len(x) - 1):
+        p = _piece(ramp.delta, i) / norm
+        pieces.append((x[i] - L0, x[i + 1] - L0, p))
+        pieces.append((x[i] + L0, x[i + 1] + L0, -p))
+    velocity = _from_pieces(pieces, ramp.delta.c.shape[0])
+    return Trajectory(velocity.antiderivative(), label=f"shortcut({ramp.label}, L0={L0:g})")
 
 
 def from_samples(source: str | Path | io.TextIOBase, label: str | None = None) -> Trajectory:
@@ -343,47 +272,4 @@ def from_samples(source: str | Path | io.TextIOBase, label: str | None = None) -
     d = np.array([r[1] for r in rows])
     if np.any(np.diff(t) <= 0):
         raise ValueError("sample times must be strictly increasing")
-
-    spl = CubicSpline(t, d, bc_type="clamped")
-    der = [spl.derivative(m) for m in (1, 2, 3)]
-
-    def ev(fn):
-        def wrapped(x):
-            return np.asarray(fn(np.asarray(x, dtype=float)), dtype=float)
-
-        return wrapped
-
-    return Trajectory(
-        t_start=float(t[0]),
-        t_end=float(t[-1]),
-        delta=ev(spl),
-        ddelta=ev(der[0]),
-        d2delta=ev(der[1]),
-        d3delta=ev(der[2]),
-        label=label,
-        idelta=ev(spl.antiderivative()),
-        breakpoints=tuple(float(x) for x in t[1:-1]),
-    )
-
-
-def scaled_to_unit_displacement(traj: Trajectory) -> Trajectory:
-    """Rescale a profile so that its net displacement is exactly 1."""
-    disp = traj.displacement()
-    if abs(disp) < 1e-12:
-        raise ValueError("cannot normalise a profile with zero net displacement")
-
-    def scale(g: Evaluator) -> Evaluator:
-        def wrapped(t):
-            return g(t) / disp
-
-        return wrapped
-
-    return replace(
-        traj,
-        delta=scale(traj.delta),
-        ddelta=scale(traj.ddelta),
-        d2delta=scale(traj.d2delta),
-        d3delta=scale(traj.d3delta),
-        idelta=scale(traj.idelta) if traj.idelta is not None else None,
-        label=f"unit({traj.label})",
-    )
+    return Trajectory(CubicSpline(t, d, bc_type="clamped"), label=label)

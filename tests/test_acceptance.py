@@ -94,8 +94,7 @@ def test_criterion_04_friction_nonnegative_randomised():
     for _ in range(100):
         tau = float(np.exp(rng.uniform(np.log(0.1), np.log(30.0))))
         beta = float(np.exp(rng.uniform(np.log(0.2), np.log(20.0))))
-        res = friction_energy(cfg, ThermalBath(beta), quintic(tau), SPEC,
-                              compute_bound=False)
+        res = friction_energy(cfg, ThermalBath(beta), quintic(tau), compute_bound=False)
         if res.value < 0.0:
             worst_ratio = max(worst_ratio, -res.value / max(abs(res.value), 1e-300))
     elapsed = time.time() - t0
@@ -111,9 +110,9 @@ def test_criterion_05_bound_dominates_grid():
     worst_margin = math.inf
     for tau in (0.3, 1.0, 3.0, 10.0):
         tr = quintic(tau)
-        table = spectral_table(tr, cfg, SPEC)
+        table = spectral_table(tr, cfg)
         for beta in (1.0, 5.0, math.inf):
-            res = friction_energy(cfg, ThermalBath(beta), tr, SPEC, table=table)
+            res = friction_energy(cfg, ThermalBath(beta), tr, table=table)
             assert res.bound is not None
             worst_margin = min(worst_margin, res.bound - res.value)
     report(
@@ -128,7 +127,7 @@ def test_criterion_06_quadrature_oracle_equivalence():
     cfg = cavity(0.01, 8)
     bath = ThermalBath(1.0)
     tr = quintic(1.0)
-    res = friction_energy(cfg, bath, tr, SPEC, compute_bound=False)
+    res = friction_energy(cfg, bath, tr, compute_bound=False)
     K = cfg.n_modes
     w = mode_frequencies(K, cfg.L0)
     wp = -np.arange(1, K + 1) * math.pi / cfg.L0**2
@@ -175,7 +174,7 @@ def test_criterion_07_fock_oracle_richardson():
     t0 = time.time()
     cfg = cavity(0.01, 2)
     fock = FockConfig(n_modes=2, n_max=8, dt=0.01, integrator_order=4)
-    rep = validate_friction(cfg, ThermalBath(2.0), quintic(1.0), fock, SPEC,
+    rep = validate_friction(cfg, ThermalBath(2.0), quintic(1.0), fock,
                             epsilons=(0.01, 0.005))
     elapsed = time.time() - t0
     ok = 0.95 <= rep.richardson_ratio <= 1.05 and elapsed < 600.0
@@ -204,12 +203,12 @@ def test_criterion_09_shortcut_cancellation():
     sc = shortcut(quintic(1.0), L0)
     worst_amp = 0.0
     for n in range(1, 2 * K + 1):
-        amp = spectral_amplitudes(sc, n * math.pi / L0, SPEC)
+        amp = spectral_amplitudes(sc, n * math.pi / L0)
         worst_amp = max(worst_amp, abs(amp.C), abs(amp.S))
     cfg = cavity(0.01, K, L0=L0)
     bath = ThermalBath(1.0)
-    ef_shortcut = friction_energy(cfg, bath, sc, SPEC, compute_bound=False).value
-    ef_plain = friction_energy(cfg, bath, quintic(1.0), SPEC, compute_bound=False).value
+    ef_shortcut = friction_energy(cfg, bath, sc, compute_bound=False).value
+    ef_plain = friction_energy(cfg, bath, quintic(1.0), compute_bound=False).value
     ok = worst_amp < 1e-8 and abs(ef_shortcut) <= 1e-8 * ef_plain
     report(
         "C9 shortcut profile cancels the second-order friction",
@@ -227,9 +226,8 @@ def test_criterion_10_direction_independence():
         tau = float(np.exp(rng.uniform(np.log(0.2), np.log(20.0))))
         beta = float(np.exp(rng.uniform(np.log(0.5), np.log(10.0))))
         tr = quintic(tau)
-        fwd = friction_energy(cfg, ThermalBath(beta), tr, SPEC, compute_bound=False)
-        bwd = friction_energy(cfg, ThermalBath(beta), reverse(tr), SPEC,
-                              compute_bound=False)
+        fwd = friction_energy(cfg, ThermalBath(beta), tr, compute_bound=False)
+        bwd = friction_energy(cfg, ThermalBath(beta), reverse(tr), compute_bound=False)
         worst = max(worst, abs(fwd.value - bwd.value) / max(fwd.value, 1e-300))
     report(
         "C10 friction is direction independent",
@@ -249,8 +247,8 @@ def figure_sweeps():
     baths = [BathPair(2.0, 2.0 * r) for r in (0.17, 0.33, 0.5)]
     taus = list(np.exp(np.linspace(np.log(0.1), np.log(30.0), 40)))
     t0 = time.time()
-    rows_on = sweep(cfg, baths, taus, quintic, SPEC, jobs=4, include_casimir=True)
-    rows_off = sweep(cfg, baths, taus, quintic, SPEC, jobs=4, include_casimir=False)
+    rows_on = sweep(cfg, baths, taus, quintic, include_casimir=True)
+    rows_off = sweep(cfg, baths, taus, quintic, include_casimir=False)
     return rows_on, rows_off, time.time() - t0
 
 
@@ -312,10 +310,10 @@ def test_criterion_11c_engine_dissipator_transition(figure_sweeps):
 def test_criterion_11d_friction_converges_in_beta():
     cfg = cavity(0.01, 40)
     tr = quintic(1.0)
-    table = spectral_table(tr, cfg, SPEC)
-    e20 = friction_energy(cfg, ThermalBath(20.0), tr, SPEC, table=table,
+    table = spectral_table(tr, cfg)
+    e20 = friction_energy(cfg, ThermalBath(20.0), tr, table=table,
                           compute_bound=False).value
-    e40 = friction_energy(cfg, ThermalBath(40.0), tr, SPEC, table=table,
+    e40 = friction_energy(cfg, ThermalBath(40.0), tr, table=table,
                           compute_bound=False).value
     dev = abs(e20 - e40) / e20
     report(
@@ -343,8 +341,7 @@ def test_criterion_13_determinism_byte_identical():
     for _ in range(2):
         for argv in (
             ["sweep", "--family", "quintic", "--tau-grid", "0.3:10:8log",
-             "--beta-ratio", "0.5", "--epsilon", "0.01", "--modes", "24",
-             "--jobs", "3"],
+             "--beta-ratio", "0.5", "--epsilon", "0.01", "--modes", "24"],
             ["friction", "--tau", "1.0", "--beta", "1.0", "--epsilon", "0.01",
              "--modes", "24"],
             ["oracle", "--check", "identities", "--beta", "2.0",

@@ -28,7 +28,7 @@ class TestParsing:
     def test_defaults_fill_in(self):
         cfg = parse_config(["friction"])
         assert cfg["modes"] == 64
-        assert cfg["rel-tol"] == 1e-10
+        assert cfg["tail-tol"] == 1e-6
 
     def test_flag_overrides_config_file(self, tmp_path):
         conf = tmp_path / "run.conf"
@@ -80,6 +80,12 @@ class TestParsing:
                  "/nonexistent/path.csv"]
             )
 
+    @pytest.mark.parametrize("flag", ["--nodes-per-period", "--panel-order",
+                                      "--rel-tol", "--max-panels", "--jobs"])
+    def test_numerical_tuning_flags_are_rejected(self, flag):
+        with pytest.raises(UsageError):
+            parse_config(["sweep", "--tau-grid", "1:2:2", flag, "4"])
+
     def test_sweep_requires_grid(self):
         with pytest.raises(UsageError):
             parse_config(["sweep"])
@@ -118,8 +124,7 @@ class TestRuns:
     def test_friction_adiabatic_limit(self):
         status, text = capture(
             ["friction", "--tau", "1e9", "--beta", "1.0", "--epsilon", "0.01",
-             "--modes", "2", "--nodes-per-period", "4", "--panel-order", "4",
-             "--rel-tol", "1e-6"]
+             "--modes", "2"]
         )
         assert status == 0
         ef = next(l for l in text.splitlines() if l.startswith("# E_F = "))
@@ -127,8 +132,7 @@ class TestRuns:
 
     def test_determinism_byte_identical(self):
         argv = ["sweep", "--family", "quintic", "--tau-grid", "0.5:2:3log",
-                "--beta-ratio", "0.5", "--epsilon", "0.01", "--modes", "12",
-                "--jobs", "2"]
+                "--beta-ratio", "0.5", "--epsilon", "0.01", "--modes", "12"]
         _, first = capture(argv)
         _, second = capture(argv)
         assert first == second
@@ -155,8 +159,7 @@ class TestRuns:
     def test_sweep_csv_matches_eta_shape(self):
         status, text = capture(
             ["sweep", "--family", "quintic", "--tau-grid", "0.5:8:4log",
-             "--beta-ratio", "0.5", "--epsilon", "0.01", "--modes", "12",
-             "--jobs", "1"]
+             "--beta-ratio", "0.5", "--epsilon", "0.01", "--modes", "12"]
         )
         assert status == 0
         rows = [l.split(",") for l in text.splitlines()

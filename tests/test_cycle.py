@@ -15,11 +15,8 @@ from casotto.cycle import (
     sweep,
     write_sweep_csv,
 )
-from casotto.quadrature import QuadratureSpec
 from casotto.spectrum import CavityConfig
 from casotto.trajectory import quintic
-
-SPEC = QuadratureSpec()
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore::casotto.friction.TruncationWarning"
@@ -116,19 +113,19 @@ class TestAdiabaticRefrigerator:
 class TestNonadiabaticEngine:
     def test_large_tau_recovers_adiabatic(self):
         ad = adiabatic_engine(cfg(K=32), ENGINE_BATHS)
-        na = nonadiabatic_engine(cfg(K=32), ENGINE_BATHS, quintic(60.0), SPEC)
+        na = nonadiabatic_engine(cfg(K=32), ENGINE_BATHS, quintic(60.0))
         assert na.eta == pytest.approx(ad.eta, abs=1e-8)
         assert na.Q == pytest.approx(ad.Q, rel=1e-9)
         assert na.W == pytest.approx(ad.W, rel=1e-7)
 
     def test_efficiency_below_adiabatic(self):
-        report = nonadiabatic_engine(cfg(K=32), ENGINE_BATHS, quintic(1.0), SPEC)
+        report = nonadiabatic_engine(cfg(K=32), ENGINE_BATHS, quintic(1.0))
         assert report.eta < report.eta_adiabatic
         assert report.mode == "engine"
         assert report.E_F_A > 0 and report.E_F_C > 0
 
     def test_sudden_stroke_kills_the_engine(self):
-        report = nonadiabatic_engine(cfg(K=48), ENGINE_BATHS, quintic(0.05), SPEC)
+        report = nonadiabatic_engine(cfg(K=48), ENGINE_BATHS, quintic(0.05))
         assert report.W < 0
         assert report.mode == "dissipator"
 
@@ -138,17 +135,17 @@ class TestNonadiabaticEngine:
         # the heat, hence the moderate stroke time)
         diffs = []
         for eps in (0.04, 0.02, 0.01):
-            r = nonadiabatic_engine(cfg(eps=eps, K=24), ENGINE_BATHS, quintic(3.0), SPEC)
+            r = nonadiabatic_engine(cfg(eps=eps, K=24), ENGINE_BATHS, quintic(3.0))
             diffs.append(abs(r.eta - r.eta_second_order))
         assert diffs[0] / diffs[1] == pytest.approx(8.0, rel=0.25)
         assert diffs[1] / diffs[2] == pytest.approx(8.0, rel=0.25)
 
     def test_hot_friction_uses_reversed_stroke(self):
-        r = nonadiabatic_engine(cfg(K=24), ENGINE_BATHS, quintic(1.0), SPEC)
+        r = nonadiabatic_engine(cfg(K=24), ENGINE_BATHS, quintic(1.0))
         assert r.q_convention.startswith("Q = Q_adiabatic - E_F(cold")
 
     def test_engine_convention_relations_with_friction(self):
-        r = nonadiabatic_engine(cfg(K=24), ENGINE_BATHS, quintic(1.0), SPEC)
+        r = nonadiabatic_engine(cfg(K=24), ENGINE_BATHS, quintic(1.0))
         assert r.Q == pytest.approx(r.E_C - r.E_B, rel=1e-12)
         assert r.W == pytest.approx(
             (r.E_A - r.E_B) + (r.E_C - r.E_D), rel=1e-12
@@ -157,7 +154,7 @@ class TestNonadiabaticEngine:
     def test_efficiency_ordering_in_tau(self):
         taus = [0.5, 1.0, 2.0, 4.0, 8.0]
         etas = [
-            nonadiabatic_engine(cfg(K=24), ENGINE_BATHS, quintic(t), SPEC).eta
+            nonadiabatic_engine(cfg(K=24), ENGINE_BATHS, quintic(t)).eta
             for t in taus
         ]
         assert all(a <= b + 1e-14 for a, b in zip(etas, etas[1:]))
@@ -168,25 +165,25 @@ class TestNonadiabaticRefrigerator:
     BATHS = BathPair(2.0, 1.9)
 
     def test_cop_below_adiabatic(self):
-        r = nonadiabatic_refrigerator(cfg(eps=0.06, K=32), self.BATHS, quintic(2.0), SPEC)
+        r = nonadiabatic_refrigerator(cfg(eps=0.06, K=32), self.BATHS, quintic(2.0))
         assert r.eta <= r.eta_adiabatic
         assert r.mode == "refrigerator"
 
     def test_sudden_stroke_stops_cooling(self):
-        r = nonadiabatic_refrigerator(cfg(eps=0.06, K=48), self.BATHS, quintic(0.05), SPEC)
+        r = nonadiabatic_refrigerator(cfg(eps=0.06, K=48), self.BATHS, quintic(0.05))
         assert r.Q < 0
         assert r.mode == "dissipator"
 
     def test_slow_limit_recovers_adiabatic(self):
         ad = adiabatic_refrigerator(cfg(eps=0.06, K=32), self.BATHS)
-        na = nonadiabatic_refrigerator(cfg(eps=0.06, K=32), self.BATHS, quintic(80.0), SPEC)
+        na = nonadiabatic_refrigerator(cfg(eps=0.06, K=32), self.BATHS, quintic(80.0))
         assert na.eta == pytest.approx(ad.eta, rel=1e-6)
 
     def test_cop_improves_with_similar_baths(self):
         cops = []
         for ratio in (0.95, 0.97, 0.99):
             baths = BathPair(2.0, 2.0 * ratio)
-            r = nonadiabatic_refrigerator(cfg(eps=0.06, K=32), baths, quintic(3.0), SPEC)
+            r = nonadiabatic_refrigerator(cfg(eps=0.06, K=32), baths, quintic(3.0))
             cops.append(r.eta)
         assert cops[0] < cops[1] < cops[2]
 
@@ -216,45 +213,36 @@ class TestPower:
 
 class TestSweep:
     def test_single_cell_matches_direct_call(self):
-        rows = sweep(cfg(K=16), [ENGINE_BATHS], [1.0], quintic, SPEC)
-        direct = nonadiabatic_engine(cfg(K=16), ENGINE_BATHS, quintic(1.0), SPEC)
+        rows = sweep(cfg(K=16), [ENGINE_BATHS], [1.0], quintic)
+        direct = nonadiabatic_engine(cfg(K=16), ENGINE_BATHS, quintic(1.0))
         assert len(rows) == 1
         assert rows[0].report.eta == direct.eta
         assert rows[0].report.W == direct.W
 
     def test_epsilon_reuse_is_consistent(self):
         rows = sweep(
-            cfg(K=16), [ENGINE_BATHS], [1.0], quintic, SPEC, epsilons=[0.01, 0.02]
+            cfg(K=16), [ENGINE_BATHS], [1.0], quintic, epsilons=[0.01, 0.02]
         )
         by_eps = {r.epsilon: r.report for r in rows}
         assert by_eps[0.02].E_F_A == pytest.approx(4.0 * by_eps[0.01].E_F_A, rel=1e-12)
 
     def test_row_order_and_grid_shape(self):
         baths = [BathPair(2.0, 0.4), BathPair(2.0, 1.0)]
-        rows = sweep(cfg(K=8), baths, [2.0, 0.5, 1.0], quintic, SPEC)
+        rows = sweep(cfg(K=8), baths, [2.0, 0.5, 1.0], quintic)
         assert [r.beta_ratio for r in rows] == [0.2, 0.2, 0.2, 0.5, 0.5, 0.5]
         assert [r.tau_omega1 for r in rows] == [0.5, 1.0, 2.0, 0.5, 1.0, 2.0]
-
-    def test_parallel_matches_serial(self):
-        baths = [ENGINE_BATHS]
-        taus = [0.5, 1.0, 2.0]
-        serial = sweep(cfg(K=12), baths, taus, quintic, SPEC, jobs=1)
-        parallel = sweep(cfg(K=12), baths, taus, quintic, SPEC, jobs=4)
-        for a, b in zip(serial, parallel):
-            assert a.report.W == b.report.W
-            assert a.report.eta == b.report.eta
 
     def test_cell_failure_is_recorded_not_raised(self):
         def broken(tau):
             raise RuntimeError("boom")
 
-        rows = sweep(cfg(K=8), [ENGINE_BATHS], [1.0], broken, SPEC)
+        rows = sweep(cfg(K=8), [ENGINE_BATHS], [1.0], broken)
         assert len(rows) == 1
         assert rows[0].report is None
         assert "boom" in rows[0].error
 
     def test_csv_shape(self):
-        rows = sweep(cfg(K=8), [ENGINE_BATHS], [0.5, 1.0], quintic, SPEC)
+        rows = sweep(cfg(K=8), [ENGINE_BATHS], [0.5, 1.0], quintic)
         buf = io.StringIO()
         write_sweep_csv(rows, buf)
         lines = buf.getvalue().strip().splitlines()
@@ -264,16 +252,16 @@ class TestSweep:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            sweep(cfg(K=8), [], [1.0], quintic, SPEC)
+            sweep(cfg(K=8), [], [1.0], quintic)
         with pytest.raises(ValueError):
-            sweep(cfg(K=8), [ENGINE_BATHS], [1.0], quintic, SPEC, machine="laser")
+            sweep(cfg(K=8), [ENGINE_BATHS], [1.0], quintic, machine="laser")
 
 
 class TestCasimirCancellation:
     def test_nonadiabatic_toggle_bitwise(self):
-        on = nonadiabatic_engine(cfg(K=16), ENGINE_BATHS, quintic(1.0), SPEC,
+        on = nonadiabatic_engine(cfg(K=16), ENGINE_BATHS, quintic(1.0),
                                  include_casimir=True)
-        off = nonadiabatic_engine(cfg(K=16), ENGINE_BATHS, quintic(1.0), SPEC,
+        off = nonadiabatic_engine(cfg(K=16), ENGINE_BATHS, quintic(1.0),
                                   include_casimir=False)
         assert on.Q == off.Q
         assert on.W == off.W

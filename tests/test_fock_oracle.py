@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import PPoly
 
 from casotto.fock_oracle import (
     FockConfig,
@@ -16,11 +17,8 @@ from casotto.fock_oracle import (
     verify_trace_identities,
 )
 from casotto.fock_oracle import _expm_unitary, _static_parts, _assemble
-from casotto.quadrature import QuadratureSpec
 from casotto.spectrum import CavityConfig, ThermalBath, thermal_occupation
 from casotto.trajectory import Trajectory, quintic, shortcut
-
-SPEC = QuadratureSpec()
 
 
 def cavity(eps=0.01, K=2):
@@ -28,9 +26,7 @@ def cavity(eps=0.01, K=2):
 
 
 def static_profile(value: float, tau: float = 1.0) -> Trajectory:
-    arr = lambda t: np.full_like(np.asarray(t, dtype=float), value)
-    zero = lambda t: np.zeros_like(np.asarray(t, dtype=float))
-    return Trajectory(0.0, tau, arr, zero, zero, zero, label=f"static({value})")
+    return Trajectory(PPoly([[value]], [0.0, tau]), label=f"static({value})")
 
 
 class TestFockConfig:
@@ -274,7 +270,7 @@ class TestValidateFriction:
     def test_quintic_two_modes_ratio_near_one(self):
         cfg = cavity(eps=0.01, K=2)
         fock = FockConfig(n_modes=2, n_max=8, dt=0.01, integrator_order=4)
-        report = validate_friction(cfg, ThermalBath(2.0), quintic(1.0), fock, SPEC,
+        report = validate_friction(cfg, ThermalBath(2.0), quintic(1.0), fock,
                                    epsilons=(0.01, 0.005))
         assert 0.95 <= report.richardson_ratio <= 1.05
         for row in report.rows:
@@ -315,12 +311,12 @@ class TestValidateFriction:
         )
         from casotto.friction import friction_energy
 
-        plain = friction_energy(cfg, bath, quintic(1.0), SPEC, compute_bound=False).value
+        plain = friction_energy(cfg, bath, quintic(1.0), compute_bound=False).value
         assert abs(e_full - e_adiab) < 0.05 * plain
 
     def test_epsilon_guard(self):
         cfg = cavity(eps=0.01, K=2)
         fock = FockConfig(n_modes=2, n_max=6)
         with pytest.raises(ValueError):
-            validate_friction(cfg, ThermalBath(2.0), quintic(1.0), fock, SPEC,
+            validate_friction(cfg, ThermalBath(2.0), quintic(1.0), fock,
                               epsilons=(0.1, 0.05))

@@ -1,8 +1,11 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import casotto
 from casotto.quadrature import (
     ConvergenceError,
     QuadratureSpec,
@@ -151,3 +154,27 @@ def test_spec_validation():
         QuadratureSpec(rel_tol=0.0)
     with pytest.raises(ValueError):
         integrate_1d(np.sin, 1.0, 0.0, 1.0, SPEC)
+
+
+def _imported_modules(path: Path) -> set[str]:
+    """Absolute dotted names a casotto module imports."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["casotto" if node.level else "", node.module]))
+            names.add(base)
+            names.update(f"{base}.{alias.name}" for alias in node.names)
+    return names
+
+
+@pytest.mark.parametrize(
+    "module", ["cli", "cycle", "friction", "trajectory", "fock_oracle", "spectrum"]
+)
+def test_production_modules_do_not_import_the_oracle(module):
+    # the panel quadrature is the reference for the closed forms, so no
+    # production path may come to depend on it
+    path = Path(casotto.__file__).parent / f"{module}.py"
+    imported = _imported_modules(path)
+    assert not {n for n in imported if n.split(".")[:2] == ["casotto", "quadrature"]}

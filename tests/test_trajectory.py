@@ -1,9 +1,11 @@
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.interpolate import PPoly
 
 from casotto.quadrature import QuadratureSpec, integrate_1d
 from casotto.trajectory import (
@@ -17,15 +19,7 @@ from casotto.trajectory import (
 
 
 def linear_ramp(tau: float) -> Trajectory:
-    return Trajectory(
-        t_start=0.0,
-        t_end=tau,
-        delta=lambda t: np.asarray(t, dtype=float) / tau,
-        ddelta=lambda t: np.full_like(np.asarray(t, dtype=float), 1.0 / tau),
-        d2delta=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-        d3delta=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-        label="linear",
-    )
+    return Trajectory(PPoly([[1.0 / tau], [0.0]], [0.0, tau]), label="linear")
 
 
 def finite_difference(g, t, h):
@@ -89,7 +83,7 @@ class TestQuintic:
     def test_antiderivative_consistency(self):
         tr = quintic(1.3)
         r = integrate_1d(tr.delta, 0.0, 0.9, 0.0, QuadratureSpec())
-        assert tr.idelta(np.array([0.9]))[0] == pytest.approx(r.value, rel=1e-12)
+        assert tr.delta.antiderivative()(0.9) == pytest.approx(r.value, rel=1e-12)
 
 
 class TestBoundaryChecks:
@@ -103,16 +97,10 @@ class TestBoundaryChecks:
         assert rep.start_value and rep.end_value
 
     def test_injected_acceleration_fails_start_check(self):
-        base = quintic(1.0)
-        bent = Trajectory(
-            t_start=0.0,
-            t_end=1.0,
-            delta=base.delta,
-            ddelta=base.ddelta,
-            d2delta=lambda t: base.d2delta(t) + 0.1,
-            d3delta=base.d3delta,
-            label="bent",
-        )
+        # the quintic plus 0.05 t**2
+        coeffs = quintic(1.0).delta.c.copy()
+        coeffs[-3] += 0.05
+        bent = Trajectory(PPoly(coeffs, [0.0, 1.0]), label="bent")
         rep = check_boundary_conditions(bent)
         assert not rep.start_acceleration
         assert not rep.all_pass
@@ -165,7 +153,7 @@ class TestShortcut:
 
         sc = shortcut(quintic(1.0), 1.0)
         for n in (2, 4, 10):
-            amp = spectral_amplitudes(sc, n * math.pi, QuadratureSpec())
+            amp = spectral_amplitudes(sc, n * math.pi)
             assert abs(amp.C) < 1e-10
             assert abs(amp.S) < 1e-10
 
@@ -179,7 +167,7 @@ class TestShortcut:
         h = 1e-6
         # stay clear of the piecewise junctions
         pts = [t for t in rng.uniform(-0.95, 1.95, 200)
-               if min(abs(t - b) for b in sc.breakpoints) > 1e-2][:50]
+               if min(abs(t - b) for b in sc.delta.x) > 1e-2][:50]
         for t in pts:
             fd = finite_difference(sc.delta, t, h)
             an = sc.ddelta(np.array([t]))[0]
@@ -220,11 +208,16 @@ class TestFromSamples:
 
 def test_domain_validation():
     with pytest.raises(ValueError):
-        Trajectory(
-            t_start=1.0,
-            t_end=1.0,
-            delta=lambda t: t,
-            ddelta=lambda t: t,
-            d2delta=lambda t: t,
-            d3delta=lambda t: t,
-        )
+        Trajectory(PPoly([[0.0]], [1.0, 1.0]))
+    with pytest.raises(TypeError):
+        Trajectory(lambda t: t)
+
+
+def test_given_derivative_is_kept():
+    # callers may wrap an evaluator with dataclasses.replace; only the
+    # derivatives left as None are derived from the polynomial
+    tr = quintic(1.0)
+    wrapped = replace(tr, ddelta=lambda t: 2.0 * tr.ddelta(t))
+    t = np.array([0.3])
+    assert wrapped.ddelta(t)[0] == 2.0 * tr.ddelta(t)[0]
+    assert wrapped.d2delta(t)[0] == tr.d2delta(t)[0]
