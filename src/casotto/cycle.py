@@ -448,11 +448,12 @@ def sweep(
 ) -> list[SweepRow]:
     """Cycle reports over a (bath, epsilon, tau) grid.
 
-    The spectral tables depend only on the trajectory, so they are built
-    once per tau and shared across every bath and compression ratio.  Rows
-    are ordered deterministically: outer bath ratio, then epsilon, then tau
-    ascending.  Failures of individual cells are recorded in the row and do
-    not abort the sweep.
+    The grid is evaluated tau by tau: one trajectory and its spectral table
+    are built and serve every bath and compression ratio before the next tau
+    starts, so only one table (with its mode-sum weights) is held at a time.
+    Rows come out in a fixed order regardless: outer bath ratio, then
+    epsilon, then tau ascending.  Failures of individual cells are recorded
+    in the row and do not abort the sweep.
     """
     if machine not in ("engine", "refrigerator"):
         raise ValueError(f"machine must be 'engine' or 'refrigerator', got {machine!r}")
@@ -460,46 +461,37 @@ def sweep(
         raise ValueError("sweep needs non-empty bath and tau grids")
     eps_list = list(epsilons) if epsilons is not None else [cfg.epsilon]
     taus = sorted(float(t) for t in taus)
-
-    def build_table(tau: float):
-        try:
-            traj = traj_family(tau)
-            return traj, spectral_table(traj, cfg)
-        except Exception as exc:  # cell failures are recorded, not raised
-            return exc
-
-    prepared = [build_table(tau) for tau in taus]
+    cells = [(bath, replace(cfg, epsilon=eps)) for bath in baths for eps in eps_list]
 
     run = nonadiabatic_engine if machine == "engine" else nonadiabatic_refrigerator
-    rows: list[SweepRow] = []
-    for bath in baths:
-        for eps in eps_list:
-            cfg_eps = replace(cfg, epsilon=eps)
-            for tau, made in zip(taus, prepared):
-                if isinstance(made, Exception):
-                    rows.append(
-                        SweepRow(tau * cfg.omega1, bath.ratio, eps, None, error=str(made))
+    rows: list[SweepRow | None] = [None] * (len(cells) * len(taus))
+    for t_i, tau in enumerate(taus):
+        try:
+            traj = traj_family(tau)
+            table = spectral_table(traj, cfg)
+            failure = None
+        except Exception as exc:  # cell failures are recorded, not raised
+            failure = exc
+        for c_i, (bath, cfg_eps) in enumerate(cells):
+            where = (tau * cfg.omega1, bath.ratio, cfg_eps.epsilon)
+            slot = c_i * len(taus) + t_i
+            if failure is not None:
+                rows[slot] = SweepRow(*where, None, error=str(failure))
+                continue
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    report = run(
+                        cfg_eps,
+                        bath,
+                        traj,
+                        include_casimir=include_casimir,
+                        table=table,
+                        thermalization_time=thermalization_time,
                     )
-                    continue
-                traj, table = made
-                try:
-                    with warnings.catch_warnings():
-                        warnings.simplefilter("ignore")
-                        report = run(
-                            cfg_eps,
-                            bath,
-                            traj,
-                            include_casimir=include_casimir,
-                            table=table,
-                            thermalization_time=thermalization_time,
-                        )
-                    rows.append(
-                        SweepRow(tau * cfg.omega1, bath.ratio, eps, report)
-                    )
-                except Exception as exc:  # record and continue
-                    rows.append(
-                        SweepRow(tau * cfg.omega1, bath.ratio, eps, None, error=str(exc))
-                    )
+                rows[slot] = SweepRow(*where, report)
+            except Exception as exc:  # record and continue
+                rows[slot] = SweepRow(*where, None, error=str(exc))
     return rows
 
 

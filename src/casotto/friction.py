@@ -12,8 +12,24 @@ in the compression ratio ``eps``, the energy
 where ``A(W) = C(W)**2 + S(W)**2`` is the spectral power of the wall
 velocity, ``C``/``S`` its cosine/sine amplitudes, and ``N_k`` the initial
 thermal occupations.  The double time integral of the underlying kernel
-separates exactly into ``A(W)``, which is what makes the fast path cheap;
-the tensor-product check against the unseparated kernel lives in the tests.
+separates exactly into ``A(W)``; the tensor-product check against the
+unseparated kernel lives in the tests.
+
+That leaves the bath only in the occupations, and every term is linear in
+them.  For the equidistant spectrum ``w_k = k w_1`` the geometric factors
+collapse, ``(w_k' L0 / w_k)**2 = 1`` and ``g_jk**2 (w_k -+ w_j)**2 /
+(w_j w_k) = 4jk / (j +- k)**2``, so the fast path splits in two.  Once per
+spectral table and cutoff K it builds the bath-independent weights
+
+    D_k = (w_k / 4) A[2k]
+    Cm_kj = (w_k / 4) 4jk / (j + k)**2 A[j + k]      (j != k)
+    Sm_kj = (w_k / 4) 4jk / (j - k)**2 A[|j - k|]    (j != k)
+
+with ``A[n] = A(n w_1)``, and keeps them on the table.  Each bath then only
+applies its occupations: ``diag = D (2N + 1)``, ``create = Cm N + (N + 1)
+rowsum(Cm)`` and ``scatter_k = sum_j Sm_kj (N_j - N_k)``, the last summed
+elementwise because ``Sm N - N rowsum(Sm)`` cancels.  A bath costs one
+``K x K`` elementwise pass; the per-mode rows come from the same sums.
 
 The three per-mode pieces have distinct physics: the ``A(2 w_k)`` term is
 single-mode pair creation (squeezing), the ``(N_k + N_j + 1)`` term is
@@ -45,7 +61,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -104,7 +120,8 @@ class SpectralTable:
 
     Precomputing the grid lets one table serve every mode pair (the needed
     sums and differences of equidistant frequencies are again grid points)
-    and every bath and compression ratio.
+    and every bath and compression ratio.  The mode-sum weights built from
+    it are kept per cutoff K, so the arrays must not be changed in place.
     """
 
     omega1: float
@@ -112,6 +129,7 @@ class SpectralTable:
     S: np.ndarray
     err: np.ndarray
     label: str
+    _weights: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def power(self) -> np.ndarray:
@@ -252,17 +270,24 @@ def partial_spectral_integral(
     return float(F[0].real), float(F[0].imag)
 
 
-def _tail_estimate(totals: np.ndarray, tail_fit_points: int = 8) -> float:
+def _tail_estimate(
+    totals: np.ndarray, noise: np.ndarray, tail_fit_points: int = 8
+) -> float:
     """Extrapolated remainder of the mode sum beyond the cutoff.
 
     Fits ``|contribution| ~ c * k**-p`` to the last few modes and sums the
-    extrapolation.  Returns NaN when too few modes are available or the fit
-    does not decay.
+    extrapolation.  When every fitted contribution lies within its
+    round-off bound ``noise`` there is no decay to fit, and the remainder is
+    not resolvable above round-off: the fitted modes' bound is returned.
+    Returns NaN when too few modes are available and inf when the fit does
+    not decay.
     """
     k_used = len(totals)
     if k_used < tail_fit_points + 4:
         return math.nan
     tail = np.abs(totals[-tail_fit_points:])
+    if np.all(tail <= noise[-tail_fit_points:]):
+        return float(np.sum(noise[-tail_fit_points:]))
     if np.any(tail <= 0.0):
         return 0.0
     ks = np.arange(k_used - tail_fit_points + 1, k_used + 1, dtype=float)
@@ -276,12 +301,45 @@ def _tail_estimate(totals: np.ndarray, tail_fit_points: int = 8) -> float:
     return c * (k_next ** (1.0 - p) / (p - 1.0) + 0.5 * k_next**-p)
 
 
+def _mode_weights(table: SpectralTable, K: int) -> tuple[tuple[np.ndarray, ...], ...]:
+    """Bath-independent weights of the mode sums at cutoff K, per unit eps**2.
+
+    Returns ``(D, Cm, rowsum(Cm), Sm)`` of the module docstring twice: built
+    from the spectral power ``A`` and from its round-off bound.  The
+    diagonals of ``Cm`` and ``Sm`` are zero (``j != k``).
+    """
+    # first- and second-order propagation of the amplitude bounds into C**2 + S**2
+    Aerr = 2.0 * (np.abs(table.C) + np.abs(table.S)) * table.err + 2.0 * table.err**2
+    ks = np.arange(1, K + 1)
+    quarter_w = ks * table.omega1 / 4.0
+    k, j = ks[:, None], ks[None, :]
+    create_geom = quarter_w[:, None] * (4.0 * k * j / (k + j) ** 2)
+    with np.errstate(divide="ignore"):
+        scatter_geom = quarter_w[:, None] * (4.0 * k * j / (k - j) ** 2)
+    np.fill_diagonal(create_geom, 0.0)
+    np.fill_diagonal(scatter_geom, 0.0)
+    weights = []
+    for A in (table.power, Aerr):
+        Cm = create_geom * A[k + j]
+        Sm = scatter_geom * A[np.abs(k - j)]
+        weights.append((quarter_w * A[2 * ks], Cm, Cm.sum(axis=1), Sm))
+    return tuple(weights)
+
+
+def _apply_occupations(weights, n: np.ndarray, dn: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per-mode (diag, create, scatter) of one set of weights for occupations
+    ``n``; ``dn[k, j]`` multiplies ``Sm[k, j]``."""
+    D, Cm, Cm_rows, Sm = weights
+    # Sm @ n - n * rowsum(Sm) would cancel: the scattering sum stays elementwise
+    return D * (2.0 * n + 1.0), Cm @ n + (n + 1.0) * Cm_rows, np.einsum("kj,kj->k", Sm, dn)
+
+
 def _mode_terms(
     cfg: CavityConfig,
     bath: ThermalBath,
     table: SpectralTable,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-mode (diag, create, scatter) contributions per unit eps**2."""
+    """Per-mode (diag, create, scatter, round-off bound) per unit eps**2."""
     K = cfg.n_modes
     if table.n_max < 2 * K:
         raise ValueError(
@@ -289,41 +347,14 @@ def _mode_terms(
         )
     if not math.isclose(table.omega1, cfg.omega1, rel_tol=1e-12):
         raise ValueError("spectral table was built for a different cavity")
+    if K not in table._weights:
+        table._weights[K] = _mode_weights(table, K)
+    values, bounds = table._weights[K]
 
-    w = mode_frequencies(K, cfg.L0)
-    # dw/dL = -k pi/L**2, so (w' L0 / w)**2 = 1 for this spectrum; kept
-    # explicit to admit other spectra.
-    wprime = -np.arange(1, K + 1, dtype=float) * math.pi / cfg.L0**2
-    nbar = occupations(bath.beta, w)
-    A = table.power
-    # first- and second-order propagation of the amplitude bounds into C**2 + S**2
-    Aerr = 2.0 * (np.abs(table.C) + np.abs(table.S)) * table.err + 2.0 * table.err**2
-
-    ks = np.arange(1, K + 1)
-    diag_geom = (wprime * cfg.L0 / w) ** 2
-    diag = (w / 4.0) * diag_geom * A[2 * ks] * (2.0 * nbar + 1.0)
-    diag_err = (w / 4.0) * diag_geom * Aerr[2 * ks] * (2.0 * nbar + 1.0)
-
-    g2 = coupling_matrix(K) ** 2  # g2[k-1, j-1]
-    wk = w[:, None]
-    wj = w[None, :]
-    nk = nbar[:, None]
-    nj = nbar[None, :]
-    sum_idx = ks[:, None] + ks[None, :]
-    diff_idx = np.abs(ks[:, None] - ks[None, :])
-    off = ~np.eye(K, dtype=bool)
-    if not np.all(diff_idx[off] > 0):
-        raise AssertionError("degenerate frequency difference in scattering term")
-
-    base = np.where(off, g2 / (wj * wk), 0.0)
-    create_mat = base * (wk - wj) ** 2 * A[sum_idx] * (nk + nj + 1.0)
-    scatter_mat = base * (wj + wk) ** 2 * A[diff_idx] * (nj - nk)
-    create = (w / 4.0) * create_mat.sum(axis=1)
-    scatter = (w / 4.0) * scatter_mat.sum(axis=1)
-
-    create_err = (w / 4.0) * (base * (wk - wj) ** 2 * Aerr[sum_idx] * (nk + nj + 1.0)).sum(axis=1)
-    scatter_err = (w / 4.0) * (base * (wj + wk) ** 2 * Aerr[diff_idx] * np.abs(nj - nk)).sum(axis=1)
-    err = diag_err + create_err + scatter_err
+    n = occupations(bath.beta, mode_frequencies(K, cfg.L0))
+    dn = n[None, :] - n[:, None]  # N_j - N_k
+    diag, create, scatter = _apply_occupations(values, n, dn)
+    err = sum(_apply_occupations(bounds, n, np.abs(dn)))
     return diag, create, scatter, err
 
 
@@ -356,13 +387,19 @@ def friction_energy(
     value = eps2 * value_per_eps2
     err = eps2 * float(np.sum(err_modes))
 
-    tail = _tail_estimate(totals)
+    tail = _tail_estimate(totals, err_modes)
     tail_scaled = eps2 * tail if math.isfinite(tail) else tail
     # an infinite estimate means the fitted contributions do not decay;
-    # that is as much a truncation red flag as a large finite tail
+    # that is as much a truncation red flag as a large finite tail.  A tail
+    # within the round-off bound flags nothing the value does not already
+    # carry in ``err``.
     tail_warning = bool(
         math.isinf(tail)
-        or (math.isfinite(tail) and tail > cfg.tail_tol * max(abs(value_per_eps2), 1e-300))
+        or (
+            math.isfinite(tail)
+            and tail > cfg.tail_tol * max(abs(value_per_eps2), 1e-300)
+            and eps2 * tail > err
+        )
     )
     if tail_warning:
         warnings.warn(
@@ -379,10 +416,12 @@ def friction_energy(
         except ValueError:
             bound = None
 
-    per_mode = [
-        (int(k), eps2 * float(d), eps2 * float(c), eps2 * float(s))
-        for k, d, c, s in zip(range(1, cfg.n_modes + 1), diag, create, scatter)
-    ]
+    per_mode = list(zip(
+        range(1, cfg.n_modes + 1),
+        (eps2 * diag).tolist(),
+        (eps2 * create).tolist(),
+        (eps2 * scatter).tolist(),
+    ))
     return FrictionResult(
         value=value,
         per_mode=per_mode,

@@ -130,6 +130,20 @@ class TestRuns:
         ef = next(l for l in text.splitlines() if l.startswith("# E_F = "))
         assert abs(float(ef.split("=")[1])) < 1e-12
 
+    @pytest.mark.filterwarnings("error::casotto.friction.TruncationWarning")
+    def test_shortcut_friction_reports_a_finite_tail(self):
+        # E_F of the shortcut is round-off, so its tail is too: it is bounded
+        # by the round-off bound instead of flagged as a non-decaying fit
+        status, text = capture(
+            ["friction", "--tau", "1", "--modes", "32", "--family", "shortcut"]
+        )
+        assert status == 0
+        header = dict(l[2:].split(" = ") for l in text.splitlines()
+                      if l.startswith(("# E_F", "# quadrature_err", "# tail_estimate")))
+        tail, err = float(header["tail_estimate"]), float(header["quadrature_err"])
+        assert math.isfinite(tail) and 0.0 <= tail <= err
+        assert abs(float(header["E_F"])) <= err
+
     def test_determinism_byte_identical(self):
         argv = ["sweep", "--family", "quintic", "--tau-grid", "0.5:2:3log",
                 "--beta-ratio", "0.5", "--epsilon", "0.01", "--modes", "12"]

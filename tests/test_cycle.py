@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from casotto import friction as friction_module
 from casotto.cycle import (
     BathPair,
     ConditionWarning,
@@ -240,6 +241,42 @@ class TestSweep:
         assert len(rows) == 1
         assert rows[0].report is None
         assert "boom" in rows[0].error
+
+    def test_rows_keep_bath_epsilon_tau_order(self):
+        baths = [BathPair(2.0, 0.4), BathPair(2.0, 1.0)]
+
+        def family(tau):
+            if tau == 1.0:
+                raise RuntimeError("no profile")
+            return quintic(tau)
+
+        rows = sweep(cfg(K=8), baths, [2.0, 0.5, 1.0], family, epsilons=[0.02, 0.01])
+        assert [(r.beta_ratio, r.epsilon, r.tau_omega1) for r in rows] == [
+            (ratio, eps, tau)
+            for ratio in (0.2, 0.5) for eps in (0.02, 0.01) for tau in (0.5, 1.0, 2.0)
+        ]
+        assert [r.report is None for r in rows] == [False, True, False] * 4
+        assert all("no profile" in r.error for r in rows if r.report is None)
+        for r in rows:
+            if r.report is not None:
+                direct = nonadiabatic_engine(
+                    cfg(K=8, eps=r.epsilon), BathPair(2.0, 2.0 * r.beta_ratio),
+                    quintic(r.tau_omega1),
+                )
+                assert r.report.W == direct.W
+
+    def test_mode_weights_built_once_per_table(self, monkeypatch):
+        built = []
+        original = friction_module._mode_weights
+
+        def counting(table, K):
+            built.append(table.label)
+            return original(table, K)
+
+        monkeypatch.setattr(friction_module, "_mode_weights", counting)
+        baths = [BathPair(2.0, 0.4), BathPair(2.0, 1.0), BathPair(3.0, 2.0)]
+        sweep(cfg(K=16), baths, [0.5, 1.0, 2.0], quintic, epsilons=[0.01, 0.02])
+        assert sorted(built) == sorted(quintic(t).label for t in (0.5, 1.0, 2.0))
 
     def test_csv_shape(self):
         rows = sweep(cfg(K=8), [ENGINE_BATHS], [0.5, 1.0], quintic)

@@ -1,13 +1,20 @@
+import dataclasses
 import io
 import math
+import runpy
+import warnings
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 from scipy.interpolate import PPoly
 
+from casotto import friction as friction_module
 from casotto.friction import (
     FrictionResult,
+    TruncationWarning,
+    _mode_terms,
     export_mode_table,
     friction_bound,
     friction_energy,
@@ -232,6 +239,89 @@ def direct_mode_energy(cfg, bath, traj, k_index):
     return cfg.epsilon**2 * wk / 4.0 * r.value
 
 
+def direct_mode_sums(cfg, bath, table):
+    """Per-mode (diag, create, scatter, round-off bound) per unit eps**2 as
+    the direct double sum over mode pairs of the module docstring's formula,
+    with the general geometric factors (oracle for the per-table weights)."""
+    K = cfg.n_modes
+    w = mode_frequencies(K, cfg.L0)
+    wprime = -np.arange(1, K + 1, dtype=float) * math.pi / cfg.L0**2
+    nbar = occupations(bath.beta, w)
+    A = table.power
+    Aerr = 2.0 * (np.abs(table.C) + np.abs(table.S)) * table.err + 2.0 * table.err**2
+
+    ks = np.arange(1, K + 1)
+    diag_geom = (wprime * cfg.L0 / w) ** 2
+    diag = (w / 4.0) * diag_geom * A[2 * ks] * (2.0 * nbar + 1.0)
+    diag_err = (w / 4.0) * diag_geom * Aerr[2 * ks] * (2.0 * nbar + 1.0)
+
+    g2 = coupling_matrix(K) ** 2
+    wk, wj = w[:, None], w[None, :]
+    nk, nj = nbar[:, None], nbar[None, :]
+    sum_idx = ks[:, None] + ks[None, :]
+    diff_idx = np.abs(ks[:, None] - ks[None, :])
+    off = ~np.eye(K, dtype=bool)
+    base = np.where(off, g2 / (wj * wk), 0.0)
+    create = (w / 4.0) * (base * (wk - wj) ** 2 * A[sum_idx] * (nk + nj + 1.0)).sum(axis=1)
+    scatter = (w / 4.0) * (base * (wj + wk) ** 2 * A[diff_idx] * (nj - nk)).sum(axis=1)
+    create_err = (w / 4.0) * (base * (wk - wj) ** 2 * Aerr[sum_idx] * (nk + nj + 1.0)).sum(axis=1)
+    scatter_err = (w / 4.0) * (base * (wj + wk) ** 2 * Aerr[diff_idx] * np.abs(nj - nk)).sum(axis=1)
+    return diag, create, scatter, diag_err + create_err + scatter_err
+
+
+class TestPerTableWeights:
+    @pytest.mark.parametrize("K", [64, 256, 1024])
+    @pytest.mark.parametrize("tau", [0.1, 2.0, 30.0])
+    def test_matches_direct_double_sum(self, K, tau):
+        # L0 = pi, so tau and beta are in units of 1/w1
+        cfg = CavityConfig(L0=math.pi, epsilon=0.01, n_modes=K)
+        tr = quintic(tau)
+        table = spectral_table(tr, cfg)
+        eps2 = cfg.epsilon**2
+        for beta in (0.02, 1.0, 10.0, math.inf):
+            bath = ThermalBath(beta)
+            res = friction_energy(cfg, bath, tr, table=table, compute_bound=False)
+            diag, create, scatter, err = direct_mode_sums(cfg, bath, table)
+            ref = float(np.sum(diag + create + scatter))
+            assert res.value_per_eps2 == pytest.approx(ref, rel=1e-13, abs=0.0)
+            assert res.err == pytest.approx(eps2 * float(np.sum(err)), rel=1e-12, abs=0.0)
+            rows = np.array(res.per_mode)
+            assert np.array_equal(rows[:, 0], np.arange(1, K + 1))
+            for got, want in zip(rows[:, 1:].T, (diag, create, scatter)):
+                miss = np.abs(got - eps2 * want)
+                assert np.all((miss <= 1e-12 * np.abs(eps2 * want)) | (miss <= res.err))
+            *_, err_fast = _mode_terms(cfg, bath, table)
+            assert np.allclose(err_fast, err, rtol=1e-12, atol=0.0)
+
+    def test_weights_built_once_per_table_and_cutoff(self, monkeypatch):
+        built = []
+        original = friction_module._mode_weights
+
+        def counting(table, K):
+            built.append(K)
+            return original(table, K)
+
+        monkeypatch.setattr(friction_module, "_mode_weights", counting)
+        tr = quintic(1.0)
+        table = spectral_table(tr, make_cfg(K=16))
+        for beta in (0.5, 1.0, math.inf):
+            for eps in (0.01, 0.02):
+                friction_energy(make_cfg(K=16, eps=eps), ThermalBath(beta), tr,
+                                table=table, compute_bound=False)
+        assert built == [16]
+        friction_energy(make_cfg(K=8), ThermalBath(1.0), tr, table=table,
+                        compute_bound=False)
+        assert built == [16, 8]
+
+    def test_fresh_table_starts_without_weights(self):
+        cfg = make_cfg(K=8)
+        table = spectral_table(quintic(1.0), cfg)
+        friction_energy(cfg, ThermalBath(1.0), quintic(1.0), table=table,
+                        compute_bound=False)
+        copy = dataclasses.replace(table, C=2.0 * table.C)
+        assert copy._weights == {} and 8 in table._weights
+
+
 class TestFrictionEnergy:
     def test_static_wall_gives_zero(self):
         flat = Trajectory(PPoly([[1.0]], [0.0, 1.0]), label="static")
@@ -347,6 +437,40 @@ class TestFrictionEnergy:
         )
         omitted = abs(big.value - res.value)
         assert res.tail_estimate > 0.1 * omitted
+
+
+    @pytest.mark.filterwarnings("error::casotto.friction.TruncationWarning")
+    def test_round_off_tail_is_finite_and_silent(self):
+        # a shortcut stroke's E_F is round-off: its last per-mode totals sit
+        # inside their round-off bound and carry no decay to fit
+        cfg = CavityConfig(L0=math.pi, epsilon=0.01, n_modes=32)
+        res = friction_energy(cfg, ThermalBath(1.0), shortcut(quintic(1.0), math.pi))
+        assert abs(res.value) <= res.err
+        assert not res.tail_warning
+        assert math.isfinite(res.tail_estimate)
+        assert 0.0 <= res.tail_estimate <= res.err
+
+    def test_shortcut_demo_echo_stroke_has_a_finite_silent_tail(self, monkeypatch):
+        import casotto
+
+        results = []
+        original = casotto.friction_energy
+
+        def recording(cfg, bath, traj, **kwargs):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                res = original(cfg, bath, traj, **kwargs)
+            results.append((traj.label, res, [w.category for w in caught]))
+            return res
+
+        monkeypatch.setattr(casotto, "friction_energy", recording)
+        demo = Path(__file__).resolve().parent.parent / "demos" / "06_shortcut.py"
+        runpy.run_path(str(demo), run_name="__main__")
+        echo = [(res, caught) for label, res, caught in results if label.startswith("shortcut")]
+        assert len(echo) == 1
+        res, caught = echo[0]
+        assert TruncationWarning not in caught and not res.tail_warning
+        assert 0.0 <= res.tail_estimate <= res.err
 
 
 class TestFrictionBound:
