@@ -27,11 +27,14 @@ import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import __version__
 from .cycle import (
+    SWEEP_COLUMNS,
     BathPair,
+    SweepRow,
+    _fmt,
     nonadiabatic_engine,
     nonadiabatic_refrigerator,
     sweep,
@@ -53,6 +56,8 @@ from .spectrum import CavityConfig, ThermalBath
 from .trajectory import Trajectory, from_samples, quintic, shortcut
 
 ENV_PREFIX = "CASOTTO_"
+# cavity length of every command but shortcut-check: omega_1 = pi/L0 = 1
+_L0 = math.pi
 
 COMMANDS = (
     "friction",
@@ -236,6 +241,17 @@ def _parse_float_list(raw: str, key: str) -> list[float]:
         raise UsageError(f"invalid comma list for '{key}': {raw!r}") from exc
 
 
+def _parse_harmonics(raw: str) -> list[int]:
+    """Comma list of non-negative harmonic indices, at least one."""
+    try:
+        harmonics = [int(tok) for tok in str(raw).split(",") if tok.strip()]
+    except ValueError:
+        harmonics = []
+    if not harmonics or min(harmonics) < 0:
+        raise UsageError(f"n must be a comma list of non-negative integers, got {raw!r}")
+    return harmonics
+
+
 def _parse_grid(raw: str) -> list[float]:
     """Grid syntax ``lo:hi:N`` with optional ``log`` suffix on N."""
     parts = str(raw).split(":")
@@ -274,6 +290,12 @@ def _validate(cfg: RunConfig) -> None:
         raise UsageError("tau must be positive")
     if "modes" in opts and int(opts["modes"]) < 1:
         raise UsageError("modes must be >= 1")
+    if "thermalization-time" in opts and float(opts["thermalization-time"]) < 0:
+        raise UsageError("thermalization-time must be non-negative")
+    if "points" in opts and int(opts["points"]) < 1:
+        raise UsageError("points must be >= 1")
+    if "n" in opts:
+        _parse_harmonics(str(opts["n"]))
     if "mode" in opts and opts["mode"] not in ("engine", "refrigerator"):
         raise UsageError("mode must be engine or refrigerator")
     if "check" in opts and opts["check"] not in ("friction", "identities"):
@@ -297,13 +319,29 @@ def _validate(cfg: RunConfig) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _trajectory(opts, tau: float, L0: float) -> Trajectory:
-    fam = str(opts.get("family", "quintic"))
-    if fam == "quintic":
-        return quintic(tau)
+def _cavity(opts, epsilon: float) -> CavityConfig:
+    return CavityConfig(
+        L0=_L0,
+        epsilon=epsilon,
+        n_modes=int(opts["modes"]),
+        tail_tol=float(opts.get("tail-tol", _OPTION_SPECS["tail-tol"][1])),
+    )
+
+
+def _trajectory_family(opts) -> Callable[[float], Trajectory]:
+    """tau -> stroke profile of the configured family; a sampled file is read
+    once and serves every tau."""
+    fam = str(opts["family"])
+    if fam == "sampled":
+        fixed = from_samples(str(opts["trajectory-file"]))
+        return lambda tau: fixed
     if fam == "shortcut":
-        return shortcut(quintic(tau), L0)
-    return from_samples(str(opts["trajectory-file"]))
+        return lambda tau: shortcut(quintic(tau), _L0)
+    return quintic
+
+
+def _trajectory(opts) -> Trajectory:
+    return _trajectory_family(opts)(float(opts["tau"]))
 
 
 def _header(cfg: RunConfig, columns: Sequence[str], descriptions: Sequence[str]) -> str:
@@ -316,33 +354,14 @@ def _header(cfg: RunConfig, columns: Sequence[str], descriptions: Sequence[str])
 
 
 def _fmt_opt(value) -> str:
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+    return _fmt(value) if isinstance(value, float) else str(value)
 
 
 def run(cfg: RunConfig, stream=None) -> int:
     """Execute a resolved configuration; returns the exit status."""
     opts = cfg.options
     out = io.StringIO()
-    status = 0
-    if cfg.command == "friction":
-        status = _run_friction(cfg, out)
-    elif cfg.command == "bound":
-        status = _run_bound(cfg, out)
-    elif cfg.command in ("engine", "refrigerator"):
-        status = _run_single_cycle(cfg, out)
-    elif cfg.command == "sweep":
-        status = _run_sweep(cfg, out)
-    elif cfg.command == "shortcut-check":
-        status = _run_shortcut_check(cfg, out)
-    elif cfg.command == "oracle":
-        status = _run_oracle(cfg, out)
-
+    status = _RUNNERS[cfg.command](cfg, out)
     text = out.getvalue()
     target = str(opts.get("output", "-"))
     if stream is not None:
@@ -363,14 +382,8 @@ def _single_epsilon(opts) -> float:
 
 def _run_friction(cfg: RunConfig, out) -> int:
     opts = cfg.options
-    L0 = math.pi  # omega_1 = 1
-    cavity = CavityConfig(
-        L0=L0,
-        epsilon=_single_epsilon(opts),
-        n_modes=int(opts["modes"]),
-        tail_tol=float(opts["tail-tol"]),
-    )
-    traj = _trajectory(opts, float(opts["tau"]), L0)
+    cavity = _cavity(opts, _single_epsilon(opts))
+    traj = _trajectory(opts)
     bath = ThermalBath(float(opts["beta"]))
     result = friction_energy(cavity, bath, traj)
     out.write(_header(
@@ -394,9 +407,8 @@ def _run_friction(cfg: RunConfig, out) -> int:
 
 def _run_bound(cfg: RunConfig, out) -> int:
     opts = cfg.options
-    L0 = math.pi
-    cavity = CavityConfig(L0=L0, epsilon=_single_epsilon(opts), n_modes=int(opts["modes"]))
-    traj = _trajectory(opts, float(opts["tau"]), L0)
+    cavity = _cavity(opts, _single_epsilon(opts))
+    traj = _trajectory(opts)
     bath = ThermalBath(float(opts["beta"]))
     value = friction_bound(cavity, bath, traj)
     out.write(_header(
@@ -413,35 +425,19 @@ def _run_bound(cfg: RunConfig, out) -> int:
 
 def _run_single_cycle(cfg: RunConfig, out) -> int:
     opts = cfg.options
-    L0 = math.pi
     ratios = _parse_float_list(str(opts["beta-ratio"]), "beta-ratio")
     if len(ratios) != 1:
         raise UsageError("this command takes a single beta-ratio")
     beta_a = float(opts["beta-a"])
     baths = BathPair(beta_a, ratios[0] * beta_a)
-    cavity = CavityConfig(
-        L0=L0,
-        epsilon=_single_epsilon(opts),
-        n_modes=int(opts["modes"]),
-        tail_tol=float(opts["tail-tol"]),
-    )
-    traj = _trajectory(opts, float(opts["tau"]), L0)
+    cavity = _cavity(opts, _single_epsilon(opts))
     runner = nonadiabatic_engine if cfg.command == "engine" else nonadiabatic_refrigerator
     report = runner(
-        cavity, baths, traj, thermalization_time=float(opts["thermalization-time"])
+        cavity, baths, _trajectory(opts),
+        thermalization_time=float(opts["thermalization-time"]),
     )
-    cols = ("tau_omega1", "beta_ratio", "epsilon", "Q", "W", "eta",
-            "eta_adiabatic", "power", "mode", "EF_A", "EF_C", "tail_warning")
-    out.write(_header(cfg, cols, _CYCLE_COLUMN_DOCS))
-    out.write(",".join(cols) + "\n")
-    cells = [
-        _fmt(float(opts["tau"])), _fmt(ratios[0]), _fmt(cavity.epsilon),
-        _fmt(report.Q), _fmt(report.W), _fmt(report.eta),
-        _fmt(report.eta_adiabatic), _fmt(report.power), report.mode,
-        _fmt(report.E_F_A), _fmt(report.E_F_C),
-        "1" if report.tail_warning else "0",
-    ]
-    out.write(",".join(cells) + "\n")
+    out.write(_header(cfg, SWEEP_COLUMNS, _CYCLE_COLUMN_DOCS))
+    write_sweep_csv([SweepRow(float(opts["tau"]), ratios[0], cavity.epsilon, report)], out)
     return 0
 
 
@@ -463,40 +459,21 @@ _CYCLE_COLUMN_DOCS = (
 
 def _run_sweep(cfg: RunConfig, out) -> int:
     opts = cfg.options
-    L0 = math.pi
     taus = _parse_grid(str(opts["tau-grid"]))
     ratios = _parse_float_list(str(opts["beta-ratio"]), "beta-ratio")
     epsilons = _parse_float_list(str(opts["epsilon"]), "epsilon")
     beta_a = float(opts["beta-a"])
     baths = [BathPair(beta_a, r * beta_a) for r in ratios]
-    cavity = CavityConfig(
-        L0=L0,
-        epsilon=epsilons[0],
-        n_modes=int(opts["modes"]),
-        tail_tol=float(opts["tail-tol"]),
-    )
-    fam = str(opts["family"])
-    if fam == "sampled":
-        fixed = from_samples(str(opts["trajectory-file"]))
-        def family(tau: float) -> Trajectory:
-            return fixed
-    elif fam == "shortcut":
-        def family(tau: float) -> Trajectory:
-            return shortcut(quintic(tau), L0)
-    else:
-        family = quintic
     rows = sweep(
-        cavity,
+        _cavity(opts, epsilons[0]),
         baths,
         taus,
-        family,
+        _trajectory_family(opts),
         epsilons=epsilons,
         machine=str(opts["mode"]),
         thermalization_time=float(opts["thermalization-time"]),
     )
-    cols = ("tau_omega1", "beta_ratio", "epsilon", "Q", "W", "eta",
-            "eta_adiabatic", "power", "mode", "EF_A", "EF_C", "tail_warning")
-    out.write(_header(cfg, cols, _CYCLE_COLUMN_DOCS))
+    out.write(_header(cfg, SWEEP_COLUMNS, _CYCLE_COLUMN_DOCS))
     write_sweep_csv(rows, out)
     return 3 if any(r.report is None for r in rows) else 0
 
@@ -505,7 +482,7 @@ def _run_shortcut_check(cfg: RunConfig, out) -> int:
     opts = cfg.options
     L0 = float(opts["L0"])
     tau = float(opts["tau"])
-    harmonics = [int(x) for x in str(opts["n"]).split(",") if x.strip()]
+    harmonics = _parse_harmonics(str(opts["n"]))
     points = int(opts["points"])
     traj = shortcut(quintic(tau), L0)
     out.write(_header(
@@ -529,16 +506,13 @@ def _run_shortcut_check(cfg: RunConfig, out) -> int:
 
 def _run_oracle(cfg: RunConfig, out) -> int:
     opts = cfg.options
-    L0 = math.pi
     fock = FockConfig(
         n_modes=int(opts["fock-modes"]),
         n_max=int(opts["n-max"]),
         dt=float(opts["dt"]),
         integrator_order=int(opts["integrator-order"]),
     )
-    cavity = CavityConfig(
-        L0=L0, epsilon=_single_epsilon(opts), n_modes=int(opts["modes"])
-    )
+    cavity = _cavity(opts, _single_epsilon(opts))
     if str(opts["check"]) == "identities":
         report = verify_trace_identities(float(opts["beta"]), fock, cavity)
         out.write(_header(
@@ -554,9 +528,9 @@ def _run_oracle(cfg: RunConfig, out) -> int:
                 f"{c.label},{_fmt(c.numeric)},{_fmt(c.closed_form)},{_fmt(c.deviation)}\n"
             )
         return 0
-    traj = _trajectory(opts, float(opts["tau"]), L0)
+    traj = _trajectory(opts)
     bath = ThermalBath(float(opts["beta"]))
-    eps = _single_epsilon(opts)
+    eps = cavity.epsilon
     comparison = validate_friction(cavity, bath, traj, fock, epsilons=(eps, eps / 2.0))
     out.write(_header(
         cfg,
@@ -572,6 +546,17 @@ def _run_oracle(cfg: RunConfig, out) -> int:
     ))
     export_comparison(comparison, out)
     return 0
+
+
+_RUNNERS = {
+    "friction": _run_friction,
+    "bound": _run_bound,
+    "engine": _run_single_cycle,
+    "refrigerator": _run_single_cycle,
+    "sweep": _run_sweep,
+    "shortcut-check": _run_shortcut_check,
+    "oracle": _run_oracle,
+}
 
 
 def main(argv: Sequence[str] | None = None) -> int:

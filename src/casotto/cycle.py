@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -104,7 +104,9 @@ class CycleReport:
     efficiency (engine) or coefficient of performance (refrigerator);
     ``eta_defined`` is False when the denominator is degenerate, in which
     case ``eta`` holds the analytic limiting value.  ``power`` is
-    ``W / (2 tau)`` for finite-time cycles and NaN for adiabatic ones.
+    ``W / (2 tau + thermalization_time)`` for finite-time cycles and NaN for
+    adiabatic ones.  ``err`` is the summed round-off bound of the two stroke
+    frictions (0.0 for adiabatic cycles).
     """
 
     E_A: float
@@ -125,7 +127,7 @@ class CycleReport:
     tail_estimate: float = math.nan
     tail_warning: bool = False
     q_convention: str = ""
-    diagnostics: tuple[str, ...] = field(default_factory=tuple)
+    err: float = 0.0
 
 
 def _otto_sums(
@@ -179,62 +181,9 @@ def _tail_flag(cfg: CavityConfig, tail: float, scale: float) -> bool:
             f"mode-sum tail estimate {tail:.3e} exceeds tail_tol * |Q| "
             f"= {cfg.tail_tol * abs(scale):.3e}; increase n_modes",
             TruncationWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
     return flag
-
-
-def _engine_condition(cfg: CavityConfig, baths: BathPair) -> None:
-    # Q_ad > 0 requires beta_C * w_k(L1) <= beta_A * w_k, i.e. the Otto
-    # efficiency eps must not exceed the Carnot efficiency 1 - beta_C/beta_A.
-    if baths.ratio > 1.0 - cfg.epsilon:
-        warnings.warn(
-            f"bath ratio beta_C/beta_A = {baths.ratio:.4g} exceeds 1 - eps "
-            f"= {1.0 - cfg.epsilon:.4g}: no positive heat intake, not an "
-            "engine regime",
-            ConditionWarning,
-            stacklevel=3,
-        )
-
-
-def _refrigerator_condition(cfg: CavityConfig, baths: BathPair) -> None:
-    if not (1.0 - cfg.epsilon <= baths.ratio <= 1.0):
-        warnings.warn(
-            f"refrigerator needs 1 - eps <= beta_C/beta_A <= 1, got "
-            f"{baths.ratio:.4g} with eps = {cfg.epsilon:.4g}",
-            ConditionWarning,
-            stacklevel=3,
-        )
-
-
-def adiabatic_engine(
-    cfg: CavityConfig, baths: BathPair, include_casimir: bool = True
-) -> CycleReport:
-    """Population-frozen engine cycle; efficiency equals ``eps`` exactly."""
-    _engine_condition(cfg, baths)
-    Q_ad, W_ad, tail, pieces = _otto_sums(cfg, baths)
-    e0 = casimir_energy(cfg.L0) if include_casimir else 0.0
-    e1 = casimir_energy(cfg.L1) if include_casimir else 0.0
-    eta, defined = _safe_ratio(W_ad, Q_ad, limit=cfg.epsilon)
-    mode = "engine" if (Q_ad > 0 and W_ad > 0) else "dissipator"
-    return CycleReport(
-        E_A=pieces["sum_w0_nA"] + e0,
-        E_B=pieces["sum_w1_nA"] + e1,
-        E_C=pieces["sum_w1_nC"] + e1,
-        E_D=pieces["sum_w0_nC"] + e0,
-        Q=Q_ad,
-        W=W_ad,
-        eta=eta,
-        eta_adiabatic=eta,
-        power=math.nan,
-        mode=mode,
-        E_F_A=0.0,
-        E_F_C=0.0,
-        k_used=cfg.n_modes,
-        eta_defined=defined,
-        tail_estimate=tail,
-        tail_warning=_tail_flag(cfg, tail, Q_ad),
-    )
 
 
 def _safe_ratio(num: float, den: float, limit: float) -> tuple[float, bool]:
@@ -269,6 +218,132 @@ def _friction_pair(
     return res_A.value, res_C.value, err, tail_flag
 
 
+@dataclass(frozen=True)
+class _Machine:
+    """What tells the engine's bookkeeping from the refrigerator's.
+
+    ``heat`` and ``work`` take the population-frozen value and the two
+    stroke frictions (E_F(A), E_F(C)); each keeps its own floating-point
+    association.  ``merit`` orders (Q, W) as (numerator, denominator) of
+    the figure of merit, whose population-frozen value is ``limit(eps)``.
+    """
+
+    heat: Callable[[float, float, float], float]
+    work: Callable[[float, float, float], float]
+    merit: Callable[[float, float], tuple[float, float]]
+    limit: Callable[[float], float]
+    runs: Callable[[float, float], bool]
+    in_window: Callable[[float, float], bool]
+    window_text: str
+    q_convention: str
+    second_order: Callable[[float, float, float], float] | None = None
+
+
+_MACHINES = {
+    "engine": _Machine(
+        heat=lambda Q_ad, ef_a, ef_c: Q_ad - ef_a,
+        work=lambda W_ad, ef_a, ef_c: W_ad - (ef_a + ef_c),
+        merit=lambda Q, W: (W, Q),
+        limit=lambda eps: eps,
+        runs=lambda Q, W: Q > 0 and W > 0,
+        # Q_ad > 0 requires beta_C * w_k(L1) <= beta_A * w_k, i.e. the Otto
+        # efficiency eps must not exceed the Carnot efficiency 1 - beta_C/beta_A
+        in_window=lambda ratio, eps: ratio <= 1.0 - eps,
+        window_text=(
+            "bath ratio beta_C/beta_A = {ratio:.4g} exceeds 1 - eps = {rest:.4g}: "
+            "no positive heat intake, not an engine regime"
+        ),
+        q_convention="Q = Q_adiabatic - E_F(cold compression stroke)",
+        second_order=lambda eta_ad, Q_ad, friction: eta_ad - friction / Q_ad,
+    ),
+    "refrigerator": _Machine(
+        heat=lambda Q_ad, ef_a, ef_c: Q_ad - ef_c,
+        work=lambda W_ad, ef_a, ef_c: W_ad + ef_a + ef_c,
+        merit=lambda Q, W: (Q, W),
+        limit=lambda eps: 1.0 / eps - 1.0,
+        runs=lambda Q, W: Q > 0,
+        in_window=lambda ratio, eps: 1.0 - eps <= ratio <= 1.0,
+        window_text=(
+            "refrigerator needs 1 - eps <= beta_C/beta_A <= 1, got {ratio:.4g} "
+            "with eps = {eps:.4g}"
+        ),
+        q_convention="Q = Q_adiabatic - E_F(hot expansion stroke)",
+    ),
+}
+
+
+def _cycle(
+    cfg: CavityConfig,
+    baths: BathPair,
+    machine: str,
+    traj: Trajectory | None = None,
+    *,
+    include_casimir: bool,
+    table: SpectralTable | None = None,
+    thermalization_time: float = 0.0,
+) -> CycleReport:
+    """One cycle of ``machine``: population-frozen sums plus stroke friction.
+
+    Without a trajectory the strokes are adiabatic (zero friction, NaN
+    power); with one, both frictions come from its spectral table and enter
+    through the machine's ``heat`` and ``work`` rules.
+    """
+    m = _MACHINES[machine]
+    period = math.nan if traj is None else _cycle_time(traj.duration, thermalization_time)
+    if not m.in_window(baths.ratio, cfg.epsilon):
+        warnings.warn(
+            m.window_text.format(
+                ratio=baths.ratio, eps=cfg.epsilon, rest=1.0 - cfg.epsilon
+            ),
+            ConditionWarning,
+            stacklevel=3,
+        )
+    Q_ad, W_ad, tail, pieces = _otto_sums(cfg, baths, machine)
+    tail_warning = _tail_flag(cfg, tail, Q_ad)
+    ef_a = ef_c = err = 0.0
+    if traj is not None:
+        ef_a, ef_c, err, friction_tail = _friction_pair(cfg, baths, traj, table)
+        tail_warning = tail_warning or friction_tail
+
+    Q = m.heat(Q_ad, ef_a, ef_c)
+    W = m.work(W_ad, ef_a, ef_c)
+    eta_ad, _ = _safe_ratio(*m.merit(Q_ad, W_ad), limit=m.limit(cfg.epsilon))
+    eta, defined = _safe_ratio(*m.merit(Q, W), limit=eta_ad)
+    eta2 = math.nan
+    if m.second_order is not None and Q_ad != 0.0:
+        eta2 = m.second_order(eta_ad, Q_ad, ef_a + ef_c)
+    e0 = casimir_energy(cfg.L0) if include_casimir else 0.0
+    e1 = casimir_energy(cfg.L1) if include_casimir else 0.0
+    return CycleReport(
+        E_A=pieces["sum_w0_nA"] + e0,
+        E_B=pieces["sum_w1_nA"] + ef_a + e1,
+        E_C=pieces["sum_w1_nC"] + e1,
+        E_D=pieces["sum_w0_nC"] + ef_c + e0,
+        Q=Q,
+        W=W,
+        eta=eta,
+        eta_adiabatic=eta_ad,
+        power=W / period,
+        mode=machine if m.runs(Q, W) else "dissipator",
+        E_F_A=ef_a,
+        E_F_C=ef_c,
+        k_used=cfg.n_modes,
+        eta_defined=defined,
+        eta_second_order=eta2,
+        tail_estimate=tail,
+        tail_warning=tail_warning,
+        q_convention=m.q_convention,
+        err=err,
+    )
+
+
+def adiabatic_engine(
+    cfg: CavityConfig, baths: BathPair, include_casimir: bool = True
+) -> CycleReport:
+    """Population-frozen engine cycle; efficiency equals ``eps`` exactly."""
+    return _cycle(cfg, baths, "engine", include_casimir=include_casimir)
+
+
 def nonadiabatic_engine(
     cfg: CavityConfig,
     baths: BathPair,
@@ -284,38 +359,9 @@ def nonadiabatic_engine(
     ``E_F(A)`` (the expansion stroke deposits its friction after the hot
     contact, where it does not touch Q); both frictions reduce the work.
     """
-    _engine_condition(cfg, baths)
-    Q_ad, W_ad, tail, pieces = _otto_sums(cfg, baths)
-    ef_a, ef_c, err, friction_tail = _friction_pair(cfg, baths, traj, table)
-
-    Q = Q_ad - ef_a
-    W = W_ad - (ef_a + ef_c)
-    eta_ad, _ = _safe_ratio(W_ad, Q_ad, limit=cfg.epsilon)
-    eta, defined = _safe_ratio(W, Q, limit=eta_ad)
-    eta2 = eta_ad - (ef_a + ef_c) / Q_ad if Q_ad != 0.0 else math.nan
-    mode = "engine" if (W > 0 and Q > 0) else "dissipator"
-    e0 = casimir_energy(cfg.L0) if include_casimir else 0.0
-    e1 = casimir_energy(cfg.L1) if include_casimir else 0.0
-    return CycleReport(
-        E_A=pieces["sum_w0_nA"] + e0,
-        E_B=pieces["sum_w1_nA"] + ef_a + e1,
-        E_C=pieces["sum_w1_nC"] + e1,
-        E_D=pieces["sum_w0_nC"] + ef_c + e0,
-        Q=Q,
-        W=W,
-        eta=eta,
-        eta_adiabatic=eta_ad,
-        power=W / (2.0 * traj.duration + thermalization_time),
-        mode=mode,
-        E_F_A=ef_a,
-        E_F_C=ef_c,
-        k_used=cfg.n_modes,
-        eta_defined=defined,
-        eta_second_order=eta2,
-        tail_estimate=tail,
-        tail_warning=_tail_flag(cfg, tail, Q_ad) or friction_tail,
-        q_convention="Q = Q_adiabatic - E_F(cold compression stroke)",
-        diagnostics=(f"friction_quadrature_err={err:.3e}",),
+    return _cycle(
+        cfg, baths, "engine", traj, include_casimir=include_casimir,
+        table=table, thermalization_time=thermalization_time,
     )
 
 
@@ -323,31 +369,7 @@ def adiabatic_refrigerator(
     cfg: CavityConfig, baths: BathPair, include_casimir: bool = True
 ) -> CycleReport:
     """Population-frozen refrigerator; COP equals ``1/eps - 1`` exactly."""
-    _refrigerator_condition(cfg, baths)
-    Q_ad, W_ad, tail, pieces = _otto_sums(cfg, baths, "refrigerator")
-    cop_limit = 1.0 / cfg.epsilon - 1.0
-    cop, defined = _safe_ratio(Q_ad, W_ad, limit=cop_limit)
-    e0 = casimir_energy(cfg.L0) if include_casimir else 0.0
-    e1 = casimir_energy(cfg.L1) if include_casimir else 0.0
-    mode = "refrigerator" if Q_ad > 0 else "dissipator"
-    return CycleReport(
-        E_A=pieces["sum_w0_nA"] + e0,
-        E_B=pieces["sum_w1_nA"] + e1,
-        E_C=pieces["sum_w1_nC"] + e1,
-        E_D=pieces["sum_w0_nC"] + e0,
-        Q=Q_ad,
-        W=W_ad,
-        eta=cop,
-        eta_adiabatic=cop,
-        power=math.nan,
-        mode=mode,
-        E_F_A=0.0,
-        E_F_C=0.0,
-        k_used=cfg.n_modes,
-        eta_defined=defined,
-        tail_estimate=tail,
-        tail_warning=_tail_flag(cfg, tail, Q_ad),
-    )
+    return _cycle(cfg, baths, "refrigerator", include_casimir=include_casimir)
 
 
 def nonadiabatic_refrigerator(
@@ -364,35 +386,19 @@ def nonadiabatic_refrigerator(
     The heat drawn from the cold bath loses the expansion-stroke friction
     ``E_F(C)``; the work consumed gains both frictions.
     """
-    _refrigerator_condition(cfg, baths)
-    ad = adiabatic_refrigerator(cfg, baths, include_casimir=include_casimir)
-    ef_a, ef_c, err, friction_tail = _friction_pair(cfg, baths, traj, table)
-
-    Q = ad.Q - ef_c
-    W = ad.W + ef_a + ef_c
-    cop, defined = _safe_ratio(Q, W, limit=ad.eta)
-    mode = "refrigerator" if Q > 0 else "dissipator"
-    return CycleReport(
-        E_A=ad.E_A,
-        E_B=ad.E_B + ef_a,
-        E_C=ad.E_C,
-        E_D=ad.E_D + ef_c,
-        Q=Q,
-        W=W,
-        eta=cop,
-        eta_adiabatic=ad.eta,
-        power=W / (2.0 * traj.duration + thermalization_time),
-        mode=mode,
-        E_F_A=ef_a,
-        E_F_C=ef_c,
-        k_used=cfg.n_modes,
-        eta_defined=defined,
-        eta_second_order=math.nan,
-        tail_estimate=ad.tail_estimate,
-        tail_warning=ad.tail_warning or friction_tail,
-        q_convention="Q = Q_adiabatic - E_F(hot expansion stroke)",
-        diagnostics=(f"friction_quadrature_err={err:.3e}",),
+    return _cycle(
+        cfg, baths, "refrigerator", traj, include_casimir=include_casimir,
+        table=table, thermalization_time=thermalization_time,
     )
+
+
+def _cycle_time(tau: float, thermalization_time: float) -> float:
+    """Cycle period ``2 tau + thermalization_time``, both strokes counted."""
+    if not tau > 0:
+        raise ValueError("tau must be positive")
+    if thermalization_time < 0:
+        raise ValueError("thermalization_time must be non-negative")
+    return 2.0 * tau + thermalization_time
 
 
 def power(report: CycleReport, tau: float, thermalization_time: float = 0.0) -> float:
@@ -401,11 +407,7 @@ def power(report: CycleReport, tau: float, thermalization_time: float = 0.0) -> 
     The factor two counts both wall strokes; thermal contact is
     instantaneous by default but its duration can be charged here.
     """
-    if not tau > 0:
-        raise ValueError("tau must be positive")
-    if thermalization_time < 0:
-        raise ValueError("thermalization_time must be non-negative")
-    return report.W / (2.0 * tau + thermalization_time)
+    return report.W / _cycle_time(tau, thermalization_time)
 
 
 @dataclass(frozen=True)
@@ -455,7 +457,7 @@ def sweep(
     epsilon, then tau ascending.  Failures of individual cells are recorded
     in the row and do not abort the sweep.
     """
-    if machine not in ("engine", "refrigerator"):
+    if machine not in _MACHINES:
         raise ValueError(f"machine must be 'engine' or 'refrigerator', got {machine!r}")
     if not baths or len(taus) == 0:
         raise ValueError("sweep needs non-empty bath and tau grids")
@@ -499,30 +501,13 @@ def write_sweep_csv(rows: Iterable[SweepRow], stream) -> None:
     """Emit the sweep table; one row per grid cell, header row first."""
     stream.write(",".join(SWEEP_COLUMNS) + "\n")
     for row in rows:
-        if row.report is None:
-            cells = [
-                _fmt(row.tau_omega1),
-                _fmt(row.beta_ratio),
-                _fmt(row.epsilon),
-                "nan", "nan", "nan", "nan", "nan",
-                "failed", "nan", "nan", "1",
-            ]
+        r = row.report
+        cells = [_fmt(row.tau_omega1), _fmt(row.beta_ratio), _fmt(row.epsilon)]
+        if r is None:
+            cells += ["nan"] * 5 + ["failed", "nan", "nan", "1"]
         else:
-            r = row.report
-            cells = [
-                _fmt(row.tau_omega1),
-                _fmt(row.beta_ratio),
-                _fmt(row.epsilon),
-                _fmt(r.Q),
-                _fmt(r.W),
-                _fmt(r.eta),
-                _fmt(r.eta_adiabatic),
-                _fmt(r.power),
-                r.mode,
-                _fmt(r.E_F_A),
-                _fmt(r.E_F_C),
-                "1" if r.tail_warning else "0",
-            ]
+            cells += [_fmt(x) for x in (r.Q, r.W, r.eta, r.eta_adiabatic, r.power)]
+            cells += [r.mode, _fmt(r.E_F_A), _fmt(r.E_F_C), "1" if r.tail_warning else "0"]
         stream.write(",".join(cells) + "\n")
 
 

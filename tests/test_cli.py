@@ -90,6 +90,23 @@ class TestParsing:
         with pytest.raises(UsageError):
             parse_config(["sweep"])
 
+    @pytest.mark.parametrize("command", ["engine", "refrigerator"])
+    def test_negative_thermalization_time_is_a_usage_error(self, command):
+        assert main([command, "--tau", "1", "--thermalization-time", "-2"]) == 2
+        assert main([command, "--tau", "1", "--thermalization-time", "-5"]) == 2
+
+    @pytest.mark.parametrize("flags", [
+        ["--points", "0"],
+        ["--points", "-3"],
+        ["--n", "2,x"],
+        ["--n", "2,-1"],
+        ["--n", ","],
+    ], ids=["points-zero", "points-negative", "n-not-integer", "n-negative", "n-empty"])
+    def test_shortcut_check_rejects_bad_samples(self, flags):
+        with pytest.raises(UsageError):
+            parse_config(["shortcut-check", *flags])
+        assert main(["shortcut-check", *flags]) == 2
+
 
 class TestGrids:
     def test_linear(self):

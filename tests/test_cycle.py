@@ -1,5 +1,6 @@
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from casotto.cycle import (
     sweep,
     write_sweep_csv,
 )
-from casotto.spectrum import CavityConfig
+from casotto.spectrum import CavityConfig, ThermalBath
 from casotto.trajectory import quintic
 
 pytestmark = pytest.mark.filterwarnings(
@@ -145,12 +146,26 @@ class TestNonadiabaticEngine:
         r = nonadiabatic_engine(cfg(K=24), ENGINE_BATHS, quintic(1.0))
         assert r.q_convention.startswith("Q = Q_adiabatic - E_F(cold")
 
-    def test_engine_convention_relations_with_friction(self):
-        r = nonadiabatic_engine(cfg(K=24), ENGINE_BATHS, quintic(1.0))
-        assert r.Q == pytest.approx(r.E_C - r.E_B, rel=1e-12)
-        assert r.W == pytest.approx(
-            (r.E_A - r.E_B) + (r.E_C - r.E_D), rel=1e-12
-        )
+    @pytest.mark.parametrize("machine", ["engine", "refrigerator"])
+    def test_engine_convention_relations_with_friction(self, machine):
+        # the engine takes heat at the hot contact (B -> C) and delivers the
+        # work of both strokes; the refrigerator draws heat at the cold
+        # contact (D -> A) and pays for both strokes
+        if machine == "engine":
+            r = nonadiabatic_engine(cfg(K=24), ENGINE_BATHS, quintic(1.0))
+            assert r.Q == pytest.approx(r.E_C - r.E_B, rel=1e-12)
+            assert r.W == pytest.approx(
+                (r.E_A - r.E_B) + (r.E_C - r.E_D), rel=1e-12
+            )
+        else:
+            r = nonadiabatic_refrigerator(
+                cfg(eps=0.06, K=24), BathPair(2.0, 1.9), quintic(1.0)
+            )
+            assert r.Q == pytest.approx(r.E_A - r.E_D, rel=1e-12)
+            assert r.W == pytest.approx(
+                (r.E_B - r.E_A) + (r.E_D - r.E_C), rel=1e-12
+            )
+        assert r.E_F_A > 0 and r.E_F_C > 0
 
     def test_efficiency_ordering_in_tau(self):
         taus = [0.5, 1.0, 2.0, 4.0, 8.0]
@@ -189,6 +204,49 @@ class TestNonadiabaticRefrigerator:
         assert cops[0] < cops[1] < cops[2]
 
 
+ENTRY_POINTS = [
+    pytest.param(lambda c, b: adiabatic_engine(c, b), id="adiabatic_engine"),
+    pytest.param(lambda c, b: nonadiabatic_engine(c, b, quintic(1.0)),
+                 id="nonadiabatic_engine"),
+    pytest.param(lambda c, b: adiabatic_refrigerator(c, b),
+                 id="adiabatic_refrigerator"),
+    pytest.param(lambda c, b: nonadiabatic_refrigerator(c, b, quintic(1.0)),
+                 id="nonadiabatic_refrigerator"),
+]
+
+
+class TestConditionWarning:
+    @pytest.mark.parametrize("call", ENTRY_POINTS)
+    def test_one_warning_attributed_to_the_caller(self, call):
+        # BathPair(1.0, 1.0) lies outside the engine window at eps = 0.06 and
+        # BathPair(2.0, 1.0) outside the refrigerator's; each entry point warns
+        # only about its own machine
+        baths = (BathPair(1.0, 1.0), BathPair(2.0, 1.0))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for b in baths:
+                call(cfg(eps=0.06, K=16), b)
+        conditions = [w for w in caught if issubclass(w.category, ConditionWarning)]
+        assert len(conditions) == 1
+        assert conditions[0].filename == __file__
+
+
+class TestReportError:
+    def test_adiabatic_reports_carry_zero_error(self):
+        assert adiabatic_engine(cfg(K=16), ENGINE_BATHS).err == 0.0
+        assert adiabatic_refrigerator(cfg(eps=0.06, K=16), BathPair(2.0, 1.9)).err == 0.0
+
+    def test_finite_time_error_sums_both_strokes(self):
+        traj = quintic(1.0)
+        r = nonadiabatic_engine(cfg(K=16), ENGINE_BATHS, traj)
+        strokes = [
+            friction_module.friction_energy(cfg(K=16), ThermalBath(beta), traj)
+            for beta in (ENGINE_BATHS.beta_A, ENGINE_BATHS.beta_C)
+        ]
+        assert r.err == strokes[0].err + strokes[1].err
+        assert 0.0 < r.err < 1e-10 * (r.E_F_A + r.E_F_C)
+
+
 class TestPower:
     def test_adiabatic_scaling(self):
         r = adiabatic_engine(cfg(K=32), ENGINE_BATHS)
@@ -210,6 +268,21 @@ class TestPower:
             power(r, 0.0)
         with pytest.raises(ValueError):
             power(r, 1.0, thermalization_time=-1.0)
+
+    @pytest.mark.parametrize("runner", [nonadiabatic_engine, nonadiabatic_refrigerator])
+    @pytest.mark.parametrize("thermalization_time", [-2.0, -5.0])
+    def test_finite_time_cycles_reject_negative_thermalization(
+        self, runner, thermalization_time
+    ):
+        # -2 would divide by zero at tau = 1, -5 would flip the power's sign
+        with pytest.raises(ValueError, match="thermalization_time"):
+            runner(cfg(eps=0.06, K=16), BathPair(2.0, 1.9), quintic(1.0),
+                   thermalization_time=thermalization_time)
+
+    def test_finite_time_power_charges_thermalization(self):
+        r = nonadiabatic_engine(cfg(K=16), ENGINE_BATHS, quintic(1.0),
+                                thermalization_time=2.0)
+        assert r.power == power(r, 1.0, thermalization_time=2.0)
 
 
 class TestSweep:
