@@ -282,10 +282,13 @@ def _validate(cfg: RunConfig) -> None:
         for e in _parse_float_list(str(opts["epsilon"]), "epsilon"):
             if not 0.0 < e < 1.0:
                 raise UsageError(f"epsilon must lie in (0, 1), got {e}")
-    if "beta" in opts:
-        b = float(opts["beta"])
-        if not (b > 0 or math.isinf(b)):
-            raise UsageError(f"beta must be positive, got {b}")
+    for key in ("beta", "beta-a", "tail-tol"):
+        if key in opts and not float(opts[key]) > 0:
+            raise UsageError(f"{key} must be positive, got {opts[key]}")
+    if "beta-ratio" in opts:
+        for r in _parse_float_list(str(opts["beta-ratio"]), "beta-ratio"):
+            if not 0.0 < r <= 1.0:
+                raise UsageError(f"beta-ratio must lie in (0, 1], got {r}")
     if "tau" in opts and not float(opts["tau"]) > 0:
         raise UsageError("tau must be positive")
     if "modes" in opts and int(opts["modes"]) < 1:

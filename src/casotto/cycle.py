@@ -207,12 +207,18 @@ def _friction_pair(
     """
     if table is None:
         table = spectral_table(traj, cfg)
-    res_A = friction_energy(
-        cfg, ThermalBath(baths.beta_A), traj, table=table, compute_bound=False
-    )
-    res_C = friction_energy(
-        cfg, ThermalBath(baths.beta_C), traj, table=table, compute_bound=False
-    )
+    # friction_energy's TruncationWarnings are re-issued at the entry
+    # point's caller (this frame, _cycle, the entry point, its caller)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res_A = friction_energy(
+            cfg, ThermalBath(baths.beta_A), traj, table=table, compute_bound=False
+        )
+        res_C = friction_energy(
+            cfg, ThermalBath(baths.beta_C), traj, table=table, compute_bound=False
+        )
+    for w in caught:
+        warnings.warn(w.message, stacklevel=4)
     err = res_A.err + res_C.err
     tail_flag = res_A.tail_warning or res_C.tail_warning
     return res_A.value, res_C.value, err, tail_flag

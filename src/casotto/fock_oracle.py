@@ -191,32 +191,9 @@ def thermal_state(beta: float, fock: FockConfig, cfg: CavityConfig) -> np.ndarra
     compared against the untruncated values and a mismatch beyond 1e-4
     raises :class:`TruncationQualityError`.
     """
-    w = mode_frequencies(fock.n_modes, cfg.L0)
-    if not math.isinf(beta):
-        if not beta > 0:
-            raise ValueError(f"beta must be positive (or inf), got {beta}")
-        missed_weight = math.exp(-beta * w[0] * (fock.n_max + 1))
-        if missed_weight > 1e-6:
-            raise ValueError(
-                f"occupation cutoff keeps only 1 - {missed_weight:.2e} of the "
-                "thermal weight; raise n_max or beta"
-            )
-    diags = []
-    for k in range(fock.n_modes):
-        n = np.arange(fock.n_max + 1, dtype=float)
-        if math.isinf(beta):
-            weights = np.zeros(fock.n_max + 1)
-            weights[0] = 1.0
-        else:
-            weights = np.exp(-beta * w[k] * n)
-        diags.append(weights / weights.sum())
-    full = diags[0]
-    for d in diags[1:]:
-        full = np.kron(full, d)
-    rho = np.diag(full).astype(complex)
-
+    rho = _embedded_thermal_state(beta, fock, fock, cfg)
     occ = mode_occupations(rho, fock)
-    exact = occupations(beta, w) if not math.isinf(beta) else np.zeros_like(w)
+    exact = occupations(beta, mode_frequencies(fock.n_modes, cfg.L0))
     worst = float(np.max(np.abs(occ - exact)))
     if worst > 1e-4:
         raise TruncationQualityError(
@@ -340,9 +317,11 @@ def _embedded_thermal_state(
     """Thermal state truncated at ``state.n_max``, embedded in ``work``.
 
     Occupation weights beyond the state cutoff are zero; the distribution is
-    renormalised over the kept rungs, exactly as :func:`thermal_state` does
-    on its own space.
+    renormalised over the kept rungs.  :func:`thermal_state` is the case
+    ``work == state``.
     """
+    if not beta > 0:
+        raise ValueError(f"beta must be positive (or inf), got {beta}")
     w = mode_frequencies(state.n_modes, cfg.L0)
     if not math.isinf(beta):
         missed = math.exp(-beta * w[0] * (state.n_max + 1))

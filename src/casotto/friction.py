@@ -30,6 +30,8 @@ applies its occupations: ``diag = D (2N + 1)``, ``create = Cm N + (N + 1)
 rowsum(Cm)`` and ``scatter_k = sum_j Sm_kj (N_j - N_k)``, the last summed
 elementwise because ``Sm N - N rowsum(Sm)`` cancels.  A bath costs one
 ``K x K`` elementwise pass; the per-mode rows come from the same sums.
+The analytic upper bound (:func:`friction_bound`) is this sum over a
+bounding power spectrum, so it is built from the same weights.
 
 The three per-mode pieces have distinct physics: the ``A(2 w_k)`` term is
 single-mode pair creation (squeezing), the ``(N_k + N_j + 1)`` term is
@@ -67,13 +69,7 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 from scipy.interpolate import PPoly
 
-from .spectrum import (
-    CavityConfig,
-    ThermalBath,
-    coupling_matrix,
-    mode_frequencies,
-    occupations,
-)
+from .spectrum import CavityConfig, ThermalBath, mode_frequencies, occupations
 from .trajectory import Trajectory
 
 __all__ = [
@@ -301,29 +297,24 @@ def _tail_estimate(
     return c * (k_next ** (1.0 - p) / (p - 1.0) + 0.5 * k_next**-p)
 
 
-def _mode_weights(table: SpectralTable, K: int) -> tuple[tuple[np.ndarray, ...], ...]:
+def _mode_weights(omega1: float, A: np.ndarray, K: int) -> tuple[np.ndarray, ...]:
     """Bath-independent weights of the mode sums at cutoff K, per unit eps**2.
 
-    Returns ``(D, Cm, rowsum(Cm), Sm)`` of the module docstring twice: built
-    from the spectral power ``A`` and from its round-off bound.  The
-    diagonals of ``Cm`` and ``Sm`` are zero (``j != k``).
+    Returns ``(D, Cm, rowsum(Cm), Sm)`` of the module docstring for the
+    power ``A[n] = A(n omega1)``, n = 0..2K.  The diagonals of ``Cm`` and
+    ``Sm`` are zero (``j != k``), so ``A[0]`` must be finite.
     """
-    # first- and second-order propagation of the amplitude bounds into C**2 + S**2
-    Aerr = 2.0 * (np.abs(table.C) + np.abs(table.S)) * table.err + 2.0 * table.err**2
     ks = np.arange(1, K + 1)
-    quarter_w = ks * table.omega1 / 4.0
+    quarter_w = ks * omega1 / 4.0
     k, j = ks[:, None], ks[None, :]
     create_geom = quarter_w[:, None] * (4.0 * k * j / (k + j) ** 2)
     with np.errstate(divide="ignore"):
         scatter_geom = quarter_w[:, None] * (4.0 * k * j / (k - j) ** 2)
     np.fill_diagonal(create_geom, 0.0)
     np.fill_diagonal(scatter_geom, 0.0)
-    weights = []
-    for A in (table.power, Aerr):
-        Cm = create_geom * A[k + j]
-        Sm = scatter_geom * A[np.abs(k - j)]
-        weights.append((quarter_w * A[2 * ks], Cm, Cm.sum(axis=1), Sm))
-    return tuple(weights)
+    Cm = create_geom * A[k + j]
+    Sm = scatter_geom * A[np.abs(k - j)]
+    return quarter_w * A[2 * ks], Cm, Cm.sum(axis=1), Sm
 
 
 def _apply_occupations(weights, n: np.ndarray, dn: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -348,7 +339,12 @@ def _mode_terms(
     if not math.isclose(table.omega1, cfg.omega1, rel_tol=1e-12):
         raise ValueError("spectral table was built for a different cavity")
     if K not in table._weights:
-        table._weights[K] = _mode_weights(table, K)
+        # first- and second-order propagation of the amplitude bounds into C**2 + S**2
+        Aerr = 2.0 * (np.abs(table.C) + np.abs(table.S)) * table.err + 2.0 * table.err**2
+        table._weights[K] = (
+            _mode_weights(table.omega1, table.power, K),
+            _mode_weights(table.omega1, Aerr, K),
+        )
     values, bounds = table._weights[K]
 
     n = occupations(bath.beta, mode_frequencies(K, cfg.L0))
@@ -470,14 +466,16 @@ def _acceleration_extrema(traj: Trajectory) -> tuple[float, float]:
 def friction_bound(cfg: CavityConfig, bath: ThermalBath, traj: Trajectory) -> float:
     """Analytic upper bound on the friction energy of one stroke.
 
-    Requires vanishing endpoint acceleration and exactly one interior
-    acceleration maximum/minimum; then
-
-        E_F <= (d2_max - d2_min)**2 * eps**2 * sum_k {
-            L0**2 w_k'**2 / (16 w_k**5) * (2 N_k + 1)
-            + sum_{j != k} (g_jk**2 / w_j) * [
-                  (w_k - w_j)**2 / (w_k + w_j)**4 * (N_k + N_j + 1)
-                + (w_k + w_j)**2 / (w_k - w_j)**4 * (N_j - N_k) ] }.
+    The ``E_F`` sum of the module docstring with ``A(W)`` replaced by
+    ``4 (d2_max - d2_min)**2 / W**4``.  For a stroke that starts and ends at
+    rest with vanishing acceleration, integrating by parts twice gives
+    ``|C(W) + i S(W)| <= TV(d2delta) / W**2``, and with exactly one interior
+    acceleration maximum and minimum the total variation is
+    ``2 (d2_max - d2_min)``.  ``E_F`` is a non-negative combination of the
+    ``A(n w_1)`` (each scattering pair ``j, k`` combines to
+    ``(w_k - w_j) (N_j - N_k) >= 0``), so the bound dominates it at every
+    bath temperature.  Raises ValueError for any other acceleration shape or
+    for a non-vanishing endpoint acceleration.
     """
     d2_max, d2_min = _acceleration_extrema(traj)
     ends = np.array([traj.t_start, traj.t_end])
@@ -486,27 +484,13 @@ def friction_bound(cfg: CavityConfig, bath: ThermalBath, traj: Trajectory) -> fl
         raise ValueError("bound requires vanishing endpoint acceleration")
 
     K = cfg.n_modes
-    w = mode_frequencies(K, cfg.L0)
-    wprime = -np.arange(1, K + 1, dtype=float) * math.pi / cfg.L0**2
-    nbar = occupations(bath.beta, w)
-
-    diag = cfg.L0**2 * wprime**2 / (16.0 * w**5) * (2.0 * nbar + 1.0)
-
-    g2 = coupling_matrix(K) ** 2
-    wk = w[:, None]
-    wj = w[None, :]
-    nk = nbar[:, None]
-    nj = nbar[None, :]
-    off = ~np.eye(K, dtype=bool)
-    base = np.where(off, g2 / wj, 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cross = base * (
-            (wk - wj) ** 2 / (wk + wj) ** 4 * (nk + nj + 1.0)
-            + np.where(off, (wk + wj) ** 2 / (wk - wj) ** 4, 0.0) * (nj - nk)
-        )
-    per_mode = diag + cross.sum(axis=1)
-    prefactor = (d2_max - d2_min) ** 2
-    return float(prefactor * cfg.epsilon**2 * np.sum(per_mode))
+    W = np.arange(1, 2 * K + 1) * cfg.omega1
+    # A[0] only meets the zero diagonal of Sm, but must stay finite there
+    A = np.concatenate([[0.0], 4.0 * (d2_max - d2_min) ** 2 / W**4])
+    n = occupations(bath.beta, mode_frequencies(K, cfg.L0))
+    weights = _mode_weights(cfg.omega1, A, K)
+    per_mode = sum(_apply_occupations(weights, n, n[None, :] - n[:, None]))
+    return float(cfg.epsilon**2 * np.sum(per_mode))
 
 
 def export_mode_table(result: FrictionResult, stream) -> None:

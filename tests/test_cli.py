@@ -95,17 +95,27 @@ class TestParsing:
         assert main([command, "--tau", "1", "--thermalization-time", "-2"]) == 2
         assert main([command, "--tau", "1", "--thermalization-time", "-5"]) == 2
 
-    @pytest.mark.parametrize("flags", [
-        ["--points", "0"],
-        ["--points", "-3"],
-        ["--n", "2,x"],
-        ["--n", "2,-1"],
-        ["--n", ","],
-    ], ids=["points-zero", "points-negative", "n-not-integer", "n-negative", "n-empty"])
-    def test_shortcut_check_rejects_bad_samples(self, flags):
+    @pytest.mark.parametrize("argv", [
+        ["shortcut-check", "--points", "0"],
+        ["shortcut-check", "--points", "-3"],
+        ["shortcut-check", "--n", "2,x"],
+        ["shortcut-check", "--n", "2,-1"],
+        ["shortcut-check", "--n", ","],
+        ["friction", "--tail-tol", "0"],
+        ["engine", "--beta-ratio", "2"],
+        ["engine", "--beta-ratio", "0"],
+        ["engine", "--beta-a", "-1"],
+        ["sweep", "--tau-grid", "1:2:2", "--beta-ratio", "0.5,2"],
+        ["friction", "--beta=-inf"],
+    ], ids=["points-zero", "points-negative", "n-not-integer", "n-negative", "n-empty",
+            "tail-tol-zero", "beta-ratio-above-one", "beta-ratio-zero", "beta-a-negative",
+            "sweep-beta-ratio-above-one", "beta-minus-inf"])
+    def test_shortcut_check_rejects_bad_samples(self, argv):
+        # out-of-range values are usage errors (status 2), caught before the
+        # library's own ValueError would turn them into numerical failures (3)
         with pytest.raises(UsageError):
-            parse_config(["shortcut-check", *flags])
-        assert main(["shortcut-check", *flags]) == 2
+            parse_config(argv)
+        assert main(argv) == 2
 
 
 class TestGrids:

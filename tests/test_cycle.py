@@ -17,6 +17,7 @@ from casotto.cycle import (
     sweep,
     write_sweep_csv,
 )
+from casotto.friction import TruncationWarning
 from casotto.spectrum import CavityConfig, ThermalBath
 from casotto.trajectory import quintic
 
@@ -231,6 +232,20 @@ class TestConditionWarning:
         assert conditions[0].filename == __file__
 
 
+class TestTruncationWarning:
+    @pytest.mark.parametrize("call", ENTRY_POINTS[1::2])
+    def test_friction_warnings_attributed_to_the_caller(self, call):
+        # at K = 16 the friction sums' tails exceed tail_tol; the
+        # population-frozen sums at beta 2 do not
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = call(cfg(K=16), ENGINE_BATHS)
+        assert report.tail_warning
+        truncations = [w for w in caught if issubclass(w.category, TruncationWarning)]
+        assert truncations
+        assert all(w.filename == __file__ for w in truncations)
+
+
 class TestReportError:
     def test_adiabatic_reports_carry_zero_error(self):
         assert adiabatic_engine(cfg(K=16), ENGINE_BATHS).err == 0.0
@@ -342,14 +357,16 @@ class TestSweep:
         built = []
         original = friction_module._mode_weights
 
-        def counting(table, K):
-            built.append(table.label)
-            return original(table, K)
+        def counting(omega1, A, K):
+            built.append(K)
+            return original(omega1, A, K)
 
         monkeypatch.setattr(friction_module, "_mode_weights", counting)
         baths = [BathPair(2.0, 0.4), BathPair(2.0, 1.0), BathPair(3.0, 2.0)]
-        sweep(cfg(K=16), baths, [0.5, 1.0, 2.0], quintic, epsilons=[0.01, 0.02])
-        assert sorted(built) == sorted(quintic(t).label for t in (0.5, 1.0, 2.0))
+        taus = [0.5, 1.0, 2.0]
+        sweep(cfg(K=16), baths, taus, quintic, epsilons=[0.01, 0.02])
+        # two sets (power and round-off bound) per tau's table, none per cell
+        assert built == [16] * (2 * len(taus))
 
     def test_csv_shape(self):
         rows = sweep(cfg(K=8), [ENGINE_BATHS], [0.5, 1.0], quintic)

@@ -1,4 +1,5 @@
-"""The demos that drive the four cycle entry points run to completion."""
+"""The demos that drive the four cycle entry points, the friction energy
+with its analytic bound, and the shortcut stroke run to completion."""
 
 import os
 import subprocess
@@ -10,9 +11,13 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize(
-    "demo", ["02_adiabatic_cycle.py", "04_finite_time_engine.py", "05_refrigerator.py"]
-)
+@pytest.mark.parametrize("demo", [
+    "02_adiabatic_cycle.py",
+    "03_friction_energy.py",
+    "04_finite_time_engine.py",
+    "05_refrigerator.py",
+    "06_shortcut.py",
+])
 def test_demo_runs(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -14,6 +14,7 @@ from casotto import friction as friction_module
 from casotto.friction import (
     FrictionResult,
     TruncationWarning,
+    _acceleration_extrema,
     _mode_terms,
     export_mode_table,
     friction_bound,
@@ -297,9 +298,9 @@ class TestPerTableWeights:
         built = []
         original = friction_module._mode_weights
 
-        def counting(table, K):
+        def counting(omega1, A, K):
             built.append(K)
-            return original(table, K)
+            return original(omega1, A, K)
 
         monkeypatch.setattr(friction_module, "_mode_weights", counting)
         tr = quintic(1.0)
@@ -308,10 +309,11 @@ class TestPerTableWeights:
             for eps in (0.01, 0.02):
                 friction_energy(make_cfg(K=16, eps=eps), ThermalBath(beta), tr,
                                 table=table, compute_bound=False)
-        assert built == [16]
+        # one set from the power, one from its round-off bound
+        assert built == [16, 16]
         friction_energy(make_cfg(K=8), ThermalBath(1.0), tr, table=table,
                         compute_bound=False)
-        assert built == [16, 8]
+        assert built == [16, 16, 8, 8]
 
     def test_fresh_table_starts_without_weights(self):
         cfg = make_cfg(K=8)
@@ -479,8 +481,6 @@ class TestFrictionBound:
         # with values +-10/sqrt(3)/tau**2, so the squared swing is 400/(3 tau**4)
         for tau in (0.5, 1.0, 3.0):
             tr = quintic(tau)
-            from casotto.friction import _acceleration_extrema
-
             d2_max, d2_min = _acceleration_extrema(tr)
             assert d2_max == pytest.approx(10.0 / math.sqrt(3.0) / tau**2, rel=1e-9)
             assert d2_min == pytest.approx(-10.0 / math.sqrt(3.0) / tau**2, rel=1e-9)
@@ -507,24 +507,38 @@ class TestFrictionBound:
         bound = friction_bound(cfg, ThermalBath(1.0), sc)
         assert bound == pytest.approx(3.7240322085943306e-4, rel=1e-9)
 
-    def test_vacuum_reduces_to_unit_occupation_factors(self):
-        cfg = make_cfg(K=10)
+    @pytest.mark.parametrize("L0", [1.0, math.pi], ids=["L0=1", "L0=pi"])
+    @pytest.mark.parametrize("beta", [1.0, math.inf], ids=["beta=1", "beta=inf"])
+    def test_vacuum_reduces_to_unit_occupation_factors(self, beta, L0):
+        # the module docstring's E_F double loop in its general geometry
+        # (couplings g_jk, w_k', thermal N_k) over the bounding power
+        # 4 (d2_max - d2_min)**2 / W**4; in the vacuum the occupation
+        # factors reduce to 1, 1 and 0
+        cfg = CavityConfig(L0=L0, epsilon=0.01, n_modes=10)
         tr = quintic(1.0)
-        vac = friction_bound(cfg, ThermalBath(math.inf), tr)
-        # recompute with the occupation factors pinned to their vacuum values
+        bound = friction_bound(cfg, ThermalBath(beta), tr)
+        d2_max, d2_min = _acceleration_extrema(tr)
         K = cfg.n_modes
-        w = mode_frequencies(K, cfg.L0)
-        wp = -np.arange(1, K + 1) * math.pi / cfg.L0**2
+        w = mode_frequencies(K, L0)
+        wp = -np.arange(1, K + 1) * math.pi / L0**2
+        N = occupations(beta, w)
         g2 = coupling_matrix(K) ** 2
-        diag = cfg.L0**2 * wp**2 / (16.0 * w**5)
-        cross = 0.0
+
+        def A(W):
+            return 4.0 * (d2_max - d2_min) ** 2 / W**4
+
+        total = 0.0
         for k in range(K):
+            term = (wp[k] * L0 / w[k]) ** 2 * A(2.0 * w[k]) * (2.0 * N[k] + 1.0)
             for j in range(K):
                 if j == k:
                     continue
-                cross += g2[j, k] / w[j] * (w[k] - w[j]) ** 2 / (w[k] + w[j]) ** 4
-        manual = (400.0 / 3.0) * cfg.epsilon**2 * (np.sum(diag) + cross)
-        assert vac == pytest.approx(manual, rel=1e-6)
+                term += g2[j, k] / (w[j] * w[k]) * (
+                    (w[k] - w[j]) ** 2 * A(w[j] + w[k]) * (N[k] + N[j] + 1.0)
+                    + (w[j] + w[k]) ** 2 * A(abs(w[j] - w[k])) * (N[j] - N[k])
+                )
+            total += w[k] / 4.0 * term
+        assert bound == pytest.approx(cfg.epsilon**2 * total, rel=1e-12)
 
     def test_rejects_linear_ramp_shape(self):
         ramp = Trajectory(PPoly([[1.0], [0.0]], [0.0, 1.0]), label="ramp")
