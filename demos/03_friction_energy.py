@@ -12,7 +12,7 @@ import math
 import sys
 
 from casotto import CavityConfig, ThermalBath, friction_energy, quintic
-from casotto.friction import export_mode_table, spectral_table
+from casotto.friction import export_mode_table, mode_breakdown, spectral_table
 
 L0 = math.pi
 cfg = CavityConfig(L0=L0, epsilon=0.01, n_modes=40)
@@ -34,7 +34,6 @@ for beta in (0.5, 1.0, 2.0, 5.0, 20.0, math.inf):
 print("(converges to the finite vacuum value: pair creation needs no photons)")
 
 print("\nper-mode breakdown at tau*w1 = 1, beta*w1 = 1 (first 8 modes):")
-res = friction_energy(
-    CavityConfig(L0=L0, epsilon=0.01, n_modes=8), ThermalBath(1.0), quintic(1.0)
-)
-export_mode_table(res, sys.stdout)
+cfg8 = CavityConfig(L0=L0, epsilon=0.01, n_modes=8)
+rows = mode_breakdown(cfg8, ThermalBath(1.0), spectral_table(quintic(1.0), cfg8))
+export_mode_table(rows, sys.stdout)

@@ -44,7 +44,9 @@ from .friction import (
     export_mode_table,
     friction_bound,
     friction_energy,
+    mode_breakdown,
     partial_spectral_integral,
+    spectral_table,
 )
 from .fock_oracle import (
     FockConfig,
@@ -388,7 +390,8 @@ def _run_friction(cfg: RunConfig, out) -> int:
     cavity = _cavity(opts, _single_epsilon(opts))
     traj = _trajectory(opts)
     bath = ThermalBath(float(opts["beta"]))
-    result = friction_energy(cavity, bath, traj)
+    table = spectral_table(traj, cavity)
+    result = friction_energy(cavity, bath, traj, table=table)
     out.write(_header(
         cfg,
         ("k", "diag_term", "create_term", "scatter_term", "cumulative"),
@@ -404,7 +407,7 @@ def _run_friction(cfg: RunConfig, out) -> int:
     out.write(f"# quadrature_err = {_fmt(result.err)}\n")
     out.write(f"# tail_estimate = {_fmt(result.tail_estimate)}\n")
     out.write(f"# bound = {_fmt(result.bound) if result.bound is not None else 'none'}\n")
-    export_mode_table(result, out)
+    export_mode_table(mode_breakdown(cavity, bath, table), out)
     return 0
 
 

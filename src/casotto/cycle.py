@@ -458,7 +458,8 @@ def sweep(
 
     The grid is evaluated tau by tau: one trajectory and its spectral table
     are built and serve every bath and compression ratio before the next tau
-    starts, so only one table (with its mode-sum weights) is held at a time.
+    starts, so only one table is held at a time.  The friction kernel of
+    each bath temperature comes from a small cache shared by all taus.
     Rows come out in a fixed order regardless: outer bath ratio, then
     epsilon, then tau ascending.  Failures of individual cells are recorded
     in the row and do not abort the sweep.

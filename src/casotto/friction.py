@@ -15,40 +15,43 @@ thermal occupations.  The double time integral of the underlying kernel
 separates exactly into ``A(W)``; the tensor-product check against the
 unseparated kernel lives in the tests.
 
-That leaves the bath only in the occupations, and every term is linear in
-them.  For the equidistant spectrum ``w_k = k w_1`` the geometric factors
-collapse, ``(w_k' L0 / w_k)**2 = 1`` and ``g_jk**2 (w_k -+ w_j)**2 /
-(w_j w_k) = 4jk / (j +- k)**2``, so the fast path splits in two.  Once per
-spectral table and cutoff K it builds the bath-independent weights
+That leaves the bath only in the occupations and the trajectory only in
+``A``.  For the equidistant spectrum ``w_k = k w_1`` every frequency above
+is a grid point ``n w_1`` (``n = 2k``, ``j + k`` or ``|j - k|``) and the
+geometric factors collapse, ``(w_k' L0 / w_k)**2 = 1`` and
+``g_jk**2 (w_k -+ w_j)**2 / (w_j w_k) = 4jk / (j +- k)**2``.  Grouping the
+double sum by ``n`` gives, with ``A[n] = A(n w_1)``,
 
-    D_k = (w_k / 4) A[2k]
-    Cm_kj = (w_k / 4) 4jk / (j + k)**2 A[j + k]      (j != k)
-    Sm_kj = (w_k / 4) 4jk / (j - k)**2 A[|j - k|]    (j != k)
+    E_F / eps**2 = sum_{n=1}^{2K} c_n A[n]
+    c_n = (w_1 / n) [ sum_k k (n - k) (N_k + 1/2)
+                      + sum_{i=1}^{K-n} i (i + n) (N_i - N_{i+n}) ]
 
-with ``A[n] = A(n w_1)``, and keeps them on the table.  Each bath then only
-applies its occupations: ``diag = D (2N + 1)``, ``create = Cm N + (N + 1)
-rowsum(Cm)`` and ``scatter_k = sum_j Sm_kj (N_j - N_k)``, the last summed
-elementwise because ``Sm N - N rowsum(Sm)`` cancels.  A bath costs one
-``K x K`` elementwise pass; the per-mode rows come from the same sums.
-The analytic upper bound (:func:`friction_bound`) is this sum over a
-bounding power spectrum, so it is built from the same weights.
+with ``k`` running over ``max(1, n - K) <= k <= min(K, n - 1)``.  The first
+sum is pair creation: its ``k = n/2`` term is single-mode squeezing, the
+others correlated pairs across modes.  The second is photon scattering
+between modes ``i`` and ``i + n``, which only moves energy when the modes
+are unequally populated; the occupations fall with ``k``, so every
+``c_n >= 0``.  The round-off bound takes the amplitudes' bound ``A_err[n]``
+through the twin kernel ``e_n``: the same pair-creation sum, with the
+scattering pairs added in absolute value,
+``(1 / n**2) sum_i i (i + n) (w_i + w_{i+n}) |N_i - N_{i+n}|``.
 
-The three per-mode pieces have distinct physics: the ``A(2 w_k)`` term is
-single-mode pair creation (squeezing), the ``(N_k + N_j + 1)`` term is
-correlated pair creation across modes, and the ``(N_j - N_k)`` term is
-photon scattering between modes, which only moves energy when the modes are
-unequally populated.  Each piece is non-negative once summed as below, so
-the stroke can only heat the field, never cool it, and the deposit is
-identical for the forward and the time-reversed stroke.
+Both kernels depend on the cavity, the bath and K only.  Each is built once,
+in ``O(K)`` from head and tail sums of ``k**p N_k``, and cached, so a
+(bath, table) cell costs one dot product of length ``2K + 1``.  The kernels
+also carry the per-mode rows of the last few modes, which the tail fit
+below reads; the full per-mode split is an ``O(K**2)`` pass taken only when
+asked for (:func:`mode_breakdown`).  The analytic upper bound
+(:func:`friction_bound`) is the same dot product over a bounding power
+spectrum.  The stroke can only heat the field, never cool it, and the
+deposit is identical for the forward and the time-reversed stroke.
 
 Mode sums run to the configured cutoff K; the truncated remainder is
 estimated by extrapolating a power-law fit of the last per-mode
 contributions.  Everything is computed per unit ``eps**2`` internally and
 scaled at the boundary, so one spectral table serves every compression
-ratio.  The frequencies needed are the even multiples ``2 w_k`` plus all
-sums and differences ``w_j +- w_k``; for the equidistant cavity spectrum
-those collapse onto the integer grid ``n * pi / L0``, ``n <= 2K``, which is
-precomputed once per trajectory in :func:`spectral_table`.
+ratio.  The amplitudes on the grid ``n * pi / L0``, ``n <= 2K``, are
+computed once per trajectory in :func:`spectral_table`.
 
 Every profile is a piecewise polynomial (:mod:`casotto.trajectory`), so the
 amplitudes have a finite closed form per piece (repeated integration by
@@ -61,9 +64,10 @@ why one table serves both strokes of a cycle.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -82,6 +86,7 @@ __all__ = [
     "partial_spectral_integral",
     "friction_energy",
     "friction_bound",
+    "mode_breakdown",
     "export_mode_table",
 ]
 
@@ -116,8 +121,7 @@ class SpectralTable:
 
     Precomputing the grid lets one table serve every mode pair (the needed
     sums and differences of equidistant frequencies are again grid points)
-    and every bath and compression ratio.  The mode-sum weights built from
-    it are kept per cutoff K, so the arrays must not be changed in place.
+    and every bath and compression ratio.
     """
 
     omega1: float
@@ -125,11 +129,16 @@ class SpectralTable:
     S: np.ndarray
     err: np.ndarray
     label: str
-    _weights: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def power(self) -> np.ndarray:
         return self.C * self.C + self.S * self.S
+
+    @property
+    def power_err(self) -> np.ndarray:
+        """Round-off bound of ``power``: the amplitude bounds propagated to
+        first and second order."""
+        return 2.0 * (np.abs(self.C) + np.abs(self.S)) * self.err + 2.0 * self.err**2
 
     @property
     def n_max(self) -> int:
@@ -138,17 +147,15 @@ class SpectralTable:
 
 @dataclass(frozen=True)
 class FrictionResult:
-    """Friction energy of one stroke with its per-mode decomposition.
+    """Friction energy of one stroke.
 
-    ``per_mode`` rows are ``(k, diag, create, scatter)`` already scaled by
-    ``eps**2``; their sum reproduces ``value``.  ``bound`` is the analytic
-    upper bound when the profile shape admits one, else None.  ``err`` is
-    the amplitudes' round-off bound propagated through the mode sums, and
-    ``value_per_eps2`` the compression-independent core.
+    ``bound`` is the analytic upper bound when the profile shape admits
+    one, else None.  ``err`` is the amplitudes' round-off bound propagated
+    through the mode sums, and ``value_per_eps2`` the compression-independent
+    core.  The per-mode split is :func:`mode_breakdown`.
     """
 
     value: float
-    per_mode: list[tuple[int, float, float, float]]
     bound: float | None
     k_used: int
     tail_estimate: float
@@ -266,71 +273,129 @@ def partial_spectral_integral(
     return float(F[0].real), float(F[0].imag)
 
 
-def _tail_estimate(
-    totals: np.ndarray, noise: np.ndarray, tail_fit_points: int = 8
-) -> float:
-    """Extrapolated remainder of the mode sum beyond the cutoff.
 
-    Fits ``|contribution| ~ c * k**-p`` to the last few modes and sums the
-    extrapolation.  When every fitted contribution lies within its
-    round-off bound ``noise`` there is no decay to fit, and the remainder is
-    not resolvable above round-off: the fitted modes' bound is returned.
+
+# the truncation-tail fit reads the per-mode totals of this many top modes
+_TAIL_FIT_POINTS = 8
+
+
+def _tail_estimate(k_used: int, tail: np.ndarray, noise: np.ndarray) -> float:
+    """Extrapolated remainder of the mode sum beyond the cutoff ``k_used``.
+
+    ``tail`` holds the per-mode totals of the last ``_TAIL_FIT_POINTS``
+    modes and ``noise`` their round-off bounds.  Fits
+    ``|contribution| ~ c * k**-p`` to them (least squares in ``log k``) and
+    sums the extrapolation.  When every fitted contribution lies within its
+    round-off bound there is no decay to fit, and the remainder is not
+    resolvable above round-off: the fitted modes' bound is returned.
     Returns NaN when too few modes are available and inf when the fit does
     not decay.
     """
-    k_used = len(totals)
-    if k_used < tail_fit_points + 4:
+    if k_used < _TAIL_FIT_POINTS + 4:
         return math.nan
-    tail = np.abs(totals[-tail_fit_points:])
-    if np.all(tail <= noise[-tail_fit_points:]):
-        return float(np.sum(noise[-tail_fit_points:]))
-    if np.any(tail <= 0.0):
+    tail = np.abs(tail)
+    if (tail <= noise).all():
+        return float(noise.sum())
+    if (tail <= 0.0).any():
         return 0.0
-    ks = np.arange(k_used - tail_fit_points + 1, k_used + 1, dtype=float)
-    slope, intercept = np.polyfit(np.log(ks), np.log(tail), 1)
+    x = np.log(np.arange(k_used - _TAIL_FIT_POINTS + 1, k_used + 1, dtype=float))
+    y = np.log(tail)
+    x_mean, y_mean = x.sum() / _TAIL_FIT_POINTS, y.sum() / _TAIL_FIT_POINTS
+    dx = x - x_mean
+    slope = float(dx @ (y - y_mean) / (dx @ dx))
     p = -slope
-    if not np.isfinite(p) or p <= 1.0:
+    if not math.isfinite(p) or p <= 1.0:
         return math.inf
-    c = math.exp(intercept)
+    c = math.exp(y_mean - slope * x_mean)
     k_next = k_used + 1
     # integral remainder plus half the first omitted term
     return c * (k_next ** (1.0 - p) / (p - 1.0) + 0.5 * k_next**-p)
 
 
-def _mode_weights(omega1: float, A: np.ndarray, K: int) -> tuple[np.ndarray, ...]:
-    """Bath-independent weights of the mode sums at cutoff K, per unit eps**2.
+def _pair_terms(modes: np.ndarray, N: np.ndarray, omega1: float):
+    """Grid indices and weights of the per-mode terms, per unit eps**2.
 
-    Returns ``(D, Cm, rowsum(Cm), Sm)`` of the module docstring for the
-    power ``A[n] = A(n omega1)``, n = 0..2K.  The diagonals of ``Cm`` and
-    ``Sm`` are zero (``j != k``), so ``A[0]`` must be finite.
+    Row ``r`` belongs to mode ``k = modes[r]``, column ``c`` to the partner
+    mode ``j = c + 1`` of the ``K = len(N)`` kept.  Returns
+    ``(index, weight)`` pairs for single-mode pair creation
+    ``(2k, (w_k/4) (2 N_k + 1))``, cross-mode pair creation
+    ``(k + j, (w_k/4) 4jk/(j + k)**2 (N_k + N_j + 1))`` and scattering
+    ``(|j - k|, (w_k/4) 4jk/(j - k)**2)``, then ``N_j - N_k``, which the
+    scattering weight still takes.  The last two are zero at ``j = k``.
+    Mode k's contribution is the sum of ``weight * A[index]``.
     """
-    ks = np.arange(1, K + 1)
-    quarter_w = ks * omega1 / 4.0
-    k, j = ks[:, None], ks[None, :]
-    create_geom = quarter_w[:, None] * (4.0 * k * j / (k + j) ** 2)
-    with np.errstate(divide="ignore"):
-        scatter_geom = quarter_w[:, None] * (4.0 * k * j / (k - j) ** 2)
-    np.fill_diagonal(create_geom, 0.0)
-    np.fill_diagonal(scatter_geom, 0.0)
-    Cm = create_geom * A[k + j]
-    Sm = scatter_geom * A[np.abs(k - j)]
-    return quarter_w * A[2 * ks], Cm, Cm.sum(axis=1), Sm
+    k = modes[:, None]
+    j = np.arange(1, len(N) + 1)
+    quarter_w = k * omega1 / 4.0
+    Nk = N[k - 1]
+    off = j != k
+    gap = np.abs(j - k)
+    create = np.where(off, quarter_w * (4.0 * k * j / (k + j) ** 2) * (Nk + N + 1.0), 0.0)
+    scatter = np.where(off, quarter_w * (4.0 * k * j / np.maximum(gap, 1) ** 2), 0.0)
+    return (2 * k, quarter_w * (2.0 * Nk + 1.0)), (k + j, create), (gap, scatter), N - Nk
 
 
-def _apply_occupations(weights, n: np.ndarray, dn: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Per-mode (diag, create, scatter) of one set of weights for occupations
-    ``n``; ``dn[k, j]`` multiplies ``Sm[k, j]``."""
-    D, Cm, Cm_rows, Sm = weights
-    # Sm @ n - n * rowsum(Sm) would cancel: the scattering sum stays elementwise
-    return D * (2.0 * n + 1.0), Cm @ n + (n + 1.0) * Cm_rows, np.einsum("kj,kj->k", Sm, dn)
+def _kernel_rows(terms, width: int) -> np.ndarray:
+    """Per-mode kernels over the grid n = 0..width-1 from ``_pair_terms``."""
+    rows = terms[0][1].shape[0]
+    offset = width * np.arange(rows)[:, None]
+    index = np.concatenate([(offset + i).ravel() for i, _ in terms])
+    weight = np.concatenate([w.ravel() for _, w in terms])
+    return np.bincount(index, weight, minlength=rows * width).reshape(rows, width)
 
 
-def _mode_terms(
-    cfg: CavityConfig,
-    bath: ThermalBath,
-    table: SpectralTable,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-mode (diag, create, scatter, round-off bound) per unit eps**2."""
+@functools.lru_cache(maxsize=32)
+def _bath_kernel(L0: float, K: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """E_F weights of one bath at cutoff K over the grid n = 0..2K, per unit eps**2.
+
+    Returns the value and round-off kernels, each ``1 + T`` rows by
+    ``2K + 1``: row 0 is ``c_n`` (``e_n``) of the module docstring, rows
+    1..T the per-mode kernels of the last ``T = min(_TAIL_FIT_POINTS, K)``
+    modes.  ``value @ A`` gives ``E_F / eps**2`` and those modes' totals,
+    ``error @ A_err`` their round-off bounds.  The arrays are read-only.
+    """
+    w1 = math.pi / L0
+    N = occupations(beta, mode_frequencies(K, L0))
+    k = np.arange(1.0, K + 1.0)
+    terms = np.empty((5, K))  # k (N + 1/2), k**2 (N + 1/2), k N, k**2 N, k**3 N
+    terms[0] = k * (N + 0.5)
+    terms[2] = k * N
+    terms[1], terms[3] = k * terms[0], k * terms[2]
+    terms[4] = k * terms[3]
+    # [:, m] = sum over i <= m (head) and over i > m (rest), m = 0..K-1;
+    # every window below is one of them, never a difference of two
+    head = np.zeros((5, K))
+    np.cumsum(terms[:, :-1], axis=1, out=head[:, 1:])
+    rest = np.cumsum(terms[:, ::-1], axis=1)[:, ::-1]
+
+    x = np.arange(1.0, 2 * K + 1.0)  # n
+    T = min(_TAIL_FIT_POINTS, K)
+    value = np.zeros((1 + T, 2 * K + 1))
+    error = np.zeros((1 + T, 2 * K + 1))
+    # pair creation: k (n - k) (N_k + 1/2) over max(1, n - K) <= k <= min(K, n - 1),
+    # a head window for n <= K and a rest window above
+    window = np.concatenate([head[:2], rest[:2]], axis=1)
+    value[0, 1:] = error[0, 1:] = x * window[0] - window[1]
+    # scattering between i and i + n for i <= K - n: i (i + n) (N_i - N_{i+n}),
+    # and i (i + n) (2i + n) (N_i - N_{i+n}) / n for the bound (N falls with k)
+    a, b, t = head[2:, K - 1:0:-1], rest[2:, 1:], x[: K - 1]
+    value[0, 1:K] += (a[1] + t * a[0]) - (b[1] - t * b[0])
+    error[0, 1:K] += (
+        (2.0 * a[2] + 3.0 * t * a[1] + t * t * a[0])
+        - (2.0 * b[2] - 3.0 * t * b[1] + t * t * b[0])
+    ) / t
+    value[0, 1:] *= w1 / x
+    error[0, 1:] *= w1 / x
+
+    diag, pairs, (gap, scatter), dn = _pair_terms(np.arange(K - T + 1, K + 1), N, w1)
+    value[1:] = _kernel_rows((diag, pairs, (gap, scatter * dn)), 2 * K + 1)
+    error[1:] = _kernel_rows((diag, pairs, (gap, scatter * np.abs(dn))), 2 * K + 1)
+    value.flags.writeable = error.flags.writeable = False
+    return value, error
+
+
+def _check_table(cfg: CavityConfig, table: SpectralTable) -> int:
+    """The cutoff K of ``cfg``, once ``table`` is known to serve it."""
     K = cfg.n_modes
     if table.n_max < 2 * K:
         raise ValueError(
@@ -338,20 +403,7 @@ def _mode_terms(
         )
     if not math.isclose(table.omega1, cfg.omega1, rel_tol=1e-12):
         raise ValueError("spectral table was built for a different cavity")
-    if K not in table._weights:
-        # first- and second-order propagation of the amplitude bounds into C**2 + S**2
-        Aerr = 2.0 * (np.abs(table.C) + np.abs(table.S)) * table.err + 2.0 * table.err**2
-        table._weights[K] = (
-            _mode_weights(table.omega1, table.power, K),
-            _mode_weights(table.omega1, Aerr, K),
-        )
-    values, bounds = table._weights[K]
-
-    n = occupations(bath.beta, mode_frequencies(K, cfg.L0))
-    dn = n[None, :] - n[:, None]  # N_j - N_k
-    diag, create, scatter = _apply_occupations(values, n, dn)
-    err = sum(_apply_occupations(bounds, n, np.abs(dn)))
-    return diag, create, scatter, err
+    return K
 
 
 def friction_energy(
@@ -365,25 +417,27 @@ def friction_energy(
     """Friction energy of one stroke of ``traj`` starting from a thermal state.
 
     The profile must carry unit net displacement (either direction).  A
-    precomputed :func:`spectral_table` may be passed to share it across
-    baths and compression ratios.
+    precomputed :func:`spectral_table` of ``traj`` may be passed to share it
+    across baths and compression ratios.
     """
-    disp = traj.displacement()
+    if table is None:
+        table = spectral_table(traj, cfg)
+    # the zero-frequency cosine amplitude is the net displacement
+    disp = float(table.C[0])
     if abs(abs(disp) - 1.0) > 1e-6:
         raise ValueError(
             f"trajectory must be normalised to unit displacement, got {disp:.6g}"
         )
-    if table is None:
-        table = spectral_table(traj, cfg)
-
-    diag, create, scatter, err_modes = _mode_terms(cfg, bath, table)
-    totals = diag + create + scatter
-    value_per_eps2 = float(np.sum(totals))
+    K = _check_table(cfg, table)
+    value_kernel, error_kernel = _bath_kernel(cfg.L0, K, bath.beta)
+    values = value_kernel @ table.power[: 2 * K + 1]
+    noise = error_kernel @ table.power_err[: 2 * K + 1]
+    value_per_eps2 = float(values[0])
     eps2 = cfg.epsilon**2
     value = eps2 * value_per_eps2
-    err = eps2 * float(np.sum(err_modes))
+    err = eps2 * float(noise[0])
 
-    tail = _tail_estimate(totals, err_modes)
+    tail = _tail_estimate(K, values[1:], noise[1:])
     tail_scaled = eps2 * tail if math.isfinite(tail) else tail
     # an infinite estimate means the fitted contributions do not decay;
     # that is as much a truncation red flag as a large finite tail.  A tail
@@ -412,23 +466,39 @@ def friction_energy(
         except ValueError:
             bound = None
 
-    per_mode = list(zip(
-        range(1, cfg.n_modes + 1),
-        (eps2 * diag).tolist(),
-        (eps2 * create).tolist(),
-        (eps2 * scatter).tolist(),
-    ))
     return FrictionResult(
         value=value,
-        per_mode=per_mode,
         bound=bound,
-        k_used=cfg.n_modes,
+        k_used=K,
         tail_estimate=tail_scaled,
         beta=bath.beta,
         err=err,
         value_per_eps2=value_per_eps2,
         tail_warning=tail_warning,
     )
+
+
+def mode_breakdown(
+    cfg: CavityConfig, bath: ThermalBath, table: SpectralTable
+) -> list[tuple[int, float, float, float]]:
+    """Per-mode rows ``(k, diag, create, scatter)`` of ``E_F``, scaled by ``eps**2``.
+
+    ``diag`` is mode k's single-mode pair creation, ``create`` its pair
+    creation with the other modes and ``scatter`` its scattering; the rows
+    sum to :func:`friction_energy`'s ``value``.  One ``O(K**2)`` pass.
+    """
+    K = _check_table(cfg, table)
+    N = occupations(bath.beta, mode_frequencies(K, cfg.L0))
+    modes = np.arange(1, K + 1)
+    (i_d, diag), (i_c, create), (i_s, scatter), dn = _pair_terms(modes, N, cfg.omega1)
+    A = table.power
+    eps2 = cfg.epsilon**2
+    columns = (
+        eps2 * (diag * A[i_d])[:, 0],
+        eps2 * (create * A[i_c]).sum(axis=1),
+        eps2 * (scatter * A[i_s] * dn).sum(axis=1),
+    )
+    return list(zip(modes.tolist(), *(c.tolist() for c in columns)))
 
 
 def _acceleration_extrema(traj: Trajectory) -> tuple[float, float]:
@@ -467,40 +537,39 @@ def friction_bound(cfg: CavityConfig, bath: ThermalBath, traj: Trajectory) -> fl
     """Analytic upper bound on the friction energy of one stroke.
 
     The ``E_F`` sum of the module docstring with ``A(W)`` replaced by
-    ``4 (d2_max - d2_min)**2 / W**4``.  For a stroke that starts and ends at
-    rest with vanishing acceleration, integrating by parts twice gives
-    ``|C(W) + i S(W)| <= TV(d2delta) / W**2``, and with exactly one interior
-    acceleration maximum and minimum the total variation is
-    ``2 (d2_max - d2_min)``.  ``E_F`` is a non-negative combination of the
-    ``A(n w_1)`` (each scattering pair ``j, k`` combines to
-    ``(w_k - w_j) (N_j - N_k) >= 0``), so the bound dominates it at every
-    bath temperature.  Raises ValueError for any other acceleration shape or
-    for a non-vanishing endpoint acceleration.
+    ``4 (d2_max - d2_min)**2 / W**4``, i.e. ``eps**2 c . A_b``.  For a
+    stroke that starts and ends at rest with vanishing acceleration,
+    integrating by parts twice gives ``|C(W) + i S(W)| <= TV(d2delta) / W**2``,
+    and with exactly one interior acceleration maximum and minimum the total
+    variation is ``2 (d2_max - d2_min)``.  ``E_F`` is a non-negative
+    combination of the ``A(n w_1)`` (every ``c_n >= 0``), so the bound
+    dominates it at every bath temperature.  Raises ValueError for any other
+    acceleration shape and for a non-vanishing endpoint velocity or
+    acceleration.
     """
     d2_max, d2_min = _acceleration_extrema(traj)
+    swing = d2_max - d2_min
     ends = np.array([traj.t_start, traj.t_end])
-    d2_ends = np.asarray(traj.d2delta(ends), dtype=float)
-    if np.max(np.abs(d2_ends)) > 1e-9 * (d2_max - d2_min):
+    if np.max(np.abs(traj.ddelta(ends))) > 1e-9 * swing * traj.duration:
+        raise ValueError("bound requires vanishing endpoint velocity")
+    if np.max(np.abs(traj.d2delta(ends))) > 1e-9 * swing:
         raise ValueError("bound requires vanishing endpoint acceleration")
 
     K = cfg.n_modes
     W = np.arange(1, 2 * K + 1) * cfg.omega1
-    # A[0] only meets the zero diagonal of Sm, but must stay finite there
-    A = np.concatenate([[0.0], 4.0 * (d2_max - d2_min) ** 2 / W**4])
-    n = occupations(bath.beta, mode_frequencies(K, cfg.L0))
-    weights = _mode_weights(cfg.omega1, A, K)
-    per_mode = sum(_apply_occupations(weights, n, n[None, :] - n[:, None]))
-    return float(cfg.epsilon**2 * np.sum(per_mode))
+    A = np.concatenate([[0.0], 4.0 * swing**2 / W**4])
+    c = _bath_kernel(cfg.L0, K, bath.beta)[0][0]
+    return float(cfg.epsilon**2 * (c @ A))
 
 
-def export_mode_table(result: FrictionResult, stream) -> None:
-    """Write the per-mode breakdown as comma-delimited text.
+def export_mode_table(rows, stream) -> None:
+    """Write :func:`mode_breakdown` rows as comma-delimited text.
 
     Columns: k, diag_term, create_term, scatter_term, cumulative.
     """
     stream.write("k,diag_term,create_term,scatter_term,cumulative\n")
     running = 0.0
-    for k, d, c, s in result.per_mode:
+    for k, d, c, s in rows:
         running += d + c + s
         stream.write(
             f"{k},{d:.17g},{c:.17g},{s:.17g},{running:.17g}\n"

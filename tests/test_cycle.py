@@ -353,20 +353,22 @@ class TestSweep:
                 )
                 assert r.report.W == direct.W
 
-    def test_mode_weights_built_once_per_table(self, monkeypatch):
+    def test_one_bath_kernel_per_bath_temperature(self, monkeypatch):
+        # the kernel build is the friction layer's only occupations call
         built = []
-        original = friction_module._mode_weights
+        original = friction_module.occupations
 
-        def counting(omega1, A, K):
-            built.append(K)
-            return original(omega1, A, K)
+        def counting(beta, omegas):
+            built.append((beta, len(omegas)))
+            return original(beta, omegas)
 
-        monkeypatch.setattr(friction_module, "_mode_weights", counting)
+        friction_module._bath_kernel.cache_clear()
+        monkeypatch.setattr(friction_module, "occupations", counting)
         baths = [BathPair(2.0, 0.4), BathPair(2.0, 1.0), BathPair(3.0, 2.0)]
         taus = [0.5, 1.0, 2.0]
         sweep(cfg(K=16), baths, taus, quintic, epsilons=[0.01, 0.02])
-        # two sets (power and round-off bound) per tau's table, none per cell
-        assert built == [16] * (2 * len(taus))
+        # one per distinct temperature, none per cell, tau or epsilon
+        assert sorted(built) == [(beta, 16) for beta in (0.4, 1.0, 2.0, 3.0)]
 
     def test_csv_shape(self):
         rows = sweep(cfg(K=8), [ENGINE_BATHS], [0.5, 1.0], quintic)

@@ -1,4 +1,3 @@
-import dataclasses
 import io
 import math
 import runpy
@@ -15,10 +14,11 @@ from casotto.friction import (
     FrictionResult,
     TruncationWarning,
     _acceleration_extrema,
-    _mode_terms,
+    _bath_kernel,
     export_mode_table,
     friction_bound,
     friction_energy,
+    mode_breakdown,
     partial_spectral_integral,
     spectral_amplitudes,
     spectral_table,
@@ -270,13 +270,47 @@ def direct_mode_sums(cfg, bath, table):
     return diag, create, scatter, diag_err + create_err + scatter_err
 
 
-class TestPerTableWeights:
+def dense_kernels(K, beta, L0=math.pi):
+    """``c_n`` and ``e_n`` as a bincount over the K x K mode pairs of the
+    equidistant weights (oracle for the O(K) kernel build)."""
+    w1 = math.pi / L0
+    ks = np.arange(1, K + 1)
+    N = occupations(beta, mode_frequencies(K, L0))
+    k, j = ks[:, None], ks[None, :]
+    off = k != j
+    quarter_w = k * w1 / 4.0
+    create = np.where(off, quarter_w * 4.0 * k * j / (k + j) ** 2 * (N[:, None] + N[None, :] + 1.0), 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        geom = np.where(off, quarter_w * 4.0 * k * j / (k - j) ** 2, 0.0)
+    dn = N[None, :] - N[:, None]
+    index = np.concatenate([2 * ks, (k + j).ravel(), np.abs(k - j).ravel()])
+    head = np.concatenate([ks * w1 / 4.0 * (2.0 * N + 1.0), create.ravel()])
+    c = np.bincount(index, np.concatenate([head, (geom * dn).ravel()]), minlength=2 * K + 1)
+    e = np.bincount(index, np.concatenate([head, (geom * np.abs(dn)).ravel()]), minlength=2 * K + 1)
+    return c, e
+
+
+def tail_fit_kernel(cfg, beta):
+    value, error = _bath_kernel(cfg.L0, cfg.n_modes, beta)
+    return value[1:], error[1:]
+
+
+PROFILES = {
+    "quintic-0.1": lambda: quintic(0.1),
+    "quintic-2": lambda: quintic(2.0),
+    "quintic-30": lambda: quintic(30.0),
+    "shortcut": lambda: shortcut(quintic(1.0), math.pi),
+    "sampled": lambda: sampled_quintic(21),
+}
+
+
+class TestBathKernel:
     @pytest.mark.parametrize("K", [64, 256, 1024])
-    @pytest.mark.parametrize("tau", [0.1, 2.0, 30.0])
-    def test_matches_direct_double_sum(self, K, tau):
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_matches_direct_double_sum(self, K, profile):
         # L0 = pi, so tau and beta are in units of 1/w1
         cfg = CavityConfig(L0=math.pi, epsilon=0.01, n_modes=K)
-        tr = quintic(tau)
+        tr = PROFILES[profile]()
         table = spectral_table(tr, cfg)
         eps2 = cfg.epsilon**2
         for beta in (0.02, 1.0, 10.0, math.inf):
@@ -286,42 +320,79 @@ class TestPerTableWeights:
             ref = float(np.sum(diag + create + scatter))
             assert res.value_per_eps2 == pytest.approx(ref, rel=1e-13, abs=0.0)
             assert res.err == pytest.approx(eps2 * float(np.sum(err)), rel=1e-12, abs=0.0)
-            rows = np.array(res.per_mode)
+            # the last modes' totals and round-off bounds, which the tail fit reads
+            rows, noise_rows = tail_fit_kernel(cfg, beta)
+            totals = rows @ table.power[: 2 * K + 1]
+            want = (diag + create + scatter)[-len(totals):]
+            assert np.all(np.abs(totals - want) <= 1e-12 * np.abs(want) + err[-len(totals):])
+            noise = noise_rows @ table.power_err[: 2 * K + 1]
+            assert np.allclose(noise, err[-len(noise):], rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("K", [64, 256])
+    def test_mode_breakdown_matches_direct_double_sum(self, K):
+        cfg = CavityConfig(L0=math.pi, epsilon=0.01, n_modes=K)
+        table = spectral_table(quintic(1.0), cfg)
+        eps2 = cfg.epsilon**2
+        for beta in (0.02, 1.0, math.inf):
+            bath = ThermalBath(beta)
+            res = friction_energy(cfg, bath, quintic(1.0), table=table, compute_bound=False)
+            rows = np.array(mode_breakdown(cfg, bath, table))
+            diag, create, scatter, _ = direct_mode_sums(cfg, bath, table)
             assert np.array_equal(rows[:, 0], np.arange(1, K + 1))
             for got, want in zip(rows[:, 1:].T, (diag, create, scatter)):
                 miss = np.abs(got - eps2 * want)
                 assert np.all((miss <= 1e-12 * np.abs(eps2 * want)) | (miss <= res.err))
-            *_, err_fast = _mode_terms(cfg, bath, table)
-            assert np.allclose(err_fast, err, rtol=1e-12, atol=0.0)
 
-    def test_weights_built_once_per_table_and_cutoff(self, monkeypatch):
+    @pytest.mark.parametrize("K", [8, 64, 256, 512])
+    @pytest.mark.parametrize("beta", [0.02, 1.0, math.inf])
+    def test_linear_build_matches_pair_bincount(self, K, beta):
+        value, error = _bath_kernel(math.pi, K, beta)
+        c, e = dense_kernels(K, beta)
+        assert value[0, 0] == error[0, 0] == 0.0
+        assert np.all(np.abs(value[0] - c) <= 1e-13 * np.abs(c))
+        assert np.all(np.abs(error[0] - e) <= 1e-13 * np.abs(e))
+
+    @pytest.mark.parametrize("K", [8, 64, 256, 512])
+    @pytest.mark.parametrize("beta", [0.02, 1.0, math.inf])
+    def test_kernel_is_nonnegative(self, K, beta):
+        value, error = _bath_kernel(1.3, K, beta)
+        assert np.all(value[0] >= 0.0)
+        # absolute scattering pairs only add to the bound's kernel
+        assert np.all(error[0] >= value[0])
+
+    def test_one_kernel_per_bath_cutoff_and_cavity(self, monkeypatch):
+        # the kernel build is friction_energy's only occupations call
         built = []
-        original = friction_module._mode_weights
+        original = friction_module.occupations
 
-        def counting(omega1, A, K):
-            built.append(K)
-            return original(omega1, A, K)
+        def counting(beta, omegas):
+            built.append((beta, len(omegas), float(omegas[0])))
+            return original(beta, omegas)
 
-        monkeypatch.setattr(friction_module, "_mode_weights", counting)
+        _bath_kernel.cache_clear()
+        monkeypatch.setattr(friction_module, "occupations", counting)
         tr = quintic(1.0)
         table = spectral_table(tr, make_cfg(K=16))
         for beta in (0.5, 1.0, math.inf):
             for eps in (0.01, 0.02):
                 friction_energy(make_cfg(K=16, eps=eps), ThermalBath(beta), tr,
                                 table=table, compute_bound=False)
-        # one set from the power, one from its round-off bound
-        assert built == [16, 16]
+        assert built == [(beta, 16, 1.0) for beta in (0.5, 1.0, math.inf)]
+        # another trajectory's table reuses the kernels
+        friction_energy(make_cfg(K=16), ThermalBath(1.0), quintic(2.0), compute_bound=False)
+        assert len(built) == 3
         friction_energy(make_cfg(K=8), ThermalBath(1.0), tr, table=table,
                         compute_bound=False)
-        assert built == [16, 16, 8, 8]
+        other = CavityConfig(L0=1.0, epsilon=0.01, n_modes=16)
+        friction_energy(other, ThermalBath(1.0), tr, compute_bound=False)
+        assert built[3:] == [(1.0, 8, 1.0), (1.0, 16, math.pi)]
 
-    def test_fresh_table_starts_without_weights(self):
-        cfg = make_cfg(K=8)
-        table = spectral_table(quintic(1.0), cfg)
-        friction_energy(cfg, ThermalBath(1.0), quintic(1.0), table=table,
-                        compute_bound=False)
-        copy = dataclasses.replace(table, C=2.0 * table.C)
-        assert copy._weights == {} and 8 in table._weights
+    def test_kernels_are_read_only(self):
+        value, error = _bath_kernel(math.pi, 16, 1.0)
+        with pytest.raises(ValueError):
+            value[0, 1] = 0.0
+        with pytest.raises(ValueError):
+            error[0, 1] = 0.0
 
 
 class TestFrictionEnergy:
@@ -340,10 +411,10 @@ class TestFrictionEnergy:
         cfg = make_cfg(K=8)
         bath = ThermalBath(1.0)
         tr = quintic(1.0)
-        res = friction_energy(cfg, bath, tr)
+        rows = mode_breakdown(cfg, bath, spectral_table(tr, cfg))
         for k_index in range(cfg.n_modes):
             direct = direct_mode_energy(cfg, bath, tr, k_index)
-            fast = sum(res.per_mode[k_index][1:4])
+            fast = sum(rows[k_index][1:4])
             assert fast == pytest.approx(direct, rel=1e-6, abs=1e-18)
 
     def test_adiabatic_limit_is_small(self):
@@ -353,9 +424,11 @@ class TestFrictionEnergy:
         slow = friction_energy(cfg, bath, quintic(100.0)).value
         assert slow < 1e-6 * fast
 
-    def test_value_equals_per_mode_sum(self):
-        res = friction_energy(make_cfg(K=24), ThermalBath(2.0), quintic(0.7))
-        total = sum(d + c + s for _, d, c, s in res.per_mode)
+    def test_value_equals_mode_breakdown_sum(self):
+        cfg = make_cfg(K=24)
+        table = spectral_table(quintic(0.7), cfg)
+        res = friction_energy(cfg, ThermalBath(2.0), quintic(0.7), table=table)
+        total = sum(d + c + s for _, d, c, s in mode_breakdown(cfg, ThermalBath(2.0), table))
         assert res.value == pytest.approx(total, rel=1e-12)
 
     def test_nonnegative_over_random_cases(self):
@@ -425,6 +498,13 @@ class TestFrictionEnergy:
         half = Trajectory(PPoly(0.5 * quintic(1.0).delta.c, [0.0, 1.0]), label="half")
         with pytest.raises(ValueError):
             friction_energy(make_cfg(), ThermalBath(1.0), half)
+
+    def test_rejects_table_of_unnormalised_profile(self):
+        # the check reads the zero-frequency amplitude of the table passed in
+        cfg = make_cfg()
+        half = Trajectory(PPoly(0.5 * quintic(1.0).delta.c, [0.0, 1.0]), label="half")
+        with pytest.raises(ValueError, match="unit displacement"):
+            friction_energy(cfg, ThermalBath(1.0), half, table=spectral_table(half, cfg))
 
     def test_tail_estimate_and_warning(self):
         cfg = CavityConfig(L0=math.pi, epsilon=0.01, n_modes=16, tail_tol=1e-12)
@@ -540,6 +620,20 @@ class TestFrictionBound:
             total += w[k] / 4.0 * term
         assert bound == pytest.approx(cfg.epsilon**2 * total, rel=1e-12)
 
+    def test_rejects_moving_endpoint(self):
+        # half a quintic plus half a linear ramp: unit displacement, one
+        # acceleration maximum and minimum, vanishing endpoint acceleration,
+        # but end velocity 0.5; its E_F grows with K, so no K-independent
+        # bound exists
+        c = 0.5 * quintic(1.0).delta.c
+        c[-2, 0] += 0.5
+        kicked = Trajectory(PPoly(c, [0.0, 1.0]), label="kicked")
+        cfg = make_cfg(K=64)
+        with pytest.raises(ValueError, match="velocity"):
+            friction_bound(cfg, ThermalBath(1.0), kicked)
+        res = friction_energy(cfg, ThermalBath(1.0), kicked)
+        assert res.bound is None and res.value > 0.0
+
     def test_rejects_linear_ramp_shape(self):
         ramp = Trajectory(PPoly([[1.0], [0.0]], [0.0, 1.0]), label="ramp")
         with pytest.raises(ValueError):
@@ -556,9 +650,11 @@ class TestFrictionBound:
 
 
 def test_export_mode_table_roundtrip():
-    res = friction_energy(make_cfg(K=6), ThermalBath(1.0), quintic(1.0))
+    cfg = make_cfg(K=6)
+    table = spectral_table(quintic(1.0), cfg)
+    res = friction_energy(cfg, ThermalBath(1.0), quintic(1.0), table=table)
     buf = io.StringIO()
-    export_mode_table(res, buf)
+    export_mode_table(mode_breakdown(cfg, ThermalBath(1.0), table), buf)
     lines = buf.getvalue().strip().splitlines()
     assert lines[0] == "k,diag_term,create_term,scatter_term,cumulative"
     assert len(lines) == 7
