@@ -290,11 +290,6 @@ def dense_kernels(K, beta, L0=math.pi):
     return c, e
 
 
-def tail_fit_kernel(cfg, beta):
-    value, error = _bath_kernel(cfg.L0, cfg.n_modes, beta)
-    return value[1:], error[1:]
-
-
 PROFILES = {
     "quintic-0.1": lambda: quintic(0.1),
     "quintic-2": lambda: quintic(2.0),
@@ -321,11 +316,11 @@ class TestBathKernel:
             assert res.value_per_eps2 == pytest.approx(ref, rel=1e-13, abs=0.0)
             assert res.err == pytest.approx(eps2 * float(np.sum(err)), rel=1e-12, abs=0.0)
             # the last modes' totals and round-off bounds, which the tail fit reads
-            rows, noise_rows = tail_fit_kernel(cfg, beta)
-            totals = rows @ table.power[: 2 * K + 1]
+            value_kernel, error_kernel = _bath_kernel(cfg.L0, K, beta)
+            totals = value_kernel[1:] @ table.power[: 2 * K + 1]
             want = (diag + create + scatter)[-len(totals):]
             assert np.all(np.abs(totals - want) <= 1e-12 * np.abs(want) + err[-len(totals):])
-            noise = noise_rows @ table.power_err[: 2 * K + 1]
+            noise = error_kernel[1:] @ table.power_err[: 2 * K + 1]
             assert np.allclose(noise, err[-len(noise):], rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("K", [64, 256])
