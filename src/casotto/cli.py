@@ -30,6 +30,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from . import __version__
+from . import friction as _friction
 from .cycle import (
     SWEEP_COLUMNS,
     BathPair,
@@ -46,7 +47,6 @@ from .friction import (
     friction_energy,
     mode_breakdown,
     partial_spectral_integral,
-    spectral_table,
 )
 from .fock_oracle import (
     FockConfig,
@@ -390,7 +390,8 @@ def _run_friction(cfg: RunConfig, out) -> int:
     cavity = _cavity(opts, _single_epsilon(opts))
     traj = _trajectory(opts)
     bath = ThermalBath(float(opts["beta"]))
-    table = spectral_table(traj, cavity)
+    # through the module attribute, so that a wrapped friction.spectral_table sees it
+    table = _friction.spectral_table(traj, cavity)
     result = friction_energy(cavity, bath, traj, table=table)
     out.write(_header(
         cfg,

@@ -1,20 +1,19 @@
 """Record the benchmark's end-to-end numbers of one checkout in a JSON file.
 
-    python3 tools/bench_record.py --out BENCH_N.json [--checkout DIR]
-        [--label NAME] [--seed 1] [--seconds S] [--workload W ...]
+    python3 tools/bench_record.py --out BENCH_N.json [--checkout DIR] [--label NAME]
 
-For each workload (default: all three of ``perfbench/workloads.py``) this
-runs ``python3 perfbench/run.py --workload W --seed N --seconds S --trace 0``
-in DIR (default: the checkout holding this script), one workload after
-another, and parses the run's report and result lines.  The record keeps,
+For each of the three workloads of ``perfbench/workloads.py`` this runs
+``python3 perfbench/run.py --workload W --seed 1 --seconds S --trace 0`` in
+DIR (default: the checkout holding this script), one workload after another,
+with S the ``run_seconds`` of ``BENCHMARK.json``, and parses the run's report
+and result lines.  The record keeps,
 per workload, the end-to-end metrics next to the accuracy they were
 measured at (``max_rel_err``) and the ``failed``/``attempted`` units.
 
 The record is filed under the checkout's commit and ``--label``; a file
 that already exists keeps its other records, so a before/after comparison
 is two invocations into one file.  ``dirty`` marks a checkout whose
-``src/`` or ``perfbench/`` differ from its commit.  ``--seconds`` defaults
-to ``run_seconds`` of ``BENCHMARK.json``.
+``src/`` or ``perfbench/`` differ from its commit.
 """
 
 from __future__ import annotations
@@ -27,6 +26,7 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
 WORKLOADS = ("thermal_grid", "point_queries", "fock_oracle")
+SEED = 1
 
 
 def git(checkout: Path, *args: str) -> str:
@@ -34,8 +34,8 @@ def git(checkout: Path, *args: str) -> str:
     return proc.stdout.strip() if proc.returncode == 0 else ""
 
 
-def run_workload(checkout: Path, name: str, seed: int, seconds: float) -> dict:
-    argv = [sys.executable, "perfbench/run.py", "--workload", name, "--seed", str(seed),
+def run_workload(checkout: Path, name: str, seconds: float) -> dict:
+    argv = [sys.executable, "perfbench/run.py", "--workload", name, "--seed", str(SEED),
             "--seconds", repr(seconds), "--trace", "0"]
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
     lines = [ln for ln in proc.stdout.splitlines() if ln.startswith("{")]
@@ -57,23 +57,20 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True, type=Path)
     parser.add_argument("--checkout", type=Path, default=HERE)
     parser.add_argument("--label", default="")
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float)
-    parser.add_argument("--workload", action="append", choices=WORKLOADS)
     args = parser.parse_args(argv)
     checkout = args.checkout.resolve()
-    seconds = args.seconds or json.loads((HERE / "BENCHMARK.json").read_text())["run_seconds"]
+    seconds = json.loads((HERE / "BENCHMARK.json").read_text())["run_seconds"]
 
     workloads, environment = {}, {}
-    for name in args.workload or WORKLOADS:
+    for name in WORKLOADS:
         print(f"running {name} in {checkout} for {seconds:g} s", file=sys.stderr, flush=True)
-        workloads[name] = run_workload(checkout, name, args.seed, seconds)
+        workloads[name] = run_workload(checkout, name, seconds)
         environment = workloads[name].pop("environment")
     record = {
         "label": args.label,
         "commit": git(checkout, "rev-parse", "HEAD") or "unknown",
         "dirty": bool(git(checkout, "status", "--porcelain", "--", "src", "perfbench")),
-        "command": f"python3 perfbench/run.py --workload W --seed {args.seed} --seconds {seconds:g} --trace 0",
+        "command": f"python3 perfbench/run.py --workload W --seed {SEED} --seconds {seconds:g} --trace 0",
         "environment": {k: environment.get(k) for k in ("python", "numpy", "scipy", "blas", "nproc", "machine")},
         "workloads": workloads,
     }
