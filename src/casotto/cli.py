@@ -525,7 +525,7 @@ def _run_oracle(cfg: RunConfig, out) -> int:
         out.write(_header(
             cfg,
             ("identity", "numeric", "closed_form", "deviation"),
-            ("operator string", "dense-matrix thermal trace",
+            ("operator string", "thermal trace over the product Fock basis",
              "geometric-moment closed form", "absolute deviation"),
         ))
         out.write(f"# max_abs_deviation = {_fmt(report.max_abs_deviation)}\n")

@@ -268,6 +268,19 @@ class TestRuns:
         assert main(["bound", "--tau", "1.0", "--beta", "1.0", "--epsilon",
                      "0.01", "--modes", "4", "--output", str(target)]) == 0
 
+    def test_oracle_round_off_friction_prints_nan(self):
+        # a shortcut stroke's E_F is round-off: the ratio is NaN, not 1e28
+        with pytest.warns(RuntimeWarning, match="round-off"):
+            status, text = capture(
+                ["oracle", "--tau", "1", "--beta", "2", "--epsilon", "0.01",
+                 "--family", "shortcut", "--fock-modes", "1", "--n-max", "6",
+                 "--dt", "0.1"]
+            )
+        assert status == 0
+        rows = [l.split(",") for l in text.splitlines() if l[:1].isdigit()]
+        assert len(rows) == 2
+        assert all(r[4] == r[5] == "nan" for r in rows)
+
     def test_oracle_identities_command(self):
         status, text = capture(
             ["oracle", "--check", "identities", "--beta", "2.0", "--epsilon",

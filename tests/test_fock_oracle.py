@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,15 @@ from casotto.fock_oracle import (
     validate_friction,
     verify_trace_identities,
 )
-from casotto.fock_oracle import _expm_unitary, _static_parts, _assemble
+from casotto.fock_oracle import (
+    _CF4_X1,
+    _CF4_X2,
+    _GAUSS_SHIFT,
+    _assemble,
+    _expm_unitary,
+    _sector_parts,
+    _static_parts,
+)
 from casotto.spectrum import CavityConfig, ThermalBath, thermal_occupation
 from casotto.trajectory import Trajectory, quintic, shortcut
 
@@ -155,9 +164,10 @@ class TestEvolve:
         fock = FockConfig(n_modes=2, n_max=6)
         cfg = cavity()
         H = build_hamiltonian(0.3, cfg, quintic(1.0), fock)
-        U = _expm_unitary(H, 0.05)
-        eye = np.eye(fock.dimension)
-        assert np.max(np.abs(U.conj().T @ U - eye)) < 1e-12
+        odd = _parity(fock).astype(bool)
+        for U in _expm_unitary([H[np.ix_(m, m)] for m in (~odd, odd)], 0.05):
+            eye = np.eye(len(U))
+            assert np.max(np.abs(U.conj().T @ U - eye)) < 1e-12
 
     def test_integrator_convergence_order(self):
         # error against a fine reference shrinks by ~2^order per halving
@@ -181,6 +191,89 @@ class TestEvolve:
         rho0 = thermal_state(2.0, fock, cfg)
         with pytest.raises(ValueError, match="dt"):
             evolve(rho0, cfg, quintic(1.0), fock)
+
+
+def _parity(fock: FockConfig) -> np.ndarray:
+    """Total photon number mod 2 of each basis state, mode 1 slowest."""
+    occ = np.unravel_index(np.arange(fock.dimension), (fock.n_max + 1,) * fock.n_modes)
+    return sum(occ) % 2
+
+
+def _dense_expm(H: np.ndarray, dt: float) -> np.ndarray:
+    vals, vecs = np.linalg.eigh(H)
+    return (vecs * np.exp(-1j * dt * vals)) @ vecs.conj().T
+
+
+def _dense_evolve(rho0, cfg, traj, fock):
+    """The full-matrix propagator: one eigh of the whole generator per stage."""
+    H0, M1, M2 = _static_parts(cfg, fock)
+    n_steps = max(1, math.ceil(traj.duration / fock.dt))
+    h = traj.duration / n_steps
+    grid = traj.t_start + h * np.arange(n_steps + 1)
+    rho = rho0.astype(complex)
+    for t0 in grid[:-1]:
+        if fock.integrator_order == 2:
+            U = _dense_expm(_assemble(t0 + 0.5 * h, cfg, traj, H0, M1, M2), h)
+        else:
+            A1 = _assemble(t0 + (0.5 - _GAUSS_SHIFT) * h, cfg, traj, H0, M1, M2)
+            A2 = _assemble(t0 + (0.5 + _GAUSS_SHIFT) * h, cfg, traj, H0, M1, M2)
+            U = _dense_expm(_CF4_X1 * A1 + _CF4_X2 * A2, h) @ _dense_expm(
+                _CF4_X2 * A1 + _CF4_X1 * A2, h
+            )
+        rho = U @ rho @ U.conj().T
+        rho = 0.5 * (rho + rho.conj().T)
+    return rho
+
+
+class TestParitySectors:
+    @pytest.mark.parametrize("n_modes", [1, 2, 3])
+    @pytest.mark.parametrize("n_max", [1, 4, 8])
+    def test_static_parts_conserve_parity(self, n_modes, n_max):
+        fock = FockConfig(n_modes=n_modes, n_max=n_max)
+        odd = _parity(fock).astype(bool)
+        for X in _static_parts(cavity(K=n_modes), fock):
+            assert not np.any(X[np.ix_(odd, ~odd)])
+            assert not np.any(X[np.ix_(~odd, odd)])
+
+    def test_sectors_follow_parity(self):
+        fock = FockConfig(n_modes=3, n_max=4)
+        order, sectors, blocks = _sector_parts(_static_parts(cavity(K=3), fock), fock)
+        parity = _parity(fock)[order]
+        assert not np.any(parity[sectors[0]]) and np.all(parity[sectors[1]])
+        assert [len(b[0]) for b in blocks] == [63, 62]
+
+    def test_parity_breaking_term_is_rejected(self):
+        fock = FockConfig(n_modes=2, n_max=4)
+        H0, M1, M2 = _static_parts(cavity(), fock)
+        a = lowering_operator(1, fock)
+        with pytest.raises(RuntimeError, match="parity"):
+            _sector_parts((H0, M1 + a + a.T, M2), fock)
+
+    def test_blockwise_exponential_matches_full_eigh(self):
+        fock = FockConfig(n_modes=2, n_max=6)
+        cfg = cavity(eps=0.2)
+        order, sectors, _ = _sector_parts(_static_parts(cfg, fock), fock)
+        for t in (0.1, 0.3, 0.77):
+            H = build_hamiltonian(t, cfg, quintic(1.0), fock)[np.ix_(order, order)]
+            U = np.zeros_like(H)
+            for s, block in zip(sectors, _expm_unitary([H[s, s] for s in sectors], 0.05)):
+                U[s, s] = block
+            assert np.max(np.abs(U - _dense_expm(H, 0.05))) < 1e-13
+            assert np.max(np.abs(U.conj().T @ U - np.eye(len(U)))) < 1e-12
+
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_evolve_matches_dense_propagator_with_coherences(self, order):
+        fock = FockConfig(n_modes=2, n_max=4, dt=0.02, integrator_order=order)
+        cfg = cavity(eps=0.2)
+        rng = np.random.default_rng(3)
+        G = rng.normal(size=(25, 25)) + 1j * rng.normal(size=(25, 25))
+        rho0 = G @ G.conj().T
+        rho0 /= np.trace(rho0).real
+        odd = _parity(fock).astype(bool)
+        assert np.max(np.abs(rho0[np.ix_(odd, ~odd)])) > 1e-2
+        rho1 = evolve(rho0, cfg, quintic(1.0), fock)
+        assert np.max(np.abs(rho1 - _dense_evolve(rho0, cfg, quintic(1.0), fock))) < 1e-12
+        assert np.max(np.abs(rho1[np.ix_(odd, ~odd)])) > 1e-2
 
 
 class TestEnergyExpectation:
@@ -266,6 +359,64 @@ class TestTraceIdentities:
         assert abs(check.numeric - correct) < 1e-6
 
 
+def _dense_identity_values(beta: float, fock: FockConfig, cfg: CavityConfig) -> dict:
+    """Each battery string as a dense ``einsum`` trace against the dense state."""
+    dim = fock.n_max + 3  # the battery's two rungs of operator headroom
+    a = np.diag(np.sqrt(np.arange(1.0, dim)), k=1)
+    small = {"a": a, "ad": a.T, "N": a.T @ a}
+    weights = []
+    for k in range(1, fock.n_modes + 1):
+        p = np.zeros(dim)
+        if math.isinf(beta):
+            p[0] = 1.0
+        else:
+            p[: fock.n_max + 1] = np.exp(-beta * k * cfg.omega1 * np.arange(fock.n_max + 1))
+        weights.append(p / p.sum())
+    state = weights[0]
+    for p in weights[1:]:
+        state = np.kron(state, p)
+    rho = np.diag(state).astype(complex)
+
+    def value(label: str) -> float:
+        per_mode = [np.eye(dim) for _ in range(fock.n_modes)]
+        for token in label.split():
+            name, _, power = token.partition("^")
+            kind, mode = name.rstrip("0123456789"), int(name.lstrip("adN"))
+            for _ in range(int(power or 1)):
+                per_mode[mode - 1] = per_mode[mode - 1] @ small[kind]
+        full = per_mode[0]
+        for op in per_mode[1:]:
+            full = np.kron(full, op)
+        return float(np.real(np.einsum("ij,ji->", rho, full)))
+
+    return value
+
+
+class TestDiagonalTraces:
+    @pytest.mark.parametrize("beta", [2.0, math.inf])
+    def test_numeric_equals_dense_trace(self, beta):
+        # w_1 = 2, so four rungs keep all but exp(-20) of the thermal weight
+        fock = FockConfig(n_modes=3, n_max=4)
+        cfg = CavityConfig(L0=math.pi / 2, epsilon=0.01, n_modes=3)
+        dense = _dense_identity_values(beta, fock, cfg)
+        report = verify_trace_identities(beta, fock, cfg)
+        assert len(report.checks) == 30
+        for check in report.checks:
+            assert check.numeric == pytest.approx(dense(check.label), abs=1e-15), check.label
+
+    def test_battery_allocates_no_dense_matrices(self):
+        # a single 1331 x 1331 complex matrix is 28 MB
+        fock = FockConfig(n_modes=3, n_max=8)
+        cfg = cavity(K=3)
+        tracemalloc.start()
+        try:
+            verify_trace_identities(2.0, fock, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
+
+
 class TestValidateFriction:
     def test_quintic_two_modes_ratio_near_one(self):
         cfg = cavity(eps=0.01, K=2)
@@ -313,6 +464,18 @@ class TestValidateFriction:
 
         plain = friction_energy(cfg, bath, quintic(1.0), compute_bound=False).value
         assert abs(e_full - e_adiab) < 0.05 * plain
+
+    def test_round_off_friction_gives_nan_ratio(self):
+        # the shortcut cancels E_F down to round-off; dividing by it would
+        # print a ratio of order 1e28
+        cfg = cavity(eps=0.01, K=1)
+        fock = FockConfig(n_modes=1, n_max=6, dt=0.1)
+        sc = shortcut(quintic(1.0), cfg.L0)
+        with pytest.warns(RuntimeWarning, match="round-off") as caught:
+            report = validate_friction(cfg, ThermalBath(2.0), sc, fock)
+        assert all(w.filename == __file__ for w in caught)
+        assert all(math.isnan(row.ratio) for row in report.rows)
+        assert math.isnan(report.richardson_ratio)
 
     def test_epsilon_guard(self):
         cfg = cavity(eps=0.01, K=2)
