@@ -110,7 +110,7 @@ _COMMAND_OPTIONS: dict[str, tuple[str, ...]] = {
               "tail-tol", "family", "trajectory-file", "mode",
               "thermalization-time", "output"),
     "shortcut-check": ("tau", "L0", "n", "points", "output"),
-    "oracle": ("tau", "beta", "epsilon", "modes", "family", "trajectory-file",
+    "oracle": ("tau", "beta", "epsilon", "family", "trajectory-file",
                "fock-modes", "n-max", "dt", "integrator-order", "check",
                "output"),
 }
@@ -160,10 +160,6 @@ def _parse_config_file(path: str, allowed: Sequence[str]) -> dict[str, str]:
             raise UsageError(f"{path}:{lineno}: unknown key '{key}'")
         values[key] = val.strip()
     return values
-
-
-def _env_key(flag: str) -> str:
-    return ENV_PREFIX + flag.replace("-", "_").upper()
 
 
 def parse_config(argv: Sequence[str]) -> RunConfig:
@@ -259,12 +255,14 @@ def _parse_grid(raw: str) -> list[float]:
     parts = str(raw).split(":")
     if len(parts) != 3:
         raise UsageError(f"grid must be lo:hi:N[log], got {raw!r}")
-    lo, hi = float(parts[0]), float(parts[1])
     count = parts[2]
     logspace = count.endswith("log")
     if logspace:
         count = count[:-3]
-    n = int(count)
+    try:
+        lo, hi, n = float(parts[0]), float(parts[1]), int(count)
+    except ValueError as exc:
+        raise UsageError(f"grid must be lo:hi:N[log], got {raw!r}") from exc
     if n < 1 or not hi > lo:
         raise UsageError(f"bad grid {raw!r}")
     if n == 1:
@@ -278,12 +276,36 @@ def _parse_grid(raw: str) -> list[float]:
     return [lo + step * i for i in range(n)]
 
 
+def _single(opts, key: str) -> float:
+    values = _parse_float_list(str(opts[key]), key)
+    if len(values) != 1:
+        raise UsageError(f"this command takes a single {key}")
+    return values[0]
+
+
+def _fock(opts) -> FockConfig:
+    """The oracle's truncation; its own range checks become usage errors."""
+    try:
+        return FockConfig(
+            n_modes=int(opts["fock-modes"]),
+            n_max=int(opts["n-max"]),
+            dt=float(opts["dt"]),
+            integrator_order=int(opts["integrator-order"]),
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 def _validate(cfg: RunConfig) -> None:
     opts = cfg.options
     if "epsilon" in opts:
         for e in _parse_float_list(str(opts["epsilon"]), "epsilon"):
             if not 0.0 < e < 1.0:
                 raise UsageError(f"epsilon must lie in (0, 1), got {e}")
+    if cfg.command != "sweep":  # the only command that takes lists
+        for key in ("epsilon", "beta-ratio"):
+            if key in opts:
+                _single(opts, key)
     for key in ("beta", "beta-a", "tail-tol"):
         if key in opts and not float(opts[key]) > 0:
             raise UsageError(f"{key} must be positive, got {opts[key]}")
@@ -299,6 +321,10 @@ def _validate(cfg: RunConfig) -> None:
         raise UsageError("thermalization-time must be non-negative")
     if "points" in opts and int(opts["points"]) < 1:
         raise UsageError("points must be >= 1")
+    if "L0" in opts and not float(opts["L0"]) > 0:
+        raise UsageError("L0 must be positive")
+    if cfg.command == "oracle":
+        _fock(opts)
     if "n" in opts:
         _parse_harmonics(str(opts["n"]))
     if "mode" in opts and opts["mode"] not in ("engine", "refrigerator"):
@@ -315,8 +341,10 @@ def _validate(cfg: RunConfig) -> None:
                 raise UsageError("--family sampled requires --trajectory-file")
             if not Path(path).exists():
                 raise UsageError(f"trajectory file not found: {path}")
-    if cfg.command == "sweep" and not str(opts.get("tau-grid", "")):
-        raise UsageError("sweep requires --tau-grid lo:hi:N[log]")
+    if cfg.command == "sweep":
+        if not str(opts.get("tau-grid", "")):
+            raise UsageError("sweep requires --tau-grid lo:hi:N[log]")
+        _parse_grid(str(opts["tau-grid"]))
 
 
 # ---------------------------------------------------------------------------
@@ -378,16 +406,9 @@ def run(cfg: RunConfig, stream=None) -> int:
     return status
 
 
-def _single_epsilon(opts) -> float:
-    eps = _parse_float_list(str(opts["epsilon"]), "epsilon")
-    if len(eps) != 1:
-        raise UsageError("this command takes a single epsilon")
-    return eps[0]
-
-
 def _run_friction(cfg: RunConfig, out) -> int:
     opts = cfg.options
-    cavity = _cavity(opts, _single_epsilon(opts))
+    cavity = _cavity(opts, _single(opts, "epsilon"))
     traj = _trajectory(opts)
     bath = ThermalBath(float(opts["beta"]))
     # through the module attribute, so that a wrapped friction.spectral_table sees it
@@ -414,7 +435,7 @@ def _run_friction(cfg: RunConfig, out) -> int:
 
 def _run_bound(cfg: RunConfig, out) -> int:
     opts = cfg.options
-    cavity = _cavity(opts, _single_epsilon(opts))
+    cavity = _cavity(opts, _single(opts, "epsilon"))
     traj = _trajectory(opts)
     bath = ThermalBath(float(opts["beta"]))
     value = friction_bound(cavity, bath, traj)
@@ -432,19 +453,17 @@ def _run_bound(cfg: RunConfig, out) -> int:
 
 def _run_single_cycle(cfg: RunConfig, out) -> int:
     opts = cfg.options
-    ratios = _parse_float_list(str(opts["beta-ratio"]), "beta-ratio")
-    if len(ratios) != 1:
-        raise UsageError("this command takes a single beta-ratio")
+    ratio = _single(opts, "beta-ratio")
     beta_a = float(opts["beta-a"])
-    baths = BathPair(beta_a, ratios[0] * beta_a)
-    cavity = _cavity(opts, _single_epsilon(opts))
+    baths = BathPair(beta_a, ratio * beta_a)
+    cavity = _cavity(opts, _single(opts, "epsilon"))
     runner = nonadiabatic_engine if cfg.command == "engine" else nonadiabatic_refrigerator
     report = runner(
         cavity, baths, _trajectory(opts),
         thermalization_time=float(opts["thermalization-time"]),
     )
     out.write(_header(cfg, SWEEP_COLUMNS, _CYCLE_COLUMN_DOCS))
-    write_sweep_csv([SweepRow(float(opts["tau"]), ratios[0], cavity.epsilon, report)], out)
+    write_sweep_csv([SweepRow(float(opts["tau"]), ratio, cavity.epsilon, report)], out)
     return 0
 
 
@@ -513,13 +532,8 @@ def _run_shortcut_check(cfg: RunConfig, out) -> int:
 
 def _run_oracle(cfg: RunConfig, out) -> int:
     opts = cfg.options
-    fock = FockConfig(
-        n_modes=int(opts["fock-modes"]),
-        n_max=int(opts["n-max"]),
-        dt=float(opts["dt"]),
-        integrator_order=int(opts["integrator-order"]),
-    )
-    cavity = _cavity(opts, _single_epsilon(opts))
+    fock = _fock(opts)
+    cavity = CavityConfig(L0=_L0, epsilon=_single(opts, "epsilon"), n_modes=fock.n_modes)
     if str(opts["check"]) == "identities":
         report = verify_trace_identities(float(opts["beta"]), fock, cavity)
         out.write(_header(

@@ -13,9 +13,14 @@ evolve a thermal state through the stroke with a time-ordered unitary
 product, and compare the measured non-adiabatic energy against the
 separable friction formula restricted to the same retained modes.
 
-The operators are dense matrices, so every one is inspectable.  Two exact
-structures are used, and the first is checked where it is used:
+The operators are dense matrices, so every one is inspectable.  Three exact
+structures are used, and the second is checked where it is used:
 
+* the space is a product of per-mode ladders, mode 1 slowest, and every
+  operator or diagonal on it is a ``kron`` of per-mode factors, laid out by
+  :func:`_product` alone.  Each term of ``H(t)`` is one such product: ``N``
+  is the exact diagonal ``0..n_max`` and a coupling pair ``k != j`` is
+  ``(a_k - a_k^+)(a_j + a_j^+)``, so no full-space matrix product is formed.
 * every term of ``H(t)`` is quadratic in the ladder operators, so it
   conserves the total photon-number parity ``(-1)**sum_k N_k``, also on
   the truncated space.  :func:`evolve` orders the basis by parity and
@@ -38,6 +43,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import reduce
+from itertools import permutations
 
 import numpy as np
 
@@ -45,6 +52,7 @@ from .friction import friction_energy
 from .spectrum import (
     CavityConfig,
     ThermalBath,
+    coupling_g,
     mode_frequencies,
     mode_frequency_derivative,
     occupations,
@@ -118,58 +126,47 @@ def _destroy(n_max: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1.0, n_max + 1.0)), k=1)
 
 
-def _embed(op: np.ndarray, mode: int, fock: FockConfig) -> np.ndarray:
-    """Lift a single-mode operator to the full product space (modes 1-based)."""
-    mats = []
-    eye = np.eye(fock.n_max + 1)
-    for m in range(1, fock.n_modes + 1):
-        mats.append(op if m == mode else eye)
-    out = mats[0]
-    for m in mats[1:]:
-        out = np.kron(out, m)
-    return out
+def _product(factors: dict[int, np.ndarray], fock: FockConfig, fill: np.ndarray) -> np.ndarray:
+    """``kron`` over modes 1..n of ``factors.get(m, fill)``, mode 1 slowest.
+
+    The one place the product basis is laid out: with ``fill`` the identity
+    this lifts per-mode operators to the full space, with ``fill`` a vector
+    it builds a diagonal (weights, occupations, parities) from per-mode ones.
+    """
+    return reduce(np.kron, [factors.get(m, fill) for m in range(1, fock.n_modes + 1)])
 
 
 def lowering_operator(mode: int, fock: FockConfig) -> np.ndarray:
     """Annihilation operator of one mode on the truncated product space."""
     if not 1 <= mode <= fock.n_modes:
         raise ValueError(f"mode {mode} outside 1..{fock.n_modes}")
-    return _embed(_destroy(fock.n_max), mode, fock)
+    return _product({mode: _destroy(fock.n_max)}, fock, np.eye(fock.n_max + 1))
 
 
 def _static_parts(cfg: CavityConfig, fock: FockConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(H0, M1, M2): H(t) = H0 + dL(t)*M1 + dLdot(t)*M2, all Hermitian.
 
-    M2 is assembled as Z + Z^+ with Z = Y/(4i) elementwise, which is
-    Hermitian by construction in floating point; H0 and M1 are real
-    symmetric.
+    Every term is a ``kron`` of per-mode factors: ``N`` is the exact
+    diagonal ``0..n_max``, and each coupling pair ``k != j`` is the single
+    product ``(a_k - a_k^+)(a_j + a_j^+)``.  H0 and M1 are real symmetric
+    term by term; M2 is assembled as Z + Z^+ with Z = Y/(4i), which is
+    Hermitian by construction in floating point.
     """
-    from .spectrum import coupling_g
-
     w = mode_frequencies(fock.n_modes, cfg.L0)
-    a_ops = [lowering_operator(k, fock) for k in range(1, fock.n_modes + 1)]
-    n_ops = [a.conj().T @ a for a in a_ops]
+    a = _destroy(fock.n_max)
+    n = np.diag(np.arange(fock.n_max + 1.0))
+    eye = np.eye(fock.n_max + 1)
+    modes = range(1, fock.n_modes + 1)
 
-    H0 = sum(w[k] * n_ops[k] for k in range(fock.n_modes))
-    M1 = np.zeros_like(H0)
-    for k in range(fock.n_modes):
-        wp = mode_frequency_derivative(k + 1, cfg.L0)
-        a2 = a_ops[k] @ a_ops[k]
-        M1 += wp * n_ops[k] + 0.5 * wp * (a2 + a2.T)
-    M1 = 0.5 * (M1 + M1.T)
-
-    dim = fock.dimension
-    Y = np.zeros((dim, dim))
-    for k in range(fock.n_modes):
-        ak = a_ops[k]
-        for j in range(fock.n_modes):
-            if j == k:
-                continue
-            aj = a_ops[j]
-            coeff = coupling_g(k + 1, j + 1) * math.sqrt(w[k] / w[j]) / cfg.L0
-            Y += coeff * (
-                ak @ aj - ak.T @ aj + ak @ aj.T - ak.T @ aj.T
-            )
+    H0 = sum(w[k - 1] * _product({k: n}, fock, eye) for k in modes)
+    squeeze = n + 0.5 * (a @ a + a.T @ a.T)
+    M1 = sum(
+        mode_frequency_derivative(k, cfg.L0) * _product({k: squeeze}, fock, eye) for k in modes
+    )
+    Y = np.zeros((fock.dimension,) * 2)
+    for k, j in permutations(modes, 2):
+        coeff = coupling_g(k, j) * math.sqrt(w[k - 1] / w[j - 1]) / cfg.L0
+        Y += coeff * _product({k: a - a.T, j: a + a.T}, fock, eye)
     Z = Y / 2j
     M2 = 0.5 * (Z + Z.conj().T)
     return H0.astype(complex), M1.astype(complex), M2
@@ -220,12 +217,13 @@ def thermal_state(beta: float, fock: FockConfig, cfg: CavityConfig) -> np.ndarra
 
 
 def mode_occupations(rho: np.ndarray, fock: FockConfig) -> np.ndarray:
-    """Per-mode ``Tr(rho N_k)`` for comparison with the untruncated values."""
-    occ = np.empty(fock.n_modes)
-    for k in range(1, fock.n_modes + 1):
-        a = lowering_operator(k, fock)
-        occ[k - 1] = float(np.real(np.einsum("ij,ji->", rho, a.conj().T @ a)))
-    return occ
+    """Per-mode ``Tr(rho N_k)`` for comparison with the untruncated values.
+
+    ``N_k`` is diagonal, so the trace is ``Re diag(rho)`` against its diagonal.
+    """
+    p = np.real(np.diag(rho))
+    n, ones = np.arange(fock.n_max + 1.0), np.ones(fock.n_max + 1)
+    return np.array([p @ _product({k: n}, fock, ones) for k in range(1, fock.n_modes + 1)])
 
 
 def _expm_unitary(blocks: list[np.ndarray], dt: float) -> list[np.ndarray]:
@@ -253,12 +251,9 @@ def _sector_parts(
     the basis reordered by ``order``.  Raises if any cross-sector entry is
     non-zero.
     """
-    n = np.arange(fock.n_max + 1)
-    total = n  # photon number of each basis state, mode 1 slowest as in _embed
-    for _ in range(fock.n_modes - 1):
-        total = np.add.outer(total, n).ravel()
-    odd = total % 2
-    order, n_even = np.argsort(odd, kind="stable"), int(np.count_nonzero(odd == 0))
+    # (-1)**sum_k N_k is the product of the per-mode parities
+    odd = _product({}, fock, (-1.0) ** np.arange(fock.n_max + 1)) < 0
+    order, n_even = np.argsort(odd, kind="stable"), int(np.count_nonzero(~odd))
     sectors = (slice(0, n_even), slice(n_even, fock.dimension))
     perm = [X[np.ix_(order, order)] for X in static]
     for name, X in zip(("H0", "M1", "M2"), perm):
@@ -394,8 +389,8 @@ def _embedded_thermal_state(
     in ``work``.
 
     The state is diagonal in the product Fock basis, so it is returned as
-    its diagonal: one weight per basis state, in the ``kron`` order of
-    :func:`_embed`.  Occupation weights beyond the state cutoff are zero;
+    its diagonal: one weight per basis state, in the order of
+    :func:`_product`.  Occupation weights beyond the state cutoff are zero;
     the distribution is renormalised over the kept rungs.
     :func:`thermal_state` is the case ``work == state``, as a dense matrix.
     """
@@ -409,19 +404,13 @@ def _embedded_thermal_state(
                 f"occupation cutoff keeps only 1 - {missed:.2e} of the "
                 "thermal weight; raise n_max or beta"
             )
-    diags = []
-    for k in range(state.n_modes):
-        weights = np.zeros(work.n_max + 1)
-        n = np.arange(state.n_max + 1, dtype=float)
-        if math.isinf(beta):
-            weights[0] = 1.0
-        else:
-            weights[: state.n_max + 1] = np.exp(-beta * w[k] * n)
-        diags.append(weights / weights.sum())
-    full = diags[0]
-    for d in diags[1:]:
-        full = np.kron(full, d)
-    return full
+    n = np.arange(state.n_max + 1.0)
+    weights = {}
+    for k in range(1, state.n_modes + 1):
+        p = np.zeros(work.n_max + 1)
+        p[: state.n_max + 1] = (n == 0) if math.isinf(beta) else np.exp(-beta * w[k - 1] * n)
+        weights[k] = p / p.sum()
+    return _product(weights, work, np.ones(work.n_max + 1))
 
 
 def _geometric_expectation(beta: float, omega: float, f) -> float:
@@ -445,22 +434,84 @@ def _geometric_expectation(beta: float, omega: float, f) -> float:
             return acc
 
 
+# Per-mode factors of the battery's strings, reduced by hand with [a, ad] = 1
+# to polynomials in that mode's N (the comment names the factors reduced).
+_N = lambda n: n  # N, ad a
+_NP1 = lambda n: n + 1  # a ad
+_NP1_SQ = lambda n: (n + 1) * (n + 1)  # a N ad
+_FALL2 = lambda n: n * (n - 1)  # ad^2 a^2, ad N a
+_FALL3 = lambda n: n * (n - 1) * (n - 2)  # ad^2 N a^2
+_RISE2 = lambda n: (n + 1) * (n + 2)  # a^2 ad^2
+_RISE2_NP2 = lambda n: (n + 1) * (n + 2) * (n + 2)  # a^2 N ad^2
+
+# The identity battery in output order: each operator string with the
+# polynomials of its modes, in the order the modes first appear in it.  A
+# sandwiched N_k that shares a mode with the string changes that mode's
+# polynomial (the Kronecker-delta corrections).
+_IDENTITIES = {
+    # N_k on the right of the string
+    "ad1^2 a1^2 N2": (_FALL2, _N),
+    "a1^2 ad1^2 N2": (_RISE2, _N),
+    "ad2^2 a2^2 N3": (_FALL2, _N),
+    "a2^2 ad2^2 N3": (_RISE2, _N),
+    "ad3^2 a3^2 N1": (_FALL2, _N),
+    "a3^2 ad3^2 N1": (_RISE2, _N),
+    "a1 a2 ad1 ad2 N3": (_NP1, _NP1, _N),
+    "ad1 a2 a1 ad2 N3": (_N, _NP1, _N),
+    "ad1 ad2 a1 a2 N3": (_N, _N, _N),
+    "a2 a3 ad2 ad3 N1": (_NP1, _NP1, _N),
+    "ad2 a3 a2 ad3 N1": (_N, _NP1, _N),
+    "ad2 ad3 a2 a3 N1": (_N, _N, _N),
+    "a3 a1 ad3 ad1 N2": (_NP1, _NP1, _N),
+    "ad3 a1 a3 ad1 N2": (_N, _NP1, _N),
+    "ad3 ad1 a3 a1 N2": (_N, _N, _N),
+    # N_k sandwiched inside the string
+    "ad1^2 N2 a1^2": (_FALL2, _N),
+    "a1^2 N2 ad1^2": (_RISE2, _N),
+    "ad1^2 N1 a1^2": (_FALL3,),
+    "a1^2 N1 ad1^2": (_RISE2_NP2,),
+    "ad2^2 N1 a2^2": (_FALL2, _N),
+    "a2^2 N1 ad2^2": (_RISE2, _N),
+    "a1 a2 N3 ad1 ad2": (_NP1, _NP1, _N),
+    "ad1 a2 N3 a1 ad2": (_N, _NP1, _N),
+    "ad1 ad2 N3 a1 a2": (_N, _N, _N),
+    "a1 a2 N1 ad1 ad2": (_NP1_SQ, _NP1),
+    "ad1 a2 N1 a1 ad2": (_FALL2, _NP1),
+    "ad1 ad2 N1 a1 a2": (_FALL2, _N),
+    "a1 a2 N2 ad1 ad2": (_NP1, _NP1_SQ),
+    "ad1 a2 N2 a1 ad2": (_N, _NP1_SQ),
+    "ad1 ad2 N2 a1 a2": (_N, _FALL2),
+}
+
+
+def _ladder_string(label: str) -> tuple[tuple[int, str], ...]:
+    """``(mode, kind)`` per factor of an identity label, left to right:
+    ``"ad1^2 N1 a1^2"`` -> ``((1, "ad"), (1, "ad"), (1, "N"), (1, "a"), (1, "a"))``.
+    """
+    out: list[tuple[int, str]] = []
+    for token in label.split():
+        name, _, power = token.partition("^")
+        kind = name.rstrip("0123456789")
+        out += [(int(name[len(kind):]), kind)] * int(power or 1)
+    return tuple(out)
+
+
 def verify_trace_identities(
     beta: float, fock: FockConfig, cfg: CavityConfig
 ) -> IdentityReport:
     """Check normal-ordering trace identities on the truncated thermal state.
 
-    Each bosonic operator string reduces, by the commutation relations, to a
-    polynomial in the number operators (with Kronecker-delta corrections
-    when the sandwiched ``N_k`` shares a mode); its thermal trace then
-    factorises into geometric-distribution moments, evaluated here by
-    direct series summation.  The numeric side multiplies the raw truncated
-    ladder matrices into one operator string per mode; the thermal state is
-    diagonal, so the trace is its weight vector against the ``kron`` of the
-    strings' diagonals, with no full-space matrix.  The comparison verifies
-    both the operator algebra and the truncation quality.  Deviations are
-    truncation-limited: the state carries no weight beyond ``n_max``, so
-    they scale with the clipped thermal tail.
+    Each bosonic operator string of ``_IDENTITIES`` reduces, by the
+    commutation relations, to a product of per-mode polynomials in the
+    number operators; its thermal trace then factorises into
+    geometric-distribution moments, evaluated here by direct series
+    summation.  The numeric side multiplies the raw truncated ladder
+    matrices into one operator string per mode (cross-mode factors commute);
+    the thermal state is diagonal, so the trace is its weight vector against
+    the ``kron`` of the strings' diagonals, with no full-space matrix.  The
+    comparison verifies both the operator algebra and the truncation
+    quality.  Deviations are truncation-limited: the state carries no weight
+    beyond ``n_max``, so they scale with the clipped thermal tail.
     """
     if fock.n_modes < 3:
         raise ValueError("identity battery needs at least 3 retained modes")
@@ -468,129 +519,22 @@ def verify_trace_identities(
     # the state is truncated at n_max; the operators get two rungs of
     # headroom (the largest raising power in the battery) so the reordering
     # identities are probed without edge clipping at the cutoff
-    work = FockConfig(
-        n_modes=fock.n_modes,
-        n_max=fock.n_max + 2,
-        dt=fock.dt,
-        integrator_order=fock.integrator_order,
-    )
+    work = replace(fock, n_max=fock.n_max + 2)
     p = _embedded_thermal_state(beta, fock, work, cfg)
-    a_small = _destroy(work.n_max)
-    ad_small = a_small.conj().T
-    n_small = ad_small @ a_small
-    eye = np.eye(work.n_max + 1)
+    a = _destroy(work.n_max)
+    ladder = {"a": a, "ad": a.T, "N": a.T @ a}  # N too from the raw ladder matrices
+    eye, ones = np.eye(work.n_max + 1), np.ones(work.n_max + 1)
 
-    # operator strings factorise over modes (cross-mode factors commute),
-    # so each full-space operator is the kron of per-mode ordered products,
-    # and its diagonal is the kron of their diagonals; the state is
-    # diagonal, so Tr(rho F) = sum_i p_i F_ii over the product basis
-    def tr(*ops: tuple[int, str]) -> float:
-        per_mode = {m: eye for m in range(1, work.n_modes + 1)}
-        small = {"a": a_small, "ad": ad_small, "n": n_small}
-        for mode, kind in ops:
-            per_mode[mode] = per_mode[mode] @ small[kind]
-        diag = np.diag(per_mode[1])
-        for m in range(2, work.n_modes + 1):
-            diag = np.kron(diag, np.diag(per_mode[m]))
-        return float(p @ diag)
-
-    def nbar(m: int) -> float:
-        return _geometric_expectation(beta, w[m - 1], lambda n: n)
-
-    def gex(m: int, f) -> float:
-        return _geometric_expectation(beta, w[m - 1], f)
-
-    checks: list[IdentityCheck] = []
-
-    def add(label: str, numeric: float, closed: float) -> None:
+    checks = []
+    for label, polys in _IDENTITIES.items():
+        per_mode: dict[int, np.ndarray] = {}
+        for mode, kind in _ladder_string(label):
+            per_mode[mode] = per_mode.get(mode, eye) @ ladder[kind]
+        numeric = float(p @ _product({m: np.diag(op) for m, op in per_mode.items()}, work, ones))
+        closed = math.prod(
+            _geometric_expectation(beta, w[m - 1], f) for m, f in zip(per_mode, polys, strict=True)
+        )
         checks.append(IdentityCheck(label, numeric, closed))
-
-    # N_k on the right of the string
-    for i, k in ((1, 2), (2, 3), (3, 1)):
-        add(
-            f"ad{i}^2 a{i}^2 N{k}",
-            tr((i, "ad"), (i, "ad"), (i, "a"), (i, "a"), (k, "n")),
-            gex(i, lambda n: n * (n - 1)) * nbar(k),
-        )
-        add(
-            f"a{i}^2 ad{i}^2 N{k}",
-            tr((i, "a"), (i, "a"), (i, "ad"), (i, "ad"), (k, "n")),
-            gex(i, lambda n: (n + 1) * (n + 2)) * nbar(k),
-        )
-    for i, j, k in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
-        add(
-            f"a{i} a{j} ad{i} ad{j} N{k}",
-            tr((i, "a"), (j, "a"), (i, "ad"), (j, "ad"), (k, "n")),
-            gex(i, lambda n: n + 1) * gex(j, lambda n: n + 1) * nbar(k),
-        )
-        add(
-            f"ad{i} a{j} a{i} ad{j} N{k}",
-            tr((i, "ad"), (j, "a"), (i, "a"), (j, "ad"), (k, "n")),
-            nbar(i) * gex(j, lambda n: n + 1) * nbar(k),
-        )
-        add(
-            f"ad{i} ad{j} a{i} a{j} N{k}",
-            tr((i, "ad"), (j, "ad"), (i, "a"), (j, "a"), (k, "n")),
-            nbar(i) * nbar(j) * nbar(k),
-        )
-
-    # N_k sandwiched inside the string: delta corrections appear when k
-    # shares a mode with the string
-    for i, k in ((1, 2), (1, 1), (2, 1)):
-        if k == i:
-            closed = gex(i, lambda n: n * (n - 1) * (n - 2))
-        else:
-            closed = gex(i, lambda n: n * (n - 1)) * nbar(k)
-        add(
-            f"ad{i}^2 N{k} a{i}^2",
-            tr((i, "ad"), (i, "ad"), (k, "n"), (i, "a"), (i, "a")),
-            closed,
-        )
-        if k == i:
-            closed = gex(i, lambda n: (n + 1) * (n + 2) * (n + 2))
-        else:
-            closed = gex(i, lambda n: (n + 1) * (n + 2)) * nbar(k)
-        add(
-            f"a{i}^2 N{k} ad{i}^2",
-            tr((i, "a"), (i, "a"), (k, "n"), (i, "ad"), (i, "ad")),
-            closed,
-        )
-
-    for i, j, k in ((1, 2, 3), (1, 2, 1), (1, 2, 2)):
-        if k == i:
-            closed = gex(i, lambda n: (n + 1) * (n + 1)) * gex(j, lambda n: n + 1)
-        elif k == j:
-            closed = gex(i, lambda n: n + 1) * gex(j, lambda n: (n + 1) * (n + 1))
-        else:
-            closed = gex(i, lambda n: n + 1) * gex(j, lambda n: n + 1) * nbar(k)
-        add(
-            f"a{i} a{j} N{k} ad{i} ad{j}",
-            tr((i, "a"), (j, "a"), (k, "n"), (i, "ad"), (j, "ad")),
-            closed,
-        )
-        if k == i:
-            closed = gex(i, lambda n: n * (n - 1)) * gex(j, lambda n: n + 1)
-        elif k == j:
-            closed = nbar(i) * gex(j, lambda n: (n + 1) * (n + 1))
-        else:
-            closed = nbar(i) * gex(j, lambda n: n + 1) * nbar(k)
-        add(
-            f"ad{i} a{j} N{k} a{i} ad{j}",
-            tr((i, "ad"), (j, "a"), (k, "n"), (i, "a"), (j, "ad")),
-            closed,
-        )
-        if k == i:
-            closed = gex(i, lambda n: n * (n - 1)) * nbar(j)
-        elif k == j:
-            closed = nbar(i) * gex(j, lambda n: n * (n - 1))
-        else:
-            closed = nbar(i) * nbar(j) * nbar(k)
-        add(
-            f"ad{i} ad{j} N{k} a{i} a{j}",
-            tr((i, "ad"), (j, "ad"), (k, "n"), (i, "a"), (j, "a")),
-            closed,
-        )
-
     worst = max(c.deviation for c in checks)
     return IdentityReport(checks=tuple(checks), max_abs_deviation=worst)
 
@@ -664,15 +608,20 @@ def validate_friction(
     """
     if epsilons is None:
         epsilons = (cfg.epsilon, cfg.epsilon / 2.0)
+    if len(epsilons) != 2 or epsilons[0] == epsilons[1]:
+        raise ValueError(
+            f"validate_friction needs two distinct epsilons to extrapolate, got {epsilons}"
+        )
     if any(e > 0.02 for e in epsilons):
         raise ValueError(
             "validate_friction needs eps <= 0.02 so the second order dominates"
         )
+    # the static parts depend on L0 and the truncation, not on epsilon
+    H0, M1, M2 = _static_parts(cfg, fock)
     rows = []
     for eps in epsilons:
         cfg_eps = replace(cfg, epsilon=eps, n_modes=fock.n_modes)
         rho0 = thermal_state(bath.beta, fock, cfg_eps)
-        H0, M1, M2 = _static_parts(cfg_eps, fock)
         H_start = _assemble(traj.t_start, cfg_eps, traj, H0, M1, M2)
         H_end = _assemble(traj.t_end, cfg_eps, traj, H0, M1, M2)
         rho_end = evolve(rho0, cfg_eps, traj, fock)

@@ -86,6 +86,15 @@ class TestParsing:
         with pytest.raises(UsageError):
             parse_config(["sweep", "--tau-grid", "1:2:2", flag, "4"])
 
+    def test_oracle_takes_no_modes(self, tmp_path):
+        # the oracle's mode count is --fock-modes; a K cutoff would be ignored
+        with pytest.raises(UsageError):
+            parse_config(["oracle", "--modes", "4"])
+        conf = tmp_path / "run.conf"
+        conf.write_text("modes = 4\n")
+        with pytest.raises(UsageError):
+            parse_config(["oracle", "--config", str(conf)])
+
     def test_sweep_requires_grid(self):
         with pytest.raises(UsageError):
             parse_config(["sweep"])
@@ -107,9 +116,27 @@ class TestParsing:
         ["engine", "--beta-a", "-1"],
         ["sweep", "--tau-grid", "1:2:2", "--beta-ratio", "0.5,2"],
         ["friction", "--beta=-inf"],
+        ["friction", "--epsilon", "0.01,0.02"],
+        ["oracle", "--epsilon", "0.01,0.005"],
+        ["engine", "--beta-ratio", "0.5,0.6"],
+        ["sweep", "--tau-grid", "1:1:3"],
+        ["sweep", "--tau-grid", "1:2:0"],
+        ["sweep", "--tau-grid", "0:2:3log"],
+        ["sweep", "--tau-grid", "1:2:x"],
+        ["sweep", "--tau-grid", "a:2:3"],
+        ["oracle", "--fock-modes", "0"],
+        ["oracle", "--n-max", "0"],
+        ["oracle", "--dt", "0"],
+        ["oracle", "--integrator-order", "3"],
+        ["oracle", "--fock-modes", "9", "--n-max", "9"],
+        ["shortcut-check", "--L0", "0"],
     ], ids=["points-zero", "points-negative", "n-not-integer", "n-negative", "n-empty",
             "tail-tol-zero", "beta-ratio-above-one", "beta-ratio-zero", "beta-a-negative",
-            "sweep-beta-ratio-above-one", "beta-minus-inf"])
+            "sweep-beta-ratio-above-one", "beta-minus-inf", "friction-two-epsilons",
+            "oracle-two-epsilons", "engine-two-beta-ratios", "grid-empty-range",
+            "grid-zero-points", "log-grid-at-zero", "grid-count-not-integer",
+            "grid-bound-not-number", "fock-modes-zero", "n-max-zero", "dt-zero",
+            "integrator-order-three", "fock-dimension-over-cap", "L0-zero"])
     def test_shortcut_check_rejects_bad_samples(self, argv):
         # out-of-range values are usage errors (status 2), caught before the
         # library's own ValueError would turn them into numerical failures (3)
@@ -130,7 +157,7 @@ class TestGrids:
         assert _parse_grid("2.5:9:1") == [2.5]
 
     def test_bad_grids(self):
-        for bad in ("1:2", "2:1:5", "0:1:0", "-1:1:3log"):
+        for bad in ("1:2", "2:1:5", "0:1:0", "-1:1:3log", "1:2:x", "a:2:3"):
             with pytest.raises(UsageError):
                 _parse_grid(bad)
 
@@ -290,3 +317,4 @@ class TestRuns:
         dev = next(l for l in text.splitlines()
                    if l.startswith("# max_abs_deviation"))
         assert float(dev.split("=")[1]) < 1e-3
+        assert "# modes = " not in text

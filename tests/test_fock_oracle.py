@@ -23,10 +23,18 @@ from casotto.fock_oracle import (
     _GAUSS_SHIFT,
     _assemble,
     _expm_unitary,
+    _ladder_string,
     _sector_parts,
     _static_parts,
 )
-from casotto.spectrum import CavityConfig, ThermalBath, thermal_occupation
+from casotto.spectrum import (
+    CavityConfig,
+    ThermalBath,
+    coupling_g,
+    mode_frequencies,
+    mode_frequency_derivative,
+    thermal_occupation,
+)
 from casotto.trajectory import Trajectory, quintic, shortcut
 
 
@@ -88,6 +96,48 @@ class TestBuildHamiltonian:
     def test_rejects_time_outside_domain(self):
         with pytest.raises(ValueError):
             build_hamiltonian(2.0, cavity(), quintic(1.0), FockConfig(n_modes=1, n_max=3))
+
+
+def _dense_static_parts(cfg: CavityConfig, fock: FockConfig):
+    """(H0, M1, M2) as sums of dense products of the embedded ladder
+    operators, term by term as the module docstring writes ``H(t)``."""
+    w = mode_frequencies(fock.n_modes, cfg.L0)
+    a = [lowering_operator(k, fock) for k in range(1, fock.n_modes + 1)]
+    H0 = sum(w[k] * a[k].T @ a[k] for k in range(fock.n_modes))
+    M1 = sum(
+        mode_frequency_derivative(k + 1, cfg.L0)
+        * (a[k].T @ a[k] + 0.5 * (a[k] @ a[k] + a[k].T @ a[k].T))
+        for k in range(fock.n_modes)
+    )
+    Y = np.zeros((fock.dimension,) * 2)
+    for k in range(fock.n_modes):
+        for j in range(fock.n_modes):
+            if j != k:
+                ak, aj = a[k], a[j]
+                Y += coupling_g(k + 1, j + 1) * math.sqrt(w[k] / w[j]) * (
+                    ak @ aj - ak.T @ aj + ak @ aj.T - ak.T @ aj.T
+                )
+    return H0, M1, Y / (2j * cfg.L0)
+
+
+class TestStaticParts:
+    @pytest.mark.parametrize("n_modes", [1, 2, 3])
+    def test_free_hamiltonian_is_exactly_diagonal(self, n_modes):
+        fock = FockConfig(n_modes=n_modes, n_max=8)
+        cfg = cavity(K=n_modes)
+        H0 = _static_parts(cfg, fock)[0]
+        occ = np.unravel_index(np.arange(fock.dimension), (fock.n_max + 1,) * n_modes)
+        w = mode_frequencies(n_modes, cfg.L0)
+        assert np.array_equal(np.real(np.diag(H0)), sum(w[k] * occ[k] for k in range(n_modes)))
+        assert np.array_equal(H0, np.diag(np.diag(H0)))
+
+    @pytest.mark.parametrize("n_modes", [1, 2, 3])
+    @pytest.mark.parametrize("n_max", [1, 4, 6])
+    def test_matches_dense_ladder_products(self, n_modes, n_max):
+        fock = FockConfig(n_modes=n_modes, n_max=n_max)
+        cfg = cavity(K=n_modes)
+        for part, ref in zip(_static_parts(cfg, fock), _dense_static_parts(cfg, fock)):
+            assert np.max(np.abs(part - ref)) <= 1e-14
 
 
 class TestThermalState:
@@ -393,6 +443,12 @@ def _dense_identity_values(beta: float, fock: FockConfig, cfg: CavityConfig) -> 
 
 
 class TestDiagonalTraces:
+    def test_label_parser(self):
+        assert _ladder_string("ad1^2 N1 a1^2") == (
+            (1, "ad"), (1, "ad"), (1, "N"), (1, "a"), (1, "a"))
+        assert _ladder_string("a1 a2 N3 ad1 ad2") == (
+            (1, "a"), (2, "a"), (3, "N"), (1, "ad"), (2, "ad"))
+
     @pytest.mark.parametrize("beta", [2.0, math.inf])
     def test_numeric_equals_dense_trace(self, beta):
         # w_1 = 2, so four rungs keep all but exp(-20) of the thermal weight
@@ -476,6 +532,14 @@ class TestValidateFriction:
         assert all(w.filename == __file__ for w in caught)
         assert all(math.isnan(row.ratio) for row in report.rows)
         assert math.isnan(report.richardson_ratio)
+
+    @pytest.mark.parametrize("epsilons", [(0.01, 0.01), (0.01,), (0.01, 0.005, 0.0025)])
+    def test_needs_two_distinct_epsilons(self, epsilons):
+        # checked before any evolution: the extrapolation divides by their gap
+        cfg = cavity(eps=0.01, K=1)
+        fock = FockConfig(n_modes=1, n_max=6, dt=0.1)
+        with pytest.raises(ValueError, match="two distinct epsilons"):
+            validate_friction(cfg, ThermalBath(2.0), quintic(1.0), fock, epsilons=epsilons)
 
     def test_epsilon_guard(self):
         cfg = cavity(eps=0.01, K=2)
