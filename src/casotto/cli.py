@@ -50,6 +50,7 @@ from .friction import (
 )
 from .fock_oracle import (
     FockConfig,
+    OracleRangeError,
     export_comparison,
     validate_friction,
     verify_trace_identities,
@@ -530,12 +531,28 @@ def _run_shortcut_check(cfg: RunConfig, out) -> int:
     return 0
 
 
+# oracle parameter -> the flag that sets it
+_ORACLE_FLAGS = {
+    "n_max": "n-max", "beta": "beta", "dt": "dt", "epsilon": "epsilon", "n_modes": "fock-modes",
+}
+
+
 def _run_oracle(cfg: RunConfig, out) -> int:
     opts = cfg.options
     fock = _fock(opts)
     cavity = CavityConfig(L0=_L0, epsilon=_single(opts, "epsilon"), n_modes=fock.n_modes)
-    if str(opts["check"]) == "identities":
-        report = verify_trace_identities(float(opts["beta"]), fock, cavity)
+    identities = str(opts["check"]) == "identities"
+    beta, eps = float(opts["beta"]), cavity.epsilon
+    try:
+        if identities:
+            report = verify_trace_identities(beta, fock, cavity)
+        else:
+            traj = _trajectory(opts)
+            comparison = validate_friction(cavity, ThermalBath(beta), traj, fock, epsilons=(eps, eps / 2.0))
+    except OracleRangeError as exc:
+        flags = " or ".join(f"--{_ORACLE_FLAGS[name]}" for name in exc.names)
+        raise UsageError(f"{exc} (change {flags})") from exc
+    if identities:
         out.write(_header(
             cfg,
             ("identity", "numeric", "closed_form", "deviation"),
@@ -549,10 +566,6 @@ def _run_oracle(cfg: RunConfig, out) -> int:
                 f"{c.label},{_fmt(c.numeric)},{_fmt(c.closed_form)},{_fmt(c.deviation)}\n"
             )
         return 0
-    traj = _trajectory(opts)
-    bath = ThermalBath(float(opts["beta"]))
-    eps = cavity.epsilon
-    comparison = validate_friction(cavity, bath, traj, fock, epsilons=(eps, eps / 2.0))
     out.write(_header(
         cfg,
         ("epsilon", "E_full", "E_adiab", "E_pert", "ratio", "richardson_ratio"),
@@ -583,12 +596,10 @@ _RUNNERS = {
 def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        cfg = parse_config(argv)
+        return run(parse_config(argv))
     except UsageError as exc:
         print(f"casotto: {exc}", file=sys.stderr)
         return 2
-    try:
-        return run(cfg)
     except (ValueError, OSError) as exc:
         print(f"casotto: {exc}", file=sys.stderr)
         return 3

@@ -61,6 +61,7 @@ from .trajectory import Trajectory
 
 __all__ = [
     "FockConfig",
+    "OracleRangeError",
     "TruncationQualityError",
     "StepSizeError",
     "build_hamiltonian",
@@ -77,6 +78,18 @@ __all__ = [
 ]
 
 _DIM_CAP = 10**5
+
+
+class OracleRangeError(ValueError):
+    """An input outside the range the oracle is valid in.
+
+    ``names`` are the parameters whose change brings it back in range:
+    ``FockConfig`` fields, ``beta`` or ``epsilon``.
+    """
+
+    def __init__(self, message: str, *names: str) -> None:
+        super().__init__(message)
+        self.names = names
 
 
 class TruncationQualityError(RuntimeError):
@@ -286,6 +299,18 @@ def evolve(
     trajectory is static the energy drift is measured and must stay below
     1e-10.
     """
+    return _evolve(rho0, cfg, traj, fock, _static_parts(cfg, fock))
+
+
+def _evolve(
+    rho0: np.ndarray,
+    cfg: CavityConfig,
+    traj: Trajectory,
+    fock: FockConfig,
+    parts: tuple[np.ndarray, np.ndarray, np.ndarray],
+) -> np.ndarray:
+    """:func:`evolve` with the static parts ``(H0, M1, M2)`` of ``H(t)``
+    given, so a caller that evolves several states builds them once."""
     dim = fock.dimension
     if rho0.shape != (dim, dim):
         raise ValueError(f"rho has shape {rho0.shape}, expected {(dim, dim)}")
@@ -293,12 +318,12 @@ def evolve(
     n_steps = max(1, math.ceil(traj.duration / fock.dt))
     h = traj.duration / n_steps
     if h * w_max > 0.1 + 1e-12:
-        raise ValueError(
-            f"dt * omega_max = {h * w_max:.3g} > 0.1; shrink FockConfig.dt"
+        raise OracleRangeError(
+            f"dt * omega_max = {h * w_max:.3g} > 0.1; shrink FockConfig.dt", "dt"
         )
 
-    H0, M1, M2 = _static_parts(cfg, fock)
-    order, sectors, blocks = _sector_parts((H0, M1, M2), fock)
+    H0, M1, M2 = parts
+    order, sectors, blocks = _sector_parts(parts, fock)
     grid = traj.t_start + h * np.arange(n_steps + 1)
     static = bool(np.max(np.abs(traj.ddelta(np.linspace(traj.t_start, traj.t_end, 257)))) == 0.0)
     e_start = float(np.real(np.einsum("ij,ji->", rho0, _assemble(grid[0], cfg, traj, H0, M1, M2))))
@@ -400,9 +425,11 @@ def _embedded_thermal_state(
     if not math.isinf(beta):
         missed = math.exp(-beta * w[0] * (state.n_max + 1))
         if missed > 1e-6:
-            raise ValueError(
+            raise OracleRangeError(
                 f"occupation cutoff keeps only 1 - {missed:.2e} of the "
-                "thermal weight; raise n_max or beta"
+                "thermal weight; raise n_max or beta",
+                "n_max",
+                "beta",
             )
     n = np.arange(state.n_max + 1.0)
     weights = {}
@@ -514,7 +541,7 @@ def verify_trace_identities(
     beyond ``n_max``, so they scale with the clipped thermal tail.
     """
     if fock.n_modes < 3:
-        raise ValueError("identity battery needs at least 3 retained modes")
+        raise OracleRangeError("identity battery needs at least 3 retained modes", "n_modes")
     w = mode_frequencies(fock.n_modes, cfg.L0)
     # the state is truncated at n_max; the operators get two rungs of
     # headroom (the largest raising power in the battery) so the reordering
@@ -613,18 +640,18 @@ def validate_friction(
             f"validate_friction needs two distinct epsilons to extrapolate, got {epsilons}"
         )
     if any(e > 0.02 for e in epsilons):
-        raise ValueError(
-            "validate_friction needs eps <= 0.02 so the second order dominates"
+        raise OracleRangeError(
+            "validate_friction needs eps <= 0.02 so the second order dominates", "epsilon"
         )
     # the static parts depend on L0 and the truncation, not on epsilon
-    H0, M1, M2 = _static_parts(cfg, fock)
+    parts = _static_parts(cfg, fock)
     rows = []
     for eps in epsilons:
         cfg_eps = replace(cfg, epsilon=eps, n_modes=fock.n_modes)
         rho0 = thermal_state(bath.beta, fock, cfg_eps)
-        H_start = _assemble(traj.t_start, cfg_eps, traj, H0, M1, M2)
-        H_end = _assemble(traj.t_end, cfg_eps, traj, H0, M1, M2)
-        rho_end = evolve(rho0, cfg_eps, traj, fock)
+        H_start = _assemble(traj.t_start, cfg_eps, traj, *parts)
+        H_end = _assemble(traj.t_end, cfg_eps, traj, *parts)
+        rho_end = _evolve(rho0, cfg_eps, traj, fock, parts)
         e_full = energy_expectation(rho_end, H_end)
         e_adiab = _adiabatic_energy(rho0, H_start, H_end)
         res = friction_energy(cfg_eps, bath, traj, compute_bound=False)

@@ -71,10 +71,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as P
-from scipy.interpolate import PPoly
 
 from .spectrum import CavityConfig, ThermalBath, mode_frequencies, occupations
-from .trajectory import Trajectory
+from .trajectory import PPoly, Trajectory
 
 __all__ = [
     "SpectralAmplitudes",
@@ -506,14 +505,12 @@ def _acceleration_extrema(traj: Trajectory) -> tuple[float, float]:
 
     The extrema sit where the third derivative changes sign: at its exact
     roots or at breakpoints.  Between consecutive such points the jerk keeps
-    one sign, read off at the midpoint (zero on flat pieces, where
-    ``PPoly.roots`` reports NaN).  Raises ValueError when the acceleration
-    does not have exactly one strict interior maximum and one strict
-    interior minimum.
+    one sign, read off at the midpoint (zero on flat pieces, which have no
+    roots).  Raises ValueError when the acceleration does not have exactly
+    one strict interior maximum and one strict interior minimum.
     """
     jerk = traj.delta.derivative(3)
-    roots = jerk.roots(extrapolate=False)
-    points = np.unique(np.concatenate([roots[np.isfinite(roots)], jerk.x]))
+    points = np.unique(np.concatenate([jerk.roots(), jerk.x]))
     # a root found an ulp beside a breakpoint would leave a sliver whose
     # midpoint sign is round-off
     points = points[np.concatenate([[True], np.diff(points) > 1e-9 * traj.duration])]

@@ -2,8 +2,8 @@
 
 A :class:`Trajectory` is the dimensionless displacement profile ``delta(t)``
 of the moving wall, normalised so that a full compression stroke runs from
-``delta = 0`` to ``delta = 1``.  ``delta`` is a
-:class:`scipy.interpolate.PPoly`: its breakpoints ``delta.x`` are the only
+``delta = 0`` to ``delta = 1``.  ``delta`` is a :class:`PPoly`, the small
+piecewise polynomial defined here: its breakpoints ``delta.x`` are the only
 places where the profile loses smoothness, and its derivatives are again
 exact piecewise polynomials (``delta.derivative(m)``).  The friction layer
 relies on this to take the spectral amplitudes in closed form and the
@@ -20,7 +20,7 @@ Families provided here:
   early in the stroke are reabsorbed before it ends.
 * :func:`from_samples` - clamped cubic-spline interpolation of a
   user-supplied sampled profile (approximate; see the loosened derivative
-  guarantee below).
+  guarantee below).  It is the only part of the package that loads scipy.
 """
 
 from __future__ import annotations
@@ -33,9 +33,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 from numpy.polynomial import Polynomial
-from scipy.interpolate import CubicSpline, PPoly
 
 __all__ = [
+    "PPoly",
     "Trajectory",
     "BoundaryReport",
     "quintic",
@@ -48,14 +48,132 @@ __all__ = [
 Evaluator = Callable[[np.ndarray], np.ndarray]
 
 
+class PPoly:
+    """Piecewise polynomial in scipy's layout: ``c[m, i]`` multiplies
+    ``(t - x[i])**(k - m)`` on piece ``i``, with ``k = c.shape[0] - 1``.
+
+    Pieces are right-continuous, the last one is closed, and points outside
+    ``[x[0], x[-1]]`` use the nearest end piece.  Values are summed in
+    ascending powers, as ``scipy.interpolate.PPoly`` sums them.
+    """
+
+    __slots__ = ("c", "x")
+
+    def __init__(self, c, x) -> None:
+        self.c = np.array(c, dtype=float)
+        self.x = np.array(x, dtype=float)
+        if self.c.ndim != 2 or self.c.shape[0] == 0 or self.x.shape != (self.c.shape[1] + 1,):
+            raise ValueError(
+                f"need c of shape (k + 1, n) and n + 1 breakpoints, got {self.c.shape} and {self.x.shape}"
+            )
+        if np.any(np.diff(self.x) < 0):
+            raise ValueError("breakpoints must be non-decreasing")
+
+    def __call__(self, t):
+        t = np.asarray(t, dtype=float)
+        i = np.searchsorted(self.x[1:-1], t, side="right")  # the piece holding t
+        return _ascending_sum(self.c[:, i], t - self.x[i])
+
+    def derivative(self, nu: int = 1) -> "PPoly":
+        """Order-``nu`` derivative; above the degree it is zero on every piece."""
+        k = self.c.shape[0] - 1
+        if nu > k:
+            return PPoly(np.zeros((1, self.c.shape[1])), self.x)
+        factor = np.array([math.perm(p, nu) for p in range(k, nu - 1, -1)], dtype=float)
+        return PPoly(self.c[: k + 1 - nu] * factor[:, None], self.x)
+
+    def antiderivative(self) -> "PPoly":
+        """Antiderivative that vanishes at ``x[0]`` and is continuous across
+        every breakpoint."""
+        k = self.c.shape[0] - 1
+        c = np.zeros((k + 2, self.c.shape[1]))
+        c[:-1] = self.c / np.arange(k + 1, 0, -1.0)[:, None]
+        for i in range(1, c.shape[1]):
+            c[-1, i] = _ascending_sum(c[:, i - 1], self.x[i] - self.x[i - 1])
+        return PPoly(c, self.x)
+
+    def roots(self) -> np.ndarray:
+        """Real roots of each piece that lie in its closed interval, ascending.
+
+        A piece that vanishes identically contributes none.  As in scipy,
+        linear and quadratic pieces use the closed forms, higher degrees the
+        eigenvalues of the companion matrix, and each root is polished by
+        one Newton step.
+        """
+        x = self.x.tolist()
+        found = []
+        for i, coef in enumerate(self.c.T.tolist()):
+            while coef and coef[0] == 0.0:
+                coef.pop(0)
+            if len(coef) < 2:
+                continue
+            for u in _low_order_roots(coef) if len(coef) <= 3 else _companion_roots(coef):
+                value, slope = _value_and_slope(coef, u)
+                if slope != 0.0 and abs(value / slope) < abs(u):
+                    u -= value / slope
+                t = u + x[i]
+                if x[i] <= t <= x[i + 1]:
+                    found.append(t)
+        return np.unique(np.array(found, dtype=float))
+
+
+def _low_order_roots(coef: list[float]) -> list[float]:
+    """Real roots of a linear or quadratic polynomial (descending ``coef``),
+    the quadratic ones in the cancellation-free form."""
+    if len(coef) == 2:
+        return [-coef[1] / coef[0]]
+    a0, a1, a2 = coef
+    disc = a1 * a1 - 4 * a0 * a2
+    if disc < 0:
+        return []
+    d = math.sqrt(disc)
+    if d == 0:
+        return [-a1 / (2 * a0)]
+    if a1 < 0:
+        return [(2 * a2) / (-a1 + d), (-a1 + d) / (2 * a0)]
+    return [(-a1 - d) / (2 * a0), (2 * a2) / (-a1 - d)]
+
+
+def _companion_roots(coef: list[float]) -> list[float]:
+    """Real eigenvalues of the companion matrix of descending ``coef``."""
+    companion = np.diag(np.ones(len(coef) - 2), -1)
+    companion[:, -1] = [-a / coef[0] for a in coef[:0:-1]]
+    u = np.linalg.eigvals(companion)
+    return u.real[u.imag == 0].tolist()
+
+
+def _value_and_slope(coef: list[float], u: float) -> tuple[float, float]:
+    """Value and first derivative at ``u`` of the polynomial with descending
+    ``coef``, each summed from the constant term up."""
+    value = slope = 0.0
+    power = 1.0
+    for p, a in enumerate(reversed(coef)):
+        value = value + a * power
+        if p + 1 < len(coef):
+            slope = slope + coef[-2 - p] * power * (p + 1)
+        power = power * u
+    return value, slope
+
+
+def _ascending_sum(c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """``sum_m c[k - m] * s**m``, accumulated from the constant term up."""
+    value, power = 0.0 + c[-1], s
+    for row in c[-2::-1]:
+        value = value + row * power
+        power = power * s
+    return value
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Dimensionless wall profile on ``[t_start, t_end] = [delta.x[0], delta.x[-1]]``.
 
-    ``delta`` is the profile as a piecewise polynomial.  ``ddelta``,
-    ``d2delta`` and ``d3delta`` evaluate its first three time derivatives
-    on numpy arrays; left as None they are the exact derivatives
-    ``delta.derivative(m)``.
+    ``delta`` is the profile as a piecewise polynomial.  Any object with
+    ``.c`` and ``.x`` in :class:`PPoly`'s layout is accepted (a scipy
+    ``PPoly`` or ``CubicSpline`` too) and converted once, so ``delta`` is
+    always a :class:`PPoly`.  ``ddelta``, ``d2delta`` and ``d3delta``
+    evaluate its first three time derivatives on numpy arrays; left as None
+    they are the exact derivatives ``delta.derivative(m)``.
     """
 
     delta: PPoly
@@ -66,7 +184,9 @@ class Trajectory:
 
     def __post_init__(self) -> None:
         if not isinstance(self.delta, PPoly):
-            raise TypeError("delta must be a scipy.interpolate.PPoly")
+            if not (hasattr(self.delta, "c") and hasattr(self.delta, "x")):
+                raise TypeError("delta must be a piecewise polynomial with .c and .x")
+            object.__setattr__(self, "delta", PPoly(self.delta.c, self.delta.x))
         t0, t1 = self.delta.x[0], self.delta.x[-1]
         if not (math.isfinite(t0) and math.isfinite(t1)):
             raise ValueError("trajectory domain must be finite")
@@ -272,4 +392,6 @@ def from_samples(source: str | Path | io.TextIOBase, label: str | None = None) -
     d = np.array([r[1] for r in rows])
     if np.any(np.diff(t) <= 0):
         raise ValueError("sample times must be strictly increasing")
+    from scipy.interpolate import CubicSpline  # only this family needs scipy
+
     return Trajectory(CubicSpline(t, d, bc_type="clamped"), label=label)

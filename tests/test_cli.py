@@ -1,8 +1,13 @@
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import casotto
 from casotto.cli import RunConfig, UsageError, main, parse_config, run, _parse_grid
 
 
@@ -295,6 +300,21 @@ class TestRuns:
         assert main(["bound", "--tau", "1.0", "--beta", "1.0", "--epsilon",
                      "0.01", "--modes", "4", "--output", str(target)]) == 0
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            ([], "--n-max"),  # the defaults --beta 1 --n-max 8 clip the thermal weight
+            (["--epsilon", "0.03"], "--epsilon"),
+            (["--beta", "2", "--dt", "0.2"], "--dt"),
+            (["--check", "identities", "--fock-modes", "2"], "--fock-modes"),
+        ],
+        ids=["defaults", "epsilon", "dt", "identity-modes"],
+    )
+    def test_oracle_range_errors_are_usage_errors(self, capsys, argv, flag):
+        assert main(["oracle", *argv]) == 2
+        message = capsys.readouterr().err
+        assert message.startswith("casotto: ") and flag in message
+
     def test_oracle_round_off_friction_prints_nan(self):
         # a shortcut stroke's E_F is round-off: the ratio is NaN, not 1e28
         with pytest.warns(RuntimeWarning, match="round-off"):
@@ -318,3 +338,20 @@ class TestRuns:
                    if l.startswith("# max_abs_deviation"))
         assert float(dev.split("=")[1]) < 1e-3
         assert "# modes = " not in text
+
+
+def test_cli_import_loads_no_scipy():
+    # importing scipy.interpolate costs about half a second of start-up per
+    # CLI call; only --family sampled may load it, when it reads a file
+    src = str(Path(casotto.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import sys, casotto, casotto.cli; print(casotto.__file__); "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    where, loaded = proc.stdout.splitlines()
+    assert Path(where).resolve().is_relative_to(src)
+    assert loaded == "[]"

@@ -3,8 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.interpolate import PPoly
 
+from casotto import fock_oracle
 from casotto.fock_oracle import (
     FockConfig,
     TruncationQualityError,
@@ -35,7 +35,7 @@ from casotto.spectrum import (
     mode_frequency_derivative,
     thermal_occupation,
 )
-from casotto.trajectory import Trajectory, quintic, shortcut
+from casotto.trajectory import PPoly, Trajectory, quintic, shortcut
 
 
 def cavity(eps=0.01, K=2):
@@ -547,3 +547,16 @@ class TestValidateFriction:
         with pytest.raises(ValueError):
             validate_friction(cfg, ThermalBath(2.0), quintic(1.0), fock,
                               epsilons=(0.1, 0.05))
+
+    def test_static_parts_built_once(self, monkeypatch):
+        # both epsilons share H0, M1, M2: one build serves both evolutions
+        calls = []
+
+        def counted(cfg, fock):
+            calls.append(fock)
+            return _static_parts(cfg, fock)
+
+        monkeypatch.setattr(fock_oracle, "_static_parts", counted)
+        fock = FockConfig(n_modes=1, n_max=6, dt=0.1)
+        validate_friction(cavity(eps=0.01, K=1), ThermalBath(2.0), quintic(1.0), fock)
+        assert len(calls) == 1

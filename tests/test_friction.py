@@ -7,7 +7,6 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from scipy.interpolate import PPoly
 
 from casotto import friction as friction_module
 from casotto.friction import (
@@ -31,7 +30,7 @@ from casotto.spectrum import (
     mode_frequencies,
     occupations,
 )
-from casotto.trajectory import Trajectory, from_samples, quintic, reverse, shortcut
+from casotto.trajectory import PPoly, Trajectory, from_samples, quintic, reverse, shortcut
 
 SPEC = QuadratureSpec()
 

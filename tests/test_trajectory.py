@@ -5,10 +5,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from scipy.interpolate import PPoly
+from scipy import interpolate
 
 from casotto.quadrature import QuadratureSpec, integrate_1d
 from casotto.trajectory import (
+    PPoly,
     Trajectory,
     check_boundary_conditions,
     from_samples,
@@ -221,3 +222,107 @@ def test_given_derivative_is_kept():
     t = np.array([0.3])
     assert wrapped.ddelta(t)[0] == 2.0 * tr.ddelta(t)[0]
     assert wrapped.d2delta(t)[0] == tr.d2delta(t)[0]
+
+
+def _random_ppolys(seed=7, count=40):
+    """Random multi-piece polynomials: the in-house one and scipy's, same data."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        k, n = int(rng.integers(0, 7)), int(rng.integers(1, 6))
+        x = np.cumsum(rng.uniform(0.1, 1.0, n + 1)) - 0.5
+        c = rng.normal(size=(k + 1, n))
+        yield PPoly(c, x), interpolate.PPoly(c, x), rng
+
+
+def _close(ours, theirs):
+    scale = 1.0 + np.max(np.abs(theirs), initial=0.0)
+    np.testing.assert_allclose(ours, theirs, rtol=1e-13, atol=1e-13 * scale)
+
+
+def _matched(a, b, tol):
+    """Every point of ``a`` lies within ``tol`` of ``b`` and vice versa."""
+    return all(np.min(np.abs(b - p), initial=np.inf) <= tol for p in a) and all(
+        np.min(np.abs(a - p), initial=np.inf) <= tol for p in b
+    )
+
+
+class TestPPolyAgainstScipy:
+    def test_values_inside_at_breakpoints_and_outside(self):
+        for ours, theirs, rng in _random_ppolys():
+            x = ours.x
+            t = np.concatenate([rng.uniform(x[0], x[-1], 25), x, [x[0] - 0.7, x[-1] + 0.9]])
+            _close(ours(t), theirs(t))
+            _close(ours(float(x[-1])), theirs(float(x[-1])))
+
+    def test_right_continuous_with_closed_last_piece(self):
+        p = PPoly([[1.0, 2.0, 3.0]], [0.0, 1.0, 2.0, 3.0])
+        assert p(np.array([1.0, 2.0, 3.0, -5.0, 9.0])).tolist() == [2.0, 3.0, 3.0, 1.0, 3.0]
+
+    def test_derivatives_up_to_above_the_degree(self):
+        for ours, theirs, rng in _random_ppolys(seed=8):
+            t = rng.uniform(ours.x[0] - 0.5, ours.x[-1] + 0.5, 30)
+            for nu in range(1, 5):
+                _close(ours.derivative(nu)(t), theirs.derivative(nu)(t))
+        cubic = PPoly(np.ones((4, 2)), [0.0, 1.0, 2.0])
+        assert not np.any(cubic.derivative(4)(np.linspace(-1.0, 3.0, 9)))
+        # each row is scaled once, by the falling factorial of its power
+        assert cubic.derivative(2).c[:, 0].tolist() == [6.0, 2.0]
+
+    def test_antiderivative_continuous_at_every_breakpoint(self):
+        for ours, theirs, rng in _random_ppolys(seed=9):
+            anti = ours.antiderivative()
+            t = rng.uniform(ours.x[0], ours.x[-1], 25)
+            _close(anti(t), theirs.antiderivative()(t))
+            assert anti(ours.x[0]) == 0.0
+            for i in range(1, len(ours.x) - 1):
+                left = PPoly(anti.c[:, i - 1:i], anti.x[i - 1:i + 1])(anti.x[i])
+                assert abs(left - anti(anti.x[i])) <= 1e-14 * (1.0 + abs(left))
+
+    def test_roots_of_random_pieces(self):
+        for ours, theirs, _ in _random_ppolys(seed=10):
+            found = theirs.roots(extrapolate=False)
+            # scipy also reports sign changes across breakpoints
+            found = np.concatenate([found[np.isfinite(found)], ours.x])
+            assert _matched(np.concatenate([ours.roots(), ours.x]), found, 1e-12)
+
+    @pytest.mark.parametrize("family", ["quintic", "shortcut", "reversed-shortcut", "sampled"])
+    def test_roots_of_the_jerk(self, family):
+        tr = {
+            "quintic": lambda: quintic(1.3),
+            "shortcut": lambda: shortcut(quintic(1.0), math.pi),
+            "reversed-shortcut": lambda: reverse(shortcut(quintic(0.7), 1.0)),
+            "sampled": lambda: from_samples(TestFromSamples()._sampled_quintic(21)),
+        }[family]()
+        jerk = tr.delta.derivative(3)
+        found = interpolate.PPoly(tr.delta.c, tr.delta.x).derivative(3).roots(extrapolate=False)
+        ours = jerk.roots()
+        assert np.all(np.diff(ours) > 0)
+        assert np.all((ours >= tr.t_start) & (ours <= tr.t_end))
+        both = [np.concatenate([r[np.isfinite(r)], jerk.x]) for r in (ours, found)]
+        assert _matched(*both, 1e-12 * tr.duration)
+        if family == "quintic":
+            # the two interior roots, by the same closed form as scipy's
+            assert ours.tolist() == found.tolist()
+
+    def test_flat_piece_has_no_roots(self):
+        assert PPoly([[0.0, 1.0], [0.0, -0.5]], [0.0, 1.0, 2.0]).roots().tolist() == [1.5]
+
+
+class TestForeignPolynomials:
+    def test_scipy_ppoly_is_converted(self):
+        c = quintic(1.0).delta.c
+        tr = Trajectory(interpolate.PPoly(c, [0.0, 1.0]))
+        assert type(tr.delta) is PPoly
+        assert tr.delta.c.tolist() == c.tolist()
+        assert tr.displacement() == quintic(1.0).displacement()
+
+    def test_sampled_profile_is_converted(self):
+        tr = from_samples(TestFromSamples()._sampled_quintic(21))
+        assert type(tr.delta) is PPoly
+        assert type(tr.d2delta) is PPoly
+
+    def test_rejects_malformed_coefficients(self):
+        with pytest.raises(ValueError):
+            PPoly(np.ones((3, 2)), [0.0, 1.0])
+        with pytest.raises(ValueError):
+            PPoly(np.ones((3, 2)), [0.0, 2.0, 1.0])
