@@ -21,10 +21,12 @@ byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import math
 import os
 import sys
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -55,7 +57,7 @@ from .fock_oracle import (
     validate_friction,
     verify_trace_identities,
 )
-from .spectrum import CavityConfig, ThermalBath
+from .spectrum import PERTURBATIVE_EPSILON_MAX, CavityConfig, ThermalBath
 from .trajectory import Trajectory, from_samples, quintic, shortcut
 
 ENV_PREFIX = "CASOTTO_"
@@ -121,6 +123,10 @@ class UsageError(Exception):
     """Bad flags, config keys or values; exits with status 2."""
 
 
+class PerturbativeWarning(UserWarning):
+    """A compression ratio lies beyond the range of the second-order friction."""
+
+
 @dataclass
 class RunConfig:
     """Fully resolved invocation: one command plus its option values."""
@@ -163,26 +169,33 @@ def _parse_config_file(path: str, allowed: Sequence[str]) -> dict[str, str]:
     return values
 
 
-def parse_config(argv: Sequence[str]) -> RunConfig:
-    """Resolve a command line into a :class:`RunConfig`.
-
-    Precedence: flag > environment > config file > default.  The resolved
-    configuration is echoed into every output header and re-parses to the
-    same RunConfig.
-    """
+@functools.lru_cache(maxsize=None)
+def _parser(command: str) -> argparse.ArgumentParser:
+    """The argument parser of one command, built on first use."""
     parser = argparse.ArgumentParser(
         prog="casotto",
         description="moving-wall cavity cycle thermodynamics",
     )
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", default=None, help="flat key = value file")
-    known = _pre_scan_command(argv)
-    allowed = _COMMAND_OPTIONS[known]
-    for flag in allowed:
+    for flag in _COMMAND_OPTIONS[command]:
         typ, default, helptext = _OPTION_SPECS[flag]
         parser.add_argument(f"--{flag}", default=None, help=f"{helptext} (default {default})")
+    return parser
+
+
+def parse_config(argv: Sequence[str]) -> RunConfig:
+    """Resolve a command line into a :class:`RunConfig`.
+
+    Precedence: flag > environment > config file > default.  The resolved
+    configuration is echoed into every output header and re-parses to the
+    same RunConfig.  Each command's parser is built once and reused; the
+    environment and the config file are read afresh on every call.
+    """
+    known = _pre_scan_command(argv)
+    allowed = _COMMAND_OPTIONS[known]
     try:
-        ns = parser.parse_args(argv)
+        ns = _parser(known).parse_args(argv)
     except SystemExit as exc:
         raise UsageError("bad command line") from exc
 
@@ -193,7 +206,7 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
         file_values = _parse_config_file(ns.config, allowed)
 
     env_values: dict[str, str] = {}
-    for key, val in os.environ.items():
+    for key in os.environ:
         if not key.startswith(ENV_PREFIX):
             continue
         flag = key[len(ENV_PREFIX):].lower().replace("_", "-")
@@ -202,7 +215,7 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
         if flag not in _OPTION_SPECS:
             raise UsageError(f"unknown environment variable {key}")
         if flag in allowed:
-            env_values[flag] = val
+            env_values[flag] = os.environ[key]
 
     options: dict[str, object] = {}
     for flag in allowed:
@@ -391,9 +404,29 @@ def _fmt_opt(value) -> str:
     return _fmt(value) if isinstance(value, float) else str(value)
 
 
+def _warn_if_beyond_perturbative(opts) -> None:
+    """One :class:`PerturbativeWarning` naming the largest epsilon, if it is
+    too large for the second-order treatment."""
+    if "epsilon" not in opts:
+        return
+    eps = max(_parse_float_list(str(opts["epsilon"]), "epsilon"))
+    if CavityConfig(L0=_L0, epsilon=eps).perturbative_warning:
+        warnings.warn(
+            f"epsilon = {eps} exceeds {PERTURBATIVE_EPSILON_MAX}: the friction "
+            "energy is second order in epsilon, so results are outside its validity",
+            PerturbativeWarning,
+            stacklevel=3,
+        )
+
+
 def run(cfg: RunConfig, stream=None) -> int:
-    """Execute a resolved configuration; returns the exit status."""
+    """Execute a resolved configuration; returns the exit status.
+
+    A compression ratio above ``PERTURBATIVE_EPSILON_MAX`` raises one
+    :class:`PerturbativeWarning` (on stderr); the output is unchanged.
+    """
     opts = cfg.options
+    _warn_if_beyond_perturbative(opts)
     out = io.StringIO()
     status = _RUNNERS[cfg.command](cfg, out)
     text = out.getvalue()

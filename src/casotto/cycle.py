@@ -30,10 +30,12 @@ is included in the stroke energies E_A..E_D.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Sequence
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -130,9 +132,10 @@ class CycleReport:
     err: float = 0.0
 
 
+@functools.lru_cache(maxsize=1024)
 def _otto_sums(
     cfg: CavityConfig, baths: BathPair, machine: str = "engine"
-) -> tuple[float, float, float, dict]:
+) -> tuple[float, float, float, Mapping[str, float]]:
     """Population-frozen heat/work in ``machine``'s bookkeeping and stroke sums.
 
     Returns (Q_ad, W_ad, tail, pieces) where pieces holds the four
@@ -140,6 +143,10 @@ def _otto_sums(
     Occupations of the hot bath are evaluated at the compressed-cavity
     frequencies exactly.  The engine takes its heat at the compressed
     frequencies, the refrigerator at the rest frequencies.
+
+    The sums do not depend on the stroke, so they are cached: a sweep
+    computes them once per (bath, eps) cell, not once per tau.  The result
+    is read-only; the tail warning is raised by the caller on every call.
     """
     K = cfg.n_modes
     w0 = mode_frequencies(K, cfg.L0)
@@ -165,12 +172,12 @@ def _otto_sums(
             tail = abs(terms_Q[-1]) * rho / (1.0 - rho)
         else:
             tail = math.inf
-    pieces = {
+    pieces = MappingProxyType({
         "sum_w0_nA": float(np.sum(w0 * nA)),
         "sum_w1_nA": float(np.sum(w1 * nA)),
         "sum_w1_nC": float(np.sum(w1 * nC)),
         "sum_w0_nC": float(np.sum(w0 * nC)),
-    }
+    })
     return Q_ad, W_ad, tail, pieces
 
 
@@ -459,7 +466,8 @@ def sweep(
     The grid is evaluated tau by tau: one trajectory and its spectral table
     are built and serve every bath and compression ratio before the next tau
     starts, so only one table is held at a time.  The friction kernel of
-    each bath temperature comes from a small cache shared by all taus.
+    each bath temperature and the population-frozen sums of each (bath,
+    eps) cell come from small caches shared by all taus.
     Rows come out in a fixed order regardless: outer bath ratio, then
     epsilon, then tau ascending.  Failures of individual cells are recorded
     in the row and do not abort the sweep.

@@ -70,7 +70,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
 from .spectrum import CavityConfig, ThermalBath, mode_frequencies, occupations
 from .trajectory import PPoly, Trajectory
@@ -172,6 +171,15 @@ _TAYLOR_TERMS = 32
 _EPS = float(np.finfo(float).eps)
 
 
+def _horner(a: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Column ``i`` of ascending coefficients ``a`` evaluated at ``h[i]``,
+    by Horner's rule from the top power down."""
+    value = a[-1]
+    for row in a[-2::-1]:
+        value = row + value * h
+    return value
+
+
 def _fourier(v: PPoly, omegas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``F(w) = integral v(t) exp(i w t) dt`` over ``v``'s domain, in closed form.
 
@@ -201,13 +209,14 @@ def _fourier(v: PPoly, omegas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     inv = 1.0 / (np.arange(_TAYLOR_TERMS)[:, None] + np.arange(order)[None, :] + 1.0)
     moments, moments_abs = inv @ b, inv @ np.abs(b)
     x = wh[iw, ip]
-    term = np.ones(x.shape, dtype=complex)
-    acc = np.zeros(x.shape, dtype=complex)
-    mag = np.zeros(x.shape)
-    for n in range(_TAYLOR_TERMS):
-        acc += term * moments[n, ip]
-        mag += np.abs(term) * moments_abs[n, ip]
-        term *= 1j * x / (n + 1)
+    # (i x)**n / n! for n < _TAYLOR_TERMS, one row per (frequency, piece),
+    # each summed from n = 0 up
+    factor = np.empty((len(x), _TAYLOR_TERMS), dtype=complex)
+    factor[:, 0] = 1.0
+    factor[:, 1:] = 1j * x[:, None] / np.arange(1, _TAYLOR_TERMS)
+    term = np.cumprod(factor, axis=1)
+    acc = np.cumsum(term * moments[:, ip].T, axis=1)[:, -1]
+    mag = np.cumsum(np.abs(term) * moments_abs[:, ip].T, axis=1)[:, -1]
     J[iw, ip] = h[ip] * acc
     size[iw, ip] = carried[iw, ip] = h[ip] * mag
 
@@ -219,11 +228,11 @@ def _fourier(v: PPoly, omegas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     end_mag = np.zeros(wl.shape)
     d = a
     for m in range(order):
-        end, start = P.polyval(h, d, tensor=False)[ip], d[0, ip]
+        end, start = _horner(d, h)[ip], d[0, ip]
         acc += (end * carrier - start) * ((-1) ** m / (1j * wl) ** (m + 1))
-        mag += (P.polyval(h, np.abs(d), tensor=False)[ip] + np.abs(start)) / wl ** (m + 1)
+        mag += (_horner(np.abs(d), h)[ip] + np.abs(start)) / wl ** (m + 1)
         end_mag += np.abs(end) / wl ** (m + 1)
-        d = P.polyder(d)
+        d = d[1:] * np.arange(1, len(d))[:, None]
     J[iw, ip] = acc
     size[iw, ip] = mag
     carried[iw, ip] = end_mag

@@ -32,7 +32,6 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.polynomial import Polynomial
 
 __all__ = [
     "PPoly",
@@ -243,25 +242,40 @@ class BoundaryReport:
         )
 
 
-def _piece(poly: PPoly, i: int) -> Polynomial:
-    """Piece ``i`` of ``poly`` as a polynomial in ``t - poly.x[i]``."""
-    return Polynomial(poly.c[::-1, i])
+def _taylor_shift(a: np.ndarray, s) -> np.ndarray:
+    """Ascending coefficients of ``p(u + s)`` from those of ``p(u)``.
+
+    ``a[j]`` multiplies ``u**j``; its columns (one polynomial each) are
+    shifted by the matching entries of ``s``, and a single column is shifted
+    by every entry.  Row ``k`` of the result is the binomial Taylor-shift
+    matrix applied to ``a``, ``sum_{j >= k} binomial(j, k) s**(j - k) a[j]``,
+    accumulated along its diagonals ``d = j - k`` in ascending order.
+    """
+    n = a.shape[0]
+    s = np.asarray(s, dtype=float)
+    q = a * np.ones_like(s)
+    power = s
+    for d in range(1, n):
+        binomial = np.array([math.comb(k + d, d) for k in range(n - d)], dtype=float)
+        q[: n - d] += binomial[:, None] * a[d:] * power
+        power = power * s
+    return q
 
 
-def _from_pieces(pieces: Sequence[tuple[float, float, Polynomial]], order: int) -> PPoly:
+def _from_pieces(pieces: Sequence[tuple[float, float, np.ndarray]], order: int) -> PPoly:
     """Sum of polynomials, each supported on its own window, as one PPoly.
 
-    Each entry ``(lo, hi, p)`` contributes ``p(t - lo)`` on ``[lo, hi]``;
-    the breakpoints are the union of the window edges.
+    Each entry ``(lo, hi, a)`` contributes ``p(t - lo)`` on ``[lo, hi]``,
+    where ``a`` holds the ascending coefficients of ``p`` (at most
+    ``order``); the breakpoints are the union of the window edges.
     """
     x = np.unique([edge for lo, hi, _ in pieces for edge in (lo, hi)])
     c = np.zeros((order, len(x) - 1))
-    for lo, hi, p in pieces:
-        for i in range(np.searchsorted(x, lo), np.searchsorted(x, hi)):
-            # re-expand about the piece's own left end; composition trims
-            # vanishing leading coefficients, so pad from the top
-            coef = p(Polynomial([x[i] - lo, 1.0])).coef
-            c[order - len(coef):, i] += coef[::-1]
+    for lo, hi, a in pieces:
+        first, last = np.searchsorted(x, lo), np.searchsorted(x, hi)
+        # re-expand about each covered piece's own left end
+        shifted = _taylor_shift(np.asarray(a, dtype=float)[:, None], x[first:last] - lo)
+        c[order - len(a):, first:last] += shifted[::-1]
     return PPoly(c, x)
 
 
@@ -309,12 +323,11 @@ def reverse(traj: Trajectory) -> Trajectory:
     x = traj.delta.x
     edges = (x[0] + x[-1]) - x[::-1]
     edges[0], edges[-1] = x[0], x[-1]
-    # piece i, p(u) on [x_i, x_i+1], becomes p(h_i - u) on the mirrored window
-    pieces = [
-        (edges[-2 - i], edges[-1 - i], _piece(traj.delta, i)(Polynomial([x[i + 1] - x[i], -1.0])))
-        for i in range(len(x) - 1)
-    ]
-    return Trajectory(_from_pieces(pieces, traj.delta.c.shape[0]), label=f"reversed({traj.label})")
+    # piece i, p(u) on [x_i, x_i+1], becomes p(h_i - u) on the mirrored
+    # window: shift by h_i, then flip the sign of the odd powers
+    a = _taylor_shift(traj.delta.c[::-1], np.diff(x))
+    a[1::2] *= -1.0
+    return Trajectory(PPoly(a[::-1, ::-1], edges), label=f"reversed({traj.label})")
 
 
 def shortcut(ramp: Trajectory, L0: float) -> Trajectory:
@@ -352,10 +365,9 @@ def shortcut(ramp: Trajectory, L0: float) -> Trajectory:
 
     norm = 2.0 * L0 * (r1 - r0)
     x = ramp.delta.x
-    pieces = [(t0 - L0, t0 + L0, Polynomial([-r0 / norm])),
-              (t1 - L0, t1 + L0, Polynomial([r1 / norm]))]
+    pieces = [(t0 - L0, t0 + L0, [-r0 / norm]), (t1 - L0, t1 + L0, [r1 / norm])]
     for i in range(len(x) - 1):
-        p = _piece(ramp.delta, i) / norm
+        p = ramp.delta.c[::-1, i] / norm
         pieces.append((x[i] - L0, x[i + 1] - L0, p))
         pieces.append((x[i] + L0, x[i + 1] + L0, -p))
     velocity = _from_pieces(pieces, ramp.delta.c.shape[0])

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import casotto
+from casotto import cli
 from casotto.cli import RunConfig, UsageError, main, parse_config, run, _parse_grid
 
 
@@ -148,6 +149,64 @@ class TestParsing:
         with pytest.raises(UsageError):
             parse_config(argv)
         assert main(argv) == 2
+
+
+class TestCachedParser:
+    def test_environment_is_read_on_every_call(self, monkeypatch):
+        monkeypatch.delenv("CASOTTO_MODES", raising=False)
+        assert parse_config(["friction"])["modes"] == 64
+        monkeypatch.setenv("CASOTTO_MODES", "16")
+        assert parse_config(["friction"])["modes"] == 16
+        monkeypatch.delenv("CASOTTO_MODES")
+        assert parse_config(["friction"])["modes"] == 64
+
+    @pytest.mark.parametrize("bad", [
+        ["engine", "--frobnicate", "1"],
+        ["engine", "--tau"],
+        ["engine", "--tau", "1", "--modes", "x"],
+        ["engine", "--tau", "-1"],
+    ], ids=["unknown-flag", "missing-value", "bad-value", "out-of-range"])
+    def test_usage_error_leaves_the_next_call_alone(self, bad):
+        argv = ["engine", "--tau", "2", "--beta-ratio", "0.4"]
+        before = parse_config(argv)
+        with pytest.raises(UsageError):
+            parse_config(bad)
+        assert parse_config(argv) == before
+        assert parse_config(["engine"]) == RunConfig("engine", {
+            key: spec[1] for key, spec in cli._OPTION_SPECS.items()
+            if key in cli._COMMAND_OPTIONS["engine"]
+        })
+
+    def test_commands_do_not_share_options(self):
+        parse_config(["friction", "--beta", "2", "--tau", "3"])
+        cfg = parse_config(["engine"])
+        assert sorted(cfg.options) == sorted(cli._COMMAND_OPTIONS["engine"])
+        assert cfg["tau"] == 1.0
+        with pytest.raises(UsageError):
+            parse_config(["engine", "--beta", "2"])
+        assert parse_config(["friction"])["beta"] == 1.0
+        assert "beta" not in parse_config(["shortcut-check"]).options
+
+
+class TestPerturbativeWarning:
+    def test_largest_epsilon_is_named_once_on_stderr(self, tmp_path):
+        argv = ["sweep", "--tau-grid", "1:2:2", "--epsilon", "0.05,0.3,0.2", "--modes", "4"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "casotto.cli", *argv],
+            env=_child_env(), cwd=tmp_path, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.count("PerturbativeWarning") == 1
+        assert "epsilon = 0.3 exceeds 0.1" in proc.stderr
+        # stdout is what the same request writes without the warning
+        with pytest.warns(cli.PerturbativeWarning):
+            _, text = capture(argv)
+        assert proc.stdout == text
+
+    def test_no_warning_within_the_perturbative_range(self, recwarn):
+        capture(["sweep", "--tau-grid", "1:2:2", "--epsilon", "0.05,0.1", "--modes", "4"])
+        capture(["shortcut-check", "--points", "2"])
+        assert not [w for w in recwarn if w.category is cli.PerturbativeWarning]
 
 
 class TestGrids:
@@ -340,12 +399,19 @@ class TestRuns:
         assert "# modes = " not in text
 
 
+def _child_env():
+    """This process's environment with the tested casotto first on the path."""
+    src = str(Path(casotto.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def test_cli_import_loads_no_scipy():
     # importing scipy.interpolate costs about half a second of start-up per
     # CLI call; only --family sampled may load it, when it reads a file
     src = str(Path(casotto.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env = _child_env()
     code = (
         "import sys, casotto, casotto.cli; print(casotto.__file__); "
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from casotto import cycle as cycle_module
 from casotto import friction as friction_module
 from casotto.cycle import (
     BathPair,
@@ -369,6 +370,33 @@ class TestSweep:
         sweep(cfg(K=16), baths, taus, quintic, epsilons=[0.01, 0.02])
         # one per distinct temperature, none per cell, tau or epsilon
         assert sorted(built) == [(beta, 16) for beta in (0.4, 1.0, 2.0, 3.0)]
+
+    def test_population_frozen_sums_once_per_bath_and_epsilon(self, monkeypatch):
+        # each evaluation of the sums takes one occupations call per bath
+        built = []
+        original = cycle_module.occupations
+
+        def counting(beta, omegas):
+            built.append(beta)
+            return original(beta, omegas)
+
+        cycle_module._otto_sums.cache_clear()
+        monkeypatch.setattr(cycle_module, "occupations", counting)
+        baths = [BathPair(2.0, 0.4), BathPair(3.0, 2.0)]
+        sweep(cfg(K=16), baths, [0.5, 1.0, 2.0], quintic, epsilons=[0.01, 0.02])
+        # (2 baths x 2 epsilons) cells, none per tau
+        assert sorted(built) == sorted([0.4, 2.0, 2.0, 3.0] * 2)
+
+    def test_cached_sums_still_warn_and_are_read_only(self):
+        # hot baths at K = 4 leave a large population-frozen tail
+        hot, baths = cfg(K=4), BathPair(0.2, 0.1)
+        cycle_module._otto_sums.cache_clear()
+        for _ in range(2):
+            with pytest.warns(TruncationWarning, match="increase n_modes"):
+                assert adiabatic_engine(hot, baths).tail_warning
+        assert cycle_module._otto_sums.cache_info().hits == 1
+        with pytest.raises(TypeError):
+            cycle_module._otto_sums(hot, baths)[3]["sum_w0_nA"] = 0.0
 
     def test_csv_shape(self):
         rows = sweep(cfg(K=8), [ENGINE_BATHS], [0.5, 1.0], quintic)

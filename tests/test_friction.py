@@ -179,6 +179,29 @@ class TestClosedForm:
         I, J = partial_spectral_integral(tr, 3, 1.0, t)
         assert abs(complex(I, J) - split_quadrature(tr, 3.0 * math.pi, edges)) <= 1e-12
 
+    @pytest.mark.parametrize("tau", [0.1, 1.7, 9.0])
+    @pytest.mark.parametrize("make", [
+        quintic,
+        lambda tau: shortcut(quintic(tau), math.pi),
+    ], ids=["quintic", "shortcut"])
+    def test_table_across_the_taylor_switch_matches_mpmath(self, make, tau):
+        # omega_1 = 1, so tau * omega_1 = tau; one table holds (frequency,
+        # piece) cells on both sides of the Taylor / integration-by-parts switch
+        tr = make(tau)
+        table = spectral_table(tr, CavityConfig(L0=math.pi, epsilon=0.01, n_modes=16))
+        w = np.arange(table.n_max + 1) * table.omega1
+        taylor = np.outer(w, np.diff(tr.delta.x)) < friction_module._TAYLOR_BELOW
+        assert taylor.any() and not taylor.all()
+        # each piece's last Taylor and first integration-by-parts frequency,
+        # and the ends of the grid
+        first = np.argmin(taylor, axis=0)
+        picked = {0, table.n_max, *first.tolist(), *(first - 1).tolist()}
+        for n in sorted(k for k in picked if k >= 0):
+            ref = mp_amplitude(tr, w[n])
+            deviation = abs(complex(table.C[n], table.S[n]) - ref)
+            # the reference itself is rounded to double on conversion
+            assert deviation <= table.err[n] + friction_module._EPS * abs(ref)
+
 
 class TestPartialSpectralIntegral:
     def test_empty_interval(self):

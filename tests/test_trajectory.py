@@ -11,6 +11,7 @@ from casotto.quadrature import QuadratureSpec, integrate_1d
 from casotto.trajectory import (
     PPoly,
     Trajectory,
+    _from_pieces,
     check_boundary_conditions,
     from_samples,
     quintic,
@@ -326,3 +327,69 @@ class TestForeignPolynomials:
             PPoly(np.ones((3, 2)), [0.0, 1.0])
         with pytest.raises(ValueError):
             PPoly(np.ones((3, 2)), [0.0, 2.0, 1.0])
+
+
+def _composed(a, s):
+    """Ascending coefficients of ``p(u + s)`` by ``Polynomial`` composition."""
+    from numpy.polynomial import Polynomial
+
+    coef = Polynomial(a)(Polynomial([s, 1.0])).coef
+    return np.pad(coef, (0, len(a) - len(coef)))
+
+
+class TestTaylorShift:
+    def test_from_pieces_matches_polynomial_composition(self):
+        rng = np.random.default_rng(12)
+        for _ in range(40):
+            order = int(rng.integers(1, 8))
+            pieces = []
+            for _ in range(int(rng.integers(1, 6))):
+                lo = float(rng.uniform(-3.0, 3.0))
+                a = rng.normal(size=int(rng.integers(1, order + 1)))
+                pieces.append((lo, lo + float(rng.uniform(0.1, 4.0)), a))
+            got = _from_pieces(pieces, order)
+            x = got.x
+            for i in range(len(x) - 1):
+                want = np.zeros(order)
+                scale = np.zeros(order)
+                for lo, hi, a in pieces:
+                    if lo <= x[i] and x[i + 1] <= hi:
+                        a = np.pad(a, (0, order - len(a)))
+                        want += _composed(a, x[i] - lo)
+                        scale += _composed(np.abs(a), abs(x[i] - lo))
+                # each shifted coefficient is a sum of at most `order` products
+                np.testing.assert_array_less(
+                    np.abs(got.c[::-1, i] - want), 4.0 * order * np.finfo(float).eps * scale + 1e-300
+                )
+
+    @pytest.mark.parametrize("tau", [1.0, 2.0, 3.5], ids=["overlap", "touch", "apart"])
+    def test_shortcut_windows_and_resonances(self, tau):
+        # the two shifted copies of the ramp's window [0, tau] overlap, touch
+        # or separate as tau is below, at or above 2 L0
+        from casotto.friction import spectral_table
+        from casotto.spectrum import CavityConfig
+
+        L0 = 1.0
+        sc = shortcut(quintic(tau), L0)
+        assert len(sc.delta.x) == (3 if tau == 2 * L0 else 4)
+        assert sc.delta.x[0] == -L0 and sc.delta.x[-1] == tau + L0
+        assert np.all(np.diff(sc.delta.x) > 0)
+        ends = np.array([sc.t_start, sc.t_end])
+        assert np.max(np.abs(sc.ddelta(ends))) < 1e-12
+        assert np.max(np.abs(sc.delta(ends) - [0.0, 1.0])) < 1e-12
+        table = spectral_table(sc, CavityConfig(L0=L0, epsilon=0.01, n_modes=16))
+        n = np.arange(1, table.n_max + 1)
+        assert np.all(np.hypot(table.C[n], table.S[n]) <= table.err[n])
+
+    def test_double_reverse_restores_the_coefficients(self):
+        profiles = [shortcut(quintic(t), L0) for t, L0 in ((1.0, 1.0), (2.0, 1.0), (0.4, math.pi))]
+        profiles += [Trajectory(ours) for ours, _, _ in _random_ppolys(seed=13, count=20)]
+        for tr in profiles:
+            back = reverse(reverse(tr))
+            x, c = tr.delta.x, tr.delta.c
+            np.testing.assert_allclose(back.delta.x, x, rtol=0.0, atol=4e-16 * np.max(np.abs(x)))
+            # each coefficient times its power of the piece width, against
+            # the largest such term of the piece
+            powers = np.diff(x) ** np.arange(c.shape[0] - 1, -1, -1)[:, None]
+            scale = np.max(np.abs(c) * powers, axis=0)
+            assert np.all(np.abs(back.delta.c - c) * powers <= 1e-13 * scale)
