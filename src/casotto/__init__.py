@@ -11,8 +11,10 @@ The package computes, in natural units (hbar = c = k_B = 1):
   (:mod:`casotto.friction`);
 * heat, work, efficiency, coefficient of performance and power of the
   four-stroke cycle (:mod:`casotto.cycle`);
-* a dense truncated Fock-space evolution used as an independent
-  cross-check of the perturbative results (:mod:`casotto.fock_oracle`).
+* an exact phase-space propagation of the driven quadratic Hamiltonian,
+  and operator-ordering identities in a truncated Fock space, used as
+  independent cross-checks of the perturbative results
+  (:mod:`casotto.fock_oracle`).
 
 Spectral amplitudes are taken in closed form; :mod:`casotto.quadrature` is
 the numerical-integration oracle the tests compare them against.  The

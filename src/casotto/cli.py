@@ -91,13 +91,16 @@ _OPTION_SPECS: dict[str, tuple] = {
     "L0": (float, 1.0, "cavity length for shortcut-check (natural units)"),
     "n": (str, "2,4,10", "comma list of harmonic indices for shortcut-check"),
     "points": (int, 200, "time samples per trace for shortcut-check"),
-    "fock-modes": (int, 2, "retained modes in the dense oracle"),
-    "n-max": (int, 8, "per-mode occupation cutoff in the dense oracle"),
+    "fock-modes": (int, 2, "retained modes in the oracle"),
+    "n-max": (int, 8, "per-mode occupation cutoff of --check identities"),
     "dt": (float, 0.01, "oracle evolution step (units 1/omega_1)"),
     "integrator-order": (int, 4, "oracle integrator order: 2 or 4"),
     "check": (str, "friction", "oracle check: friction | identities"),
     "thermalization-time": (float, 0.0, "bath-contact time charged to the cycle period"),
 }
+
+# lower-cased flag -> flag: CASOTTO_L0 names the mixed-case --L0
+_ENV_FLAGS = {flag.lower(): flag for flag in _OPTION_SPECS}
 
 _COMMAND_OPTIONS: dict[str, tuple[str, ...]] = {
     "friction": ("tau", "beta", "epsilon", "modes", "tail-tol", "family",
@@ -209,10 +212,11 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
     for key in os.environ:
         if not key.startswith(ENV_PREFIX):
             continue
-        flag = key[len(ENV_PREFIX):].lower().replace("_", "-")
-        if flag in ("config", "command"):
+        name = key[len(ENV_PREFIX):].lower().replace("_", "-")
+        if name in ("config", "command"):
             continue
-        if flag not in _OPTION_SPECS:
+        flag = _ENV_FLAGS.get(name)
+        if flag is None:
             raise UsageError(f"unknown environment variable {key}")
         if flag in allowed:
             env_values[flag] = os.environ[key]
@@ -298,7 +302,7 @@ def _single(opts, key: str) -> float:
 
 
 def _fock(opts) -> FockConfig:
-    """The oracle's truncation; its own range checks become usage errors."""
+    """The oracle's modes, cutoff and step; its own range checks become usage errors."""
     try:
         return FockConfig(
             n_modes=int(opts["fock-modes"]),
@@ -604,7 +608,7 @@ def _run_oracle(cfg: RunConfig, out) -> int:
         ("epsilon", "E_full", "E_adiab", "E_pert", "ratio", "richardson_ratio"),
         (
             "compression ratio",
-            "energy after direct evolution",
+            "energy after phase-space propagation",
             "population-preserving adiabatic energy",
             "E_adiab plus the friction formula",
             "(E_full - E_adiab) / E_F",

@@ -1,41 +1,38 @@
-"""Brute-force cross-check in a truncated Fock space.
+"""Independent cross-checks of the perturbative friction energy.
 
 Everything else in this package rests on second-order perturbation theory.
-This module validates it from the other side: build the driven Hamiltonian
+This module validates it from the other side.  The driven Hamiltonian of
+``n`` retained modes is
 
     H(t) = sum_k w_k N_k
          + dL(t)   * sum_k [ w_k' N_k + (w_k'/2) (a_k^+^2 + a_k^2) ]
          + dLdot(t)/ (2 i L0) * sum_{k!=j} g_kj sqrt(w_k/w_j)
                (a_k a_j - a_k^+ a_j + a_k a_j^+ - a_k^+ a_j^+)
 
-with ``dL(t) = -L0 * eps * delta(t)``, on a small dense truncated space,
-evolve a thermal state through the stroke with a time-ordered unitary
-product, and compare the measured non-adiabatic energy against the
-separable friction formula restricted to the same retained modes.
+with ``dL(t) = -L0 * eps * delta(t)``.  Every term is quadratic in the
+ladder operators.  With ``xi = (x_1..x_n, p_1..p_n)`` and
+``a = (x + i p)/sqrt(2)`` it reads ``H = xi^T h(t) xi / 2 - Tr h(t) / 4``,
+where ``h = h0 + dL h1 + dLdot h2`` is real symmetric ``2n x 2n``:
 
-The operators are dense matrices, so every one is inspectable.  Three exact
-structures are used, and the second is checked where it is used:
+* ``h0 = diag(w, w)``;
+* ``h1`` holds ``2 w_k'`` on the ``x`` diagonal;
+* ``h2 = [[0, C^T], [C, 0]]`` with ``C_kj = g_kj sqrt(w_k/w_j) / L0``.
 
-* the space is a product of per-mode ladders, mode 1 slowest, and every
-  operator or diagonal on it is a ``kron`` of per-mode factors, laid out by
-  :func:`_product` alone.  Each term of ``H(t)`` is one such product: ``N``
-  is the exact diagonal ``0..n_max`` and a coupling pair ``k != j`` is
-  ``(a_k - a_k^+)(a_j + a_j^+)``, so no full-space matrix product is formed.
-* every term of ``H(t)`` is quadratic in the ladder operators, so it
-  conserves the total photon-number parity ``(-1)**sum_k N_k``, also on
-  the truncated space.  :func:`evolve` orders the basis by parity and
-  takes each step's exponential one sector at a time: two ``eigh`` calls
-  of about ``d/2`` states instead of one of ``d``.  The state keeps its
-  cross-parity blocks.
-* the thermal state is diagonal in the product Fock basis, a ``kron`` of
-  per-mode weights.  :func:`verify_trace_identities` takes each trace as
-  those weights against the diagonal of the ``kron`` of per-mode operator
-  strings, so it builds no ``d x d`` array.
+The constant keeps ``H`` normal-ordered: ``<0|H|0> = 0``.  The Heisenberg
+equation ``d xi/dt = J h(t) xi``, ``J = [[0, I], [-I, 0]]``, is linear, so
+the stroke acts on the quadratures as one symplectic matrix ``S`` and a
+covariance matrix evolves as ``sigma -> S sigma S^T`` (Serafini, *Quantum
+Continuous Variables*, CRC 2017, ch. 3-5).  :func:`validate_friction`
+propagates the thermal covariance through the stroke this way, with no
+occupation cutoff, and compares the measured non-adiabatic energy against
+the separable friction formula restricted to the same retained modes.
 
-Dimensions are capped at 1e5.  That bounds the identity battery's weight
-vectors; :func:`evolve` holds several dense ``d x d`` complex matrices
-(``16 d**2`` bytes each), which keeps it to a few thousand states in
-practice; the tests go up to 1331.
+:func:`verify_trace_identities` tests operator ordering, so it stays in a
+truncated Fock space: a product of per-mode ladders, mode 1 slowest, laid
+out by :func:`_product` alone.  The thermal state is diagonal there, a
+``kron`` of per-mode weights, and each trace is those weights against the
+diagonal of the ``kron`` of per-mode operator strings, so no ``d x d``
+array is built.  Its dimension is capped at 1e5.
 """
 
 from __future__ import annotations
@@ -44,15 +41,14 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 from functools import reduce
-from itertools import permutations
 
 import numpy as np
 
-from .friction import friction_energy
+from .friction import TruncationWarning, friction_energy
 from .spectrum import (
     CavityConfig,
     ThermalBath,
-    coupling_g,
+    coupling_matrix,
     mode_frequencies,
     mode_frequency_derivative,
     occupations,
@@ -62,13 +58,7 @@ from .trajectory import Trajectory
 __all__ = [
     "FockConfig",
     "OracleRangeError",
-    "TruncationQualityError",
     "StepSizeError",
-    "build_hamiltonian",
-    "thermal_state",
-    "mode_occupations",
-    "evolve",
-    "energy_expectation",
     "verify_trace_identities",
     "IdentityCheck",
     "IdentityReport",
@@ -78,6 +68,7 @@ __all__ = [
 ]
 
 _DIM_CAP = 10**5
+_FRICTION_MODES_MAX = 64
 
 
 class OracleRangeError(ValueError):
@@ -92,21 +83,19 @@ class OracleRangeError(ValueError):
         self.names = names
 
 
-class TruncationQualityError(RuntimeError):
-    """The occupation cutoff distorts the thermal state beyond tolerance."""
-
-
 class StepSizeError(RuntimeError):
     """Free evolution drifted in energy; the step size is too coarse."""
 
 
 @dataclass(frozen=True)
 class FockConfig:
-    """Truncation and integrator parameters for the dense oracle.
+    """Mode count, Fock cutoff and integrator of the oracle.
 
-    n_modes: field modes retained (2-3 is typical).
-    n_max:   per-mode occupation cutoff.
-    dt:      evolution step; must satisfy dt * w_max <= 0.1.
+    n_modes: retained field modes; 1..64 for the friction check, at least 3
+        for the identity battery.
+    n_max:   per-mode occupation cutoff of the identity battery, with
+        ``(n_max + 1)**n_modes <= 1e5``; the friction check has no cutoff.
+    dt:      propagation step; must satisfy dt * w_max <= 0.1.
     integrator_order: 2 (midpoint exponential) or 4 (two-stage
         commutator-free composition on Gauss nodes).
     """
@@ -121,10 +110,6 @@ class FockConfig:
             raise ValueError("n_modes must be >= 1")
         if self.n_max < 1:
             raise ValueError("n_max must be >= 1")
-        if self.dimension > _DIM_CAP:
-            raise ValueError(
-                f"truncated dimension {self.dimension} exceeds cap {_DIM_CAP}"
-            )
         if not self.dt > 0:
             raise ValueError("dt must be positive")
         if self.integrator_order not in (2, 4):
@@ -144,139 +129,22 @@ def _product(factors: dict[int, np.ndarray], fock: FockConfig, fill: np.ndarray)
 
     The one place the product basis is laid out: with ``fill`` the identity
     this lifts per-mode operators to the full space, with ``fill`` a vector
-    it builds a diagonal (weights, occupations, parities) from per-mode ones.
+    it builds a diagonal (weights, operator-string diagonals) from
+    per-mode ones.
     """
     return reduce(np.kron, [factors.get(m, fill) for m in range(1, fock.n_modes + 1)])
 
 
-def lowering_operator(mode: int, fock: FockConfig) -> np.ndarray:
-    """Annihilation operator of one mode on the truncated product space."""
-    if not 1 <= mode <= fock.n_modes:
-        raise ValueError(f"mode {mode} outside 1..{fock.n_modes}")
-    return _product({mode: _destroy(fock.n_max)}, fock, np.eye(fock.n_max + 1))
+# ---------------------------------------------------------------------------
+# the driven stroke in phase space
+# ---------------------------------------------------------------------------
 
-
-def _static_parts(cfg: CavityConfig, fock: FockConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(H0, M1, M2): H(t) = H0 + dL(t)*M1 + dLdot(t)*M2, all Hermitian.
-
-    Every term is a ``kron`` of per-mode factors: ``N`` is the exact
-    diagonal ``0..n_max``, and each coupling pair ``k != j`` is the single
-    product ``(a_k - a_k^+)(a_j + a_j^+)``.  H0 and M1 are real symmetric
-    term by term; M2 is assembled as Z + Z^+ with Z = Y/(4i), which is
-    Hermitian by construction in floating point.
-    """
-    w = mode_frequencies(fock.n_modes, cfg.L0)
-    a = _destroy(fock.n_max)
-    n = np.diag(np.arange(fock.n_max + 1.0))
-    eye = np.eye(fock.n_max + 1)
-    modes = range(1, fock.n_modes + 1)
-
-    H0 = sum(w[k - 1] * _product({k: n}, fock, eye) for k in modes)
-    squeeze = n + 0.5 * (a @ a + a.T @ a.T)
-    M1 = sum(
-        mode_frequency_derivative(k, cfg.L0) * _product({k: squeeze}, fock, eye) for k in modes
-    )
-    Y = np.zeros((fock.dimension,) * 2)
-    for k, j in permutations(modes, 2):
-        coeff = coupling_g(k, j) * math.sqrt(w[k - 1] / w[j - 1]) / cfg.L0
-        Y += coeff * _product({k: a - a.T, j: a + a.T}, fock, eye)
-    Z = Y / 2j
-    M2 = 0.5 * (Z + Z.conj().T)
-    return H0.astype(complex), M1.astype(complex), M2
-
-
-def build_hamiltonian(
-    t: float, cfg: CavityConfig, traj: Trajectory, fock: FockConfig
-) -> np.ndarray:
-    """Dense Hermitian ``H(t)`` on the truncated space.
-
-    ``dL(t) = -L0 * eps * delta(t)`` shifts the mode frequencies and drives
-    single-mode pair creation; the wall velocity drives inter-mode pair
-    creation and scattering.  Hermiticity holds exactly by construction.
-    """
-    if not (traj.t_start <= t <= traj.t_end):
-        raise ValueError(f"t={t} outside trajectory domain")
-    H0, M1, M2 = _static_parts(cfg, fock)
-    return _assemble(t, cfg, traj, H0, M1, M2)
-
-
-def _assemble(t, cfg, traj, H0, M1, M2) -> np.ndarray:
-    ts = np.asarray([t], dtype=float)
-    dl = -cfg.L0 * cfg.epsilon * float(traj.delta(ts)[0])
-    dldot = -cfg.L0 * cfg.epsilon * float(traj.ddelta(ts)[0])
-    return H0 + dl * M1 + dldot * M2
-
-
-def thermal_state(beta: float, fock: FockConfig, cfg: CavityConfig) -> np.ndarray:
-    """Truncated thermal state ``rho ~ exp(-beta H_free)``, unit trace.
-
-    ``beta = inf`` yields the vacuum projector.  The cutoff must capture all
-    but 1e-6 of the geometric occupation weight of the softest mode,
-    ``exp(-beta w_1 (n_max+1)) <= 1e-6`` (roughly ``beta * w_1 >= 1`` at the
-    default cutoffs); on top of that the realised per-mode occupations are
-    compared against the untruncated values and a mismatch beyond 1e-4
-    raises :class:`TruncationQualityError`.
-    """
-    rho = np.diag(_embedded_thermal_state(beta, fock, fock, cfg)).astype(complex)
-    occ = mode_occupations(rho, fock)
-    exact = occupations(beta, mode_frequencies(fock.n_modes, cfg.L0))
-    worst = float(np.max(np.abs(occ - exact)))
-    if worst > 1e-4:
-        raise TruncationQualityError(
-            f"per-mode occupation off by {worst:.2e} (> 1e-4); raise n_max "
-            "or beta"
-        )
-    return rho
-
-
-def mode_occupations(rho: np.ndarray, fock: FockConfig) -> np.ndarray:
-    """Per-mode ``Tr(rho N_k)`` for comparison with the untruncated values.
-
-    ``N_k`` is diagonal, so the trace is ``Re diag(rho)`` against its diagonal.
-    """
-    p = np.real(np.diag(rho))
-    n, ones = np.arange(fock.n_max + 1.0), np.ones(fock.n_max + 1)
-    return np.array([p @ _product({k: n}, fock, ones) for k in range(1, fock.n_modes + 1)])
-
-
-def _expm_unitary(blocks: list[np.ndarray], dt: float) -> list[np.ndarray]:
-    """exp(-i dt H) for a block-diagonal Hermitian H, one ``eigh`` per block.
-
-    Returns the exponential's diagonal blocks; each is exactly unitary.
-    """
-    out = []
-    for H in blocks:
-        vals, vecs = np.linalg.eigh(H)
-        out.append((vecs * np.exp(-1j * dt * vals)) @ vecs.conj().T)
-    return out
-
-
-def _sector_parts(
-    static: tuple[np.ndarray, np.ndarray, np.ndarray], fock: FockConfig
-) -> tuple[np.ndarray, tuple[slice, slice], list[tuple[np.ndarray, ...]]]:
-    """(order, sectors, blocks): ``static = (H0, M1, M2)`` split by
-    photon-number parity.
-
-    Every term of ``H(t)`` is quadratic in the ladder operators, so the
-    parity ``(-1)**sum_k N_k`` commutes with it; a truncated ``a`` still
-    moves ``n`` by exactly one, so this holds on the truncated space too.
-    ``blocks[s]`` holds the three matrices restricted to ``sectors[s]`` of
-    the basis reordered by ``order``.  Raises if any cross-sector entry is
-    non-zero.
-    """
-    # (-1)**sum_k N_k is the product of the per-mode parities
-    odd = _product({}, fock, (-1.0) ** np.arange(fock.n_max + 1)) < 0
-    order, n_even = np.argsort(odd, kind="stable"), int(np.count_nonzero(~odd))
-    sectors = (slice(0, n_even), slice(n_even, fock.dimension))
-    perm = [X[np.ix_(order, order)] for X in static]
-    for name, X in zip(("H0", "M1", "M2"), perm):
-        if np.any(X[:n_even, n_even:]) or np.any(X[n_even:, :n_even]):
-            raise RuntimeError(
-                f"{name} couples the photon-number parity sectors; the "
-                "blockwise propagator would be wrong"
-            )
-    return order, sectors, [tuple(X[s, s] for X in perm) for s in sectors]
-
+# the step exponential's Taylor degree: with dt * omega_max <= 0.1 the step
+# generator has norm about 0.1 and the remainder is about 0.1**11 / 11!, 3e-19
+_TAYLOR_DEGREE = 10
+# step exponentials are stacked in blocks of about this many entries (8 MB):
+# all 640 steps of 64 modes at once would hold several 170 MB arrays
+_BLOCK_ENTRIES = 2**20
 
 # fourth-order two-exponential composition on Gauss nodes
 _GAUSS_SHIFT = math.sqrt(3.0) / 6.0
@@ -284,97 +152,93 @@ _CF4_X1 = 0.25 - _GAUSS_SHIFT
 _CF4_X2 = 0.25 + _GAUSS_SHIFT
 
 
-def evolve(
-    rho0: np.ndarray, cfg: CavityConfig, traj: Trajectory, fock: FockConfig
-) -> np.ndarray:
-    """Propagate a density operator through the full stroke of ``traj``.
-
-    The time-ordered product uses either the midpoint exponential (order 2)
-    or a two-stage commutator-free composition on the two Gauss points of
-    each step (order 4).  ``H(t)`` conserves photon-number parity, so each
-    step's unitary is block-diagonal in the parity sectors and is taken one
-    sector at a time; ``rho`` keeps all four blocks, so cross-parity
-    coherences of ``rho0`` are propagated, not dropped.  Each step is
-    exactly unitary, so the trace is preserved to roundoff.  When the
-    trajectory is static the energy drift is measured and must stay below
-    1e-10.
-    """
-    return _evolve(rho0, cfg, traj, fock, _static_parts(cfg, fock))
+def _static_parts(cfg: CavityConfig, n_modes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(h0, h1, h2) with ``h(t) = h0 + dL(t) h1 + dLdot(t) h2`` on
+    ``xi = (x_1..x_n, p_1..p_n)``; the wall motion does not enter them."""
+    w = mode_frequencies(n_modes, cfg.L0)
+    w_prime = np.array([mode_frequency_derivative(k, cfg.L0) for k in range(1, n_modes + 1)])
+    C = coupling_matrix(n_modes) * np.sqrt(w[:, None] / w[None, :]) / cfg.L0
+    zero = np.zeros((n_modes, n_modes))
+    h0 = np.diag(np.concatenate([w, w]))
+    h1 = np.diag(np.concatenate([2.0 * w_prime, np.zeros(n_modes)]))
+    h2 = np.block([[zero, C.T], [C, zero]])
+    return h0, h1, h2
 
 
-def _evolve(
-    rho0: np.ndarray,
+def _forms(ts: np.ndarray, cfg: CavityConfig, traj: Trajectory, parts) -> np.ndarray:
+    """``h(t)`` at every time of ``ts``, stacked along the leading axes."""
+    h0, h1, h2 = parts
+    dl = -cfg.L0 * cfg.epsilon * traj.delta(ts)
+    dldot = -cfg.L0 * cfg.epsilon * traj.ddelta(ts)
+    return h0 + dl[..., None, None] * h1 + dldot[..., None, None] * h2
+
+
+def _symplectic_form(n_modes: int) -> np.ndarray:
+    """``J = [[0, I], [-I, 0]]``."""
+    eye, zero = np.eye(n_modes), np.zeros((n_modes, n_modes))
+    return np.block([[zero, eye], [-eye, zero]])
+
+
+def _expm(A: np.ndarray) -> np.ndarray:
+    """``exp(A)`` over the last two axes: its Taylor polynomial of degree
+    ``_TAYLOR_DEGREE``, in Horner form."""
+    eye = np.eye(A.shape[-1])
+    E = eye + A / _TAYLOR_DEGREE
+    for n in range(_TAYLOR_DEGREE - 1, 0, -1):
+        E = eye + A @ E / n
+    return E
+
+
+def _propagator(
     cfg: CavityConfig,
     traj: Trajectory,
     fock: FockConfig,
     parts: tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> np.ndarray:
-    """:func:`evolve` with the static parts ``(H0, M1, M2)`` of ``H(t)``
-    given, so a caller that evolves several states builds them once."""
-    dim = fock.dimension
-    if rho0.shape != (dim, dim):
-        raise ValueError(f"rho has shape {rho0.shape}, expected {(dim, dim)}")
+    """Symplectic matrix ``S`` of the stroke, ``xi(t_end) = S xi(t_start)``.
+
+    Each step is the exponential of ``dt J h`` at the step midpoint (order
+    2) or a two-stage commutator-free composition on the two Gauss points
+    of the step (order 4), whose right factor acts first and leans on the
+    early node.  The exponentials are taken stacked, a block of steps at a
+    time; their product is accumulated in a plain ordered loop.  On a
+    static wall the energy must be conserved to 1e-10.
+    """
     w_max = mode_frequencies(fock.n_modes, cfg.L0)[-1]
     n_steps = max(1, math.ceil(traj.duration / fock.dt))
-    h = traj.duration / n_steps
-    if h * w_max > 0.1 + 1e-12:
+    dt = traj.duration / n_steps
+    if dt * w_max > 0.1 + 1e-12:
         raise OracleRangeError(
-            f"dt * omega_max = {h * w_max:.3g} > 0.1; shrink FockConfig.dt", "dt"
+            f"dt * omega_max = {dt * w_max:.3g} > 0.1; shrink FockConfig.dt", "dt"
         )
-
-    H0, M1, M2 = parts
-    order, sectors, blocks = _sector_parts(parts, fock)
-    grid = traj.t_start + h * np.arange(n_steps + 1)
-    static = bool(np.max(np.abs(traj.ddelta(np.linspace(traj.t_start, traj.t_end, 257)))) == 0.0)
-    e_start = float(np.real(np.einsum("ij,ji->", rho0, _assemble(grid[0], cfg, traj, H0, M1, M2))))
-
     if fock.integrator_order == 2:
-        offsets = np.array([0.5])
+        offsets, weights = np.array([0.5]), np.eye(1)
     else:
         offsets = np.array([0.5 - _GAUSS_SHIFT, 0.5 + _GAUSS_SHIFT])
-    nodes = grid[:-1, None] + offsets * h
-    dl = -cfg.L0 * cfg.epsilon * traj.delta(nodes)
-    dldot = -cfg.L0 * cfg.epsilon * traj.ddelta(nodes)
-
-    def generator(i: int, stage: int) -> list[np.ndarray]:
-        return [A0 + dl[i, stage] * A1 + dldot[i, stage] * A2 for A0, A1, A2 in blocks]
-
-    rho = rho0[np.ix_(order, order)].astype(complex)
-    for i in range(n_steps):
-        if fock.integrator_order == 2:
-            U = _expm_unitary(generator(i, 0), h)
-        else:
-            G1, G2 = generator(i, 0), generator(i, 1)
-            # right factor acts first and leans on the early node
-            late = _expm_unitary([_CF4_X1 * a + _CF4_X2 * b for a, b in zip(G1, G2)], h)
-            early = _expm_unitary([_CF4_X2 * a + _CF4_X1 * b for a, b in zip(G1, G2)], h)
-            U = [x @ y for x, y in zip(late, early)]
-        for s, u in zip(sectors, U):
-            rho[s] = u @ rho[s]
-        for s, u in zip(sectors, U):
-            rho[:, s] = rho[:, s] @ u.conj().T
-        rho = 0.5 * (rho + rho.conj().T)
-    out = np.empty_like(rho)
-    out[np.ix_(order, order)] = rho
-
-    if static:
-        e_end = float(np.real(np.einsum("ij,ji->", out, _assemble(grid[-1], cfg, traj, H0, M1, M2))))
-        drift = abs(e_end - e_start)
-        if drift > 1e-10 * max(1.0, abs(e_start)):
+        # row 0 is the late factor, row 1 the early one
+        weights = np.array([[_CF4_X1, _CF4_X2], [_CF4_X2, _CF4_X1]])
+    dim = 2 * fock.n_modes
+    dtJ = dt * _symplectic_form(fock.n_modes)
+    block = max(1, _BLOCK_ENTRIES // (len(offsets) * dim * dim))
+    S = np.eye(dim)
+    for first in range(0, n_steps, block):
+        starts = traj.t_start + dt * np.arange(first, min(first + block, n_steps))
+        forms = _forms(starts[:, None] + offsets * dt, cfg, traj, parts)
+        for step in _expm(dtJ @ np.einsum("sr,nrij->nsij", weights, forms)):
+            for factor in step[::-1]:
+                S = factor @ S
+    if not np.any(traj.ddelta(np.linspace(traj.t_start, traj.t_end, 257))):
+        # a static wall conserves the energy of every state: S^T h S = h
+        h_wall = _forms(np.array(traj.t_start), cfg, traj, parts)
+        drift = float(np.max(np.abs(S.T @ h_wall @ S - h_wall)))
+        if drift > 1e-10 * max(1.0, float(np.max(np.abs(h_wall)))):
             raise StepSizeError(f"static-wall energy drifted by {drift:.2e}")
-    return out
+    return S
 
 
-def energy_expectation(rho: np.ndarray, H: np.ndarray) -> float:
-    """``Tr(rho H)`` with Hermiticity checks; the imaginary residue must vanish."""
-    for name, A in (("rho", rho), ("H", H)):
-        scale = max(1.0, float(np.max(np.abs(A))))
-        if float(np.max(np.abs(A - A.conj().T))) > 1e-10 * scale:
-            raise ValueError(f"{name} is not Hermitian")
-    val = complex(np.einsum("ij,ji->", rho, H))
-    if abs(val.imag) > 1e-10 * max(1.0, abs(val.real)):
-        raise ValueError(f"energy expectation has imaginary residue {val.imag:.2e}")
-    return val.real
+def _energy(h: np.ndarray, sigma: np.ndarray) -> float:
+    """``<H> = Tr(h sigma)/2 - Tr(h)/4`` of a state with covariance ``sigma``."""
+    return 0.5 * float(np.sum(h * sigma)) - 0.25 * float(np.trace(h))
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +281,6 @@ def _embedded_thermal_state(
     its diagonal: one weight per basis state, in the order of
     :func:`_product`.  Occupation weights beyond the state cutoff are zero;
     the distribution is renormalised over the kept rungs.
-    :func:`thermal_state` is the case ``work == state``, as a dense matrix.
     """
     if not beta > 0:
         raise ValueError(f"beta must be positive (or inf), got {beta}")
@@ -542,6 +405,10 @@ def verify_trace_identities(
     """
     if fock.n_modes < 3:
         raise OracleRangeError("identity battery needs at least 3 retained modes", "n_modes")
+    if fock.dimension > _DIM_CAP:
+        raise OracleRangeError(
+            f"truncated dimension {fock.dimension} exceeds cap {_DIM_CAP}", "n_max", "n_modes"
+        )
     w = mode_frequencies(fock.n_modes, cfg.L0)
     # the state is truncated at n_max; the operators get two rungs of
     # headroom (the largest raising power in the battery) so the reordering
@@ -567,7 +434,7 @@ def verify_trace_identities(
 
 
 # ---------------------------------------------------------------------------
-# perturbation theory vs direct evolution
+# perturbation theory vs phase-space propagation
 # ---------------------------------------------------------------------------
 
 
@@ -582,7 +449,7 @@ class ComparisonRow:
 
 @dataclass(frozen=True)
 class FrictionComparison:
-    """Direct-evolution energies against the second-order friction formula.
+    """Phase-space energies against the second-order friction formula.
 
     ``ratio`` per row is ``(E_full - E_adiab) / E_F``; ``richardson_ratio``
     extrapolates the two rows to ``eps -> 0``, removing the leading
@@ -591,28 +458,6 @@ class FrictionComparison:
 
     rows: tuple[ComparisonRow, ...]
     richardson_ratio: float
-
-
-def _adiabatic_energy(
-    rho0: np.ndarray, H_start: np.ndarray, H_end: np.ndarray
-) -> float:
-    """Population-preserving energy: initial level weights on final levels.
-
-    Both spectra are sorted; within degenerate clusters of the initial
-    Hamiltonian the thermal weights are equal, so the pairing ambiguity does
-    not affect the sum.
-    """
-    offdiag = H_start - np.diag(np.diag(H_start))
-    if float(np.max(np.abs(offdiag))) > 1e-12 * max(1.0, float(np.max(np.abs(H_start)))):
-        raise ValueError(
-            "adiabatic baseline requires the stroke to start at rest "
-            "(delta = ddelta = 0), where H is diagonal in the Fock basis"
-        )
-    p = np.real(np.diag(rho0)).copy()
-    e_start = np.real(np.diag(H_start))
-    order = np.argsort(e_start, kind="stable")
-    e_end = np.linalg.eigvalsh(H_end)
-    return float(np.dot(p[order], np.sort(e_end)))
 
 
 def validate_friction(
@@ -624,14 +469,16 @@ def validate_friction(
 ) -> FrictionComparison:
     """Measure the non-adiabatic energy directly and compare with E_F.
 
-    For each compression ratio the thermal state is evolved through the
-    stroke; the excess of the final energy over the population-preserving
-    (adiabatic) value of the same truncated model is divided by the
-    friction formula restricted to the retained modes.  Mode sums on both
-    sides use the same retained set, so the comparison probes the
-    perturbative expansion, not the mode cutoff.  Where ``E_F`` does not
-    exceed its round-off bound (a shortcut stroke), the ratio and its
-    extrapolation are NaN and a RuntimeWarning says so.
+    For each compression ratio the thermal covariance
+    ``diag(N + 1/2, N + 1/2)`` is propagated through the stroke.  The
+    excess of the final energy over the population-preserving (adiabatic)
+    value ``sum_k nu_k (N_k + 1/2) - Tr(h_end)/4``, with ``nu`` the sorted
+    symplectic eigenvalues of the final ``h``, is divided by the friction
+    formula restricted to the retained modes.  Mode sums on both sides use
+    the same retained set, so the comparison probes the perturbative
+    expansion, not the mode cutoff.  Where ``E_F`` does not exceed its
+    round-off bound (a shortcut stroke), the ratio and its extrapolation
+    are NaN and a RuntimeWarning says so.
     """
     if epsilons is None:
         epsilons = (cfg.epsilon, cfg.epsilon / 2.0)
@@ -643,18 +490,35 @@ def validate_friction(
         raise OracleRangeError(
             "validate_friction needs eps <= 0.02 so the second order dominates", "epsilon"
         )
-    # the static parts depend on L0 and the truncation, not on epsilon
-    parts = _static_parts(cfg, fock)
+    if fock.n_modes > _FRICTION_MODES_MAX:
+        raise OracleRangeError(
+            f"validate_friction retains at most {_FRICTION_MODES_MAX} modes", "n_modes"
+        )
+    # the static parts depend on L0 and the mode count, not on epsilon
+    parts = _static_parts(cfg, fock.n_modes)
+    h0 = parts[0]
+    n_bar = occupations(bath.beta, mode_frequencies(fock.n_modes, cfg.L0))
+    sigma0 = np.diag(np.tile(n_bar + 0.5, 2))
+    J = _symplectic_form(fock.n_modes)
     rows = []
     for eps in epsilons:
         cfg_eps = replace(cfg, epsilon=eps, n_modes=fock.n_modes)
-        rho0 = thermal_state(bath.beta, fock, cfg_eps)
-        H_start = _assemble(traj.t_start, cfg_eps, traj, *parts)
-        H_end = _assemble(traj.t_end, cfg_eps, traj, *parts)
-        rho_end = _evolve(rho0, cfg_eps, traj, fock, parts)
-        e_full = energy_expectation(rho_end, H_end)
-        e_adiab = _adiabatic_energy(rho0, H_start, H_end)
-        res = friction_energy(cfg_eps, bath, traj, compute_bound=False)
+        h_start, h_end = _forms(np.array([traj.t_start, traj.t_end]), cfg_eps, traj, parts)
+        if np.max(np.abs(h_start - h0)) > 1e-12 * float(np.max(h0)):
+            raise ValueError(
+                "adiabatic baseline requires the stroke to start at rest "
+                "(delta = ddelta = 0), where H is the free Hamiltonian"
+            )
+        S = _propagator(cfg_eps, traj, fock, parts)
+        e_full = _energy(h_end, S @ sigma0 @ S.T)
+        # J h_end has the eigenvalues +-i nu_k
+        nu = np.sort(np.abs(np.linalg.eigvals(J @ h_end).imag))[::2]
+        e_adiab = float(nu @ (n_bar + 0.5)) - 0.25 * float(np.trace(h_end))
+        with warnings.catch_warnings():
+            # E_F is restricted to the retained modes on purpose, so the
+            # modes it leaves out are no truncation to warn about here
+            warnings.simplefilter("ignore", TruncationWarning)
+            res = friction_energy(cfg_eps, bath, traj, compute_bound=False)
         ef = res.value
         if abs(ef) > res.err:
             ratio = (e_full - e_adiab) / ef

@@ -179,10 +179,24 @@ def test_criterion_07_fock_oracle_richardson():
     elapsed = time.time() - t0
     ok = 0.95 <= rep.richardson_ratio <= 1.05 and elapsed < 600.0
     report(
-        "C7 dense-evolution oracle confirms the friction formula",
+        "C7 phase-space oracle confirms the friction formula",
         ok,
         f"Richardson ratio {rep.richardson_ratio:.4f} "
         f"(raw {rep.rows[0].ratio:.4f}, {rep.rows[1].ratio:.4f}), {elapsed:.1f} s",
+    )
+
+
+def test_criterion_07_fock_oracle_richardson_at_32_modes():
+    # the propagator has no Fock cutoff, so C7 holds at a production K too;
+    # dt * omega_max = 0.096
+    cfg = cavity(0.01, 32)
+    fock = FockConfig(n_modes=32, dt=0.003, integrator_order=4)
+    rep = validate_friction(cfg, ThermalBath(2.0), quintic(1.0), fock, epsilons=(0.01, 0.005))
+    report(
+        "C7 phase-space oracle at 32 modes",
+        0.95 <= rep.richardson_ratio <= 1.05,
+        f"Richardson ratio {rep.richardson_ratio:.6f} "
+        f"(raw {rep.rows[0].ratio:.4f}, {rep.rows[1].ratio:.4f})",
     )
 
 

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -59,6 +60,12 @@ class TestParsing:
         conf.write_text("frobnicate = 3\n")
         with pytest.raises(UsageError):
             parse_config(["friction", "--config", str(conf)])
+
+    def test_env_var_of_mixed_case_flag(self, monkeypatch):
+        # CASOTTO_<FLAG> is upper case, so --L0 is matched case-insensitively
+        monkeypatch.setenv("CASOTTO_L0", "2")
+        assert parse_config(["shortcut-check"])["L0"] == 2.0
+        assert parse_config(["shortcut-check", "--L0", "3"])["L0"] == 3.0
 
     def test_unknown_env_var_is_hard_error(self, monkeypatch):
         monkeypatch.setenv("CASOTTO_FROBNICATE", "3")
@@ -134,7 +141,6 @@ class TestParsing:
         ["oracle", "--n-max", "0"],
         ["oracle", "--dt", "0"],
         ["oracle", "--integrator-order", "3"],
-        ["oracle", "--fock-modes", "9", "--n-max", "9"],
         ["shortcut-check", "--L0", "0"],
     ], ids=["points-zero", "points-negative", "n-not-integer", "n-negative", "n-empty",
             "tail-tol-zero", "beta-ratio-above-one", "beta-ratio-zero", "beta-a-negative",
@@ -142,7 +148,7 @@ class TestParsing:
             "oracle-two-epsilons", "engine-two-beta-ratios", "grid-empty-range",
             "grid-zero-points", "log-grid-at-zero", "grid-count-not-integer",
             "grid-bound-not-number", "fock-modes-zero", "n-max-zero", "dt-zero",
-            "integrator-order-three", "fock-dimension-over-cap", "L0-zero"])
+            "integrator-order-three", "L0-zero"])
     def test_shortcut_check_rejects_bad_samples(self, argv):
         # out-of-range values are usage errors (status 2), caught before the
         # library's own ValueError would turn them into numerical failures (3)
@@ -362,17 +368,39 @@ class TestRuns:
     @pytest.mark.parametrize(
         "argv, flag",
         [
-            ([], "--n-max"),  # the defaults --beta 1 --n-max 8 clip the thermal weight
+            # the defaults --beta 1 --n-max 8 clip the battery's thermal weight
+            (["--check", "identities", "--fock-modes", "3"], "--n-max"),
             (["--epsilon", "0.03"], "--epsilon"),
             (["--beta", "2", "--dt", "0.2"], "--dt"),
             (["--check", "identities", "--fock-modes", "2"], "--fock-modes"),
+            (["--check", "identities", "--fock-modes", "9", "--n-max", "9"], "--n-max"),
+            (["--fock-modes", "65"], "--fock-modes"),
         ],
-        ids=["defaults", "epsilon", "dt", "identity-modes"],
+        ids=["defaults", "epsilon", "dt", "identity-modes", "fock-dimension-over-cap",
+             "friction-modes-over-cap"],
     )
     def test_oracle_range_errors_are_usage_errors(self, capsys, argv, flag):
         assert main(["oracle", *argv]) == 2
         message = capsys.readouterr().err
         assert message.startswith("casotto: ") and flag in message
+
+    def test_oracle_friction_runs_at_its_defaults(self):
+        # the friction check has no Fock cutoff, so --beta 1 --n-max 8 is fine
+        status, text = capture(["oracle"])
+        assert status == 0
+        rows = [l.split(",") for l in text.splitlines() if l[:1].isdigit()]
+        assert len(rows) == 2 and 0.95 <= float(rows[0][5]) <= 1.05
+
+    def test_oracle_friction_at_16_modes_warns_of_no_truncation(self, capsys):
+        # E_F is restricted to the retained modes on purpose; the friction
+        # formula's warning about the modes beyond them does not apply
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            status, text = capture(["oracle", "--fock-modes", "16", "--dt", "0.005"])
+        assert status == 0
+        assert [w.category.__name__ for w in caught] == []
+        rows = [l.split(",") for l in text.splitlines() if l[:1].isdigit()]
+        assert 0.95 <= float(rows[0][5]) <= 1.05
 
     def test_oracle_round_off_friction_prints_nan(self):
         # a shortcut stroke's E_F is round-off: the ratio is NaN, not 1e28

@@ -1,19 +1,17 @@
 import math
 import tracemalloc
+import warnings
+from functools import reduce
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from casotto import fock_oracle
 from casotto.fock_oracle import (
     FockConfig,
-    TruncationQualityError,
-    build_hamiltonian,
-    energy_expectation,
-    evolve,
-    lowering_operator,
-    mode_occupations,
-    thermal_state,
+    OracleRangeError,
+    StepSizeError,
     validate_friction,
     verify_trace_identities,
 )
@@ -21,18 +19,23 @@ from casotto.fock_oracle import (
     _CF4_X1,
     _CF4_X2,
     _GAUSS_SHIFT,
-    _assemble,
-    _expm_unitary,
+    _embedded_thermal_state,
+    _energy,
+    _expm,
+    _forms,
     _ladder_string,
-    _sector_parts,
+    _propagator,
     _static_parts,
+    _symplectic_form,
 )
+from casotto.friction import TruncationWarning, friction_energy
 from casotto.spectrum import (
     CavityConfig,
     ThermalBath,
     coupling_g,
     mode_frequencies,
     mode_frequency_derivative,
+    occupations,
     thermal_occupation,
 )
 from casotto.trajectory import PPoly, Trajectory, quintic, shortcut
@@ -46,14 +49,189 @@ def static_profile(value: float, tau: float = 1.0) -> Trajectory:
     return Trajectory(PPoly([[value]], [0.0, tau]), label=f"static({value})")
 
 
+# ---------------------------------------------------------------------------
+# dense reference: H(t) on a truncated Fock space, one full expm per stage
+# ---------------------------------------------------------------------------
+
+
+class TruncationQualityError(RuntimeError):
+    """The reference's occupation cutoff distorts the thermal state."""
+
+
+def lowering_operator(mode: int, fock: FockConfig) -> np.ndarray:
+    """Annihilation operator of one mode on the truncated product space."""
+    if not 1 <= mode <= fock.n_modes:
+        raise ValueError(f"mode {mode} outside 1..{fock.n_modes}")
+    a = np.diag(np.sqrt(np.arange(1.0, fock.n_max + 1.0)), k=1)
+    eye = np.eye(fock.n_max + 1)
+    return reduce(np.kron, [a if m == mode else eye for m in range(1, fock.n_modes + 1)])
+
+
+def static_parts(cfg: CavityConfig, fock: FockConfig):
+    """(H0, M1, M2) with ``H(t) = H0 + dL(t) M1 + dLdot(t) M2``: sums of
+    dense products of the embedded ladder operators, term by term as the
+    module docstring writes ``H(t)``."""
+    w = mode_frequencies(fock.n_modes, cfg.L0)
+    a = [lowering_operator(k, fock) for k in range(1, fock.n_modes + 1)]
+    H0 = sum(w[k] * a[k].T @ a[k] for k in range(fock.n_modes))
+    M1 = sum(
+        mode_frequency_derivative(k + 1, cfg.L0)
+        * (a[k].T @ a[k] + 0.5 * (a[k] @ a[k] + a[k].T @ a[k].T))
+        for k in range(fock.n_modes)
+    )
+    Y = np.zeros((fock.dimension,) * 2)
+    for k in range(fock.n_modes):
+        for j in range(fock.n_modes):
+            if j != k:
+                ak, aj = a[k], a[j]
+                Y += coupling_g(k + 1, j + 1) * math.sqrt(w[k] / w[j]) * (
+                    ak @ aj - ak.T @ aj + ak @ aj.T - ak.T @ aj.T
+                )
+    return H0.astype(complex), M1.astype(complex), Y / (2j * cfg.L0)
+
+
+def _dense_at(t: float, cfg: CavityConfig, traj: Trajectory, parts) -> np.ndarray:
+    H0, M1, M2 = parts
+    dl = -cfg.L0 * cfg.epsilon * float(traj.delta(t))
+    dldot = -cfg.L0 * cfg.epsilon * float(traj.ddelta(t))
+    return H0 + dl * M1 + dldot * M2
+
+
+def build_hamiltonian(t: float, cfg: CavityConfig, traj: Trajectory, fock: FockConfig):
+    """Dense ``H(t)`` on the truncated space, inside the stroke only."""
+    if not (traj.t_start <= t <= traj.t_end):
+        raise ValueError(f"t={t} outside trajectory domain")
+    return _dense_at(t, cfg, traj, static_parts(cfg, fock))
+
+
+def mode_occupations(rho: np.ndarray, fock: FockConfig) -> np.ndarray:
+    ops = [lowering_operator(k, fock) for k in range(1, fock.n_modes + 1)]
+    return np.array([np.real(np.trace(rho @ a.T @ a)) for a in ops])
+
+
+def thermal_state(beta: float, fock: FockConfig, cfg: CavityConfig) -> np.ndarray:
+    """The battery's truncated thermal state as a dense matrix; its
+    per-mode occupations must match the untruncated ones to 1e-4."""
+    rho = np.diag(_embedded_thermal_state(beta, fock, fock, cfg)).astype(complex)
+    exact = occupations(beta, mode_frequencies(fock.n_modes, cfg.L0))
+    worst = float(np.max(np.abs(mode_occupations(rho, fock) - exact)))
+    if worst > 1e-4:
+        raise TruncationQualityError(f"per-mode occupation off by {worst:.2e}")
+    return rho
+
+
+def evolve(rho0, cfg, traj, fock):
+    """The stroke's time-ordered product, one full-space expm per stage,
+    with the propagator's step rule and nodes."""
+    parts = static_parts(cfg, fock)
+    n_steps = max(1, math.ceil(traj.duration / fock.dt))
+    h = traj.duration / n_steps
+    rho = rho0.astype(complex)
+    for t0 in traj.t_start + h * np.arange(n_steps):
+        if fock.integrator_order == 2:
+            U = expm(-1j * h * _dense_at(t0 + 0.5 * h, cfg, traj, parts))
+        else:
+            A1 = _dense_at(t0 + (0.5 - _GAUSS_SHIFT) * h, cfg, traj, parts)
+            A2 = _dense_at(t0 + (0.5 + _GAUSS_SHIFT) * h, cfg, traj, parts)
+            U = expm(-1j * h * (_CF4_X1 * A1 + _CF4_X2 * A2)) @ expm(
+                -1j * h * (_CF4_X2 * A1 + _CF4_X1 * A2)
+            )
+        rho = U @ rho @ U.conj().T
+    return 0.5 * (rho + rho.conj().T)
+
+
+def energy_expectation(rho: np.ndarray, H: np.ndarray) -> float:
+    """``Tr(rho H)`` with Hermiticity checks; the imaginary residue must vanish."""
+    for name, A in (("rho", rho), ("H", H)):
+        scale = max(1.0, float(np.max(np.abs(A))))
+        if float(np.max(np.abs(A - A.conj().T))) > 1e-10 * scale:
+            raise ValueError(f"{name} is not Hermitian")
+    val = complex(np.einsum("ij,ji->", rho, H))
+    if abs(val.imag) > 1e-10 * max(1.0, abs(val.real)):
+        raise ValueError(f"energy expectation has imaginary residue {val.imag:.2e}")
+    return val.real
+
+
+def dense_excess(cfg: CavityConfig, beta: float, traj: Trajectory, fock: FockConfig) -> float:
+    """``E_full - E_adiab`` of the reference: the final energy against the
+    initial level weights on the sorted final levels."""
+    rho0 = thermal_state(beta, fock, cfg)
+    H_end = build_hamiltonian(traj.t_end, cfg, traj, fock)
+    e_full = energy_expectation(evolve(rho0, cfg, traj, fock), H_end)
+    start = np.real(np.diag(build_hamiltonian(traj.t_start, cfg, traj, fock)))
+    weights = np.real(np.diag(rho0))[np.argsort(start, kind="stable")]
+    return e_full - float(weights @ np.sort(np.linalg.eigvalsh(H_end)))
+
+
+def _quantised(form: np.ndarray, fock: FockConfig) -> np.ndarray:
+    """``xi^T form xi / 2 - Tr(form) / 4`` as a dense operator on ``fock``.
+
+    The quadratures act on ladders one rung longer and the products are cut
+    back to ``n_max``, so every quadratic term is exact on the kept states.
+    """
+    n, rungs = fock.n_modes, fock.n_max + 2
+    a = np.diag(np.sqrt(np.arange(1.0, rungs)), k=1)
+    quad = [(a + a.T) / math.sqrt(2.0), (a - a.T) / (1j * math.sqrt(2.0))]  # x, p
+    eye = np.eye(rungs)
+
+    def lifted(factors: dict[int, np.ndarray]) -> np.ndarray:
+        return reduce(np.kron, [factors.get(m, eye) for m in range(n)])
+
+    op = -0.25 * np.trace(form) * lifted({})
+    for i, j in zip(*np.nonzero(form)):
+        (mi, qi), (mj, qj) = (i % n, i // n), (j % n, j // n)  # mode, x or p
+        factors = {mi: quad[qi] @ quad[qj]} if mi == mj else {mi: quad[qi], mj: quad[qj]}
+        op = op + 0.5 * form[i, j] * lifted(factors)
+    occ = np.unravel_index(np.arange(rungs**n), (rungs,) * n)
+    keep = np.all(np.array(occ) <= fock.n_max, axis=0)
+    return op[np.ix_(keep, keep)]
+
+
+def _second_moments(rho: np.ndarray, fock: FockConfig) -> np.ndarray:
+    """``sigma_ab = <{xi_a, xi_b}>/2`` of a dense state (first moments
+    included)."""
+    dim = 2 * fock.n_modes
+    sigma = np.empty((dim, dim))
+    for a in range(dim):
+        for b in range(dim):
+            form = np.zeros((dim, dim))
+            form[a, b] += 1.0
+            form[b, a] += 1.0
+            # _quantised subtracts Tr(form)/4, which is 1/2 on the diagonal
+            sigma[a, b] = np.real(np.trace(rho @ _quantised(form, fock))) + 0.5 * (a == b)
+    return sigma
+
+
+def _parity(fock: FockConfig) -> np.ndarray:
+    """Total photon number mod 2 of each basis state, mode 1 slowest."""
+    occ = np.unravel_index(np.arange(fock.dimension), (fock.n_max + 1,) * fock.n_modes)
+    return sum(occ) % 2
+
+
+def _occupations_after(S: np.ndarray, sigma0: np.ndarray) -> np.ndarray:
+    """Per-mode ``<N_k>`` of the covariance ``S sigma0 S^T``."""
+    sigma = S @ sigma0 @ S.T
+    n = len(sigma) // 2
+    return 0.5 * (np.diag(sigma)[:n] + np.diag(sigma)[n:]) - 0.5
+
+
+def _thermal_covariance(beta: float, cfg: CavityConfig) -> np.ndarray:
+    n_bar = occupations(beta, mode_frequencies(cfg.n_modes, cfg.L0))
+    return np.diag(np.tile(n_bar + 0.5, 2))
+
+
 class TestFockConfig:
     def test_dimension(self):
         assert FockConfig(n_modes=2, n_max=8).dimension == 81
         assert FockConfig(n_modes=3, n_max=8).dimension == 729
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            FockConfig(n_modes=4, n_max=30)  # dimension blow-up
+        # the dimension cap belongs to the identity battery, which builds
+        # the Fock space; the friction check has no cutoff
+        big = FockConfig(n_modes=4, n_max=30)
+        with pytest.raises(OracleRangeError, match="exceeds cap") as caught:
+            verify_trace_identities(2.0, big, cavity(K=4))
+        assert caught.value.names == ("n_max", "n_modes")
         with pytest.raises(ValueError):
             FockConfig(integrator_order=3)
         with pytest.raises(ValueError):
@@ -61,6 +239,8 @@ class TestFockConfig:
 
 
 class TestBuildHamiltonian:
+    """The dense reference's ``H(t)`` against hand-built operators."""
+
     def test_static_wall_is_free_hamiltonian(self):
         fock = FockConfig(n_modes=2, n_max=4)
         cfg = cavity()
@@ -91,56 +271,39 @@ class TestBuildHamiltonian:
         tr = quintic(1.0)
         for t in (0.1, 0.37, 0.9):
             H = build_hamiltonian(t, cavity(K=3), tr, fock)
-            assert np.array_equal(H, H.conj().T)
+            assert np.max(np.abs(H - H.conj().T)) <= 1e-15
 
     def test_rejects_time_outside_domain(self):
         with pytest.raises(ValueError):
             build_hamiltonian(2.0, cavity(), quintic(1.0), FockConfig(n_modes=1, n_max=3))
 
 
-def _dense_static_parts(cfg: CavityConfig, fock: FockConfig):
-    """(H0, M1, M2) as sums of dense products of the embedded ladder
-    operators, term by term as the module docstring writes ``H(t)``."""
-    w = mode_frequencies(fock.n_modes, cfg.L0)
-    a = [lowering_operator(k, fock) for k in range(1, fock.n_modes + 1)]
-    H0 = sum(w[k] * a[k].T @ a[k] for k in range(fock.n_modes))
-    M1 = sum(
-        mode_frequency_derivative(k + 1, cfg.L0)
-        * (a[k].T @ a[k] + 0.5 * (a[k] @ a[k] + a[k].T @ a[k].T))
-        for k in range(fock.n_modes)
-    )
-    Y = np.zeros((fock.dimension,) * 2)
-    for k in range(fock.n_modes):
-        for j in range(fock.n_modes):
-            if j != k:
-                ak, aj = a[k], a[j]
-                Y += coupling_g(k + 1, j + 1) * math.sqrt(w[k] / w[j]) * (
-                    ak @ aj - ak.T @ aj + ak @ aj.T - ak.T @ aj.T
-                )
-    return H0, M1, Y / (2j * cfg.L0)
-
-
 class TestStaticParts:
+    """The phase-space form ``h(t)`` against the dense reference."""
+
     @pytest.mark.parametrize("n_modes", [1, 2, 3])
     def test_free_hamiltonian_is_exactly_diagonal(self, n_modes):
-        fock = FockConfig(n_modes=n_modes, n_max=8)
-        cfg = cavity(K=n_modes)
-        H0 = _static_parts(cfg, fock)[0]
-        occ = np.unravel_index(np.arange(fock.dimension), (fock.n_max + 1,) * n_modes)
-        w = mode_frequencies(n_modes, cfg.L0)
-        assert np.array_equal(np.real(np.diag(H0)), sum(w[k] * occ[k] for k in range(n_modes)))
-        assert np.array_equal(H0, np.diag(np.diag(H0)))
+        h0, h1, h2 = _static_parts(cavity(K=n_modes), n_modes)
+        w = mode_frequencies(n_modes, math.pi)
+        assert np.array_equal(h0, np.diag(np.concatenate([w, w])))
+        # the squeeze term moves x only; the coupling pairs p_k with x_j
+        assert np.array_equal(h1, np.diag(np.diag(h1))) and not np.any(np.diag(h1)[n_modes:])
+        assert not np.any(h2[:n_modes, :n_modes]) and not np.any(h2[n_modes:, n_modes:])
+        assert np.array_equal(h2, h2.T)
 
     @pytest.mark.parametrize("n_modes", [1, 2, 3])
     @pytest.mark.parametrize("n_max", [1, 4, 6])
     def test_matches_dense_ladder_products(self, n_modes, n_max):
         fock = FockConfig(n_modes=n_modes, n_max=n_max)
         cfg = cavity(K=n_modes)
-        for part, ref in zip(_static_parts(cfg, fock), _dense_static_parts(cfg, fock)):
-            assert np.max(np.abs(part - ref)) <= 1e-14
+        for form, ref in zip(_static_parts(cfg, n_modes), static_parts(cfg, fock)):
+            scale = max(1.0, float(np.max(np.abs(ref))))  # up to 36 at n_max = 6
+            assert np.max(np.abs(_quantised(form, fock) - ref)) <= 1e-15 * scale
 
 
 class TestThermalState:
+    """The battery's truncated thermal state, as the dense reference uses it."""
+
     def test_vacuum_projector(self):
         fock = FockConfig(n_modes=2, n_max=3)
         rho = thermal_state(math.inf, fock, cavity())
@@ -162,6 +325,8 @@ class TestThermalState:
         # beta * w_1 = 1 with a short ladder keeps too little weight
         with pytest.raises(ValueError):
             thermal_state(1.0, FockConfig(n_modes=1, n_max=8), cavity(K=1))
+        with pytest.raises(OracleRangeError, match="thermal weight"):
+            verify_trace_identities(1.0, FockConfig(n_modes=3, n_max=8), cavity(K=3))
 
     def test_unit_trace(self):
         fock = FockConfig(n_modes=2, n_max=8)
@@ -177,156 +342,129 @@ class TestThermalState:
 
 
 class TestEvolve:
-    def test_free_evolution_preserves_occupations(self):
-        fock = FockConfig(n_modes=2, n_max=6, dt=0.02)
-        cfg = cavity()
-        rho0 = thermal_state(2.0, fock, cfg)
-        rho1 = evolve(rho0, cfg, static_profile(0.0), fock)
-        assert np.max(np.abs(mode_occupations(rho1, fock) - mode_occupations(rho0, fock))) < 1e-12
+    """The phase-space propagator."""
 
-    def test_free_evolution_energy_conservation(self):
-        fock = FockConfig(n_modes=2, n_max=6, dt=0.02)
+    def test_free_evolution_preserves_occupations(self):
         cfg = cavity()
-        rho0 = thermal_state(2.0, fock, cfg)
-        H = build_hamiltonian(0.0, cfg, static_profile(0.0), fock)
-        rho1 = evolve(rho0, cfg, static_profile(0.0), fock)
-        assert abs(energy_expectation(rho1, H) - energy_expectation(rho0, H)) < 1e-10
+        fock = FockConfig(n_modes=2, dt=0.02)
+        sigma0 = _thermal_covariance(2.0, cfg)
+        S = _propagator(cfg, static_profile(0.0), fock, _static_parts(cfg, 2))
+        occ0 = occupations(2.0, mode_frequencies(2, cfg.L0))
+        assert np.max(np.abs(_occupations_after(S, sigma0) - occ0)) < 1e-12
+
+    def test_free_evolution_energy_conservation(self, monkeypatch):
+        cfg = cavity()
+        frozen = static_profile(0.0)
+        parts = _static_parts(cfg, 2)
+        sigma0 = _thermal_covariance(2.0, cfg)
+        S = _propagator(cfg, frozen, FockConfig(n_modes=2, dt=0.02), parts)
+        assert abs(_energy(parts[0], S @ sigma0 @ S.T) - _energy(parts[0], sigma0)) < 1e-12
+        # a first-order step exponential is not symplectic: the static-wall
+        # energy check catches the drift
+        monkeypatch.setattr(fock_oracle, "_TAYLOR_DEGREE", 1)
+        with pytest.raises(StepSizeError, match="drifted"):
+            _propagator(cfg, frozen, FockConfig(n_modes=2, dt=0.02), parts)
 
     def test_trace_preservation(self):
-        fock = FockConfig(n_modes=2, n_max=8, dt=0.01)
-        cfg = cavity()
-        rho0 = thermal_state(2.0, fock, cfg)
-        rho1 = evolve(rho0, cfg, quintic(1.0), fock)
-        assert abs(np.trace(rho1).real - 1.0) < 1e-10
+        # the whole stroke is symplectic: S J S^T = J
+        for n_modes in (2, 16):
+            cfg = cavity(K=n_modes)
+            fock = FockConfig(n_modes=n_modes, dt=0.1 / n_modes)
+            S = _propagator(cfg, quintic(1.0), fock, _static_parts(cfg, n_modes))
+            J = _symplectic_form(n_modes)
+            assert np.max(np.abs(S @ J @ S.T - J)) < 1e-12
 
     def test_compression_grows_occupation_at_second_order(self):
-        fock = FockConfig(n_modes=1, n_max=12, dt=0.01)
+        fock = FockConfig(n_modes=1, dt=0.01)
         gains = []
         for eps in (0.01, 0.02):
             cfg = cavity(eps=eps, K=1)
-            rho0 = thermal_state(2.0, fock, cfg)
-            rho1 = evolve(rho0, cfg, quintic(1.0), fock)
-            gains.append(mode_occupations(rho1, fock)[0] - mode_occupations(rho0, fock)[0])
+            S = _propagator(cfg, quintic(1.0), fock, _static_parts(cfg, 1))
+            gains.append(_occupations_after(S, _thermal_covariance(2.0, cfg))[0]
+                         - thermal_occupation(2.0, cfg.omega1))
         assert gains[0] > 0
         assert gains[1] / gains[0] == pytest.approx(4.0, rel=0.05)
 
     def test_unitarity_of_single_step(self):
-        fock = FockConfig(n_modes=2, n_max=6)
-        cfg = cavity()
-        H = build_hamiltonian(0.3, cfg, quintic(1.0), fock)
-        odd = _parity(fock).astype(bool)
-        for U in _expm_unitary([H[np.ix_(m, m)] for m in (~odd, odd)], 0.05):
-            eye = np.eye(len(U))
-            assert np.max(np.abs(U.conj().T @ U - eye)) < 1e-12
+        # one step's exponential is symplectic to round-off
+        cfg = cavity(eps=0.2, K=3)
+        J = _symplectic_form(3)
+        form = _forms(np.array(0.3), cfg, quintic(1.0), _static_parts(cfg, 3))
+        E = _expm(0.1 / 3 * J @ form)
+        assert np.max(np.abs(E @ J @ E.T - J)) < 1e-15
 
     def test_integrator_convergence_order(self):
         # error against a fine reference shrinks by ~2^order per halving
         cfg = cavity(eps=0.2, K=2)
         tr = quintic(1.0)
-        fock_ref = FockConfig(n_modes=2, n_max=6, dt=0.003125, integrator_order=4)
-        rho0 = thermal_state(2.0, fock_ref, cfg)
-        ref = evolve(rho0, cfg, tr, fock_ref)
+        parts = _static_parts(cfg, 2)
+        ref = _propagator(cfg, tr, FockConfig(n_modes=2, dt=0.003125, integrator_order=4), parts)
         for order, expected in ((2, 2.0), (4, 4.0)):
             errs = []
             for dt in (0.05, 0.025):
-                fock = FockConfig(n_modes=2, n_max=6, dt=dt, integrator_order=order)
-                rho1 = evolve(rho0, cfg, tr, fock)
-                errs.append(np.max(np.abs(rho1 - ref)))
+                fock = FockConfig(n_modes=2, dt=dt, integrator_order=order)
+                errs.append(np.max(np.abs(_propagator(cfg, tr, fock, parts) - ref)))
             measured = math.log2(errs[0] / errs[1])
             assert abs(measured - expected) <= 0.3
 
     def test_step_size_cap(self):
-        fock = FockConfig(n_modes=2, n_max=8, dt=0.2)
         cfg = cavity()
-        rho0 = thermal_state(2.0, fock, cfg)
-        with pytest.raises(ValueError, match="dt"):
-            evolve(rho0, cfg, quintic(1.0), fock)
-
-
-def _parity(fock: FockConfig) -> np.ndarray:
-    """Total photon number mod 2 of each basis state, mode 1 slowest."""
-    occ = np.unravel_index(np.arange(fock.dimension), (fock.n_max + 1,) * fock.n_modes)
-    return sum(occ) % 2
-
-
-def _dense_expm(H: np.ndarray, dt: float) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(H)
-    return (vecs * np.exp(-1j * dt * vals)) @ vecs.conj().T
-
-
-def _dense_evolve(rho0, cfg, traj, fock):
-    """The full-matrix propagator: one eigh of the whole generator per stage."""
-    H0, M1, M2 = _static_parts(cfg, fock)
-    n_steps = max(1, math.ceil(traj.duration / fock.dt))
-    h = traj.duration / n_steps
-    grid = traj.t_start + h * np.arange(n_steps + 1)
-    rho = rho0.astype(complex)
-    for t0 in grid[:-1]:
-        if fock.integrator_order == 2:
-            U = _dense_expm(_assemble(t0 + 0.5 * h, cfg, traj, H0, M1, M2), h)
-        else:
-            A1 = _assemble(t0 + (0.5 - _GAUSS_SHIFT) * h, cfg, traj, H0, M1, M2)
-            A2 = _assemble(t0 + (0.5 + _GAUSS_SHIFT) * h, cfg, traj, H0, M1, M2)
-            U = _dense_expm(_CF4_X1 * A1 + _CF4_X2 * A2, h) @ _dense_expm(
-                _CF4_X2 * A1 + _CF4_X1 * A2, h
-            )
-        rho = U @ rho @ U.conj().T
-        rho = 0.5 * (rho + rho.conj().T)
-    return rho
+        with pytest.raises(OracleRangeError, match="dt") as caught:
+            _propagator(cfg, quintic(1.0), FockConfig(n_modes=2, dt=0.2), _static_parts(cfg, 2))
+        assert caught.value.names == ("dt",)
 
 
 class TestParitySectors:
+    """Every term of ``H(t)`` is quadratic in the ladder operators: it
+    conserves photon-number parity and acts linearly on the quadratures,
+    which is what the phase-space propagator rests on."""
+
     @pytest.mark.parametrize("n_modes", [1, 2, 3])
     @pytest.mark.parametrize("n_max", [1, 4, 8])
     def test_static_parts_conserve_parity(self, n_modes, n_max):
         fock = FockConfig(n_modes=n_modes, n_max=n_max)
         odd = _parity(fock).astype(bool)
-        for X in _static_parts(cavity(K=n_modes), fock):
+        for X in static_parts(cavity(K=n_modes), fock):
             assert not np.any(X[np.ix_(odd, ~odd)])
             assert not np.any(X[np.ix_(~odd, odd)])
 
-    def test_sectors_follow_parity(self):
-        fock = FockConfig(n_modes=3, n_max=4)
-        order, sectors, blocks = _sector_parts(_static_parts(cavity(K=3), fock), fock)
-        parity = _parity(fock)[order]
-        assert not np.any(parity[sectors[0]]) and np.all(parity[sectors[1]])
-        assert [len(b[0]) for b in blocks] == [63, 62]
-
-    def test_parity_breaking_term_is_rejected(self):
-        fock = FockConfig(n_modes=2, n_max=4)
-        H0, M1, M2 = _static_parts(cavity(), fock)
-        a = lowering_operator(1, fock)
-        with pytest.raises(RuntimeError, match="parity"):
-            _sector_parts((H0, M1 + a + a.T, M2), fock)
-
     def test_blockwise_exponential_matches_full_eigh(self):
-        fock = FockConfig(n_modes=2, n_max=6)
+        # the stacked Taylor exponential against scipy's, one matrix at a time
         cfg = cavity(eps=0.2)
-        order, sectors, _ = _sector_parts(_static_parts(cfg, fock), fock)
-        for t in (0.1, 0.3, 0.77):
-            H = build_hamiltonian(t, cfg, quintic(1.0), fock)[np.ix_(order, order)]
-            U = np.zeros_like(H)
-            for s, block in zip(sectors, _expm_unitary([H[s, s] for s in sectors], 0.05)):
-                U[s, s] = block
-            assert np.max(np.abs(U - _dense_expm(H, 0.05))) < 1e-13
-            assert np.max(np.abs(U.conj().T @ U - np.eye(len(U)))) < 1e-12
+        J = _symplectic_form(2)
+        forms = _forms(np.array([0.1, 0.3, 0.77]), cfg, quintic(1.0), _static_parts(cfg, 2))
+        stacked = _expm(0.05 * J @ forms)
+        for E, form in zip(stacked, forms):
+            assert np.max(np.abs(E - expm(0.05 * J @ form))) < 1e-15
 
     @pytest.mark.parametrize("order", [2, 4])
     def test_evolve_matches_dense_propagator_with_coherences(self, order):
-        fock = FockConfig(n_modes=2, n_max=4, dt=0.02, integrator_order=order)
-        cfg = cavity(eps=0.2)
+        # quadratures evolve linearly whatever the state, so S carries the
+        # second moments of a state with coherences and first moments too;
+        # the state sits on the lowest rungs, far below the cutoff
+        fock = FockConfig(n_modes=2, n_max=10, dt=0.02, integrator_order=order)
+        cfg = cavity(eps=0.05)
         rng = np.random.default_rng(3)
-        G = rng.normal(size=(25, 25)) + 1j * rng.normal(size=(25, 25))
+        low = np.all(np.array(np.unravel_index(np.arange(121), (11, 11))) <= 1, axis=0)
+        G = np.zeros((121, 121), dtype=complex)
+        G[np.ix_(low, low)] = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         rho0 = G @ G.conj().T
         rho0 /= np.trace(rho0).real
         odd = _parity(fock).astype(bool)
         assert np.max(np.abs(rho0[np.ix_(odd, ~odd)])) > 1e-2
-        rho1 = evolve(rho0, cfg, quintic(1.0), fock)
-        assert np.max(np.abs(rho1 - _dense_evolve(rho0, cfg, quintic(1.0), fock))) < 1e-12
-        assert np.max(np.abs(rho1[np.ix_(odd, ~odd)])) > 1e-2
+        moments = _second_moments(rho0, fock)
+        tr = quintic(1.0)
+        S = _propagator(cfg, tr, fock, _static_parts(cfg, 2))
+        h_end = _forms(np.array(tr.t_end), cfg, tr, _static_parts(cfg, 2))
+        dense = energy_expectation(evolve(rho0, cfg, tr, fock), build_hamiltonian(tr.t_end, cfg, tr, fock))
+        # measured 3e-15 at eps = 0.05; 2.9e-9 at eps = 0.2, where the state
+        # reaches the cutoff
+        assert _energy(h_end, S @ moments @ S.T) == pytest.approx(dense, rel=1e-12)
 
 
 class TestEnergyExpectation:
+    """The dense reference's energy."""
+
     def test_vacuum_free_energy_is_zero(self):
         fock = FockConfig(n_modes=2, n_max=4)
         cfg = cavity()
@@ -364,6 +502,29 @@ class TestEnergyExpectation:
         bad = np.triu(np.ones((9, 9), dtype=complex))
         with pytest.raises(ValueError):
             energy_expectation(rho, bad)
+
+
+class TestDenseReference:
+    """``E_full - E_adiab`` of the propagator against the dense reference of
+    the same model; the difference is the reference's Fock cutoff."""
+
+    def test_two_modes(self):
+        cfg = cavity(eps=0.01, K=2)
+        fock = FockConfig(n_modes=2, n_max=12, dt=0.01)
+        row = validate_friction(cfg, ThermalBath(2.0), quintic(1.0), fock,
+                                epsilons=(0.01, 0.005)).rows[0]
+        dense = dense_excess(cfg, 2.0, quintic(1.0), fock)
+        # measured 3.6e-9
+        assert row.E_full - row.E_adiab == pytest.approx(dense, rel=1e-8)
+
+    def test_three_modes(self):
+        cfg = cavity(eps=0.01, K=3)
+        fock = FockConfig(n_modes=3, n_max=4, dt=0.01)
+        row = validate_friction(cfg, ThermalBath(5.0), quintic(1.0), fock,
+                                epsilons=(0.01, 0.005)).rows[0]
+        dense = dense_excess(cfg, 5.0, quintic(1.0), fock)
+        # measured 4.6e-7 at this cutoff (6.7e-9 at n_max = 5)
+        assert row.E_full - row.E_adiab == pytest.approx(dense, rel=1e-6)
 
 
 class TestTraceIdentities:
@@ -486,40 +647,37 @@ class TestValidateFriction:
                                                rel=0.1)
 
     def test_static_profile_matches_adiabatic_exactly(self):
-        # no wall velocity: evolution is exactly adiabatic and E_F = 0
-        cfg = cavity(eps=0.01, K=1)
-        fock = FockConfig(n_modes=1, n_max=10, dt=0.01)
-        rho0 = thermal_state(2.0, fock, cfg)
-        frozen = static_profile(0.0)
-        rho1 = evolve(rho0, cfg, frozen, fock)
-        H_end = build_hamiltonian(frozen.t_end, cfg, frozen, fock)
-        e_full = energy_expectation(rho1, H_end)
-        e_0 = energy_expectation(rho0, H_end)
-        assert e_full == pytest.approx(e_0, abs=1e-12)
+        # no wall velocity: evolution is exactly adiabatic, every mode keeps
+        # its frequency and its thermal occupation
+        cfg = cavity(eps=0.01, K=2)
+        parts = _static_parts(cfg, 2)
+        S = _propagator(cfg, static_profile(0.0), FockConfig(n_modes=2, dt=0.01), parts)
+        w = mode_frequencies(2, cfg.L0)
+        e_adiab = float(w @ occupations(2.0, w))
+        e_full = _energy(parts[0], S @ _thermal_covariance(2.0, cfg) @ S.T)
+        assert e_full == pytest.approx(e_adiab, abs=1e-12)
+
+    def test_stroke_must_start_at_rest(self):
+        # a displaced wall at t_start leaves no free Hamiltonian to count
+        # adiabatic populations in
+        fock = FockConfig(n_modes=1, dt=0.01)
+        with pytest.raises(ValueError, match="start at rest"):
+            validate_friction(cavity(K=1), ThermalBath(2.0), static_profile(1.0), fock)
 
     def test_shortcut_residual_is_higher_order(self):
         # with the resonant amplitudes cancelled the measured excess is far
         # below the plain-stroke friction at the same duration; the residual
         # has no threshold of its own, only this relative smallness
         cfg = CavityConfig(L0=1.0, epsilon=0.01, n_modes=2)
-        fock = FockConfig(n_modes=2, n_max=8, dt=0.002)
+        fock = FockConfig(n_modes=2, dt=0.002)
         bath = ThermalBath(2.0 / cfg.omega1)
-        sc = shortcut(quintic(1.0), cfg.L0)
-        rho0 = thermal_state(bath.beta, fock, cfg)
-        H0, M1, M2 = _static_parts(cfg, fock)
-        rho1 = evolve(rho0, cfg, sc, fock)
-        e_full = energy_expectation(rho1, _assemble(sc.t_end, cfg, sc, H0, M1, M2))
-        from casotto.fock_oracle import _adiabatic_energy
-
-        e_adiab = _adiabatic_energy(
-            rho0,
-            _assemble(sc.t_start, cfg, sc, H0, M1, M2),
-            _assemble(sc.t_end, cfg, sc, H0, M1, M2),
-        )
-        from casotto.friction import friction_energy
-
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # E_F is round-off
+            report = validate_friction(cfg, bath, shortcut(quintic(1.0), cfg.L0), fock,
+                                       epsilons=(0.01, 0.005))
+        row = report.rows[0]
         plain = friction_energy(cfg, bath, quintic(1.0), compute_bound=False).value
-        assert abs(e_full - e_adiab) < 0.05 * plain
+        assert abs(row.E_full - row.E_adiab) < 0.05 * plain
 
     def test_round_off_friction_gives_nan_ratio(self):
         # the shortcut cancels E_F down to round-off; dividing by it would
@@ -548,13 +706,33 @@ class TestValidateFriction:
             validate_friction(cfg, ThermalBath(2.0), quintic(1.0), fock,
                               epsilons=(0.1, 0.05))
 
+    def test_mode_cap(self):
+        # 64 modes is the most the check takes; the error names n_modes, not
+        # the step that 65 modes would also need shrunk
+        fock = FockConfig(n_modes=65, dt=0.01)
+        with pytest.raises(OracleRangeError, match="64") as caught:
+            validate_friction(cavity(K=65), ThermalBath(2.0), quintic(1.0), fock)
+        assert caught.value.names == ("n_modes",)
+
+    def test_no_truncation_warning_for_the_modes_left_out(self):
+        # E_F over the 16 retained modes of a tau = 1 stroke misses a tail the
+        # friction formula warns about; the comparison leaves it out on purpose
+        cfg = cavity(eps=0.01, K=16)
+        with pytest.warns(TruncationWarning):
+            friction_energy(cfg, ThermalBath(1.0), quintic(1.0), compute_bound=False)
+        fock = FockConfig(n_modes=16, dt=0.1 / 16)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = validate_friction(cfg, ThermalBath(1.0), quintic(1.0), fock)
+        assert 0.95 <= report.richardson_ratio <= 1.05
+
     def test_static_parts_built_once(self, monkeypatch):
-        # both epsilons share H0, M1, M2: one build serves both evolutions
+        # both epsilons share h0, h1, h2: one build serves both propagations
         calls = []
 
-        def counted(cfg, fock):
-            calls.append(fock)
-            return _static_parts(cfg, fock)
+        def counted(cfg, n_modes):
+            calls.append(n_modes)
+            return _static_parts(cfg, n_modes)
 
         monkeypatch.setattr(fock_oracle, "_static_parts", counted)
         fock = FockConfig(n_modes=1, n_max=6, dt=0.1)
