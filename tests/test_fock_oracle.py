@@ -552,6 +552,12 @@ class TestTraceIdentities:
             worsts.append(verify_trace_identities(2.0, fock, cfg).max_abs_deviation)
         assert worsts[0] > worsts[1] > worsts[2]
 
+    def test_cap_applies_to_the_state_not_the_headroom(self):
+        # 45**3 = 91125 states fit the cap; the operators' two extra rungs
+        # (47**3 = 103823) are the battery's own business
+        report = verify_trace_identities(5.0, FockConfig(n_modes=3, n_max=44), cavity(K=3))
+        assert report.max_abs_deviation < 1e-12
+
     def test_sloppy_mean_field_forms_fail(self):
         # substituting <f(N)> -> f(<N>) is wrong on a thermal state: the
         # correct second factorial moment is 2 Nbar^2, not Nbar (Nbar - 1)
