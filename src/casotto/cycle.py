@@ -463,41 +463,43 @@ def sweep(
 ) -> list[SweepRow]:
     """Cycle reports over a (bath, epsilon, tau) grid.
 
-    The grid is evaluated tau by tau: one trajectory and its spectral table
-    are built and serve every bath and compression ratio before the next tau
-    starts, so only one table is held at a time.  The friction kernel of
-    each bath temperature and the population-frozen sums of each (bath,
-    eps) cell come from small caches shared by all taus.
-    Rows come out in a fixed order regardless: outer bath ratio, then
-    epsilon, then tau ascending.  Failures of individual cells are recorded
-    in the row and do not abort the sweep.
+    Every tau's trajectory and spectral table are built first (five arrays
+    of ``2K + 1`` floats per tau), then the cells run bath by bath.  The
+    friction kernel of each distinct bath temperature is thus built once,
+    however many baths the grid has, and each table takes one product per
+    bath (kept on the table), which every compression ratio then only
+    scales.  The population-frozen sums of each (bath, eps) cell are cached
+    too.  A sweep costs one table per tau, one kernel per distinct beta and
+    a scaling per cell.  Rows come out in a fixed order: outer bath ratio,
+    then epsilon, then tau ascending.  Failures of individual cells, a
+    tau whose trajectory or table fails included, are recorded in the row
+    and do not abort the sweep; warnings are silenced.
     """
     if machine not in _MACHINES:
         raise ValueError(f"machine must be 'engine' or 'refrigerator', got {machine!r}")
     if not baths or len(taus) == 0:
         raise ValueError("sweep needs non-empty bath and tau grids")
     eps_list = list(epsilons) if epsilons is not None else [cfg.epsilon]
-    taus = sorted(float(t) for t in taus)
     cells = [(bath, replace(cfg, epsilon=eps)) for bath in baths for eps in eps_list]
-
-    run = nonadiabatic_engine if machine == "engine" else nonadiabatic_refrigerator
-    rows: list[SweepRow | None] = [None] * (len(cells) * len(taus))
-    for t_i, tau in enumerate(taus):
+    strokes = []  # (tau, trajectory, table, failure) per tau, ascending
+    for tau in sorted(float(t) for t in taus):
         try:
             traj = traj_family(tau)
-            table = spectral_table(traj, cfg)
-            failure = None
+            strokes.append((tau, traj, spectral_table(traj, cfg), None))
         except Exception as exc:  # cell failures are recorded, not raised
-            failure = exc
-        for c_i, (bath, cfg_eps) in enumerate(cells):
-            where = (tau * cfg.omega1, bath.ratio, cfg_eps.epsilon)
-            slot = c_i * len(taus) + t_i
-            if failure is not None:
-                rows[slot] = SweepRow(*where, None, error=str(failure))
-                continue
-            try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
+            strokes.append((tau, None, None, exc))
+
+    run = nonadiabatic_engine if machine == "engine" else nonadiabatic_refrigerator
+    rows = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for bath, cfg_eps in cells:
+            for tau, traj, table, failure in strokes:
+                where = (tau * cfg.omega1, bath.ratio, cfg_eps.epsilon)
+                if failure is not None:
+                    rows.append(SweepRow(*where, None, error=str(failure)))
+                    continue
+                try:
                     report = run(
                         cfg_eps,
                         bath,
@@ -506,9 +508,9 @@ def sweep(
                         table=table,
                         thermalization_time=thermalization_time,
                     )
-                rows[slot] = SweepRow(*where, report)
-            except Exception as exc:  # record and continue
-                rows[slot] = SweepRow(*where, None, error=str(exc))
+                    rows.append(SweepRow(*where, report))
+                except Exception as exc:  # record and continue
+                    rows.append(SweepRow(*where, None, error=str(exc)))
     return rows
 
 

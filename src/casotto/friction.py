@@ -38,7 +38,7 @@ scattering pairs added in absolute value,
 
 Both kernels depend on the cavity, the bath and K only.  Each is built once,
 in ``O(K)`` from head and tail sums of ``k**p N_k``, and cached, so a
-(bath, table) cell costs one dot product of length ``2K + 1``.  The kernels
+(table, bath) pair costs one product of length ``2K + 1``.  The kernels
 also carry the per-mode rows of the last few modes, which the tail fit
 below reads; the full per-mode split is an ``O(K**2)`` pass taken only when
 asked for (:func:`mode_breakdown`).  The analytic upper bound
@@ -49,9 +49,12 @@ deposit is identical for the forward and the time-reversed stroke.
 Mode sums run to the configured cutoff K; the truncated remainder is
 estimated by extrapolating a power-law fit of the last per-mode
 contributions.  Everything is computed per unit ``eps**2`` internally and
-scaled at the boundary, so one spectral table serves every compression
-ratio.  The amplitudes on the grid ``n * pi / L0``, ``n <= 2K``, are
-computed once per trajectory in :func:`spectral_table`.
+scaled at the boundary.  The amplitudes on the grid ``n * pi / L0``,
+``n <= 2K``, are computed once per trajectory in :func:`spectral_table`,
+and the table keeps, per (cavity, K, bath), the product with the kernels
+and the tail fit.  So each (table, bath) product is taken once, and every
+further compression ratio, cell or stroke with that bath costs an
+``eps**2`` scaling and the tail flag.
 
 Every profile is a piecewise polynomial (:mod:`casotto.trajectory`), so the
 amplitudes have a finite closed form per piece (repeated integration by
@@ -67,7 +70,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -119,7 +122,10 @@ class SpectralTable:
 
     Precomputing the grid lets one table serve every mode pair (the needed
     sums and differences of equidistant frequencies are again grid points)
-    and every bath and compression ratio.
+    and every bath and compression ratio.  The table keeps its power
+    arrays and what :func:`friction_energy` derives from them per bath, so
+    each (table, bath) product is taken once; :func:`dataclasses.replace`
+    starts a table without either.
     """
 
     omega1: float
@@ -127,12 +133,14 @@ class SpectralTable:
     S: np.ndarray
     err: np.ndarray
     label: str
+    # (L0, K, beta) -> (E_F / eps**2, its round-off bound, tail estimate)
+    _per_bath: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
-    @property
+    @functools.cached_property
     def power(self) -> np.ndarray:
         return self.C * self.C + self.S * self.S
 
-    @property
+    @functools.cached_property
     def power_err(self) -> np.ndarray:
         """Round-off bound of ``power``: the amplitude bounds propagated to
         first and second order."""
@@ -414,6 +422,25 @@ def _check_table(cfg: CavityConfig, table: SpectralTable) -> int:
     return K
 
 
+def _per_bath(
+    table: SpectralTable, L0: float, K: int, beta: float
+) -> tuple[float, float, float]:
+    """``E_F / eps**2``, its round-off bound and the tail estimate of one bath.
+
+    None depends on the compression ratio, so each is computed once per
+    (table, cavity, cutoff, bath) and kept on the table.
+    """
+    key = (L0, K, beta)
+    terms = table._per_bath.get(key)
+    if terms is None:
+        value_kernel, error_kernel = _bath_kernel(L0, K, beta)
+        values = value_kernel @ table.power[: 2 * K + 1]
+        noise = error_kernel @ table.power_err[: 2 * K + 1]
+        tail = _tail_estimate(K, values[1:], noise[1:])
+        terms = table._per_bath[key] = (float(values[0]), float(noise[0]), tail)
+    return terms
+
+
 def friction_energy(
     cfg: CavityConfig,
     bath: ThermalBath,
@@ -426,7 +453,9 @@ def friction_energy(
 
     The profile must carry unit net displacement (either direction).  A
     precomputed :func:`spectral_table` of ``traj`` may be passed to share it
-    across baths and compression ratios.
+    across baths and compression ratios: the table keeps each bath's
+    ``eps``-independent terms, so a later call with the same bath only
+    scales them by ``eps**2`` and flags the tail.
     """
     if table is None:
         table = spectral_table(traj, cfg)
@@ -437,15 +466,11 @@ def friction_energy(
             f"trajectory must be normalised to unit displacement, got {disp:.6g}"
         )
     K = _check_table(cfg, table)
-    value_kernel, error_kernel = _bath_kernel(cfg.L0, K, bath.beta)
-    values = value_kernel @ table.power[: 2 * K + 1]
-    noise = error_kernel @ table.power_err[: 2 * K + 1]
-    value_per_eps2 = float(values[0])
+    value_per_eps2, noise_per_eps2, tail = _per_bath(table, cfg.L0, K, bath.beta)
     eps2 = cfg.epsilon**2
     value = eps2 * value_per_eps2
-    err = eps2 * float(noise[0])
+    err = eps2 * noise_per_eps2
 
-    tail = _tail_estimate(K, values[1:], noise[1:])
     tail_scaled = eps2 * tail if math.isfinite(tail) else tail
     # an infinite estimate means the fitted contributions do not decay;
     # that is as much a truncation red flag as a large finite tail.  A tail

@@ -371,6 +371,52 @@ class TestSweep:
         # one per distinct temperature, none per cell, tau or epsilon
         assert sorted(built) == [(beta, 16) for beta in (0.4, 1.0, 2.0, 3.0)]
 
+    def test_kernels_built_once_past_the_kernel_cache_size(self):
+        # 41 distinct temperatures overflow the 32-kernel cache; a sweep that
+        # ran tau by tau rebuilt every kernel for every tau (161 builds)
+        baths = [BathPair(2.0, 2.0 * (0.05 + 0.02 * i)) for i in range(40)]
+        friction_module._bath_kernel.cache_clear()
+        sweep(cfg(K=256), baths, [0.5, 1.0, 1.5, 2.0], quintic)
+        assert friction_module._bath_kernel.cache_info().misses == 41
+
+    @pytest.mark.parametrize("machine, ratios", [
+        ("engine", (0.2, 0.5, 0.8)),
+        ("refrigerator", (0.991, 0.995, 0.999)),
+    ])
+    def test_rows_equal_single_calls_bit_for_bit(self, machine, ratios):
+        def family(tau):
+            if tau == 1.0:
+                raise RuntimeError("no profile")
+            return quintic(tau)
+
+        run = nonadiabatic_engine if machine == "engine" else nonadiabatic_refrigerator
+        baths = [BathPair(2.0, 2.0 * r) for r in ratios]
+        base = cfg(K=256)
+        rows = sweep(base, baths, [2.0, 0.5, 1.0], family, epsilons=[0.01, 0.005],
+                     machine=machine)
+        assert len(rows) == 18
+        for row in rows:
+            cell = cfg(K=256, eps=row.epsilon)
+            bath = BathPair(2.0, 2.0 * row.beta_ratio)
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    direct, error = run(cell, bath, family(row.tau_omega1)), ""
+            except RuntimeError as exc:
+                direct, error = None, str(exc)
+            assert row.error == error
+            if direct is None:
+                assert row.report is None
+                continue
+            fields = ("Q", "W", "eta", "E_F_A", "E_F_C", "err", "tail_warning")
+            # repr tells every float apart, NaN equal to itself
+            assert repr([getattr(row.report, f) for f in fields]) == repr(
+                [getattr(direct, f) for f in fields]
+            )
+        # the short stroke at 256 modes still flags its truncation tail
+        assert [r.report.tail_warning for r in rows if r.tau_omega1 == 0.5] == [True] * 6
+        assert sum(r.report is None for r in rows) == 6
+
     def test_population_frozen_sums_once_per_bath_and_epsilon(self, monkeypatch):
         # each evaluation of the sums takes one occupations call per bath
         built = []

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 import runpy
@@ -11,6 +12,7 @@ import pytest
 from casotto import friction as friction_module
 from casotto.friction import (
     FrictionResult,
+    SpectralTable,
     TruncationWarning,
     _acceleration_extrema,
     _bath_kernel,
@@ -560,6 +562,68 @@ class TestFrictionEnergy:
         res, caught = echo[0]
         assert TruncationWarning not in caught and not res.tail_warning
         assert 0.0 <= res.tail_estimate <= res.err
+
+
+class TestPerBathMemo:
+    """A table keeps each bath's eps-independent terms; no result may change."""
+
+    def test_one_product_per_table_and_bath(self, monkeypatch):
+        fits = []
+        original = friction_module._tail_estimate
+
+        def counting(k_used, tail, noise):
+            fits.append(k_used)
+            return original(k_used, tail, noise)
+
+        monkeypatch.setattr(friction_module, "_tail_estimate", counting)
+        tr = quintic(1.0)
+        table = spectral_table(tr, make_cfg(K=16))
+        for beta in (0.5, 1.0):
+            for eps in (0.01, 0.02, 0.04):
+                friction_energy(make_cfg(K=16, eps=eps), ThermalBath(beta), tr,
+                                table=table, compute_bound=False)
+        assert fits == [16, 16]
+        assert sorted(table._per_bath) == [(math.pi, 16, 0.5), (math.pi, 16, 1.0)]
+
+    def test_replaced_table_starts_empty(self):
+        tr, cfg, bath = quintic(1.0), make_cfg(K=16), ThermalBath(1.0)
+        table = spectral_table(tr, cfg)
+        first = friction_energy(cfg, bath, tr, table=table)
+        C = table.C.copy()
+        C[1:] *= 2.0  # keeps the unit displacement at n = 0
+        changed = dataclasses.replace(table, C=C)
+        assert changed._per_bath == {}
+        res = friction_energy(cfg, bath, tr, table=changed)
+        fresh = SpectralTable(table.omega1, C, table.S, table.err, table.label)
+        assert repr(res) == repr(friction_energy(cfg, bath, tr, table=fresh))
+        assert res.value != first.value
+
+    @pytest.mark.parametrize("order", [(8, 16), (16, 8)])
+    def test_one_table_serves_two_cutoffs(self, order):
+        tr, bath, big = quintic(0.5), ThermalBath(1.0), make_cfg(K=16)
+        table = spectral_table(tr, big)
+        for K in order:
+            res = friction_energy(make_cfg(K=K), bath, tr, table=table)
+            fresh = friction_energy(make_cfg(K=K), bath, tr, table=spectral_table(tr, big))
+            # repr tells every float apart, NaN equal to itself
+            assert repr(res) == repr(fresh)
+            assert res.k_used == K
+
+    def test_each_tail_tol_flags_as_on_a_fresh_table(self):
+        # the tail is 1.9e-3 of the value
+        tr, bath = quintic(1.0), ThermalBath(1.0)
+        strict, loose = (
+            CavityConfig(L0=math.pi, epsilon=0.01, n_modes=16, tail_tol=tol)
+            for tol in (1e-6, 1e-2)
+        )
+        table = spectral_table(tr, strict)
+        for cfg, flagged in ((strict, True), (loose, False), (strict, True)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                res = friction_energy(cfg, bath, tr, table=table)
+            assert res.tail_warning is flagged
+            assert [w.category for w in caught] == [TruncationWarning] * flagged
+            assert repr(res) == repr(friction_energy(cfg, bath, tr))
 
 
 class TestFrictionBound:
