@@ -26,7 +26,6 @@ import io
 import math
 import os
 import sys
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -57,7 +56,7 @@ from .fock_oracle import (
     validate_friction,
     verify_trace_identities,
 )
-from .spectrum import PERTURBATIVE_EPSILON_MAX, CavityConfig, ThermalBath
+from .spectrum import PERTURBATIVE_EPSILON_MAX, CavityConfig, ThermalBath, _warn
 from .trajectory import Trajectory, from_samples, quintic, shortcut
 
 ENV_PREFIX = "CASOTTO_"
@@ -251,10 +250,14 @@ def _pre_scan_command(argv: Sequence[str]) -> str:
 
 
 def _parse_float_list(raw: str, key: str) -> list[float]:
+    """Comma list of floats, at least one."""
     try:
-        return [float(tok) for tok in str(raw).split(",") if tok.strip()]
-    except ValueError as exc:
-        raise UsageError(f"invalid comma list for '{key}': {raw!r}") from exc
+        values = [float(tok) for tok in str(raw).split(",") if tok.strip()]
+    except ValueError:
+        values = []
+    if not values:
+        raise UsageError(f"{key} must be a non-empty comma list of numbers, got {raw!r}")
+    return values
 
 
 def _parse_harmonics(raw: str) -> list[int]:
@@ -327,6 +330,9 @@ def _validate(cfg: RunConfig) -> None:
     for key in ("beta", "beta-a", "tail-tol"):
         if key in opts and not float(opts[key]) > 0:
             raise UsageError(f"{key} must be positive, got {opts[key]}")
+    # the hot bath is beta-ratio * beta-a: at inf both baths are the vacuum
+    if "beta-a" in opts and not math.isfinite(float(opts["beta-a"])):
+        raise UsageError(f"beta-a must be finite, got {opts['beta-a']}")
     if "beta-ratio" in opts:
         for r in _parse_float_list(str(opts["beta-ratio"]), "beta-ratio"):
             if not 0.0 < r <= 1.0:
@@ -362,7 +368,8 @@ def _validate(cfg: RunConfig) -> None:
     if cfg.command == "sweep":
         if not str(opts.get("tau-grid", "")):
             raise UsageError("sweep requires --tau-grid lo:hi:N[log]")
-        _parse_grid(str(opts["tau-grid"]))
+        if not _parse_grid(str(opts["tau-grid"]))[0] > 0:
+            raise UsageError(f"tau-grid must start above 0, got {opts['tau-grid']!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -415,11 +422,10 @@ def _warn_if_beyond_perturbative(opts) -> None:
         return
     eps = max(_parse_float_list(str(opts["epsilon"]), "epsilon"))
     if CavityConfig(L0=_L0, epsilon=eps).perturbative_warning:
-        warnings.warn(
+        _warn(
             f"epsilon = {eps} exceeds {PERTURBATIVE_EPSILON_MAX}: the friction "
             "energy is second order in epsilon, so results are outside its validity",
             PerturbativeWarning,
-            stacklevel=3,
         )
 
 

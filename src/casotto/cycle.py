@@ -43,6 +43,7 @@ from .friction import SpectralTable, TruncationWarning, friction_energy, spectra
 from .spectrum import (
     CavityConfig,
     ThermalBath,
+    _warn,
     casimir_energy,
     mode_frequencies,
     occupations,
@@ -184,11 +185,10 @@ def _otto_sums(
 def _tail_flag(cfg: CavityConfig, tail: float, scale: float) -> bool:
     flag = bool(math.isfinite(tail) and tail > cfg.tail_tol * max(abs(scale), 1e-300))
     if flag:
-        warnings.warn(
+        _warn(
             f"mode-sum tail estimate {tail:.3e} exceeds tail_tol * |Q| "
             f"= {cfg.tail_tol * abs(scale):.3e}; increase n_modes",
             TruncationWarning,
-            stacklevel=4,
         )
     return flag
 
@@ -198,37 +198,6 @@ def _safe_ratio(num: float, den: float, limit: float) -> tuple[float, bool]:
     if den != 0.0 and math.isfinite(num / den):
         return num / den, True
     return limit, False
-
-
-def _friction_pair(
-    cfg: CavityConfig,
-    baths: BathPair,
-    traj: Trajectory,
-    table: SpectralTable | None,
-) -> tuple[float, float, float, bool]:
-    """(E_F_A, E_F_C, accumulated error, tail flag) for the two strokes.
-
-    E_F_A: compression out of the cold thermal state.  E_F_C: expansion out
-    of the hot thermal state.  Reversal leaves the spectral power unchanged,
-    so both come from the forward profile's table.
-    """
-    if table is None:
-        table = spectral_table(traj, cfg)
-    # friction_energy's TruncationWarnings are re-issued at the entry
-    # point's caller (this frame, _cycle, the entry point, its caller)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        res_A = friction_energy(
-            cfg, ThermalBath(baths.beta_A), traj, table=table, compute_bound=False
-        )
-        res_C = friction_energy(
-            cfg, ThermalBath(baths.beta_C), traj, table=table, compute_bound=False
-        )
-    for w in caught:
-        warnings.warn(w.message, stacklevel=4)
-    err = res_A.err + res_C.err
-    tail_flag = res_A.tail_warning or res_C.tail_warning
-    return res_A.value, res_C.value, err, tail_flag
 
 
 @dataclass(frozen=True)
@@ -304,19 +273,26 @@ def _cycle(
     m = _MACHINES[machine]
     period = math.nan if traj is None else _cycle_time(traj.duration, thermalization_time)
     if not m.in_window(baths.ratio, cfg.epsilon):
-        warnings.warn(
+        _warn(
             m.window_text.format(
                 ratio=baths.ratio, eps=cfg.epsilon, rest=1.0 - cfg.epsilon
             ),
             ConditionWarning,
-            stacklevel=3,
         )
     Q_ad, W_ad, tail, pieces = _otto_sums(cfg, baths, machine)
     tail_warning = _tail_flag(cfg, tail, Q_ad)
     ef_a = ef_c = err = 0.0
     if traj is not None:
-        ef_a, ef_c, err, friction_tail = _friction_pair(cfg, baths, traj, table)
-        tail_warning = tail_warning or friction_tail
+        # compression out of the cold state, expansion out of the hot one;
+        # reversal leaves the spectral power unchanged, so one table serves both
+        if table is None:
+            table = spectral_table(traj, cfg)
+        res_A, res_C = (
+            friction_energy(cfg, ThermalBath(beta), traj, table=table, compute_bound=False)
+            for beta in (baths.beta_A, baths.beta_C)
+        )
+        ef_a, ef_c, err = res_A.value, res_C.value, res_A.err + res_C.err
+        tail_warning = tail_warning or res_A.tail_warning or res_C.tail_warning
 
     Q = m.heat(Q_ad, ef_a, ef_c)
     W = m.work(W_ad, ef_a, ef_c)

@@ -48,6 +48,7 @@ from .friction import TruncationWarning, friction_energy
 from .spectrum import (
     CavityConfig,
     ThermalBath,
+    _warn,
     coupling_matrix,
     mode_frequencies,
     mode_frequency_derivative,
@@ -524,11 +525,10 @@ def validate_friction(
             ratio = (e_full - e_adiab) / ef
         else:
             ratio = math.nan
-            warnings.warn(
+            _warn(
                 f"E_F = {ef:.3e} at epsilon = {eps:g} does not exceed its "
                 f"round-off bound {res.err:.3e}; ratio set to NaN",
                 RuntimeWarning,
-                stacklevel=2,
             )
         rows.append(ComparisonRow(eps, e_full, e_adiab, e_adiab + ef, ratio))
 

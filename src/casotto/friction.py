@@ -69,12 +69,11 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectrum import CavityConfig, ThermalBath, mode_frequencies, occupations
+from .spectrum import CavityConfig, ThermalBath, _warn, mode_frequencies, occupations
 from .trajectory import PPoly, Trajectory
 
 __all__ = [
@@ -485,11 +484,10 @@ def friction_energy(
         )
     )
     if tail_warning:
-        warnings.warn(
+        _warn(
             f"mode-sum tail estimate {tail_scaled:.3e} exceeds "
             f"tail_tol * value = {cfg.tail_tol * abs(value):.3e}",
             TruncationWarning,
-            stacklevel=2,
         )
 
     bound = None

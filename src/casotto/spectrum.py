@@ -11,6 +11,9 @@ derivative with respect to ``L``, the antisymmetric inter-mode couplings
 from __future__ import annotations
 
 import math
+import os
+import sys
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +35,22 @@ __all__ = [
 
 #: Compression ratios above this value set the perturbative-validity flag.
 PERTURBATIVE_EPSILON_MAX = 0.1
+
+# a path prefix, so that ``python -m casotto.cli``'s __main__ counts as inside
+_PACKAGE_PREFIX = os.path.dirname(os.path.abspath(__file__)) + os.sep
+
+
+def _warn(message: str, category: type[Warning]) -> None:
+    """``warnings.warn`` attributed to the first caller outside casotto.
+
+    Every frame whose code lies under the package directory is skipped, the
+    rule of Python 3.12's ``skip_file_prefixes``, so a warning names the
+    user's line however deep in the package it was raised.
+    """
+    frame, level = sys._getframe(1), 2
+    while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_PREFIX):
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, category, stacklevel=level)
 
 
 class SingularFluxError(ValueError):

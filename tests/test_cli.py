@@ -143,13 +143,19 @@ class TestParsing:
         ["oracle", "--dt", "0"],
         ["oracle", "--integrator-order", "3"],
         ["shortcut-check", "--L0", "0"],
+        ["sweep", "--tau-grid", "0.5:2:2", "--epsilon", ","],
+        ["sweep", "--tau-grid", "0.5:2:2", "--beta-ratio", ","],
+        ["sweep", "--tau-grid", "0:2:2"],
+        ["sweep", "--tau-grid=-1:2:3"],
+        ["sweep", "--tau-grid", "1:2:2", "--beta-a", "inf"],
     ], ids=["points-zero", "points-negative", "n-not-integer", "n-negative", "n-empty",
             "tail-tol-zero", "beta-ratio-above-one", "beta-ratio-zero", "beta-a-negative",
             "sweep-beta-ratio-above-one", "beta-minus-inf", "friction-two-epsilons",
             "oracle-two-epsilons", "engine-two-beta-ratios", "grid-empty-range",
             "grid-zero-points", "log-grid-at-zero", "grid-count-not-integer",
             "grid-bound-not-number", "fock-modes-zero", "n-max-zero", "dt-zero",
-            "integrator-order-three", "L0-zero"])
+            "integrator-order-three", "L0-zero", "epsilon-empty", "beta-ratio-empty",
+            "grid-at-zero", "grid-below-zero", "beta-a-inf"])
     def test_shortcut_check_rejects_bad_samples(self, argv):
         # out-of-range values are usage errors (status 2), caught before the
         # library's own ValueError would turn them into numerical failures (3)
@@ -214,6 +220,19 @@ class TestPerturbativeWarning:
         capture(["sweep", "--tau-grid", "1:2:2", "--epsilon", "0.05,0.1", "--modes", "4"])
         capture(["shortcut-check", "--points", "2"])
         assert not [w for w in recwarn if w.category is cli.PerturbativeWarning]
+
+
+class TestWarningAttribution:
+    @pytest.mark.parametrize("argv, category", [
+        (["engine", "--tau", "2.0", "--beta-a", "2.0", "--modes", "12"], TruncationWarning),
+        (["engine", "--epsilon", "0.3"], cli.PerturbativeWarning),
+    ], ids=["truncation", "perturbative"])
+    def test_warnings_name_the_caller_of_run(self, argv, category):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run(parse_config(argv), stream=io.StringIO())
+        assert any(issubclass(w.category, category) for w in caught)
+        assert all(w.filename == __file__ for w in caught)
 
 
 class TestGrids:

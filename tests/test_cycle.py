@@ -246,6 +246,17 @@ class TestTruncationWarning:
         assert truncations
         assert all(w.filename == __file__ for w in truncations)
 
+    @pytest.mark.parametrize("call", ENTRY_POINTS[0::2])
+    def test_population_frozen_tail_attributed_to_the_caller(self, call):
+        # hot baths at K = 4 leave a large population-frozen tail; the
+        # refrigerator also warns that the pair is outside its window
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = call(cfg(K=4), BathPair(0.2, 0.1))
+        assert report.tail_warning
+        assert any(issubclass(w.category, TruncationWarning) for w in caught)
+        assert all(w.filename == __file__ for w in caught)
+
 
 class TestReportError:
     def test_adiabatic_reports_carry_zero_error(self):
@@ -443,6 +454,22 @@ class TestSweep:
         assert cycle_module._otto_sums.cache_info().hits == 1
         with pytest.raises(TypeError):
             cycle_module._otto_sums(hot, baths)[3]["sum_w0_nA"] = 0.0
+
+    def test_warnings_silenced_once_per_sweep(self, monkeypatch):
+        # the cells' warnings are silenced by the sweep's one filter, not
+        # caught and re-issued cell by cell
+        entered = []
+
+        class Counting(warnings.catch_warnings):
+            def __enter__(self):
+                entered.append(self)
+                return super().__enter__()
+
+        monkeypatch.setattr(warnings, "catch_warnings", Counting)
+        baths = [ENGINE_BATHS, BathPair(2.0, 1.5)]
+        rows = sweep(cfg(K=8), baths, [0.5, 1.0], quintic, epsilons=[0.01, 0.02])
+        assert len(rows) == 8 and all(r.report.tail_warning for r in rows)
+        assert len(entered) == 1
 
     def test_csv_shape(self):
         rows = sweep(cfg(K=8), [ENGINE_BATHS], [0.5, 1.0], quintic)

@@ -517,8 +517,9 @@ class TestFrictionEnergy:
 
     def test_tail_estimate_and_warning(self):
         cfg = CavityConfig(L0=math.pi, epsilon=0.01, n_modes=16, tail_tol=1e-12)
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning) as caught:
             res = friction_energy(cfg, ThermalBath(1.0), quintic(0.3))
+        assert all(w.filename == __file__ for w in caught)
         assert res.tail_warning
         assert math.isfinite(res.tail_estimate)
         # the tail really is small compared to the kept sum

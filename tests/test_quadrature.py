@@ -178,3 +178,34 @@ def test_production_modules_do_not_import_the_oracle(module):
     path = Path(casotto.__file__).parent / f"{module}.py"
     imported = _imported_modules(path)
     assert not {n for n in imported if n.split(".")[:2] == ["casotto", "quadrature"]}
+
+
+def _warning_sites(path: Path) -> set[str]:
+    """Functions of a module that call ``warnings.warn`` or pass ``stacklevel=``."""
+    sites = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+                if name == "warn" or any(k.arg == "stacklevel" for k in child.keywords):
+                    sites.add(owner)
+            visit(child, owner)
+
+    visit(ast.parse(path.read_text()), "<module>")
+    return sites
+
+
+def test_warnings_are_raised_through_one_helper():
+    # spectrum._warn alone decides which caller a casotto warning names
+    package = Path(casotto.__file__).parent
+    sites = {
+        (path.stem, owner)
+        for path in sorted(package.glob("*.py"))
+        for owner in _warning_sites(path)
+    }
+    assert sites == {("spectrum", "_warn")}
