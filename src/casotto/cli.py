@@ -284,7 +284,7 @@ def _parse_grid(raw: str) -> list[float]:
         lo, hi, n = float(parts[0]), float(parts[1]), int(count)
     except ValueError as exc:
         raise UsageError(f"grid must be lo:hi:N[log], got {raw!r}") from exc
-    if n < 1 or not hi > lo:
+    if n < 1 or not -math.inf < lo < hi < math.inf:
         raise UsageError(f"bad grid {raw!r}")
     if n == 1:
         return [lo]

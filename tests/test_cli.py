@@ -247,7 +247,7 @@ class TestGrids:
         assert _parse_grid("2.5:9:1") == [2.5]
 
     def test_bad_grids(self):
-        for bad in ("1:2", "2:1:5", "0:1:0", "-1:1:3log", "1:2:x", "a:2:3"):
+        for bad in ("1:2", "2:1:5", "0:1:0", "-1:1:3log", "1:2:x", "a:2:3", "1:inf:3"):
             with pytest.raises(UsageError):
                 _parse_grid(bad)
 
