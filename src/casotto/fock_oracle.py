@@ -29,9 +29,9 @@ the separable friction formula restricted to the same retained modes.
 
 :func:`verify_trace_identities` tests operator ordering, so it stays in a
 truncated Fock space: a product of per-mode ladders, mode 1 slowest, laid
-out by :func:`_product` alone.  The thermal state is diagonal there, a
-``kron`` of per-mode weights, and each trace is those weights against the
-diagonal of the ``kron`` of per-mode operator strings, so no ``d x d``
+out by :func:`_product` alone.  The thermal state is diagonal there, an
+outer product of per-mode weights, and each trace is those weights against
+the outer product of the per-mode strings' diagonals, so no ``d x d``
 array is built.  Its dimension is capped at 1e5.
 """
 
@@ -44,7 +44,7 @@ from functools import reduce
 
 import numpy as np
 
-from .friction import TruncationWarning, friction_energy
+from .friction import TruncationWarning, friction_energy, spectral_table
 from .spectrum import (
     CavityConfig,
     ThermalBath,
@@ -53,6 +53,7 @@ from .spectrum import (
     mode_frequencies,
     mode_frequency_derivative,
     occupations,
+    thermal_occupation,
 )
 from .trajectory import Trajectory
 
@@ -125,15 +126,14 @@ def _destroy(n_max: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1.0, n_max + 1.0)), k=1)
 
 
-def _product(factors: dict[int, np.ndarray], fock: FockConfig, fill: np.ndarray) -> np.ndarray:
-    """``kron`` over modes 1..n of ``factors.get(m, fill)``, mode 1 slowest.
-
-    The one place the product basis is laid out: with ``fill`` the identity
-    this lifts per-mode operators to the full space, with ``fill`` a vector
-    it builds a diagonal (weights, operator-string diagonals) from
-    per-mode ones.
+def _product(factors: dict[int, np.ndarray], fock: FockConfig) -> np.ndarray:
+    """Flattened outer product (``np.kron``) over modes 1..n of the vectors
+    ``factors.get(m, ones)``, mode 1 slowest: the one place the product
+    basis is laid out, for diagonals (weights, operator-string diagonals).
     """
-    return reduce(np.kron, [factors.get(m, fill) for m in range(1, fock.n_modes + 1)])
+    ones = np.ones(fock.n_max + 1)
+    vectors = [factors.get(m, ones) for m in range(1, fock.n_modes + 1)]
+    return reduce(lambda a, b: np.multiply.outer(a, b).ravel(), vectors)
 
 
 # ---------------------------------------------------------------------------
@@ -202,8 +202,9 @@ def _propagator(
     2) or a two-stage commutator-free composition on the two Gauss points
     of the step (order 4), whose right factor acts first and leans on the
     early node.  The exponentials are taken stacked, a block of steps at a
-    time; their product is accumulated in a plain ordered loop.  On a
-    static wall the energy must be conserved to 1e-10.
+    time, and multiplied as a pairwise tree of batched products, later
+    factor on the left, an odd count carrying its last one up a level.  On
+    a static wall the energy must be conserved to 1e-10.
     """
     w_max = mode_frequencies(fock.n_modes, cfg.L0)[-1]
     n_steps = max(1, math.ceil(traj.duration / fock.dt))
@@ -225,9 +226,13 @@ def _propagator(
     for first in range(0, n_steps, block):
         starts = traj.t_start + dt * np.arange(first, min(first + block, n_steps))
         forms = _forms(starts[:, None] + offsets * dt, cfg, traj, parts)
-        for step in _expm(dtJ @ np.einsum("sr,nrij->nsij", weights, forms)):
-            for factor in step[::-1]:
-                S = factor @ S
+        steps = _expm(dtJ @ np.einsum("sr,nrij->nsij", weights, forms))
+        factors = steps[:, ::-1].reshape(-1, dim, dim)  # earliest first
+        while len(factors) > 1:
+            n = len(factors)
+            paired = factors[1::2] @ factors[: n - 1 : 2]
+            factors = np.concatenate([paired, factors[n - 1 :]]) if n % 2 else paired
+        S = factors[0] @ S
     if not np.any(traj.ddelta(np.linspace(traj.t_start, traj.t_end, 257))):
         # a static wall conserves the energy of every state: S^T h S = h
         h_wall = _forms(np.array(traj.t_start), cfg, traj, parts)
@@ -301,39 +306,29 @@ def _embedded_thermal_state(
         p = np.zeros(work.n_max + 1)
         p[: state.n_max + 1] = (n == 0) if math.isinf(beta) else np.exp(-beta * w[k - 1] * n)
         weights[k] = p / p.sum()
-    return _product(weights, work, np.ones(work.n_max + 1))
+    return _product(weights, work)
 
 
-def _geometric_expectation(beta: float, omega: float, f) -> float:
-    """``E[f(N)]`` over the untruncated geometric distribution.
-
-    Summed term by term until machine-precision convergence; this side of
-    the identity check never touches the truncated matrices.
-    """
-    if math.isinf(beta):
-        return float(f(0))
-    q = math.exp(-beta * omega)
-    acc = 0.0
-    weight = 1.0 - q
-    n = 0
-    while True:
-        term = weight * f(n)
-        acc += term
-        weight *= q
-        n += 1
-        if weight * max(1.0, abs(f(n))) < 1e-18 * max(1.0, abs(acc)) or n > 100_000:
-            return acc
+def _geometric_expectation(beta: float, omega: float, coeffs: tuple[int, ...]) -> float:
+    """``E[f(N)]`` over the untruncated geometric distribution, exactly:
+    ``f(n) = sum_r c_r n^(r)`` in falling factorials, whose moments are
+    ``r! nbar**r``; this side of the check never touches the truncated
+    matrices."""
+    nbar = thermal_occupation(beta, omega)
+    return sum(c * math.factorial(r) * nbar**r for r, c in enumerate(coeffs))
 
 
 # Per-mode factors of the battery's strings, reduced by hand with [a, ad] = 1
-# to polynomials in that mode's N (the comment names the factors reduced).
-_N = lambda n: n  # N, ad a
-_NP1 = lambda n: n + 1  # a ad
-_NP1_SQ = lambda n: (n + 1) * (n + 1)  # a N ad
-_FALL2 = lambda n: n * (n - 1)  # ad^2 a^2, ad N a
-_FALL3 = lambda n: n * (n - 1) * (n - 2)  # ad^2 N a^2
-_RISE2 = lambda n: (n + 1) * (n + 2)  # a^2 ad^2
-_RISE2_NP2 = lambda n: (n + 1) * (n + 2) * (n + 2)  # a^2 N ad^2
+# to polynomials in that mode's N, as the coefficients (c_0, c_1, ...) of
+# sum_r c_r N^(r), N^(r) = N (N - 1) ... (N - r + 1); each comment names the
+# factors reduced and the polynomial.
+_N = (0, 1)  # N, ad a
+_NP1 = (1, 1)  # a ad: n + 1
+_NP1_SQ = (1, 3, 1)  # a N ad: (n + 1)^2
+_FALL2 = (0, 0, 1)  # ad^2 a^2, ad N a: n (n - 1)
+_FALL3 = (0, 0, 0, 1)  # ad^2 N a^2: n (n - 1) (n - 2)
+_RISE2 = (2, 4, 1)  # a^2 ad^2: (n + 1) (n + 2)
+_RISE2_NP2 = (4, 14, 8, 1)  # a^2 N ad^2: (n + 1) (n + 2)^2
 
 # The identity battery in output order: each operator string with the
 # polynomials of its modes, in the order the modes first appear in it.  A
@@ -395,11 +390,12 @@ def verify_trace_identities(
     Each bosonic operator string of ``_IDENTITIES`` reduces, by the
     commutation relations, to a product of per-mode polynomials in the
     number operators; its thermal trace then factorises into
-    geometric-distribution moments, evaluated here by direct series
-    summation.  The numeric side multiplies the raw truncated ladder
-    matrices into one operator string per mode (cross-mode factors commute);
-    the thermal state is diagonal, so the trace is its weight vector against
-    the ``kron`` of the strings' diagonals, with no full-space matrix.  The
+    geometric-distribution moments, taken here as exact factorial moments
+    ``E[N^(r)] = r! nbar**r``.  The numeric side multiplies the raw
+    truncated ladder matrices into one operator string per mode (cross-mode
+    factors commute); the thermal state is diagonal, so the trace is its
+    weight vector against the outer product of the strings' diagonals
+    (:func:`_product`), with no full-space matrix.  The
     comparison verifies both the operator algebra and the truncation
     quality.  Deviations are truncation-limited: the state carries no weight
     beyond ``n_max``, so they scale with the clipped thermal tail.
@@ -418,16 +414,16 @@ def verify_trace_identities(
     p = _embedded_thermal_state(beta, fock, work, cfg)
     a = _destroy(work.n_max)
     ladder = {"a": a, "ad": a.T, "N": a.T @ a}  # N too from the raw ladder matrices
-    eye, ones = np.eye(work.n_max + 1), np.ones(work.n_max + 1)
+    eye = np.eye(work.n_max + 1)
 
     checks = []
     for label, polys in _IDENTITIES.items():
         per_mode: dict[int, np.ndarray] = {}
         for mode, kind in _ladder_string(label):
             per_mode[mode] = per_mode.get(mode, eye) @ ladder[kind]
-        numeric = float(p @ _product({m: np.diag(op) for m, op in per_mode.items()}, work, ones))
+        numeric = float(p @ _product({m: np.diag(op) for m, op in per_mode.items()}, work))
         closed = math.prod(
-            _geometric_expectation(beta, w[m - 1], f) for m, f in zip(per_mode, polys, strict=True)
+            _geometric_expectation(beta, w[m - 1], c) for m, c in zip(per_mode, polys, strict=True)
         )
         checks.append(IdentityCheck(label, numeric, closed))
     worst = max(c.deviation for c in checks)
@@ -495,8 +491,9 @@ def validate_friction(
         raise OracleRangeError(
             f"validate_friction retains at most {_FRICTION_MODES_MAX} modes", "n_modes"
         )
-    # the static parts depend on L0 and the mode count, not on epsilon
+    # the static parts and the table depend on L0 and the mode count only
     parts = _static_parts(cfg, fock.n_modes)
+    table = spectral_table(traj, replace(cfg, n_modes=fock.n_modes))
     h0 = parts[0]
     n_bar = occupations(bath.beta, mode_frequencies(fock.n_modes, cfg.L0))
     sigma0 = np.diag(np.tile(n_bar + 0.5, 2))
@@ -519,7 +516,7 @@ def validate_friction(
             # E_F is restricted to the retained modes on purpose, so the
             # modes it leaves out are no truncation to warn about here
             warnings.simplefilter("ignore", TruncationWarning)
-            res = friction_energy(cfg_eps, bath, traj, compute_bound=False)
+            res = friction_energy(cfg_eps, bath, traj, table=table, compute_bound=False)
         ef = res.value
         if abs(ef) > res.err:
             ratio = (e_full - e_adiab) / ef

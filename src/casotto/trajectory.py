@@ -285,8 +285,9 @@ def quintic(tau: float) -> Trajectory:
     Velocity and acceleration vanish at both endpoints, making the profile
     eligible for the friction bound and for cycle strokes.
     """
-    if not tau > 0:
-        raise ValueError(f"tau must be positive, got {tau}")
+    # tau**5 must stay a normal float, or a coefficient is 0, inf or nan
+    if not tau > 0 or not -307.0 < 5.0 * math.log10(tau) < 308.0:
+        raise ValueError(f"tau must be positive with tau**5 in floating-point range, got {tau}")
     coeffs = np.array([6.0, -15.0, 10.0, 0.0, 0.0, 0.0]) / tau ** np.arange(5, -1, -1)
     return Trajectory(PPoly(coeffs[:, None], [0.0, tau]), label=f"quintic(tau={tau:g})")
 

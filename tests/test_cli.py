@@ -387,6 +387,23 @@ class TestRuns:
         assert main(["bound", "--tau", "1.0", "--beta", "1.0", "--epsilon",
                      "0.01", "--modes", "4", "--output", str(target)]) == 0
 
+    @pytest.mark.parametrize("command", ["friction", "engine", "bound"])
+    def test_tau_beyond_floating_point_fails_with_one_message(self, capsys, command):
+        # tau**5 underflows: no nan output and no numpy RuntimeWarnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, "--tau", "1e-200", "--modes", "4"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("casotto: ") and "tau" in captured.err
+        assert captured.err.count("\n") == 1
+
+    def test_sweep_marks_a_tau_beyond_floating_point_failed(self):
+        status, text = capture(["sweep", "--tau-grid", "1e-200:1:2log", "--modes", "4"])
+        assert status == 3
+        rows = [l.split(",") for l in text.splitlines() if l[:1].isdigit()]
+        assert [r[8] for r in rows] == ["failed", "engine"]
+
     @pytest.mark.parametrize(
         "argv, flag",
         [

@@ -1,13 +1,14 @@
 import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 from functools import reduce
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from casotto import fock_oracle
+from casotto import fock_oracle, friction
 from casotto.fock_oracle import (
     FockConfig,
     OracleRangeError,
@@ -18,11 +19,19 @@ from casotto.fock_oracle import (
 from casotto.fock_oracle import (
     _CF4_X1,
     _CF4_X2,
+    _FALL2,
+    _FALL3,
     _GAUSS_SHIFT,
+    _N,
+    _NP1,
+    _NP1_SQ,
+    _RISE2,
+    _RISE2_NP2,
     _embedded_thermal_state,
     _energy,
     _expm,
     _forms,
+    _geometric_expectation,
     _ladder_string,
     _propagator,
     _static_parts,
@@ -414,6 +423,45 @@ class TestEvolve:
         assert caught.value.names == ("dt",)
 
 
+def ordered_loop_propagator(cfg, traj, fock, parts):
+    """The stroke's ``S`` with the propagator's step exponentials, multiplied
+    one factor at a time in time order."""
+    n_steps = max(1, math.ceil(traj.duration / fock.dt))
+    dt = traj.duration / n_steps
+    dtJ = dt * _symplectic_form(fock.n_modes)
+    S = np.eye(2 * fock.n_modes)
+    for t0 in traj.t_start + dt * np.arange(n_steps):
+        if fock.integrator_order == 2:
+            stages = [_forms(np.array(t0 + 0.5 * dt), cfg, traj, parts)]
+        else:
+            early, late = _forms(t0 + np.array([0.5 - _GAUSS_SHIFT, 0.5 + _GAUSS_SHIFT]) * dt,
+                                 cfg, traj, parts)
+            stages = [_CF4_X2 * early + _CF4_X1 * late, _CF4_X1 * early + _CF4_X2 * late]
+        for form in stages:  # the early-leaning factor acts first
+            S = _expm(dtJ @ form) @ S
+    return S
+
+
+class TestTreeProduct:
+    """The pairwise tree product against the plain ordered loop."""
+
+    @pytest.mark.parametrize("order", [2, 4])
+    @pytest.mark.parametrize("n_modes", [2, 8])
+    @pytest.mark.parametrize("steps_per_block", [None, 7])
+    def test_matches_ordered_loop(self, monkeypatch, order, n_modes, steps_per_block):
+        cfg = cavity(eps=0.02, K=n_modes)
+        fock = FockConfig(n_modes=n_modes, dt=0.1 / n_modes, integrator_order=order)
+        parts = _static_parts(cfg, n_modes)
+        if steps_per_block is not None:
+            # 7 steps a block: odd factor counts at order 2, odd counts one
+            # level up at order 4, and a short last block
+            stages, dim = (1 if order == 2 else 2), 2 * n_modes
+            monkeypatch.setattr(fock_oracle, "_BLOCK_ENTRIES", steps_per_block * stages * dim * dim)
+        S = _propagator(cfg, quintic(1.0), fock, parts)
+        ref = ordered_loop_propagator(cfg, quintic(1.0), fock, parts)
+        assert np.max(np.abs(S - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 class TestParitySectors:
     """Every term of ``H(t)`` is quadratic in the ladder operators: it
     conserves photon-number parity and acts linearly on the quadratures,
@@ -576,6 +624,59 @@ class TestTraceIdentities:
         assert abs(check.numeric - correct) < 1e-6
 
 
+def series_expectation(beta: float, omega: float, f) -> float:
+    """``E[f(N)]`` over the geometric distribution, summed term by term.
+
+    The summation the closed form replaced, with its stop made relative: it
+    stopped once a term fell below 1e-18 absolute, which leaves 2e-8 of the
+    5.6e-13 moment ``E[N^(3)]`` out at ``beta * omega = 10``.
+    """
+    if math.isinf(beta):
+        return float(f(0))
+    q = math.exp(-beta * omega)
+    acc, weight, n = 0.0, 1.0 - q, 0
+    while True:
+        acc += weight * f(n)
+        weight *= q
+        n += 1
+        if acc > 0 and weight * abs(f(n)) < 1e-18 * acc or n > 100_000:
+            return acc
+
+
+def falling_factorial_value(coeffs, n: int) -> int:
+    return sum(c * math.perm(n, r) for r, c in enumerate(coeffs))
+
+
+# each per-mode coefficient tuple and the polynomial its comment names
+POLYNOMIALS = {
+    "_N": (_N, lambda n: n),
+    "_NP1": (_NP1, lambda n: n + 1),
+    "_NP1_SQ": (_NP1_SQ, lambda n: (n + 1) ** 2),
+    "_FALL2": (_FALL2, lambda n: n * (n - 1)),
+    "_FALL3": (_FALL3, lambda n: n * (n - 1) * (n - 2)),
+    "_RISE2": (_RISE2, lambda n: (n + 1) * (n + 2)),
+    "_RISE2_NP2": (_RISE2_NP2, lambda n: (n + 1) * (n + 2) ** 2),
+}
+
+
+class TestClosedFormMoments:
+    @pytest.mark.parametrize("name", POLYNOMIALS)
+    def test_coefficients_reproduce_the_polynomial(self, name):
+        coeffs, poly = POLYNOMIALS[name]
+        assert [falling_factorial_value(coeffs, n) for n in range(21)] == [
+            poly(n) for n in range(21)]
+
+    @pytest.mark.parametrize("name", POLYNOMIALS)
+    @pytest.mark.parametrize("beta_omega", [0.3, 1.0, 2.0, 10.0, math.inf])
+    def test_matches_the_series(self, name, beta_omega):
+        coeffs, poly = POLYNOMIALS[name]
+        omega = 1.5
+        beta = beta_omega / omega
+        closed = _geometric_expectation(beta, omega, coeffs)
+        series = series_expectation(beta, omega, poly)
+        assert abs(closed - series) <= 1e-14 * abs(series)
+
+
 def _dense_identity_values(beta: float, fock: FockConfig, cfg: CavityConfig) -> dict:
     """Each battery string as a dense ``einsum`` trace against the dense state."""
     dim = fock.n_max + 3  # the battery's two rungs of operator headroom
@@ -731,6 +832,30 @@ class TestValidateFriction:
             warnings.simplefilter("error")
             report = validate_friction(cfg, ThermalBath(1.0), quintic(1.0), fock)
         assert 0.95 <= report.richardson_ratio <= 1.05
+
+    def test_spectral_table_built_once(self, monkeypatch):
+        # the table depends on L0 and the mode count, not on epsilon: one
+        # build serves both friction energies, which keep the digits of a
+        # table built per epsilon
+        fock = FockConfig(n_modes=4, dt=0.025)
+        cfg, bath = cavity(eps=0.01, K=4), ThermalBath(2.0)
+        calls, build = [], friction.spectral_table
+
+        def counted(traj, cfg):
+            calls.append(cfg.n_modes)
+            return build(traj, cfg)
+
+        monkeypatch.setattr(friction, "spectral_table", counted)
+        monkeypatch.setattr(fock_oracle, "spectral_table", counted, raising=False)
+        report = validate_friction(cfg, bath, quintic(1.0), fock)
+        assert calls == [4]
+        monkeypatch.undo()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            per_eps = [friction_energy(replace(cfg, epsilon=e), bath, quintic(1.0),
+                                       compute_bound=False).value for e in (0.01, 0.005)]
+        assert [row.E_pert for row in report.rows] == [
+            row.E_adiab + ef for row, ef in zip(report.rows, per_eps)]
 
     def test_static_parts_built_once(self, monkeypatch):
         # both epsilons share h0, h1, h2: one build serves both propagations

@@ -36,6 +36,17 @@ class TestQuintic:
         with pytest.raises(ValueError):
             quintic(-1.0)
 
+    @pytest.mark.parametrize("tau", [1e-300, 1e-200, 1e-64, 1e62, 1e300, math.inf])
+    def test_rejects_duration_whose_fifth_power_leaves_floating_point(self, tau):
+        # tau**5 underflows or overflows, so a coefficient would be 0, inf or nan
+        with pytest.raises(ValueError, match="tau"):
+            quintic(tau)
+
+    @pytest.mark.parametrize("tau", [1e-61, 1e61])
+    def test_extreme_durations_in_range_keep_finite_coefficients(self, tau):
+        c = quintic(tau).delta.c[:3, 0]
+        assert np.all(np.isfinite(c)) and np.all(c != 0.0)
+
     def test_start_conditions(self):
         tr = quintic(2.0)
         t0 = np.array([0.0])
