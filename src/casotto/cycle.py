@@ -39,10 +39,17 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .friction import SpectralTable, TruncationWarning, friction_energy, spectral_table
+from .friction import (
+    SpectralTable,
+    TruncationWarning,
+    _per_bath,
+    _stroke_cutoff,
+    _truncation_flag,
+    _warn_truncation,
+    spectral_table,
+)
 from .spectrum import (
     CavityConfig,
-    ThermalBath,
     _warn,
     casimir_energy,
     mode_frequencies,
@@ -182,22 +189,15 @@ def _otto_sums(
     return Q_ad, W_ad, tail, pieces
 
 
-def _tail_flag(cfg: CavityConfig, tail: float, scale: float) -> bool:
-    flag = bool(math.isfinite(tail) and tail > cfg.tail_tol * max(abs(scale), 1e-300))
-    if flag:
-        _warn(
-            f"mode-sum tail estimate {tail:.3e} exceeds tail_tol * |Q| "
-            f"= {cfg.tail_tol * abs(scale):.3e}; increase n_modes",
-            TruncationWarning,
-        )
-    return flag
+def _safe_ratio(num, den, limit):
+    """num/den with a degeneracy guard, elementwise; returns (value, defined).
 
-
-def _safe_ratio(num: float, den: float, limit: float) -> tuple[float, bool]:
-    """num/den with a degeneracy guard; returns (value, defined)."""
-    if den != 0.0 and math.isfinite(num / den):
-        return num / den, True
-    return limit, False
+    Where the quotient is not finite, as it never is for a zero ``den``,
+    the value is ``limit``; call under ``np.errstate`` that ignores the
+    division."""
+    ratio = num / den
+    defined = np.isfinite(ratio)
+    return np.where(defined, ratio, limit)[()], defined
 
 
 @dataclass(frozen=True)
@@ -208,17 +208,19 @@ class _Machine:
     stroke frictions (E_F(A), E_F(C)); each keeps its own floating-point
     association.  ``merit`` orders (Q, W) as (numerator, denominator) of
     the figure of merit, whose population-frozen value is ``limit(eps)``.
+    These and ``runs`` work elementwise on arrays; ``in_window`` takes one
+    bath ratio and one eps.
     """
 
-    heat: Callable[[float, float, float], float]
-    work: Callable[[float, float, float], float]
-    merit: Callable[[float, float], tuple[float, float]]
-    limit: Callable[[float], float]
-    runs: Callable[[float, float], bool]
+    heat: Callable
+    work: Callable
+    merit: Callable
+    limit: Callable
+    runs: Callable
     in_window: Callable[[float, float], bool]
     window_text: str
     q_convention: str
-    second_order: Callable[[float, float, float], float] | None = None
+    second_order: Callable | None = None
 
 
 _MACHINES = {
@@ -227,7 +229,7 @@ _MACHINES = {
         work=lambda W_ad, ef_a, ef_c: W_ad - (ef_a + ef_c),
         merit=lambda Q, W: (W, Q),
         limit=lambda eps: eps,
-        runs=lambda Q, W: Q > 0 and W > 0,
+        runs=lambda Q, W: (Q > 0) & (W > 0),
         # Q_ad > 0 requires beta_C * w_k(L1) <= beta_A * w_k, i.e. the Otto
         # efficiency eps must not exceed the Carnot efficiency 1 - beta_C/beta_A
         in_window=lambda ratio, eps: ratio <= 1.0 - eps,
@@ -254,7 +256,102 @@ _MACHINES = {
 }
 
 
-def _cycle(
+def _operands(stack: np.ndarray) -> list:
+    """The operands stacked on the first axis of ``stack``; one-element
+    operands as numpy scalars, which broadcast alike but skip the array
+    machinery, so a one-cell grid costs little more than scalar code."""
+    return list(stack.reshape(len(stack)) if stack[0].size == 1 else stack)
+
+
+def _cycles(
+    cavities: Sequence[CavityConfig],
+    baths: Sequence[BathPair],
+    machine: str,
+    tables: Sequence[SpectralTable | None] = (),
+    periods: Sequence[float] = (),
+    *,
+    include_casimir: bool,
+) -> tuple[list[CycleReport], object, object, tuple]:
+    """Cycles of ``machine`` over a (bath, eps, tau) grid, each rule run once.
+
+    ``cavities`` (one per eps) differ only in epsilon.  Without ``tables``
+    the strokes are adiabatic (one tau column, zero friction, NaN power);
+    else tau ``t`` takes both frictions from the checked ``tables[t]`` (None
+    for a failed tau: NaN cells) and has cycle period ``periods[t]``.
+    Returns the reports in (bath, eps, tau) order, the population-frozen
+    heat and its truncation flag, and the flags of strokes A and C.
+    """
+    m = _MACHINES[machine]
+    cfg = cavities[0]
+    B, E, T = len(baths), len(cavities), max(len(tables), 1)
+    sums = [_otto_sums(c, bath, machine) for bath in baths for c in cavities]
+    Q_ad, W_ad, tail, w0_nA, w1_nA, w1_nC, w0_nC = _operands(
+        np.array([(q, w, t, *pieces.values()) for q, w, t, pieces in sums]).T.reshape(7, B, E, 1)
+    )
+    e0 = casimir_energy(cfg.L0) if include_casimir else 0.0
+    eps, eps2, e1 = _operands(np.array([
+        (c.epsilon, c.epsilon**2, casimir_energy(c.L1) if include_casimir else 0.0)
+        for c in cavities
+    ]).T.reshape(3, E, 1))
+    if tables:
+        # betas outside taus: each kernel is built once, even when there
+        # are more of them than the kernel cache keeps
+        missing = (math.nan,) * 3
+        terms = {
+            beta: [missing if t is None else _per_bath(t, cfg.L0, cfg.n_modes, beta) for t in tables]
+            for beta in dict.fromkeys(b for bath in baths for b in (bath.beta_A, bath.beta_C))
+        }
+        # per stroke A then C: E_F / eps**2, round-off bound, tail estimate
+        value_a, noise_a, tail_a, value_c, noise_c, tail_c = _operands(
+            np.array([(terms[b.beta_A], terms[b.beta_C]) for b in baths])
+            .transpose(1, 3, 0, 2).reshape(6, B, 1, T)
+        )
+    with np.errstate(all="ignore"):
+        otto_flag = np.isfinite(tail) & (tail > cfg.tail_tol * np.maximum(np.abs(Q_ad), 1e-300))
+        tail_warning, stroke_flags = otto_flag, ()
+        ef_a = ef_c = err = 0.0
+        period = math.nan
+        if tables:
+            ef_a, ef_c = eps2 * value_a, eps2 * value_c
+            err_a, err_c = eps2 * noise_a, eps2 * noise_c
+            err = err_a + err_c
+            stroke_flags = (
+                _truncation_flag(tail_a, value_a, eps2, err_a, cfg.tail_tol),
+                _truncation_flag(tail_c, value_c, eps2, err_c, cfg.tail_tol),
+            )
+            tail_warning = tail_warning | stroke_flags[0] | stroke_flags[1]
+            (period,) = _operands(np.array([periods]))
+        Q = m.heat(Q_ad, ef_a, ef_c)
+        W = m.work(W_ad, ef_a, ef_c)
+        eta_ad, _ = _safe_ratio(*m.merit(Q_ad, W_ad), m.limit(eps))
+        eta, defined = _safe_ratio(*m.merit(Q, W), eta_ad)
+        eta2 = math.nan
+        if m.second_order is not None:
+            eta2 = np.where(Q_ad != 0.0, m.second_order(eta_ad, Q_ad, ef_a + ef_c), math.nan)[()]
+        power = W / period
+    # one block per type, each filled by broadcasting, then one row per cell
+    floats = np.empty((14, B, E, T))
+    for i, column in enumerate((
+        w0_nA + e0, w1_nA + ef_a + e1, w1_nC + e1, w0_nC + ef_c + e0,
+        Q, W, eta, eta_ad, power, ef_a, ef_c, eta2, tail, err,
+    )):
+        floats[i] = column
+    flags = np.empty((3, B, E, T), dtype=bool)
+    flags[0], flags[1], flags[2] = defined, tail_warning, m.runs(Q, W)
+    K, convention = cfg.n_modes, m.q_convention
+    reports = [
+        CycleReport(
+            *f[:9], machine if runs else "dissipator", f[9], f[10], K, defined_,
+            f[11], f[12], warned, convention, f[13],
+        )
+        for f, (defined_, warned, runs) in zip(
+            floats.reshape(14, -1).T.tolist(), flags.reshape(3, -1).T.tolist()
+        )
+    ]
+    return reports, Q_ad, otto_flag, stroke_flags
+
+
+def _single_cycle(
     cfg: CavityConfig,
     baths: BathPair,
     machine: str,
@@ -264,14 +361,18 @@ def _cycle(
     table: SpectralTable | None = None,
     thermalization_time: float = 0.0,
 ) -> CycleReport:
-    """One cycle of ``machine``: population-frozen sums plus stroke friction.
-
-    Without a trajectory the strokes are adiabatic (zero friction, NaN
-    power); with one, both frictions come from its spectral table and enter
-    through the machine's ``heat`` and ``work`` rules.
-    """
+    """One cycle of ``machine``, adiabatic without a trajectory:
+    :func:`_cycles` on a one-cell grid, with the warnings its flags call for."""
     m = _MACHINES[machine]
-    period = math.nan if traj is None else _cycle_time(traj.duration, thermalization_time)
+    tables = periods = ()
+    if traj is not None:
+        periods = (_cycle_time(traj.duration, thermalization_time),)
+        # compression out of the cold state, expansion out of the hot one;
+        # reversal leaves the spectral power unchanged, so one table serves both
+        if table is None:
+            table = spectral_table(traj, cfg)
+        _stroke_cutoff(cfg, table)
+        tables = (table,)
     if not m.in_window(baths.ratio, cfg.epsilon):
         _warn(
             m.window_text.format(
@@ -279,58 +380,30 @@ def _cycle(
             ),
             ConditionWarning,
         )
-    Q_ad, W_ad, tail, pieces = _otto_sums(cfg, baths, machine)
-    tail_warning = _tail_flag(cfg, tail, Q_ad)
-    ef_a = ef_c = err = 0.0
-    if traj is not None:
-        # compression out of the cold state, expansion out of the hot one;
-        # reversal leaves the spectral power unchanged, so one table serves both
-        if table is None:
-            table = spectral_table(traj, cfg)
-        res_A, res_C = (
-            friction_energy(cfg, ThermalBath(beta), traj, table=table, compute_bound=False)
-            for beta in (baths.beta_A, baths.beta_C)
-        )
-        ef_a, ef_c, err = res_A.value, res_C.value, res_A.err + res_C.err
-        tail_warning = tail_warning or res_A.tail_warning or res_C.tail_warning
-
-    Q = m.heat(Q_ad, ef_a, ef_c)
-    W = m.work(W_ad, ef_a, ef_c)
-    eta_ad, _ = _safe_ratio(*m.merit(Q_ad, W_ad), limit=m.limit(cfg.epsilon))
-    eta, defined = _safe_ratio(*m.merit(Q, W), limit=eta_ad)
-    eta2 = math.nan
-    if m.second_order is not None and Q_ad != 0.0:
-        eta2 = m.second_order(eta_ad, Q_ad, ef_a + ef_c)
-    e0 = casimir_energy(cfg.L0) if include_casimir else 0.0
-    e1 = casimir_energy(cfg.L1) if include_casimir else 0.0
-    return CycleReport(
-        E_A=pieces["sum_w0_nA"] + e0,
-        E_B=pieces["sum_w1_nA"] + ef_a + e1,
-        E_C=pieces["sum_w1_nC"] + e1,
-        E_D=pieces["sum_w0_nC"] + ef_c + e0,
-        Q=Q,
-        W=W,
-        eta=eta,
-        eta_adiabatic=eta_ad,
-        power=W / period,
-        mode=machine if m.runs(Q, W) else "dissipator",
-        E_F_A=ef_a,
-        E_F_C=ef_c,
-        k_used=cfg.n_modes,
-        eta_defined=defined,
-        eta_second_order=eta2,
-        tail_estimate=tail,
-        tail_warning=tail_warning,
-        q_convention=m.q_convention,
-        err=err,
+    (report,), Q_ad, otto_flag, stroke_flags = _cycles(
+        [cfg], [baths], machine, tables, periods, include_casimir=include_casimir
     )
+    if otto_flag:
+        _warn(
+            f"mode-sum tail estimate {report.tail_estimate:.3e} exceeds tail_tol * |Q| "
+            f"= {cfg.tail_tol * abs(Q_ad):.3e}; increase n_modes",
+            TruncationWarning,
+        )
+    eps2 = cfg.epsilon**2
+    for flag, value, beta in zip(
+        stroke_flags, (report.E_F_A, report.E_F_C), (baths.beta_A, baths.beta_C)
+    ):
+        if flag:
+            tail = _per_bath(table, cfg.L0, cfg.n_modes, beta)[2]
+            _warn_truncation(eps2 * tail if math.isfinite(tail) else tail, value, cfg.tail_tol)
+    return report
 
 
 def adiabatic_engine(
     cfg: CavityConfig, baths: BathPair, include_casimir: bool = True
 ) -> CycleReport:
     """Population-frozen engine cycle; efficiency equals ``eps`` exactly."""
-    return _cycle(cfg, baths, "engine", include_casimir=include_casimir)
+    return _single_cycle(cfg, baths, "engine", include_casimir=include_casimir)
 
 
 def nonadiabatic_engine(
@@ -348,7 +421,7 @@ def nonadiabatic_engine(
     ``E_F(A)`` (the expansion stroke deposits its friction after the hot
     contact, where it does not touch Q); both frictions reduce the work.
     """
-    return _cycle(
+    return _single_cycle(
         cfg, baths, "engine", traj, include_casimir=include_casimir,
         table=table, thermalization_time=thermalization_time,
     )
@@ -358,7 +431,7 @@ def adiabatic_refrigerator(
     cfg: CavityConfig, baths: BathPair, include_casimir: bool = True
 ) -> CycleReport:
     """Population-frozen refrigerator; COP equals ``1/eps - 1`` exactly."""
-    return _cycle(cfg, baths, "refrigerator", include_casimir=include_casimir)
+    return _single_cycle(cfg, baths, "refrigerator", include_casimir=include_casimir)
 
 
 def nonadiabatic_refrigerator(
@@ -375,7 +448,7 @@ def nonadiabatic_refrigerator(
     The heat drawn from the cold bath loses the expansion-stroke friction
     ``E_F(C)``; the work consumed gains both frictions.
     """
-    return _cycle(
+    return _single_cycle(
         cfg, baths, "refrigerator", traj, include_casimir=include_casimir,
         table=table, thermalization_time=thermalization_time,
     )
@@ -440,54 +513,48 @@ def sweep(
     """Cycle reports over a (bath, epsilon, tau) grid.
 
     Every tau's trajectory and spectral table are built first (five arrays
-    of ``2K + 1`` floats per tau), then the cells run bath by bath.  The
-    friction kernel of each distinct bath temperature is thus built once,
-    however many baths the grid has, and each table takes one product per
-    bath (kept on the table), which every compression ratio then only
-    scales.  The population-frozen sums of each (bath, eps) cell are cached
-    too.  A sweep costs one table per tau, one kernel per distinct beta and
-    a scaling per cell.  Rows come out in a fixed order: outer bath ratio,
-    then epsilon, then tau ascending.  Failures of individual cells, a
-    tau whose trajectory or table fails included, are recorded in the row
-    and do not abort the sweep; warnings are silenced.
+    of ``2K + 1`` floats per tau).  Then, one distinct bath temperature at a
+    time, each table takes one product with its friction kernel (each kernel
+    is built once), and the bookkeeping of all cells is one pass of array
+    arithmetic over the (bath, eps, tau) grid, doing a single cell's
+    floating-point operations, so a row equals the single-cell call bit for
+    bit.  The population-frozen sums of each (bath, eps) pair are cached.
+    Rows come out in a fixed order: outer bath ratio, then epsilon, then
+    tau ascending.  A tau whose trajectory, table or cycle period fails is
+    recorded in each of its rows and does not abort the sweep; warnings are
+    silenced.
     """
     if machine not in _MACHINES:
         raise ValueError(f"machine must be 'engine' or 'refrigerator', got {machine!r}")
-    if not baths or len(taus) == 0:
-        raise ValueError("sweep needs non-empty bath and tau grids")
     eps_list = list(epsilons) if epsilons is not None else [cfg.epsilon]
-    cells = [(bath, replace(cfg, epsilon=eps)) for bath in baths for eps in eps_list]
-    strokes = []  # (tau, trajectory, table, failure) per tau, ascending
-    for tau in sorted(float(t) for t in taus):
-        try:
-            traj = traj_family(tau)
-            strokes.append((tau, traj, spectral_table(traj, cfg), None))
-        except Exception as exc:  # cell failures are recorded, not raised
-            strokes.append((tau, None, None, exc))
-
-    run = nonadiabatic_engine if machine == "engine" else nonadiabatic_refrigerator
-    rows = []
+    if not baths or len(taus) == 0 or not eps_list:
+        raise ValueError("sweep needs non-empty bath, epsilon and tau grids")
+    cavities = [replace(cfg, epsilon=eps) for eps in eps_list]
+    taus = sorted(float(t) for t in taus)
+    strokes = []  # (table, period, failure) per tau
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        for bath, cfg_eps in cells:
-            for tau, traj, table, failure in strokes:
-                where = (tau * cfg.omega1, bath.ratio, cfg_eps.epsilon)
-                if failure is not None:
-                    rows.append(SweepRow(*where, None, error=str(failure)))
-                    continue
-                try:
-                    report = run(
-                        cfg_eps,
-                        bath,
-                        traj,
-                        include_casimir=include_casimir,
-                        table=table,
-                        thermalization_time=thermalization_time,
-                    )
-                    rows.append(SweepRow(*where, report))
-                except Exception as exc:  # record and continue
-                    rows.append(SweepRow(*where, None, error=str(exc)))
-    return rows
+        for tau in taus:
+            try:
+                traj = traj_family(tau)
+                table = spectral_table(traj, cfg)
+                period = _cycle_time(traj.duration, thermalization_time)
+                _stroke_cutoff(cfg, table)
+                strokes.append((table, period, None))
+            except Exception as exc:  # a failing tau is recorded, not raised
+                strokes.append((None, math.nan, exc))
+        tables, periods, failures = zip(*strokes)
+        reports = _cycles(
+            cavities, baths, machine, tables, periods, include_casimir=include_casimir
+        )[0]
+    where = [
+        (tau * cfg.omega1, bath.ratio, cell.epsilon)
+        for bath in baths for cell in cavities for tau in taus
+    ]
+    return [
+        SweepRow(*at, report) if failure is None else SweepRow(*at, None, error=str(failure))
+        for at, report, failure in zip(where, reports, failures * (len(baths) * len(cavities)))
+    ]
 
 
 def write_sweep_csv(rows: Iterable[SweepRow], stream) -> None:
@@ -495,13 +562,19 @@ def write_sweep_csv(rows: Iterable[SweepRow], stream) -> None:
     stream.write(",".join(SWEEP_COLUMNS) + "\n")
     for row in rows:
         r = row.report
-        cells = [_fmt(row.tau_omega1), _fmt(row.beta_ratio), _fmt(row.epsilon)]
+        where = (row.tau_omega1, row.beta_ratio, row.epsilon)
         if r is None:
-            cells += ["nan"] * 5 + ["failed", "nan", "nan", "1"]
+            stream.write(_FAILED_ROW % where)
         else:
-            cells += [_fmt(x) for x in (r.Q, r.W, r.eta, r.eta_adiabatic, r.power)]
-            cells += [r.mode, _fmt(r.E_F_A), _fmt(r.E_F_C), "1" if r.tail_warning else "0"]
-        stream.write(",".join(cells) + "\n")
+            stream.write(_ROW % (
+                *where, r.Q, r.W, r.eta, r.eta_adiabatic, r.power, r.mode,
+                r.E_F_A, r.E_F_C, r.tail_warning,
+            ))
+
+
+# ``%.17g`` formats as ``format(x, ".17g")`` does
+_ROW = ",".join(["%.17g"] * 8 + ["%s", "%.17g", "%.17g", "%d"]) + "\n"
+_FAILED_ROW = "%.17g,%.17g,%.17g," + ",".join(["nan"] * 5 + ["failed", "nan", "nan", "1"]) + "\n"
 
 
 def _fmt(x: float) -> str:

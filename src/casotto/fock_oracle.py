@@ -382,6 +382,12 @@ def _ladder_string(label: str) -> tuple[tuple[int, str], ...]:
     return tuple(out)
 
 
+# the battery with each label's factors parsed once
+_IDENTITY_STRINGS = tuple(
+    (label, _ladder_string(label), polys) for label, polys in _IDENTITIES.items()
+)
+
+
 def verify_trace_identities(
     beta: float, fock: FockConfig, cfg: CavityConfig
 ) -> IdentityReport:
@@ -417,9 +423,9 @@ def verify_trace_identities(
     eye = np.eye(work.n_max + 1)
 
     checks = []
-    for label, polys in _IDENTITIES.items():
+    for label, factors, polys in _IDENTITY_STRINGS:
         per_mode: dict[int, np.ndarray] = {}
-        for mode, kind in _ladder_string(label):
+        for mode, kind in factors:
             per_mode[mode] = per_mode.get(mode, eye) @ ladder[kind]
         numeric = float(p @ _product({m: np.diag(op) for m, op in per_mode.items()}, work))
         closed = math.prod(

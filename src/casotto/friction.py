@@ -421,6 +421,40 @@ def _check_table(cfg: CavityConfig, table: SpectralTable) -> int:
     return K
 
 
+def _stroke_cutoff(cfg: CavityConfig, table: SpectralTable) -> int:
+    """The cutoff K of ``cfg``, once ``table`` is known to serve it and to
+    describe a stroke of unit net displacement (either direction)."""
+    # the zero-frequency cosine amplitude is the net displacement
+    disp = float(table.C[0])
+    if abs(abs(disp) - 1.0) > 1e-6:
+        raise ValueError(
+            f"trajectory must be normalised to unit displacement, got {disp:.6g}"
+        )
+    return _check_table(cfg, table)
+
+
+def _truncation_flag(tail, value_per_eps2, eps2, err, tail_tol):
+    """Whether a friction energy's tail estimate flags truncation; floats or arrays.
+
+    ``tail`` and ``value_per_eps2`` are per unit ``eps**2``, ``err`` is the
+    scaled round-off bound.  An infinite estimate (no decay to fit) flags, a
+    NaN one (too few modes) does not, and neither does a tail within ``err``.
+    """
+    return np.isinf(tail) | (
+        (tail > tail_tol * np.maximum(np.abs(value_per_eps2), 1e-300))
+        & (eps2 * tail > err)
+    )
+
+
+def _warn_truncation(tail: float, value: float, tail_tol: float) -> None:
+    """Warn that friction energy ``value``'s scaled tail estimate is flagged."""
+    _warn(
+        f"mode-sum tail estimate {tail:.3e} exceeds "
+        f"tail_tol * value = {tail_tol * abs(value):.3e}",
+        TruncationWarning,
+    )
+
+
 def _per_bath(
     table: SpectralTable, L0: float, K: int, beta: float
 ) -> tuple[float, float, float]:
@@ -458,37 +492,16 @@ def friction_energy(
     """
     if table is None:
         table = spectral_table(traj, cfg)
-    # the zero-frequency cosine amplitude is the net displacement
-    disp = float(table.C[0])
-    if abs(abs(disp) - 1.0) > 1e-6:
-        raise ValueError(
-            f"trajectory must be normalised to unit displacement, got {disp:.6g}"
-        )
-    K = _check_table(cfg, table)
+    K = _stroke_cutoff(cfg, table)
     value_per_eps2, noise_per_eps2, tail = _per_bath(table, cfg.L0, K, bath.beta)
     eps2 = cfg.epsilon**2
     value = eps2 * value_per_eps2
     err = eps2 * noise_per_eps2
 
     tail_scaled = eps2 * tail if math.isfinite(tail) else tail
-    # an infinite estimate means the fitted contributions do not decay;
-    # that is as much a truncation red flag as a large finite tail.  A tail
-    # within the round-off bound flags nothing the value does not already
-    # carry in ``err``.
-    tail_warning = bool(
-        math.isinf(tail)
-        or (
-            math.isfinite(tail)
-            and tail > cfg.tail_tol * max(abs(value_per_eps2), 1e-300)
-            and eps2 * tail > err
-        )
-    )
+    tail_warning = bool(_truncation_flag(tail, value_per_eps2, eps2, err, cfg.tail_tol))
     if tail_warning:
-        _warn(
-            f"mode-sum tail estimate {tail_scaled:.3e} exceeds "
-            f"tail_tol * value = {cfg.tail_tol * abs(value):.3e}",
-            TruncationWarning,
-        )
+        _warn_truncation(tail_scaled, value, cfg.tail_tol)
 
     bound = None
     if compute_bound:

@@ -328,6 +328,27 @@ class TestRuns:
         assert etas == sorted(etas)
         assert all(e <= 0.01 + 1e-12 for e in etas)
 
+    @pytest.mark.parametrize("machine, ratios", [
+        ("engine", "0.3,0.5"), ("refrigerator", "0.97,0.99"),
+    ])
+    def test_sweep_rows_equal_single_cell_rows(self, machine, ratios):
+        # 64 modes leave the short strokes' friction tails flagged
+        flags = ["--modes", "64", "--thermalization-time", "0.5"]
+        status, text = capture(["sweep", "--tau-grid", "0.5:2:3", "--beta-ratio", ratios,
+                                "--epsilon", "0.01,0.06", "--mode", machine, *flags])
+        assert status == 0
+        rows = [l for l in text.splitlines() if l[:1].isdigit()]
+        assert len(rows) == 12
+        assert {r.rsplit(",", 1)[1] for r in rows} == {"0", "1"}
+        for row in rows:
+            tau, ratio, eps = row.split(",")[:3]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                status, single = capture([machine, "--tau", tau, "--beta-ratio", ratio,
+                                          "--epsilon", eps, *flags])
+            assert status == 0
+            assert [l for l in single.splitlines() if l[:1].isdigit()] == [row]
+
     def test_shortcut_check_traces_return_to_zero(self):
         status, text = capture(
             ["shortcut-check", "--tau", "1", "--L0", "1", "--n", "2,4",

@@ -10,6 +10,7 @@ from casotto import friction as friction_module
 from casotto.cycle import (
     BathPair,
     ConditionWarning,
+    CycleReport,
     adiabatic_engine,
     adiabatic_refrigerator,
     nonadiabatic_engine,
@@ -18,8 +19,8 @@ from casotto.cycle import (
     sweep,
     write_sweep_csv,
 )
-from casotto.friction import TruncationWarning
-from casotto.spectrum import CavityConfig, ThermalBath
+from casotto.friction import TruncationWarning, friction_energy, spectral_table
+from casotto.spectrum import CavityConfig, ThermalBath, casimir_energy
 from casotto.trajectory import quintic
 
 pytestmark = pytest.mark.filterwarnings(
@@ -32,6 +33,75 @@ def cfg(eps=0.01, K=64, tail_tol=1e-6):
 
 
 ENGINE_BATHS = BathPair(beta_A=2.0, beta_C=1.0)
+
+
+def _scalar_ratio(num, den, limit):
+    if den != 0.0 and math.isfinite(num / den):
+        return num / den, True
+    return limit, False
+
+
+def reference_cycle(cfg, baths, machine, traj=None, *, include_casimir=True,
+                    thermalization_time=0.0):
+    """One cell's cycle, the scalar bookkeeping the package ran cell by cell
+    before it took a sweep's cells as arrays; warnings are not raised."""
+    engine = machine == "engine"
+    period = math.nan
+    if traj is not None:
+        if not traj.duration > 0 or thermalization_time < 0:
+            raise ValueError("tau must be positive, thermalization_time non-negative")
+        period = 2.0 * traj.duration + thermalization_time
+    Q_ad, W_ad, tail, pieces = cycle_module._otto_sums(cfg, baths, machine)
+    tail_warning = bool(math.isfinite(tail) and tail > cfg.tail_tol * max(abs(Q_ad), 1e-300))
+    ef_a = ef_c = err = 0.0
+    if traj is not None:
+        table = spectral_table(traj, cfg)
+        res_A, res_C = (
+            friction_energy(cfg, ThermalBath(beta), traj, table=table, compute_bound=False)
+            for beta in (baths.beta_A, baths.beta_C)
+        )
+        ef_a, ef_c, err = res_A.value, res_C.value, res_A.err + res_C.err
+        tail_warning = tail_warning or res_A.tail_warning or res_C.tail_warning
+    if engine:
+        Q, W = Q_ad - ef_a, W_ad - (ef_a + ef_c)
+        eta_ad, _ = _scalar_ratio(W_ad, Q_ad, cfg.epsilon)
+        eta, defined = _scalar_ratio(W, Q, eta_ad)
+        runs = Q > 0 and W > 0
+    else:
+        Q, W = Q_ad - ef_c, W_ad + ef_a + ef_c
+        eta_ad, _ = _scalar_ratio(Q_ad, W_ad, 1.0 / cfg.epsilon - 1.0)
+        eta, defined = _scalar_ratio(Q, W, eta_ad)
+        runs = Q > 0
+    eta2 = math.nan
+    if engine and Q_ad != 0.0:
+        eta2 = eta_ad - (ef_a + ef_c) / Q_ad
+    e0 = casimir_energy(cfg.L0) if include_casimir else 0.0
+    e1 = casimir_energy(cfg.L1) if include_casimir else 0.0
+    return CycleReport(
+        E_A=pieces["sum_w0_nA"] + e0,
+        E_B=pieces["sum_w1_nA"] + ef_a + e1,
+        E_C=pieces["sum_w1_nC"] + e1,
+        E_D=pieces["sum_w0_nC"] + ef_c + e0,
+        Q=Q,
+        W=W,
+        eta=eta,
+        eta_adiabatic=eta_ad,
+        power=W / period,
+        mode=machine if runs else "dissipator",
+        E_F_A=ef_a,
+        E_F_C=ef_c,
+        k_used=cfg.n_modes,
+        eta_defined=defined,
+        eta_second_order=eta2,
+        # the population-frozen tail is a numpy float; reports hold floats
+        tail_estimate=float(tail),
+        tail_warning=tail_warning,
+        q_convention=(
+            "Q = Q_adiabatic - E_F(cold compression stroke)" if engine
+            else "Q = Q_adiabatic - E_F(hot expansion stroke)"
+        ),
+        err=err,
+    )
 
 
 class TestBathPair:
@@ -419,11 +489,9 @@ class TestSweep:
             if direct is None:
                 assert row.report is None
                 continue
-            fields = ("Q", "W", "eta", "E_F_A", "E_F_C", "err", "tail_warning")
-            # repr tells every float apart, NaN equal to itself
-            assert repr([getattr(row.report, f) for f in fields]) == repr(
-                [getattr(direct, f) for f in fields]
-            )
+            # repr shows every field and tells every float apart, NaN equal
+            # to itself
+            assert repr(row.report) == repr(direct)
         # the short stroke at 256 modes still flags its truncation tail
         assert [r.report.tail_warning for r in rows if r.tau_omega1 == 0.5] == [True] * 6
         assert sum(r.report is None for r in rows) == 6
@@ -484,7 +552,87 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(cfg(K=8), [], [1.0], quintic)
         with pytest.raises(ValueError):
+            sweep(cfg(K=8), [ENGINE_BATHS], [], quintic)
+        with pytest.raises(ValueError):
+            sweep(cfg(K=8), [ENGINE_BATHS], [1.0], quintic, epsilons=[])
+        with pytest.raises(ValueError):
             sweep(cfg(K=8), [ENGINE_BATHS], [1.0], quintic, machine="laser")
+
+
+# vacuum cold bath, both baths vacuum (Q_ad = W_ad = 0: a degenerate
+# population-frozen denominator), a hot pair whose population-frozen tail is
+# flagged, and enough temperatures to overflow the 32-kernel cache
+REFERENCE_BATHS = [
+    BathPair(math.inf, 1.0),
+    BathPair(math.inf, math.inf),
+    BathPair(0.3, 0.1),
+    BathPair(2.0, 1.9),
+] + [BathPair(2.0, 2.0 * (0.05 + 0.03 * i)) for i in range(31)]
+
+
+def _family(tau):
+    if tau == 1.0:
+        raise RuntimeError("no profile")
+    return quintic(tau)
+
+
+class TestScalarReference:
+    @pytest.mark.parametrize("machine", ["engine", "refrigerator"])
+    @pytest.mark.parametrize("include_casimir", [True, False])
+    @pytest.mark.parametrize("thermalization_time", [0.0, 0.5])
+    def test_sweep_rows_equal_the_scalar_reference(
+        self, machine, include_casimir, thermalization_time
+    ):
+        assert len({b for p in REFERENCE_BATHS for b in (p.beta_A, p.beta_C)}) > 32
+        friction_module._bath_kernel.cache_clear()
+        rows = sweep(cfg(K=64), REFERENCE_BATHS, [0.3, 1.0, 4.0], _family,
+                     epsilons=[0.01, 0.06], machine=machine,
+                     include_casimir=include_casimir,
+                     thermalization_time=thermalization_time)
+        assert len(rows) == len(REFERENCE_BATHS) * 2 * 3
+        flagged = set()
+        for row, (bath, eps, tau) in zip(rows, [
+            (b, e, t) for b in REFERENCE_BATHS for e in (0.01, 0.06) for t in (0.3, 1.0, 4.0)
+        ]):
+            assert (row.tau_omega1, row.beta_ratio, row.epsilon) == (tau, bath.ratio, eps)
+            if tau == 1.0:
+                assert row.report is None and row.error == "no profile"
+                continue
+            expected = reference_cycle(
+                cfg(K=64, eps=eps), bath, machine, quintic(tau),
+                include_casimir=include_casimir, thermalization_time=thermalization_time,
+            )
+            assert repr(row.report) == repr(expected)
+            flagged.add((expected.tail_warning, expected.eta_defined, expected.mode))
+        # both flag values, a degenerate denominator and a dissipating cell occur
+        assert {f[0] for f in flagged} == {True, False}
+        assert any(f[2] == "dissipator" for f in flagged)
+
+    @pytest.mark.parametrize("machine", ["engine", "refrigerator"])
+    @pytest.mark.parametrize("include_casimir", [True, False])
+    def test_single_cells_equal_the_scalar_reference(self, machine, include_casimir):
+        finite = nonadiabatic_engine if machine == "engine" else nonadiabatic_refrigerator
+        frozen = adiabatic_engine if machine == "engine" else adiabatic_refrigerator
+        degenerate, tails = [], []
+        # at 4 modes the near-infinite temperatures leave a non-decaying
+        # population-frozen tail (estimate inf)
+        cells = [(cfg(K=16, eps=eps), bath) for bath in REFERENCE_BATHS[:6] for eps in (0.01, 0.06)]
+        for c, bath in cells + [(cfg(K=4), BathPair(1e-4, 1e-4 * 0.99))]:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                got = frozen(c, bath, include_casimir=include_casimir)
+                assert repr(got) == repr(
+                    reference_cycle(c, bath, machine, include_casimir=include_casimir))
+                degenerate.append(not got.eta_defined)
+                tails.append(got.tail_estimate)
+                got = finite(c, bath, quintic(0.7), include_casimir=include_casimir,
+                             thermalization_time=0.5)
+            expected = reference_cycle(c, bath, machine, quintic(0.7),
+                                       include_casimir=include_casimir,
+                                       thermalization_time=0.5)
+            assert repr(got) == repr(expected)
+        assert any(degenerate)
+        assert math.inf in tails
 
 
 class TestCasimirCancellation:

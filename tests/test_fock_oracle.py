@@ -717,6 +717,18 @@ class TestDiagonalTraces:
         assert _ladder_string("a1 a2 N3 ad1 ad2") == (
             (1, "a"), (2, "a"), (3, "N"), (1, "ad"), (2, "ad"))
 
+    def test_labels_are_parsed_once_at_import(self, monkeypatch):
+        calls = []
+
+        def counting(label):
+            calls.append(label)
+            return _ladder_string(label)
+
+        monkeypatch.setattr(fock_oracle, "_ladder_string", counting)
+        report = verify_trace_identities(2.0, FockConfig(n_modes=3, n_max=8), cavity(K=3))
+        assert len(report.checks) == 30
+        assert calls == []
+
     @pytest.mark.parametrize("beta", [2.0, math.inf])
     def test_numeric_equals_dense_trace(self, beta):
         # w_1 = 2, so four rungs keep all but exp(-20) of the thermal weight

@@ -565,6 +565,35 @@ class TestFrictionEnergy:
         assert 0.0 <= res.tail_estimate <= res.err
 
 
+def _scalar_truncation_flag(tail, value_per_eps2, eps2, err, tail_tol):
+    """The truncation rule as friction_energy stated it on floats."""
+    return bool(
+        math.isinf(tail)
+        or (
+            math.isfinite(tail)
+            and tail > tail_tol * max(abs(value_per_eps2), 1e-300)
+            and eps2 * tail > err
+        )
+    )
+
+
+def test_truncation_flag_is_the_scalar_rule_on_floats_and_arrays():
+    specials = [0.0, -0.0, 1e-310, 1e-12, 1.0, 1e300, math.inf, -math.inf, math.nan]
+    cases = [
+        (tail, value, eps2, err)
+        for tail in specials
+        for value in (0.0, 1e-310, 1e-7, 1.0, math.nan)
+        for eps2 in (0.0, 1e-4)
+        for err in (0.0, 1e-20, math.inf)
+    ]
+    expected = [_scalar_truncation_flag(*case, 1e-6) for case in cases]
+    assert [bool(friction_module._truncation_flag(*case, 1e-6)) for case in cases] == expected
+    with np.errstate(all="ignore"):
+        flags = friction_module._truncation_flag(*np.array(cases).T, 1e-6)
+    assert flags.tolist() == expected
+    assert any(expected) and not all(expected)
+
+
 class TestPerBathMemo:
     """A table keeps each bath's eps-independent terms; no result may change."""
 

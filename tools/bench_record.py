@@ -1,6 +1,8 @@
-"""Record the benchmark's end-to-end numbers of one checkout in a JSON file.
+"""Record the benchmark's end-to-end numbers of one checkout in a JSON file,
+or compare two checkouts in alternating pairs of runs.
 
     python3 tools/bench_record.py --out BENCH_N.json [--checkout DIR] [--label NAME]
+    python3 tools/bench_record.py --pairs N --parent DIR --workload W [--checkout DIR]
 
 For each of the three workloads of ``perfbench/workloads.py`` this runs
 ``python3 perfbench/run.py --workload W --seed 1 --seconds S --trace 0`` in
@@ -14,12 +16,23 @@ The record is filed under the checkout's commit and ``--label``; a file
 that already exists keeps its other records, so a before/after comparison
 is two invocations into one file.  ``dirty`` marks a checkout whose
 ``src/`` or ``perfbench/`` differ from its commit.
+
+With ``--pairs N`` nothing is written: the workload W runs N times in the
+parent checkout DIR and N times in the change checkout (``--checkout``),
+pair by pair, the side that runs first alternating from pair to pair.
+Each end-to-end metric of ``BENCHMARK.json`` is then printed with each
+side's median and quartiles, the change's median over the parent's, and
+the pairs the change won (ties count for neither side).  ``gain`` marks a
+metric that the change won in at least nine tenths of the pairs by a
+median difference larger than the distance between the parent's
+quartiles, ``loss`` the same the other way round.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -52,14 +65,71 @@ def run_workload(checkout: Path, name: str, seconds: float) -> dict:
     }
 
 
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def compare(parent: Path, change: Path, workload: str, pairs: int, seconds: float) -> str:
+    """Run ``pairs`` alternating parent/change runs of one workload; the
+    summary table, one end-to-end metric a line."""
+    sides = {"parent": parent, "change": change}
+    runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    for i in range(pairs):
+        for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+            print(f"pair {i + 1}/{pairs}: {workload} in {side} for {seconds:g} s", file=sys.stderr, flush=True)
+            runs[side].append(run_workload(sides[side], workload, seconds))
+    spec = json.loads((HERE / "BENCHMARK.json").read_text())["end_to_end"]
+    lines = [f"{workload}: {pairs} pairs; median [q1, q3]; change/parent; pairs the change won",
+             f"{'metric':14} {'parent':>28} {'change':>28} {'ratio':>7} {'wins':>7}"]
+    for metric in spec:
+        name, lower = metric["name"], metric["better"] == "lower"
+        p = [r["metrics"][name] for r in runs["parent"]]
+        c = [r["metrics"][name] for r in runs["change"]]
+        pq, cq = quartiles(p), quartiles(c)
+        wins = sum((b < a) if lower else (b > a) for a, b in zip(p, c))
+        losses = sum((b > a) if lower else (b < a) for a, b in zip(p, c))
+        apart = abs(cq[1] - pq[1]) > pq[2] - pq[0]
+        better = (cq[1] < pq[1]) == lower
+        verdict = ""
+        if apart and better and wins >= 0.9 * pairs:
+            verdict = "gain"
+        elif apart and not better and losses >= 0.9 * pairs:
+            verdict = "loss"
+        lines.append(
+            f"{name:14} {pq[1]:10.4g} [{pq[0]:.4g}, {pq[2]:.4g}]".ljust(44)
+            + f"{cq[1]:10.4g} [{cq[0]:.4g}, {cq[2]:.4g}]".ljust(29)
+            + f"{cq[1] / pq[1] if pq[1] else float('nan'):7.3f} {wins:>3}/{pairs:<3} {verdict}"
+        )
+    for side in ("parent", "change"):
+        failed = sum(r["failed"] for r in runs[side])
+        attempted = sum(r["attempted"] for r in runs[side])
+        lines.append(f"{side}: {failed} of {attempted} units failed; per run "
+                     + " ".join(f"{r['metrics'][spec[0]['name']]:.4g}" for r in runs[side]))
+    return "\n".join(lines)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--out", required=True, type=Path)
+    parser.add_argument("--out", type=Path)
     parser.add_argument("--checkout", type=Path, default=HERE)
     parser.add_argument("--label", default="")
+    parser.add_argument("--pairs", type=int, default=0)
+    parser.add_argument("--parent", type=Path)
+    parser.add_argument("--workload", choices=WORKLOADS)
     args = parser.parse_args(argv)
     checkout = args.checkout.resolve()
     seconds = json.loads((HERE / "BENCHMARK.json").read_text())["run_seconds"]
+
+    if args.pairs:
+        if args.pairs < 1 or args.parent is None or args.workload is None:
+            parser.error("--pairs needs a positive count, --parent and --workload")
+        print(compare(args.parent.resolve(), checkout, args.workload, args.pairs, seconds))
+        return 0
+    if args.out is None:
+        parser.error("--out is required unless --pairs is given")
 
     workloads, environment = {}, {}
     for name in WORKLOADS:
