@@ -295,19 +295,16 @@ def _cycles(
     ]).T.reshape(3, E, 1))
     if tables:
         # betas outside taus: each kernel is built once, even when there
-        # are more of them than the kernel cache keeps
-        missing = (math.nan,) * 3
-        terms = {
-            beta: [missing if t is None else _per_bath(t, cfg.L0, cfg.n_modes, beta) for t in tables]
-            for beta in dict.fromkeys(b for bath in baths for b in (bath.beta_A, bath.beta_C))
-        }
+        # are more of them than the kernel cache keeps; one tail fit for all
+        betas = list(dict.fromkeys(b for bath in baths for b in (bath.beta_A, bath.beta_C)))
+        terms = dict(zip(betas, _per_bath(tables, cfg.L0, cfg.n_modes, betas)))
         # per stroke A then C: E_F / eps**2, round-off bound, tail estimate
         value_a, noise_a, tail_a, value_c, noise_c, tail_c = _operands(
             np.array([(terms[b.beta_A], terms[b.beta_C]) for b in baths])
             .transpose(1, 3, 0, 2).reshape(6, B, 1, T)
         )
     with np.errstate(all="ignore"):
-        otto_flag = np.isfinite(tail) & (tail > cfg.tail_tol * np.maximum(np.abs(Q_ad), 1e-300))
+        otto_flag = _truncation_flag(tail, Q_ad, 1.0, 0.0, cfg.tail_tol)
         tail_warning, stroke_flags = otto_flag, ()
         ef_a = ef_c = err = 0.0
         period = math.nan
@@ -394,7 +391,7 @@ def _single_cycle(
         stroke_flags, (report.E_F_A, report.E_F_C), (baths.beta_A, baths.beta_C)
     ):
         if flag:
-            tail = _per_bath(table, cfg.L0, cfg.n_modes, beta)[2]
+            tail = _per_bath([table], cfg.L0, cfg.n_modes, [beta])[0][0][2]
             _warn_truncation(eps2 * tail if math.isfinite(tail) else tail, value, cfg.tail_tol)
     return report
 

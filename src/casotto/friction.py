@@ -54,15 +54,21 @@ scaled at the boundary.  The amplitudes on the grid ``n * pi / L0``,
 and the table keeps, per (cavity, K, bath), the product with the kernels
 and the tail fit.  So each (table, bath) product is taken once, and every
 further compression ratio, cell or stroke with that bath costs an
-``eps**2`` scaling and the tail flag.
+``eps**2`` scaling and the tail flag.  The products a call still needs
+(every tau and bath of a sweep, or the one of a single stroke) are each
+taken on their own, and their tails are fitted together in one array pass.
 
 Every profile is a piecewise polynomial (:mod:`casotto.trajectory`), so the
 amplitudes have a finite closed form per piece (repeated integration by
 parts, the exact limit of Filon-type quadrature; Filon 1928, Iserles &
 Norsett, Proc. R. Soc. A 461 (2005) 1383), and their only error is
-round-off.  Time reversal maps ``C + iS`` to
-``-exp(i w (t_start + t_end)) (C - iS)``, leaving ``A`` unchanged, which is
-why one table serves both strokes of a cycle.
+round-off.  The by-parts factor ``(-1)**m / (i w)**(m+1)`` is the fixed
+phase ``-i**(m+1)`` of derivative order ``m`` times the real power
+``w**-(m+1)``, so a whole table is a few small real matrix products over
+tables of each piece's end derivatives, which do not depend on frequency.
+Time reversal maps ``C + iS`` to ``-exp(i w (t_start + t_end)) (C - iS)``,
+leaving ``A`` unchanged, which is why one table serves both strokes of a
+cycle.
 """
 
 from __future__ import annotations
@@ -176,15 +182,31 @@ _TAYLOR_BELOW = 3.0
 # (w h)**n / n! < 1e-18 beyond this many terms while w h < 3
 _TAYLOR_TERMS = 32
 _EPS = float(np.finfo(float).eps)
+# i**n of the Taylor term n, exact
+_TAYLOR_PHASE = np.array([1.0, 1j, -1.0, -1j])[np.arange(_TAYLOR_TERMS) % 4, None]
 
 
-def _horner(a: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Column ``i`` of ascending coefficients ``a`` evaluated at ``h[i]``,
-    by Horner's rule from the top power down."""
-    value = a[-1]
-    for row in a[-2::-1]:
-        value = row + value * h
-    return value
+@functools.lru_cache(maxsize=16)
+def _order_tables(order: int):
+    """Constants of a piece with ``order`` polynomial coefficients.
+
+    ``shift[m, k] = m + k`` and ``rise[m, k] = (m + k)! / k!`` give the
+    coefficient of ``u**k`` in the m-th derivative as
+    ``rise[m, k] * a[shift[m, k]]`` (``rise`` is 0 past the degree).
+    ``phase[m] = -i**(m + 1)`` is the phase of the integration-by-parts
+    factor ``(-1)**m / (i w)**(m + 1) = phase[m] * w**-(m + 1)``, and
+    ``moment[n, j] = 1 / (n + j + 1)`` weighs coefficient ``j`` in the n-th
+    Taylor moment.  The arrays are read-only.
+    """
+    m = np.arange(order)
+    shift = m[:, None] + m[None, :]
+    rise = np.array([[math.perm(j, i) if j < order else 0.0 for j in row] for i, row in enumerate(shift)])
+    phase = np.array([-1j, 1.0, 1j, -1.0])[m % 4, None]
+    moment = 1.0 / (np.arange(_TAYLOR_TERMS)[:, None] + m[None, :] + 1.0)
+    tables = (np.minimum(shift, order - 1), rise[:, :, None], phase, moment)
+    for t in tables:
+        t.flags.writeable = False
+    return tables
 
 
 def _fourier(v: PPoly, omegas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -194,65 +216,85 @@ def _fourier(v: PPoly, omegas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     width ``h``, contributes ``exp(i w x_i) J(w)`` with
     ``J = integral_0^h p(u) exp(i w u) du``.  For ``w h >= 3`` that is the
     finite integration-by-parts sum
-    ``sum_m (-1)**m [p^(m)(u) exp(i w u)]_0^h / (i w)**(m+1)``; below, the
-    Taylor series ``h sum_n (i w h)**n / n! sum_j a_j h**j / (j + n + 1)``
-    of the moments.  Returns ``F`` and a first-order round-off bound on it:
-    unit round-off times the terms evaluated with absolute coefficients
-    (weighted by the polynomial order), plus the phase arguments' rounding
-    times the terms that carry each phase.
+    ``sum_m (-1)**m [p^(m)(u) exp(i w u)]_0^h / (i w)**(m+1)``, whose
+    frequency factor is ``-i**(m+1) w**-(m+1)``: a fixed phase per
+    derivative order times a real power.  So with the end-derivative tables
+    ``p^(m)(h)`` and ``p^(m)(0)`` of every piece, built once, and the real
+    ``R[w, m] = w**-(m+1)``, the whole branch is
+    ``(R @ (phase * ends)) exp(i w h) - R @ (phase * starts)``.  Below, it
+    is the Taylor series ``h sum_n (i w h)**n / n! sum_j a_j h**j / (j + n + 1)``
+    of the moments: the real ``(w h)**n / n!`` against the moments, each
+    moment turned by ``i**n`` once.  Returns ``F`` and a first-order
+    round-off bound on it: unit round-off times the terms evaluated with
+    absolute coefficients (weighted by the polynomial order), plus the phase
+    arguments' rounding times the terms that carry each phase.  The absolute
+    terms are the same products over the twin tables of absolute
+    coefficients.
     """
     a = v.c[::-1]  # ascending powers of u; one column per piece
-    order = a.shape[0]
+    order, pieces = a.shape
+    shift, rise, phase, moment = _order_tables(order)
     x0 = v.x[:-1]
-    h = np.diff(v.x)
+    h = v.x[1:] - x0
     w = np.asarray(omegas, dtype=float)[:, None]
     wh = w * h
-    J = np.empty(wh.shape, dtype=complex)
-    size = np.empty(wh.shape)  # terms with absolute coefficients
-    carried = np.empty(wh.shape)  # terms multiplied by exp(i w h)
+
+    powers = h ** np.arange(order)[:, None]  # h**k, one column per piece
+    # [m, k]: the coefficient of u**k in the m-th derivative, per piece
+    derivative = a[shift] * rise
+    ends = (derivative * powers).sum(axis=1)
+    starts = derivative[:, 0]
+    ends_abs = (np.abs(derivative) * powers).sum(axis=1)
+    # the phased end-derivative tables as interleaved real and imaginary
+    # parts, then the terms with absolute coefficients and those carried by
+    # exp(i w h); R is real, so one real product takes them all
+    tables = np.concatenate([
+        (phase * np.concatenate([ends, starts], axis=1)).view(float),
+        ends_abs + np.abs(starts),
+        np.abs(ends),
+    ], axis=1)
+    R = np.empty((len(w), order))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # integration by parts on every cell; a cell below the switch may
+        # come out non-finite (a zero frequency always does), and each of
+        # those is overwritten by its Taylor sum below
+        R[:, 0] = 1.0 / w[:, 0]
+        for m in range(1, order):
+            np.multiply(R[:, m - 1], R[:, 0], out=R[:, m])
+        terms = R @ tables
+        phased = terms[:, : 4 * pieces].view(complex)
+        J = phased[:, :pieces] * np.exp(1j * wh) - phased[:, pieces:]
+    size = terms[:, 4 * pieces : 5 * pieces]  # terms with absolute coefficients
+    carried = terms[:, 5 * pieces :]  # terms multiplied by exp(i w h)
 
     iw, ip = np.nonzero(wh < _TAYLOR_BELOW)
-    b = a * h ** np.arange(order)[:, None]
-    inv = 1.0 / (np.arange(_TAYLOR_TERMS)[:, None] + np.arange(order)[None, :] + 1.0)
-    moments, moments_abs = inv @ b, inv @ np.abs(b)
-    x = wh[iw, ip]
-    # (i x)**n / n! for n < _TAYLOR_TERMS, one row per (frequency, piece),
-    # each summed from n = 0 up
-    factor = np.empty((len(x), _TAYLOR_TERMS), dtype=complex)
-    factor[:, 0] = 1.0
-    factor[:, 1:] = 1j * x[:, None] / np.arange(1, _TAYLOR_TERMS)
-    term = np.cumprod(factor, axis=1)
-    acc = np.cumsum(term * moments[:, ip].T, axis=1)[:, -1]
-    mag = np.cumsum(np.abs(term) * moments_abs[:, ip].T, axis=1)[:, -1]
-    J[iw, ip] = h[ip] * acc
-    size[iw, ip] = carried[iw, ip] = h[ip] * mag
+    if len(iw):
+        b = a * powers
+        moments = moment @ b
+        x = wh[iw, ip]
+        # (w h)**n / n! for n < _TAYLOR_TERMS, one row per (frequency, piece)
+        real = np.empty((len(x), _TAYLOR_TERMS))
+        real[:, 0] = 1.0
+        real[:, 1:] = x[:, None] / np.arange(1.0, _TAYLOR_TERMS)
+        np.cumprod(real, axis=1, out=real)
+        sums = real @ np.concatenate(
+            [(_TAYLOR_PHASE * moments).view(float), moment @ np.abs(b)], axis=1
+        )
+        cell = np.arange(len(x))
+        J[iw, ip] = h[ip] * sums[:, : 2 * pieces].view(complex)[cell, ip]
+        size[iw, ip] = carried[iw, ip] = h[ip] * sums[:, 2 * pieces :][cell, ip]
 
-    iw, ip = np.nonzero(wh >= _TAYLOR_BELOW)
-    wl = w[iw, 0]
-    carrier = np.exp(1j * wh[iw, ip])
-    acc = np.zeros(wl.shape, dtype=complex)
-    mag = np.zeros(wl.shape)
-    end_mag = np.zeros(wl.shape)
-    d = a
-    for m in range(order):
-        end, start = _horner(d, h)[ip], d[0, ip]
-        acc += (end * carrier - start) * ((-1) ** m / (1j * wl) ** (m + 1))
-        mag += (_horner(np.abs(d), h)[ip] + np.abs(start)) / wl ** (m + 1)
-        end_mag += np.abs(end) / wl ** (m + 1)
-        d = d[1:] * np.arange(1, len(d))[:, None]
-    J[iw, ip] = acc
-    size[iw, ip] = mag
-    carried[iw, ip] = end_mag
-
-    F = (np.exp(1j * w * x0) * J).sum(axis=1)
-    bound = (order + 4) * size + wh * carried + w * np.abs(x0) * np.abs(J)
-    return F, _EPS * bound.sum(axis=1)
+    bound = (order + 4) * size + wh * carried
+    if not x0.any():  # one piece starting at t = 0: no phase to apply
+        return J.sum(axis=1), _EPS * bound.sum(axis=1)
+    bound += w * np.abs(x0) * np.abs(J)
+    return (np.exp(1j * w * x0) * J).sum(axis=1), _EPS * bound.sum(axis=1)
 
 
 def spectral_amplitudes(traj: Trajectory, omega: float) -> SpectralAmplitudes:
     """Cosine and sine amplitudes of ``ddelta`` at one frequency."""
-    if omega < 0:
-        raise ValueError("omega must be non-negative")
+    if not 0.0 <= omega < math.inf:
+        raise ValueError(f"omega must be finite and non-negative, got {omega}")
     F, err = _fourier(traj.delta.derivative(), [omega])
     return SpectralAmplitudes(
         omega=omega, C=float(F[0].real), S=float(F[0].imag), err=float(err[0])
@@ -294,37 +336,41 @@ def partial_spectral_integral(
 _TAIL_FIT_POINTS = 8
 
 
-def _tail_estimate(k_used: int, tail: np.ndarray, noise: np.ndarray) -> float:
-    """Extrapolated remainder of the mode sum beyond the cutoff ``k_used``.
+def _tail_estimates(k_used: int, totals: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """Extrapolated remainder of each mode sum beyond the cutoff ``k_used``.
 
-    ``tail`` holds the per-mode totals of the last ``_TAIL_FIT_POINTS``
-    modes and ``noise`` their round-off bounds.  Fits
-    ``|contribution| ~ c * k**-p`` to them (least squares in ``log k``) and
-    sums the extrapolation.  When every fitted contribution lies within its
-    round-off bound there is no decay to fit, and the remainder is not
-    resolvable above round-off: the fitted modes' bound is returned.
-    Returns NaN when too few modes are available and inf when the fit does
-    not decay.
+    Row ``r`` of ``totals`` holds one product's per-mode totals of the last
+    ``_TAIL_FIT_POINTS`` modes and ``noise`` their round-off bounds.  Fits
+    ``|contribution| ~ c * k**-p`` to each row (least squares in ``log k``)
+    and sums the extrapolation.  When every fitted contribution of a row lies
+    within its round-off bound there is no decay to fit, and the remainder is
+    not resolvable above round-off: the row's summed bound is returned.  A
+    row with a zero total gives 0.0 and one whose fit does not decay inf;
+    every row is NaN when too few modes are available.  Each row takes the
+    same elementwise operations and sums of its own, so its estimate does
+    not depend on the rows fitted beside it.
     """
     if k_used < _TAIL_FIT_POINTS + 4:
-        return math.nan
-    tail = np.abs(tail)
-    if (tail <= noise).all():
-        return float(noise.sum())
-    if (tail <= 0.0).any():
-        return 0.0
-    x = np.log(np.arange(k_used - _TAIL_FIT_POINTS + 1, k_used + 1, dtype=float))
-    y = np.log(tail)
-    x_mean, y_mean = x.sum() / _TAIL_FIT_POINTS, y.sum() / _TAIL_FIT_POINTS
+        return np.full(len(totals), math.nan)
+    x = np.log(np.arange(k_used - _TAIL_FIT_POINTS + 1.0, k_used + 1.0))
+    x_mean = x.sum() / _TAIL_FIT_POINTS
     dx = x - x_mean
-    slope = float(dx @ (y - y_mean) / (dx @ dx))
-    p = -slope
-    if not math.isfinite(p) or p <= 1.0:
-        return math.inf
-    c = math.exp(y_mean - slope * x_mean)
     k_next = k_used + 1
-    # integral remainder plus half the first omitted term
-    return c * (k_next ** (1.0 - p) / (p - 1.0) + 0.5 * k_next**-p)
+    tail = np.abs(totals)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        y = np.log(tail)
+        y_mean = y.sum(axis=1) / _TAIL_FIT_POINTS
+        slope = ((y - y_mean[:, None]) * dx).sum(axis=1) / (dx @ dx)
+        # with p = -slope: the integral remainder c k**(1-p) / (p-1) plus
+        # half the first omitted term c k**-p, at k = k_used + 1
+        estimate = np.exp(y_mean + slope * (math.log(k_next) - x_mean)) * (
+            0.5 - k_next / (slope + 1.0)
+        )
+    estimate[~(slope < -1.0)] = math.inf  # p <= 1 or NaN: no decay
+    estimate[(tail <= 0.0).any(axis=1)] = 0.0
+    within = (tail <= noise).all(axis=1)
+    estimate[within] = noise.sum(axis=1)[within]
+    return estimate
 
 
 def _pair_terms(modes: np.ndarray, N: np.ndarray, omega1: float):
@@ -434,11 +480,13 @@ def _stroke_cutoff(cfg: CavityConfig, table: SpectralTable) -> int:
 
 
 def _truncation_flag(tail, value_per_eps2, eps2, err, tail_tol):
-    """Whether a friction energy's tail estimate flags truncation; floats or arrays.
+    """Whether a mode sum's tail estimate flags truncation; floats or arrays.
 
-    ``tail`` and ``value_per_eps2`` are per unit ``eps**2``, ``err`` is the
-    scaled round-off bound.  An infinite estimate (no decay to fit) flags, a
-    NaN one (too few modes) does not, and neither does a tail within ``err``.
+    The one rule for every truncated sum.  ``tail`` and ``value_per_eps2``
+    are per unit ``eps**2``, ``err`` is the scaled round-off bound (a sum
+    without one passes ``eps2 = 1`` and ``err = 0``).  An infinite estimate
+    (no decay to fit) flags, a NaN one (too few modes) does not, and neither
+    does a tail within ``err``.
     """
     return np.isinf(tail) | (
         (tail > tail_tol * np.maximum(np.abs(value_per_eps2), 1e-300))
@@ -455,23 +503,42 @@ def _warn_truncation(tail: float, value: float, tail_tol: float) -> None:
     )
 
 
-def _per_bath(
-    table: SpectralTable, L0: float, K: int, beta: float
-) -> tuple[float, float, float]:
-    """``E_F / eps**2``, its round-off bound and the tail estimate of one bath.
+def _per_bath(tables, L0: float, K: int, betas) -> list[list[tuple[float, float, float]]]:
+    """``E_F / eps**2``, its round-off bound and the tail estimate, per bath and table.
 
     None depends on the compression ratio, so each is computed once per
-    (table, cavity, cutoff, bath) and kept on the table.
+    (table, cavity, cutoff, bath) and kept on the table.  Every product still
+    missing is one pair of kernel products of its own, so its value does not
+    depend on what else is computed; their tails are fitted in one
+    :func:`_tail_estimates` call.  Betas run outside tables, so each kernel is
+    fetched once.  Returns ``[beta][table]`` terms; a None table (a stroke
+    that failed) has NaN terms.
     """
-    key = (L0, K, beta)
-    terms = table._per_bath.get(key)
-    if terms is None:
-        value_kernel, error_kernel = _bath_kernel(L0, K, beta)
-        values = value_kernel @ table.power[: 2 * K + 1]
-        noise = error_kernel @ table.power_err[: 2 * K + 1]
-        tail = _tail_estimate(K, values[1:], noise[1:])
-        terms = table._per_bath[key] = (float(values[0]), float(noise[0]), tail)
-    return terms
+    missing = []  # (memo, key, values, noise) of every product to take
+    for beta in betas:
+        key = (L0, K, beta)
+        kernels = None
+        for table in tables:
+            if table is not None and key not in table._per_bath:
+                value_kernel, error_kernel = kernels = kernels or _bath_kernel(L0, K, beta)
+                missing.append((
+                    table._per_bath, key,
+                    value_kernel @ table.power[: 2 * K + 1],
+                    error_kernel @ table.power_err[: 2 * K + 1],
+                ))
+    if missing:
+        memos, keys, values, noise = zip(*missing)
+        values, noise = np.array(values), np.array(noise)
+        tails = _tail_estimates(K, values[:, 1:], noise[:, 1:])
+        for memo, key, *terms in zip(
+            memos, keys, values[:, 0].tolist(), noise[:, 0].tolist(), tails.tolist()
+        ):
+            memo[key] = tuple(terms)
+    nan = (math.nan,) * 3
+    return [
+        [nan if table is None else table._per_bath[(L0, K, beta)] for table in tables]
+        for beta in betas
+    ]
 
 
 def friction_energy(
@@ -493,7 +560,7 @@ def friction_energy(
     if table is None:
         table = spectral_table(traj, cfg)
     K = _stroke_cutoff(cfg, table)
-    value_per_eps2, noise_per_eps2, tail = _per_bath(table, cfg.L0, K, bath.beta)
+    value_per_eps2, noise_per_eps2, tail = _per_bath([table], cfg.L0, K, [bath.beta])[0][0]
     eps2 = cfg.epsilon**2
     value = eps2 * value_per_eps2
     err = eps2 * noise_per_eps2

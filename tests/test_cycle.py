@@ -52,7 +52,8 @@ def reference_cycle(cfg, baths, machine, traj=None, *, include_casimir=True,
             raise ValueError("tau must be positive, thermalization_time non-negative")
         period = 2.0 * traj.duration + thermalization_time
     Q_ad, W_ad, tail, pieces = cycle_module._otto_sums(cfg, baths, machine)
-    tail_warning = bool(math.isfinite(tail) and tail > cfg.tail_tol * max(abs(Q_ad), 1e-300))
+    # an infinite estimate (no decay) flags, as a friction tail's does
+    tail_warning = bool(math.isinf(tail) or tail > cfg.tail_tol * max(abs(Q_ad), 1e-300))
     ef_a = ef_c = err = 0.0
     if traj is not None:
         table = spectral_table(traj, cfg)
@@ -328,6 +329,31 @@ class TestTruncationWarning:
         assert all(w.filename == __file__ for w in caught)
 
 
+class TestInfinitePopulationFrozenTail:
+    """A population-frozen tail that does not decay (estimate inf) flags and
+    warns, as an infinite friction tail does."""
+
+    @pytest.mark.parametrize("call, cell", [
+        (adiabatic_engine, (cfg(K=4), BathPair(1e-4, 1e-4 * 0.99))),
+        (adiabatic_refrigerator, (cfg(K=16), BathPair(1e-3, 1e-3 * 0.99))),
+    ], ids=["engine-K4", "refrigerator-K16"])
+    def test_flags_and_warns(self, call, cell):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = call(*cell)
+        assert report.tail_estimate == math.inf
+        assert report.tail_warning
+        truncations = [w for w in caught if issubclass(w.category, TruncationWarning)]
+        assert len(truncations) == 1
+        assert "tail estimate inf" in str(truncations[0].message)
+        assert truncations[0].filename == __file__
+
+    def test_sweep_rows_flag_it(self):
+        rows = sweep(cfg(K=4), [BathPair(1e-4, 1e-4 * 0.99)], [1.0], quintic)
+        assert rows[0].report.tail_estimate == math.inf
+        assert rows[0].report.tail_warning
+
+
 class TestReportError:
     def test_adiabatic_reports_carry_zero_error(self):
         assert adiabatic_engine(cfg(K=16), ENGINE_BATHS).err == 0.0
@@ -444,13 +470,23 @@ class TestSweep:
             built.append((beta, len(omegas)))
             return original(beta, omegas)
 
+        fits = []
+        original_fit = friction_module._tail_estimates
+
+        def counting_fit(k_used, totals, noise):
+            fits.append((k_used, len(totals)))
+            return original_fit(k_used, totals, noise)
+
         friction_module._bath_kernel.cache_clear()
         monkeypatch.setattr(friction_module, "occupations", counting)
+        monkeypatch.setattr(friction_module, "_tail_estimates", counting_fit)
         baths = [BathPair(2.0, 0.4), BathPair(2.0, 1.0), BathPair(3.0, 2.0)]
         taus = [0.5, 1.0, 2.0]
         sweep(cfg(K=16), baths, taus, quintic, epsilons=[0.01, 0.02])
         # one per distinct temperature, none per cell, tau or epsilon
         assert sorted(built) == [(beta, 16) for beta in (0.4, 1.0, 2.0, 3.0)]
+        # one tail fit over every (temperature, tau) product
+        assert fits == [(16, 4 * 3)]
 
     def test_kernels_built_once_past_the_kernel_cache_size(self):
         # 41 distinct temperatures overflow the 32-kernel cache; a sweep that

@@ -84,16 +84,27 @@ class TestSpectralAmplitudes:
         with pytest.raises(ValueError):
             spectral_amplitudes(quintic(1.0), -1.0)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("omega", [math.nan, math.inf])
+    def test_rejects_non_finite_frequency(self, omega):
+        with pytest.raises(ValueError, match="finite"):
+            spectral_amplitudes(quintic(1.0), omega)
+
 
 def mp_amplitude(traj, omega):
-    """``C + iS`` of the velocity by mpmath.quad, piece by piece.
+    """``C + iS`` of the velocity by mpmath.quad, piece by piece."""
+    return complex(mp_fourier(traj.delta.derivative(), omega))
 
-    Up to a few dozen carrier periods per piece the real-axis integral is
+
+def mp_fourier(v, omega):
+    """``integral v(t) exp(i w t) dt`` of a piecewise polynomial by
+    mpmath.quad at 30 digits, piece by piece.
+
+    Up to a few carrier periods per piece the real-axis integral is
     taken directly; beyond, the contour is moved into the upper half plane,
     where the carrier decays: integral_0^h p(u) exp(i w u) du =
     i integral_0^inf [p(i y) - exp(i w h) p(h + i y)] exp(-w y) dy.
     """
-    v = traj.delta.derivative()
     total = mpmath.mpc(0)
     with mpmath.workdps(30):
         w = mpmath.mpf(omega)
@@ -105,7 +116,7 @@ def mp_amplitude(traj, omega):
             def p(u):
                 return mpmath.polyval(coeffs, u)
 
-            if w * h < 200:
+            if w * h < 20:
                 nodes = mpmath.linspace(0, h, 2 + int(w * h))
                 piece = mpmath.quad(lambda u: p(u) * mpmath.expj(w * u), nodes)
             else:
@@ -115,7 +126,7 @@ def mp_amplitude(traj, omega):
                     [0, 1 / w, mpmath.inf],
                 )
             total += mpmath.expj(w * x0) * piece
-    return complex(total)
+    return total
 
 
 def split_quadrature(traj, omega, edges=None):
@@ -203,6 +214,41 @@ class TestClosedForm:
             deviation = abs(complex(table.C[n], table.S[n]) - ref)
             # the reference itself is rounded to double on conversion
             assert deviation <= table.err[n] + friction_module._EPS * abs(ref)
+
+
+def random_ppoly(rng):
+    """A piecewise polynomial of degree 0 to 6 with 1 to 4 pieces, each of a
+    width between 1e-3 and 10 (log-uniform), starting anywhere in [-5, 5]."""
+    degree, pieces = int(rng.integers(0, 7)), int(rng.integers(1, 5))
+    widths = np.exp(rng.uniform(math.log(1e-3), math.log(10.0), pieces))
+    x = rng.uniform(-5.0, 5.0) + np.concatenate([[0.0], np.cumsum(widths)])
+    return PPoly(rng.standard_normal((degree + 1, pieces)), x)
+
+
+class TestRandomPiecewisePolynomials:
+    # each seed: every piece just below and just above the Taylor /
+    # integration-by-parts switch at w h = 3, and the zero frequency
+    @pytest.mark.parametrize("seed", range(12))
+    def test_fourier_matches_mpmath_within_its_bound(self, seed):
+        v = random_ppoly(np.random.default_rng(seed))
+        h = np.diff(v.x)
+        switch = friction_module._TAYLOR_BELOW
+        omegas = np.sort(np.concatenate([[0.0], 0.97 * switch / h, 1.03 * switch / h]))
+        F, err = friction_module._fourier(v, omegas)
+        with mpmath.workdps(30):
+            for w, f, e in zip(omegas.tolist(), F.tolist(), err.tolist()):
+                assert abs(mpmath.mpc(f) - mp_fourier(v, w)) <= e, (w, f, e)
+
+    def test_both_branches_are_exercised(self):
+        sides = set()
+        for seed in range(12):
+            v = random_ppoly(np.random.default_rng(seed))
+            h = np.diff(v.x)
+            for w in 0.97 * 3.0 / h:
+                sides.add(tuple(sorted(set((w * h < friction_module._TAYLOR_BELOW).tolist()))))
+        assert (False, True) in sides
+        degrees = {random_ppoly(np.random.default_rng(s)).c.shape[0] - 1 for s in range(12)}
+        assert len(degrees) >= 4
 
 
 class TestPartialSpectralIntegral:
@@ -594,25 +640,116 @@ def test_truncation_flag_is_the_scalar_rule_on_floats_and_arrays():
     assert any(expected) and not all(expected)
 
 
+def scalar_tail_estimate(k_used, tail, noise):
+    """The tail fit of one product, as a loop over scalars (the reference
+    for the batched fit)."""
+    points = friction_module._TAIL_FIT_POINTS
+    if k_used < points + 4:
+        return math.nan
+    tail = [abs(t) for t in tail]
+    if all(t <= n for t, n in zip(tail, noise)):
+        return math.fsum(noise)
+    if any(t <= 0.0 for t in tail):
+        return 0.0
+    x = [math.log(k) for k in range(k_used - points + 1, k_used + 1)]
+    y = [math.log(t) for t in tail]
+    x_mean, y_mean = math.fsum(x) / points, math.fsum(y) / points
+    slope = math.fsum((a - x_mean) * (b - y_mean) for a, b in zip(x, y)) / math.fsum(
+        (a - x_mean) ** 2 for a in x
+    )
+    p = -slope
+    if not p > 1.0:
+        return math.inf
+    c = math.exp(y_mean - slope * x_mean)
+    k_next = k_used + 1
+    return c * (k_next ** (1.0 - p) / (p - 1.0) + 0.5 * k_next**-p)
+
+
+def mixed_tails(rng, k_used, rows):
+    """Per-mode totals and round-off bounds of ``rows`` products: power-law
+    decays of random order and sign, and, in turn, a row within its noise,
+    a row holding a zero total and a row that grows."""
+    k = np.arange(k_used - friction_module._TAIL_FIT_POINTS + 1, k_used + 1, dtype=float)
+    p = rng.uniform(1.5, 6.0, (rows, 1))
+    totals = rng.choice([-1.0, 1.0], (rows, 1)) * rng.uniform(0.1, 10.0, (rows, 1)) * k**-p
+    totals *= 1.0 + 1e-3 * rng.standard_normal(totals.shape)
+    noise = 1e-6 * np.abs(totals) * rng.uniform(0.5, 2.0, totals.shape)
+    kind = np.arange(rows) % 5
+    noise[kind == 1] = 2.0 * np.abs(totals[kind == 1])
+    totals[kind == 2, int(rng.integers(0, len(k)))] = 0.0
+    totals[kind == 3] = k * rng.uniform(0.1, 1.0)
+    return totals, noise
+
+
+class TestTailEstimates:
+    """The batched tail fit, row by row against the scalar loop."""
+
+    def test_special_cases_row_by_row(self):
+        totals, noise = mixed_tails(np.random.default_rng(7), 64, 10)
+        got = friction_module._tail_estimates(64, totals, noise)
+        kind = np.arange(10) % 5
+        assert np.all(np.isfinite(got[(kind == 0) | (kind == 4)]))
+        assert np.all(got[(kind == 0) | (kind == 4)] > 0.0)
+        assert got[kind == 1].tolist() == noise[kind == 1].sum(axis=1).tolist()
+        assert got[kind == 2].tolist() == [0.0, 0.0]
+        assert got[kind == 3].tolist() == [math.inf, math.inf]
+
+    def test_too_few_modes_give_nan_on_every_row(self):
+        k_used = friction_module._TAIL_FIT_POINTS + 3
+        totals, noise = mixed_tails(np.random.default_rng(3), k_used, 5)
+        assert np.isnan(friction_module._tail_estimates(k_used, totals, noise)).all()
+
+    @pytest.mark.parametrize("k_used", [12, 64, 256, 4096])
+    def test_matches_the_scalar_loop(self, k_used):
+        totals, noise = mixed_tails(np.random.default_rng(k_used), k_used, 40)
+        got = friction_module._tail_estimates(k_used, totals, noise)
+        for g, t, n in zip(got.tolist(), totals.tolist(), noise.tolist()):
+            want = scalar_tail_estimate(k_used, t, n)
+            assert g == pytest.approx(want, rel=1e-9) or (math.isnan(g) and math.isnan(want))
+
+    def test_a_row_fits_alike_alone_and_in_any_batch(self):
+        rng = np.random.default_rng(11)
+        totals, noise = mixed_tails(rng, 256, 37)
+        batch = friction_module._tail_estimates(256, totals, noise)
+        alone = [friction_module._tail_estimates(256, totals[i:i + 1], noise[i:i + 1]).item()
+                 for i in range(len(totals))]
+        # repr tells every float apart
+        assert repr(batch.tolist()) == repr(alone)
+        order = rng.permutation(len(totals))
+        shuffled = friction_module._tail_estimates(256, totals[order], noise[order])
+        assert repr(shuffled.tolist()) == repr(batch[order].tolist())
+        for size in (2, 3, 5, 8, 16):
+            part = friction_module._tail_estimates(256, totals[:size], noise[:size])
+            assert repr(part.tolist()) == repr(batch[:size].tolist())
+
+    @pytest.mark.filterwarnings("error")
+    def test_raises_no_floating_point_warning(self):
+        totals, noise = mixed_tails(np.random.default_rng(5), 64, 10)
+        totals[0, 3] = math.nan
+        got = friction_module._tail_estimates(64, totals, noise)
+        assert got[0] == math.inf
+
+
 class TestPerBathMemo:
     """A table keeps each bath's eps-independent terms; no result may change."""
 
     def test_one_product_per_table_and_bath(self, monkeypatch):
         fits = []
-        original = friction_module._tail_estimate
+        original = friction_module._tail_estimates
 
-        def counting(k_used, tail, noise):
-            fits.append(k_used)
-            return original(k_used, tail, noise)
+        def counting(k_used, totals, noise):
+            fits.append((k_used, len(totals)))
+            return original(k_used, totals, noise)
 
-        monkeypatch.setattr(friction_module, "_tail_estimate", counting)
+        monkeypatch.setattr(friction_module, "_tail_estimates", counting)
         tr = quintic(1.0)
         table = spectral_table(tr, make_cfg(K=16))
         for beta in (0.5, 1.0):
             for eps in (0.01, 0.02, 0.04):
                 friction_energy(make_cfg(K=16, eps=eps), ThermalBath(beta), tr,
                                 table=table, compute_bound=False)
-        assert fits == [16, 16]
+        # one fit of one row per (table, bath)
+        assert fits == [(16, 1), (16, 1)]
         assert sorted(table._per_bath) == [(math.pi, 16, 0.5), (math.pi, 16, 1.0)]
 
     def test_replaced_table_starts_empty(self):

@@ -1,16 +1,21 @@
 """Record the benchmark's end-to-end numbers of one checkout in a JSON file,
 or compare two checkouts in alternating pairs of runs.
 
-    python3 tools/bench_record.py --out BENCH_N.json [--checkout DIR] [--label NAME]
-    python3 tools/bench_record.py --pairs N --parent DIR --workload W [--checkout DIR]
+    python3 tools/bench_record.py --out BENCH_N.json [--checkout DIR] [--label NAME] [--seed N]
+    python3 tools/bench_record.py --pairs N --parent DIR --workload W [--checkout DIR] [--seed N]
 
 For each of the three workloads of ``perfbench/workloads.py`` this runs
-``python3 perfbench/run.py --workload W --seed 1 --seconds S --trace 0`` in
+``python3 perfbench/run.py --workload W --seed N --seconds S --trace 0`` in
 DIR (default: the checkout holding this script), one workload after another,
 with S the ``run_seconds`` of ``BENCHMARK.json``, and parses the run's report
 and result lines.  The record keeps,
 per workload, the end-to-end metrics next to the accuracy they were
 measured at (``max_rel_err``) and the ``failed``/``attempted`` units.
+
+``--seed`` (default 1) is passed to every run and kept in the record, so a
+gain can be checked again on a seed that was not used while the change was
+written.  Of the three workloads only ``point_queries`` draws its requests
+from the seed; the other two are fixed grids.
 
 The record is filed under the checkout's commit and ``--label``; a file
 that already exists keeps its other records, so a before/after comparison
@@ -39,7 +44,6 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
 WORKLOADS = ("thermal_grid", "point_queries", "fock_oracle")
-SEED = 1
 
 
 def git(checkout: Path, *args: str) -> str:
@@ -47,8 +51,8 @@ def git(checkout: Path, *args: str) -> str:
     return proc.stdout.strip() if proc.returncode == 0 else ""
 
 
-def run_workload(checkout: Path, name: str, seconds: float) -> dict:
-    argv = [sys.executable, "perfbench/run.py", "--workload", name, "--seed", str(SEED),
+def run_workload(checkout: Path, name: str, seconds: float, seed: int) -> dict:
+    argv = [sys.executable, "perfbench/run.py", "--workload", name, "--seed", str(seed),
             "--seconds", repr(seconds), "--trace", "0"]
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
     lines = [ln for ln in proc.stdout.splitlines() if ln.startswith("{")]
@@ -72,7 +76,7 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def compare(parent: Path, change: Path, workload: str, pairs: int, seconds: float) -> str:
+def compare(parent: Path, change: Path, workload: str, pairs: int, seconds: float, seed: int) -> str:
     """Run ``pairs`` alternating parent/change runs of one workload; the
     summary table, one end-to-end metric a line."""
     sides = {"parent": parent, "change": change}
@@ -80,9 +84,9 @@ def compare(parent: Path, change: Path, workload: str, pairs: int, seconds: floa
     for i in range(pairs):
         for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
             print(f"pair {i + 1}/{pairs}: {workload} in {side} for {seconds:g} s", file=sys.stderr, flush=True)
-            runs[side].append(run_workload(sides[side], workload, seconds))
+            runs[side].append(run_workload(sides[side], workload, seconds, seed))
     spec = json.loads((HERE / "BENCHMARK.json").read_text())["end_to_end"]
-    lines = [f"{workload}: {pairs} pairs; median [q1, q3]; change/parent; pairs the change won",
+    lines = [f"{workload}: {pairs} pairs, seed {seed}; median [q1, q3]; change/parent; pairs the change won",
              f"{'metric':14} {'parent':>28} {'change':>28} {'ratio':>7} {'wins':>7}"]
     for metric in spec:
         name, lower = metric["name"], metric["better"] == "lower"
@@ -119,6 +123,7 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=0)
     parser.add_argument("--parent", type=Path)
     parser.add_argument("--workload", choices=WORKLOADS)
+    parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
     checkout = args.checkout.resolve()
     seconds = json.loads((HERE / "BENCHMARK.json").read_text())["run_seconds"]
@@ -126,7 +131,7 @@ def main(argv=None) -> int:
     if args.pairs:
         if args.pairs < 1 or args.parent is None or args.workload is None:
             parser.error("--pairs needs a positive count, --parent and --workload")
-        print(compare(args.parent.resolve(), checkout, args.workload, args.pairs, seconds))
+        print(compare(args.parent.resolve(), checkout, args.workload, args.pairs, seconds, args.seed))
         return 0
     if args.out is None:
         parser.error("--out is required unless --pairs is given")
@@ -134,13 +139,14 @@ def main(argv=None) -> int:
     workloads, environment = {}, {}
     for name in WORKLOADS:
         print(f"running {name} in {checkout} for {seconds:g} s", file=sys.stderr, flush=True)
-        workloads[name] = run_workload(checkout, name, seconds)
+        workloads[name] = run_workload(checkout, name, seconds, args.seed)
         environment = workloads[name].pop("environment")
     record = {
         "label": args.label,
         "commit": git(checkout, "rev-parse", "HEAD") or "unknown",
         "dirty": bool(git(checkout, "status", "--porcelain", "--", "src", "perfbench")),
-        "command": f"python3 perfbench/run.py --workload W --seed {SEED} --seconds {seconds:g} --trace 0",
+        "seed": args.seed,
+        "command": f"python3 perfbench/run.py --workload W --seed {args.seed} --seconds {seconds:g} --trace 0",
         "environment": {k: environment.get(k) for k in ("python", "numpy", "scipy", "blas", "nproc", "machine")},
         "workloads": workloads,
     }
