@@ -512,7 +512,8 @@ def sweep(
     Every tau's trajectory and spectral table are built first (five arrays
     of ``2K + 1`` floats per tau).  Then, one distinct bath temperature at a
     time, each table takes one product with its friction kernel (each kernel
-    is built once), and the bookkeeping of all cells is one pass of array
+    is built once), the tails of all products are fitted in one pass, and
+    the bookkeeping of all cells is one pass of array
     arithmetic over the (bath, eps, tau) grid, doing a single cell's
     floating-point operations, so a row equals the single-cell call bit for
     bit.  The population-frozen sums of each (bath, eps) pair are cached.
