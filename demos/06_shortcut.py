@@ -31,8 +31,8 @@ for frac in (0.0, 0.2, 0.4, 0.6, 0.8, 1.0):
 
 cfg = CavityConfig(L0=L0, epsilon=0.01, n_modes=24)
 bath = ThermalBath(1.0)
-plain = friction_energy(cfg, bath, quintic(tau), compute_bound=False)
-echo = friction_energy(cfg, bath, sc, compute_bound=False)
+plain = friction_energy(cfg, bath, quintic(tau))
+echo = friction_energy(cfg, bath, sc)
 print(f"\nfriction energy, plain stroke:    {plain.value:.4e}")
 print(f"friction energy, echo stroke:     {echo.value:.4e}")
 print(f"suppression factor:               {abs(echo.value) / plain.value:.2e}")

@@ -341,12 +341,12 @@ def _validate(cfg: RunConfig) -> None:
         raise UsageError("tau must be positive")
     if "modes" in opts and int(opts["modes"]) < 1:
         raise UsageError("modes must be >= 1")
-    if "thermalization-time" in opts and float(opts["thermalization-time"]) < 0:
+    if "thermalization-time" in opts and not float(opts["thermalization-time"]) >= 0:
         raise UsageError("thermalization-time must be non-negative")
     if "points" in opts and int(opts["points"]) < 1:
         raise UsageError("points must be >= 1")
-    if "L0" in opts and not float(opts["L0"]) > 0:
-        raise UsageError("L0 must be positive")
+    if "L0" in opts and not 0 < float(opts["L0"]) < math.inf:
+        raise UsageError("L0 must be positive and finite")
     if cfg.command == "oracle":
         _fock(opts)
     if "n" in opts:
@@ -458,6 +458,10 @@ def _run_friction(cfg: RunConfig, out) -> int:
     # through the module attribute, so that a wrapped friction.spectral_table sees it
     table = _friction.spectral_table(traj, cavity)
     result = friction_energy(cavity, bath, traj, table=table)
+    try:
+        bound = _fmt(friction_bound(cavity, bath, traj))
+    except ValueError:
+        bound = "none"
     out.write(_header(
         cfg,
         ("k", "diag_term", "create_term", "scatter_term", "cumulative"),
@@ -472,7 +476,7 @@ def _run_friction(cfg: RunConfig, out) -> int:
     out.write(f"# E_F = {_fmt(result.value)}\n")
     out.write(f"# quadrature_err = {_fmt(result.err)}\n")
     out.write(f"# tail_estimate = {_fmt(result.tail_estimate)}\n")
-    out.write(f"# bound = {_fmt(result.bound) if result.bound is not None else 'none'}\n")
+    out.write(f"# bound = {bound}\n")
     export_mode_table(mode_breakdown(cavity, bath, table), out)
     return 0
 

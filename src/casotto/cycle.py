@@ -271,15 +271,17 @@ def _cycles(
     periods: Sequence[float] = (),
     *,
     include_casimir: bool,
-) -> tuple[list[CycleReport], object, object, tuple]:
+) -> tuple[list[CycleReport], object, object, tuple, tuple]:
     """Cycles of ``machine`` over a (bath, eps, tau) grid, each rule run once.
 
     ``cavities`` (one per eps) differ only in epsilon.  Without ``tables``
     the strokes are adiabatic (one tau column, zero friction, NaN power);
     else tau ``t`` takes both frictions from the checked ``tables[t]`` (None
-    for a failed tau: NaN cells) and has cycle period ``periods[t]``.
+    for a failed tau: NaN cells) and has cycle period ``periods[t]``.  Each
+    (table, bath) product is taken once, in one :func:`_per_bath` call.
     Returns the reports in (bath, eps, tau) order, the population-frozen
-    heat and its truncation flag, and the flags of strokes A and C.
+    heat and its truncation flag, and the flags and tail estimates (per
+    unit ``eps**2``) of strokes A and C; both empty without ``tables``.
     """
     m = _MACHINES[machine]
     cfg = cavities[0]
@@ -305,7 +307,7 @@ def _cycles(
         )
     with np.errstate(all="ignore"):
         otto_flag = _truncation_flag(tail, Q_ad, 1.0, 0.0, cfg.tail_tol)
-        tail_warning, stroke_flags = otto_flag, ()
+        tail_warning, stroke_flags, stroke_tails = otto_flag, (), ()
         ef_a = ef_c = err = 0.0
         period = math.nan
         if tables:
@@ -316,6 +318,7 @@ def _cycles(
                 _truncation_flag(tail_a, value_a, eps2, err_a, cfg.tail_tol),
                 _truncation_flag(tail_c, value_c, eps2, err_c, cfg.tail_tol),
             )
+            stroke_tails = (tail_a, tail_c)
             tail_warning = tail_warning | stroke_flags[0] | stroke_flags[1]
             (period,) = _operands(np.array([periods]))
         Q = m.heat(Q_ad, ef_a, ef_c)
@@ -345,7 +348,7 @@ def _cycles(
             floats.reshape(14, -1).T.tolist(), flags.reshape(3, -1).T.tolist()
         )
     ]
-    return reports, Q_ad, otto_flag, stroke_flags
+    return reports, Q_ad, otto_flag, stroke_flags, stroke_tails
 
 
 def _single_cycle(
@@ -377,7 +380,7 @@ def _single_cycle(
             ),
             ConditionWarning,
         )
-    (report,), Q_ad, otto_flag, stroke_flags = _cycles(
+    (report,), Q_ad, otto_flag, stroke_flags, stroke_tails = _cycles(
         [cfg], [baths], machine, tables, periods, include_casimir=include_casimir
     )
     if otto_flag:
@@ -387,11 +390,8 @@ def _single_cycle(
             TruncationWarning,
         )
     eps2 = cfg.epsilon**2
-    for flag, value, beta in zip(
-        stroke_flags, (report.E_F_A, report.E_F_C), (baths.beta_A, baths.beta_C)
-    ):
+    for flag, value, tail in zip(stroke_flags, (report.E_F_A, report.E_F_C), stroke_tails):
         if flag:
-            tail = _per_bath([table], cfg.L0, cfg.n_modes, [beta])[0][0][2]
             _warn_truncation(eps2 * tail if math.isfinite(tail) else tail, value, cfg.tail_tol)
     return report
 
@@ -455,7 +455,7 @@ def _cycle_time(tau: float, thermalization_time: float) -> float:
     """Cycle period ``2 tau + thermalization_time``, both strokes counted."""
     if not tau > 0:
         raise ValueError("tau must be positive")
-    if thermalization_time < 0:
+    if not thermalization_time >= 0:
         raise ValueError("thermalization_time must be non-negative")
     return 2.0 * tau + thermalization_time
 
@@ -509,7 +509,7 @@ def sweep(
 ) -> list[SweepRow]:
     """Cycle reports over a (bath, epsilon, tau) grid.
 
-    Every tau's trajectory and spectral table are built first (five arrays
+    Every tau's trajectory and spectral table are built first (three arrays
     of ``2K + 1`` floats per tau).  Then, one distinct bath temperature at a
     time, each table takes one product with its friction kernel (each kernel
     is built once), the tails of all products are fitted in one pass, and

@@ -522,7 +522,7 @@ def validate_friction(
             # E_F is restricted to the retained modes on purpose, so the
             # modes it leaves out are no truncation to warn about here
             warnings.simplefilter("ignore", TruncationWarning)
-            res = friction_energy(cfg_eps, bath, traj, table=table, compute_bound=False)
+            res = friction_energy(cfg_eps, bath, traj, table=table)
         ef = res.value
         if abs(ef) > res.err:
             ratio = (e_full - e_adiab) / ef

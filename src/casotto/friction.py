@@ -50,13 +50,10 @@ Mode sums run to the configured cutoff K; the truncated remainder is
 estimated by extrapolating a power-law fit of the last per-mode
 contributions.  Everything is computed per unit ``eps**2`` internally and
 scaled at the boundary.  The amplitudes on the grid ``n * pi / L0``,
-``n <= 2K``, are computed once per trajectory in :func:`spectral_table`,
-and the table keeps, per (cavity, K, bath), the product with the kernels
-and the tail fit.  So each (table, bath) product is taken once, and every
-further compression ratio, cell or stroke with that bath costs an
-``eps**2`` scaling and the tail flag.  The products a call still needs
-(every tau and bath of a sweep, or the one of a single stroke) are each
-taken on their own, and their tails are fitted together in one array pass.
+``n <= 2K``, are computed once per trajectory in :func:`spectral_table`.
+A call takes each (table, bath) product it needs once, on its own, and
+fits their tails together in one array pass; every compression ratio and
+cell with that bath then costs an ``eps**2`` scaling and the tail flag.
 
 Every profile is a piecewise polynomial (:mod:`casotto.trajectory`), so the
 amplitudes have a finite closed form per piece (repeated integration by
@@ -75,7 +72,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -127,10 +124,7 @@ class SpectralTable:
 
     Precomputing the grid lets one table serve every mode pair (the needed
     sums and differences of equidistant frequencies are again grid points)
-    and every bath and compression ratio.  The table keeps its power
-    arrays and what :func:`friction_energy` derives from them per bath, so
-    each (table, bath) product is taken once; :func:`dataclasses.replace`
-    starts a table without either.
+    and every bath and compression ratio.
     """
 
     omega1: float
@@ -138,14 +132,12 @@ class SpectralTable:
     S: np.ndarray
     err: np.ndarray
     label: str
-    # (L0, K, beta) -> (E_F / eps**2, its round-off bound, tail estimate)
-    _per_bath: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
-    @functools.cached_property
+    @property
     def power(self) -> np.ndarray:
         return self.C * self.C + self.S * self.S
 
-    @functools.cached_property
+    @property
     def power_err(self) -> np.ndarray:
         """Round-off bound of ``power``: the amplitude bounds propagated to
         first and second order."""
@@ -160,14 +152,13 @@ class SpectralTable:
 class FrictionResult:
     """Friction energy of one stroke.
 
-    ``bound`` is the analytic upper bound when the profile shape admits
-    one, else None.  ``err`` is the amplitudes' round-off bound propagated
-    through the mode sums, and ``value_per_eps2`` the compression-independent
-    core.  The per-mode split is :func:`mode_breakdown`.
+    ``err`` is the amplitudes' round-off bound propagated through the mode
+    sums, and ``value_per_eps2`` the compression-independent core.  The
+    per-mode split is :func:`mode_breakdown`, the analytic upper bound
+    :func:`friction_bound`.
     """
 
     value: float
-    bound: float | None
     k_used: int
     tail_estimate: float
     beta: float
@@ -328,8 +319,6 @@ def partial_spectral_integral(
     k = int(np.searchsorted(v.x, t))  # pieces that start before t
     F, _ = _fourier(PPoly(v.c[:, :k], np.append(v.x[:k], t)), [n * math.pi / L0])
     return float(F[0].real), float(F[0].imag)
-
-
 
 
 # the truncation-tail fit reads the per-mode totals of this many top modes
@@ -506,39 +495,26 @@ def _warn_truncation(tail: float, value: float, tail_tol: float) -> None:
 def _per_bath(tables, L0: float, K: int, betas) -> list[list[tuple[float, float, float]]]:
     """``E_F / eps**2``, its round-off bound and the tail estimate, per bath and table.
 
-    None depends on the compression ratio, so each is computed once per
-    (table, cavity, cutoff, bath) and kept on the table.  Every product still
-    missing is one pair of kernel products of its own, so its value does not
-    depend on what else is computed; their tails are fitted in one
-    :func:`_tail_estimates` call.  Betas run outside tables, so each kernel is
-    fetched once.  Returns ``[beta][table]`` terms; a None table (a stroke
-    that failed) has NaN terms.
+    None depends on the compression ratio.  Each (table, bath) product is
+    one pair of kernel products of its own, so its value does not depend on
+    what else is computed; all tails are fitted in one :func:`_tail_estimates`
+    call.  Betas run outside tables, so each kernel is fetched once.  Returns
+    ``[beta][table]`` terms; a None table (a stroke that failed) has NaN terms.
     """
-    missing = []  # (memo, key, values, noise) of every product to take
+    powers = [(t.power[: 2 * K + 1], t.power_err[: 2 * K + 1]) for t in tables if t is not None]
+    values, noise = [], []
     for beta in betas:
-        key = (L0, K, beta)
-        kernels = None
-        for table in tables:
-            if table is not None and key not in table._per_bath:
-                value_kernel, error_kernel = kernels = kernels or _bath_kernel(L0, K, beta)
-                missing.append((
-                    table._per_bath, key,
-                    value_kernel @ table.power[: 2 * K + 1],
-                    error_kernel @ table.power_err[: 2 * K + 1],
-                ))
-    if missing:
-        memos, keys, values, noise = zip(*missing)
+        value_kernel, error_kernel = _bath_kernel(L0, K, beta)
+        for power, power_err in powers:
+            values.append(value_kernel @ power)
+            noise.append(error_kernel @ power_err)
+    terms = iter(())  # in the order taken: betas outer, live tables inner
+    if values:
         values, noise = np.array(values), np.array(noise)
         tails = _tail_estimates(K, values[:, 1:], noise[:, 1:])
-        for memo, key, *terms in zip(
-            memos, keys, values[:, 0].tolist(), noise[:, 0].tolist(), tails.tolist()
-        ):
-            memo[key] = tuple(terms)
+        terms = zip(values[:, 0].tolist(), noise[:, 0].tolist(), tails.tolist())
     nan = (math.nan,) * 3
-    return [
-        [nan if table is None else table._per_bath[(L0, K, beta)] for table in tables]
-        for beta in betas
-    ]
+    return [[nan if t is None else next(terms) for t in tables] for _ in betas]
 
 
 def friction_energy(
@@ -547,15 +523,12 @@ def friction_energy(
     traj: Trajectory,
     *,
     table: SpectralTable | None = None,
-    compute_bound: bool = True,
 ) -> FrictionResult:
     """Friction energy of one stroke of ``traj`` starting from a thermal state.
 
     The profile must carry unit net displacement (either direction).  A
     precomputed :func:`spectral_table` of ``traj`` may be passed to share it
-    across baths and compression ratios: the table keeps each bath's
-    ``eps``-independent terms, so a later call with the same bath only
-    scales them by ``eps**2`` and flags the tail.
+    across baths and compression ratios.
     """
     if table is None:
         table = spectral_table(traj, cfg)
@@ -570,16 +543,8 @@ def friction_energy(
     if tail_warning:
         _warn_truncation(tail_scaled, value, cfg.tail_tol)
 
-    bound = None
-    if compute_bound:
-        try:
-            bound = friction_bound(cfg, bath, traj)
-        except ValueError:
-            bound = None
-
     return FrictionResult(
         value=value,
-        bound=bound,
         k_used=K,
         tail_estimate=tail_scaled,
         beta=bath.beta,

@@ -20,7 +20,7 @@ Families provided here:
   early in the stroke are reabsorbed before it ends.
 * :func:`from_samples` - clamped cubic-spline interpolation of a
   user-supplied sampled profile (approximate; see the loosened derivative
-  guarantee below).  It is the only part of the package that loads scipy.
+  guarantee below).
 """
 
 from __future__ import annotations
@@ -167,12 +167,11 @@ def _ascending_sum(c: np.ndarray, s: np.ndarray) -> np.ndarray:
 class Trajectory:
     """Dimensionless wall profile on ``[t_start, t_end] = [delta.x[0], delta.x[-1]]``.
 
-    ``delta`` is the profile as a piecewise polynomial.  Any object with
-    ``.c`` and ``.x`` in :class:`PPoly`'s layout is accepted (a scipy
-    ``PPoly`` or ``CubicSpline`` too) and converted once, so ``delta`` is
-    always a :class:`PPoly`.  ``ddelta``, ``d2delta`` and ``d3delta``
-    evaluate its first three time derivatives on numpy arrays; left as None
-    they are the exact derivatives ``delta.derivative(m)``.
+    ``delta`` is the profile as a :class:`PPoly`; another piecewise
+    polynomial in the same layout converts as ``PPoly(p.c, p.x)``.
+    ``ddelta``, ``d2delta`` and ``d3delta`` evaluate its first three time
+    derivatives on numpy arrays; left as None they are the exact
+    derivatives ``delta.derivative(m)``.
     """
 
     delta: PPoly
@@ -183,9 +182,7 @@ class Trajectory:
 
     def __post_init__(self) -> None:
         if not isinstance(self.delta, PPoly):
-            if not (hasattr(self.delta, "c") and hasattr(self.delta, "x")):
-                raise TypeError("delta must be a piecewise polynomial with .c and .x")
-            object.__setattr__(self, "delta", PPoly(self.delta.c, self.delta.x))
+            raise TypeError(f"delta must be a PPoly, got {type(self.delta).__name__}")
         t0, t1 = self.delta.x[0], self.delta.x[-1]
         if not (math.isfinite(t0) and math.isfinite(t1)):
             raise ValueError("trajectory domain must be finite")
@@ -349,8 +346,8 @@ def shortcut(ramp: Trajectory, L0: float) -> Trajectory:
     mismatch between the interior and the constant extension, which would
     put kinks in ``ddelta``), and its endpoint values must differ.
     """
-    if not L0 > 0:
-        raise ValueError(f"L0 must be positive, got {L0}")
+    if not 0 < L0 < math.inf:
+        raise ValueError(f"L0 must be positive and finite, got {L0}")
     t0, t1 = ramp.t_start, ramp.t_end
     ends = ramp.delta(np.array([t0, t1]))
     r0, r1 = float(ends[0]), float(ends[1])
@@ -403,8 +400,34 @@ def from_samples(source: str | Path | io.TextIOBase, label: str | None = None) -
         raise ValueError("need at least 4 samples for a cubic profile")
     t = np.array([r[0] for r in rows])
     d = np.array([r[1] for r in rows])
+    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(d))):
+        raise ValueError("samples must be finite")
     if np.any(np.diff(t) <= 0):
         raise ValueError("sample times must be strictly increasing")
-    from scipy.interpolate import CubicSpline  # only this family needs scipy
+    return Trajectory(_clamped_spline(t, d), label=label)
 
-    return Trajectory(CubicSpline(t, d, bc_type="clamped"), label=label)
+
+def _clamped_spline(t: np.ndarray, y: np.ndarray) -> PPoly:
+    """Cubic spline through ``(t, y)`` with zero slope at both ends.
+
+    With knot gaps ``h`` and secant slopes ``d``, the interior knot slopes
+    solve ``h_i m_{i-1} + 2 (h_{i-1} + h_i) m_i + h_{i-1} m_{i+1} =
+    3 (h_i d_{i-1} + h_{i-1} d_i)``, a diagonally dominant tridiagonal
+    system: one elimination pass, no pivoting.  Each piece is then the cubic
+    Hermite interpolant of its end values and slopes.
+    """
+    h = np.diff(t)
+    d = np.diff(y) / h
+    lower, upper = h[1:].tolist(), h[:-1].tolist()
+    diag = (2.0 * (h[:-1] + h[1:])).tolist()
+    rhs = (3.0 * (h[1:] * d[:-1] + h[:-1] * d[1:])).tolist()
+    for i in range(1, len(diag)):
+        w = lower[i] / diag[i - 1]
+        diag[i] -= w * upper[i - 1]
+        rhs[i] -= w * rhs[i - 1]
+    m = [0.0] * len(t)
+    for i in range(len(diag) - 1, -1, -1):
+        m[i + 1] = (rhs[i] - upper[i] * m[i + 2]) / diag[i]
+    m = np.array(m)
+    cubic = (m[:-1] + m[1:] - 2.0 * d) / h
+    return PPoly([cubic / h, (d - m[:-1]) / h - cubic, m[:-1], y[:-1]], t)

@@ -19,7 +19,9 @@ from casotto.cycle import (
     sweep,
 )
 from casotto.fock_oracle import FockConfig, validate_friction, verify_trace_identities
-from casotto.friction import friction_energy, mode_breakdown, spectral_amplitudes, spectral_table
+from casotto.friction import (
+    friction_bound, friction_energy, mode_breakdown, spectral_amplitudes, spectral_table,
+)
 from casotto.quadrature import QuadratureSpec, integrate_2d_oracle
 from casotto.spectrum import (
     CavityConfig,
@@ -94,7 +96,7 @@ def test_criterion_04_friction_nonnegative_randomised():
     for _ in range(100):
         tau = float(np.exp(rng.uniform(np.log(0.1), np.log(30.0))))
         beta = float(np.exp(rng.uniform(np.log(0.2), np.log(20.0))))
-        res = friction_energy(cfg, ThermalBath(beta), quintic(tau), compute_bound=False)
+        res = friction_energy(cfg, ThermalBath(beta), quintic(tau))
         if res.value < 0.0:
             worst_ratio = max(worst_ratio, -res.value / max(abs(res.value), 1e-300))
     elapsed = time.time() - t0
@@ -113,8 +115,8 @@ def test_criterion_05_bound_dominates_grid():
         table = spectral_table(tr, cfg)
         for beta in (1.0, 5.0, math.inf):
             res = friction_energy(cfg, ThermalBath(beta), tr, table=table)
-            assert res.bound is not None
-            worst_margin = min(worst_margin, res.bound - res.value)
+            bound = friction_bound(cfg, ThermalBath(beta), tr)
+            worst_margin = min(worst_margin, bound - res.value)
     report(
         "C5 analytic bound dominates the friction energy",
         worst_margin >= 0.0,
@@ -221,8 +223,8 @@ def test_criterion_09_shortcut_cancellation():
         worst_amp = max(worst_amp, abs(amp.C), abs(amp.S))
     cfg = cavity(0.01, K, L0=L0)
     bath = ThermalBath(1.0)
-    ef_shortcut = friction_energy(cfg, bath, sc, compute_bound=False).value
-    ef_plain = friction_energy(cfg, bath, quintic(1.0), compute_bound=False).value
+    ef_shortcut = friction_energy(cfg, bath, sc).value
+    ef_plain = friction_energy(cfg, bath, quintic(1.0)).value
     ok = worst_amp < 1e-8 and abs(ef_shortcut) <= 1e-8 * ef_plain
     report(
         "C9 shortcut profile cancels the second-order friction",
@@ -240,8 +242,8 @@ def test_criterion_10_direction_independence():
         tau = float(np.exp(rng.uniform(np.log(0.2), np.log(20.0))))
         beta = float(np.exp(rng.uniform(np.log(0.5), np.log(10.0))))
         tr = quintic(tau)
-        fwd = friction_energy(cfg, ThermalBath(beta), tr, compute_bound=False)
-        bwd = friction_energy(cfg, ThermalBath(beta), reverse(tr), compute_bound=False)
+        fwd = friction_energy(cfg, ThermalBath(beta), tr)
+        bwd = friction_energy(cfg, ThermalBath(beta), reverse(tr))
         worst = max(worst, abs(fwd.value - bwd.value) / max(fwd.value, 1e-300))
     report(
         "C10 friction is direction independent",
@@ -325,10 +327,8 @@ def test_criterion_11d_friction_converges_in_beta():
     cfg = cavity(0.01, 40)
     tr = quintic(1.0)
     table = spectral_table(tr, cfg)
-    e20 = friction_energy(cfg, ThermalBath(20.0), tr, table=table,
-                          compute_bound=False).value
-    e40 = friction_energy(cfg, ThermalBath(40.0), tr, table=table,
-                          compute_bound=False).value
+    e20 = friction_energy(cfg, ThermalBath(20.0), tr, table=table).value
+    e40 = friction_energy(cfg, ThermalBath(40.0), tr, table=table).value
     dev = abs(e20 - e40) / e20
     report(
         "C11d friction converges to the vacuum value at low temperature",

@@ -117,6 +117,7 @@ class TestParsing:
     def test_negative_thermalization_time_is_a_usage_error(self, command):
         assert main([command, "--tau", "1", "--thermalization-time", "-2"]) == 2
         assert main([command, "--tau", "1", "--thermalization-time", "-5"]) == 2
+        assert main([command, "--tau", "1", "--thermalization-time", "nan"]) == 2
 
     @pytest.mark.parametrize("argv", [
         ["shortcut-check", "--points", "0"],
@@ -143,6 +144,7 @@ class TestParsing:
         ["oracle", "--dt", "0"],
         ["oracle", "--integrator-order", "3"],
         ["shortcut-check", "--L0", "0"],
+        ["shortcut-check", "--L0", "inf"],
         ["sweep", "--tau-grid", "0.5:2:2", "--epsilon", ","],
         ["sweep", "--tau-grid", "0.5:2:2", "--beta-ratio", ","],
         ["sweep", "--tau-grid", "0:2:2"],
@@ -154,8 +156,8 @@ class TestParsing:
             "oracle-two-epsilons", "engine-two-beta-ratios", "grid-empty-range",
             "grid-zero-points", "log-grid-at-zero", "grid-count-not-integer",
             "grid-bound-not-number", "fock-modes-zero", "n-max-zero", "dt-zero",
-            "integrator-order-three", "L0-zero", "epsilon-empty", "beta-ratio-empty",
-            "grid-at-zero", "grid-below-zero", "beta-a-inf"])
+            "integrator-order-three", "L0-zero", "L0-inf", "epsilon-empty",
+            "beta-ratio-empty", "grid-at-zero", "grid-below-zero", "beta-a-inf"])
     def test_shortcut_check_rejects_bad_samples(self, argv):
         # out-of-range values are usage errors (status 2), caught before the
         # library's own ValueError would turn them into numerical failures (3)
@@ -495,17 +497,24 @@ def _child_env():
     return env
 
 
-def test_cli_import_loads_no_scipy():
+def test_cli_import_loads_no_scipy(tmp_path):
     # importing scipy.interpolate costs about half a second of start-up per
-    # CLI call; only --family sampled may load it, when it reads a file
+    # CLI call, and the package splines a sampled profile itself
     src = str(Path(casotto.__file__).resolve().parent.parent)
     env = _child_env()
+    samples = tmp_path / "stroke.csv"
+    samples.write_text("".join(f"{t / 10!r},{(t / 10) ** 2 * (3 - t / 5)!r}\n" for t in range(11)))
+    argv = ["friction", "--family", "sampled", "--trajectory-file", str(samples),
+            "--modes", "8", "--output", str(tmp_path / "out.csv")]
     code = (
         "import sys, casotto, casotto.cli; print(casotto.__file__); "
+        f"print(casotto.cli.main({argv!r})); "
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
     )
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    where, loaded = proc.stdout.splitlines()
+    where, status, loaded = proc.stdout.splitlines()
     assert Path(where).resolve().is_relative_to(src)
+    assert status == "0"
+    assert "# E_F = " in (tmp_path / "out.csv").read_text()
     assert loaded == "[]"

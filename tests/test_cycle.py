@@ -58,7 +58,7 @@ def reference_cycle(cfg, baths, machine, traj=None, *, include_casimir=True,
     if traj is not None:
         table = spectral_table(traj, cfg)
         res_A, res_C = (
-            friction_energy(cfg, ThermalBath(beta), traj, table=table, compute_bound=False)
+            friction_energy(cfg, ThermalBath(beta), traj, table=table)
             for beta in (baths.beta_A, baths.beta_C)
         )
         ef_a, ef_c, err = res_A.value, res_C.value, res_A.err + res_C.err
@@ -391,9 +391,11 @@ class TestPower:
             power(r, 0.0)
         with pytest.raises(ValueError):
             power(r, 1.0, thermalization_time=-1.0)
+        with pytest.raises(ValueError):
+            power(r, 1.0, thermalization_time=math.nan)
 
     @pytest.mark.parametrize("runner", [nonadiabatic_engine, nonadiabatic_refrigerator])
-    @pytest.mark.parametrize("thermalization_time", [-2.0, -5.0])
+    @pytest.mark.parametrize("thermalization_time", [-2.0, -5.0, math.nan])
     def test_finite_time_cycles_reject_negative_thermalization(
         self, runner, thermalization_time
     ):

@@ -795,7 +795,7 @@ class TestValidateFriction:
             report = validate_friction(cfg, bath, shortcut(quintic(1.0), cfg.L0), fock,
                                        epsilons=(0.01, 0.005))
         row = report.rows[0]
-        plain = friction_energy(cfg, bath, quintic(1.0), compute_bound=False).value
+        plain = friction_energy(cfg, bath, quintic(1.0)).value
         assert abs(row.E_full - row.E_adiab) < 0.05 * plain
 
     def test_round_off_friction_gives_nan_ratio(self):
@@ -838,7 +838,7 @@ class TestValidateFriction:
         # friction formula warns about; the comparison leaves it out on purpose
         cfg = cavity(eps=0.01, K=16)
         with pytest.warns(TruncationWarning):
-            friction_energy(cfg, ThermalBath(1.0), quintic(1.0), compute_bound=False)
+            friction_energy(cfg, ThermalBath(1.0), quintic(1.0))
         fock = FockConfig(n_modes=16, dt=0.1 / 16)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -864,8 +864,8 @@ class TestValidateFriction:
         monkeypatch.undo()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TruncationWarning)
-            per_eps = [friction_energy(replace(cfg, epsilon=e), bath, quintic(1.0),
-                                       compute_bound=False).value for e in (0.01, 0.005)]
+            per_eps = [friction_energy(replace(cfg, epsilon=e), bath, quintic(1.0)).value
+                       for e in (0.01, 0.005)]
         assert [row.E_pert for row in report.rows] == [
             row.E_adiab + ef for row, ef in zip(report.rows, per_eps)]
 

@@ -175,6 +175,12 @@ class TestShortcut:
         with pytest.raises(ValueError):
             shortcut(linear_ramp(1.0), 1.0)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("L0", [math.inf, -math.inf, math.nan, 0.0, -1.0])
+    def test_rejects_bad_L0_before_any_arithmetic(self, L0):
+        with pytest.raises(ValueError, match="L0 must be positive and finite"):
+            shortcut(quintic(1.0), L0)
+
     def test_derivatives_match_finite_differences(self):
         sc = shortcut(quintic(1.0), 1.0)
         rng = np.random.default_rng(11)
@@ -211,9 +217,27 @@ class TestFromSamples:
             an = tr.ddelta(np.array([t]))[0]
             assert abs(fd - an) <= 1e-3 * max(abs(an), 1.0)
 
+    @pytest.mark.parametrize("n", [4, 5, 21, 201])
+    def test_matches_scipy_clamped_spline(self, n):
+        # scipy is the oracle here only; the package builds its own spline
+        rng = np.random.default_rng(n)
+        t = np.cumsum(rng.uniform(0.05, 1.0, n))
+        y = rng.normal(size=n)
+        text = "".join(f"{float(a)!r},{float(b)!r}\n" for a, b in zip(t, y))
+        ours = from_samples(io.StringIO(text)).delta
+        theirs = interpolate.CubicSpline(t, y, bc_type="clamped")
+        assert ours.x.tolist() == theirs.x.tolist()
+        assert ours.c.shape == theirs.c.shape
+        assert np.max(np.abs(ours.c - theirs.c)) <= 1e-13 * np.max(np.abs(theirs.c))
+
     def test_rejects_non_increasing_times(self):
         with pytest.raises(ValueError):
             from_samples(io.StringIO("0,0\n0.5,0.2\n0.5,0.3\n1,1\n"))
+
+    @pytest.mark.parametrize("row", ["0.5,nan", "0.5,inf", "nan,0.5", "inf,1"])
+    def test_rejects_non_finite_samples(self, row):
+        with pytest.raises(ValueError, match="finite"):
+            from_samples(io.StringIO(f"0,0\n0.25,0.2\n{row}\n0.75,0.8\n"))
 
     def test_rejects_malformed_rows(self):
         with pytest.raises(ValueError):
@@ -323,9 +347,12 @@ class TestPPolyAgainstScipy:
 
 class TestForeignPolynomials:
     def test_scipy_ppoly_is_converted(self):
+        # only explicitly: a foreign polynomial is a TypeError
         c = quintic(1.0).delta.c
-        tr = Trajectory(interpolate.PPoly(c, [0.0, 1.0]))
-        assert type(tr.delta) is PPoly
+        theirs = interpolate.PPoly(c, [0.0, 1.0])
+        with pytest.raises(TypeError, match="PPoly"):
+            Trajectory(theirs)
+        tr = Trajectory(PPoly(theirs.c, theirs.x))
         assert tr.delta.c.tolist() == c.tolist()
         assert tr.displacement() == quintic(1.0).displacement()
 
