@@ -24,27 +24,27 @@ the stroke acts on the quadratures as one symplectic matrix ``S`` and a
 covariance matrix evolves as ``sigma -> S sigma S^T`` (Serafini, *Quantum
 Continuous Variables*, CRC 2017, ch. 3-5).  :func:`validate_friction`
 propagates the thermal covariance through the stroke this way, with no
-occupation cutoff, and compares the measured non-adiabatic energy against
-the separable friction formula restricted to the same retained modes.
+occupation cutoff, both compression ratios in one stacked pass, and
+compares the measured non-adiabatic energy against the separable friction
+formula restricted to the same retained modes.
 
 :func:`verify_trace_identities` tests operator ordering, so it stays in a
-truncated Fock space: a product of per-mode ladders, mode 1 slowest, laid
-out by :func:`_product` alone.  The thermal state is diagonal there, an
-outer product of per-mode weights, and each trace is those weights against
-the outer product of the per-mode strings' diagonals, so no ``d x d``
-array is built.  Its dimension is capped at 1e5.
+truncated Fock space of per-mode ladders.  The thermal state there is a
+product of per-mode weights and each operator string a product of per-mode
+strings, so each trace is the product over modes of the weights against
+that mode's string diagonal; no vector over the product basis is built.
+Its dimension is capped at 1e5.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 from functools import reduce
 
 import numpy as np
 
-from .friction import TruncationWarning, friction_energy, spectral_table
+from .friction import _per_bath, _stroke_cutoff, spectral_table
 from .spectrum import (
     CavityConfig,
     ThermalBath,
@@ -126,16 +126,6 @@ def _destroy(n_max: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1.0, n_max + 1.0)), k=1)
 
 
-def _product(factors: dict[int, np.ndarray], fock: FockConfig) -> np.ndarray:
-    """Flattened outer product (``np.kron``) over modes 1..n of the vectors
-    ``factors.get(m, ones)``, mode 1 slowest: the one place the product
-    basis is laid out, for diagonals (weights, operator-string diagonals).
-    """
-    ones = np.ones(fock.n_max + 1)
-    vectors = [factors.get(m, ones) for m in range(1, fock.n_modes + 1)]
-    return reduce(lambda a, b: np.multiply.outer(a, b).ravel(), vectors)
-
-
 # ---------------------------------------------------------------------------
 # the driven stroke in phase space
 # ---------------------------------------------------------------------------
@@ -159,34 +149,40 @@ def _static_parts(cfg: CavityConfig, n_modes: int) -> tuple[np.ndarray, np.ndarr
     w = mode_frequencies(n_modes, cfg.L0)
     w_prime = np.array([mode_frequency_derivative(k, cfg.L0) for k in range(1, n_modes + 1)])
     C = coupling_matrix(n_modes) * np.sqrt(w[:, None] / w[None, :]) / cfg.L0
-    zero = np.zeros((n_modes, n_modes))
     h0 = np.diag(np.concatenate([w, w]))
     h1 = np.diag(np.concatenate([2.0 * w_prime, np.zeros(n_modes)]))
-    h2 = np.block([[zero, C.T], [C, zero]])
+    h2 = np.zeros((2 * n_modes, 2 * n_modes))  # assigned blockwise: np.block is slow
+    h2[:n_modes, n_modes:], h2[n_modes:, :n_modes] = C.T, C
     return h0, h1, h2
 
 
-def _forms(ts: np.ndarray, cfg: CavityConfig, traj: Trajectory, parts) -> np.ndarray:
-    """``h(t)`` at every time of ``ts``, stacked along the leading axes."""
+def _forms(ts: np.ndarray, cfg: CavityConfig, traj: Trajectory, parts, eps=None) -> np.ndarray:
+    """``h(t)`` at every time of ``ts``, stacked along the leading axes; an
+    array ``eps`` of compression ratios replaces ``cfg.epsilon``, axis first."""
     h0, h1, h2 = parts
-    dl = -cfg.L0 * cfg.epsilon * traj.delta(ts)
-    dldot = -cfg.L0 * cfg.epsilon * traj.ddelta(ts)
+    eps = np.asarray(cfg.epsilon if eps is None else eps)
+    scale = -cfg.L0 * eps.reshape(eps.shape + (1,) * np.ndim(ts))
+    dl, dldot = scale * traj.delta(ts), scale * traj.ddelta(ts)
     return h0 + dl[..., None, None] * h1 + dldot[..., None, None] * h2
 
 
 def _symplectic_form(n_modes: int) -> np.ndarray:
     """``J = [[0, I], [-I, 0]]``."""
-    eye, zero = np.eye(n_modes), np.zeros((n_modes, n_modes))
-    return np.block([[zero, eye], [-eye, zero]])
+    J = np.zeros((2 * n_modes, 2 * n_modes))
+    J[:n_modes, n_modes:], J[n_modes:, :n_modes] = np.eye(n_modes), -np.eye(n_modes)
+    return J
 
 
 def _expm(A: np.ndarray) -> np.ndarray:
     """``exp(A)`` over the last two axes: its Taylor polynomial of degree
-    ``_TAYLOR_DEGREE``, in Horner form."""
+    ``_TAYLOR_DEGREE``, in Horner form, updated in place so that no more
+    than three arrays the size of ``A`` are held at a time."""
     eye = np.eye(A.shape[-1])
     E = eye + A / _TAYLOR_DEGREE
     for n in range(_TAYLOR_DEGREE - 1, 0, -1):
-        E = eye + A @ E / n
+        E = A @ E
+        E /= n
+        E += eye
     return E
 
 
@@ -195,6 +191,7 @@ def _propagator(
     traj: Trajectory,
     fock: FockConfig,
     parts: tuple[np.ndarray, np.ndarray, np.ndarray],
+    eps: np.ndarray | None = None,
 ) -> np.ndarray:
     """Symplectic matrix ``S`` of the stroke, ``xi(t_end) = S xi(t_start)``.
 
@@ -204,7 +201,9 @@ def _propagator(
     early node.  The exponentials are taken stacked, a block of steps at a
     time, and multiplied as a pairwise tree of batched products, later
     factor on the left, an odd count carrying its last one up a level.  On
-    a static wall the energy must be conserved to 1e-10.
+    a static wall the energy must be conserved to 1e-10.  An array ``eps``
+    (see :func:`_forms`) stacks its strokes on a leading axis of ``S``, each
+    slice that stroke's ``S`` bit for bit: a block keeps its step count.
     """
     w_max = mode_frequencies(fock.n_modes, cfg.L0)[-1]
     n_steps = max(1, math.ceil(traj.duration / fock.dt))
@@ -225,20 +224,22 @@ def _propagator(
     S = np.eye(dim)
     for first in range(0, n_steps, block):
         starts = traj.t_start + dt * np.arange(first, min(first + block, n_steps))
-        forms = _forms(starts[:, None] + offsets * dt, cfg, traj, parts)
-        steps = _expm(dtJ @ np.einsum("sr,nrij->nsij", weights, forms))
-        factors = steps[:, ::-1].reshape(-1, dim, dim)  # earliest first
-        while len(factors) > 1:
-            n = len(factors)
-            paired = factors[1::2] @ factors[: n - 1 : 2]
-            factors = np.concatenate([paired, factors[n - 1 :]]) if n % 2 else paired
-        S = factors[0] @ S
+        forms = _forms(starts[:, None] + offsets * dt, cfg, traj, parts, eps)
+        forms = dtJ @ np.einsum("sr,...nrij->...nsij", weights, forms)  # the generators
+        # earliest first, one row of factors per epsilon
+        factors = _expm(forms)[..., ::-1, :, :].reshape(-1, len(starts) * len(offsets), dim, dim)
+        while factors.shape[1] > 1:
+            n = factors.shape[1]
+            paired = factors[:, 1::2] @ factors[:, : n - 1 : 2]
+            factors = np.concatenate([paired, factors[:, n - 1 :]], axis=1) if n % 2 else paired
+        S = factors[:, 0] @ S
+    S = S.reshape(np.shape(eps) + (dim, dim))
     if not np.any(traj.ddelta(np.linspace(traj.t_start, traj.t_end, 257))):
         # a static wall conserves the energy of every state: S^T h S = h
-        h_wall = _forms(np.array(traj.t_start), cfg, traj, parts)
-        drift = float(np.max(np.abs(S.T @ h_wall @ S - h_wall)))
-        if drift > 1e-10 * max(1.0, float(np.max(np.abs(h_wall)))):
-            raise StepSizeError(f"static-wall energy drifted by {drift:.2e}")
+        h_wall = _forms(np.array(traj.t_start), cfg, traj, parts, eps)
+        drift = np.max(np.abs(np.swapaxes(S, -1, -2) @ h_wall @ S - h_wall), axis=(-2, -1))
+        if np.any(drift > 1e-10 * np.maximum(1.0, np.max(np.abs(h_wall), axis=(-2, -1)))):
+            raise StepSizeError(f"static-wall energy drifted by {np.max(drift):.2e}")
     return S
 
 
@@ -258,8 +259,7 @@ class IdentityCheck:
     closed form.
 
     ``numeric`` is ``Tr(rho F)`` for the operator string ``F`` built from
-    the truncated ladder matrices, summed over the product Fock basis as
-    ``sum_i p_i F_ii`` with ``p`` the diagonal thermal state.
+    the truncated ladder matrices, taken as ``prod_m p_m . diag(F_m)``.
     """
 
     label: str
@@ -279,14 +279,14 @@ class IdentityReport:
 
 def _embedded_thermal_state(
     beta: float, state: FockConfig, work: FockConfig, cfg: CavityConfig
-) -> np.ndarray:
+) -> list[np.ndarray]:
     """Weights of the thermal state truncated at ``state.n_max``, embedded
     in ``work``.
 
-    The state is diagonal in the product Fock basis, so it is returned as
-    its diagonal: one weight per basis state, in the order of
-    :func:`_product`.  Occupation weights beyond the state cutoff are zero;
-    the distribution is renormalised over the kept rungs.
+    The state is a product over modes of diagonal states, so it is returned
+    as one weight vector per mode, mode 1 first.  Occupation weights beyond
+    the state cutoff are zero; the distribution is renormalised over the
+    kept rungs.
     """
     if not beta > 0:
         raise ValueError(f"beta must be positive (or inf), got {beta}")
@@ -301,12 +301,12 @@ def _embedded_thermal_state(
                 "beta",
             )
     n = np.arange(state.n_max + 1.0)
-    weights = {}
-    for k in range(1, state.n_modes + 1):
+    weights = []
+    for omega in w:
         p = np.zeros(work.n_max + 1)
-        p[: state.n_max + 1] = (n == 0) if math.isinf(beta) else np.exp(-beta * w[k - 1] * n)
-        weights[k] = p / p.sum()
-    return _product(weights, work)
+        p[: state.n_max + 1] = (n == 0) if math.isinf(beta) else np.exp(-beta * omega * n)
+        weights.append(p / p.sum())
+    return weights
 
 
 def _geometric_expectation(beta: float, omega: float, coeffs: tuple[int, ...]) -> float:
@@ -382,10 +382,14 @@ def _ladder_string(label: str) -> tuple[tuple[int, str], ...]:
     return tuple(out)
 
 
-# the battery with each label's factors parsed once
+# the battery with each label parsed once into per-mode strings, modes in the
+# order they first appear, and the distinct per-mode strings (the empty one too)
 _IDENTITY_STRINGS = tuple(
-    (label, _ladder_string(label), polys) for label, polys in _IDENTITIES.items()
+    (label, {m: tuple(k for n, k in fs if n == m) for m, _ in fs}, polys)
+    for label, polys in _IDENTITIES.items()
+    for fs in [_ladder_string(label)]
 )
+_MODE_STRINGS = {()} | {k for _, per_mode, _ in _IDENTITY_STRINGS for k in per_mode.values()}
 
 
 def verify_trace_identities(
@@ -399,12 +403,13 @@ def verify_trace_identities(
     geometric-distribution moments, taken here as exact factorial moments
     ``E[N^(r)] = r! nbar**r``.  The numeric side multiplies the raw
     truncated ladder matrices into one operator string per mode (cross-mode
-    factors commute); the thermal state is diagonal, so the trace is its
-    weight vector against the outer product of the strings' diagonals
-    (:func:`_product`), with no full-space matrix.  The
-    comparison verifies both the operator algebra and the truncation
-    quality.  Deviations are truncation-limited: the state carries no weight
-    beyond ``n_max``, so they scale with the clipped thermal tail.
+    factors commute), each distinct string once per call; state and string
+    are products over modes and the state is diagonal, so the trace is the
+    product over modes of the weights against the string's diagonal, with
+    nothing built over the product basis.  The comparison verifies both the
+    operator algebra and the truncation quality.  Deviations are
+    truncation-limited: the state carries no weight beyond ``n_max``, so
+    they scale with the clipped thermal tail.
     """
     if fock.n_modes < 3:
         raise OracleRangeError("identity battery needs at least 3 retained modes", "n_modes")
@@ -421,13 +426,11 @@ def verify_trace_identities(
     a = _destroy(work.n_max)
     ladder = {"a": a, "ad": a.T, "N": a.T @ a}  # N too from the raw ladder matrices
     eye = np.eye(work.n_max + 1)
+    diagonals = {k: np.diag(reduce(np.matmul, [ladder[f] for f in k], eye)) for k in _MODE_STRINGS}
 
     checks = []
-    for label, factors, polys in _IDENTITY_STRINGS:
-        per_mode: dict[int, np.ndarray] = {}
-        for mode, kind in factors:
-            per_mode[mode] = per_mode.get(mode, eye) @ ladder[kind]
-        numeric = float(p @ _product({m: np.diag(op) for m, op in per_mode.items()}, work))
+    for label, per_mode, polys in _IDENTITY_STRINGS:
+        numeric = math.prod(float(q @ diagonals[per_mode.get(m, ())]) for m, q in enumerate(p, 1))
         closed = math.prod(
             _geometric_expectation(beta, w[m - 1], c) for m, c in zip(per_mode, polys, strict=True)
         )
@@ -473,15 +476,17 @@ def validate_friction(
     """Measure the non-adiabatic energy directly and compare with E_F.
 
     For each compression ratio the thermal covariance
-    ``diag(N + 1/2, N + 1/2)`` is propagated through the stroke.  The
-    excess of the final energy over the population-preserving (adiabatic)
-    value ``sum_k nu_k (N_k + 1/2) - Tr(h_end)/4``, with ``nu`` the sorted
-    symplectic eigenvalues of the final ``h``, is divided by the friction
-    formula restricted to the retained modes.  Mode sums on both sides use
-    the same retained set, so the comparison probes the perturbative
-    expansion, not the mode cutoff.  Where ``E_F`` does not exceed its
-    round-off bound (a shortcut stroke), the ratio and its extrapolation
-    are NaN and a RuntimeWarning says so.
+    ``diag(N + 1/2, N + 1/2)`` is propagated through the stroke, both in
+    one stacked pass.  The excess of the final energy over the
+    population-preserving (adiabatic) value ``sum_k nu_k (N_k + 1/2) -
+    Tr(h_end)/4``, with ``nu`` the sorted symplectic eigenvalues of the
+    final ``h``, is divided by the friction formula restricted to the
+    retained modes, one (table, bath) product scaled by each ``eps**2``.
+    Mode sums on both sides use the same retained set, so the comparison
+    probes the perturbative expansion, not the mode cutoff.  Where ``E_F``
+    does not exceed its round-off bound (a shortcut stroke) or the
+    propagation's, ``n_steps * eps_machine * |E_full|`` (a slow stroke),
+    the ratio and its extrapolation are NaN and a RuntimeWarning says so.
     """
     if epsilons is None:
         epsilons = (cfg.epsilon, cfg.epsilon / 2.0)
@@ -497,40 +502,44 @@ def validate_friction(
         raise OracleRangeError(
             f"validate_friction retains at most {_FRICTION_MODES_MAX} modes", "n_modes"
         )
+    cfg = replace(cfg, n_modes=fock.n_modes)
+    for eps in epsilons:
+        replace(cfg, epsilon=eps)  # CavityConfig checks the range
     # the static parts and the table depend on L0 and the mode count only
     parts = _static_parts(cfg, fock.n_modes)
-    table = spectral_table(traj, replace(cfg, n_modes=fock.n_modes))
-    h0 = parts[0]
+    table = spectral_table(traj, cfg)
+    h0, stacked = parts[0], np.array(epsilons)
+    h_start, h_end = np.swapaxes(
+        _forms(np.array([traj.t_start, traj.t_end]), cfg, traj, parts, stacked), 0, 1
+    )
+    if np.max(np.abs(h_start - h0)) > 1e-12 * float(np.max(h0)):
+        raise ValueError(
+            "adiabatic baseline requires the stroke to start at rest "
+            "(delta = ddelta = 0), where H is the free Hamiltonian"
+        )
+    # E_F / eps**2 and its round-off bound; E_F is restricted to the
+    # retained modes on purpose, so its tail estimate is left unused
+    value, noise, _ = _per_bath([table], cfg.L0, _stroke_cutoff(cfg, table), [bath.beta])[0][0]
+    S = _propagator(cfg, traj, fock, parts, stacked)
     n_bar = occupations(bath.beta, mode_frequencies(fock.n_modes, cfg.L0))
     sigma0 = np.diag(np.tile(n_bar + 0.5, 2))
-    J = _symplectic_form(fock.n_modes)
+    # J h_end has the eigenvalues +-i nu_k
+    nus = np.sort(np.abs(np.linalg.eigvals(_symplectic_form(fock.n_modes) @ h_end).imag))[:, ::2]
+    # the propagation's round-off, n_steps * eps_machine, per unit |E_full|
+    floor = max(1, math.ceil(traj.duration / fock.dt)) * np.finfo(float).eps
     rows = []
-    for eps in epsilons:
-        cfg_eps = replace(cfg, epsilon=eps, n_modes=fock.n_modes)
-        h_start, h_end = _forms(np.array([traj.t_start, traj.t_end]), cfg_eps, traj, parts)
-        if np.max(np.abs(h_start - h0)) > 1e-12 * float(np.max(h0)):
-            raise ValueError(
-                "adiabatic baseline requires the stroke to start at rest "
-                "(delta = ddelta = 0), where H is the free Hamiltonian"
-            )
-        S = _propagator(cfg_eps, traj, fock, parts)
-        e_full = _energy(h_end, S @ sigma0 @ S.T)
-        # J h_end has the eigenvalues +-i nu_k
-        nu = np.sort(np.abs(np.linalg.eigvals(J @ h_end).imag))[::2]
-        e_adiab = float(nu @ (n_bar + 0.5)) - 0.25 * float(np.trace(h_end))
-        with warnings.catch_warnings():
-            # E_F is restricted to the retained modes on purpose, so the
-            # modes it leaves out are no truncation to warn about here
-            warnings.simplefilter("ignore", TruncationWarning)
-            res = friction_energy(cfg_eps, bath, traj, table=table)
-        ef = res.value
-        if abs(ef) > res.err:
+    for eps, h, s, nu in zip(epsilons, h_end, S, nus):
+        e_full = _energy(h, s @ sigma0 @ s.T)
+        e_adiab = float(nu @ (n_bar + 0.5)) - 0.25 * float(np.trace(h))
+        ef = eps**2 * value
+        bound = max(eps**2 * noise, floor * abs(e_full))
+        if abs(ef) > bound:
             ratio = (e_full - e_adiab) / ef
         else:
             ratio = math.nan
             _warn(
-                f"E_F = {ef:.3e} at epsilon = {eps:g} does not exceed its "
-                f"round-off bound {res.err:.3e}; ratio set to NaN",
+                f"E_F = {ef:.3e} at epsilon = {eps:g} does not exceed the "
+                f"round-off bound {bound:.3e} of it and of the propagation; ratio set to NaN",
                 RuntimeWarning,
             )
         rows.append(ComparisonRow(eps, e_full, e_adiab, e_adiab + ef, ratio))

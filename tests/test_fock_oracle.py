@@ -121,7 +121,7 @@ def mode_occupations(rho: np.ndarray, fock: FockConfig) -> np.ndarray:
 def thermal_state(beta: float, fock: FockConfig, cfg: CavityConfig) -> np.ndarray:
     """The battery's truncated thermal state as a dense matrix; its
     per-mode occupations must match the untruncated ones to 1e-4."""
-    rho = np.diag(_embedded_thermal_state(beta, fock, fock, cfg)).astype(complex)
+    rho = np.diag(reduce(np.kron, _embedded_thermal_state(beta, fock, fock, cfg))).astype(complex)
     exact = occupations(beta, mode_frequencies(fock.n_modes, cfg.L0))
     worst = float(np.max(np.abs(mode_occupations(rho, fock) - exact)))
     if worst > 1e-4:
@@ -462,6 +462,44 @@ class TestTreeProduct:
         assert np.max(np.abs(S - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+class TestStackedPropagation:
+    """Both compression ratios of the friction check in one pass."""
+
+    @pytest.mark.parametrize("order", [2, 4])
+    @pytest.mark.parametrize("steps_per_block", [None, 7])
+    def test_each_slice_equals_its_stroke_alone(self, monkeypatch, order, steps_per_block):
+        n_modes, epsilons = 4, (0.02, 0.01)
+        cfg = cavity(eps=epsilons[0], K=n_modes)
+        fock = FockConfig(n_modes=n_modes, dt=0.1 / n_modes, integrator_order=order)
+        parts = _static_parts(cfg, n_modes)
+        if steps_per_block is not None:
+            # 40 steps in blocks of 7: several blocks, the last one short
+            stages, dim = (1 if order == 2 else 2), 2 * n_modes
+            monkeypatch.setattr(fock_oracle, "_BLOCK_ENTRIES", steps_per_block * stages * dim * dim)
+        stacked = _propagator(cfg, quintic(1.0), fock, parts, np.array(epsilons))
+        assert stacked.shape == (2, 2 * n_modes, 2 * n_modes)
+        for S, eps in zip(stacked, epsilons):
+            alone = _propagator(replace(cfg, epsilon=eps), quintic(1.0), fock, parts)
+            assert np.array_equal(S, alone)
+
+    def test_forms_stack_epsilon_first(self):
+        cfg, ts = cavity(eps=0.01, K=2), np.array([[0.2, 0.3, 0.4], [0.5, 0.6, 0.7]])
+        parts = _static_parts(cfg, 2)
+        stacked = _forms(ts, cfg, quintic(1.0), parts, np.array([0.01, 0.004]))
+        assert stacked.shape == (2, 2, 3, 4, 4)
+        assert np.array_equal(stacked[0], _forms(ts, cfg, quintic(1.0), parts))
+        assert np.array_equal(stacked[1], _forms(ts, cavity(eps=0.004, K=2), quintic(1.0), parts))
+
+    def test_static_wall_check_covers_every_epsilon(self, monkeypatch):
+        cfg, frozen = cavity(K=2), static_profile(0.0)
+        fock, parts = FockConfig(n_modes=2, dt=0.02), _static_parts(cfg, 2)
+        S = _propagator(cfg, frozen, fock, parts, np.array([0.01, 0.005]))
+        assert np.array_equal(S[0], S[1])
+        monkeypatch.setattr(fock_oracle, "_TAYLOR_DEGREE", 1)
+        with pytest.raises(StepSizeError, match="drifted"):
+            _propagator(cfg, frozen, fock, parts, np.array([0.01, 0.005]))
+
+
 class TestParitySectors:
     """Every term of ``H(t)`` is quadratic in the ladder operators: it
     conserves photon-number parity and acts linearly on the quadratures,
@@ -752,6 +790,37 @@ class TestDiagonalTraces:
             tracemalloc.stop()
         assert peak < 5e6
 
+    def test_battery_builds_nothing_over_the_product_basis(self):
+        # one vector over the 11**5 product states with headroom is 1.3 MB
+        fock = FockConfig(n_modes=5, n_max=8)
+        tracemalloc.start()
+        try:
+            report = verify_trace_identities(3.0, fock, cavity(K=5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.max_abs_deviation < 1e-6
+        assert peak < 100e3
+
+    @pytest.mark.parametrize("beta", [2.0, 3.0])
+    def test_matches_the_sum_over_the_product_basis(self, beta):
+        # the per-mode product against the weights of all 11**5 product
+        # states times the string's diagonal there; modes 4 and 5 appear in
+        # no string and enter through their weights' sum
+        fock = FockConfig(n_modes=5, n_max=8)
+        cfg = cavity(K=5)
+        weights = _embedded_thermal_state(beta, fock, replace(fock, n_max=10), cfg)
+        a = np.diag(np.sqrt(np.arange(1.0, 11.0)), k=1)
+        small = {"a": a, "ad": a.T, "N": a.T @ a}
+        report = verify_trace_identities(beta, fock, cfg)
+        for check in report.checks:
+            per_mode = [np.eye(11) for _ in range(5)]
+            for mode, kind in _ladder_string(check.label):
+                per_mode[mode - 1] = per_mode[mode - 1] @ small[kind]
+            diagonal = reduce(np.kron, [np.diag(op) for op in per_mode])
+            summed = float(reduce(np.kron, weights) @ diagonal)
+            assert check.numeric == pytest.approx(summed, rel=2e-15), check.label
+
 
 class TestValidateFriction:
     def test_quintic_two_modes_ratio_near_one(self):
@@ -809,6 +878,43 @@ class TestValidateFriction:
         assert all(w.filename == __file__ for w in caught)
         assert all(math.isnan(row.ratio) for row in report.rows)
         assert math.isnan(report.richardson_ratio)
+
+    def test_friction_below_the_propagation_round_off_gives_nan_ratio(self):
+        # tau = 300: E_F = 1e-17, while 30000 steps leave E_full - E_adiab
+        # at -2e-14 of round-off; the ratio read -2016.5 and 482.2
+        cfg = cavity(eps=0.01, K=1)
+        with pytest.warns(RuntimeWarning, match=r"round-off bound 1\.0[0-9]*e-12") as caught:
+            report = validate_friction(cfg, ThermalBath(2.0), quintic(300.0), FockConfig(n_modes=1))
+        assert len(caught) == 2
+        assert all(math.isnan(row.ratio) for row in report.rows)
+        assert math.isnan(report.richardson_ratio)
+
+    def test_round_off_floor_leaves_the_workload_request_alone(self):
+        # 100 steps: a floor of 4e-15 against E_F = 3.5e-5
+        cfg = cavity(eps=0.01, K=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = validate_friction(cfg, ThermalBath(2.0), quintic(1.0), FockConfig(n_modes=2))
+        assert all(row.E_pert - row.E_adiab > 3e-6 for row in report.rows)
+
+    @pytest.mark.parametrize("epsilons", [(-0.01, 0.005), (0.01, 0.0), (0.0, -0.02)])
+    def test_epsilon_outside_the_unit_interval(self, epsilons):
+        with pytest.raises(ValueError, match=r"epsilon must lie in \(0, 1\)"):
+            validate_friction(cavity(K=1), ThermalBath(2.0), quintic(1.0), FockConfig(n_modes=1),
+                              epsilons=epsilons)
+
+    @pytest.mark.parametrize("epsilons", [(0.03, 0.01), (0.01, 0.5), (1.5, 0.01)])
+    def test_epsilon_above_the_perturbative_range_names_epsilon(self, epsilons):
+        with pytest.raises(OracleRangeError, match="eps <= 0.02") as caught:
+            validate_friction(cavity(K=1), ThermalBath(2.0), quintic(1.0), FockConfig(n_modes=1),
+                              epsilons=epsilons)
+        assert caught.value.names == ("epsilon",)
+
+    def test_rejects_non_unit_displacement(self):
+        half = quintic(1.0)
+        half = Trajectory(PPoly(0.5 * half.delta.c, half.delta.x), label="half")
+        with pytest.raises(ValueError, match="unit displacement, got 0.5"):
+            validate_friction(cavity(K=2), ThermalBath(2.0), half, FockConfig(n_modes=2))
 
     @pytest.mark.parametrize("epsilons", [(0.01, 0.01), (0.01,), (0.01, 0.005, 0.0025)])
     def test_needs_two_distinct_epsilons(self, epsilons):
