@@ -162,27 +162,29 @@ def _forms(ts: np.ndarray, cfg: CavityConfig, traj: Trajectory, parts, eps=None)
     h0, h1, h2 = parts
     eps = np.asarray(cfg.epsilon if eps is None else eps)
     scale = -cfg.L0 * eps.reshape(eps.shape + (1,) * np.ndim(ts))
-    dl, dldot = scale * traj.delta(ts), scale * traj.ddelta(ts)
-    return h0 + dl[..., None, None] * h1 + dldot[..., None, None] * h2
+    # einsum outer products summed in place: a broadcast product would take two buffers more
+    forms = np.einsum("...,ij->...ij", scale * traj.delta(ts), h1)
+    forms += h0
+    forms += np.einsum("...,ij->...ij", scale * traj.ddelta(ts), h2)
+    return forms
 
 
 def _symplectic_form(n_modes: int) -> np.ndarray:
     """``J = [[0, I], [-I, 0]]``."""
-    J = np.zeros((2 * n_modes, 2 * n_modes))
-    J[:n_modes, n_modes:], J[n_modes:, :n_modes] = np.eye(n_modes), -np.eye(n_modes)
-    return J
+    return np.eye(2 * n_modes, k=n_modes) - np.eye(2 * n_modes, k=-n_modes)
 
 
 def _expm(A: np.ndarray) -> np.ndarray:
     """``exp(A)`` over the last two axes: its Taylor polynomial of degree
     ``_TAYLOR_DEGREE``, in Horner form, updated in place so that no more
     than three arrays the size of ``A`` are held at a time."""
-    eye = np.eye(A.shape[-1])
-    E = eye + A / _TAYLOR_DEGREE
+    diagonal = (..., range(A.shape[-1]), range(A.shape[-1]))
+    E = A / _TAYLOR_DEGREE
+    E[diagonal] += 1.0
     for n in range(_TAYLOR_DEGREE - 1, 0, -1):
         E = A @ E
         E /= n
-        E += eye
+        E[diagonal] += 1.0
     return E
 
 
@@ -386,8 +388,7 @@ def _ladder_string(label: str) -> tuple[tuple[int, str], ...]:
 # order they first appear, and the distinct per-mode strings (the empty one too)
 _IDENTITY_STRINGS = tuple(
     (label, {m: tuple(k for n, k in fs if n == m) for m, _ in fs}, polys)
-    for label, polys in _IDENTITIES.items()
-    for fs in [_ladder_string(label)]
+    for label, polys in _IDENTITIES.items() for fs in [_ladder_string(label)]
 )
 _MODE_STRINGS = {()} | {k for _, per_mode, _ in _IDENTITY_STRINGS for k in per_mode.values()}
 
