@@ -122,10 +122,6 @@ class FockConfig:
         return (self.n_max + 1) ** self.n_modes
 
 
-def _destroy(n_max: int) -> np.ndarray:
-    return np.diag(np.sqrt(np.arange(1.0, n_max + 1.0)), k=1)
-
-
 # ---------------------------------------------------------------------------
 # the driven stroke in phase space
 # ---------------------------------------------------------------------------
@@ -178,13 +174,13 @@ def _expm(A: np.ndarray) -> np.ndarray:
     """``exp(A)`` over the last two axes: its Taylor polynomial of degree
     ``_TAYLOR_DEGREE``, in Horner form, updated in place so that no more
     than three arrays the size of ``A`` are held at a time."""
-    diagonal = (..., range(A.shape[-1]), range(A.shape[-1]))
+    eye = np.eye(A.shape[-1])
     E = A / _TAYLOR_DEGREE
-    E[diagonal] += 1.0
+    E += eye
     for n in range(_TAYLOR_DEGREE - 1, 0, -1):
         E = A @ E
         E /= n
-        E[diagonal] += 1.0
+        E += eye
     return E
 
 
@@ -385,12 +381,14 @@ def _ladder_string(label: str) -> tuple[tuple[int, str], ...]:
 
 
 # the battery with each label parsed once into per-mode strings, modes in the
-# order they first appear, and the distinct per-mode strings (the empty one too)
+# order they first appear; its distinct per-mode strings (the empty one too)
+# and its distinct (mode, polynomial) moments
 _IDENTITY_STRINGS = tuple(
     (label, {m: tuple(k for n, k in fs if n == m) for m, _ in fs}, polys)
     for label, polys in _IDENTITIES.items() for fs in [_ladder_string(label)]
 )
 _MODE_STRINGS = {()} | {k for _, per_mode, _ in _IDENTITY_STRINGS for k in per_mode.values()}
+_MOMENTS = {mc for _, modes, polys in _IDENTITY_STRINGS for mc in zip(modes, polys, strict=True)}
 
 
 def verify_trace_identities(
@@ -424,17 +422,18 @@ def verify_trace_identities(
     # identities are probed without edge clipping at the cutoff
     work = replace(fock, n_max=fock.n_max + 2)
     p = _embedded_thermal_state(beta, fock, work, cfg)
-    a = _destroy(work.n_max)
+    a = np.diag(np.sqrt(np.arange(1.0, work.n_max + 1.0)), k=1)
     ladder = {"a": a, "ad": a.T, "N": a.T @ a}  # N too from the raw ladder matrices
     eye = np.eye(work.n_max + 1)
     diagonals = {k: np.diag(reduce(np.matmul, [ladder[f] for f in k], eye)) for k in _MODE_STRINGS}
+    # each per-mode trace and each moment once, every string a product of them
+    traces = {k: [float(q @ d) for q in p] for k, d in diagonals.items()}
+    moments = {(m, c): _geometric_expectation(beta, w[m - 1], c) for m, c in _MOMENTS}
 
     checks = []
     for label, per_mode, polys in _IDENTITY_STRINGS:
-        numeric = math.prod(float(q @ diagonals[per_mode.get(m, ())]) for m, q in enumerate(p, 1))
-        closed = math.prod(
-            _geometric_expectation(beta, w[m - 1], c) for m, c in zip(per_mode, polys, strict=True)
-        )
+        numeric = math.prod(traces[per_mode.get(m, ())][m - 1] for m in range(1, len(p) + 1))
+        closed = math.prod(moments[m, c] for m, c in zip(per_mode, polys))
         checks.append(IdentityCheck(label, numeric, closed))
     worst = max(c.deviation for c in checks)
     return IdentityReport(checks=tuple(checks), max_abs_deviation=worst)
