@@ -1,25 +1,25 @@
 """Compare two checkouts' request latency call by call, in two live workers.
 
-    python3 tools/ab_calls.py --parent DIR --workload W [--checkout DIR] [--calls N] [--seed N]
+    python3 tools/ab_calls.py --parent DIR --workload W [--calls N] [--seed N]
 
-One worker process starts per checkout: the parent DIR and the change
-(``--checkout``, default the checkout holding this script).  Each imports
-casotto from its own ``src/`` and runs CLI requests in-process with its own
-``perfbench/run.py`` (``limit_threads``, then ``call``: ``parse_config``
-and ``run`` into a string buffer).  The requests are workload W of this
-checkout's ``perfbench/workloads.py``, taken in turn; each worker first runs
-``run.WARMUP_ARGV`` and every request once.  Then each of ``--calls`` pairs
-sends one request to both workers, one after the other, the side that goes
-first alternating from one pass over the requests to the next
+One worker process starts per checkout: the parent DIR and the change, the
+checkout holding this script.  Each imports casotto from its own ``src/``
+and runs CLI requests in-process with its own ``perfbench/run.py``
+(``limit_threads``, then ``call``: ``parse_config`` and ``run`` into a
+string buffer).  The requests are workload W of this checkout's
+``perfbench/workloads.py``, taken in turn; each worker first runs
+``run.WARMUP_ARGV`` and every request once.  Then each of ``--calls``
+pairs sends one request to both workers, one after the other, the side
+that goes first alternating from one pass over the requests to the next
 (parent-change, change-parent: ABBA).
 
 Both sides see the same host state within a few milliseconds, so the
-change/parent ratio of a pair is free of the drift between benchmark runs
-of tens of percent.  Printed per request kind and over all pairs: each
-side's median latency in ms, the median change/parent ratio with its
-quartiles, and the requests whose stdout differs between the sides.  A
-``pass`` row sums each side's latency over consecutive runs of one call of
-every request, the unit a benchmark pass times.
+change/parent ratio of a pair is free of the drift between benchmark runs,
+which reaches tens of percent.  Printed per request kind: each side's
+median latency in ms and the median change/parent ratio with its
+quartiles.  A ``pass`` row does the same for each side's latency summed
+over one call of every request, the unit a benchmark pass times.  The last
+line counts the requests whose stdout differs between the sides.
 """
 
 from __future__ import annotations
@@ -137,7 +137,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--worker", type=Path, help=argparse.SUPPRESS)
     parser.add_argument("--parent", type=Path)
-    parser.add_argument("--checkout", type=Path, default=HERE)
     parser.add_argument("--workload", choices=("thermal_grid", "point_queries", "fock_oracle"))
     parser.add_argument("--calls", type=int, default=400)
     parser.add_argument("--seed", type=int, default=1)
@@ -146,7 +145,7 @@ def main(argv=None) -> int:
         return worker(args.worker.resolve())
     if args.parent is None or args.workload is None or args.calls < 1:
         parser.error("--parent, --workload and a positive --calls are required")
-    print(compare(args.parent.resolve(), args.checkout.resolve(), args.workload, args.calls, args.seed))
+    print(compare(args.parent.resolve(), HERE, args.workload, args.calls, args.seed))
     return 0
 
 
