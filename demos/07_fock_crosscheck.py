@@ -3,13 +3,13 @@
 Nothing in the production path is trusted here.  The full driven
 Hamiltonian is quadratic in the ladder operators, so the stroke acts on the
 field quadratures as one symplectic matrix; the thermal covariance matrix
-is propagated through it step by step, with no Fock cutoff.  The excess of
-the final energy over the population-preserving adiabatic value is compared
-against the second-order friction formula restricted to the same retained
-modes.  Extrapolating the ratio of the two to eps -> 0 should give 1, at 2
-retained modes and at 32.  The operator-ordering identities used in the
-derivation are checked separately in a truncated Fock space against
-geometric-moment closed forms.
+is propagated through it in fourth-order commutator-free steps, with no
+Fock cutoff.  The excess of the final energy over the population-preserving
+adiabatic value is compared against the second-order friction formula
+restricted to the same retained modes.  Extrapolating the ratio of the two
+to eps -> 0 should give 1, at 2 retained modes and at 32.  The
+operator-ordering identities used in the derivation are checked separately
+in a truncated Fock space against geometric-moment closed forms.
 """
 
 import math
@@ -26,7 +26,7 @@ from casotto.fock_oracle import (
 bath = ThermalBath(2.0)
 for n_modes, dt in ((2, 0.01), (32, 0.003)):
     cfg = CavityConfig(L0=math.pi, epsilon=0.01, n_modes=n_modes)
-    fock = FockConfig(n_modes=n_modes, dt=dt, integrator_order=4)
+    fock = FockConfig(n_modes=n_modes, dt=dt)
     print(f"phase-space propagation vs friction formula ({n_modes} modes, "
           f"{2 * n_modes} x {2 * n_modes} symplectic matrix):")
     report = validate_friction(cfg, bath, quintic(1.0), fock, epsilons=(0.01, 0.005))

@@ -93,7 +93,6 @@ _OPTION_SPECS: dict[str, tuple] = {
     "fock-modes": (int, 2, "retained modes in the oracle"),
     "n-max": (int, 8, "per-mode occupation cutoff of --check identities"),
     "dt": (float, 0.01, "oracle evolution step (units 1/omega_1)"),
-    "integrator-order": (int, 4, "oracle integrator order: 2 or 4"),
     "check": (str, "friction", "oracle check: friction | identities"),
     "thermalization-time": (float, 0.0, "bath-contact time charged to the cycle period"),
 }
@@ -116,8 +115,7 @@ _COMMAND_OPTIONS: dict[str, tuple[str, ...]] = {
               "thermalization-time", "output"),
     "shortcut-check": ("tau", "L0", "n", "points", "output"),
     "oracle": ("tau", "beta", "epsilon", "family", "trajectory-file",
-               "fock-modes", "n-max", "dt", "integrator-order", "check",
-               "output"),
+               "fock-modes", "n-max", "dt", "check", "output"),
 }
 
 
@@ -311,7 +309,6 @@ def _fock(opts) -> FockConfig:
             n_modes=int(opts["fock-modes"]),
             n_max=int(opts["n-max"]),
             dt=float(opts["dt"]),
-            integrator_order=int(opts["integrator-order"]),
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc

@@ -34,8 +34,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
-from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -143,11 +142,12 @@ class CycleReport:
 @functools.lru_cache(maxsize=1024)
 def _otto_sums(
     cfg: CavityConfig, baths: BathPair, machine: str = "engine"
-) -> tuple[float, float, float, Mapping[str, float]]:
+) -> tuple[float, ...]:
     """Population-frozen heat/work in ``machine``'s bookkeeping and stroke sums.
 
-    Returns (Q_ad, W_ad, tail, pieces) where pieces holds the four
-    occupation-weighted frequency sums needed for the stroke energies.
+    Returns the seven floats ``(Q_ad, W_ad, tail, sum_w0_nA, sum_w1_nA,
+    sum_w1_nC, sum_w0_nC)``, the last four the occupation-weighted
+    frequency sums needed for the stroke energies.
     Occupations of the hot bath are evaluated at the compressed-cavity
     frequencies exactly.  The engine takes its heat at the compressed
     frequencies, the refrigerator at the rest frequencies.
@@ -180,13 +180,8 @@ def _otto_sums(
             tail = abs(terms_Q[-1]) * rho / (1.0 - rho)
         else:
             tail = math.inf
-    pieces = MappingProxyType({
-        "sum_w0_nA": float(np.sum(w0 * nA)),
-        "sum_w1_nA": float(np.sum(w1 * nA)),
-        "sum_w1_nC": float(np.sum(w1 * nC)),
-        "sum_w0_nC": float(np.sum(w0 * nC)),
-    })
-    return Q_ad, W_ad, tail, pieces
+    return (Q_ad, W_ad, tail, float(np.sum(w0 * nA)), float(np.sum(w1 * nA)),
+            float(np.sum(w1 * nC)), float(np.sum(w0 * nC)))
 
 
 def _safe_ratio(num, den, limit):
@@ -286,10 +281,8 @@ def _cycles(
     m = _MACHINES[machine]
     cfg = cavities[0]
     B, E, T = len(baths), len(cavities), max(len(tables), 1)
-    sums = [_otto_sums(c, bath, machine) for bath in baths for c in cavities]
-    Q_ad, W_ad, tail, w0_nA, w1_nA, w1_nC, w0_nC = _operands(
-        np.array([(q, w, t, *pieces.values()) for q, w, t, pieces in sums]).T.reshape(7, B, E, 1)
-    )
+    sums = np.array([_otto_sums(c, bath, machine) for bath in baths for c in cavities])
+    Q_ad, W_ad, tail, w0_nA, w1_nA, w1_nC, w0_nC = _operands(sums.T.reshape(7, B, E, 1))
     e0 = casimir_energy(cfg.L0) if include_casimir else 0.0
     eps, eps2, e1 = _operands(np.array([
         (c.epsilon, c.epsilon**2, casimir_energy(c.L1) if include_casimir else 0.0)

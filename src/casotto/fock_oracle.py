@@ -91,21 +91,18 @@ class StepSizeError(RuntimeError):
 
 @dataclass(frozen=True)
 class FockConfig:
-    """Mode count, Fock cutoff and integrator of the oracle.
+    """Mode count, Fock cutoff and step of the oracle.
 
     n_modes: retained field modes; 1..64 for the friction check, at least 3
         for the identity battery.
     n_max:   per-mode occupation cutoff of the identity battery, with
         ``(n_max + 1)**n_modes <= 1e5``; the friction check has no cutoff.
     dt:      propagation step; must satisfy dt * w_max <= 0.1.
-    integrator_order: 2 (midpoint exponential) or 4 (two-stage
-        commutator-free composition on Gauss nodes).
     """
 
     n_modes: int = 2
     n_max: int = 8
     dt: float = 0.01
-    integrator_order: int = 4
 
     def __post_init__(self) -> None:
         if self.n_modes < 1:
@@ -114,8 +111,6 @@ class FockConfig:
             raise ValueError("n_max must be >= 1")
         if not self.dt > 0:
             raise ValueError("dt must be positive")
-        if self.integrator_order not in (2, 4):
-            raise ValueError("integrator_order must be 2 or 4")
 
     @property
     def dimension(self) -> int:
@@ -133,10 +128,14 @@ _TAYLOR_DEGREE = 10
 # all 640 steps of 64 modes at once would hold several 170 MB arrays
 _BLOCK_ENTRIES = 2**20
 
-# fourth-order two-exponential composition on Gauss nodes
+# fourth-order two-exponential commutator-free step on Gauss nodes (Blanes &
+# Moan, Appl. Numer. Math. 56, 1519 (2006)): the nodes as fractions of the
+# step and each factor's stage weights, row 0 the late factor, row 1 the early
 _GAUSS_SHIFT = math.sqrt(3.0) / 6.0
 _CF4_X1 = 0.25 - _GAUSS_SHIFT
 _CF4_X2 = 0.25 + _GAUSS_SHIFT
+_CF4_NODES = np.array([0.5 - _GAUSS_SHIFT, 0.5 + _GAUSS_SHIFT])
+_CF4_WEIGHTS = np.array([[_CF4_X1, _CF4_X2], [_CF4_X2, _CF4_X1]])
 
 
 def _static_parts(cfg: CavityConfig, n_modes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -193,15 +192,16 @@ def _propagator(
 ) -> np.ndarray:
     """Symplectic matrix ``S`` of the stroke, ``xi(t_end) = S xi(t_start)``.
 
-    Each step is the exponential of ``dt J h`` at the step midpoint (order
-    2) or a two-stage commutator-free composition on the two Gauss points
-    of the step (order 4), whose right factor acts first and leans on the
-    early node.  The exponentials are taken stacked, a block of steps at a
-    time, and multiplied as a pairwise tree of batched products, later
-    factor on the left, an odd count carrying its last one up a level.  On
-    a static wall the energy must be conserved to 1e-10.  An array ``eps``
-    (see :func:`_forms`) stacks its strokes on a leading axis of ``S``, each
-    slice that stroke's ``S`` bit for bit: a block keeps its step count.
+    Each step is the fourth-order two-stage commutator-free composition of
+    exponentials of ``dt J h`` on the two Gauss points of the step, whose
+    right factor acts first and leans on the early node.  The exponentials
+    are taken stacked, a block of steps at a time, and multiplied as a
+    pairwise tree of batched products, later factor on the left, an odd
+    count carrying its last one up a level.  On a static wall, a profile
+    whose every non-constant coefficient is zero, the energy must be
+    conserved to 1e-10.  An array ``eps`` (see :func:`_forms`) stacks its
+    strokes on a leading axis of ``S``, each slice that stroke's ``S`` bit
+    for bit: a block keeps its step count.
     """
     w_max = mode_frequencies(fock.n_modes, cfg.L0)[-1]
     n_steps = max(1, math.ceil(traj.duration / fock.dt))
@@ -210,29 +210,24 @@ def _propagator(
         raise OracleRangeError(
             f"dt * omega_max = {dt * w_max:.3g} > 0.1; shrink FockConfig.dt", "dt"
         )
-    if fock.integrator_order == 2:
-        offsets, weights = np.array([0.5]), np.eye(1)
-    else:
-        offsets = np.array([0.5 - _GAUSS_SHIFT, 0.5 + _GAUSS_SHIFT])
-        # row 0 is the late factor, row 1 the early one
-        weights = np.array([[_CF4_X1, _CF4_X2], [_CF4_X2, _CF4_X1]])
     dim = 2 * fock.n_modes
     dtJ = dt * _symplectic_form(fock.n_modes)
-    block = max(1, _BLOCK_ENTRIES // (len(offsets) * dim * dim))
+    block = max(1, _BLOCK_ENTRIES // (len(_CF4_NODES) * dim * dim))
     S = np.eye(dim)
     for first in range(0, n_steps, block):
         starts = traj.t_start + dt * np.arange(first, min(first + block, n_steps))
-        forms = _forms(starts[:, None] + offsets * dt, cfg, traj, parts, eps)
-        forms = dtJ @ np.einsum("sr,...nrij->...nsij", weights, forms)  # the generators
+        forms = _forms(starts[:, None] + _CF4_NODES * dt, cfg, traj, parts, eps)
+        forms = dtJ @ np.einsum("sr,...nrij->...nsij", _CF4_WEIGHTS, forms)  # the generators
         # earliest first, one row of factors per epsilon
-        factors = _expm(forms)[..., ::-1, :, :].reshape(-1, len(starts) * len(offsets), dim, dim)
+        factors = _expm(forms)[..., ::-1, :, :]
+        factors = factors.reshape(-1, len(starts) * len(_CF4_NODES), dim, dim)
         while factors.shape[1] > 1:
             n = factors.shape[1]
             paired = factors[:, 1::2] @ factors[:, : n - 1 : 2]
             factors = np.concatenate([paired, factors[:, n - 1 :]], axis=1) if n % 2 else paired
         S = factors[:, 0] @ S
     S = S.reshape(np.shape(eps) + (dim, dim))
-    if not np.any(traj.ddelta(np.linspace(traj.t_start, traj.t_end, 257))):
+    if not np.any(traj.delta.c[:-1]):
         # a static wall conserves the energy of every state: S^T h S = h
         h_wall = _forms(np.array(traj.t_start), cfg, traj, parts, eps)
         drift = np.max(np.abs(np.swapaxes(S, -1, -2) @ h_wall @ S - h_wall), axis=(-2, -1))

@@ -586,7 +586,7 @@ def _acceleration_extrema(traj: Trajectory) -> tuple[float, float]:
     roots).  Raises ValueError when the acceleration does not have exactly
     one strict interior maximum and one strict interior minimum.
     """
-    jerk = traj.delta.derivative(3)
+    jerk = traj.d3delta
     points = np.unique(np.concatenate([jerk.roots(), jerk.x]))
     # a root found an ulp beside a breakpoint would leave a sliver whose
     # midpoint sign is round-off
@@ -600,7 +600,7 @@ def _acceleration_extrema(traj: Trajectory) -> tuple[float, float]:
             "acceleration must have exactly one interior maximum and one "
             f"interior minimum; found {len(maxima)} maxima and {len(minima)} minima"
         )
-    acceleration = traj.delta.derivative(2)
+    acceleration = traj.d2delta
     d2_max, d2_min = float(acceleration(maxima[0])), float(acceleration(minima[0]))
     if not (d2_max > 0.0 > d2_min):
         raise ValueError("acceleration extrema must straddle zero")

@@ -169,16 +169,15 @@ class Trajectory:
 
     ``delta`` is the profile as a :class:`PPoly`; another piecewise
     polynomial in the same layout converts as ``PPoly(p.c, p.x)``.
-    ``ddelta``, ``d2delta`` and ``d3delta`` evaluate its first three time
-    derivatives on numpy arrays; left as None they are the exact
-    derivatives ``delta.derivative(m)``.
+    ``ddelta`` evaluates its velocity on numpy arrays, by default the exact
+    ``delta.derivative()``; a caller may wrap it (``dataclasses.replace``).
+    The read-only ``d2delta`` and ``d3delta`` are ``delta.derivative(2)``
+    and ``(3)``, built on each access.
     """
 
     delta: PPoly
     label: str = "trajectory"
     ddelta: Evaluator | None = None
-    d2delta: Evaluator | None = None
-    d3delta: Evaluator | None = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.delta, PPoly):
@@ -188,9 +187,16 @@ class Trajectory:
             raise ValueError("trajectory domain must be finite")
         if not t1 > t0:
             raise ValueError(f"empty trajectory domain [{t0}, {t1}]")
-        for order, name in enumerate(("ddelta", "d2delta", "d3delta"), start=1):
-            if getattr(self, name) is None:
-                object.__setattr__(self, name, self.delta.derivative(order))
+        if self.ddelta is None:
+            object.__setattr__(self, "ddelta", self.delta.derivative())
+
+    @property
+    def d2delta(self) -> PPoly:
+        return self.delta.derivative(2)
+
+    @property
+    def d3delta(self) -> PPoly:
+        return self.delta.derivative(3)
 
     @property
     def t_start(self) -> float:

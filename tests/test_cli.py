@@ -109,6 +109,17 @@ class TestParsing:
         with pytest.raises(UsageError):
             parse_config(["oracle", "--config", str(conf)])
 
+    def test_oracle_takes_no_integrator_order(self, tmp_path, monkeypatch):
+        # the fourth-order step is the only one: the removed flag (a case of
+        # test_shortcut_check_rejects_bad_samples), its environment variable
+        # and its config key are usage errors
+        assert len(cli._COMMAND_OPTIONS["oracle"]) == 10
+        conf = tmp_path / "run.conf"
+        conf.write_text("integrator-order = 4\n")
+        assert main(["oracle", "--config", str(conf)]) == 2
+        monkeypatch.setenv("CASOTTO_INTEGRATOR_ORDER", "4")
+        assert main(["oracle"]) == 2
+
     def test_sweep_requires_grid(self):
         with pytest.raises(UsageError):
             parse_config(["sweep"])
@@ -142,7 +153,7 @@ class TestParsing:
         ["oracle", "--fock-modes", "0"],
         ["oracle", "--n-max", "0"],
         ["oracle", "--dt", "0"],
-        ["oracle", "--integrator-order", "3"],
+        ["oracle", "--integrator-order", "4"],
         ["shortcut-check", "--L0", "0"],
         ["shortcut-check", "--L0", "inf"],
         ["sweep", "--tau-grid", "0.5:2:2", "--epsilon", ","],
@@ -156,7 +167,7 @@ class TestParsing:
             "oracle-two-epsilons", "engine-two-beta-ratios", "grid-empty-range",
             "grid-zero-points", "log-grid-at-zero", "grid-count-not-integer",
             "grid-bound-not-number", "fock-modes-zero", "n-max-zero", "dt-zero",
-            "integrator-order-three", "L0-zero", "L0-inf", "epsilon-empty",
+            "integrator-order-removed", "L0-zero", "L0-inf", "epsilon-empty",
             "beta-ratio-empty", "grid-at-zero", "grid-below-zero", "beta-a-inf"])
     def test_shortcut_check_rejects_bad_samples(self, argv):
         # out-of-range values are usage errors (status 2), caught before the

@@ -51,7 +51,7 @@ def reference_cycle(cfg, baths, machine, traj=None, *, include_casimir=True,
         if not traj.duration > 0 or thermalization_time < 0:
             raise ValueError("tau must be positive, thermalization_time non-negative")
         period = 2.0 * traj.duration + thermalization_time
-    Q_ad, W_ad, tail, pieces = cycle_module._otto_sums(cfg, baths, machine)
+    Q_ad, W_ad, tail, w0_nA, w1_nA, w1_nC, w0_nC = cycle_module._otto_sums(cfg, baths, machine)
     # an infinite estimate (no decay) flags, as a friction tail's does
     tail_warning = bool(math.isinf(tail) or tail > cfg.tail_tol * max(abs(Q_ad), 1e-300))
     ef_a = ef_c = err = 0.0
@@ -79,10 +79,10 @@ def reference_cycle(cfg, baths, machine, traj=None, *, include_casimir=True,
     e0 = casimir_energy(cfg.L0) if include_casimir else 0.0
     e1 = casimir_energy(cfg.L1) if include_casimir else 0.0
     return CycleReport(
-        E_A=pieces["sum_w0_nA"] + e0,
-        E_B=pieces["sum_w1_nA"] + ef_a + e1,
-        E_C=pieces["sum_w1_nC"] + e1,
-        E_D=pieces["sum_w0_nC"] + ef_c + e0,
+        E_A=w0_nA + e0,
+        E_B=w1_nA + ef_a + e1,
+        E_C=w1_nC + e1,
+        E_D=w0_nC + ef_c + e0,
         Q=Q,
         W=W,
         eta=eta,
@@ -558,8 +558,10 @@ class TestSweep:
             with pytest.warns(TruncationWarning, match="increase n_modes"):
                 assert adiabatic_engine(hot, baths).tail_warning
         assert cycle_module._otto_sums.cache_info().hits == 1
+        sums = cycle_module._otto_sums(hot, baths)
+        assert type(sums) is tuple and len(sums) == 7
         with pytest.raises(TypeError):
-            cycle_module._otto_sums(hot, baths)[3]["sum_w0_nA"] = 0.0
+            sums[3] = 0.0
 
     def test_warnings_silenced_once_per_sweep(self, monkeypatch):
         # the cells' warnings are silenced by the sweep's one filter, not

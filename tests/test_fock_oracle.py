@@ -1,7 +1,7 @@
 import math
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from functools import reduce
 
 import numpy as np
@@ -137,14 +137,11 @@ def evolve(rho0, cfg, traj, fock):
     h = traj.duration / n_steps
     rho = rho0.astype(complex)
     for t0 in traj.t_start + h * np.arange(n_steps):
-        if fock.integrator_order == 2:
-            U = expm(-1j * h * _dense_at(t0 + 0.5 * h, cfg, traj, parts))
-        else:
-            A1 = _dense_at(t0 + (0.5 - _GAUSS_SHIFT) * h, cfg, traj, parts)
-            A2 = _dense_at(t0 + (0.5 + _GAUSS_SHIFT) * h, cfg, traj, parts)
-            U = expm(-1j * h * (_CF4_X1 * A1 + _CF4_X2 * A2)) @ expm(
-                -1j * h * (_CF4_X2 * A1 + _CF4_X1 * A2)
-            )
+        A1 = _dense_at(t0 + (0.5 - _GAUSS_SHIFT) * h, cfg, traj, parts)
+        A2 = _dense_at(t0 + (0.5 + _GAUSS_SHIFT) * h, cfg, traj, parts)
+        U = expm(-1j * h * (_CF4_X1 * A1 + _CF4_X2 * A2)) @ expm(
+            -1j * h * (_CF4_X2 * A1 + _CF4_X1 * A2)
+        )
         rho = U @ rho @ U.conj().T
     return 0.5 * (rho + rho.conj().T)
 
@@ -242,9 +239,13 @@ class TestFockConfig:
             verify_trace_identities(2.0, big, cavity(K=4))
         assert caught.value.names == ("n_max", "n_modes")
         with pytest.raises(ValueError):
-            FockConfig(integrator_order=3)
-        with pytest.raises(ValueError):
             FockConfig(dt=0.0)
+
+    def test_has_no_integrator_order(self):
+        # the fourth-order step is the only one
+        assert [f.name for f in fields(FockConfig)] == ["n_modes", "n_max", "dt"]
+        with pytest.raises(TypeError):
+            FockConfig(integrator_order=4)
 
 
 class TestBuildHamiltonian:
@@ -374,6 +375,25 @@ class TestEvolve:
         with pytest.raises(StepSizeError, match="drifted"):
             _propagator(cfg, frozen, FockConfig(n_modes=2, dt=0.02), parts)
 
+    def test_motion_between_evenly_spaced_samples_is_not_a_static_wall(self):
+        # at rest on [0, 100] except a quintic ramp over [50.05, 50.35], which
+        # lies between two of 257 evenly spaced velocity samples; the stroke
+        # moves, so no static-wall energy check applies
+        lo, hi = 50.05, 50.35
+        c = np.zeros((6, 3))
+        c[:, 1] = quintic(hi - lo).delta.c[:, 0]
+        c[-1, 2] = 1.0
+        ramp = Trajectory(PPoly(c, [0.0, lo, hi, 100.0]), label="late ramp")
+        assert not np.any(ramp.ddelta(np.linspace(0.0, 100.0, 257)))
+        cfg, fock = cavity(K=2), FockConfig(n_modes=2, dt=0.01)
+        S = _propagator(cfg, ramp, fock, _static_parts(cfg, 2))
+        # symplectic to the propagation's round-off, n_steps * eps_machine
+        # (measured 1.5e-12 over the 10^4 steps)
+        J = _symplectic_form(2)
+        assert np.max(np.abs(S @ J @ S.T - J)) < 1e4 * np.finfo(float).eps
+        report = validate_friction(cfg, ThermalBath(2.0), ramp, fock)
+        assert all(math.isfinite(row.E_full) for row in report.rows)
+
     def test_trace_preservation(self):
         # the whole stroke is symplectic: S J S^T = J
         for n_modes in (2, 16):
@@ -403,18 +423,16 @@ class TestEvolve:
         assert np.max(np.abs(E @ J @ E.T - J)) < 1e-15
 
     def test_integrator_convergence_order(self):
-        # error against a fine reference shrinks by ~2^order per halving
+        # error against a fine reference shrinks by ~2^4 per halving
         cfg = cavity(eps=0.2, K=2)
         tr = quintic(1.0)
         parts = _static_parts(cfg, 2)
-        ref = _propagator(cfg, tr, FockConfig(n_modes=2, dt=0.003125, integrator_order=4), parts)
-        for order, expected in ((2, 2.0), (4, 4.0)):
-            errs = []
-            for dt in (0.05, 0.025):
-                fock = FockConfig(n_modes=2, dt=dt, integrator_order=order)
-                errs.append(np.max(np.abs(_propagator(cfg, tr, fock, parts) - ref)))
-            measured = math.log2(errs[0] / errs[1])
-            assert abs(measured - expected) <= 0.3
+        ref = _propagator(cfg, tr, FockConfig(n_modes=2, dt=0.003125), parts)
+        errs = []
+        for dt in (0.05, 0.025):
+            fock = FockConfig(n_modes=2, dt=dt)
+            errs.append(np.max(np.abs(_propagator(cfg, tr, fock, parts) - ref)))
+        assert abs(math.log2(errs[0] / errs[1]) - 4.0) <= 0.3
 
     def test_step_size_cap(self):
         cfg = cavity()
@@ -431,13 +449,10 @@ def ordered_loop_propagator(cfg, traj, fock, parts):
     dtJ = dt * _symplectic_form(fock.n_modes)
     S = np.eye(2 * fock.n_modes)
     for t0 in traj.t_start + dt * np.arange(n_steps):
-        if fock.integrator_order == 2:
-            stages = [_forms(np.array(t0 + 0.5 * dt), cfg, traj, parts)]
-        else:
-            early, late = _forms(t0 + np.array([0.5 - _GAUSS_SHIFT, 0.5 + _GAUSS_SHIFT]) * dt,
-                                 cfg, traj, parts)
-            stages = [_CF4_X2 * early + _CF4_X1 * late, _CF4_X1 * early + _CF4_X2 * late]
-        for form in stages:  # the early-leaning factor acts first
+        early, late = _forms(t0 + np.array([0.5 - _GAUSS_SHIFT, 0.5 + _GAUSS_SHIFT]) * dt,
+                             cfg, traj, parts)
+        for form in (_CF4_X2 * early + _CF4_X1 * late, _CF4_X1 * early + _CF4_X2 * late):
+            # the early-leaning factor acts first
             S = _expm(dtJ @ form) @ S
     return S
 
@@ -445,18 +460,17 @@ def ordered_loop_propagator(cfg, traj, fock, parts):
 class TestTreeProduct:
     """The pairwise tree product against the plain ordered loop."""
 
-    @pytest.mark.parametrize("order", [2, 4])
     @pytest.mark.parametrize("n_modes", [2, 8])
     @pytest.mark.parametrize("steps_per_block", [None, 7])
-    def test_matches_ordered_loop(self, monkeypatch, order, n_modes, steps_per_block):
+    def test_matches_ordered_loop(self, monkeypatch, n_modes, steps_per_block):
         cfg = cavity(eps=0.02, K=n_modes)
-        fock = FockConfig(n_modes=n_modes, dt=0.1 / n_modes, integrator_order=order)
+        fock = FockConfig(n_modes=n_modes, dt=0.1 / n_modes)
         parts = _static_parts(cfg, n_modes)
         if steps_per_block is not None:
-            # 7 steps a block: odd factor counts at order 2, odd counts one
-            # level up at order 4, and a short last block
-            stages, dim = (1 if order == 2 else 2), 2 * n_modes
-            monkeypatch.setattr(fock_oracle, "_BLOCK_ENTRIES", steps_per_block * stages * dim * dim)
+            # 7 steps a block: 14 factors, an odd count one level up, and a
+            # short last block
+            dim = 2 * n_modes
+            monkeypatch.setattr(fock_oracle, "_BLOCK_ENTRIES", steps_per_block * 2 * dim * dim)
         S = _propagator(cfg, quintic(1.0), fock, parts)
         ref = ordered_loop_propagator(cfg, quintic(1.0), fock, parts)
         assert np.max(np.abs(S - ref)) <= 1e-13 * np.max(np.abs(ref))
@@ -465,17 +479,16 @@ class TestTreeProduct:
 class TestStackedPropagation:
     """Both compression ratios of the friction check in one pass."""
 
-    @pytest.mark.parametrize("order", [2, 4])
     @pytest.mark.parametrize("steps_per_block", [None, 7])
-    def test_each_slice_equals_its_stroke_alone(self, monkeypatch, order, steps_per_block):
+    def test_each_slice_equals_its_stroke_alone(self, monkeypatch, steps_per_block):
         n_modes, epsilons = 4, (0.02, 0.01)
         cfg = cavity(eps=epsilons[0], K=n_modes)
-        fock = FockConfig(n_modes=n_modes, dt=0.1 / n_modes, integrator_order=order)
+        fock = FockConfig(n_modes=n_modes, dt=0.1 / n_modes)
         parts = _static_parts(cfg, n_modes)
         if steps_per_block is not None:
             # 40 steps in blocks of 7: several blocks, the last one short
-            stages, dim = (1 if order == 2 else 2), 2 * n_modes
-            monkeypatch.setattr(fock_oracle, "_BLOCK_ENTRIES", steps_per_block * stages * dim * dim)
+            dim = 2 * n_modes
+            monkeypatch.setattr(fock_oracle, "_BLOCK_ENTRIES", steps_per_block * 2 * dim * dim)
         stacked = _propagator(cfg, quintic(1.0), fock, parts, np.array(epsilons))
         assert stacked.shape == (2, 2 * n_modes, 2 * n_modes)
         for S, eps in zip(stacked, epsilons):
@@ -523,12 +536,11 @@ class TestParitySectors:
         for E, form in zip(stacked, forms):
             assert np.max(np.abs(E - expm(0.05 * J @ form))) < 1e-15
 
-    @pytest.mark.parametrize("order", [2, 4])
-    def test_evolve_matches_dense_propagator_with_coherences(self, order):
+    def test_evolve_matches_dense_propagator_with_coherences(self):
         # quadratures evolve linearly whatever the state, so S carries the
         # second moments of a state with coherences and first moments too;
         # the state sits on the lowest rungs, far below the cutoff
-        fock = FockConfig(n_modes=2, n_max=10, dt=0.02, integrator_order=order)
+        fock = FockConfig(n_modes=2, n_max=10, dt=0.02)
         cfg = cavity(eps=0.05)
         rng = np.random.default_rng(3)
         low = np.all(np.array(np.unravel_index(np.arange(121), (11, 11))) <= 1, axis=0)
@@ -825,7 +837,7 @@ class TestDiagonalTraces:
 class TestValidateFriction:
     def test_quintic_two_modes_ratio_near_one(self):
         cfg = cavity(eps=0.01, K=2)
-        fock = FockConfig(n_modes=2, n_max=8, dt=0.01, integrator_order=4)
+        fock = FockConfig(n_modes=2, n_max=8, dt=0.01)
         report = validate_friction(cfg, ThermalBath(2.0), quintic(1.0), fock,
                                    epsilons=(0.01, 0.005))
         assert 0.95 <= report.richardson_ratio <= 1.05

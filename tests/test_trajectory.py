@@ -1,6 +1,6 @@
 import io
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -259,6 +259,36 @@ def test_given_derivative_is_kept():
     t = np.array([0.3])
     assert wrapped.ddelta(t)[0] == 2.0 * tr.ddelta(t)[0]
     assert wrapped.d2delta(t)[0] == tr.d2delta(t)[0]
+
+
+def test_higher_derivatives_are_read_only_exact_derivatives():
+    # only ddelta is an init field (a tracer may wrap it); d2delta and d3delta
+    # are the polynomial's own derivatives, whatever the caller passes
+    assert [f.name for f in fields(Trajectory)] == ["delta", "label", "ddelta"]
+    with pytest.raises(TypeError):
+        Trajectory(PPoly([[1.0], [0.0]], [0.0, 1.0]), d2delta=lambda t: t)
+    ramp = quintic(1.3)
+    profiles = [ramp, shortcut(ramp, 0.5), reverse(ramp),
+                from_samples(TestFromSamples()._sampled_quintic(21))]
+    t = np.linspace(-0.6, 2.0, 53)
+    for tr in profiles:
+        for order, name in ((2, "d2delta"), (3, "d3delta")):
+            assert np.array_equal(getattr(tr, name)(t), tr.delta.derivative(order)(t)), name
+        with pytest.raises(AttributeError):
+            tr.d2delta = tr.delta.derivative(2)
+
+
+def test_quintic_builds_one_derivative(monkeypatch):
+    calls = []
+    original = PPoly.derivative
+
+    def counting(self, nu=1):
+        calls.append(nu)
+        return original(self, nu)
+
+    monkeypatch.setattr(PPoly, "derivative", counting)
+    quintic(1.0)
+    assert calls == [1]
 
 
 def _random_ppolys(seed=7, count=40):
