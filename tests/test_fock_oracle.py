@@ -477,11 +477,13 @@ class TestTreeProduct:
 
 
 class TestStackedPropagation:
-    """Both compression ratios of the friction check in one pass."""
+    """The friction check's compression ratios, and a third, in one pass."""
 
+    @pytest.mark.parametrize("epsilons", [(0.02, 0.01), (0.02, 0.01, 0.005)],
+                             ids=["two", "three"])
     @pytest.mark.parametrize("steps_per_block", [None, 7])
-    def test_each_slice_equals_its_stroke_alone(self, monkeypatch, steps_per_block):
-        n_modes, epsilons = 4, (0.02, 0.01)
+    def test_each_slice_equals_its_stroke_alone(self, monkeypatch, steps_per_block, epsilons):
+        n_modes = 4
         cfg = cavity(eps=epsilons[0], K=n_modes)
         fock = FockConfig(n_modes=n_modes, dt=0.1 / n_modes)
         parts = _static_parts(cfg, n_modes)
@@ -490,7 +492,7 @@ class TestStackedPropagation:
             dim = 2 * n_modes
             monkeypatch.setattr(fock_oracle, "_BLOCK_ENTRIES", steps_per_block * 2 * dim * dim)
         stacked = _propagator(cfg, quintic(1.0), fock, parts, np.array(epsilons))
-        assert stacked.shape == (2, 2 * n_modes, 2 * n_modes)
+        assert stacked.shape == (len(epsilons), 2 * n_modes, 2 * n_modes)
         for S, eps in zip(stacked, epsilons):
             alone = _propagator(replace(cfg, epsilon=eps), quintic(1.0), fock, parts)
             assert np.array_equal(S, alone)
@@ -536,7 +538,8 @@ class TestParitySectors:
         for E, form in zip(stacked, forms):
             assert np.max(np.abs(E - expm(0.05 * J @ form))) < 1e-15
 
-    def test_evolve_matches_dense_propagator_with_coherences(self):
+    @pytest.mark.parametrize("tau", [1.0, 0.5])
+    def test_evolve_matches_dense_propagator_with_coherences(self, tau):
         # quadratures evolve linearly whatever the state, so S carries the
         # second moments of a state with coherences and first moments too;
         # the state sits on the lowest rungs, far below the cutoff
@@ -551,12 +554,12 @@ class TestParitySectors:
         odd = _parity(fock).astype(bool)
         assert np.max(np.abs(rho0[np.ix_(odd, ~odd)])) > 1e-2
         moments = _second_moments(rho0, fock)
-        tr = quintic(1.0)
+        tr = quintic(tau)
         S = _propagator(cfg, tr, fock, _static_parts(cfg, 2))
         h_end = _forms(np.array(tr.t_end), cfg, tr, _static_parts(cfg, 2))
         dense = energy_expectation(evolve(rho0, cfg, tr, fock), build_hamiltonian(tr.t_end, cfg, tr, fock))
-        # measured 3e-15 at eps = 0.05; 2.9e-9 at eps = 0.2, where the state
-        # reaches the cutoff
+        # measured 1.4e-15 (tau = 1) and 2e-16 (tau = 0.5) at eps = 0.05;
+        # 2.9e-9 at eps = 0.2, where the state reaches the cutoff
         assert _energy(h_end, S @ moments @ S.T) == pytest.approx(dense, rel=1e-12)
 
 
