@@ -16,9 +16,10 @@ The package computes, in natural units (hbar = c = k_B = 1):
   independent cross-checks of the perturbative results
   (:mod:`casotto.fock_oracle`).
 
-Spectral amplitudes are taken in closed form; :mod:`casotto.quadrature` is
-the numerical-integration oracle the tests compare them against.  The
-command-line front end lives in :mod:`casotto.cli`.
+Spectral amplitudes are taken in closed form.  :mod:`casotto.quadrature` is
+the numerical-integration oracle the tests compare them against; the
+package itself does not import it.  The command-line front end lives in
+:mod:`casotto.cli`.
 """
 
 __version__ = "0.1.0"
@@ -30,7 +31,6 @@ from .cycle import (
     adiabatic_refrigerator,
     nonadiabatic_engine,
     nonadiabatic_refrigerator,
-    power,
     sweep,
 )
 from .friction import (
@@ -41,7 +41,6 @@ from .friction import (
     spectral_amplitudes,
     spectral_table,
 )
-from .quadrature import ConvergenceError, QuadratureSpec, integrate_1d, integrate_2d_oracle
 from .spectrum import (
     CavityConfig,
     ThermalBath,
@@ -51,34 +50,28 @@ from .spectrum import (
     mode_frequency,
     thermal_occupation,
 )
-from .trajectory import Trajectory, check_boundary_conditions, from_samples, quintic, reverse, shortcut
+from .trajectory import Trajectory, from_samples, quintic, reverse, shortcut
 
 __all__ = [
     "__version__",
     "BathPair",
     "CavityConfig",
-    "ConvergenceError",
     "CycleReport",
     "FrictionResult",
-    "QuadratureSpec",
     "SpectralAmplitudes",
     "ThermalBath",
     "Trajectory",
     "adiabatic_engine",
     "adiabatic_refrigerator",
     "casimir_energy",
-    "check_boundary_conditions",
     "coupling_g",
     "effective_length",
     "friction_bound",
     "friction_energy",
     "from_samples",
-    "integrate_1d",
-    "integrate_2d_oracle",
     "mode_frequency",
     "nonadiabatic_engine",
     "nonadiabatic_refrigerator",
-    "power",
     "quintic",
     "reverse",
     "shortcut",

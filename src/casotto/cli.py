@@ -11,7 +11,8 @@ is stated directly through ``--L0`` in natural units.
 Value resolution order: command-line flag > ``CASOTTO_<FLAG>`` environment
 variable > config file (flat ``key = value`` text, ``#`` comments) >
 built-in default.  Unknown keys anywhere are hard errors.  Exit status: 0
-success, 2 usage error, 3 numerical failure (partial output is flagged).
+success, 2 usage error, 3 numerical failure or out of memory (partial output
+is flagged).
 
 Output is deterministic: fixed summation orders inside the library, 17
 significant digits, no timestamps.  Identical configurations produce
@@ -644,8 +645,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UsageError as exc:
         print(f"casotto: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
-        print(f"casotto: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        print(f"casotto: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 3
 
 

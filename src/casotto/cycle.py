@@ -64,7 +64,6 @@ __all__ = [
     "nonadiabatic_engine",
     "adiabatic_refrigerator",
     "nonadiabatic_refrigerator",
-    "power",
     "sweep",
     "SweepRow",
     "write_sweep_csv",
@@ -351,7 +350,6 @@ def _single_cycle(
     traj: Trajectory | None = None,
     *,
     include_casimir: bool,
-    table: SpectralTable | None = None,
     thermalization_time: float = 0.0,
 ) -> CycleReport:
     """One cycle of ``machine``, adiabatic without a trajectory:
@@ -362,8 +360,7 @@ def _single_cycle(
         periods = (_cycle_time(traj.duration, thermalization_time),)
         # compression out of the cold state, expansion out of the hot one;
         # reversal leaves the spectral power unchanged, so one table serves both
-        if table is None:
-            table = spectral_table(traj, cfg)
+        table = spectral_table(traj, cfg)
         _stroke_cutoff(cfg, table)
         tables = (table,)
     if not m.in_window(baths.ratio, cfg.epsilon):
@@ -402,7 +399,6 @@ def nonadiabatic_engine(
     traj: Trajectory,
     *,
     include_casimir: bool = True,
-    table: SpectralTable | None = None,
     thermalization_time: float = 0.0,
 ) -> CycleReport:
     """Finite-time engine cycle with friction from both strokes.
@@ -413,7 +409,7 @@ def nonadiabatic_engine(
     """
     return _single_cycle(
         cfg, baths, "engine", traj, include_casimir=include_casimir,
-        table=table, thermalization_time=thermalization_time,
+        thermalization_time=thermalization_time,
     )
 
 
@@ -430,7 +426,6 @@ def nonadiabatic_refrigerator(
     traj: Trajectory,
     *,
     include_casimir: bool = True,
-    table: SpectralTable | None = None,
     thermalization_time: float = 0.0,
 ) -> CycleReport:
     """Finite-time refrigerator: friction eats the cooling and adds to the bill.
@@ -440,7 +435,7 @@ def nonadiabatic_refrigerator(
     """
     return _single_cycle(
         cfg, baths, "refrigerator", traj, include_casimir=include_casimir,
-        table=table, thermalization_time=thermalization_time,
+        thermalization_time=thermalization_time,
     )
 
 
@@ -451,15 +446,6 @@ def _cycle_time(tau: float, thermalization_time: float) -> float:
     if not thermalization_time >= 0:
         raise ValueError("thermalization_time must be non-negative")
     return 2.0 * tau + thermalization_time
-
-
-def power(report: CycleReport, tau: float, thermalization_time: float = 0.0) -> float:
-    """Average output ``W / (2 tau + thermalization_time)``.
-
-    The factor two counts both wall strokes; thermal contact is
-    instantaneous by default but its duration can be charged here.
-    """
-    return report.W / _cycle_time(tau, thermalization_time)
 
 
 @dataclass(frozen=True)

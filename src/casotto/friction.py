@@ -214,13 +214,14 @@ def _fourier(v: PPoly, omegas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``R[w, m] = w**-(m+1)``, the whole branch is
     ``(R @ (phase * ends)) exp(i w h) - R @ (phase * starts)``.  Below, it
     is the Taylor series ``h sum_n (i w h)**n / n! sum_j a_j h**j / (j + n + 1)``
-    of the moments: the real ``(w h)**n / n!`` against the moments, each
-    moment turned by ``i**n`` once.  Returns ``F`` and a first-order
-    round-off bound on it: unit round-off times the terms evaluated with
-    absolute coefficients (weighted by the polynomial order), plus the phase
-    arguments' rounding times the terms that carry each phase.  The absolute
-    terms are the same products over the twin tables of absolute
-    coefficients.
+    of the moments: the real ``(w h)**n / n!`` of each (frequency, piece)
+    cell against its own piece's moments only, each moment turned by
+    ``i**n`` once, so work and memory grow linearly in the pieces.  Returns
+    ``F`` and a first-order round-off bound on it: unit round-off times the
+    terms evaluated with absolute coefficients (weighted by the polynomial
+    order), plus the phase arguments' rounding times the terms that carry
+    each phase.  The absolute terms are the same products over the twin
+    tables of absolute coefficients.
     """
     a = v.c[::-1]  # ascending powers of u; one column per piece
     order, pieces = a.shape
@@ -261,19 +262,19 @@ def _fourier(v: PPoly, omegas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     iw, ip = np.nonzero(wh < _TAYLOR_BELOW)
     if len(iw):
         b = a * powers
-        moments = moment @ b
         x = wh[iw, ip]
         # (w h)**n / n! for n < _TAYLOR_TERMS, one row per (frequency, piece)
         real = np.empty((len(x), _TAYLOR_TERMS))
         real[:, 0] = 1.0
         real[:, 1:] = x[:, None] / np.arange(1.0, _TAYLOR_TERMS)
         np.cumprod(real, axis=1, out=real)
-        sums = real @ np.concatenate(
-            [(_TAYLOR_PHASE * moments).view(float), moment @ np.abs(b)], axis=1
+        # row-wise dots: a product with every piece's moments would keep one
+        # entry per row of a (cells x pieces) result
+        hp = h[ip]
+        J[iw, ip] = hp * np.einsum("cn,cn->c", real, (_TAYLOR_PHASE * (moment @ b)).T[ip])
+        size[iw, ip] = carried[iw, ip] = hp * np.einsum(
+            "cn,cn->c", real, (moment @ np.abs(b)).T[ip]
         )
-        cell = np.arange(len(x))
-        J[iw, ip] = h[ip] * sums[:, : 2 * pieces].view(complex)[cell, ip]
-        size[iw, ip] = carried[iw, ip] = h[ip] * sums[:, 2 * pieces :][cell, ip]
 
     bound = (order + 4) * size + wh * carried
     if not x0.any():  # one piece starting at t = 0: no phase to apply

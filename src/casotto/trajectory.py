@@ -36,9 +36,7 @@ import numpy as np
 __all__ = [
     "PPoly",
     "Trajectory",
-    "BoundaryReport",
     "quintic",
-    "check_boundary_conditions",
     "reverse",
     "shortcut",
     "from_samples",
@@ -169,8 +167,11 @@ class Trajectory:
 
     ``delta`` is the profile as a :class:`PPoly`; another piecewise
     polynomial in the same layout converts as ``PPoly(p.c, p.x)``.
-    ``ddelta`` evaluates its velocity on numpy arrays, by default the exact
-    ``delta.derivative()``; a caller may wrap it (``dataclasses.replace``).
+    ``ddelta`` evaluates its velocity on numpy arrays.  Left None or given
+    as a ``PPoly``, it is the exact ``delta.derivative()``, so
+    ``dataclasses.replace(traj, delta=...)`` re-derives it; any other
+    callable, such as a wrapper passed through ``dataclasses.replace``, is
+    kept.
     The read-only ``d2delta`` and ``d3delta`` are ``delta.derivative(2)``
     and ``(3)``, built on each access.
     """
@@ -187,7 +188,7 @@ class Trajectory:
             raise ValueError("trajectory domain must be finite")
         if not t1 > t0:
             raise ValueError(f"empty trajectory domain [{t0}, {t1}]")
-        if self.ddelta is None:
+        if self.ddelta is None or isinstance(self.ddelta, PPoly):
             object.__setattr__(self, "ddelta", self.delta.derivative())
 
     @property
@@ -214,35 +215,6 @@ class Trajectory:
         """Net displacement delta(t_end) - delta(t_start)."""
         ends = self.delta(np.array([self.t_start, self.t_end]))
         return float(ends[1] - ends[0])
-
-
-@dataclass(frozen=True)
-class BoundaryReport:
-    """Endpoint checks for cycle-grade profiles (all within ``tol``).
-
-    start_value/start_velocity/start_acceleration: delta, ddelta, d2delta
-    vanish at t_start.  end_velocity/end_acceleration: ddelta, d2delta vanish
-    at t_end.  end_value: delta(t_end) = 1.
-    """
-
-    start_value: bool
-    start_velocity: bool
-    start_acceleration: bool
-    end_velocity: bool
-    end_acceleration: bool
-    end_value: bool
-    measured: dict[str, float]
-
-    @property
-    def all_pass(self) -> bool:
-        return (
-            self.start_value
-            and self.start_velocity
-            and self.start_acceleration
-            and self.end_velocity
-            and self.end_acceleration
-            and self.end_value
-        )
 
 
 def _taylor_shift(a: np.ndarray, s) -> np.ndarray:
@@ -293,29 +265,6 @@ def quintic(tau: float) -> Trajectory:
         raise ValueError(f"tau must be positive with tau**5 in floating-point range, got {tau}")
     coeffs = np.array([6.0, -15.0, 10.0, 0.0, 0.0, 0.0]) / tau ** np.arange(5, -1, -1)
     return Trajectory(PPoly(coeffs[:, None], [0.0, tau]), label=f"quintic(tau={tau:g})")
-
-
-def check_boundary_conditions(traj: Trajectory, tol: float = 1e-9) -> BoundaryReport:
-    """Verify the six endpoint conditions of a cycle-grade profile."""
-    t0 = np.array([traj.t_start])
-    t1 = np.array([traj.t_end])
-    measured = {
-        "start_value": float(traj.delta(t0)[0]),
-        "start_velocity": float(traj.ddelta(t0)[0]),
-        "start_acceleration": float(traj.d2delta(t0)[0]),
-        "end_velocity": float(traj.ddelta(t1)[0]),
-        "end_acceleration": float(traj.d2delta(t1)[0]),
-        "end_value": float(traj.delta(t1)[0]),
-    }
-    return BoundaryReport(
-        start_value=abs(measured["start_value"]) <= tol,
-        start_velocity=abs(measured["start_velocity"]) <= tol,
-        start_acceleration=abs(measured["start_acceleration"]) <= tol,
-        end_velocity=abs(measured["end_velocity"]) <= tol,
-        end_acceleration=abs(measured["end_acceleration"]) <= tol,
-        end_value=abs(measured["end_value"] - 1.0) <= tol,
-        measured=measured,
-    )
 
 
 def reverse(traj: Trajectory) -> Trajectory:

@@ -405,6 +405,23 @@ class TestRuns:
                               if l.startswith("# E_F = ")).split("=")[1])
         assert ef_sampled == pytest.approx(ef_exact, rel=1e-4)
 
+    @pytest.mark.filterwarnings("ignore::casotto.friction.TruncationWarning")
+    def test_many_sample_profile_runs(self, tmp_path):
+        # 2000 pieces at K = 64: the Taylor cells of a table cost memory
+        # linear in the pieces (about 0.2 GB here, not 11.5 GiB)
+        import numpy as np
+
+        from casotto.trajectory import quintic
+
+        t = np.linspace(0.0, 1.0, 2001)
+        d = quintic(1.0).delta(t)
+        path = tmp_path / "profile.csv"
+        path.write_text("\n".join(f"{float(a):.17g},{float(b):.17g}" for a, b in zip(t, d)))
+        target = tmp_path / "out.csv"
+        assert main(["friction", "--family", "sampled", "--trajectory-file", str(path),
+                     "--modes", "64", "--output", str(target)]) == 0
+        assert "# E_F = " in target.read_text()
+
     def test_output_file(self, tmp_path):
         target = tmp_path / "out.csv"
         cfg = parse_config(
@@ -420,6 +437,16 @@ class TestRuns:
         target = tmp_path / "ok.csv"
         assert main(["bound", "--tau", "1.0", "--beta", "1.0", "--epsilon",
                      "0.01", "--modes", "4", "--output", str(target)]) == 0
+
+    def test_memory_error_fails_with_one_message(self, capsys, monkeypatch):
+        def exhausted(cfg, out):
+            raise MemoryError("Unable to allocate 11.5 GiB")
+
+        monkeypatch.setitem(cli._RUNNERS, "friction", exhausted)
+        assert main(["friction", "--modes", "4"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "casotto: Unable to allocate 11.5 GiB\n"
 
     @pytest.mark.parametrize("command", ["friction", "engine", "bound"])
     def test_tau_beyond_floating_point_fails_with_one_message(self, capsys, command):
@@ -529,3 +556,15 @@ def test_cli_import_loads_no_scipy(tmp_path):
     assert status == "0"
     assert "# E_F = " in (tmp_path / "out.csv").read_text()
     assert loaded == "[]"
+
+
+def test_cli_import_leaves_out_the_quadrature_oracle():
+    # casotto.quadrature is the tests' reference integrator; no command runs it
+    env = _child_env()
+    code = (
+        "import sys, casotto, casotto.cli; "
+        "print('casotto.quadrature' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

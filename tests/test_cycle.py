@@ -15,7 +15,6 @@ from casotto.cycle import (
     adiabatic_refrigerator,
     nonadiabatic_engine,
     nonadiabatic_refrigerator,
-    power,
     sweep,
     write_sweep_csv,
 )
@@ -371,28 +370,16 @@ class TestReportError:
 
 
 class TestPower:
-    def test_adiabatic_scaling(self):
-        r = adiabatic_engine(cfg(K=32), ENGINE_BATHS)
-        assert power(r, 2.0) == pytest.approx(r.W / 4.0)
-        assert power(r, 4.0) == pytest.approx(power(r, 2.0) / 2.0)
-
-    def test_thermalization_time_charged(self):
-        r = adiabatic_engine(cfg(K=32), ENGINE_BATHS)
-        assert power(r, 1.0, thermalization_time=2.0) == pytest.approx(r.W / 4.0)
-
-    def test_zero_work_zero_power(self):
-        r = adiabatic_engine(cfg(eps=0.5), BathPair(2.0, 1.0))
-        assert r.W == 0.0
-        assert power(r, 1.0) == 0.0
+    def test_period_counts_both_strokes(self):
+        for tau in (2.0, 4.0):
+            r = nonadiabatic_engine(cfg(K=32), ENGINE_BATHS, quintic(tau))
+            assert r.power == r.W / (2.0 * tau)
 
     def test_validation(self):
-        r = adiabatic_engine(cfg(K=16), ENGINE_BATHS)
-        with pytest.raises(ValueError):
-            power(r, 0.0)
-        with pytest.raises(ValueError):
-            power(r, 1.0, thermalization_time=-1.0)
-        with pytest.raises(ValueError):
-            power(r, 1.0, thermalization_time=math.nan)
+        for thermalization_time in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="thermalization_time"):
+                nonadiabatic_engine(cfg(K=16), ENGINE_BATHS, quintic(1.0),
+                                    thermalization_time=thermalization_time)
 
     @pytest.mark.parametrize("runner", [nonadiabatic_engine, nonadiabatic_refrigerator])
     @pytest.mark.parametrize("thermalization_time", [-2.0, -5.0, math.nan])
@@ -407,7 +394,7 @@ class TestPower:
     def test_finite_time_power_charges_thermalization(self):
         r = nonadiabatic_engine(cfg(K=16), ENGINE_BATHS, quintic(1.0),
                                 thermalization_time=2.0)
-        assert r.power == power(r, 1.0, thermalization_time=2.0)
+        assert r.power == r.W / 4.0
 
 
 class TestSweep:

@@ -2,6 +2,7 @@ import dataclasses
 import io
 import math
 import runpy
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -214,6 +215,28 @@ class TestClosedForm:
             deviation = abs(complex(table.C[n], table.S[n]) - ref)
             # the reference itself is rounded to double on conversion
             assert deviation <= table.err[n] + friction_module._EPS * abs(ref)
+
+
+class TestManyPieces:
+    # a sampled profile of n samples has n - 1 pieces, and at L0 = pi every
+    # (frequency, piece) cell of this table lies below the Taylor switch
+    def test_sampled_table_is_the_sum_of_its_pieces_in_linear_memory(self):
+        tr = sampled_quintic(401)
+        tracemalloc.start()
+        try:
+            table = spectral_table(tr, make_cfg(K=16))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a product over every piece's moment columns held about 126 MiB
+        assert peak < 40 * 2**20
+        v = tr.delta.derivative()
+        w = np.arange(table.n_max + 1) * table.omega1
+        pieces = sum(
+            friction_module._fourier(PPoly(v.c[:, i : i + 1], v.x[i : i + 2]), w)[0]
+            for i in range(v.c.shape[1])
+        )
+        assert np.all(np.abs(table.C + 1j * table.S - pieces) <= table.err)
 
 
 def random_ppoly(rng):

@@ -13,7 +13,6 @@ from casotto.trajectory import (
     PPoly,
     Trajectory,
     _from_pieces,
-    check_boundary_conditions,
     from_samples,
     quintic,
     reverse,
@@ -102,22 +101,12 @@ class TestQuintic:
 
 class TestBoundaryChecks:
     def test_quintic_passes_all(self):
-        assert check_boundary_conditions(quintic(1.0)).all_pass
-
-    def test_linear_ramp_fails_velocity_checks(self):
-        rep = check_boundary_conditions(linear_ramp(1.0))
-        assert not rep.start_velocity
-        assert not rep.end_velocity
-        assert rep.start_value and rep.end_value
-
-    def test_injected_acceleration_fails_start_check(self):
-        # the quintic plus 0.05 t**2
-        coeffs = quintic(1.0).delta.c.copy()
-        coeffs[-3] += 0.05
-        bent = Trajectory(PPoly(coeffs, [0.0, 1.0]), label="bent")
-        rep = check_boundary_conditions(bent)
-        assert not rep.start_acceleration
-        assert not rep.all_pass
+        # value 0 -> 1, velocity and acceleration zero at both ends
+        tr = quintic(1.0)
+        ends = np.array([tr.t_start, tr.t_end])
+        assert tr.delta(ends) == pytest.approx([0.0, 1.0], abs=1e-9)
+        assert tr.ddelta(ends) == pytest.approx([0.0, 0.0], abs=1e-9)
+        assert tr.d2delta(ends) == pytest.approx([0.0, 0.0], abs=1e-9)
 
 
 class TestReverse:
@@ -259,6 +248,13 @@ def test_given_derivative_is_kept():
     t = np.array([0.3])
     assert wrapped.ddelta(t)[0] == 2.0 * tr.ddelta(t)[0]
     assert wrapped.d2delta(t)[0] == tr.d2delta(t)[0]
+
+
+def test_replaced_profile_derives_its_own_velocity():
+    # the derived ddelta follows a replaced delta; a wrapped one is kept above
+    moved = replace(quintic(1.0), delta=quintic(2.0).delta)
+    t = np.array([0.5])
+    assert moved.ddelta(t)[0] == quintic(2.0).ddelta(t)[0]
 
 
 def test_higher_derivatives_are_read_only_exact_derivatives():
