@@ -11,8 +11,8 @@ is stated directly through ``--L0`` in natural units.
 Value resolution order: command-line flag > ``CASOTTO_<FLAG>`` environment
 variable > config file (flat ``key = value`` text, ``#`` comments) >
 built-in default.  Unknown keys anywhere are hard errors.  Exit status: 0
-success, 2 usage error, 3 numerical failure or out of memory (partial output
-is flagged).
+success (``--help`` included), 2 usage error, 3 numerical failure or out of
+memory (partial output is flagged).
 
 Output is deterministic: fixed summation orders inside the library, 17
 significant digits, no timestamps.  Identical configurations produce
@@ -191,14 +191,17 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
     Precedence: flag > environment > config file > default.  The resolved
     configuration is echoed into every output header and re-parses to the
     same RunConfig.  Each command's parser is built once and reused; the
-    environment and the config file are read afresh on every call.
+    environment and the config file are read afresh on every call.  A help
+    request prints the usage and raises ``SystemExit(0)``.
     """
     known = _pre_scan_command(argv)
     allowed = _COMMAND_OPTIONS[known]
     try:
         ns = _parser(known).parse_args(argv)
     except SystemExit as exc:
-        raise UsageError("bad command line") from exc
+        if exc.code:
+            raise UsageError("bad command line") from exc
+        raise  # --help: argparse has printed the usage
 
     file_values: dict[str, str] = {}
     if ns.config is not None:
@@ -335,8 +338,8 @@ def _validate(cfg: RunConfig) -> None:
         for r in _parse_float_list(str(opts["beta-ratio"]), "beta-ratio"):
             if not 0.0 < r <= 1.0:
                 raise UsageError(f"beta-ratio must lie in (0, 1], got {r}")
-    if "tau" in opts and not float(opts["tau"]) > 0:
-        raise UsageError("tau must be positive")
+    if "tau" in opts and not 0 < float(opts["tau"]) < math.inf:
+        raise UsageError("tau must be positive and finite")
     if "modes" in opts and int(opts["modes"]) < 1:
         raise UsageError("modes must be >= 1")
     if "thermalization-time" in opts and not float(opts["thermalization-time"]) >= 0:
@@ -642,6 +645,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         return run(parse_config(argv))
+    except SystemExit:  # a help request: parse_config has printed the usage
+        return 0
     except UsageError as exc:
         print(f"casotto: {exc}", file=sys.stderr)
         return 2

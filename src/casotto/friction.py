@@ -77,7 +77,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectrum import CavityConfig, ThermalBath, _warn, mode_frequencies, occupations
-from .trajectory import PPoly, Trajectory
+from .trajectory import PPoly, Trajectory, _ascending_sum
 
 __all__ = [
     "SpectralAmplitudes",
@@ -363,36 +363,43 @@ def _tail_estimates(k_used: int, totals: np.ndarray, noise: np.ndarray) -> np.nd
     return estimate
 
 
-def _pair_terms(modes: np.ndarray, N: np.ndarray, omega1: float):
-    """Grid indices and weights of the per-mode terms, per unit eps**2.
+def _pair_layout(modes: np.ndarray, K: int, omega1: float):
+    """Bath-independent grid indices and weights of the per-mode terms.
 
     Row ``r`` belongs to mode ``k = modes[r]``, column ``c`` to the partner
-    mode ``j = c + 1`` of the ``K = len(N)`` kept.  Returns
-    ``(index, weight)`` pairs for single-mode pair creation
-    ``(2k, (w_k/4) (2 N_k + 1))``, cross-mode pair creation
-    ``(k + j, (w_k/4) 4jk/(j + k)**2 (N_k + N_j + 1))`` and scattering
-    ``(|j - k|, (w_k/4) 4jk/(j - k)**2)``, then ``N_j - N_k``, which the
-    scattering weight still takes.  The last two are zero at ``j = k``.
-    Mode k's contribution is the sum of ``weight * A[index]``.
+    mode ``j = c + 1`` of the ``K`` kept.  Returns ``(index, weight)`` pairs
+    for single-mode pair creation ``(2k, w_k/4)``, cross-mode pair creation
+    ``(k + j, (w_k/4) 4jk/(j + k)**2)`` and scattering
+    ``(|j - k|, (w_k/4) 4jk/(j - k)**2)``, the last two zero at ``j = k``.
+    A bath multiplies them by ``2 N_k + 1``, ``N_k + N_j + 1`` and
+    ``N_j - N_k``; mode k's contribution is the sum of ``term * A[index]``.
     """
     k = modes[:, None]
-    j = np.arange(1, len(N) + 1)
+    j = np.arange(1, K + 1)
     quarter_w = k * omega1 / 4.0
-    Nk = N[k - 1]
     off = j != k
     gap = np.abs(j - k)
-    create = np.where(off, quarter_w * (4.0 * k * j / (k + j) ** 2) * (Nk + N + 1.0), 0.0)
+    create = np.where(off, quarter_w * (4.0 * k * j / (k + j) ** 2), 0.0)
     scatter = np.where(off, quarter_w * (4.0 * k * j / np.maximum(gap, 1) ** 2), 0.0)
-    return (2 * k, quarter_w * (2.0 * Nk + 1.0)), (k + j, create), (gap, scatter), N - Nk
+    return (2 * k, quarter_w), (k + j, create), (gap, scatter)
 
 
-def _kernel_rows(terms, width: int) -> np.ndarray:
-    """Per-mode kernels over the grid n = 0..width-1 from ``_pair_terms``."""
-    rows = terms[0][1].shape[0]
-    offset = width * np.arange(rows)[:, None]
-    index = np.concatenate([(offset + i).ravel() for i, _ in terms])
-    weight = np.concatenate([w.ravel() for _, w in terms])
-    return np.bincount(index, weight, minlength=rows * width).reshape(rows, width)
+@functools.lru_cache(maxsize=8)
+def _tail_layout(L0: float, K: int):
+    """:func:`_pair_layout` of the last ``T = min(_TAIL_FIT_POINTS, K)`` modes.
+
+    Returns the three weights and the flat :func:`numpy.bincount` index that
+    places each term of row ``r`` at ``r * (2K + 1) + index``.  The arrays
+    are read-only.
+    """
+    T = min(_TAIL_FIT_POINTS, K)
+    layout = _pair_layout(np.arange(K - T + 1, K + 1), K, math.pi / L0)
+    offset = (2 * K + 1) * np.arange(T)[:, None]
+    index = np.concatenate([(offset + i).ravel() for i, _ in layout])
+    weights = tuple(w for _, w in layout)
+    for a in (index, *weights):
+        a.flags.writeable = False
+    return weights, index
 
 
 @functools.lru_cache(maxsize=32)
@@ -438,9 +445,14 @@ def _bath_kernel(L0: float, K: int, beta: float) -> tuple[np.ndarray, np.ndarray
     value[0, 1:] *= w1 / x
     error[0, 1:] *= w1 / x
 
-    diag, pairs, (gap, scatter), dn = _pair_terms(np.arange(K - T + 1, K + 1), N, w1)
-    value[1:] = _kernel_rows((diag, pairs, (gap, scatter * dn)), 2 * K + 1)
-    error[1:] = _kernel_rows((diag, pairs, (gap, scatter * np.abs(dn))), 2 * K + 1)
+    (diag, create, scatter), index = _tail_layout(L0, K)
+    Nk = N[K - T:, None]
+    dn = N - Nk
+    paired = [(diag * (2.0 * Nk + 1.0)).ravel(), (create * (Nk + N + 1.0)).ravel()]
+    size = T * (2 * K + 1)
+    for kernel, scattered in ((value, dn), (error, np.abs(dn))):
+        weight = np.concatenate(paired + [(scatter * scattered).ravel()])
+        kernel[1:] = np.bincount(index, weight, minlength=size).reshape(T, 2 * K + 1)
     value.flags.writeable = error.flags.writeable = False
     return value, error
 
@@ -567,72 +579,77 @@ def mode_breakdown(
     K = _check_table(cfg, table)
     N = occupations(bath.beta, mode_frequencies(K, cfg.L0))
     modes = np.arange(1, K + 1)
-    (i_d, diag), (i_c, create), (i_s, scatter), dn = _pair_terms(modes, N, cfg.omega1)
+    (i_d, diag), (i_c, create), (i_s, scatter) = _pair_layout(modes, K, cfg.omega1)
+    Nk = N[:, None]
     A = table.power
     eps2 = cfg.epsilon**2
     columns = (
-        eps2 * (diag * A[i_d])[:, 0],
-        eps2 * (create * A[i_c]).sum(axis=1),
-        eps2 * (scatter * A[i_s] * dn).sum(axis=1),
+        eps2 * (diag * (2.0 * Nk + 1.0) * A[i_d])[:, 0],
+        eps2 * (create * (Nk + N + 1.0) * A[i_c]).sum(axis=1),
+        eps2 * (scatter * A[i_s] * (N - Nk)).sum(axis=1),
     )
     return list(zip(modes.tolist(), *(c.tolist() for c in columns)))
 
 
-def _acceleration_extrema(traj: Trajectory) -> tuple[float, float]:
-    """Values of the single interior maximum and minimum of ``d2delta``.
+def _acceleration_variation(traj: Trajectory) -> float:
+    """Exact total variation of ``d2delta`` over the stroke, jumps included.
 
-    The extrema sit where the third derivative changes sign: at its exact
-    roots or at breakpoints.  Between consecutive such points the jerk keeps
-    one sign, read off at the midpoint (zero on flat pieces, which have no
-    roots).  Raises ValueError when the acceleration does not have exactly
-    one strict interior maximum and one strict interior minimum.
+    Each piece's acceleration is monotone between its ends and the real
+    roots of its jerk.  Those points, sorted within each piece and the pieces
+    in order, give a sequence of values whose absolute steps sum to the
+    variation; the step from one piece's end to the next piece's start is
+    the jump at their breakpoint.  The roots are the eigenvalues of every
+    piece's companion matrix, taken in one batched call.  A jerk with leading
+    zero coefficients is multiplied by the matching power of ``u``, which
+    only adds roots at ``u = 0``.  Each eigenvalue's real part is clipped
+    into its piece: a point that is not a turning point lies where the
+    acceleration is monotone, so it leaves the sum unchanged.
     """
-    jerk = traj.d3delta
-    points = np.unique(np.concatenate([jerk.roots(), jerk.x]))
-    # a root found an ulp beside a breakpoint would leave a sliver whose
-    # midpoint sign is round-off
-    points = points[np.concatenate([[True], np.diff(points) > 1e-9 * traj.duration])]
-    signs = np.sign(jerk(0.5 * (points[:-1] + points[1:])))
-    inner = points[1:-1]
-    maxima = inner[(signs[:-1] > 0) & (signs[1:] < 0)]
-    minima = inner[(signs[:-1] < 0) & (signs[1:] > 0)]
-    if len(maxima) != 1 or len(minima) != 1:
-        raise ValueError(
-            "acceleration must have exactly one interior maximum and one "
-            f"interior minimum; found {len(maxima)} maxima and {len(minima)} minima"
-        )
     acceleration = traj.d2delta
-    d2_max, d2_min = float(acceleration(maxima[0])), float(acceleration(minima[0]))
-    if not (d2_max > 0.0 > d2_min):
-        raise ValueError("acceleration extrema must straddle zero")
-    return d2_max, d2_min
+    h = np.diff(acceleration.x)
+    jerk = traj.d3delta.c.T  # descending coefficients, one row per piece
+    d = jerk.shape[1] - 1
+    points = [np.zeros((len(h), 1)), h[:, None]]
+    if d > 0:
+        if not jerk[:, 0].all():
+            # shift each row's leading zeros to its end; a flat piece becomes u**d
+            shift = np.arange(d + 1) + np.argmax(jerk != 0.0, axis=1)[:, None]
+            jerk = np.take_along_axis(jerk, np.minimum(shift, d), axis=1) * (shift <= d)
+            jerk[jerk[:, 0] == 0.0, 0] = 1.0
+        companion = np.zeros((len(h), d, d))
+        companion[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+        companion[:, :, -1] = -jerk[:, :0:-1] / jerk[:, :1]
+        points.append(np.clip(np.linalg.eigvals(companion).real, 0.0, h[:, None]))
+    u = np.sort(np.concatenate(points, axis=1), axis=1)
+    values = _ascending_sum(acceleration.c[:, :, None], u).ravel()
+    return float(np.abs(np.diff(values)).sum())
 
 
 def friction_bound(cfg: CavityConfig, bath: ThermalBath, traj: Trajectory) -> float:
     """Analytic upper bound on the friction energy of one stroke.
 
     The ``E_F`` sum of the module docstring with ``A(W)`` replaced by
-    ``4 (d2_max - d2_min)**2 / W**4``, i.e. ``eps**2 c . A_b``.  For a
+    ``V**2 / W**4``, i.e. ``eps**2 c . A_b``, where ``V`` is the exact total
+    variation of ``d2delta`` (:func:`_acceleration_variation`).  For a
     stroke that starts and ends at rest with vanishing acceleration,
-    integrating by parts twice gives ``|C(W) + i S(W)| <= TV(d2delta) / W**2``,
-    and with exactly one interior acceleration maximum and minimum the total
-    variation is ``2 (d2_max - d2_min)``.  ``E_F`` is a non-negative
-    combination of the ``A(n w_1)`` (every ``c_n >= 0``), so the bound
-    dominates it at every bath temperature.  Raises ValueError for any other
-    acceleration shape and for a non-vanishing endpoint velocity or
-    acceleration.
+    integrating by parts twice gives ``|C(W) + i S(W)| <= V / W**2``, with
+    every acceleration jump at a breakpoint counted in ``V``.  ``E_F`` is a
+    non-negative combination of the ``A(n w_1)`` (every ``c_n >= 0``), so the
+    bound dominates it at every bath temperature.  Raises ValueError for a
+    non-vanishing endpoint velocity or acceleration, judged against
+    ``V / 2`` (times the duration for the velocity).
     """
-    d2_max, d2_min = _acceleration_extrema(traj)
-    swing = d2_max - d2_min
+    V = _acceleration_variation(traj)
+    tol = 1e-9 * (V / 2.0)  # V / 2 is a single-bump acceleration's swing
     ends = np.array([traj.t_start, traj.t_end])
-    if np.max(np.abs(traj.ddelta(ends))) > 1e-9 * swing * traj.duration:
+    if np.max(np.abs(traj.ddelta(ends))) > tol * traj.duration:
         raise ValueError("bound requires vanishing endpoint velocity")
-    if np.max(np.abs(traj.d2delta(ends))) > 1e-9 * swing:
+    if np.max(np.abs(traj.d2delta(ends))) > tol:
         raise ValueError("bound requires vanishing endpoint acceleration")
 
     K = cfg.n_modes
     W = np.arange(1, 2 * K + 1) * cfg.omega1
-    A = np.concatenate([[0.0], 4.0 * swing**2 / W**4])
+    A = np.concatenate([[0.0], V**2 / W**4])
     c = _bath_kernel(cfg.L0, K, bath.beta)[0][0]
     return float(cfg.epsilon**2 * (c @ A))
 

@@ -119,10 +119,6 @@ class ThermalBath:
         if not self.beta > 0:
             raise ValueError(f"beta must be positive (or inf), got {self.beta}")
 
-    @property
-    def is_vacuum(self) -> bool:
-        return math.isinf(self.beta)
-
 
 def mode_frequency(k: int, L: float) -> float:
     """Frequency ``k*pi/L`` of mode ``k >= 1`` in a cavity of length ``L``."""

@@ -7,7 +7,7 @@ piecewise polynomial defined here: its breakpoints ``delta.x`` are the only
 places where the profile loses smoothness, and its derivatives are again
 exact piecewise polynomials (``delta.derivative(m)``).  The friction layer
 relies on this to take the spectral amplitudes in closed form and the
-bound's acceleration extrema as exact roots; differentiating a sampled
+bound's acceleration variation from exact roots; differentiating a sampled
 profile numerically would instead dominate the error budget.
 
 Families provided here:
@@ -89,68 +89,6 @@ class PPoly:
             c[-1, i] = _ascending_sum(c[:, i - 1], self.x[i] - self.x[i - 1])
         return PPoly(c, self.x)
 
-    def roots(self) -> np.ndarray:
-        """Real roots of each piece that lie in its closed interval, ascending.
-
-        A piece that vanishes identically contributes none.  As in scipy,
-        linear and quadratic pieces use the closed forms, higher degrees the
-        eigenvalues of the companion matrix, and each root is polished by
-        one Newton step.
-        """
-        x = self.x.tolist()
-        found = []
-        for i, coef in enumerate(self.c.T.tolist()):
-            while coef and coef[0] == 0.0:
-                coef.pop(0)
-            if len(coef) < 2:
-                continue
-            for u in _low_order_roots(coef) if len(coef) <= 3 else _companion_roots(coef):
-                value, slope = _value_and_slope(coef, u)
-                if slope != 0.0 and abs(value / slope) < abs(u):
-                    u -= value / slope
-                t = u + x[i]
-                if x[i] <= t <= x[i + 1]:
-                    found.append(t)
-        return np.unique(np.array(found, dtype=float))
-
-
-def _low_order_roots(coef: list[float]) -> list[float]:
-    """Real roots of a linear or quadratic polynomial (descending ``coef``),
-    the quadratic ones in the cancellation-free form."""
-    if len(coef) == 2:
-        return [-coef[1] / coef[0]]
-    a0, a1, a2 = coef
-    disc = a1 * a1 - 4 * a0 * a2
-    if disc < 0:
-        return []
-    d = math.sqrt(disc)
-    if d == 0:
-        return [-a1 / (2 * a0)]
-    if a1 < 0:
-        return [(2 * a2) / (-a1 + d), (-a1 + d) / (2 * a0)]
-    return [(-a1 - d) / (2 * a0), (2 * a2) / (-a1 - d)]
-
-
-def _companion_roots(coef: list[float]) -> list[float]:
-    """Real eigenvalues of the companion matrix of descending ``coef``."""
-    companion = np.diag(np.ones(len(coef) - 2), -1)
-    companion[:, -1] = [-a / coef[0] for a in coef[:0:-1]]
-    u = np.linalg.eigvals(companion)
-    return u.real[u.imag == 0].tolist()
-
-
-def _value_and_slope(coef: list[float], u: float) -> tuple[float, float]:
-    """Value and first derivative at ``u`` of the polynomial with descending
-    ``coef``, each summed from the constant term up."""
-    value = slope = 0.0
-    power = 1.0
-    for p, a in enumerate(reversed(coef)):
-        value = value + a * power
-        if p + 1 < len(coef):
-            slope = slope + coef[-2 - p] * power * (p + 1)
-        power = power * u
-    return value, slope
-
 
 def _ascending_sum(c: np.ndarray, s: np.ndarray) -> np.ndarray:
     """``sum_m c[k - m] * s**m``, accumulated from the constant term up."""
@@ -210,11 +148,6 @@ class Trajectory:
     @property
     def duration(self) -> float:
         return self.t_end - self.t_start
-
-    def displacement(self) -> float:
-        """Net displacement delta(t_end) - delta(t_start)."""
-        ends = self.delta(np.array([self.t_start, self.t_end]))
-        return float(ends[1] - ends[0])
 
 
 def _taylor_shift(a: np.ndarray, s) -> np.ndarray:

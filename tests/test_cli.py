@@ -77,6 +77,13 @@ class TestParsing:
         with pytest.raises(UsageError):
             parse_config(["friction", "--epsilon", "1.5"])
 
+    def test_help_exits_zero_with_usage_on_stdout(self, capsys):
+        assert main(["friction", "--help"]) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: casotto") and "--tau" in out
+        assert err == ""
+        assert main(["friction", "--frobnicate"]) == 2
+
     def test_missing_command(self):
         with pytest.raises(UsageError):
             parse_config(["--tau", "1.0"])
@@ -161,6 +168,7 @@ class TestParsing:
         ["sweep", "--tau-grid", "0:2:2"],
         ["sweep", "--tau-grid=-1:2:3"],
         ["sweep", "--tau-grid", "1:2:2", "--beta-a", "inf"],
+        ["friction", "--tau", "inf"],
     ], ids=["points-zero", "points-negative", "n-not-integer", "n-negative", "n-empty",
             "tail-tol-zero", "beta-ratio-above-one", "beta-ratio-zero", "beta-a-negative",
             "sweep-beta-ratio-above-one", "beta-minus-inf", "friction-two-epsilons",
@@ -168,7 +176,8 @@ class TestParsing:
             "grid-zero-points", "log-grid-at-zero", "grid-count-not-integer",
             "grid-bound-not-number", "fock-modes-zero", "n-max-zero", "dt-zero",
             "integrator-order-removed", "L0-zero", "L0-inf", "epsilon-empty",
-            "beta-ratio-empty", "grid-at-zero", "grid-below-zero", "beta-a-inf"])
+            "beta-ratio-empty", "grid-at-zero", "grid-below-zero", "beta-a-inf",
+            "tau-inf"])
     def test_shortcut_check_rejects_bad_samples(self, argv):
         # out-of-range values are usage errors (status 2), caught before the
         # library's own ValueError would turn them into numerical failures (3)

@@ -164,8 +164,7 @@ class TestConfigs:
         assert cfg.L1 == pytest.approx(0.75 * math.pi)
 
     def test_bath_validation(self):
-        assert ThermalBath(math.inf).is_vacuum
-        assert not ThermalBath(1.0).is_vacuum
+        assert ThermalBath(math.inf).beta == math.inf
         with pytest.raises(ValueError):
             ThermalBath(0.0)
         with pytest.raises(ValueError):
