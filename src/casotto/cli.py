@@ -307,13 +307,9 @@ def _single(opts, key: str) -> float:
 
 
 def _fock(opts) -> FockConfig:
-    """The oracle's modes, cutoff and step; its own range checks become usage errors."""
+    """The oracle's modes and cutoff; its own range checks become usage errors."""
     try:
-        return FockConfig(
-            n_modes=int(opts["fock-modes"]),
-            n_max=int(opts["n-max"]),
-            dt=float(opts["dt"]),
-        )
+        return FockConfig(n_modes=int(opts["fock-modes"]), n_max=int(opts["n-max"]))
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -350,6 +346,8 @@ def _validate(cfg: RunConfig) -> None:
         raise UsageError("L0 must be positive and finite")
     if cfg.command == "oracle":
         _fock(opts)
+        if not float(opts["dt"]) > 0:
+            raise UsageError("dt must be positive")
     if "n" in opts:
         _parse_harmonics(str(opts["n"]))
     if "mode" in opts and opts["mode"] not in ("engine", "refrigerator"):
@@ -422,7 +420,7 @@ def _warn_if_beyond_perturbative(opts) -> None:
     if "epsilon" not in opts:
         return
     eps = max(_parse_float_list(str(opts["epsilon"]), "epsilon"))
-    if CavityConfig(L0=_L0, epsilon=eps).perturbative_warning:
+    if eps > PERTURBATIVE_EPSILON_MAX:
         _warn(
             f"epsilon = {eps} exceeds {PERTURBATIVE_EPSILON_MAX}: the friction "
             "energy is second order in epsilon, so results are outside its validity",
@@ -590,13 +588,13 @@ def _run_oracle(cfg: RunConfig, out) -> int:
     fock = _fock(opts)
     cavity = CavityConfig(L0=_L0, epsilon=_single(opts, "epsilon"), n_modes=fock.n_modes)
     identities = str(opts["check"]) == "identities"
-    beta, eps = float(opts["beta"]), cavity.epsilon
+    beta = float(opts["beta"])
     try:
         if identities:
             report = verify_trace_identities(beta, fock, cavity)
         else:
             traj = _trajectory(opts)
-            comparison = validate_friction(cavity, ThermalBath(beta), traj, fock, epsilons=(eps, eps / 2.0))
+            comparison = validate_friction(cavity, ThermalBath(beta), traj, float(opts["dt"]))
     except OracleRangeError as exc:
         flags = " or ".join(f"--{_ORACLE_FLAGS[name]}" for name in exc.names)
         raise UsageError(f"{exc} (change {flags})") from exc

@@ -49,6 +49,7 @@ from .friction import (
 )
 from .spectrum import (
     CavityConfig,
+    _require_finite,
     _warn,
     casimir_energy,
     mode_frequencies,
@@ -139,6 +140,7 @@ class CycleReport:
 
 
 @functools.lru_cache(maxsize=1024)
+@np.errstate(over="ignore", invalid="ignore")
 def _otto_sums(
     cfg: CavityConfig, baths: BathPair, machine: str = "engine"
 ) -> tuple[float, ...]:
@@ -154,6 +156,7 @@ def _otto_sums(
     The sums do not depend on the stroke, so they are cached: a sweep
     computes them once per (bath, eps) cell, not once per tau.  The result
     is read-only; the tail warning is raised by the caller on every call.
+    Raises ValueError naming the bath whose sums overflow.
     """
     K = cfg.n_modes
     w0 = mode_frequencies(K, cfg.L0)
@@ -179,8 +182,12 @@ def _otto_sums(
             tail = abs(terms_Q[-1]) * rho / (1.0 - rho)
         else:
             tail = math.inf
-    return (Q_ad, W_ad, tail, float(np.sum(w0 * nA)), float(np.sum(w1 * nA)),
-            float(np.sum(w1 * nC)), float(np.sum(w0 * nC)))
+    cold = (float(np.sum(w0 * nA)), float(np.sum(w1 * nA)))
+    hot = (float(np.sum(w1 * nC)), float(np.sum(w0 * nC)))
+    what = "population-frozen sums"
+    _require_finite(all(map(math.isfinite, cold)), "beta_A", baths.beta_A, what, K)
+    _require_finite(all(map(math.isfinite, (Q_ad, W_ad, *hot))), "beta_C", baths.beta_C, what, K)
+    return (Q_ad, W_ad, tail, *cold, *hot)
 
 
 def _safe_ratio(num, den, limit):

@@ -23,23 +23,24 @@ equation ``d xi/dt = J h(t) xi``, ``J = [[0, I], [-I, 0]]``, is linear, so
 the stroke acts on the quadratures as one symplectic matrix ``S`` and a
 covariance matrix evolves as ``sigma -> S sigma S^T`` (Serafini, *Quantum
 Continuous Variables*, CRC 2017, ch. 3-5).  :func:`validate_friction`
-propagates the thermal covariance through the stroke this way, with no
-occupation cutoff, both compression ratios in one stacked pass, and
-compares the measured non-adiabatic energy against the separable friction
-formula restricted to the same retained modes.
+propagates the thermal covariance of the cavity's ``n_modes`` modes
+through the stroke this way, with no occupation cutoff, for the cavity's
+``epsilon`` and half of it in one stacked pass, and compares the measured
+non-adiabatic energy against the separable friction formula restricted to
+the same retained modes.
 
 :func:`verify_trace_identities` tests operator ordering, so it stays in a
-truncated Fock space of per-mode ladders.  The thermal state there is a
-product of per-mode weights and each operator string a product of per-mode
-strings, so each trace is the product over modes of the weights against
-that mode's string diagonal; no vector over the product basis is built.
-Its dimension is capped at 1e5.
+truncated Fock space of per-mode ladders, the :class:`FockConfig`.  The
+thermal state there is a product of per-mode weights and each operator
+string a product of per-mode strings, so each trace is the product over
+modes of the weights against that mode's string diagonal; no vector over
+the product basis is built.  Its dimension is capped at 1e5.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
@@ -60,7 +61,6 @@ from .trajectory import Trajectory
 __all__ = [
     "FockConfig",
     "OracleRangeError",
-    "StepSizeError",
     "verify_trace_identities",
     "IdentityCheck",
     "IdentityReport",
@@ -77,7 +77,7 @@ class OracleRangeError(ValueError):
     """An input outside the range the oracle is valid in.
 
     ``names`` are the parameters whose change brings it back in range:
-    ``FockConfig`` fields, ``beta`` or ``epsilon``.
+    ``n_modes``, ``n_max``, ``dt``, ``beta`` or ``epsilon``.
     """
 
     def __init__(self, message: str, *names: str) -> None:
@@ -85,32 +85,24 @@ class OracleRangeError(ValueError):
         self.names = names
 
 
-class StepSizeError(RuntimeError):
-    """Free evolution drifted in energy; the step size is too coarse."""
-
-
 @dataclass(frozen=True)
 class FockConfig:
-    """Mode count, Fock cutoff and step of the oracle.
+    """Truncated Fock space of the identity battery.
 
-    n_modes: retained field modes; 1..64 for the friction check, at least 3
-        for the identity battery.
-    n_max:   per-mode occupation cutoff of the identity battery, with
-        ``(n_max + 1)**n_modes <= 1e5``; the friction check has no cutoff.
-    dt:      propagation step; must satisfy dt * w_max <= 0.1.
+    n_modes: retained field modes, at least 3 for the battery.
+    n_max:   per-mode occupation cutoff, with ``(n_max + 1)**n_modes <= 1e5``.
+
+    The friction check has no cutoff: it keeps the cavity's modes.
     """
 
     n_modes: int = 2
     n_max: int = 8
-    dt: float = 0.01
 
     def __post_init__(self) -> None:
         if self.n_modes < 1:
             raise ValueError("n_modes must be >= 1")
         if self.n_max < 1:
             raise ValueError("n_max must be >= 1")
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
 
     @property
     def dimension(self) -> int:
@@ -138,9 +130,11 @@ _CF4_NODES = np.array([0.5 - _GAUSS_SHIFT, 0.5 + _GAUSS_SHIFT])
 _CF4_WEIGHTS = np.array([[_CF4_X1, _CF4_X2], [_CF4_X2, _CF4_X1]])
 
 
-def _static_parts(cfg: CavityConfig, n_modes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _static_parts(cfg: CavityConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(h0, h1, h2) with ``h(t) = h0 + dL(t) h1 + dLdot(t) h2`` on
-    ``xi = (x_1..x_n, p_1..p_n)``; the wall motion does not enter them."""
+    ``xi = (x_1..x_n, p_1..p_n)`` of the cavity's ``n = cfg.n_modes`` modes;
+    the wall motion does not enter them."""
+    n_modes = cfg.n_modes
     w = mode_frequencies(n_modes, cfg.L0)
     w_prime = np.array([mode_frequency_derivative(k, cfg.L0) for k in range(1, n_modes + 1)])
     C = coupling_matrix(n_modes) * np.sqrt(w[:, None] / w[None, :]) / cfg.L0
@@ -186,32 +180,33 @@ def _expm(A: np.ndarray) -> np.ndarray:
 def _propagator(
     cfg: CavityConfig,
     traj: Trajectory,
-    fock: FockConfig,
+    dt: float,
     parts: tuple[np.ndarray, np.ndarray, np.ndarray],
     eps: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Symplectic matrix ``S`` of the stroke, ``xi(t_end) = S xi(t_start)``.
+    """Symplectic matrix ``S`` of the stroke on the cavity's ``n_modes``
+    modes, ``xi(t_end) = S xi(t_start)``.
 
-    Each step is the fourth-order two-stage commutator-free composition of
-    exponentials of ``dt J h`` on the two Gauss points of the step, whose
-    right factor acts first and leans on the early node.  The exponentials
-    are taken stacked, a block of steps at a time, and multiplied as a
-    pairwise tree of batched products, later factor on the left, an odd
-    count carrying its last one up a level.  On a static wall, a profile
-    whose every non-constant coefficient is zero, the energy must be
-    conserved to 1e-10.  An array ``eps`` (see :func:`_forms`) stacks its
-    strokes on a leading axis of ``S``, each slice that stroke's ``S`` bit
-    for bit: a block keeps its step count.
+    The stroke takes equal steps of at most ``dt``, with ``dt * omega_max``
+    at most 0.1.  Each step is the fourth-order two-stage commutator-free
+    composition of exponentials of ``dt J h`` on the two Gauss points of
+    the step, whose right factor acts first and leans on the early node.
+    The exponentials are taken stacked, a block of steps at a time, and
+    multiplied as a pairwise tree of batched products, later factor on the
+    left, an odd count carrying its last one up a level.  An array ``eps``
+    (see :func:`_forms`) stacks its strokes on a leading axis of ``S``,
+    each slice that stroke's ``S`` bit for bit: a block keeps its step
+    count.
     """
-    w_max = mode_frequencies(fock.n_modes, cfg.L0)[-1]
-    n_steps = max(1, math.ceil(traj.duration / fock.dt))
+    if not dt > 0:
+        raise ValueError("dt must be positive")
+    w_max = mode_frequencies(cfg.n_modes, cfg.L0)[-1]
+    n_steps = max(1, math.ceil(traj.duration / dt))
     dt = traj.duration / n_steps
     if dt * w_max > 0.1 + 1e-12:
-        raise OracleRangeError(
-            f"dt * omega_max = {dt * w_max:.3g} > 0.1; shrink FockConfig.dt", "dt"
-        )
-    dim = 2 * fock.n_modes
-    dtJ = dt * _symplectic_form(fock.n_modes)
+        raise OracleRangeError(f"dt * omega_max = {dt * w_max:.3g} > 0.1; shrink dt", "dt")
+    dim = 2 * cfg.n_modes
+    dtJ = dt * _symplectic_form(cfg.n_modes)
     block = max(1, _BLOCK_ENTRIES // (len(_CF4_NODES) * dim * dim))
     S = np.eye(dim)
     for first in range(0, n_steps, block):
@@ -226,14 +221,7 @@ def _propagator(
             paired = factors[:, 1::2] @ factors[:, : n - 1 : 2]
             factors = np.concatenate([paired, factors[:, n - 1 :]], axis=1) if n % 2 else paired
         S = factors[:, 0] @ S
-    S = S.reshape(np.shape(eps) + (dim, dim))
-    if not np.any(traj.delta.c[:-1]):
-        # a static wall conserves the energy of every state: S^T h S = h
-        h_wall = _forms(np.array(traj.t_start), cfg, traj, parts, eps)
-        drift = np.max(np.abs(np.swapaxes(S, -1, -2) @ h_wall @ S - h_wall), axis=(-2, -1))
-        if np.any(drift > 1e-10 * np.maximum(1.0, np.max(np.abs(h_wall), axis=(-2, -1)))):
-            raise StepSizeError(f"static-wall energy drifted by {np.max(drift):.2e}")
-    return S
+    return S.reshape(np.shape(eps) + (dim, dim))
 
 
 def _energy(h: np.ndarray, sigma: np.ndarray) -> float:
@@ -271,21 +259,20 @@ class IdentityReport:
 
 
 def _embedded_thermal_state(
-    beta: float, state: FockConfig, work: FockConfig, cfg: CavityConfig
+    beta: float, w: np.ndarray, n_max: int, rungs: int
 ) -> list[np.ndarray]:
-    """Weights of the thermal state truncated at ``state.n_max``, embedded
-    in ``work``.
+    """Weights of the thermal state of modes with frequencies ``w``,
+    truncated at ``n_max`` quanta per mode, on ``rungs`` levels per mode.
 
     The state is a product over modes of diagonal states, so it is returned
     as one weight vector per mode, mode 1 first.  Occupation weights beyond
-    the state cutoff are zero; the distribution is renormalised over the
-    kept rungs.
+    the cutoff are zero; the distribution is renormalised over the kept
+    rungs.
     """
     if not beta > 0:
         raise ValueError(f"beta must be positive (or inf), got {beta}")
-    w = mode_frequencies(state.n_modes, cfg.L0)
     if not math.isinf(beta):
-        missed = math.exp(-beta * w[0] * (state.n_max + 1))
+        missed = math.exp(-beta * w[0] * (n_max + 1))
         if missed > 1e-6:
             raise OracleRangeError(
                 f"occupation cutoff keeps only 1 - {missed:.2e} of the "
@@ -293,11 +280,11 @@ def _embedded_thermal_state(
                 "n_max",
                 "beta",
             )
-    n = np.arange(state.n_max + 1.0)
+    n = np.arange(n_max + 1.0)
     weights = []
     for omega in w:
-        p = np.zeros(work.n_max + 1)
-        p[: state.n_max + 1] = (n == 0) if math.isinf(beta) else np.exp(-beta * omega * n)
+        p = np.zeros(rungs)
+        p[: n_max + 1] = (n == 0) if math.isinf(beta) else np.exp(-beta * omega * n)
         weights.append(p / p.sum())
     return weights
 
@@ -415,11 +402,11 @@ def verify_trace_identities(
     # the state is truncated at n_max; the operators get two rungs of
     # headroom (the largest raising power in the battery) so the reordering
     # identities are probed without edge clipping at the cutoff
-    work = replace(fock, n_max=fock.n_max + 2)
-    p = _embedded_thermal_state(beta, fock, work, cfg)
-    a = np.diag(np.sqrt(np.arange(1.0, work.n_max + 1.0)), k=1)
+    rungs = fock.n_max + 3
+    p = _embedded_thermal_state(beta, w, fock.n_max, rungs)
+    a = np.diag(np.sqrt(np.arange(1.0, rungs)), k=1)
     ladder = {"a": a, "ad": a.T, "N": a.T @ a}  # N too from the raw ladder matrices
-    eye = np.eye(work.n_max + 1)
+    eye = np.eye(rungs)
     diagonals = {k: np.diag(reduce(np.matmul, [ladder[f] for f in k], eye)) for k in _MODE_STRINGS}
     # each per-mode trace and each moment once, every string a product of them
     traces = {k: [float(q @ d) for q in p] for k, d in diagonals.items()}
@@ -462,46 +449,36 @@ class FrictionComparison:
 
 
 def validate_friction(
-    cfg: CavityConfig,
-    bath: ThermalBath,
-    traj: Trajectory,
-    fock: FockConfig,
-    epsilons: tuple[float, float] | None = None,
+    cfg: CavityConfig, bath: ThermalBath, traj: Trajectory, dt: float = 0.01
 ) -> FrictionComparison:
     """Measure the non-adiabatic energy directly and compare with E_F.
 
-    For each compression ratio the thermal covariance
-    ``diag(N + 1/2, N + 1/2)`` is propagated through the stroke, both in
-    one stacked pass.  The excess of the final energy over the
+    The cavity's ``n_modes`` modes are retained, at most 64, and its
+    ``epsilon``, at most 0.02, is compared with ``epsilon / 2``.  For each
+    the thermal covariance ``diag(N + 1/2, N + 1/2)`` is propagated
+    through the stroke in steps of at most ``dt`` (see :func:`_propagator`),
+    both in one stacked pass.  The excess of the final energy over the
     population-preserving (adiabatic) value ``sum_k nu_k (N_k + 1/2) -
     Tr(h_end)/4``, with ``nu`` the sorted symplectic eigenvalues of the
     final ``h``, is divided by the friction formula restricted to the
-    retained modes, one (table, bath) product scaled by each ``eps**2``.
-    Mode sums on both sides use the same retained set, so the comparison
-    probes the perturbative expansion, not the mode cutoff.  Where ``E_F``
+    same modes, one (table, bath) product scaled by each ``eps**2``, so
+    the comparison probes the perturbative expansion, not the mode
+    cutoff.  Where ``E_F``
     does not exceed its round-off bound (a shortcut stroke) or the
     propagation's, ``n_steps * eps_machine * |E_full|`` (a slow stroke),
     the ratio and its extrapolation are NaN and a RuntimeWarning says so.
     """
-    if epsilons is None:
-        epsilons = (cfg.epsilon, cfg.epsilon / 2.0)
-    if len(epsilons) != 2 or epsilons[0] == epsilons[1]:
-        raise ValueError(
-            f"validate_friction needs two distinct epsilons to extrapolate, got {epsilons}"
-        )
-    if any(e > 0.02 for e in epsilons):
+    if cfg.epsilon > 0.02:
         raise OracleRangeError(
             "validate_friction needs eps <= 0.02 so the second order dominates", "epsilon"
         )
-    if fock.n_modes > _FRICTION_MODES_MAX:
+    if cfg.n_modes > _FRICTION_MODES_MAX:
         raise OracleRangeError(
             f"validate_friction retains at most {_FRICTION_MODES_MAX} modes", "n_modes"
         )
-    cfg = replace(cfg, n_modes=fock.n_modes)
-    for eps in epsilons:
-        replace(cfg, epsilon=eps)  # CavityConfig checks the range
+    epsilons = (cfg.epsilon, cfg.epsilon / 2.0)
     # the static parts and the table depend on L0 and the mode count only
-    parts = _static_parts(cfg, fock.n_modes)
+    parts = _static_parts(cfg)
     table = spectral_table(traj, cfg)
     h0, stacked = parts[0], np.array(epsilons)
     h_start, h_end = np.swapaxes(
@@ -515,13 +492,13 @@ def validate_friction(
     # E_F / eps**2 and its round-off bound; E_F is restricted to the
     # retained modes on purpose, so its tail estimate is left unused
     value, noise, _ = _per_bath([table], cfg.L0, _stroke_cutoff(cfg, table), [bath.beta])[0][0]
-    S = _propagator(cfg, traj, fock, parts, stacked)
-    n_bar = occupations(bath.beta, mode_frequencies(fock.n_modes, cfg.L0))
+    S = _propagator(cfg, traj, dt, parts, stacked)
+    n_bar = occupations(bath.beta, mode_frequencies(cfg.n_modes, cfg.L0))
     sigma0 = np.diag(np.tile(n_bar + 0.5, 2))
     # J h_end has the eigenvalues +-i nu_k
-    nus = np.sort(np.abs(np.linalg.eigvals(_symplectic_form(fock.n_modes) @ h_end).imag))[:, ::2]
+    nus = np.sort(np.abs(np.linalg.eigvals(_symplectic_form(cfg.n_modes) @ h_end).imag))[:, ::2]
     # the propagation's round-off, n_steps * eps_machine, per unit |E_full|
-    floor = max(1, math.ceil(traj.duration / fock.dt)) * np.finfo(float).eps
+    floor = max(1, math.ceil(traj.duration / dt)) * np.finfo(float).eps
     rows = []
     for eps, h, s, nu in zip(epsilons, h_end, S, nus):
         e_full = _energy(h, s @ sigma0 @ s.T)

@@ -76,7 +76,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectrum import CavityConfig, ThermalBath, _warn, mode_frequencies, occupations
+from .spectrum import CavityConfig, ThermalBath, _require_finite, _warn
+from .spectrum import mode_frequencies, occupations
 from .trajectory import PPoly, Trajectory, _ascending_sum
 
 __all__ = [
@@ -131,7 +132,6 @@ class SpectralTable:
     C: np.ndarray
     S: np.ndarray
     err: np.ndarray
-    label: str
 
     @property
     def power(self) -> np.ndarray:
@@ -200,6 +200,7 @@ def _order_tables(order: int):
     return tables
 
 
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _fourier(v: PPoly, omegas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``F(w) = integral v(t) exp(i w t) dt`` over ``v``'s domain, in closed form.
 
@@ -232,6 +233,8 @@ def _fourier(v: PPoly, omegas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     wh = w * h
 
     powers = h ** np.arange(order)[:, None]  # h**k, one column per piece
+    if not np.isfinite(powers).all():
+        raise ValueError(f"a piece {np.max(h):g} wide overflows the amplitude table")
     # [m, k]: the coefficient of u**k in the m-th derivative, per piece
     derivative = a[shift] * rise
     ends = (derivative * powers).sum(axis=1)
@@ -246,16 +249,15 @@ def _fourier(v: PPoly, omegas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         np.abs(ends),
     ], axis=1)
     R = np.empty((len(w), order))
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        # integration by parts on every cell; a cell below the switch may
-        # come out non-finite (a zero frequency always does), and each of
-        # those is overwritten by its Taylor sum below
-        R[:, 0] = 1.0 / w[:, 0]
-        for m in range(1, order):
-            np.multiply(R[:, m - 1], R[:, 0], out=R[:, m])
-        terms = R @ tables
-        phased = terms[:, : 4 * pieces].view(complex)
-        J = phased[:, :pieces] * np.exp(1j * wh) - phased[:, pieces:]
+    # integration by parts on every cell; a cell below the switch may come
+    # out non-finite (a zero frequency always does, silently under the
+    # decorator), and each of those is overwritten by its Taylor sum below
+    R[:, 0] = 1.0 / w[:, 0]
+    for m in range(1, order):
+        np.multiply(R[:, m - 1], R[:, 0], out=R[:, m])
+    terms = R @ tables
+    phased = terms[:, : 4 * pieces].view(complex)
+    J = phased[:, :pieces] * np.exp(1j * wh) - phased[:, pieces:]
     size = terms[:, 4 * pieces : 5 * pieces]  # terms with absolute coefficients
     carried = terms[:, 5 * pieces :]  # terms multiplied by exp(i w h)
 
@@ -297,7 +299,7 @@ def spectral_table(traj: Trajectory, cfg: CavityConfig) -> SpectralTable:
     """Amplitudes at every multiple of ``pi/L0`` up to ``2 * cfg.n_modes``."""
     w1 = cfg.omega1
     F, err = _fourier(traj.delta.derivative(), np.arange(2 * cfg.n_modes + 1) * w1)
-    return SpectralTable(omega1=w1, C=F.real, S=F.imag, err=err, label=traj.label)
+    return SpectralTable(omega1=w1, C=F.real, S=F.imag, err=err)
 
 
 def partial_spectral_integral(
@@ -403,6 +405,7 @@ def _tail_layout(L0: float, K: int):
 
 
 @functools.lru_cache(maxsize=32)
+@np.errstate(over="ignore", invalid="ignore")
 def _bath_kernel(L0: float, K: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
     """E_F weights of one bath at cutoff K over the grid n = 0..2K, per unit eps**2.
 
@@ -411,6 +414,7 @@ def _bath_kernel(L0: float, K: int, beta: float) -> tuple[np.ndarray, np.ndarray
     1..T the per-mode kernels of the last ``T = min(_TAIL_FIT_POINTS, K)``
     modes.  ``value @ A`` gives ``E_F / eps**2`` and those modes' totals,
     ``error @ A_err`` their round-off bounds.  The arrays are read-only.
+    Raises ValueError where the sums overflow.
     """
     w1 = math.pi / L0
     N = occupations(beta, mode_frequencies(K, L0))
@@ -428,8 +432,8 @@ def _bath_kernel(L0: float, K: int, beta: float) -> tuple[np.ndarray, np.ndarray
 
     x = np.arange(1.0, 2 * K + 1.0)  # n
     T = min(_TAIL_FIT_POINTS, K)
-    value = np.zeros((1 + T, 2 * K + 1))
-    error = np.zeros((1 + T, 2 * K + 1))
+    kernels = np.zeros((2, 1 + T, 2 * K + 1))
+    value, error = kernels
     # pair creation: k (n - k) (N_k + 1/2) over max(1, n - K) <= k <= min(K, n - 1),
     # a head window for n <= K and a rest window above
     window = np.concatenate([head[:2], rest[:2]], axis=1)
@@ -453,6 +457,7 @@ def _bath_kernel(L0: float, K: int, beta: float) -> tuple[np.ndarray, np.ndarray
     for kernel, scattered in ((value, dn), (error, np.abs(dn))):
         weight = np.concatenate(paired + [(scatter * scattered).ravel()])
         kernel[1:] = np.bincount(index, weight, minlength=size).reshape(T, 2 * K + 1)
+    _require_finite(np.isfinite(kernels).all(), "beta", beta, "friction mode sums", K)
     value.flags.writeable = error.flags.writeable = False
     return value, error
 
@@ -567,6 +572,7 @@ def friction_energy(
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def mode_breakdown(
     cfg: CavityConfig, bath: ThermalBath, table: SpectralTable
 ) -> list[tuple[int, float, float, float]]:
@@ -575,6 +581,7 @@ def mode_breakdown(
     ``diag`` is mode k's single-mode pair creation, ``create`` its pair
     creation with the other modes and ``scatter`` its scattering; the rows
     sum to :func:`friction_energy`'s ``value``.  One ``O(K**2)`` pass.
+    Raises ValueError where the terms overflow.
     """
     K = _check_table(cfg, table)
     N = occupations(bath.beta, mode_frequencies(K, cfg.L0))
@@ -588,6 +595,7 @@ def mode_breakdown(
         eps2 * (create * (Nk + N + 1.0) * A[i_c]).sum(axis=1),
         eps2 * (scatter * A[i_s] * (N - Nk)).sum(axis=1),
     )
+    _require_finite(np.isfinite(columns).all(), "beta", bath.beta, "per-mode friction terms", K)
     return list(zip(modes.tolist(), *(c.tolist() for c in columns)))
 
 

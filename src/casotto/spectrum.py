@@ -33,7 +33,7 @@ __all__ = [
     "effective_length",
 ]
 
-#: Compression ratios above this value set the perturbative-validity flag.
+#: Compression ratios above this value lie beyond the second-order friction.
 PERTURBATIVE_EPSILON_MAX = 0.1
 
 # a path prefix, so that ``python -m casotto.cli``'s __main__ counts as inside
@@ -89,11 +89,6 @@ class CavityConfig:
             raise ValueError(f"n_modes must be >= 1, got {self.n_modes}")
         if not self.tail_tol > 0:
             raise ValueError("tail_tol must be positive")
-
-    @property
-    def perturbative_warning(self) -> bool:
-        """True when epsilon is too large for the second-order treatment."""
-        return self.epsilon > PERTURBATIVE_EPSILON_MAX
 
     @property
     def omega1(self) -> float:
@@ -177,6 +172,14 @@ def occupations(beta: float, omegas: np.ndarray) -> np.ndarray:
         return np.zeros_like(omegas)
     with np.errstate(over="ignore"):
         return 1.0 / np.expm1(beta * omegas)
+
+
+def _require_finite(finite: bool, name: str, beta: float, what: str, K: int) -> None:
+    """ValueError naming ``name = beta`` unless ``finite`` says ``what`` is:
+    the occupations overflow below ``beta w_1`` of about 5.6e-309, and their
+    weighted sums at larger betas and K.  Callers silence numpy there."""
+    if not finite:
+        raise ValueError(f"{name} = {float(beta)!r} overflows the {what} at K = {K}")
 
 
 def coupling_g(k: int, j: int) -> float:

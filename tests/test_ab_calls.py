@@ -15,8 +15,14 @@ def test_checkout_against_itself_reads_a_ratio_near_one():
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    rows = {line.split()[0]: line.split() for line in lines[2:-1]}
+    # the 200 calls split 67, 67 and 66 over three fresh worker pairs, each
+    # with its own pass-ratio median; a pass never spans two pairs
+    pairs = [line.split() for line in lines[1:4]]
+    assert [p[:5] for p in pairs] == [["worker", "pair", f"{j}:", str(n), "ABBA"]
+                                      for j, n in ((1, 67), (2, 67), (3, 66))]
+    assert all(0.8 <= float(p[-1]) <= 1.25 for p in pairs)
+    rows = {line.split()[0]: line.split() for line in lines[5:-1]}
     assert set(rows) == {"oracle_friction", "oracle_identities", "pass"}
-    assert [int(rows[k][1]) for k in ("oracle_friction", "oracle_identities", "pass")] == [100, 100, 100]
+    assert [int(rows[k][1]) for k in ("oracle_friction", "oracle_identities", "pass")] == [101, 99, 99]
     assert 0.8 <= float(rows["pass"][4]) <= 1.25
     assert lines[-1] == "requests whose output differs between the sides: 0 of 2"

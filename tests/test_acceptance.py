@@ -175,9 +175,7 @@ def test_criterion_06_quadrature_oracle_equivalence():
 def test_criterion_07_fock_oracle_richardson():
     t0 = time.time()
     cfg = cavity(0.01, 2)
-    fock = FockConfig(n_modes=2, n_max=8, dt=0.01)
-    rep = validate_friction(cfg, ThermalBath(2.0), quintic(1.0), fock,
-                            epsilons=(0.01, 0.005))
+    rep = validate_friction(cfg, ThermalBath(2.0), quintic(1.0), 0.01)
     elapsed = time.time() - t0
     ok = 0.95 <= rep.richardson_ratio <= 1.05 and elapsed < 600.0
     report(
@@ -192,8 +190,7 @@ def test_criterion_07_fock_oracle_richardson_at_32_modes():
     # the propagator has no Fock cutoff, so C7 holds at a production K too;
     # dt * omega_max = 0.096
     cfg = cavity(0.01, 32)
-    fock = FockConfig(n_modes=32, dt=0.003)
-    rep = validate_friction(cfg, ThermalBath(2.0), quintic(1.0), fock, epsilons=(0.01, 0.005))
+    rep = validate_friction(cfg, ThermalBath(2.0), quintic(1.0), 0.003)
     report(
         "C7 phase-space oracle at 32 modes",
         0.95 <= rep.richardson_ratio <= 1.05,

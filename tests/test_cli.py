@@ -468,6 +468,29 @@ class TestRuns:
         assert captured.err.startswith("casotto: ") and "tau" in captured.err
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["friction", "--beta", "1e-320", "--modes", "4"], "beta"),
+            (["friction", "--beta", "1e-307", "--modes", "4"], "beta"),
+            (["engine", "--beta-a", "1e-307", "--modes", "256"], "beta_A"),
+            (["sweep", "--tau-grid", "1:2:2", "--beta-a", "1e-320", "--modes", "4"], "beta_A"),
+            (["shortcut-check", "--tau", "1", "--L0", "1e300", "--n", "2", "--points", "2"],
+             "wide"),
+        ],
+        ids=["friction-occupations", "friction-kernel", "engine", "sweep", "shortcut-check"],
+    )
+    def test_overflowing_input_fails_with_one_message(self, capsys, argv, name):
+        # finite inputs whose mode sums or powers overflow: no nan or inf
+        # output, no numpy RuntimeWarnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("casotto: ") and name in captured.err
+        assert captured.err.count("\n") == 1
+
     def test_sweep_marks_a_tau_beyond_floating_point_failed(self):
         status, text = capture(["sweep", "--tau-grid", "1e-200:1:2log", "--modes", "4"])
         assert status == 3

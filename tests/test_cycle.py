@@ -662,6 +662,38 @@ class TestScalarReference:
         assert math.inf in tails
 
 
+class TestOverflowingBath:
+    """Population-frozen sums that overflow raise, naming the bath."""
+
+    # each machine at a bath ratio inside its window
+    @pytest.mark.parametrize("runner, ratio", [(adiabatic_engine, 0.5),
+                                               (adiabatic_refrigerator, 0.995)])
+    def test_adiabatic_cycles_raise(self, runner, ratio):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="beta_A = 1e-320 overflows the population-frozen"):
+                runner(cfg(K=4), BathPair(1e-320, ratio * 1e-320))
+
+    @pytest.mark.parametrize("runner, ratio", [(nonadiabatic_engine, 0.5),
+                                               (nonadiabatic_refrigerator, 0.995)])
+    def test_finite_time_cycles_raise(self, runner, ratio):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="beta_A = 1e-307 overflows"):
+                runner(cfg(K=256), BathPair(1e-307, ratio * 1e-307), quintic(1.0))
+
+    def test_hot_bath_is_named(self):
+        # at K = 256 the hot bath's sums overflow while the cold one's hold
+        with pytest.raises(ValueError, match="beta_C = 1e-307 overflows"):
+            adiabatic_engine(cfg(K=256), BathPair(1.0, 1e-307))
+
+    def test_sweep_raises_rather_than_recording_rows(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="beta_A = 1e-320 overflows"):
+                sweep(cfg(K=4), [BathPair(1e-320, 0.5e-320)], [1.0, 2.0], quintic)
+
+
 class TestCasimirCancellation:
     def test_nonadiabatic_toggle_bitwise(self):
         on = nonadiabatic_engine(cfg(K=16), ENGINE_BATHS, quintic(1.0),

@@ -12,7 +12,6 @@ from casotto import fock_oracle, friction
 from casotto.fock_oracle import (
     FockConfig,
     OracleRangeError,
-    StepSizeError,
     validate_friction,
     verify_trace_identities,
 )
@@ -121,19 +120,21 @@ def mode_occupations(rho: np.ndarray, fock: FockConfig) -> np.ndarray:
 def thermal_state(beta: float, fock: FockConfig, cfg: CavityConfig) -> np.ndarray:
     """The battery's truncated thermal state as a dense matrix; its
     per-mode occupations must match the untruncated ones to 1e-4."""
-    rho = np.diag(reduce(np.kron, _embedded_thermal_state(beta, fock, fock, cfg))).astype(complex)
-    exact = occupations(beta, mode_frequencies(fock.n_modes, cfg.L0))
+    w = mode_frequencies(fock.n_modes, cfg.L0)
+    rho = np.diag(reduce(np.kron, _embedded_thermal_state(beta, w, fock.n_max, fock.n_max + 1)))
+    rho = rho.astype(complex)
+    exact = occupations(beta, w)
     worst = float(np.max(np.abs(mode_occupations(rho, fock) - exact)))
     if worst > 1e-4:
         raise TruncationQualityError(f"per-mode occupation off by {worst:.2e}")
     return rho
 
 
-def evolve(rho0, cfg, traj, fock):
+def evolve(rho0, cfg, traj, fock, dt):
     """The stroke's time-ordered product, one full-space expm per stage,
     with the propagator's step rule and nodes."""
     parts = static_parts(cfg, fock)
-    n_steps = max(1, math.ceil(traj.duration / fock.dt))
+    n_steps = max(1, math.ceil(traj.duration / dt))
     h = traj.duration / n_steps
     rho = rho0.astype(complex)
     for t0 in traj.t_start + h * np.arange(n_steps):
@@ -158,12 +159,14 @@ def energy_expectation(rho: np.ndarray, H: np.ndarray) -> float:
     return val.real
 
 
-def dense_excess(cfg: CavityConfig, beta: float, traj: Trajectory, fock: FockConfig) -> float:
+def dense_excess(
+    cfg: CavityConfig, beta: float, traj: Trajectory, fock: FockConfig, dt: float
+) -> float:
     """``E_full - E_adiab`` of the reference: the final energy against the
     initial level weights on the sorted final levels."""
     rho0 = thermal_state(beta, fock, cfg)
     H_end = build_hamiltonian(traj.t_end, cfg, traj, fock)
-    e_full = energy_expectation(evolve(rho0, cfg, traj, fock), H_end)
+    e_full = energy_expectation(evolve(rho0, cfg, traj, fock, dt), H_end)
     start = np.real(np.diag(build_hamiltonian(traj.t_start, cfg, traj, fock)))
     weights = np.real(np.diag(rho0))[np.argsort(start, kind="stable")]
     return e_full - float(weights @ np.sort(np.linalg.eigvalsh(H_end)))
@@ -239,13 +242,18 @@ class TestFockConfig:
             verify_trace_identities(2.0, big, cavity(K=4))
         assert caught.value.names == ("n_max", "n_modes")
         with pytest.raises(ValueError):
-            FockConfig(dt=0.0)
+            FockConfig(n_max=0)
 
     def test_has_no_integrator_order(self):
         # the fourth-order step is the only one
-        assert [f.name for f in fields(FockConfig)] == ["n_modes", "n_max", "dt"]
+        assert [f.name for f in fields(FockConfig)] == ["n_modes", "n_max"]
         with pytest.raises(TypeError):
             FockConfig(integrator_order=4)
+
+    def test_has_no_step(self):
+        # the friction check takes its step as an argument
+        with pytest.raises(TypeError):
+            FockConfig(n_modes=2, dt=0.01)
 
 
 class TestBuildHamiltonian:
@@ -293,7 +301,7 @@ class TestStaticParts:
 
     @pytest.mark.parametrize("n_modes", [1, 2, 3])
     def test_free_hamiltonian_is_exactly_diagonal(self, n_modes):
-        h0, h1, h2 = _static_parts(cavity(K=n_modes), n_modes)
+        h0, h1, h2 = _static_parts(cavity(K=n_modes))
         w = mode_frequencies(n_modes, math.pi)
         assert np.array_equal(h0, np.diag(np.concatenate([w, w])))
         # the squeeze term moves x only; the coupling pairs p_k with x_j
@@ -306,7 +314,7 @@ class TestStaticParts:
     def test_matches_dense_ladder_products(self, n_modes, n_max):
         fock = FockConfig(n_modes=n_modes, n_max=n_max)
         cfg = cavity(K=n_modes)
-        for form, ref in zip(_static_parts(cfg, n_modes), static_parts(cfg, fock)):
+        for form, ref in zip(_static_parts(cfg), static_parts(cfg, fock)):
             scale = max(1.0, float(np.max(np.abs(ref))))  # up to 36 at n_max = 6
             assert np.max(np.abs(_quantised(form, fock) - ref)) <= 1e-15 * scale
 
@@ -356,59 +364,53 @@ class TestEvolve:
 
     def test_free_evolution_preserves_occupations(self):
         cfg = cavity()
-        fock = FockConfig(n_modes=2, dt=0.02)
         sigma0 = _thermal_covariance(2.0, cfg)
-        S = _propagator(cfg, static_profile(0.0), fock, _static_parts(cfg, 2))
+        S = _propagator(cfg, static_profile(0.0), 0.02, _static_parts(cfg))
         occ0 = occupations(2.0, mode_frequencies(2, cfg.L0))
         assert np.max(np.abs(_occupations_after(S, sigma0) - occ0)) < 1e-12
 
-    def test_free_evolution_energy_conservation(self, monkeypatch):
+    def test_free_evolution_energy_conservation(self):
         cfg = cavity()
         frozen = static_profile(0.0)
-        parts = _static_parts(cfg, 2)
+        parts = _static_parts(cfg)
         sigma0 = _thermal_covariance(2.0, cfg)
-        S = _propagator(cfg, frozen, FockConfig(n_modes=2, dt=0.02), parts)
+        S = _propagator(cfg, frozen, 0.02, parts)
         assert abs(_energy(parts[0], S @ sigma0 @ S.T) - _energy(parts[0], sigma0)) < 1e-12
-        # a first-order step exponential is not symplectic: the static-wall
-        # energy check catches the drift
-        monkeypatch.setattr(fock_oracle, "_TAYLOR_DEGREE", 1)
-        with pytest.raises(StepSizeError, match="drifted"):
-            _propagator(cfg, frozen, FockConfig(n_modes=2, dt=0.02), parts)
+        # a static wall conserves the energy of every state: S^T h S = h
+        assert_conserves_static_wall_energy(S, _forms(np.array(0.0), cfg, frozen, parts))
 
     def test_motion_between_evenly_spaced_samples_is_not_a_static_wall(self):
         # at rest on [0, 100] except a quintic ramp over [50.05, 50.35], which
         # lies between two of 257 evenly spaced velocity samples; the stroke
-        # moves, so no static-wall energy check applies
+        # moves, and the propagation resolves it
         lo, hi = 50.05, 50.35
         c = np.zeros((6, 3))
         c[:, 1] = quintic(hi - lo).delta.c[:, 0]
         c[-1, 2] = 1.0
         ramp = Trajectory(PPoly(c, [0.0, lo, hi, 100.0]), label="late ramp")
         assert not np.any(ramp.ddelta(np.linspace(0.0, 100.0, 257)))
-        cfg, fock = cavity(K=2), FockConfig(n_modes=2, dt=0.01)
-        S = _propagator(cfg, ramp, fock, _static_parts(cfg, 2))
+        cfg = cavity(K=2)
+        S = _propagator(cfg, ramp, 0.01, _static_parts(cfg))
         # symplectic to the propagation's round-off, n_steps * eps_machine
         # (measured 1.5e-12 over the 10^4 steps)
         J = _symplectic_form(2)
         assert np.max(np.abs(S @ J @ S.T - J)) < 1e4 * np.finfo(float).eps
-        report = validate_friction(cfg, ThermalBath(2.0), ramp, fock)
+        report = validate_friction(cfg, ThermalBath(2.0), ramp, 0.01)
         assert all(math.isfinite(row.E_full) for row in report.rows)
 
     def test_trace_preservation(self):
         # the whole stroke is symplectic: S J S^T = J
         for n_modes in (2, 16):
             cfg = cavity(K=n_modes)
-            fock = FockConfig(n_modes=n_modes, dt=0.1 / n_modes)
-            S = _propagator(cfg, quintic(1.0), fock, _static_parts(cfg, n_modes))
+            S = _propagator(cfg, quintic(1.0), 0.1 / n_modes, _static_parts(cfg))
             J = _symplectic_form(n_modes)
             assert np.max(np.abs(S @ J @ S.T - J)) < 1e-12
 
     def test_compression_grows_occupation_at_second_order(self):
-        fock = FockConfig(n_modes=1, dt=0.01)
         gains = []
         for eps in (0.01, 0.02):
             cfg = cavity(eps=eps, K=1)
-            S = _propagator(cfg, quintic(1.0), fock, _static_parts(cfg, 1))
+            S = _propagator(cfg, quintic(1.0), 0.01, _static_parts(cfg))
             gains.append(_occupations_after(S, _thermal_covariance(2.0, cfg))[0]
                          - thermal_occupation(2.0, cfg.omega1))
         assert gains[0] > 0
@@ -418,7 +420,7 @@ class TestEvolve:
         # one step's exponential is symplectic to round-off
         cfg = cavity(eps=0.2, K=3)
         J = _symplectic_form(3)
-        form = _forms(np.array(0.3), cfg, quintic(1.0), _static_parts(cfg, 3))
+        form = _forms(np.array(0.3), cfg, quintic(1.0), _static_parts(cfg))
         E = _expm(0.1 / 3 * J @ form)
         assert np.max(np.abs(E @ J @ E.T - J)) < 1e-15
 
@@ -426,28 +428,40 @@ class TestEvolve:
         # error against a fine reference shrinks by ~2^4 per halving
         cfg = cavity(eps=0.2, K=2)
         tr = quintic(1.0)
-        parts = _static_parts(cfg, 2)
-        ref = _propagator(cfg, tr, FockConfig(n_modes=2, dt=0.003125), parts)
+        parts = _static_parts(cfg)
+        ref = _propagator(cfg, tr, 0.003125, parts)
         errs = []
         for dt in (0.05, 0.025):
-            fock = FockConfig(n_modes=2, dt=dt)
-            errs.append(np.max(np.abs(_propagator(cfg, tr, fock, parts) - ref)))
+            errs.append(np.max(np.abs(_propagator(cfg, tr, dt, parts) - ref)))
         assert abs(math.log2(errs[0] / errs[1]) - 4.0) <= 0.3
 
     def test_step_size_cap(self):
         cfg = cavity()
         with pytest.raises(OracleRangeError, match="dt") as caught:
-            _propagator(cfg, quintic(1.0), FockConfig(n_modes=2, dt=0.2), _static_parts(cfg, 2))
+            _propagator(cfg, quintic(1.0), 0.2, _static_parts(cfg))
         assert caught.value.names == ("dt",)
 
+    @pytest.mark.parametrize("dt", [0.0, -0.01, math.nan])
+    def test_step_must_be_positive(self, dt):
+        cfg = cavity()
+        with pytest.raises(ValueError, match="dt must be positive"):
+            _propagator(cfg, quintic(1.0), dt, _static_parts(cfg))
 
-def ordered_loop_propagator(cfg, traj, fock, parts):
+
+def assert_conserves_static_wall_energy(S, h):
+    """``S^T h S = h`` to 1e-10 of ``h``'s largest entry (or of 1), for one
+    stroke or a stack of them on the leading axis."""
+    drift = np.max(np.abs(np.swapaxes(S, -1, -2) @ h @ S - h))
+    assert drift <= 1e-10 * max(1.0, float(np.max(np.abs(h))))
+
+
+def ordered_loop_propagator(cfg, traj, dt, parts):
     """The stroke's ``S`` with the propagator's step exponentials, multiplied
     one factor at a time in time order."""
-    n_steps = max(1, math.ceil(traj.duration / fock.dt))
+    n_steps = max(1, math.ceil(traj.duration / dt))
     dt = traj.duration / n_steps
-    dtJ = dt * _symplectic_form(fock.n_modes)
-    S = np.eye(2 * fock.n_modes)
+    dtJ = dt * _symplectic_form(cfg.n_modes)
+    S = np.eye(2 * cfg.n_modes)
     for t0 in traj.t_start + dt * np.arange(n_steps):
         early, late = _forms(t0 + np.array([0.5 - _GAUSS_SHIFT, 0.5 + _GAUSS_SHIFT]) * dt,
                              cfg, traj, parts)
@@ -463,16 +477,15 @@ class TestTreeProduct:
     @pytest.mark.parametrize("n_modes", [2, 8])
     @pytest.mark.parametrize("steps_per_block", [None, 7])
     def test_matches_ordered_loop(self, monkeypatch, n_modes, steps_per_block):
-        cfg = cavity(eps=0.02, K=n_modes)
-        fock = FockConfig(n_modes=n_modes, dt=0.1 / n_modes)
-        parts = _static_parts(cfg, n_modes)
+        cfg, dt = cavity(eps=0.02, K=n_modes), 0.1 / n_modes
+        parts = _static_parts(cfg)
         if steps_per_block is not None:
             # 7 steps a block: 14 factors, an odd count one level up, and a
             # short last block
             dim = 2 * n_modes
             monkeypatch.setattr(fock_oracle, "_BLOCK_ENTRIES", steps_per_block * 2 * dim * dim)
-        S = _propagator(cfg, quintic(1.0), fock, parts)
-        ref = ordered_loop_propagator(cfg, quintic(1.0), fock, parts)
+        S = _propagator(cfg, quintic(1.0), dt, parts)
+        ref = ordered_loop_propagator(cfg, quintic(1.0), dt, parts)
         assert np.max(np.abs(S - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
@@ -484,35 +497,32 @@ class TestStackedPropagation:
     @pytest.mark.parametrize("steps_per_block", [None, 7])
     def test_each_slice_equals_its_stroke_alone(self, monkeypatch, steps_per_block, epsilons):
         n_modes = 4
-        cfg = cavity(eps=epsilons[0], K=n_modes)
-        fock = FockConfig(n_modes=n_modes, dt=0.1 / n_modes)
-        parts = _static_parts(cfg, n_modes)
+        cfg, dt = cavity(eps=epsilons[0], K=n_modes), 0.1 / n_modes
+        parts = _static_parts(cfg)
         if steps_per_block is not None:
             # 40 steps in blocks of 7: several blocks, the last one short
             dim = 2 * n_modes
             monkeypatch.setattr(fock_oracle, "_BLOCK_ENTRIES", steps_per_block * 2 * dim * dim)
-        stacked = _propagator(cfg, quintic(1.0), fock, parts, np.array(epsilons))
+        stacked = _propagator(cfg, quintic(1.0), dt, parts, np.array(epsilons))
         assert stacked.shape == (len(epsilons), 2 * n_modes, 2 * n_modes)
         for S, eps in zip(stacked, epsilons):
-            alone = _propagator(replace(cfg, epsilon=eps), quintic(1.0), fock, parts)
+            alone = _propagator(replace(cfg, epsilon=eps), quintic(1.0), dt, parts)
             assert np.array_equal(S, alone)
 
     def test_forms_stack_epsilon_first(self):
         cfg, ts = cavity(eps=0.01, K=2), np.array([[0.2, 0.3, 0.4], [0.5, 0.6, 0.7]])
-        parts = _static_parts(cfg, 2)
+        parts = _static_parts(cfg)
         stacked = _forms(ts, cfg, quintic(1.0), parts, np.array([0.01, 0.004]))
         assert stacked.shape == (2, 2, 3, 4, 4)
         assert np.array_equal(stacked[0], _forms(ts, cfg, quintic(1.0), parts))
         assert np.array_equal(stacked[1], _forms(ts, cavity(eps=0.004, K=2), quintic(1.0), parts))
 
-    def test_static_wall_check_covers_every_epsilon(self, monkeypatch):
-        cfg, frozen = cavity(K=2), static_profile(0.0)
-        fock, parts = FockConfig(n_modes=2, dt=0.02), _static_parts(cfg, 2)
-        S = _propagator(cfg, frozen, fock, parts, np.array([0.01, 0.005]))
+    def test_static_wall_check_covers_every_epsilon(self):
+        cfg, frozen, eps = cavity(K=2), static_profile(0.0), np.array([0.01, 0.005])
+        parts = _static_parts(cfg)
+        S = _propagator(cfg, frozen, 0.02, parts, eps)
         assert np.array_equal(S[0], S[1])
-        monkeypatch.setattr(fock_oracle, "_TAYLOR_DEGREE", 1)
-        with pytest.raises(StepSizeError, match="drifted"):
-            _propagator(cfg, frozen, fock, parts, np.array([0.01, 0.005]))
+        assert_conserves_static_wall_energy(S, _forms(np.array(0.0), cfg, frozen, parts, eps))
 
 
 class TestParitySectors:
@@ -533,7 +543,7 @@ class TestParitySectors:
         # the stacked Taylor exponential against scipy's, one matrix at a time
         cfg = cavity(eps=0.2)
         J = _symplectic_form(2)
-        forms = _forms(np.array([0.1, 0.3, 0.77]), cfg, quintic(1.0), _static_parts(cfg, 2))
+        forms = _forms(np.array([0.1, 0.3, 0.77]), cfg, quintic(1.0), _static_parts(cfg))
         stacked = _expm(0.05 * J @ forms)
         for E, form in zip(stacked, forms):
             assert np.max(np.abs(E - expm(0.05 * J @ form))) < 1e-15
@@ -543,7 +553,7 @@ class TestParitySectors:
         # quadratures evolve linearly whatever the state, so S carries the
         # second moments of a state with coherences and first moments too;
         # the state sits on the lowest rungs, far below the cutoff
-        fock = FockConfig(n_modes=2, n_max=10, dt=0.02)
+        fock, dt = FockConfig(n_modes=2, n_max=10), 0.02
         cfg = cavity(eps=0.05)
         rng = np.random.default_rng(3)
         low = np.all(np.array(np.unravel_index(np.arange(121), (11, 11))) <= 1, axis=0)
@@ -555,9 +565,9 @@ class TestParitySectors:
         assert np.max(np.abs(rho0[np.ix_(odd, ~odd)])) > 1e-2
         moments = _second_moments(rho0, fock)
         tr = quintic(tau)
-        S = _propagator(cfg, tr, fock, _static_parts(cfg, 2))
-        h_end = _forms(np.array(tr.t_end), cfg, tr, _static_parts(cfg, 2))
-        dense = energy_expectation(evolve(rho0, cfg, tr, fock), build_hamiltonian(tr.t_end, cfg, tr, fock))
+        S = _propagator(cfg, tr, dt, _static_parts(cfg))
+        h_end = _forms(np.array(tr.t_end), cfg, tr, _static_parts(cfg))
+        dense = energy_expectation(evolve(rho0, cfg, tr, fock, dt), build_hamiltonian(tr.t_end, cfg, tr, fock))
         # measured 1.4e-15 (tau = 1) and 2e-16 (tau = 0.5) at eps = 0.05;
         # 2.9e-9 at eps = 0.2, where the state reaches the cutoff
         assert _energy(h_end, S @ moments @ S.T) == pytest.approx(dense, rel=1e-12)
@@ -611,19 +621,15 @@ class TestDenseReference:
 
     def test_two_modes(self):
         cfg = cavity(eps=0.01, K=2)
-        fock = FockConfig(n_modes=2, n_max=12, dt=0.01)
-        row = validate_friction(cfg, ThermalBath(2.0), quintic(1.0), fock,
-                                epsilons=(0.01, 0.005)).rows[0]
-        dense = dense_excess(cfg, 2.0, quintic(1.0), fock)
+        row = validate_friction(cfg, ThermalBath(2.0), quintic(1.0), 0.01).rows[0]
+        dense = dense_excess(cfg, 2.0, quintic(1.0), FockConfig(n_modes=2, n_max=12), 0.01)
         # measured 3.6e-9
         assert row.E_full - row.E_adiab == pytest.approx(dense, rel=1e-8)
 
     def test_three_modes(self):
         cfg = cavity(eps=0.01, K=3)
-        fock = FockConfig(n_modes=3, n_max=4, dt=0.01)
-        row = validate_friction(cfg, ThermalBath(5.0), quintic(1.0), fock,
-                                epsilons=(0.01, 0.005)).rows[0]
-        dense = dense_excess(cfg, 5.0, quintic(1.0), fock)
+        row = validate_friction(cfg, ThermalBath(5.0), quintic(1.0), 0.01).rows[0]
+        dense = dense_excess(cfg, 5.0, quintic(1.0), FockConfig(n_modes=3, n_max=4), 0.01)
         # measured 4.6e-7 at this cutoff (6.7e-9 at n_max = 5)
         assert row.E_full - row.E_adiab == pytest.approx(dense, rel=1e-6)
 
@@ -824,7 +830,7 @@ class TestDiagonalTraces:
         # no string and enter through their weights' sum
         fock = FockConfig(n_modes=5, n_max=8)
         cfg = cavity(K=5)
-        weights = _embedded_thermal_state(beta, fock, replace(fock, n_max=10), cfg)
+        weights = _embedded_thermal_state(beta, mode_frequencies(5, cfg.L0), fock.n_max, 11)
         a = np.diag(np.sqrt(np.arange(1.0, 11.0)), k=1)
         small = {"a": a, "ad": a.T, "N": a.T @ a}
         report = verify_trace_identities(beta, fock, cfg)
@@ -840,44 +846,60 @@ class TestDiagonalTraces:
 class TestValidateFriction:
     def test_quintic_two_modes_ratio_near_one(self):
         cfg = cavity(eps=0.01, K=2)
-        fock = FockConfig(n_modes=2, n_max=8, dt=0.01)
-        report = validate_friction(cfg, ThermalBath(2.0), quintic(1.0), fock,
-                                   epsilons=(0.01, 0.005))
+        report = validate_friction(cfg, ThermalBath(2.0), quintic(1.0), 0.01)
         assert 0.95 <= report.richardson_ratio <= 1.05
         for row in report.rows:
             assert row.ratio == pytest.approx(1.0, abs=0.05)
             assert row.E_pert == pytest.approx(row.E_adiab + (row.E_full - row.E_adiab),
                                                rel=0.1)
 
+    def test_compares_epsilon_with_its_half(self):
+        cfg = cavity(eps=0.01, K=2)
+        report = validate_friction(cfg, ThermalBath(2.0), quintic(1.0))
+        assert [row.epsilon for row in report.rows] == [0.01, 0.005]
+
+    def test_takes_no_fock_config_and_no_epsilons(self):
+        cfg, bath = cavity(eps=0.01, K=1), ThermalBath(2.0)
+        with pytest.raises(TypeError):
+            validate_friction(cfg, bath, quintic(1.0), FockConfig(n_modes=1))
+        with pytest.raises(TypeError):
+            validate_friction(cfg, bath, quintic(1.0), 0.1, epsilons=(0.01, 0.005))
+
+    def test_retains_the_cavity_modes(self):
+        # E_F over the cavity's 3 modes, eps**2 times its value per eps**2
+        cfg, bath = cavity(eps=0.01, K=3), ThermalBath(2.0)
+        report = validate_friction(cfg, bath, quintic(1.0), 0.02)
+        per_eps2 = friction_energy(cfg, bath, quintic(1.0)).value_per_eps2
+        assert [row.E_pert for row in report.rows] == [
+            row.E_adiab + row.epsilon**2 * per_eps2 for row in report.rows]
+
     def test_static_profile_matches_adiabatic_exactly(self):
         # no wall velocity: evolution is exactly adiabatic, every mode keeps
         # its frequency and its thermal occupation
         cfg = cavity(eps=0.01, K=2)
-        parts = _static_parts(cfg, 2)
-        S = _propagator(cfg, static_profile(0.0), FockConfig(n_modes=2, dt=0.01), parts)
+        parts = _static_parts(cfg)
+        S = _propagator(cfg, static_profile(0.0), 0.01, parts)
         w = mode_frequencies(2, cfg.L0)
         e_adiab = float(w @ occupations(2.0, w))
         e_full = _energy(parts[0], S @ _thermal_covariance(2.0, cfg) @ S.T)
         assert e_full == pytest.approx(e_adiab, abs=1e-12)
+        assert_conserves_static_wall_energy(S, parts[0])
 
     def test_stroke_must_start_at_rest(self):
         # a displaced wall at t_start leaves no free Hamiltonian to count
         # adiabatic populations in
-        fock = FockConfig(n_modes=1, dt=0.01)
         with pytest.raises(ValueError, match="start at rest"):
-            validate_friction(cavity(K=1), ThermalBath(2.0), static_profile(1.0), fock)
+            validate_friction(cavity(K=1), ThermalBath(2.0), static_profile(1.0), 0.01)
 
     def test_shortcut_residual_is_higher_order(self):
         # with the resonant amplitudes cancelled the measured excess is far
         # below the plain-stroke friction at the same duration; the residual
         # has no threshold of its own, only this relative smallness
         cfg = CavityConfig(L0=1.0, epsilon=0.01, n_modes=2)
-        fock = FockConfig(n_modes=2, dt=0.002)
         bath = ThermalBath(2.0 / cfg.omega1)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # E_F is round-off
-            report = validate_friction(cfg, bath, shortcut(quintic(1.0), cfg.L0), fock,
-                                       epsilons=(0.01, 0.005))
+            report = validate_friction(cfg, bath, shortcut(quintic(1.0), cfg.L0), 0.002)
         row = report.rows[0]
         plain = friction_energy(cfg, bath, quintic(1.0)).value
         assert abs(row.E_full - row.E_adiab) < 0.05 * plain
@@ -886,10 +908,9 @@ class TestValidateFriction:
         # the shortcut cancels E_F down to round-off; dividing by it would
         # print a ratio of order 1e28
         cfg = cavity(eps=0.01, K=1)
-        fock = FockConfig(n_modes=1, n_max=6, dt=0.1)
         sc = shortcut(quintic(1.0), cfg.L0)
         with pytest.warns(RuntimeWarning, match="round-off") as caught:
-            report = validate_friction(cfg, ThermalBath(2.0), sc, fock)
+            report = validate_friction(cfg, ThermalBath(2.0), sc, 0.1)
         assert all(w.filename == __file__ for w in caught)
         assert all(math.isnan(row.ratio) for row in report.rows)
         assert math.isnan(report.richardson_ratio)
@@ -899,7 +920,7 @@ class TestValidateFriction:
         # at -2e-14 of round-off; the ratio read -2016.5 and 482.2
         cfg = cavity(eps=0.01, K=1)
         with pytest.warns(RuntimeWarning, match=r"round-off bound 1\.0[0-9]*e-12") as caught:
-            report = validate_friction(cfg, ThermalBath(2.0), quintic(300.0), FockConfig(n_modes=1))
+            report = validate_friction(cfg, ThermalBath(2.0), quintic(300.0))
         assert len(caught) == 2
         assert all(math.isnan(row.ratio) for row in report.rows)
         assert math.isnan(report.richardson_ratio)
@@ -909,49 +930,37 @@ class TestValidateFriction:
         cfg = cavity(eps=0.01, K=2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            report = validate_friction(cfg, ThermalBath(2.0), quintic(1.0), FockConfig(n_modes=2))
+            report = validate_friction(cfg, ThermalBath(2.0), quintic(1.0))
         assert all(row.E_pert - row.E_adiab > 3e-6 for row in report.rows)
 
-    @pytest.mark.parametrize("epsilons", [(-0.01, 0.005), (0.01, 0.0), (0.0, -0.02)])
-    def test_epsilon_outside_the_unit_interval(self, epsilons):
+    @pytest.mark.parametrize("eps", [-0.01, 0.0, -0.02])
+    def test_epsilon_outside_the_unit_interval(self, eps):
+        # the cavity bounds the epsilon, and half of it stays in range
         with pytest.raises(ValueError, match=r"epsilon must lie in \(0, 1\)"):
-            validate_friction(cavity(K=1), ThermalBath(2.0), quintic(1.0), FockConfig(n_modes=1),
-                              epsilons=epsilons)
+            validate_friction(cavity(eps=eps, K=1), ThermalBath(2.0), quintic(1.0))
 
-    @pytest.mark.parametrize("epsilons", [(0.03, 0.01), (0.01, 0.5), (1.5, 0.01)])
-    def test_epsilon_above_the_perturbative_range_names_epsilon(self, epsilons):
+    @pytest.mark.parametrize("eps", [0.03, 0.5, 0.99])
+    def test_epsilon_above_the_perturbative_range_names_epsilon(self, eps):
         with pytest.raises(OracleRangeError, match="eps <= 0.02") as caught:
-            validate_friction(cavity(K=1), ThermalBath(2.0), quintic(1.0), FockConfig(n_modes=1),
-                              epsilons=epsilons)
+            validate_friction(cavity(eps=eps, K=1), ThermalBath(2.0), quintic(1.0))
         assert caught.value.names == ("epsilon",)
 
     def test_rejects_non_unit_displacement(self):
         half = quintic(1.0)
         half = Trajectory(PPoly(0.5 * half.delta.c, half.delta.x), label="half")
         with pytest.raises(ValueError, match="unit displacement, got 0.5"):
-            validate_friction(cavity(K=2), ThermalBath(2.0), half, FockConfig(n_modes=2))
-
-    @pytest.mark.parametrize("epsilons", [(0.01, 0.01), (0.01,), (0.01, 0.005, 0.0025)])
-    def test_needs_two_distinct_epsilons(self, epsilons):
-        # checked before any evolution: the extrapolation divides by their gap
-        cfg = cavity(eps=0.01, K=1)
-        fock = FockConfig(n_modes=1, n_max=6, dt=0.1)
-        with pytest.raises(ValueError, match="two distinct epsilons"):
-            validate_friction(cfg, ThermalBath(2.0), quintic(1.0), fock, epsilons=epsilons)
+            validate_friction(cavity(K=2), ThermalBath(2.0), half)
 
     def test_epsilon_guard(self):
-        cfg = cavity(eps=0.01, K=2)
-        fock = FockConfig(n_modes=2, n_max=6)
+        cfg = cavity(eps=0.1, K=2)
         with pytest.raises(ValueError):
-            validate_friction(cfg, ThermalBath(2.0), quintic(1.0), fock,
-                              epsilons=(0.1, 0.05))
+            validate_friction(cfg, ThermalBath(2.0), quintic(1.0))
 
     def test_mode_cap(self):
         # 64 modes is the most the check takes; the error names n_modes, not
         # the step that 65 modes would also need shrunk
-        fock = FockConfig(n_modes=65, dt=0.01)
         with pytest.raises(OracleRangeError, match="64") as caught:
-            validate_friction(cavity(K=65), ThermalBath(2.0), quintic(1.0), fock)
+            validate_friction(cavity(K=65), ThermalBath(2.0), quintic(1.0), 0.01)
         assert caught.value.names == ("n_modes",)
 
     def test_no_truncation_warning_for_the_modes_left_out(self):
@@ -960,17 +969,15 @@ class TestValidateFriction:
         cfg = cavity(eps=0.01, K=16)
         with pytest.warns(TruncationWarning):
             friction_energy(cfg, ThermalBath(1.0), quintic(1.0))
-        fock = FockConfig(n_modes=16, dt=0.1 / 16)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            report = validate_friction(cfg, ThermalBath(1.0), quintic(1.0), fock)
+            report = validate_friction(cfg, ThermalBath(1.0), quintic(1.0), 0.1 / 16)
         assert 0.95 <= report.richardson_ratio <= 1.05
 
     def test_spectral_table_built_once(self, monkeypatch):
         # the table depends on L0 and the mode count, not on epsilon: one
         # build serves both friction energies, which keep the digits of a
         # table built per epsilon
-        fock = FockConfig(n_modes=4, dt=0.025)
         cfg, bath = cavity(eps=0.01, K=4), ThermalBath(2.0)
         calls, build = [], friction.spectral_table
 
@@ -980,7 +987,7 @@ class TestValidateFriction:
 
         monkeypatch.setattr(friction, "spectral_table", counted)
         monkeypatch.setattr(fock_oracle, "spectral_table", counted, raising=False)
-        report = validate_friction(cfg, bath, quintic(1.0), fock)
+        report = validate_friction(cfg, bath, quintic(1.0), 0.025)
         assert calls == [4]
         monkeypatch.undo()
         with warnings.catch_warnings():
@@ -994,11 +1001,10 @@ class TestValidateFriction:
         # both epsilons share h0, h1, h2: one build serves both propagations
         calls = []
 
-        def counted(cfg, n_modes):
-            calls.append(n_modes)
-            return _static_parts(cfg, n_modes)
+        def counted(cfg):
+            calls.append(cfg.n_modes)
+            return _static_parts(cfg)
 
         monkeypatch.setattr(fock_oracle, "_static_parts", counted)
-        fock = FockConfig(n_modes=1, n_max=6, dt=0.1)
-        validate_friction(cavity(eps=0.01, K=1), ThermalBath(2.0), quintic(1.0), fock)
+        validate_friction(cavity(eps=0.01, K=1), ThermalBath(2.0), quintic(1.0), 0.1)
         assert len(calls) == 1

@@ -472,6 +472,33 @@ class TestBathKernel:
         with pytest.raises(ValueError):
             error[0, 1] = 0.0
 
+    # 1e-320: the occupations overflow; 1e-307: the kernel's k**3 N_k sums
+    # at K = 4, while mode_breakdown's per-mode terms stay finite
+    @pytest.mark.parametrize("call, beta", [
+        ("friction_energy", 1e-320), ("friction_energy", 1e-307),
+        ("friction_bound", 1e-320), ("friction_bound", 1e-307),
+        ("mode_breakdown", 1e-320),
+    ])
+    def test_overflowing_bath_raises_naming_beta(self, call, beta):
+        cfg, tr = make_cfg(K=4), quintic(1.0)
+        args = (spectral_table(tr, cfg),) if call == "mode_breakdown" else (tr,)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"beta = {beta!r} overflows"):
+                getattr(friction_module, call)(cfg, ThermalBath(beta), *args)
+
+
+def test_piece_too_wide_for_its_powers_raises():
+    # a shortcut stroke at L0 = 1e300 spans pieces 1e300 wide, whose h**5
+    # overflows: the running amplitudes read nan before
+    tr = shortcut(quintic(1.0), 1e300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="wide overflows the amplitude table"):
+            partial_spectral_integral(tr, 2, 1e300, 0.0)
+        with pytest.raises(ValueError, match="wide overflows the amplitude table"):
+            spectral_table(tr, CavityConfig(L0=1e300, epsilon=0.01, n_modes=2))
+
 
 class TestFrictionEnergy:
     def test_static_wall_gives_zero(self):
@@ -791,7 +818,7 @@ class TestPerBathMemo:
         C[1:] *= 2.0  # keeps the unit displacement at n = 0
         changed = dataclasses.replace(table, C=C)
         res = friction_energy(cfg, bath, tr, table=changed)
-        fresh = SpectralTable(table.omega1, C, table.S, table.err, table.label)
+        fresh = SpectralTable(table.omega1, C, table.S, table.err)
         assert repr(res) == repr(friction_energy(cfg, bath, tr, table=fresh))
         assert res.value != first.value
 

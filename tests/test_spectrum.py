@@ -154,10 +154,6 @@ class TestConfigs:
         with pytest.raises(ValueError):
             CavityConfig(L0=1.0, epsilon=0.1, n_modes=0)
 
-    def test_perturbative_flag(self):
-        assert not CavityConfig(L0=1.0, epsilon=0.05).perturbative_warning
-        assert CavityConfig(L0=1.0, epsilon=0.2).perturbative_warning
-
     def test_derived_lengths(self):
         cfg = CavityConfig(L0=math.pi, epsilon=0.25)
         assert cfg.omega1 == pytest.approx(1.0)

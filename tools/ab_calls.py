@@ -1,25 +1,30 @@
-"""Compare two checkouts' request latency call by call, in two live workers.
+"""Compare two checkouts' request latency call by call, in live workers.
 
     python3 tools/ab_calls.py --parent DIR --workload W [--calls N] [--seed N]
 
-One worker process starts per checkout: the parent DIR and the change, the
-checkout holding this script.  Each imports casotto from its own ``src/``
-and runs CLI requests in-process with its own ``perfbench/run.py``
-(``limit_threads``, then ``call``: ``parse_config`` and ``run`` into a
-string buffer).  The requests are workload W of this checkout's
-``perfbench/workloads.py``, taken in turn; each worker first runs
-``run.WARMUP_ARGV`` and every request once.  Then each of ``--calls``
-pairs sends one request to both workers, one after the other, the side
-that goes first alternating from one pass over the requests to the next
-(parent-change, change-parent: ABBA).
+A worker pair is one worker process per checkout: the parent DIR and the
+change, the checkout holding this script.  Each imports casotto from its
+own ``src/`` and runs CLI requests in-process with its own
+``perfbench/run.py`` (``limit_threads``, then ``call``: ``parse_config``
+and ``run`` into a string buffer).  The requests are workload W of this
+checkout's ``perfbench/workloads.py``, taken in turn; each worker first
+runs ``run.WARMUP_ARGV`` and every request once.  Then each of its calls
+sends one request to both workers, one after the other, the side that goes
+first alternating from one pass over the requests to the next
+(parent-change, change-parent: ABBA).  The ``--calls`` are split over
+three fresh worker pairs, one after the other.
 
 Both sides see the same host state within a few milliseconds, so the
-change/parent ratio of a pair is free of the drift between benchmark runs,
-which reaches tens of percent.  Printed per request kind: each side's
-median latency in ms and the median change/parent ratio with its
-quartiles.  A ``pass`` row does the same for each side's latency summed
-over one call of every request, the unit a benchmark pass times.  The last
-line counts the requests whose stdout differs between the sides.
+change/parent ratio of a call is free of the drift between benchmark runs,
+which reaches tens of percent.  A single pair still carries its processes'
+own luck (memory layout, a checkout against itself reads a pass ratio a
+percent off 1), so each pair's pass-ratio median is printed on its own
+line.  Then, over all pairs, per request kind: each side's median latency
+in ms and the median change/parent ratio with its quartiles.  A ``pass``
+row does the same for each side's latency summed over one call of every
+request, the unit a benchmark pass times; a pass never spans two pairs.
+The last line counts the requests whose stdout differs between the sides
+in any pair.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+WORKER_PAIRS = 3
 
 
 def worker(checkout: Path) -> int:
@@ -86,19 +92,18 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def compare(parent: Path, change: Path, workload: str, calls: int, seed: int) -> str:
-    sys.path.insert(0, str(HERE / "perfbench"))
-    import run
-    import workloads
-
-    requests = workloads.build(workload, seed)
+def worker_pair(parent: Path, change: Path, requests, calls: int, run):
+    """``calls`` ABBA calls on one fresh worker pair.  Returns the calls as
+    ``(kind, parent ms, change ms)``, the passes as ``(parent ms, change
+    ms)`` summed over one call of every request, and the indices of the
+    requests whose first output differs between the sides."""
     workers = dict(zip(SIDES, (Worker(parent), Worker(change))))
     try:
         first = {}
         for side, w in workers.items():
             w.call(run.WARMUP_ARGV)
             first[side] = [w.call(r.argv) for r in requests]
-        pairs = []  # (kind, parent ms, change ms)
+        timed = []
         n = len(requests)
         for i in range(calls):
             req = requests[i % n]
@@ -106,30 +111,49 @@ def compare(parent: Path, change: Path, workload: str, calls: int, seed: int) ->
             # request runs first on either side equally often
             order = SIDES if (i // n) % 2 == 0 else SIDES[::-1]
             got = {side: workers[side].call(req.argv) for side in order}
-            pairs.append((req.kind, got["parent"]["ms"], got["change"]["ms"]))
+            timed.append((req.kind, got["parent"]["ms"], got["change"]["ms"]))
     finally:
         for w in workers.values():
             w.close()
-    differ = [r.kind for r, a, b in zip(requests, first["parent"], first["change"])
-              if (a["status"], a["sha256"]) != (b["status"], b["sha256"])]
+    passes = [(sum(p for _, p, _ in timed[i:i + n]), sum(c for _, _, c in timed[i:i + n]))
+              for i in range(0, len(timed) - n + 1, n)]
+    differ = {i for i, (a, b) in enumerate(zip(first["parent"], first["change"]))
+              if (a["status"], a["sha256"]) != (b["status"], b["sha256"])}
+    return timed, passes, differ
 
-    # per request kind, and per pass: the sum over one call of every request
+
+def compare(parent: Path, change: Path, workload: str, calls: int, seed: int) -> str:
+    sys.path.insert(0, str(HERE / "perfbench"))
+    import run
+    import workloads
+
+    requests = workloads.build(workload, seed)
+    lines = [f"{workload}: {calls} ABBA pairs over {WORKER_PAIRS} fresh worker pairs, seed {seed}; "
+             "latency medians in ms; change/parent ratio median [q1, q3]"]
+    # per request kind over all worker pairs, and per pass: the sum over one
+    # call of every request
     rows: dict[str, list[tuple[float, float]]] = {}
-    for kind, p, c in pairs:
-        rows.setdefault(kind, []).append((p, c))
-    rows["pass"] = [(sum(p for _, p, _ in pairs[i:i + n]), sum(c for _, _, c in pairs[i:i + n]))
-                    for i in range(0, len(pairs) - n + 1, n)]
-    lines = [f"{workload}: {calls} ABBA pairs, seed {seed}; latency medians in ms; "
-             "change/parent ratio median [q1, q3]",
-             f"{'kind':20} {'pairs':>6} {'parent':>9} {'change':>9} {'ratio':>7}  quartiles"]
+    passes, differ = [], set()
+    for j in range(WORKER_PAIRS):
+        share = calls // WORKER_PAIRS + (j < calls % WORKER_PAIRS)
+        timed, pair_passes, pair_differ = worker_pair(parent, change, requests, share, run)
+        for kind, p, c in timed:
+            rows.setdefault(kind, []).append((p, c))
+        passes += pair_passes
+        differ |= pair_differ
+        median = f"{statistics.median(c / p for p, c in pair_passes):.3f}" if pair_passes else "n/a"
+        lines.append(f"worker pair {j + 1}: {share} ABBA pairs, pass ratio median {median}")
+    rows["pass"] = passes
+    lines.append(f"{'kind':20} {'pairs':>6} {'parent':>9} {'change':>9} {'ratio':>7}  quartiles")
     for kind, samples in rows.items():
         if not samples:
             continue
         q1, q2, q3 = quartiles([c / p for p, c in samples])
         lines.append(f"{kind:20} {len(samples):6d} {statistics.median(p for p, _ in samples):9.4g} "
                      f"{statistics.median(c for _, c in samples):9.4g} {q2:7.3f}  [{q1:.3f}, {q3:.3f}]")
-    lines.append(f"requests whose output differs between the sides: {len(differ)} of {len(requests)}"
-                 + (f" ({', '.join(differ)})" if differ else ""))
+    kinds = [requests[i].kind for i in sorted(differ)]
+    lines.append(f"requests whose output differs between the sides: {len(kinds)} of {len(requests)}"
+                 + (f" ({', '.join(kinds)})" if kinds else ""))
     return "\n".join(lines)
 
 
