@@ -9,17 +9,19 @@ is how the "moving wall" is realised without moving anything.
 
 import math
 
-from casotto import casimir_energy, effective_length, mode_frequency, thermal_occupation
+from casotto import casimir_energy, effective_length
+from casotto.spectrum import mode_frequencies, occupations
 
 L0 = math.pi  # fundamental frequency w_1 = pi/L0 = 1
+w = mode_frequencies(8, L0)
 
 print("mode frequencies (L0 = pi):")
 for k in (1, 2, 3, 8):
-    print(f"  w_{k} = {mode_frequency(k, L0):.6f}")
+    print(f"  w_{k} = {w[k - 1]:.6f}")
 
 print("\nthermal occupations at w_1:")
 for beta in (0.5, 1.0, 2.0, 10.0, math.inf):
-    n = thermal_occupation(beta, mode_frequency(1, L0))
+    (n,) = occupations(beta, w[:1])
     label = "vacuum" if math.isinf(beta) else f"beta*w1 = {beta:g}"
     print(f"  {label:>14}: N = {n:.6f}")
 

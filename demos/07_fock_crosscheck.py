@@ -16,12 +16,7 @@ import math
 import sys
 
 from casotto import CavityConfig, ThermalBath, quintic
-from casotto.fock_oracle import (
-    FockConfig,
-    export_comparison,
-    validate_friction,
-    verify_trace_identities,
-)
+from casotto.fock_oracle import export_comparison, validate_friction, verify_trace_identities
 
 bath = ThermalBath(2.0)
 for n_modes, dt in ((2, 0.01), (32, 0.003)):
@@ -34,8 +29,7 @@ for n_modes, dt in ((2, 0.01), (32, 0.003)):
     print(f"-> ratio extrapolated to eps -> 0: {report.richardson_ratio:.6f}\n")
 
 print("operator-ordering identities on a 3-mode thermal state:")
-idrep = verify_trace_identities(2.0, FockConfig(n_modes=3, n_max=8),
-                                CavityConfig(L0=math.pi, epsilon=0.01, n_modes=3))
+idrep = verify_trace_identities(2.0, CavityConfig(L0=math.pi, epsilon=0.01, n_modes=3), n_max=8)
 worst = max(idrep.checks, key=lambda c: c.deviation)
 print(f"  {len(idrep.checks)} strings checked, "
       f"max deviation {idrep.max_abs_deviation:.2e} "

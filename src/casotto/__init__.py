@@ -45,10 +45,7 @@ from .spectrum import (
     CavityConfig,
     ThermalBath,
     casimir_energy,
-    coupling_g,
     effective_length,
-    mode_frequency,
-    thermal_occupation,
 )
 from .trajectory import Trajectory, from_samples, quintic, reverse, shortcut
 
@@ -64,12 +61,10 @@ __all__ = [
     "adiabatic_engine",
     "adiabatic_refrigerator",
     "casimir_energy",
-    "coupling_g",
     "effective_length",
     "friction_bound",
     "friction_energy",
     "from_samples",
-    "mode_frequency",
     "nonadiabatic_engine",
     "nonadiabatic_refrigerator",
     "quintic",
@@ -78,5 +73,4 @@ __all__ = [
     "spectral_amplitudes",
     "spectral_table",
     "sweep",
-    "thermal_occupation",
 ]

@@ -115,7 +115,11 @@ class CycleReport:
     case ``eta`` holds the analytic limiting value.  ``power`` is
     ``W / (2 tau + thermalization_time)`` for finite-time cycles and NaN for
     adiabatic ones.  ``err`` is the summed round-off bound of the two stroke
-    frictions (0.0 for adiabatic cycles).
+    frictions (0.0 for adiabatic cycles).  ``tail_estimate`` is the
+    truncation tail of the population-frozen heat sum only; the strokes'
+    friction tails are not in it.  ``tail_warning`` is set by that tail
+    exceeding ``tail_tol * |Q_ad|`` or by either stroke's own truncation
+    flag, so it can be True beside a negligible ``tail_estimate``.
     """
 
     E_A: float
@@ -559,7 +563,3 @@ def write_sweep_csv(rows: Iterable[SweepRow], stream) -> None:
 # ``%.17g`` formats as ``format(x, ".17g")`` does
 _ROW = ",".join(["%.17g"] * 8 + ["%s", "%.17g", "%.17g", "%d"]) + "\n"
 _FAILED_ROW = "%.17g,%.17g,%.17g," + ",".join(["nan"] * 5 + ["failed", "nan", "nan", "1"]) + "\n"
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")

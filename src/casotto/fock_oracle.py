@@ -30,7 +30,7 @@ non-adiabatic energy against the separable friction formula restricted to
 the same retained modes.
 
 :func:`verify_trace_identities` tests operator ordering, so it stays in a
-truncated Fock space of per-mode ladders, the :class:`FockConfig`.  The
+truncated Fock space of the cavity's modes, ``n_max`` quanta each.  The
 thermal state there is a product of per-mode weights and each operator
 string a product of per-mode strings, so each trace is the product over
 modes of the weights against that mode's string diagonal; no vector over
@@ -52,14 +52,11 @@ from .spectrum import (
     _warn,
     coupling_matrix,
     mode_frequencies,
-    mode_frequency_derivative,
     occupations,
-    thermal_occupation,
 )
 from .trajectory import Trajectory
 
 __all__ = [
-    "FockConfig",
     "OracleRangeError",
     "verify_trace_identities",
     "IdentityCheck",
@@ -83,30 +80,6 @@ class OracleRangeError(ValueError):
     def __init__(self, message: str, *names: str) -> None:
         super().__init__(message)
         self.names = names
-
-
-@dataclass(frozen=True)
-class FockConfig:
-    """Truncated Fock space of the identity battery.
-
-    n_modes: retained field modes, at least 3 for the battery.
-    n_max:   per-mode occupation cutoff, with ``(n_max + 1)**n_modes <= 1e5``.
-
-    The friction check has no cutoff: it keeps the cavity's modes.
-    """
-
-    n_modes: int = 2
-    n_max: int = 8
-
-    def __post_init__(self) -> None:
-        if self.n_modes < 1:
-            raise ValueError("n_modes must be >= 1")
-        if self.n_max < 1:
-            raise ValueError("n_max must be >= 1")
-
-    @property
-    def dimension(self) -> int:
-        return (self.n_max + 1) ** self.n_modes
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +109,8 @@ def _static_parts(cfg: CavityConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray
     the wall motion does not enter them."""
     n_modes = cfg.n_modes
     w = mode_frequencies(n_modes, cfg.L0)
-    w_prime = np.array([mode_frequency_derivative(k, cfg.L0) for k in range(1, n_modes + 1)])
+    # dw_k/dL as (-k pi)/L**2: -w_k/L differs in the last bit on about 12 % of modes
+    w_prime = -np.arange(1, n_modes + 1) * math.pi / cfg.L0**2
     C = coupling_matrix(n_modes) * np.sqrt(w[:, None] / w[None, :]) / cfg.L0
     h0 = np.diag(np.concatenate([w, w]))
     h1 = np.diag(np.concatenate([2.0 * w_prime, np.zeros(n_modes)]))
@@ -289,12 +263,11 @@ def _embedded_thermal_state(
     return weights
 
 
-def _geometric_expectation(beta: float, omega: float, coeffs: tuple[int, ...]) -> float:
-    """``E[f(N)]`` over the untruncated geometric distribution, exactly:
-    ``f(n) = sum_r c_r n^(r)`` in falling factorials, whose moments are
-    ``r! nbar**r``; this side of the check never touches the truncated
-    matrices."""
-    nbar = thermal_occupation(beta, omega)
+def _geometric_expectation(nbar: float, coeffs: tuple[int, ...]) -> float:
+    """``E[f(N)]`` over the untruncated geometric distribution of mean
+    ``nbar``, exactly: ``f(n) = sum_r c_r n^(r)`` in falling factorials,
+    whose moments are ``r! nbar**r``; this side of the check never touches
+    the truncated matrices."""
     return sum(c * math.factorial(r) * nbar**r for r, c in enumerate(coeffs))
 
 
@@ -373,10 +346,9 @@ _MODE_STRINGS = {()} | {k for _, per_mode, _ in _IDENTITY_STRINGS for k in per_m
 _MOMENTS = {mc for _, modes, polys in _IDENTITY_STRINGS for mc in zip(modes, polys, strict=True)}
 
 
-def verify_trace_identities(
-    beta: float, fock: FockConfig, cfg: CavityConfig
-) -> IdentityReport:
-    """Check normal-ordering trace identities on the truncated thermal state.
+def verify_trace_identities(beta: float, cfg: CavityConfig, n_max: int) -> IdentityReport:
+    """Check normal-ordering trace identities on the thermal state of the
+    cavity's ``n_modes`` modes, truncated at ``n_max`` quanta per mode.
 
     Each bosonic operator string of ``_IDENTITIES`` reduces, by the
     commutation relations, to a product of per-mode polynomials in the
@@ -392,25 +364,29 @@ def verify_trace_identities(
     truncation-limited: the state carries no weight beyond ``n_max``, so
     they scale with the clipped thermal tail.
     """
-    if fock.n_modes < 3:
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    if cfg.n_modes < 3:
         raise OracleRangeError("identity battery needs at least 3 retained modes", "n_modes")
-    if fock.dimension > _DIM_CAP:
+    dimension = (n_max + 1) ** cfg.n_modes
+    if dimension > _DIM_CAP:
         raise OracleRangeError(
-            f"truncated dimension {fock.dimension} exceeds cap {_DIM_CAP}", "n_max", "n_modes"
+            f"truncated dimension {dimension} exceeds cap {_DIM_CAP}", "n_max", "n_modes"
         )
-    w = mode_frequencies(fock.n_modes, cfg.L0)
+    w = mode_frequencies(cfg.n_modes, cfg.L0)
     # the state is truncated at n_max; the operators get two rungs of
     # headroom (the largest raising power in the battery) so the reordering
     # identities are probed without edge clipping at the cutoff
-    rungs = fock.n_max + 3
-    p = _embedded_thermal_state(beta, w, fock.n_max, rungs)
+    rungs = n_max + 3
+    p = _embedded_thermal_state(beta, w, n_max, rungs)
     a = np.diag(np.sqrt(np.arange(1.0, rungs)), k=1)
     ladder = {"a": a, "ad": a.T, "N": a.T @ a}  # N too from the raw ladder matrices
     eye = np.eye(rungs)
     diagonals = {k: np.diag(reduce(np.matmul, [ladder[f] for f in k], eye)) for k in _MODE_STRINGS}
     # each per-mode trace and each moment once, every string a product of them
     traces = {k: [float(q @ d) for q in p] for k, d in diagonals.items()}
-    moments = {(m, c): _geometric_expectation(beta, w[m - 1], c) for m, c in _MOMENTS}
+    nbar = occupations(beta, w)
+    moments = {(m, c): _geometric_expectation(float(nbar[m - 1]), c) for m, c in _MOMENTS}
 
     checks = []
     for label, per_mode, polys in _IDENTITY_STRINGS:

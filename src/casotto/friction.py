@@ -314,6 +314,8 @@ def partial_spectral_integral(
     """
     if int(n) != n or n < 0:
         raise ValueError("n must be a non-negative integer")
+    if not 0 < L0 < math.inf:
+        raise ValueError(f"L0 must be positive and finite, got {L0}")
     if not (traj.t_start <= t <= traj.t_end):
         raise ValueError(f"t={t} outside trajectory domain")
     if t == traj.t_start:

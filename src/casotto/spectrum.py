@@ -22,12 +22,8 @@ __all__ = [
     "CavityConfig",
     "ThermalBath",
     "SingularFluxError",
-    "mode_frequency",
     "mode_frequencies",
-    "mode_frequency_derivative",
-    "thermal_occupation",
     "occupations",
-    "coupling_g",
     "coupling_matrix",
     "casimir_energy",
     "effective_length",
@@ -115,18 +111,9 @@ class ThermalBath:
             raise ValueError(f"beta must be positive (or inf), got {self.beta}")
 
 
-def mode_frequency(k: int, L: float) -> float:
-    """Frequency ``k*pi/L`` of mode ``k >= 1`` in a cavity of length ``L``."""
-    if int(k) != k or k < 1:
-        raise ValueError(f"mode index must be a positive integer, got {k}")
-    if not L > 0:
-        raise ValueError(f"cavity length must be positive, got {L}")
-    # k * (pi/L), not (k*pi)/L: keeps w_k = k * w_1 exact in floating point
-    return k * (math.pi / L)
-
-
 def mode_frequencies(n_modes: int, L: float) -> np.ndarray:
-    """Frequencies of modes 1..n_modes as an array."""
+    """Frequencies ``k*pi/L`` of modes ``k = 1..n_modes``; ``k * (pi/L)``,
+    not ``(k*pi)/L``, keeps ``w_k = k * w_1`` exact in floating point."""
     if n_modes < 1:
         raise ValueError("n_modes must be >= 1")
     if not L > 0:
@@ -134,35 +121,9 @@ def mode_frequencies(n_modes: int, L: float) -> np.ndarray:
     return np.arange(1, n_modes + 1, dtype=float) * (math.pi / L)
 
 
-def mode_frequency_derivative(k: int, L: float) -> float:
-    """d(omega_k)/dL = -k*pi/L**2 for the Dirichlet spectrum."""
-    if int(k) != k or k < 1:
-        raise ValueError(f"mode index must be a positive integer, got {k}")
-    if not L > 0:
-        raise ValueError(f"cavity length must be positive, got {L}")
-    return -k * math.pi / L**2
-
-
-def thermal_occupation(beta: float, omega: float) -> float:
-    """Bose-Einstein mean occupation ``1/(exp(beta*omega) - 1)``.
-
-    ``beta = inf`` returns exactly 0 (vacuum).  Infinite and negative
-    temperatures are rejected.
-    """
-    if not beta > 0:
-        raise ValueError(f"beta must be positive (or inf), got {beta}")
-    if not omega > 0:
-        raise ValueError(f"omega must be positive, got {omega}")
-    if math.isinf(beta):
-        return 0.0
-    x = beta * omega
-    if x > 700.0:  # expm1 would overflow; occupation is e^-x to this accuracy
-        return math.exp(-x)
-    return 1.0 / math.expm1(x)
-
-
 def occupations(beta: float, omegas: np.ndarray) -> np.ndarray:
-    """Vectorised thermal occupations for an array of frequencies."""
+    """Bose-Einstein occupations ``1/(exp(beta*omega) - 1)`` of positive
+    frequencies; ``beta = inf`` (the vacuum) gives exactly 0."""
     if not beta > 0:
         raise ValueError(f"beta must be positive (or inf), got {beta}")
     omegas = np.asarray(omegas, dtype=float)
@@ -182,22 +143,14 @@ def _require_finite(finite: bool, name: str, beta: float, what: str, K: int) -> 
         raise ValueError(f"{name} = {float(beta)!r} overflows the {what} at K = {K}")
 
 
-def coupling_g(k: int, j: int) -> float:
-    """Antisymmetric inter-mode coupling ``(-1)**(j+k) * 2jk/(j**2 - k**2)``.
+def coupling_matrix(n_modes: int) -> np.ndarray:
+    """Antisymmetric inter-mode couplings ``g[k-1, j-1] = (-1)**(j+k) *
+    2jk/(j**2 - k**2)`` for 1 <= k, j <= n_modes.
 
     The diagonal ``g_kk`` is zero: the closed form is indeterminate there and
     the normalisation of the mode functions fixes the derivative overlap to
     vanish.
     """
-    if int(k) != k or k < 1 or int(j) != j or j < 1:
-        raise ValueError(f"mode indices must be positive integers, got ({k}, {j})")
-    if k == j:
-        return 0.0
-    return (-1.0) ** (j + k) * 2.0 * j * k / (j * j - k * k)
-
-
-def coupling_matrix(n_modes: int) -> np.ndarray:
-    """Matrix ``g[k-1, j-1] = coupling_g(k, j)`` for 1 <= k, j <= n_modes."""
     idx = np.arange(1, n_modes + 1, dtype=float)
     k = idx[:, None]
     j = idx[None, :]

@@ -18,7 +18,7 @@ from casotto.cycle import (
     adiabatic_refrigerator,
     sweep,
 )
-from casotto.fock_oracle import FockConfig, validate_friction, verify_trace_identities
+from casotto.fock_oracle import validate_friction, verify_trace_identities
 from casotto.friction import (
     friction_bound, friction_energy, mode_breakdown, spectral_amplitudes, spectral_table,
 )
@@ -200,8 +200,7 @@ def test_criterion_07_fock_oracle_richardson_at_32_modes():
 
 
 def test_criterion_08_trace_identities():
-    fock = FockConfig(n_modes=3, n_max=8)
-    rep = verify_trace_identities(2.0, fock, cavity(0.01, 3))
+    rep = verify_trace_identities(2.0, cavity(0.01, 3), 8)
     report(
         "C8 operator-ordering trace identities on the thermal state",
         rep.max_abs_deviation < 1e-4,

@@ -28,15 +28,15 @@ class TestParsing:
              "--modes", "64"]
         )
         assert cfg.command == "friction"
-        assert cfg["tau"] == 1.0
-        assert cfg["beta"] == 1.0
-        assert cfg["epsilon"] == "0.01"
-        assert cfg["modes"] == 64
+        assert cfg.options["tau"] == 1.0
+        assert cfg.options["beta"] == 1.0
+        assert cfg.options["epsilon"] == "0.01"
+        assert cfg.options["modes"] == 64
 
     def test_defaults_fill_in(self):
         cfg = parse_config(["friction"])
-        assert cfg["modes"] == 64
-        assert cfg["tail-tol"] == 1e-6
+        assert cfg.options["modes"] == 64
+        assert cfg.options["tail-tol"] == 1e-6
 
     def test_flag_overrides_config_file(self, tmp_path):
         conf = tmp_path / "run.conf"
@@ -44,17 +44,33 @@ class TestParsing:
         cfg = parse_config(
             ["friction", "--config", str(conf), "--epsilon", "0.01"]
         )
-        assert cfg["epsilon"] == "0.01"
-        assert cfg["modes"] == 32
+        assert cfg.options["epsilon"] == "0.01"
+        assert cfg.options["modes"] == 32
 
     def test_env_overrides_config_but_not_flags(self, tmp_path, monkeypatch):
         conf = tmp_path / "run.conf"
         conf.write_text("modes = 32\n")
         monkeypatch.setenv("CASOTTO_MODES", "16")
         cfg = parse_config(["friction", "--config", str(conf)])
-        assert cfg["modes"] == 16
+        assert cfg.options["modes"] == 16
         cfg = parse_config(["friction", "--config", str(conf), "--modes", "8"])
-        assert cfg["modes"] == 8
+        assert cfg.options["modes"] == 8
+
+    def test_directory_as_config_file_is_a_usage_error(self, tmp_path, capsys):
+        assert main(["friction", "--config", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("casotto: cannot read config file")
+
+    def test_config_file_that_is_not_utf8_is_a_usage_error(self, tmp_path, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_bytes(b"modes = 8 # \xff\n")
+        assert main(["friction", "--config", str(conf)]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+
+    def test_directory_as_trajectory_file_is_a_usage_error(self, tmp_path):
+        argv = ["friction", "--family", "sampled", "--trajectory-file", str(tmp_path)]
+        with pytest.raises(UsageError, match="not a file"):
+            parse_config(argv)
+        assert main(argv) == 2
 
     def test_unknown_config_key_is_hard_error(self, tmp_path):
         conf = tmp_path / "run.conf"
@@ -65,8 +81,8 @@ class TestParsing:
     def test_env_var_of_mixed_case_flag(self, monkeypatch):
         # CASOTTO_<FLAG> is upper case, so --L0 is matched case-insensitively
         monkeypatch.setenv("CASOTTO_L0", "2")
-        assert parse_config(["shortcut-check"])["L0"] == 2.0
-        assert parse_config(["shortcut-check", "--L0", "3"])["L0"] == 3.0
+        assert parse_config(["shortcut-check"]).options["L0"] == 2.0
+        assert parse_config(["shortcut-check", "--L0", "3"]).options["L0"] == 3.0
 
     def test_unknown_env_var_is_hard_error(self, monkeypatch):
         monkeypatch.setenv("CASOTTO_FROBNICATE", "3")
@@ -189,11 +205,11 @@ class TestParsing:
 class TestCachedParser:
     def test_environment_is_read_on_every_call(self, monkeypatch):
         monkeypatch.delenv("CASOTTO_MODES", raising=False)
-        assert parse_config(["friction"])["modes"] == 64
+        assert parse_config(["friction"]).options["modes"] == 64
         monkeypatch.setenv("CASOTTO_MODES", "16")
-        assert parse_config(["friction"])["modes"] == 16
+        assert parse_config(["friction"]).options["modes"] == 16
         monkeypatch.delenv("CASOTTO_MODES")
-        assert parse_config(["friction"])["modes"] == 64
+        assert parse_config(["friction"]).options["modes"] == 64
 
     @pytest.mark.parametrize("bad", [
         ["engine", "--frobnicate", "1"],
@@ -216,10 +232,10 @@ class TestCachedParser:
         parse_config(["friction", "--beta", "2", "--tau", "3"])
         cfg = parse_config(["engine"])
         assert sorted(cfg.options) == sorted(cli._COMMAND_OPTIONS["engine"])
-        assert cfg["tau"] == 1.0
+        assert cfg.options["tau"] == 1.0
         with pytest.raises(UsageError):
             parse_config(["engine", "--beta", "2"])
-        assert parse_config(["friction"])["beta"] == 1.0
+        assert parse_config(["friction"]).options["beta"] == 1.0
         assert "beta" not in parse_config(["shortcut-check"]).options
 
 

@@ -1,7 +1,7 @@
 import math
 import tracemalloc
 import warnings
-from dataclasses import fields, replace
+from dataclasses import dataclass, replace
 from functools import reduce
 
 import numpy as np
@@ -10,7 +10,6 @@ from scipy.linalg import expm
 
 from casotto import fock_oracle, friction
 from casotto.fock_oracle import (
-    FockConfig,
     OracleRangeError,
     validate_friction,
     verify_trace_identities,
@@ -40,11 +39,8 @@ from casotto.friction import TruncationWarning, friction_energy
 from casotto.spectrum import (
     CavityConfig,
     ThermalBath,
-    coupling_g,
     mode_frequencies,
-    mode_frequency_derivative,
     occupations,
-    thermal_occupation,
 )
 from casotto.trajectory import PPoly, Trajectory, quintic, shortcut
 
@@ -66,7 +62,20 @@ class TruncationQualityError(RuntimeError):
     """The reference's occupation cutoff distorts the thermal state."""
 
 
-def lowering_operator(mode: int, fock: FockConfig) -> np.ndarray:
+@dataclass(frozen=True)
+class FockSpace:
+    """The dense reference's truncated Fock space: ``n_modes`` modes of
+    ``n_max + 1`` levels each."""
+
+    n_modes: int
+    n_max: int
+
+    @property
+    def dimension(self) -> int:
+        return (self.n_max + 1) ** self.n_modes
+
+
+def lowering_operator(mode: int, fock: FockSpace) -> np.ndarray:
     """Annihilation operator of one mode on the truncated product space."""
     if not 1 <= mode <= fock.n_modes:
         raise ValueError(f"mode {mode} outside 1..{fock.n_modes}")
@@ -75,7 +84,7 @@ def lowering_operator(mode: int, fock: FockConfig) -> np.ndarray:
     return reduce(np.kron, [a if m == mode else eye for m in range(1, fock.n_modes + 1)])
 
 
-def static_parts(cfg: CavityConfig, fock: FockConfig):
+def static_parts(cfg: CavityConfig, fock: FockSpace):
     """(H0, M1, M2) with ``H(t) = H0 + dL(t) M1 + dLdot(t) M2``: sums of
     dense products of the embedded ladder operators, term by term as the
     module docstring writes ``H(t)``."""
@@ -83,7 +92,7 @@ def static_parts(cfg: CavityConfig, fock: FockConfig):
     a = [lowering_operator(k, fock) for k in range(1, fock.n_modes + 1)]
     H0 = sum(w[k] * a[k].T @ a[k] for k in range(fock.n_modes))
     M1 = sum(
-        mode_frequency_derivative(k + 1, cfg.L0)
+        -(k + 1) * math.pi / cfg.L0**2  # d(omega_k)/dL
         * (a[k].T @ a[k] + 0.5 * (a[k] @ a[k] + a[k].T @ a[k].T))
         for k in range(fock.n_modes)
     )
@@ -91,8 +100,9 @@ def static_parts(cfg: CavityConfig, fock: FockConfig):
     for k in range(fock.n_modes):
         for j in range(fock.n_modes):
             if j != k:
-                ak, aj = a[k], a[j]
-                Y += coupling_g(k + 1, j + 1) * math.sqrt(w[k] / w[j]) * (
+                ak, aj, kk, jj = a[k], a[j], k + 1, j + 1
+                g_kj = (-1.0) ** (jj + kk) * 2.0 * jj * kk / (jj * jj - kk * kk)
+                Y += g_kj * math.sqrt(w[k] / w[j]) * (
                     ak @ aj - ak.T @ aj + ak @ aj.T - ak.T @ aj.T
                 )
     return H0.astype(complex), M1.astype(complex), Y / (2j * cfg.L0)
@@ -105,19 +115,19 @@ def _dense_at(t: float, cfg: CavityConfig, traj: Trajectory, parts) -> np.ndarra
     return H0 + dl * M1 + dldot * M2
 
 
-def build_hamiltonian(t: float, cfg: CavityConfig, traj: Trajectory, fock: FockConfig):
+def build_hamiltonian(t: float, cfg: CavityConfig, traj: Trajectory, fock: FockSpace):
     """Dense ``H(t)`` on the truncated space, inside the stroke only."""
     if not (traj.t_start <= t <= traj.t_end):
         raise ValueError(f"t={t} outside trajectory domain")
     return _dense_at(t, cfg, traj, static_parts(cfg, fock))
 
 
-def mode_occupations(rho: np.ndarray, fock: FockConfig) -> np.ndarray:
+def mode_occupations(rho: np.ndarray, fock: FockSpace) -> np.ndarray:
     ops = [lowering_operator(k, fock) for k in range(1, fock.n_modes + 1)]
     return np.array([np.real(np.trace(rho @ a.T @ a)) for a in ops])
 
 
-def thermal_state(beta: float, fock: FockConfig, cfg: CavityConfig) -> np.ndarray:
+def thermal_state(beta: float, fock: FockSpace, cfg: CavityConfig) -> np.ndarray:
     """The battery's truncated thermal state as a dense matrix; its
     per-mode occupations must match the untruncated ones to 1e-4."""
     w = mode_frequencies(fock.n_modes, cfg.L0)
@@ -160,7 +170,7 @@ def energy_expectation(rho: np.ndarray, H: np.ndarray) -> float:
 
 
 def dense_excess(
-    cfg: CavityConfig, beta: float, traj: Trajectory, fock: FockConfig, dt: float
+    cfg: CavityConfig, beta: float, traj: Trajectory, fock: FockSpace, dt: float
 ) -> float:
     """``E_full - E_adiab`` of the reference: the final energy against the
     initial level weights on the sorted final levels."""
@@ -172,7 +182,7 @@ def dense_excess(
     return e_full - float(weights @ np.sort(np.linalg.eigvalsh(H_end)))
 
 
-def _quantised(form: np.ndarray, fock: FockConfig) -> np.ndarray:
+def _quantised(form: np.ndarray, fock: FockSpace) -> np.ndarray:
     """``xi^T form xi / 2 - Tr(form) / 4`` as a dense operator on ``fock``.
 
     The quadratures act on ladders one rung longer and the products are cut
@@ -196,7 +206,7 @@ def _quantised(form: np.ndarray, fock: FockConfig) -> np.ndarray:
     return op[np.ix_(keep, keep)]
 
 
-def _second_moments(rho: np.ndarray, fock: FockConfig) -> np.ndarray:
+def _second_moments(rho: np.ndarray, fock: FockSpace) -> np.ndarray:
     """``sigma_ab = <{xi_a, xi_b}>/2`` of a dense state (first moments
     included)."""
     dim = 2 * fock.n_modes
@@ -211,7 +221,7 @@ def _second_moments(rho: np.ndarray, fock: FockConfig) -> np.ndarray:
     return sigma
 
 
-def _parity(fock: FockConfig) -> np.ndarray:
+def _parity(fock: FockSpace) -> np.ndarray:
     """Total photon number mod 2 of each basis state, mode 1 slowest."""
     occ = np.unravel_index(np.arange(fock.dimension), (fock.n_max + 1,) * fock.n_modes)
     return sum(occ) % 2
@@ -229,38 +239,38 @@ def _thermal_covariance(beta: float, cfg: CavityConfig) -> np.ndarray:
     return np.diag(np.tile(n_bar + 0.5, 2))
 
 
-class TestFockConfig:
-    def test_dimension(self):
-        assert FockConfig(n_modes=2, n_max=8).dimension == 81
-        assert FockConfig(n_modes=3, n_max=8).dimension == 729
-
-    def test_validation(self):
-        # the dimension cap belongs to the identity battery, which builds
-        # the Fock space; the friction check has no cutoff
-        big = FockConfig(n_modes=4, n_max=30)
-        with pytest.raises(OracleRangeError, match="exceeds cap") as caught:
-            verify_trace_identities(2.0, big, cavity(K=4))
+class TestBatteryRange:
+    def test_dimension_cap(self):
+        # the cap belongs to the identity battery, which builds the Fock
+        # space; (n_max + 1)**n_modes: 46**3 = 97336 states fit, 47**3 = 103823
+        # do not.  The friction check has no cutoff
+        assert verify_trace_identities(5.0, cavity(K=3), 45).max_abs_deviation < 1e-12
+        with pytest.raises(OracleRangeError, match="103823 exceeds cap") as caught:
+            verify_trace_identities(5.0, cavity(K=3), 46)
         assert caught.value.names == ("n_max", "n_modes")
-        with pytest.raises(ValueError):
-            FockConfig(n_max=0)
+        with pytest.raises(OracleRangeError, match="exceeds cap"):
+            verify_trace_identities(2.0, cavity(K=4), 30)
 
-    def test_has_no_integrator_order(self):
-        # the fourth-order step is the only one
-        assert [f.name for f in fields(FockConfig)] == ["n_modes", "n_max"]
-        with pytest.raises(TypeError):
-            FockConfig(integrator_order=4)
+    def test_takes_the_modes_from_the_cavity(self):
+        # one mode count per run: the battery's Fock space has cfg.n_modes modes
+        for K in (3, 5):
+            report = verify_trace_identities(3.0, cavity(K=K), 8)
+            assert len(report.checks) == 30
+        with pytest.raises(OracleRangeError, match="at least 3") as caught:
+            verify_trace_identities(3.0, cavity(K=2), 8)
+        assert caught.value.names == ("n_modes",)
 
-    def test_has_no_step(self):
-        # the friction check takes its step as an argument
-        with pytest.raises(TypeError):
-            FockConfig(n_modes=2, dt=0.01)
+    @pytest.mark.parametrize("n_max", [0, -1])
+    def test_needs_a_rung_above_the_vacuum(self, n_max):
+        with pytest.raises(ValueError, match="n_max must be >= 1"):
+            verify_trace_identities(20.0, cavity(K=3), n_max)
 
 
 class TestBuildHamiltonian:
     """The dense reference's ``H(t)`` against hand-built operators."""
 
     def test_static_wall_is_free_hamiltonian(self):
-        fock = FockConfig(n_modes=2, n_max=4)
+        fock = FockSpace(n_modes=2, n_max=4)
         cfg = cavity()
         H = build_hamiltonian(0.0, cfg, quintic(1.0), fock)
         w1 = cfg.omega1
@@ -272,7 +282,7 @@ class TestBuildHamiltonian:
     def test_single_mode_squeezing_block(self):
         # frozen displaced wall: only the frequency shift and the a^2 + a^+2
         # block survive
-        fock = FockConfig(n_modes=1, n_max=5)
+        fock = FockSpace(n_modes=1, n_max=5)
         cfg = cavity()
         frozen = static_profile(1.0)
         H = build_hamiltonian(0.5, cfg, frozen, fock)
@@ -285,7 +295,7 @@ class TestBuildHamiltonian:
         assert np.max(np.abs(H - expected)) < 1e-14
 
     def test_hermiticity_is_exact(self):
-        fock = FockConfig(n_modes=3, n_max=3)
+        fock = FockSpace(n_modes=3, n_max=3)
         tr = quintic(1.0)
         for t in (0.1, 0.37, 0.9):
             H = build_hamiltonian(t, cavity(K=3), tr, fock)
@@ -293,7 +303,7 @@ class TestBuildHamiltonian:
 
     def test_rejects_time_outside_domain(self):
         with pytest.raises(ValueError):
-            build_hamiltonian(2.0, cavity(), quintic(1.0), FockConfig(n_modes=1, n_max=3))
+            build_hamiltonian(2.0, cavity(), quintic(1.0), FockSpace(n_modes=1, n_max=3))
 
 
 class TestStaticParts:
@@ -309,10 +319,18 @@ class TestStaticParts:
         assert not np.any(h2[:n_modes, :n_modes]) and not np.any(h2[n_modes:, n_modes:])
         assert np.array_equal(h2, h2.T)
 
+    def test_squeeze_term_is_twice_the_frequency_derivative(self):
+        # d(omega_k)/dL = -k pi/L0**2, associated as (-k pi)/L0**2 bit for
+        # bit: -omega_k/L0 differs in the last bit on about 12 % of the modes
+        cfg = cavity(K=40)
+        w_prime = np.diag(_static_parts(cfg)[1])[:40] / 2.0
+        assert w_prime[2] == pytest.approx(-3.0 / math.pi, rel=1e-15)
+        assert np.array_equal(w_prime, [-k * math.pi / cfg.L0**2 for k in range(1, 41)])
+
     @pytest.mark.parametrize("n_modes", [1, 2, 3])
     @pytest.mark.parametrize("n_max", [1, 4, 6])
     def test_matches_dense_ladder_products(self, n_modes, n_max):
-        fock = FockConfig(n_modes=n_modes, n_max=n_max)
+        fock = FockSpace(n_modes=n_modes, n_max=n_max)
         cfg = cavity(K=n_modes)
         for form, ref in zip(_static_parts(cfg), static_parts(cfg, fock)):
             scale = max(1.0, float(np.max(np.abs(ref))))  # up to 36 at n_max = 6
@@ -323,7 +341,7 @@ class TestThermalState:
     """The battery's truncated thermal state, as the dense reference uses it."""
 
     def test_vacuum_projector(self):
-        fock = FockConfig(n_modes=2, n_max=3)
+        fock = FockSpace(n_modes=2, n_max=3)
         rho = thermal_state(math.inf, fock, cavity())
         expected = np.zeros((16, 16))
         expected[0, 0] = 1.0
@@ -332,7 +350,7 @@ class TestThermalState:
     def test_half_filling_occupation(self):
         # beta * w_1 = ln 2 puts one quantum in the soft mode; a 30-rung
         # cutoff keeps all but 2^-31 of the weight
-        fock = FockConfig(n_modes=1, n_max=30)
+        fock = FockSpace(n_modes=1, n_max=30)
         cfg = cavity(K=1)
         beta = math.log(2.0)
         rho = thermal_state(beta, fock, cfg)
@@ -342,19 +360,19 @@ class TestThermalState:
     def test_weight_capture_guard(self):
         # beta * w_1 = 1 with a short ladder keeps too little weight
         with pytest.raises(ValueError):
-            thermal_state(1.0, FockConfig(n_modes=1, n_max=8), cavity(K=1))
+            thermal_state(1.0, FockSpace(n_modes=1, n_max=8), cavity(K=1))
         with pytest.raises(OracleRangeError, match="thermal weight"):
-            verify_trace_identities(1.0, FockConfig(n_modes=3, n_max=8), cavity(K=3))
+            verify_trace_identities(1.0, cavity(K=3), 8)
 
     def test_unit_trace(self):
-        fock = FockConfig(n_modes=2, n_max=8)
+        fock = FockSpace(n_modes=2, n_max=8)
         rho = thermal_state(2.0, fock, cavity())
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-14)
 
     def test_truncation_quality_error(self):
         # soft enough that the kept weight passes the gate but the realised
         # occupation still misses the untruncated value by more than 1e-4
-        fock = FockConfig(n_modes=1, n_max=280)
+        fock = FockSpace(n_modes=1, n_max=280)
         with pytest.raises(TruncationQualityError):
             thermal_state(0.05, fock, cavity(K=1))
 
@@ -412,7 +430,7 @@ class TestEvolve:
             cfg = cavity(eps=eps, K=1)
             S = _propagator(cfg, quintic(1.0), 0.01, _static_parts(cfg))
             gains.append(_occupations_after(S, _thermal_covariance(2.0, cfg))[0]
-                         - thermal_occupation(2.0, cfg.omega1))
+                         - occupations(2.0, [cfg.omega1])[0])
         assert gains[0] > 0
         assert gains[1] / gains[0] == pytest.approx(4.0, rel=0.05)
 
@@ -533,7 +551,7 @@ class TestParitySectors:
     @pytest.mark.parametrize("n_modes", [1, 2, 3])
     @pytest.mark.parametrize("n_max", [1, 4, 8])
     def test_static_parts_conserve_parity(self, n_modes, n_max):
-        fock = FockConfig(n_modes=n_modes, n_max=n_max)
+        fock = FockSpace(n_modes=n_modes, n_max=n_max)
         odd = _parity(fock).astype(bool)
         for X in static_parts(cavity(K=n_modes), fock):
             assert not np.any(X[np.ix_(odd, ~odd)])
@@ -553,7 +571,7 @@ class TestParitySectors:
         # quadratures evolve linearly whatever the state, so S carries the
         # second moments of a state with coherences and first moments too;
         # the state sits on the lowest rungs, far below the cutoff
-        fock, dt = FockConfig(n_modes=2, n_max=10), 0.02
+        fock, dt = FockSpace(n_modes=2, n_max=10), 0.02
         cfg = cavity(eps=0.05)
         rng = np.random.default_rng(3)
         low = np.all(np.array(np.unravel_index(np.arange(121), (11, 11))) <= 1, axis=0)
@@ -577,7 +595,7 @@ class TestEnergyExpectation:
     """The dense reference's energy."""
 
     def test_vacuum_free_energy_is_zero(self):
-        fock = FockConfig(n_modes=2, n_max=4)
+        fock = FockSpace(n_modes=2, n_max=4)
         cfg = cavity()
         rho = thermal_state(math.inf, fock, cfg)
         H = build_hamiltonian(0.0, cfg, quintic(1.0), fock)
@@ -585,7 +603,7 @@ class TestEnergyExpectation:
 
     def test_thermal_single_mode(self):
         # beta * w = ln 2 gives exactly one quantum on average, so <H> = w
-        fock = FockConfig(n_modes=1, n_max=40)
+        fock = FockSpace(n_modes=1, n_max=40)
         cfg = cavity(K=1)  # w_1 = 1
         beta = math.log(2.0)
         rho = thermal_state(beta, fock, cfg)
@@ -594,7 +612,7 @@ class TestEnergyExpectation:
         assert energy_expectation(rho, H) == pytest.approx(1.0, abs=1e-4)
 
     def test_linearity(self):
-        fock = FockConfig(n_modes=1, n_max=6)
+        fock = FockSpace(n_modes=1, n_max=6)
         rng = np.random.default_rng(9)
         d = fock.dimension
         A = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
@@ -608,7 +626,7 @@ class TestEnergyExpectation:
         )
 
     def test_rejects_non_hermitian(self):
-        fock = FockConfig(n_modes=1, n_max=8)
+        fock = FockSpace(n_modes=1, n_max=8)
         rho = thermal_state(2.0, fock, cavity(K=1))
         bad = np.triu(np.ones((9, 9), dtype=complex))
         with pytest.raises(ValueError):
@@ -622,22 +640,21 @@ class TestDenseReference:
     def test_two_modes(self):
         cfg = cavity(eps=0.01, K=2)
         row = validate_friction(cfg, ThermalBath(2.0), quintic(1.0), 0.01).rows[0]
-        dense = dense_excess(cfg, 2.0, quintic(1.0), FockConfig(n_modes=2, n_max=12), 0.01)
+        dense = dense_excess(cfg, 2.0, quintic(1.0), FockSpace(n_modes=2, n_max=12), 0.01)
         # measured 3.6e-9
         assert row.E_full - row.E_adiab == pytest.approx(dense, rel=1e-8)
 
     def test_three_modes(self):
         cfg = cavity(eps=0.01, K=3)
         row = validate_friction(cfg, ThermalBath(5.0), quintic(1.0), 0.01).rows[0]
-        dense = dense_excess(cfg, 5.0, quintic(1.0), FockConfig(n_modes=3, n_max=4), 0.01)
+        dense = dense_excess(cfg, 5.0, quintic(1.0), FockSpace(n_modes=3, n_max=4), 0.01)
         # measured 4.6e-7 at this cutoff (6.7e-9 at n_max = 5)
         assert row.E_full - row.E_adiab == pytest.approx(dense, rel=1e-6)
 
 
 class TestTraceIdentities:
     def test_vacuum_values(self):
-        fock = FockConfig(n_modes=3, n_max=4)
-        report = verify_trace_identities(math.inf, fock, cavity(K=3))
+        report = verify_trace_identities(math.inf, cavity(K=3), 4)
         # annihilators on the right kill the vacuum; only the fully
         # creation-first strings survive
         values = {c.label: c for c in report.checks}
@@ -647,34 +664,30 @@ class TestTraceIdentities:
         assert report.max_abs_deviation < 1e-12
 
     def test_thermal_battery_is_truncation_limited(self):
-        fock = FockConfig(n_modes=3, n_max=8)
-        report = verify_trace_identities(2.0, fock, cavity(K=3))
+        report = verify_trace_identities(2.0, cavity(K=3), 8)
         assert report.max_abs_deviation < 1e-4
 
     def test_deviation_shrinks_with_cutoff(self):
         cfg = cavity(K=3)
         worsts = []
         for n_max in (6, 8, 10):
-            fock = FockConfig(n_modes=3, n_max=n_max)
-            worsts.append(verify_trace_identities(2.0, fock, cfg).max_abs_deviation)
+            worsts.append(verify_trace_identities(2.0, cfg, n_max).max_abs_deviation)
         assert worsts[0] > worsts[1] > worsts[2]
 
     def test_cap_applies_to_the_state_not_the_headroom(self):
         # 45**3 = 91125 states fit the cap; the operators' two extra rungs
         # (47**3 = 103823) are the battery's own business
-        report = verify_trace_identities(5.0, FockConfig(n_modes=3, n_max=44), cavity(K=3))
+        report = verify_trace_identities(5.0, cavity(K=3), 44)
         assert report.max_abs_deviation < 1e-12
 
     def test_sloppy_mean_field_forms_fail(self):
         # substituting <f(N)> -> f(<N>) is wrong on a thermal state: the
         # correct second factorial moment is 2 Nbar^2, not Nbar (Nbar - 1)
-        fock = FockConfig(n_modes=3, n_max=8)
         cfg = cavity(K=3)
         beta = 2.0
-        report = verify_trace_identities(beta, fock, cfg)
+        report = verify_trace_identities(beta, cfg, 8)
         values = {c.label: c for c in report.checks}
-        n1 = thermal_occupation(beta, cfg.omega1)
-        n2 = thermal_occupation(beta, 2.0 * cfg.omega1)
+        n1, n2 = occupations(beta, mode_frequencies(2, cfg.L0))
         naive = n1 * (n1 - 1.0) * n2
         correct = 2.0 * n1**2 * n2
         check = values["ad1^2 a1^2 N2"]
@@ -731,12 +744,12 @@ class TestClosedFormMoments:
         coeffs, poly = POLYNOMIALS[name]
         omega = 1.5
         beta = beta_omega / omega
-        closed = _geometric_expectation(beta, omega, coeffs)
+        closed = _geometric_expectation(float(occupations(beta, [omega])[0]), coeffs)
         series = series_expectation(beta, omega, poly)
         assert abs(closed - series) <= 1e-14 * abs(series)
 
 
-def _dense_identity_values(beta: float, fock: FockConfig, cfg: CavityConfig) -> dict:
+def _dense_identity_values(beta: float, fock: FockSpace, cfg: CavityConfig) -> dict:
     """Each battery string as a dense ``einsum`` trace against the dense state."""
     dim = fock.n_max + 3  # the battery's two rungs of operator headroom
     a = np.diag(np.sqrt(np.arange(1.0, dim)), k=1)
@@ -784,28 +797,27 @@ class TestDiagonalTraces:
             return _ladder_string(label)
 
         monkeypatch.setattr(fock_oracle, "_ladder_string", counting)
-        report = verify_trace_identities(2.0, FockConfig(n_modes=3, n_max=8), cavity(K=3))
+        report = verify_trace_identities(2.0, cavity(K=3), 8)
         assert len(report.checks) == 30
         assert calls == []
 
     @pytest.mark.parametrize("beta", [2.0, math.inf])
     def test_numeric_equals_dense_trace(self, beta):
         # w_1 = 2, so four rungs keep all but exp(-20) of the thermal weight
-        fock = FockConfig(n_modes=3, n_max=4)
+        fock = FockSpace(n_modes=3, n_max=4)
         cfg = CavityConfig(L0=math.pi / 2, epsilon=0.01, n_modes=3)
         dense = _dense_identity_values(beta, fock, cfg)
-        report = verify_trace_identities(beta, fock, cfg)
+        report = verify_trace_identities(beta, cfg, fock.n_max)
         assert len(report.checks) == 30
         for check in report.checks:
             assert check.numeric == pytest.approx(dense(check.label), abs=1e-15), check.label
 
     def test_battery_allocates_no_dense_matrices(self):
         # a single 1331 x 1331 complex matrix is 28 MB
-        fock = FockConfig(n_modes=3, n_max=8)
         cfg = cavity(K=3)
         tracemalloc.start()
         try:
-            verify_trace_identities(2.0, fock, cfg)
+            verify_trace_identities(2.0, cfg, 8)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -813,10 +825,9 @@ class TestDiagonalTraces:
 
     def test_battery_builds_nothing_over_the_product_basis(self):
         # one vector over the 11**5 product states with headroom is 1.3 MB
-        fock = FockConfig(n_modes=5, n_max=8)
         tracemalloc.start()
         try:
-            report = verify_trace_identities(3.0, fock, cavity(K=5))
+            report = verify_trace_identities(3.0, cavity(K=5), 8)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -828,12 +839,11 @@ class TestDiagonalTraces:
         # the per-mode product against the weights of all 11**5 product
         # states times the string's diagonal there; modes 4 and 5 appear in
         # no string and enter through their weights' sum
-        fock = FockConfig(n_modes=5, n_max=8)
         cfg = cavity(K=5)
-        weights = _embedded_thermal_state(beta, mode_frequencies(5, cfg.L0), fock.n_max, 11)
+        weights = _embedded_thermal_state(beta, mode_frequencies(5, cfg.L0), 8, 11)
         a = np.diag(np.sqrt(np.arange(1.0, 11.0)), k=1)
         small = {"a": a, "ad": a.T, "N": a.T @ a}
-        report = verify_trace_identities(beta, fock, cfg)
+        report = verify_trace_identities(beta, cfg, 8)
         for check in report.checks:
             per_mode = [np.eye(11) for _ in range(5)]
             for mode, kind in _ladder_string(check.label):
@@ -858,10 +868,8 @@ class TestValidateFriction:
         report = validate_friction(cfg, ThermalBath(2.0), quintic(1.0))
         assert [row.epsilon for row in report.rows] == [0.01, 0.005]
 
-    def test_takes_no_fock_config_and_no_epsilons(self):
+    def test_takes_no_epsilons(self):
         cfg, bath = cavity(eps=0.01, K=1), ThermalBath(2.0)
-        with pytest.raises(TypeError):
-            validate_friction(cfg, bath, quintic(1.0), FockConfig(n_modes=1))
         with pytest.raises(TypeError):
             validate_friction(cfg, bath, quintic(1.0), 0.1, epsilons=(0.01, 0.005))
 

@@ -296,6 +296,13 @@ class TestPartialSpectralIntegral:
         with pytest.raises(ValueError):
             partial_spectral_integral(sc, 2, 1.0, sc.t_end + 0.1)
 
+    @pytest.mark.parametrize("L0", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_a_length_that_is_not_positive_and_finite(self, L0):
+        # as shortcut does; 0 divided by zero, -1 returned numbers and nan nans
+        tr = quintic(1.0)
+        with pytest.raises(ValueError, match="L0 must be positive and finite"):
+            partial_spectral_integral(tr, 2, L0, 0.5)
+
 
 def direct_mode_energy(cfg, bath, traj, k_index):
     """Mode contribution via the unseparated double-time kernel (oracle)."""

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -9,67 +10,69 @@ from casotto.spectrum import (
     SingularFluxError,
     ThermalBath,
     casimir_energy,
-    coupling_g,
     coupling_matrix,
     effective_length,
     mode_frequencies,
-    mode_frequency,
-    mode_frequency_derivative,
     occupations,
-    thermal_occupation,
 )
 
 
-class TestModeFrequency:
+def occupation(beta: float, omega: float) -> float:
+    return float(occupations(beta, [omega])[0])
+
+
+class TestModeFrequencies:
     def test_fundamental(self):
-        assert mode_frequency(1, math.pi) == pytest.approx(1.0, rel=1e-15)
+        assert mode_frequencies(1, math.pi)[0] == pytest.approx(1.0, rel=1e-15)
 
     def test_third_harmonic(self):
-        assert mode_frequency(3, 1.0) == pytest.approx(3.0 * math.pi, rel=1e-15)
+        assert mode_frequencies(3, 1.0)[2] == pytest.approx(3.0 * math.pi, rel=1e-15)
 
     def test_scaling_symmetry(self):
-        assert mode_frequency(2, 2.0) == pytest.approx(math.pi, rel=1e-15)
+        assert mode_frequencies(2, 2.0)[1] == pytest.approx(math.pi, rel=1e-15)
 
     def test_equidistance(self):
-        L = 0.7
-        base = mode_frequency(1, L)
-        for k in range(1, 30):
-            assert mode_frequency(k, L) == k * base
+        ws = mode_frequencies(29, 0.7)
+        assert np.array_equal(ws, np.arange(1, 30) * ws[0])
 
-    def test_rejects_zero_mode_and_bad_length(self):
+    def test_rejects_no_modes_and_bad_length(self):
         with pytest.raises(ValueError):
-            mode_frequency(0, 1.0)
+            mode_frequencies(0, 1.0)
         with pytest.raises(ValueError):
-            mode_frequency(1, 0.0)
+            mode_frequencies(1, 0.0)
         with pytest.raises(ValueError):
-            mode_frequency(1, -2.0)
+            mode_frequencies(1, -2.0)
 
-    def test_vector_helper_matches_scalar(self):
+    def test_closed_form(self):
         ws = mode_frequencies(5, 2.5)
-        assert ws == pytest.approx([mode_frequency(k, 2.5) for k in range(1, 6)])
-
-    def test_derivative(self):
-        assert mode_frequency_derivative(3, 2.0) == pytest.approx(-3.0 * math.pi / 4.0)
+        assert ws == pytest.approx([k * math.pi / 2.5 for k in range(1, 6)])
 
 
-class TestThermalOccupation:
+# the betas of the oracle (1 to 5 in the docs' examples), of the benchmark's
+# thermal grid (2 and 2 * 0.05..0.9) and of its point queries (0.5 to 10),
+# and half filling
+_BETAS = sorted({*np.geomspace(0.05, 20.0, 25).tolist(), 2.0, math.log(2.0)})
+
+
+class TestOccupations:
     def test_vacuum(self):
-        assert thermal_occupation(math.inf, 1.0) == 0.0
+        assert occupation(math.inf, 1.0) == 0.0
+        assert np.all(occupations(math.inf, mode_frequencies(6, 1.0)) == 0.0)
 
     def test_half_filling_at_log2(self):
-        assert thermal_occupation(math.log(2.0), 1.0) == pytest.approx(1.0, rel=1e-14)
+        assert occupation(math.log(2.0), 1.0) == pytest.approx(1.0, rel=1e-14)
 
     def test_unit_argument(self):
-        assert thermal_occupation(1.0, 1.0) == pytest.approx(1.0 / (math.e - 1.0), rel=1e-14)
-        assert thermal_occupation(1.0, 1.0) == pytest.approx(0.5819767, rel=1e-6)
+        assert occupation(1.0, 1.0) == pytest.approx(1.0 / (math.e - 1.0), rel=1e-14)
+        assert occupation(1.0, 1.0) == pytest.approx(0.5819767, rel=1e-6)
 
     def test_rejects_nonpositive_inputs(self):
         with pytest.raises(ValueError):
-            thermal_occupation(0.0, 1.0)
+            occupations(0.0, [1.0])
         with pytest.raises(ValueError):
-            thermal_occupation(-1.0, 1.0)
+            occupations(-1.0, [1.0])
         with pytest.raises(ValueError):
-            thermal_occupation(1.0, 0.0)
+            occupations(1.0, [1.0, 0.0])
 
     @given(
         beta=st.floats(0.05, 15.0),
@@ -77,37 +80,53 @@ class TestThermalOccupation:
         factor=st.floats(1.01, 3.0),
     )
     def test_strictly_decreasing_in_beta_and_omega(self, beta, omega, factor):
-        n = thermal_occupation(beta, omega)
-        assert thermal_occupation(beta * factor, omega) < n
-        assert thermal_occupation(beta, omega * factor) < n
+        n = occupation(beta, omega)
+        assert occupation(beta * factor, omega) < n
+        assert occupation(beta, omega * factor) < n
 
-    def test_vectorised_matches_scalar(self):
-        ws = mode_frequencies(6, 1.0)
-        vec = occupations(2.0, ws)
-        assert vec == pytest.approx([thermal_occupation(2.0, w) for w in ws])
-        assert np.all(occupations(math.inf, ws) == 0.0)
+    def test_divides_by_the_correctly_rounded_expm1(self):
+        # Against mpmath at 200 bits on the 256 modes of the command line's
+        # cavity (w_1 = 1), up to beta*omega = 709, where expm1 overflows and
+        # the occupation reads 0 against an exact value below 1e-308.  The
+        # denominator np.expm1 is within 0.5 ulp of mpmath's expm1 (math.expm1,
+        # the removed scalar's, reaches 0.77 ulp here), so each occupation is
+        # 1 divided by the correctly rounded expm1, bit for bit.  The division
+        # rounds once more: 1/expm1 is within 1.5 ulp of the exact occupation
+        # (1.44 measured), whichever expm1 it divides by.
+        ws = mode_frequencies(256, math.pi)
+        worst = 0.0
+        with mp.workprec(200):
+            for beta in _BETAS:
+                omegas = ws[beta * ws <= 709.0]
+                got = occupations(beta, omegas)
+                denominators = [mp.expm1(mp.mpf(float(x))) for x in beta * omegas]
+                assert np.array_equal(got, [1.0 / float(d) for d in denominators]), beta
+                for g, d in zip(got, denominators):
+                    exact = 1 / d
+                    worst = max(worst, float(abs(g - exact)) / math.ulp(float(exact)))
+        assert worst <= 1.5
 
 
-class TestCoupling:
+class TestCouplingMatrix:
     def test_value_1_2(self):
-        assert coupling_g(1, 2) == pytest.approx(-4.0 / 3.0, rel=1e-15)
+        assert coupling_matrix(2)[0, 1] == pytest.approx(-4.0 / 3.0, rel=1e-15)
 
     def test_antisymmetric_pair(self):
-        assert coupling_g(2, 1) == pytest.approx(4.0 / 3.0, rel=1e-15)
+        assert coupling_matrix(2)[1, 0] == pytest.approx(4.0 / 3.0, rel=1e-15)
 
     def test_diagonal_vanishes(self):
-        for k in (1, 5, 17):
-            assert coupling_g(k, k) == 0.0
+        assert np.all(np.diag(coupling_matrix(17)) == 0.0)
 
-    @given(k=st.integers(1, 50), j=st.integers(1, 50))
-    def test_antisymmetry(self, k, j):
-        assert coupling_g(k, j) == -coupling_g(j, k)
+    def test_antisymmetry(self):
+        g = coupling_matrix(50)
+        assert np.array_equal(g, -g.T)
 
-    def test_matrix_matches_scalar(self):
+    def test_closed_form(self):
         g = coupling_matrix(12)
         for k in range(1, 13):
             for j in range(1, 13):
-                assert g[k - 1, j - 1] == pytest.approx(coupling_g(k, j), abs=1e-15)
+                ref = 0.0 if k == j else (-1.0) ** (j + k) * 2.0 * j * k / (j * j - k * k)
+                assert g[k - 1, j - 1] == pytest.approx(ref, abs=1e-15)
 
 
 class TestCasimirEnergy:
