@@ -9,10 +9,9 @@ total is sign-definite).
 """
 
 import math
-import sys
 
 from casotto import CavityConfig, ThermalBath, friction_bound, friction_energy, quintic
-from casotto.friction import export_mode_table, mode_breakdown, spectral_table
+from casotto.friction import mode_breakdown, spectral_table
 
 L0 = math.pi
 cfg = CavityConfig(L0=L0, epsilon=0.01, n_modes=40)
@@ -35,5 +34,8 @@ print("(converges to the finite vacuum value: pair creation needs no photons)")
 
 print("\nper-mode breakdown at tau*w1 = 1, beta*w1 = 1 (first 8 modes):")
 cfg8 = CavityConfig(L0=L0, epsilon=0.01, n_modes=8)
-rows = mode_breakdown(cfg8, ThermalBath(1.0), spectral_table(quintic(1.0), cfg8))
-export_mode_table(rows, sys.stdout)
+print(f"  {'k':>3} {'diag':>13} {'create':>13} {'scatter':>13} {'cumulative':>13}")
+running = 0.0
+for k, d, c, s in mode_breakdown(cfg8, ThermalBath(1.0), spectral_table(quintic(1.0), cfg8)):
+    running += d + c + s
+    print(f"  {k:>3} {d:>13.5e} {c:>13.5e} {s:>13.5e} {running:>13.5e}")

@@ -13,10 +13,9 @@ in a truncated Fock space against geometric-moment closed forms.
 """
 
 import math
-import sys
 
 from casotto import CavityConfig, ThermalBath, quintic
-from casotto.fock_oracle import export_comparison, validate_friction, verify_trace_identities
+from casotto.fock_oracle import validate_friction, verify_trace_identities
 
 bath = ThermalBath(2.0)
 for n_modes, dt in ((2, 0.01), (32, 0.003)):
@@ -25,7 +24,10 @@ for n_modes, dt in ((2, 0.01), (32, 0.003)):
           f"{2 * n_modes} x {2 * n_modes} symplectic matrix):")
     # eps = 0.01 against eps / 2
     report = validate_friction(cfg, bath, quintic(1.0), dt)
-    export_comparison(report, sys.stdout)
+    print(f"  {'eps':>7} {'E_full':>16} {'E_adiab':>16} {'E_pert':>16} {'ratio':>9}")
+    for row in report.rows:
+        print(f"  {row.epsilon:>7.4f} {row.E_full:>16.10e} {row.E_adiab:>16.10e} "
+              f"{row.E_pert:>16.10e} {row.ratio:>9.6f}")
     print(f"-> ratio extrapolated to eps -> 0: {report.richardson_ratio:.6f}\n")
 
 print("operator-ordering identities on a 3-mode thermal state:")

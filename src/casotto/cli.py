@@ -34,23 +34,9 @@ from typing import Callable, Sequence
 from . import __version__
 from . import fock_oracle as _fock_oracle
 from . import friction as _friction
-from .cycle import (
-    SWEEP_COLUMNS,
-    BathPair,
-    SweepRow,
-    nonadiabatic_engine,
-    nonadiabatic_refrigerator,
-    sweep,
-    write_sweep_csv,
-)
-from .friction import (
-    export_mode_table,
-    friction_bound,
-    friction_energy,
-    mode_breakdown,
-    partial_spectral_integral,
-)
-from .fock_oracle import OracleRangeError, export_comparison, validate_friction
+from .cycle import BathPair, nonadiabatic_engine, nonadiabatic_refrigerator, sweep
+from .friction import friction_bound, friction_energy, mode_breakdown, partial_spectral_integral
+from .fock_oracle import OracleRangeError, validate_friction
 from .spectrum import PERTURBATIVE_EPSILON_MAX, CavityConfig, ThermalBath, _warn
 from .trajectory import Trajectory, from_samples, quintic, shortcut
 
@@ -231,13 +217,21 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
 
 
 def _pre_scan_command(argv: Sequence[str]) -> str:
-    for tok in argv:
+    """The first token that is neither an option nor an option's value.
+
+    Every option but ``-h``/``--help`` takes a value, so an option token
+    without ``=`` consumes the next token.
+    """
+    tokens = iter(argv)
+    for tok in tokens:
         if not tok.startswith("-"):
             if tok not in COMMANDS:
                 raise UsageError(
                     f"unknown command {tok!r}; choose from {', '.join(COMMANDS)}"
                 )
             return tok
+        if "=" not in tok and tok not in ("-h", "--help"):
+            next(tokens, None)
     raise UsageError(f"missing command; choose from {', '.join(COMMANDS)}")
 
 
@@ -374,7 +368,11 @@ def _trajectory_family(opts) -> Callable[[float], Trajectory]:
     once and serves every tau."""
     fam = str(opts["family"])
     if fam == "sampled":
-        fixed = from_samples(str(opts["trajectory-file"]))
+        path = str(opts["trajectory-file"])
+        try:
+            fixed = from_samples(path)
+        except (OSError, UnicodeDecodeError) as exc:
+            raise UsageError(f"cannot read trajectory file {path}: {exc}") from exc
         return lambda tau: fixed
     if fam == "shortcut":
         return lambda tau: shortcut(quintic(tau), _L0)
@@ -385,21 +383,79 @@ def _trajectory(opts) -> Trajectory:
     return _trajectory_family(opts)(float(opts["tau"]))
 
 
-def _header(cfg: RunConfig, columns: Sequence[str], descriptions: Sequence[str]) -> str:
+def _fmt(value) -> str:
+    """An option or note value: a float at 17 significant digits."""
+    return "%.17g" % value if isinstance(value, float) else str(value)
+
+
+# Each table is one (name, row format, description) triple per column; the
+# row format is ``%.17g``, ``%d`` or ``%s``.
+_MODE_TABLE = (
+    ("k", "%d", "mode index"),
+    ("diag_term", "%.17g", "single-mode pair-creation energy"),
+    ("create_term", "%.17g", "inter-mode pair-creation energy"),
+    ("scatter_term", "%.17g", "inter-mode scattering energy"),
+    ("cumulative", "%.17g", "running total of the friction energy"),
+)
+_BOUND_TABLE = (
+    ("tau_omega1", "%.17g", "stroke duration"),
+    ("beta_omega1", "%.17g", "inverse temperature"),
+    ("epsilon", "%.17g", "compression ratio"),
+    ("bound", "%.17g", "upper bound on the friction energy"),
+)
+_CYCLE_TABLE = (
+    ("tau_omega1", "%.17g", "stroke duration in 1/omega_1"),
+    ("beta_ratio", "%.17g", "beta_C / beta_A"),
+    ("epsilon", "%.17g", "compression ratio"),
+    ("Q", "%.17g", "heat intake (engine) or heat extracted from the cold bath (refrigerator)"),
+    ("W", "%.17g", "work extracted (engine) or consumed (refrigerator)"),
+    ("eta", "%.17g", "efficiency (engine) or coefficient of performance (refrigerator)"),
+    ("eta_adiabatic", "%.17g", "population-frozen limit of eta"),
+    ("power", "%.17g", "W / (2 tau + thermalization_time)"),
+    ("mode", "%s", "operating regime classification"),
+    ("EF_A", "%.17g", "friction energy of the compression stroke"),
+    ("EF_C", "%.17g", "friction energy of the expansion stroke"),
+    ("tail_warning", "%d", "1 when the mode-sum tail exceeded tail_tol"),
+)
+# what follows a failed cell's coordinates: nan,nan,nan,nan,nan,failed,nan,nan,1
+_FAILED_CELL = (math.nan,) * 5 + ("failed", math.nan, math.nan, True)
+_SHORTCUT_TABLE = (
+    ("n", "%d", "harmonic index of the probe frequency n*pi/L0"),
+    ("t", "%.17g", "upper limit of the running integral"),
+    ("I_n", "%.17g", "running cosine amplitude of the wall velocity"),
+    ("J_n", "%.17g", "running sine amplitude of the wall velocity"),
+)
+_IDENTITY_TABLE = (
+    ("identity", "%s", "operator string"),
+    ("numeric", "%.17g", "thermal trace over the product Fock basis"),
+    ("closed_form", "%.17g", "geometric-moment closed form"),
+    ("deviation", "%.17g", "absolute deviation"),
+)
+_COMPARISON_TABLE = (
+    ("epsilon", "%.17g", "compression ratio"),
+    ("E_full", "%.17g", "energy after phase-space propagation"),
+    ("E_adiab", "%.17g", "population-preserving adiabatic energy"),
+    ("E_pert", "%.17g", "E_adiab plus the friction formula"),
+    ("ratio", "%.17g", "(E_full - E_adiab) / E_F"),
+    ("richardson_ratio", "%.17g", "ratio extrapolated to epsilon -> 0"),
+)
+
+
+def _write_table(cfg: RunConfig, out, table, rows, notes=()) -> None:
+    """Write ``rows`` of ``table`` in the layout of ``docs/formats.md``.
+
+    The ``#`` header (version, command, sorted options, one ``# column``
+    line per column), the ``# key = value`` ``notes``, the column row, and
+    each row through one ``%`` template built from the column formats.
+    """
     lines = [f"# casotto {__version__}", f"# command = {cfg.command}"]
-    for key in sorted(cfg.options):
-        lines.append(f"# {key} = {_fmt_opt(cfg.options[key])}")
-    for col, desc in zip(columns, descriptions):
-        lines.append(f"# column {col}: {desc}")
-    return "\n".join(lines) + "\n"
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def _fmt_opt(value) -> str:
-    return _fmt(value) if isinstance(value, float) else str(value)
+    lines += [f"# {key} = {_fmt(cfg.options[key])}" for key in sorted(cfg.options)]
+    lines += [f"# column {name}: {doc}" for name, _, doc in table]
+    lines += [f"# {key} = {_fmt(value)}" for key, value in notes]
+    lines.append(",".join(name for name, _, _ in table))
+    template = ",".join(fmt for _, fmt, _ in table)
+    lines += [template % row for row in rows]
+    out.write("\n".join(lines) + "\n")
 
 
 def _warn_if_beyond_perturbative(opts) -> None:
@@ -446,44 +502,35 @@ def _run_friction(cfg: RunConfig, out) -> int:
     table = _friction.spectral_table(traj, cavity)
     result = friction_energy(cavity, bath, traj, table=table)
     try:
-        bound = _fmt(friction_bound(cavity, bath, traj))
+        bound = friction_bound(cavity, bath, traj)
     except ValueError:
         bound = "none"
-    out.write(_header(
-        cfg,
-        ("k", "diag_term", "create_term", "scatter_term", "cumulative"),
-        (
-            "mode index",
-            "single-mode pair-creation energy",
-            "inter-mode pair-creation energy",
-            "inter-mode scattering energy",
-            "running total of the friction energy",
-        ),
+    rows, running = [], 0.0
+    for k, d, c, s in mode_breakdown(cavity, bath, table):
+        running += d + c + s
+        rows.append((k, d, c, s, running))
+    _write_table(cfg, out, _MODE_TABLE, rows, (
+        ("E_F", result.value), ("quadrature_err", result.err),
+        ("tail_estimate", result.tail_estimate), ("bound", bound),
     ))
-    out.write(f"# E_F = {_fmt(result.value)}\n")
-    out.write(f"# quadrature_err = {_fmt(result.err)}\n")
-    out.write(f"# tail_estimate = {_fmt(result.tail_estimate)}\n")
-    out.write(f"# bound = {bound}\n")
-    export_mode_table(mode_breakdown(cavity, bath, table), out)
     return 0
 
 
 def _run_bound(cfg: RunConfig, out) -> int:
     opts = cfg.options
     cavity = _cavity(opts, _single(opts, "epsilon"))
-    traj = _trajectory(opts)
-    bath = ThermalBath(float(opts["beta"]))
-    value = friction_bound(cavity, bath, traj)
-    out.write(_header(
-        cfg,
-        ("tau_omega1", "beta_omega1", "epsilon", "bound"),
-        ("stroke duration", "inverse temperature", "compression ratio",
-         "upper bound on the friction energy"),
-    ))
-    out.write(
-        ",".join(map(_fmt, (float(opts["tau"]), float(opts["beta"]), cavity.epsilon, value))) + "\n"
-    )
+    tau, beta = float(opts["tau"]), float(opts["beta"])
+    value = friction_bound(cavity, ThermalBath(beta), _trajectory(opts))
+    _write_table(cfg, out, _BOUND_TABLE, [(tau, beta, cavity.epsilon, value)])
     return 0
+
+
+def _cycle_row(tau: float, ratio: float, epsilon: float, r) -> tuple:
+    """One row of the cycle table; ``r`` is the cell's report, None if it failed."""
+    if r is None:
+        return (tau, ratio, epsilon, *_FAILED_CELL)
+    return (tau, ratio, epsilon, r.Q, r.W, r.eta, r.eta_adiabatic, r.power, r.mode,
+            r.E_F_A, r.E_F_C, r.tail_warning)
 
 
 def _run_single_cycle(cfg: RunConfig, out) -> int:
@@ -497,25 +544,9 @@ def _run_single_cycle(cfg: RunConfig, out) -> int:
         cavity, baths, _trajectory(opts),
         thermalization_time=float(opts["thermalization-time"]),
     )
-    out.write(_header(cfg, SWEEP_COLUMNS, _CYCLE_COLUMN_DOCS))
-    write_sweep_csv([SweepRow(float(opts["tau"]), ratio, cavity.epsilon, report)], out)
+    _write_table(cfg, out, _CYCLE_TABLE,
+                 [_cycle_row(float(opts["tau"]), ratio, cavity.epsilon, report)])
     return 0
-
-
-_CYCLE_COLUMN_DOCS = (
-    "stroke duration in 1/omega_1",
-    "beta_C / beta_A",
-    "compression ratio",
-    "heat intake (engine) or heat extracted from the cold bath (refrigerator)",
-    "work extracted (engine) or consumed (refrigerator)",
-    "efficiency (engine) or coefficient of performance (refrigerator)",
-    "population-frozen limit of eta",
-    "W / (2 tau + thermalization_time)",
-    "operating regime classification",
-    "friction energy of the compression stroke",
-    "friction energy of the expansion stroke",
-    "1 when the mode-sum tail exceeded tail_tol",
-)
 
 
 def _run_sweep(cfg: RunConfig, out) -> int:
@@ -534,8 +565,9 @@ def _run_sweep(cfg: RunConfig, out) -> int:
         machine=str(opts["mode"]),
         thermalization_time=float(opts["thermalization-time"]),
     )
-    out.write(_header(cfg, SWEEP_COLUMNS, _CYCLE_COLUMN_DOCS))
-    write_sweep_csv(rows, out)
+    _write_table(cfg, out, _CYCLE_TABLE, [
+        _cycle_row(r.tau_omega1, r.beta_ratio, r.epsilon, r.report) for r in rows
+    ])
     return 3 if any(r.report is None for r in rows) else 0
 
 
@@ -543,25 +575,14 @@ def _run_shortcut_check(cfg: RunConfig, out) -> int:
     opts = cfg.options
     L0 = float(opts["L0"])
     tau = float(opts["tau"])
-    harmonics = _parse_harmonics(str(opts["n"]))
     points = int(opts["points"])
     traj = shortcut(quintic(tau), L0)
-    out.write(_header(
-        cfg,
-        ("n", "t", "I_n", "J_n"),
-        (
-            "harmonic index of the probe frequency n*pi/L0",
-            "upper limit of the running integral",
-            "running cosine amplitude of the wall velocity",
-            "running sine amplitude of the wall velocity",
-        ),
-    ))
-    out.write("n,t,I_n,J_n\n")
-    for n in harmonics:
+    rows = []
+    for n in _parse_harmonics(str(opts["n"])):
         for i in range(points + 1):
             t = traj.t_start + traj.duration * i / points
-            I, J = partial_spectral_integral(traj, n, L0, t)
-            out.write(f"{n},{_fmt(t)},{_fmt(I)},{_fmt(J)}\n")
+            rows.append((n, t, *partial_spectral_integral(traj, n, L0, t)))
+    _write_table(cfg, out, _SHORTCUT_TABLE, rows)
     return 0
 
 
@@ -591,32 +612,13 @@ def _run_oracle(cfg: RunConfig, out) -> int:
         flags = " or ".join(f"--{_ORACLE_FLAGS[name]}" for name in exc.names)
         raise UsageError(f"{exc} (change {flags})") from exc
     if identities:
-        out.write(_header(
-            cfg,
-            ("identity", "numeric", "closed_form", "deviation"),
-            ("operator string", "thermal trace over the product Fock basis",
-             "geometric-moment closed form", "absolute deviation"),
-        ))
-        out.write(f"# max_abs_deviation = {_fmt(report.max_abs_deviation)}\n")
-        out.write("identity,numeric,closed_form,deviation\n")
-        for c in report.checks:
-            out.write(
-                f"{c.label},{_fmt(c.numeric)},{_fmt(c.closed_form)},{_fmt(c.deviation)}\n"
-            )
-        return 0
-    out.write(_header(
-        cfg,
-        ("epsilon", "E_full", "E_adiab", "E_pert", "ratio", "richardson_ratio"),
-        (
-            "compression ratio",
-            "energy after phase-space propagation",
-            "population-preserving adiabatic energy",
-            "E_adiab plus the friction formula",
-            "(E_full - E_adiab) / E_F",
-            "ratio extrapolated to epsilon -> 0",
-        ),
-    ))
-    export_comparison(comparison, out)
+        rows = [(c.label, c.numeric, c.closed_form, c.deviation) for c in report.checks]
+        _write_table(cfg, out, _IDENTITY_TABLE, rows,
+                     (("max_abs_deviation", report.max_abs_deviation),))
+    else:
+        rich = comparison.richardson_ratio
+        rows = [(r.epsilon, r.E_full, r.E_adiab, r.E_pert, r.ratio, rich) for r in comparison.rows]
+        _write_table(cfg, out, _COMPARISON_TABLE, rows)
     return 0
 
 

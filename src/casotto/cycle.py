@@ -67,8 +67,6 @@ __all__ = [
     "nonadiabatic_refrigerator",
     "sweep",
     "SweepRow",
-    "write_sweep_csv",
-    "SWEEP_COLUMNS",
 ]
 
 
@@ -470,22 +468,6 @@ class SweepRow:
     error: str = ""
 
 
-SWEEP_COLUMNS = (
-    "tau_omega1",
-    "beta_ratio",
-    "epsilon",
-    "Q",
-    "W",
-    "eta",
-    "eta_adiabatic",
-    "power",
-    "mode",
-    "EF_A",
-    "EF_C",
-    "tail_warning",
-)
-
-
 def sweep(
     cfg: CavityConfig,
     baths: Sequence[BathPair],
@@ -543,23 +525,3 @@ def sweep(
         SweepRow(*at, report) if failure is None else SweepRow(*at, None, error=str(failure))
         for at, report, failure in zip(where, reports, failures * (len(baths) * len(cavities)))
     ]
-
-
-def write_sweep_csv(rows: Iterable[SweepRow], stream) -> None:
-    """Emit the sweep table; one row per grid cell, header row first."""
-    stream.write(",".join(SWEEP_COLUMNS) + "\n")
-    for row in rows:
-        r = row.report
-        where = (row.tau_omega1, row.beta_ratio, row.epsilon)
-        if r is None:
-            stream.write(_FAILED_ROW % where)
-        else:
-            stream.write(_ROW % (
-                *where, r.Q, r.W, r.eta, r.eta_adiabatic, r.power, r.mode,
-                r.E_F_A, r.E_F_C, r.tail_warning,
-            ))
-
-
-# ``%.17g`` formats as ``format(x, ".17g")`` does
-_ROW = ",".join(["%.17g"] * 8 + ["%s", "%.17g", "%.17g", "%d"]) + "\n"
-_FAILED_ROW = "%.17g,%.17g,%.17g," + ",".join(["nan"] * 5 + ["failed", "nan", "nan", "1"]) + "\n"

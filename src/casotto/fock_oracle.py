@@ -63,7 +63,6 @@ __all__ = [
     "IdentityReport",
     "validate_friction",
     "FrictionComparison",
-    "export_comparison",
 ]
 
 _DIM_CAP = 10**5
@@ -496,13 +495,3 @@ def validate_friction(
     e1, e2 = epsilons
     richardson = (r2 * e1 - r1 * e2) / (e1 - e2)
     return FrictionComparison(rows=tuple(rows), richardson_ratio=richardson)
-
-
-def export_comparison(report: FrictionComparison, stream) -> None:
-    """Comma-delimited comparison table, one row per compression ratio."""
-    stream.write("epsilon,E_full,E_adiab,E_pert,ratio,richardson_ratio\n")
-    for row in report.rows:
-        stream.write(
-            f"{row.epsilon:.17g},{row.E_full:.17g},{row.E_adiab:.17g},"
-            f"{row.E_pert:.17g},{row.ratio:.17g},{report.richardson_ratio:.17g}\n"
-        )

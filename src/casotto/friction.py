@@ -91,7 +91,6 @@ __all__ = [
     "friction_energy",
     "friction_bound",
     "mode_breakdown",
-    "export_mode_table",
 ]
 
 
@@ -662,17 +661,3 @@ def friction_bound(cfg: CavityConfig, bath: ThermalBath, traj: Trajectory) -> fl
     A = np.concatenate([[0.0], V**2 / W**4])
     c = _bath_kernel(cfg.L0, K, bath.beta)[0][0]
     return float(cfg.epsilon**2 * (c @ A))
-
-
-def export_mode_table(rows, stream) -> None:
-    """Write :func:`mode_breakdown` rows as comma-delimited text.
-
-    Columns: k, diag_term, create_term, scatter_term, cumulative.
-    """
-    stream.write("k,diag_term,create_term,scatter_term,cumulative\n")
-    running = 0.0
-    for k, d, c, s in rows:
-        running += d + c + s
-        stream.write(
-            f"{k},{d:.17g},{c:.17g},{s:.17g},{running:.17g}\n"
-        )

@@ -270,7 +270,7 @@ def from_samples(source: str | Path | io.TextIOBase, label: str | None = None) -
     closed-form families.
     """
     if isinstance(source, (str, Path)):
-        text = Path(source).read_text()
+        text = Path(source).read_text(encoding="utf-8")
         label = label or str(source)
     else:
         text = source.read()

@@ -66,6 +66,14 @@ class TestParsing:
         assert main(["friction", "--config", str(conf)]) == 2
         assert capsys.readouterr().err.count("\n") == 1
 
+    def test_trajectory_file_that_is_not_utf8_is_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "stroke.csv"
+        path.write_bytes(b"0,0\n1,\xff1\n")
+        assert main(["friction", "--family", "sampled", "--trajectory-file", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"casotto: cannot read trajectory file {path}: ")
+        assert err.count("\n") == 1
+
     def test_directory_as_trajectory_file_is_a_usage_error(self, tmp_path):
         argv = ["friction", "--family", "sampled", "--trajectory-file", str(tmp_path)]
         with pytest.raises(UsageError, match="not a file"):
@@ -103,6 +111,22 @@ class TestParsing:
     def test_missing_command(self):
         with pytest.raises(UsageError):
             parse_config(["--tau", "1.0"])
+        with pytest.raises(UsageError, match="missing command"):
+            parse_config(["--modes", "4"])
+
+    @pytest.mark.parametrize("before, after", [
+        (["--config", "{conf}", "bound"], ["bound", "--config", "{conf}"]),
+        (["--modes", "4", "friction"], ["friction", "--modes", "4"]),
+        (["--tau=2", "--beta-a", "2", "engine"], ["engine", "--tau=2", "--beta-a", "2"]),
+    ], ids=["config", "modes", "mixed"])
+    def test_options_before_the_command(self, tmp_path, before, after):
+        # the usage line puts the options first: an option's value is no command
+        conf = tmp_path / "run.conf"
+        conf.write_text("modes = 4\n")
+        subst = lambda argv: [tok.format(conf=conf) for tok in argv]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            assert capture(subst(before)) == capture(subst(after))
 
     def test_unknown_command(self):
         with pytest.raises(UsageError):
@@ -185,6 +209,10 @@ class TestParsing:
         ["sweep", "--tau-grid=-1:2:3"],
         ["sweep", "--tau-grid", "1:2:2", "--beta-a", "inf"],
         ["friction", "--tau", "inf"],
+        ["friction", "--modes", "0"],
+        ["sweep", "--tau-grid", "1:2:2", "--mode", "bogus"],
+        ["oracle", "--check", "bogus"],
+        ["friction", "--family", "bogus"],
     ], ids=["points-zero", "points-negative", "n-not-integer", "n-negative", "n-empty",
             "tail-tol-zero", "beta-ratio-above-one", "beta-ratio-zero", "beta-a-negative",
             "sweep-beta-ratio-above-one", "beta-minus-inf", "friction-two-epsilons",
@@ -193,7 +221,7 @@ class TestParsing:
             "grid-bound-not-number", "fock-modes-zero", "n-max-zero", "dt-zero",
             "integrator-order-removed", "L0-zero", "L0-inf", "epsilon-empty",
             "beta-ratio-empty", "grid-at-zero", "grid-below-zero", "beta-a-inf",
-            "tau-inf"])
+            "tau-inf", "modes-zero", "sweep-mode-bogus", "check-bogus", "family-bogus"])
     def test_shortcut_check_rejects_bad_samples(self, argv):
         # out-of-range values are usage errors (status 2), caught before the
         # library's own ValueError would turn them into numerical failures (3)
@@ -288,6 +316,37 @@ class TestGrids:
         for bad in ("1:2", "2:1:5", "0:1:0", "-1:1:3log", "1:2:x", "a:2:3", "1:inf:3"):
             with pytest.raises(UsageError):
                 _parse_grid(bad)
+
+
+# the commands of the README's command-line section
+README_COMMANDS = [
+    "friction --tau 1.0 --beta 1.0 --epsilon 0.01 --modes 64",
+    "bound --tau 1.0 --beta 1.0 --epsilon 0.01",
+    "engine --tau 2.0 --beta-a 2.0 --beta-ratio 0.5 --epsilon 0.01",
+    "refrigerator --tau 2.0 --beta-a 2.0 --beta-ratio 0.97 --epsilon 0.06",
+    "sweep --family quintic --tau-grid 0.1:30:40log --beta-ratio 0.17,0.33,0.5"
+    " --beta-a 2.0 --epsilon 0.01 --mode engine",
+    "shortcut-check --tau 1 --L0 1 --n 2,4,10",
+    "oracle --tau 1.0 --beta 2.0 --epsilon 0.01 --fock-modes 2 --n-max 8",
+    "oracle --check identities --beta 2.0 --fock-modes 3 --n-max 8",
+]
+
+
+@pytest.mark.parametrize("command", README_COMMANDS, ids=lambda c: " ".join(c.split()[:3]))
+def test_every_command_has_the_documented_layout(command):
+    # header block, column row, data rows; the '# column' lines name the
+    # column row's columns in its order
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        status, text = capture(command.split())
+    assert status == 0
+    lines = text.splitlines()
+    n_header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    documented = [line[len("# column "):].split(":", 1)[0]
+                  for line in lines[:n_header] if line.startswith("# column ")]
+    assert documented == lines[n_header].split(",")
+    assert len(lines) > n_header + 1
+    assert not any(line.startswith("#") for line in lines[n_header:])
 
 
 class TestRuns:

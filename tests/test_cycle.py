@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from casotto import cli
 from casotto import cycle as cycle_module
 from casotto import friction as friction_module
 from casotto.cycle import (
@@ -16,7 +17,6 @@ from casotto.cycle import (
     nonadiabatic_engine,
     nonadiabatic_refrigerator,
     sweep,
-    write_sweep_csv,
 )
 from casotto.friction import TruncationWarning, friction_energy, spectral_table
 from casotto.spectrum import CavityConfig, ThermalBath, casimir_energy
@@ -567,10 +567,11 @@ class TestSweep:
         assert len(entered) == 1
 
     def test_csv_shape(self):
-        rows = sweep(cfg(K=8), [ENGINE_BATHS], [0.5, 1.0], quintic)
+        argv = ["sweep", "--tau-grid", "0.5:1:2", "--beta-a", "2", "--beta-ratio", "0.5",
+                "--modes", "8"]
         buf = io.StringIO()
-        write_sweep_csv(rows, buf)
-        lines = buf.getvalue().strip().splitlines()
+        cli.run(cli.parse_config(argv), stream=buf)
+        lines = [ln for ln in buf.getvalue().strip().splitlines() if not ln.startswith("#")]
         assert lines[0].startswith("tau_omega1,beta_ratio,epsilon,Q,W,eta")
         assert len(lines) == 3
         assert len(lines[1].split(",")) == 12

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from scipy import interpolate
 
+from casotto import cli
 from casotto import friction as friction_module
 from casotto.friction import (
     FrictionResult,
@@ -18,7 +19,6 @@ from casotto.friction import (
     TruncationWarning,
     _acceleration_variation,
     _bath_kernel,
-    export_mode_table,
     friction_bound,
     friction_energy,
     mode_breakdown,
@@ -1019,14 +1019,22 @@ class TestFrictionBound:
         assert bound >= friction_energy(cfg, ThermalBath(beta), wavy).value
 
 
-def test_export_mode_table_roundtrip():
+def test_mode_table_roundtrip():
     cfg = make_cfg(K=6)
-    table = spectral_table(quintic(1.0), cfg)
-    res = friction_energy(cfg, ThermalBath(1.0), quintic(1.0), table=table)
+    res = friction_energy(cfg, ThermalBath(1.0), quintic(1.0))
     buf = io.StringIO()
-    export_mode_table(mode_breakdown(cfg, ThermalBath(1.0), table), buf)
-    lines = buf.getvalue().strip().splitlines()
+    cli.run(cli.parse_config(["friction", "--tau", "1", "--beta", "1", "--modes", "6"]), stream=buf)
+    lines = [ln for ln in buf.getvalue().strip().splitlines() if not ln.startswith("#")]
     assert lines[0] == "k,diag_term,create_term,scatter_term,cumulative"
     assert len(lines) == 7
     last = lines[-1].split(",")
     assert float(last[-1]) == pytest.approx(res.value, rel=1e-12)
+
+
+def test_a_table_that_does_not_serve_the_cavity_is_rejected():
+    traj, bath = quintic(1.0), ThermalBath(1.0)
+    with pytest.raises(ValueError, match="covers n <= 8, need 16"):
+        friction_energy(make_cfg(K=8), bath, traj, table=spectral_table(traj, make_cfg(K=4)))
+    other = CavityConfig(L0=1.0, epsilon=0.01, n_modes=8)
+    with pytest.raises(ValueError, match="different cavity"):
+        friction_energy(make_cfg(K=8), bath, traj, table=spectral_table(traj, other))
