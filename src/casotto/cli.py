@@ -34,7 +34,7 @@ from typing import Callable, Sequence
 from . import __version__
 from . import fock_oracle as _fock_oracle
 from . import friction as _friction
-from .cycle import BathPair, nonadiabatic_engine, nonadiabatic_refrigerator, sweep
+from .cycle import BathPair, _listed, _sweep_grid, nonadiabatic_engine, nonadiabatic_refrigerator
 from .friction import friction_bound, friction_energy, mode_breakdown, partial_spectral_integral
 from .fock_oracle import OracleRangeError, validate_friction
 from .spectrum import PERTURBATIVE_EPSILON_MAX, CavityConfig, ThermalBath, _warn
@@ -419,6 +419,8 @@ _CYCLE_TABLE = (
 )
 # what follows a failed cell's coordinates: nan,nan,nan,nan,nan,failed,nan,nan,1
 _FAILED_CELL = (math.nan,) * 5 + ("failed", math.nan, math.nan, True)
+# the sweep's rows carry their coordinates formatted once per distinct value
+_SWEEP_TABLE = tuple((name, "%s", doc) for name, _, doc in _CYCLE_TABLE[:3]) + _CYCLE_TABLE[3:]
 _SHORTCUT_TABLE = (
     ("n", "%d", "harmonic index of the probe frequency n*pi/L0"),
     ("t", "%.17g", "upper limit of the running integral"),
@@ -526,9 +528,7 @@ def _run_bound(cfg: RunConfig, out) -> int:
 
 
 def _cycle_row(tau: float, ratio: float, epsilon: float, r) -> tuple:
-    """One row of the cycle table; ``r`` is the cell's report, None if it failed."""
-    if r is None:
-        return (tau, ratio, epsilon, *_FAILED_CELL)
+    """One row of the cycle table from the cell's report ``r``."""
     return (tau, ratio, epsilon, r.Q, r.W, r.eta, r.eta_adiabatic, r.power, r.mode,
             r.E_F_A, r.E_F_C, r.tail_warning)
 
@@ -556,19 +556,26 @@ def _run_sweep(cfg: RunConfig, out) -> int:
     epsilons = _parse_float_list(str(opts["epsilon"]), "epsilon")
     beta_a = float(opts["beta-a"])
     baths = [BathPair(beta_a, r * beta_a) for r in ratios]
-    rows = sweep(
-        _cavity(opts, epsilons[0]),
-        baths,
-        taus,
-        _trajectory_family(opts),
-        epsilons=epsilons,
-        machine=str(opts["mode"]),
-        thermalization_time=float(opts["thermalization-time"]),
+    g, taus, failures = _sweep_grid(
+        _cavity(opts, epsilons[0]), baths, taus, _trajectory_family(opts), epsilons,
+        str(opts["mode"]), float(opts["thermalization-time"]),
     )
-    _write_table(cfg, out, _CYCLE_TABLE, [
-        _cycle_row(r.tau_omega1, r.beta_ratio, r.epsilon, r.report) for r in rows
-    ])
-    return 3 if any(r.report is None for r in rows) else 0
+    # every coordinate formatted once and every column listed once, in
+    # cycle.sweep's row order; omega_1 = 1, so tau is tau_omega1
+    B, E, T = g.shape
+    floats = _listed(g, g.Q, g.W, g.eta, g.eta_ad, g.power, g.ef_a, g.ef_c)
+    runs, warned = _listed(g, g.runs, g.tail_warning, dtype=bool)
+    rows = zip(
+        ["%.17g" % tau for tau in taus] * (B * E),
+        [text for text in ("%.17g" % bath.ratio for bath in baths) for _ in range(E * T)],
+        [text for text in ("%.17g" % eps for eps in epsilons) for _ in taus] * B,
+        *floats[:5], [g.machine if r else "dissipator" for r in runs], *floats[5:], warned,
+    )
+    failed = [failure is not None for failure in failures]
+    if any(failed):
+        rows = [(*row[:3], *_FAILED_CELL) if bad else row for row, bad in zip(rows, failed * B * E)]
+    _write_table(cfg, out, _SWEEP_TABLE, rows)
+    return 3 if any(failed) else 0
 
 
 def _run_shortcut_check(cfg: RunConfig, out) -> int:

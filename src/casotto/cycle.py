@@ -34,6 +34,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -274,7 +275,7 @@ def _cycles(
     periods: Sequence[float] = (),
     *,
     include_casimir: bool,
-) -> tuple[list[CycleReport], object, object, tuple, tuple]:
+) -> SimpleNamespace:
     """Cycles of ``machine`` over a (bath, eps, tau) grid, each rule run once.
 
     ``cavities`` (one per eps) differ only in epsilon.  Without ``tables``
@@ -282,9 +283,9 @@ def _cycles(
     else tau ``t`` takes both frictions from the checked ``tables[t]`` (None
     for a failed tau: NaN cells) and has cycle period ``periods[t]``.  Each
     (table, bath) product is taken once, in one :func:`_per_bath` call.
-    Returns the reports in (bath, eps, tau) order, the population-frozen
-    heat and its truncation flag, and the flags and tail estimates (per
-    unit ``eps**2``) of strokes A and C; both empty without ``tables``.
+    Returns arrays that broadcast to the grid's ``shape``, no per-cell object;
+    the flags and tail estimates (per unit ``eps**2``) of strokes A and C
+    are empty without ``tables``.
     """
     m = _MACHINES[machine]
     cfg = cavities[0]
@@ -309,12 +310,11 @@ def _cycles(
     with np.errstate(all="ignore"):
         otto_flag = _truncation_flag(tail, Q_ad, 1.0, 0.0, cfg.tail_tol)
         tail_warning, stroke_flags, stroke_tails = otto_flag, (), ()
-        ef_a = ef_c = err = 0.0
+        ef_a = ef_c = err_a = err_c = 0.0
         period = math.nan
         if tables:
             ef_a, ef_c = eps2 * value_a, eps2 * value_c
             err_a, err_c = eps2 * noise_a, eps2 * noise_c
-            err = err_a + err_c
             stroke_flags = (
                 _truncation_flag(tail_a, value_a, eps2, err_a, cfg.tail_tol),
                 _truncation_flag(tail_c, value_c, eps2, err_c, cfg.tail_tol),
@@ -326,30 +326,46 @@ def _cycles(
         W = m.work(W_ad, ef_a, ef_c)
         eta_ad, _ = _safe_ratio(*m.merit(Q_ad, W_ad), m.limit(eps))
         eta, defined = _safe_ratio(*m.merit(Q, W), eta_ad)
+        power = W / period
+    return SimpleNamespace(
+        shape=(B, E, T), machine=machine, n_modes=cfg.n_modes, Q=Q, W=W, eta=eta, eta_ad=eta_ad,
+        power=power, ef_a=ef_a, ef_c=ef_c, tail_warning=tail_warning, runs=m.runs(Q, W),
+        defined=defined, Q_ad=Q_ad, tail=tail, otto_flag=otto_flag, stroke_flags=stroke_flags,
+        stroke_tails=stroke_tails, err_a=err_a, err_c=err_c,
+        energies=(w0_nA, w1_nA, w1_nC, w0_nC, e0, e1),
+    )
+
+
+def _listed(grid: SimpleNamespace, *arrays, dtype=float) -> list[list]:
+    """``grid``'s ``arrays`` as lists in (bath, eps, tau) order, through one ``dtype`` block."""
+    if grid.shape == (1, 1, 1):  # scalars (see _operands): no block needed
+        return [[dtype(a)] for a in arrays]
+    block = np.empty((len(arrays), *grid.shape), dtype=dtype)
+    for i, a in enumerate(arrays):
+        block[i] = a
+    return block.reshape(len(arrays), -1).tolist()
+
+
+def _reports(g: SimpleNamespace) -> list[CycleReport]:
+    """One :class:`CycleReport` per cell of a :func:`_cycles` grid, in (bath, eps, tau) order."""
+    m = _MACHINES[g.machine]
+    w0_nA, w1_nA, w1_nC, w0_nC, e0, e1 = g.energies
+    with np.errstate(all="ignore"):
         eta2 = math.nan
         if m.second_order is not None:
-            eta2 = np.where(Q_ad != 0.0, m.second_order(eta_ad, Q_ad, ef_a + ef_c), math.nan)[()]
-        power = W / period
-    # one block per type, each filled by broadcasting, then one row per cell
-    floats = np.empty((14, B, E, T))
-    for i, column in enumerate((
-        w0_nA + e0, w1_nA + ef_a + e1, w1_nC + e1, w0_nC + ef_c + e0,
-        Q, W, eta, eta_ad, power, ef_a, ef_c, eta2, tail, err,
-    )):
-        floats[i] = column
-    flags = np.empty((3, B, E, T), dtype=bool)
-    flags[0], flags[1], flags[2] = defined, tail_warning, m.runs(Q, W)
-    K, convention = cfg.n_modes, m.q_convention
-    reports = [
+            eta2 = np.where(g.Q_ad != 0.0, m.second_order(g.eta_ad, g.Q_ad, g.ef_a + g.ef_c), eta2)
+        floats = _listed(
+            g, w0_nA + e0, w1_nA + g.ef_a + e1, w1_nC + e1, w0_nC + g.ef_c + e0,
+            g.Q, g.W, g.eta, g.eta_ad, g.power, g.ef_a, g.ef_c, eta2, g.tail, g.err_a + g.err_c,
+        )
+    flags = _listed(g, g.defined, g.tail_warning, g.runs, dtype=bool)
+    return [
         CycleReport(
-            *f[:9], machine if runs else "dissipator", f[9], f[10], K, defined_,
-            f[11], f[12], warned, convention, f[13],
+            *f[:9], g.machine if runs else "dissipator", f[9], f[10], g.n_modes, defined_,
+            f[11], f[12], warned, m.q_convention, f[13],
         )
-        for f, (defined_, warned, runs) in zip(
-            floats.reshape(14, -1).T.tolist(), flags.reshape(3, -1).T.tolist()
-        )
+        for *f, defined_, warned, runs in zip(*floats, *flags)
     ]
-    return reports, Q_ad, otto_flag, stroke_flags, stroke_tails
 
 
 def _single_cycle(
@@ -379,17 +395,16 @@ def _single_cycle(
             ),
             ConditionWarning,
         )
-    (report,), Q_ad, otto_flag, stroke_flags, stroke_tails = _cycles(
-        [cfg], [baths], machine, tables, periods, include_casimir=include_casimir
-    )
-    if otto_flag:
+    g = _cycles([cfg], [baths], machine, tables, periods, include_casimir=include_casimir)
+    (report,) = _reports(g)
+    if g.otto_flag:
         _warn(
             f"mode-sum tail estimate {report.tail_estimate:.3e} exceeds tail_tol * |Q| "
-            f"= {cfg.tail_tol * abs(Q_ad):.3e}; increase n_modes",
+            f"= {cfg.tail_tol * abs(g.Q_ad):.3e}; increase n_modes",
             TruncationWarning,
         )
     eps2 = cfg.epsilon**2
-    for flag, value, tail in zip(stroke_flags, (report.E_F_A, report.E_F_C), stroke_tails):
+    for flag, value, tail in zip(g.stroke_flags, (report.E_F_A, report.E_F_C), g.stroke_tails):
         if flag:
             _warn_truncation(eps2 * tail if math.isfinite(tail) else tail, value, cfg.tail_tol)
     return report
@@ -468,6 +483,33 @@ class SweepRow:
     error: str = ""
 
 
+def _sweep_grid(cfg, baths, taus, traj_family, epsilons, machine, thermalization_time,
+                include_casimir=True) -> tuple[SimpleNamespace, list[float], tuple]:
+    """:func:`sweep` up to its rows: the :func:`_cycles` grid, the sorted taus
+    and each tau's failure (None where it succeeded), warnings silenced."""
+    if machine not in _MACHINES:
+        raise ValueError(f"machine must be 'engine' or 'refrigerator', got {machine!r}")
+    if not baths or len(taus) == 0 or not epsilons:
+        raise ValueError("sweep needs non-empty bath, epsilon and tau grids")
+    cavities = [replace(cfg, epsilon=eps) for eps in epsilons]
+    taus = sorted(float(t) for t in taus)
+    strokes = []  # (table, period, failure) per tau
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for tau in taus:
+            try:
+                traj = traj_family(tau)
+                table = spectral_table(traj, cfg)
+                period = _cycle_time(traj.duration, thermalization_time)
+                _stroke_cutoff(cfg, table)
+                strokes.append((table, period, None))
+            except Exception as exc:  # a failing tau is recorded, not raised
+                strokes.append((None, math.nan, exc))
+        tables, periods, failures = zip(*strokes)
+        grid = _cycles(cavities, baths, machine, tables, periods, include_casimir=include_casimir)
+    return grid, taus, failures
+
+
 def sweep(
     cfg: CavityConfig,
     baths: Sequence[BathPair],
@@ -494,34 +536,12 @@ def sweep(
     recorded in each of its rows and does not abort the sweep; warnings are
     silenced.
     """
-    if machine not in _MACHINES:
-        raise ValueError(f"machine must be 'engine' or 'refrigerator', got {machine!r}")
     eps_list = list(epsilons) if epsilons is not None else [cfg.epsilon]
-    if not baths or len(taus) == 0 or not eps_list:
-        raise ValueError("sweep needs non-empty bath, epsilon and tau grids")
-    cavities = [replace(cfg, epsilon=eps) for eps in eps_list]
-    taus = sorted(float(t) for t in taus)
-    strokes = []  # (table, period, failure) per tau
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for tau in taus:
-            try:
-                traj = traj_family(tau)
-                table = spectral_table(traj, cfg)
-                period = _cycle_time(traj.duration, thermalization_time)
-                _stroke_cutoff(cfg, table)
-                strokes.append((table, period, None))
-            except Exception as exc:  # a failing tau is recorded, not raised
-                strokes.append((None, math.nan, exc))
-        tables, periods, failures = zip(*strokes)
-        reports = _cycles(
-            cavities, baths, machine, tables, periods, include_casimir=include_casimir
-        )[0]
-    where = [
-        (tau * cfg.omega1, bath.ratio, cell.epsilon)
-        for bath in baths for cell in cavities for tau in taus
-    ]
+    grid, taus, failures = _sweep_grid(cfg, baths, taus, traj_family, eps_list, machine,
+                                       thermalization_time, include_casimir)
+    where = [(tau * cfg.omega1, bath.ratio, e) for bath in baths for e in eps_list for tau in taus]
+    cells = zip(where, _reports(grid), failures * (len(baths) * len(eps_list)))
     return [
         SweepRow(*at, report) if failure is None else SweepRow(*at, None, error=str(failure))
-        for at, report, failure in zip(where, reports, failures * (len(baths) * len(cavities)))
+        for at, report, failure in cells
     ]

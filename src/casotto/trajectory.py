@@ -154,14 +154,13 @@ def _taylor_shift(a: np.ndarray, s) -> np.ndarray:
     """Ascending coefficients of ``p(u + s)`` from those of ``p(u)``.
 
     ``a[j]`` multiplies ``u**j``; its columns (one polynomial each) are
-    shifted by the matching entries of ``s``, and a single column is shifted
-    by every entry.  Row ``k`` of the result is the binomial Taylor-shift
-    matrix applied to ``a``, ``sum_{j >= k} binomial(j, k) s**(j - k) a[j]``,
-    accumulated along its diagonals ``d = j - k`` in ascending order.
+    shifted by the matching entries of ``s``.  Row ``k`` of the result is
+    the binomial Taylor-shift matrix applied to ``a``,
+    ``sum_{j >= k} binomial(j, k) s**(j - k) a[j]``, accumulated along its
+    diagonals ``d = j - k`` in ascending order.
     """
     n = a.shape[0]
-    s = np.asarray(s, dtype=float)
-    q = a * np.ones_like(s)
+    q = a.copy()
     power = s
     for d in range(1, n):
         binomial = np.array([math.comb(k + d, d) for k in range(n - d)], dtype=float)
@@ -178,12 +177,16 @@ def _from_pieces(pieces: Sequence[tuple[float, float, np.ndarray]], order: int) 
     ``order``); the breakpoints are the union of the window edges.
     """
     x = np.unique([edge for lo, hi, _ in pieces for edge in (lo, hi)])
+    lo, hi = np.array([(lo, hi) for lo, hi, _ in pieces]).T
+    first, last = np.searchsorted(x, lo), np.searchsorted(x, hi)
+    # one shift re-expands each window, zero-padded to ``order``, about each
+    # covered piece's left end; summed in window order, as one window at a time
+    k = np.arange(len(x) - 1)
+    window, piece = np.nonzero((first[:, None] <= k) & (k < last[:, None]))
+    coeffs = np.array([[*a, *[0.0] * (order - len(a))] for _, _, a in pieces]).T
+    shifted = _taylor_shift(coeffs[:, window], x[piece] - lo[window])[::-1]
     c = np.zeros((order, len(x) - 1))
-    for lo, hi, a in pieces:
-        first, last = np.searchsorted(x, lo), np.searchsorted(x, hi)
-        # re-expand about each covered piece's own left end
-        shifted = _taylor_shift(np.asarray(a, dtype=float)[:, None], x[first:last] - lo)
-        c[order - len(a):, first:last] += shifted[::-1]
+    np.add.at(c.T, piece, shifted.T)
     return PPoly(c, x)
 
 

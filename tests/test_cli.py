@@ -1,6 +1,7 @@
 import io
 import math
 import os
+import struct
 import subprocess
 import sys
 import warnings
@@ -9,8 +10,11 @@ from pathlib import Path
 import pytest
 
 import casotto
-from casotto import cli
+from casotto import cli, cycle
 from casotto.cli import RunConfig, UsageError, main, parse_config, run, _parse_grid
+from casotto.cycle import BathPair, sweep
+from casotto.spectrum import CavityConfig
+from casotto.trajectory import quintic
 from casotto.friction import TruncationWarning
 
 
@@ -445,6 +449,56 @@ class TestRuns:
                                           "--epsilon", eps, *flags])
             assert status == 0
             assert [l for l in single.splitlines() if l[:1].isdigit()] == [row]
+
+    @pytest.mark.parametrize("machine, ratios", [
+        ("engine", "0.3,0.5"), ("refrigerator", "0.97,0.99"),
+    ])
+    def test_sweep_rows_are_the_library_reports(self, machine, ratios):
+        # the CLI writes its rows from the grid arrays, cycle.sweep builds
+        # reports from them; the first two taus underflow tau**5 and fail
+        argv = ["sweep", "--tau-grid", "1e-200:1:3log", "--beta-ratio", ratios,
+                "--epsilon", "0.01,0.06", "--modes", "16", "--mode", machine]
+        status, text = capture(argv)
+        assert status == 3
+        lines = [l for l in text.splitlines() if l[:1].isdigit()]
+        ratio_list = [float(r) for r in ratios.split(",")]
+        rows = sweep(
+            CavityConfig(math.pi, 0.01, 16), [BathPair(1.0, r) for r in ratio_list],
+            _parse_grid("1e-200:1:3log"), quintic, epsilons=[0.01, 0.06], machine=machine,
+        )
+        assert len(lines) == len(rows) == 12
+
+        def same(printed, value):
+            got = float(printed)
+            if math.isnan(value):
+                return math.isnan(got)
+            return struct.pack("<d", got) == struct.pack("<d", value)
+
+        for line, row in zip(lines, rows):
+            cells = line.split(",")
+            assert all(same(t, v) for t, v in zip(cells, (row.tau_omega1, row.beta_ratio,
+                                                          row.epsilon)))
+            r = row.report
+            if r is None:
+                assert cells[3:] == "nan,nan,nan,nan,nan,failed,nan,nan,1".split(",")
+                continue
+            for t, v in zip(cells[3:8] + cells[9:11],
+                            (r.Q, r.W, r.eta, r.eta_adiabatic, r.power, r.E_F_A, r.E_F_C)):
+                assert same(t, v)
+            assert cells[8] == r.mode and cells[11] == str(int(r.tail_warning))
+        assert sum(row.report is None for row in rows) == 8
+
+    def test_sweep_builds_no_per_cell_objects(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("casotto sweep built a per-cell object")
+
+        monkeypatch.setattr(cycle, "CycleReport", refuse)
+        monkeypatch.setattr(cycle, "SweepRow", refuse)
+        status, text = capture(["sweep", "--tau-grid", "0.5:2:3", "--beta-ratio", "0.3,0.5",
+                                "--epsilon", "0.01,0.02", "--modes", "16"])
+        assert status == 0
+        rows = [l.split(",") for l in text.splitlines() if l[:1].isdigit()]
+        assert len(rows) == 12 and {r[8] for r in rows} == {"engine"}
 
     def test_shortcut_check_traces_return_to_zero(self):
         status, text = capture(

@@ -9,10 +9,12 @@ from numpy.polynomial import Polynomial
 from scipy import interpolate
 
 from casotto.quadrature import QuadratureSpec, integrate_1d
+from casotto import trajectory
 from casotto.trajectory import (
     PPoly,
     Trajectory,
     _from_pieces,
+    _taylor_shift,
     from_samples,
     quintic,
     reverse,
@@ -387,6 +389,42 @@ class TestTaylorShift:
                 # each shifted coefficient is a sum of at most `order` products
                 bound = 4.0 * order * np.finfo(float).eps * scale
                 assert np.all(np.abs(got.c[::-1, i] - want) <= bound)
+
+    def test_from_pieces_equals_the_window_by_window_sum_bit_for_bit(self):
+        # the reference: each window shifted on its own and added in turn
+        def by_window(pieces, order):
+            x = np.unique([edge for lo, hi, _ in pieces for edge in (lo, hi)])
+            c = np.zeros((order, len(x) - 1))
+            for lo, hi, a in pieces:
+                first, last = np.searchsorted(x, lo), np.searchsorted(x, hi)
+                column = np.asarray(a, dtype=float)[:, None] * np.ones(last - first)
+                c[order - len(a):, first:last] += _taylor_shift(column, x[first:last] - lo)[::-1]
+            return c, x
+
+        rng = np.random.default_rng(29)
+        cases = []
+        for _ in range(60):
+            order = int(rng.integers(1, 8))
+            edges = rng.uniform(-3.0, 3.0, size=4)  # shared edges, nested and overlapping windows
+            pieces = []
+            for _ in range(int(rng.integers(1, 7))):
+                lo, hi = sorted(rng.choice(edges, size=2, replace=False))
+                pieces.append((lo, hi, rng.normal(size=int(rng.integers(1, order + 1)))))
+            cases.append((pieces, order))
+        captured = []
+        original = trajectory._from_pieces
+        try:
+            trajectory._from_pieces = lambda p, o: captured.append((p, o)) or original(p, o)
+            for tau in (0.1, 0.7, 2.0, 10.0):
+                for L0 in (0.3, 1.0, math.pi):
+                    shortcut(quintic(tau), L0)
+                    shortcut(reverse(quintic(tau)), L0)
+        finally:
+            trajectory._from_pieces = original
+        for pieces, order in cases + captured:
+            got = _from_pieces(pieces, order)
+            c, x = by_window(pieces, order)
+            assert got.x.tobytes() == x.tobytes() and got.c.tobytes() == c.tobytes()
 
     @pytest.mark.parametrize("tau", [1.0, 2.0, 3.5], ids=["overlap", "touch", "apart"])
     def test_shortcut_windows_and_resonances(self, tau):
