@@ -34,7 +34,7 @@ from typing import Callable, Sequence
 from . import __version__
 from . import fock_oracle as _fock_oracle
 from . import friction as _friction
-from .cycle import BathPair, _listed, _sweep_grid, nonadiabatic_engine, nonadiabatic_refrigerator
+from .cycle import BathPair, _cell, _listed, _sweep_grid
 from .friction import friction_bound, friction_energy, mode_breakdown, partial_spectral_integral
 from .fock_oracle import OracleRangeError, validate_friction
 from .spectrum import PERTURBATIVE_EPSILON_MAX, CavityConfig, ThermalBath, _warn
@@ -403,10 +403,11 @@ _BOUND_TABLE = (
     ("epsilon", "%.17g", "compression ratio"),
     ("bound", "%.17g", "upper bound on the friction energy"),
 )
+# the cycle rows carry their coordinates formatted once per distinct value
 _CYCLE_TABLE = (
-    ("tau_omega1", "%.17g", "stroke duration in 1/omega_1"),
-    ("beta_ratio", "%.17g", "beta_C / beta_A"),
-    ("epsilon", "%.17g", "compression ratio"),
+    ("tau_omega1", "%s", "stroke duration in 1/omega_1"),
+    ("beta_ratio", "%s", "beta_C / beta_A"),
+    ("epsilon", "%s", "compression ratio"),
     ("Q", "%.17g", "heat intake (engine) or heat extracted from the cold bath (refrigerator)"),
     ("W", "%.17g", "work extracted (engine) or consumed (refrigerator)"),
     ("eta", "%.17g", "efficiency (engine) or coefficient of performance (refrigerator)"),
@@ -419,8 +420,6 @@ _CYCLE_TABLE = (
 )
 # what follows a failed cell's coordinates: nan,nan,nan,nan,nan,failed,nan,nan,1
 _FAILED_CELL = (math.nan,) * 5 + ("failed", math.nan, math.nan, True)
-# the sweep's rows carry their coordinates formatted once per distinct value
-_SWEEP_TABLE = tuple((name, "%s", doc) for name, _, doc in _CYCLE_TABLE[:3]) + _CYCLE_TABLE[3:]
 _SHORTCUT_TABLE = (
     ("n", "%d", "harmonic index of the probe frequency n*pi/L0"),
     ("t", "%.17g", "upper limit of the running integral"),
@@ -527,54 +526,39 @@ def _run_bound(cfg: RunConfig, out) -> int:
     return 0
 
 
-def _cycle_row(tau: float, ratio: float, epsilon: float, r) -> tuple:
-    """One row of the cycle table from the cell's report ``r``."""
-    return (tau, ratio, epsilon, r.Q, r.W, r.eta, r.eta_adiabatic, r.power, r.mode,
-            r.E_F_A, r.E_F_C, r.tail_warning)
-
-
-def _run_single_cycle(cfg: RunConfig, out) -> int:
+def _run_cycle(cfg: RunConfig, out) -> int:
     opts = cfg.options
-    ratio = _single(opts, "beta-ratio")
-    beta_a = float(opts["beta-a"])
-    baths = BathPair(beta_a, ratio * beta_a)
-    cavity = _cavity(opts, _single(opts, "epsilon"))
-    runner = nonadiabatic_engine if cfg.command == "engine" else nonadiabatic_refrigerator
-    report = runner(
-        cavity, baths, _trajectory(opts),
-        thermalization_time=float(opts["thermalization-time"]),
-    )
-    _write_table(cfg, out, _CYCLE_TABLE,
-                 [_cycle_row(float(opts["tau"]), ratio, cavity.epsilon, report)])
-    return 0
-
-
-def _run_sweep(cfg: RunConfig, out) -> int:
-    opts = cfg.options
-    taus = _parse_grid(str(opts["tau-grid"]))
     ratios = _parse_float_list(str(opts["beta-ratio"]), "beta-ratio")
     epsilons = _parse_float_list(str(opts["epsilon"]), "epsilon")
     beta_a = float(opts["beta-a"])
     baths = [BathPair(beta_a, r * beta_a) for r in ratios]
-    g, taus, failures = _sweep_grid(
-        _cavity(opts, epsilons[0]), baths, taus, _trajectory_family(opts), epsilons,
-        str(opts["mode"]), float(opts["thermalization-time"]),
-    )
-    # every coordinate formatted once and every column listed once, in
-    # cycle.sweep's row order; omega_1 = 1, so tau is tau_omega1
+    cavity = _cavity(opts, epsilons[0])
+    family = _trajectory_family(opts)
+    thermalization_time = float(opts["thermalization-time"])
+    if cfg.command == "sweep":
+        g, taus, failures = _sweep_grid(
+            cavity, baths, _parse_grid(str(opts["tau-grid"])), family, epsilons,
+            str(opts["mode"]), thermalization_time,
+        )
+    else:  # _validate has left one ratio and one epsilon
+        taus, failures = [float(opts["tau"])], (None,)
+        g = _cell(cavity, baths[0], cfg.command, family(taus[0]), include_casimir=True,
+                  thermalization_time=thermalization_time)
+    # every coordinate, as requested, formatted once and every column listed
+    # once, in cycle.sweep's row order; omega_1 = 1, so tau is tau_omega1
     B, E, T = g.shape
     floats = _listed(g, g.Q, g.W, g.eta, g.eta_ad, g.power, g.ef_a, g.ef_c)
     runs, warned = _listed(g, g.runs, g.tail_warning, dtype=bool)
     rows = zip(
         ["%.17g" % tau for tau in taus] * (B * E),
-        [text for text in ("%.17g" % bath.ratio for bath in baths) for _ in range(E * T)],
+        [text for text in ("%.17g" % ratio for ratio in ratios) for _ in range(E * T)],
         [text for text in ("%.17g" % eps for eps in epsilons) for _ in taus] * B,
         *floats[:5], [g.machine if r else "dissipator" for r in runs], *floats[5:], warned,
     )
     failed = [failure is not None for failure in failures]
     if any(failed):
         rows = [(*row[:3], *_FAILED_CELL) if bad else row for row, bad in zip(rows, failed * B * E)]
-    _write_table(cfg, out, _SWEEP_TABLE, rows)
+    _write_table(cfg, out, _CYCLE_TABLE, rows)
     return 3 if any(failed) else 0
 
 
@@ -632,9 +616,9 @@ def _run_oracle(cfg: RunConfig, out) -> int:
 _RUNNERS = {
     "friction": _run_friction,
     "bound": _run_bound,
-    "engine": _run_single_cycle,
-    "refrigerator": _run_single_cycle,
-    "sweep": _run_sweep,
+    "engine": _run_cycle,
+    "refrigerator": _run_cycle,
+    "sweep": _run_cycle,
     "shortcut-check": _run_shortcut_check,
     "oracle": _run_oracle,
 }

@@ -368,7 +368,20 @@ def _reports(g: SimpleNamespace) -> list[CycleReport]:
     ]
 
 
-def _single_cycle(
+def _stroke(
+    cfg: CavityConfig, traj: Trajectory, thermalization_time: float
+) -> tuple[SpectralTable, float]:
+    """``(table, period)`` of stroke ``traj``: its checked spectral table and
+    the cycle period.  Compression starts from the cold state, expansion from
+    the hot one; reversal leaves the spectral power unchanged, so one table
+    serves both."""
+    period = _cycle_time(traj.duration, thermalization_time)
+    table = spectral_table(traj, cfg)
+    _stroke_cutoff(cfg, table)
+    return table, period
+
+
+def _cell(
     cfg: CavityConfig,
     baths: BathPair,
     machine: str,
@@ -376,18 +389,14 @@ def _single_cycle(
     *,
     include_casimir: bool,
     thermalization_time: float = 0.0,
-) -> CycleReport:
-    """One cycle of ``machine``, adiabatic without a trajectory:
-    :func:`_cycles` on a one-cell grid, with the warnings its flags call for."""
+) -> SimpleNamespace:
+    """One cycle of ``machine``, adiabatic without a trajectory: the one-cell
+    :func:`_cycles` grid, after the warnings its flags call for."""
     m = _MACHINES[machine]
     tables = periods = ()
     if traj is not None:
-        periods = (_cycle_time(traj.duration, thermalization_time),)
-        # compression out of the cold state, expansion out of the hot one;
-        # reversal leaves the spectral power unchanged, so one table serves both
-        table = spectral_table(traj, cfg)
-        _stroke_cutoff(cfg, table)
-        tables = (table,)
+        table, period = _stroke(cfg, traj, thermalization_time)
+        tables, periods = (table,), (period,)
     if not m.in_window(baths.ratio, cfg.epsilon):
         _warn(
             m.window_text.format(
@@ -396,25 +405,23 @@ def _single_cycle(
             ConditionWarning,
         )
     g = _cycles([cfg], [baths], machine, tables, periods, include_casimir=include_casimir)
-    (report,) = _reports(g)
     if g.otto_flag:
         _warn(
-            f"mode-sum tail estimate {report.tail_estimate:.3e} exceeds tail_tol * |Q| "
+            f"mode-sum tail estimate {g.tail:.3e} exceeds tail_tol * |Q| "
             f"= {cfg.tail_tol * abs(g.Q_ad):.3e}; increase n_modes",
             TruncationWarning,
         )
-    eps2 = cfg.epsilon**2
-    for flag, value, tail in zip(g.stroke_flags, (report.E_F_A, report.E_F_C), g.stroke_tails):
+    for flag, value, tail in zip(g.stroke_flags, (g.ef_a, g.ef_c), g.stroke_tails):
         if flag:
-            _warn_truncation(eps2 * tail if math.isfinite(tail) else tail, value, cfg.tail_tol)
-    return report
+            _warn_truncation(cfg.epsilon**2 * tail, value, cfg.tail_tol)
+    return g
 
 
 def adiabatic_engine(
     cfg: CavityConfig, baths: BathPair, include_casimir: bool = True
 ) -> CycleReport:
     """Population-frozen engine cycle; efficiency equals ``eps`` exactly."""
-    return _single_cycle(cfg, baths, "engine", include_casimir=include_casimir)
+    return _reports(_cell(cfg, baths, "engine", include_casimir=include_casimir))[0]
 
 
 def nonadiabatic_engine(
@@ -431,17 +438,17 @@ def nonadiabatic_engine(
     ``E_F(A)`` (the expansion stroke deposits its friction after the hot
     contact, where it does not touch Q); both frictions reduce the work.
     """
-    return _single_cycle(
+    return _reports(_cell(
         cfg, baths, "engine", traj, include_casimir=include_casimir,
         thermalization_time=thermalization_time,
-    )
+    ))[0]
 
 
 def adiabatic_refrigerator(
     cfg: CavityConfig, baths: BathPair, include_casimir: bool = True
 ) -> CycleReport:
     """Population-frozen refrigerator; COP equals ``1/eps - 1`` exactly."""
-    return _single_cycle(cfg, baths, "refrigerator", include_casimir=include_casimir)
+    return _reports(_cell(cfg, baths, "refrigerator", include_casimir=include_casimir))[0]
 
 
 def nonadiabatic_refrigerator(
@@ -457,10 +464,10 @@ def nonadiabatic_refrigerator(
     The heat drawn from the cold bath loses the expansion-stroke friction
     ``E_F(C)``; the work consumed gains both frictions.
     """
-    return _single_cycle(
+    return _reports(_cell(
         cfg, baths, "refrigerator", traj, include_casimir=include_casimir,
         thermalization_time=thermalization_time,
-    )
+    ))[0]
 
 
 def _cycle_time(tau: float, thermalization_time: float) -> float:
@@ -498,11 +505,7 @@ def _sweep_grid(cfg, baths, taus, traj_family, epsilons, machine, thermalization
         warnings.simplefilter("ignore")
         for tau in taus:
             try:
-                traj = traj_family(tau)
-                table = spectral_table(traj, cfg)
-                period = _cycle_time(traj.duration, thermalization_time)
-                _stroke_cutoff(cfg, table)
-                strokes.append((table, period, None))
+                strokes.append((*_stroke(cfg, traj_family(tau), thermalization_time), None))
             except Exception as exc:  # a failing tau is recorded, not raised
                 strokes.append((None, math.nan, exc))
         tables, periods, failures = zip(*strokes)

@@ -557,7 +557,7 @@ def friction_energy(
     value = eps2 * value_per_eps2
     err = eps2 * noise_per_eps2
 
-    tail_scaled = eps2 * tail if math.isfinite(tail) else tail
+    tail_scaled = eps2 * tail
     tail_warning = bool(_truncation_flag(tail, value_per_eps2, eps2, err, cfg.tail_tol))
     if tail_warning:
         _warn_truncation(tail_scaled, value, cfg.tail_tol)

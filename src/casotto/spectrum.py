@@ -129,8 +129,6 @@ def occupations(beta: float, omegas: np.ndarray) -> np.ndarray:
     omegas = np.asarray(omegas, dtype=float)
     if np.any(omegas <= 0):
         raise ValueError("all frequencies must be positive")
-    if math.isinf(beta):
-        return np.zeros_like(omegas)
     with np.errstate(over="ignore"):
         return 1.0 / np.expm1(beta * omegas)
 

@@ -429,20 +429,24 @@ class TestRuns:
         assert etas == sorted(etas)
         assert all(e <= 0.01 + 1e-12 for e in etas)
 
-    @pytest.mark.parametrize("machine, ratios", [
-        ("engine", "0.3,0.5"), ("refrigerator", "0.97,0.99"),
+    @pytest.mark.parametrize("machine, ratios, beta_a, modes", [
+        ("engine", "0.3,0.5", 1, 64), ("refrigerator", "0.97,0.99", 1, 64),
+        # at a beta_a that is no power of two, r * beta_a / beta_a is not r:
+        # both commands print the requested ratio
+        ("engine", "0.05,0.1", 3, 128), ("refrigerator", "0.97,0.99", 3, 128),
     ])
-    def test_sweep_rows_equal_single_cell_rows(self, machine, ratios):
-        # 64 modes leave the short strokes' friction tails flagged
-        flags = ["--modes", "64", "--thermalization-time", "0.5"]
+    def test_sweep_rows_equal_single_cell_rows(self, machine, ratios, beta_a, modes):
+        # the cutoff leaves some cells' tails flagged and some not
+        flags = ["--modes", str(modes), "--thermalization-time", "0.5", "--beta-a", str(beta_a)]
         status, text = capture(["sweep", "--tau-grid", "0.5:2:3", "--beta-ratio", ratios,
                                 "--epsilon", "0.01,0.06", "--mode", machine, *flags])
         assert status == 0
         rows = [l for l in text.splitlines() if l[:1].isdigit()]
         assert len(rows) == 12
         assert {r.rsplit(",", 1)[1] for r in rows} == {"0", "1"}
-        for row in rows:
-            tau, ratio, eps = row.split(",")[:3]
+        for i, row in enumerate(rows):
+            tau, _, eps = row.split(",")[:3]
+            ratio = ratios.split(",")[i // 6]  # as requested; ratios run outermost
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 status, single = capture([machine, "--tau", tau, "--beta-ratio", ratio,
@@ -488,17 +492,25 @@ class TestRuns:
             assert cells[8] == r.mode and cells[11] == str(int(r.tail_warning))
         assert sum(row.report is None for row in rows) == 8
 
-    def test_sweep_builds_no_per_cell_objects(self, monkeypatch):
+    @pytest.mark.parametrize("argv, cells", [
+        (["sweep", "--tau-grid", "0.5:2:3", "--beta-ratio", "0.3,0.5",
+          "--epsilon", "0.01,0.02"], 12),
+        (["engine", "--beta-ratio", "0.3"], 1),
+        (["refrigerator", "--beta-ratio", "0.995", "--tau", "2"], 1),
+    ])
+    def test_sweep_builds_no_per_cell_objects(self, monkeypatch, argv, cells):
         def refuse(*args, **kwargs):
-            raise AssertionError("casotto sweep built a per-cell object")
+            raise AssertionError(f"casotto {argv[0]} built a per-cell object")
 
         monkeypatch.setattr(cycle, "CycleReport", refuse)
         monkeypatch.setattr(cycle, "SweepRow", refuse)
-        status, text = capture(["sweep", "--tau-grid", "0.5:2:3", "--beta-ratio", "0.3,0.5",
-                                "--epsilon", "0.01,0.02", "--modes", "16"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # 16 modes leave the tails flagged
+            status, text = capture([*argv, "--modes", "16"])
         assert status == 0
         rows = [l.split(",") for l in text.splitlines() if l[:1].isdigit()]
-        assert len(rows) == 12 and {r[8] for r in rows} == {"engine"}
+        machine = "refrigerator" if argv[0] == "refrigerator" else "engine"
+        assert len(rows) == cells and {r[8] for r in rows} == {machine}
 
     def test_shortcut_check_traces_return_to_zero(self):
         status, text = capture(

@@ -12,9 +12,9 @@ def test_checkout_against_itself_differs_nowhere():
     )
     assert proc.returncode == 0, proc.stderr
     *lines, last = proc.stdout.splitlines()
-    # the README commands, two extra requests, the 103 seed-1 benchmark
+    # the README commands, four extra requests, the 103 seed-1 benchmark
     # requests and one sampled profile
-    assert len(lines) > 103 + 3
+    assert len(lines) > 103 + 5
     assert last == f"requests whose output differs: 0 of {len(lines)}"
     for line in lines:
         change, parent, command = line.split(" ", 2)

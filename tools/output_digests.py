@@ -26,6 +26,9 @@ HERE = Path(__file__).resolve().parent.parent
 EXTRA = [
     "sweep --tau-grid 1e-200:1:3log --modes 4",  # its first two taus fail
     "oracle --family shortcut --tau 1 --beta 2 --epsilon 0.01 --fock-modes 2 --n-max 8",
+    # at a beta_A that is no power of two, r * beta_A / beta_A is not r
+    "sweep --tau-grid 1:2:2 --beta-a 3 --beta-ratio 0.05,0.1 --modes 8",
+    "engine --tau 1 --beta-a 3 --beta-ratio 0.05 --modes 8",
 ]
 
 
