@@ -27,10 +27,7 @@ __version__ = "0.1.0"
 from .cycle import (
     BathPair,
     CycleReport,
-    adiabatic_engine,
-    adiabatic_refrigerator,
-    nonadiabatic_engine,
-    nonadiabatic_refrigerator,
+    otto_cycle,
     sweep,
 )
 from .friction import (
@@ -58,15 +55,12 @@ __all__ = [
     "SpectralAmplitudes",
     "ThermalBath",
     "Trajectory",
-    "adiabatic_engine",
-    "adiabatic_refrigerator",
     "casimir_energy",
     "effective_length",
     "friction_bound",
     "friction_energy",
     "from_samples",
-    "nonadiabatic_engine",
-    "nonadiabatic_refrigerator",
+    "otto_cycle",
     "quintic",
     "reverse",
     "shortcut",

@@ -405,14 +405,16 @@ _BOUND_TABLE = (
 )
 # the cycle rows carry their coordinates formatted once per distinct value
 _CYCLE_TABLE = (
-    ("tau_omega1", "%s", "stroke duration in 1/omega_1"),
+    ("tau_omega1", "%s", "the family's tau in 1/omega_1; a shortcut stroke lasts tau + 2 L0, "
+                         "a sampled stroke spans its file and ignores tau"),
     ("beta_ratio", "%s", "beta_C / beta_A"),
     ("epsilon", "%s", "compression ratio"),
     ("Q", "%.17g", "heat intake (engine) or heat extracted from the cold bath (refrigerator)"),
     ("W", "%.17g", "work extracted (engine) or consumed (refrigerator)"),
     ("eta", "%.17g", "efficiency (engine) or coefficient of performance (refrigerator)"),
     ("eta_adiabatic", "%.17g", "population-frozen limit of eta"),
-    ("power", "%.17g", "W / (2 tau + thermalization_time)"),
+    ("power", "%.17g", "W over the cycle period: twice the stroke's own duration plus "
+                       "thermalization_time"),
     ("mode", "%s", "operating regime classification"),
     ("EF_A", "%.17g", "friction energy of the compression stroke"),
     ("EF_C", "%.17g", "friction energy of the expansion stroke"),

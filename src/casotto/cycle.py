@@ -62,10 +62,7 @@ __all__ = [
     "BathPair",
     "CycleReport",
     "ConditionWarning",
-    "adiabatic_engine",
-    "nonadiabatic_engine",
-    "adiabatic_refrigerator",
-    "nonadiabatic_refrigerator",
+    "otto_cycle",
     "sweep",
     "SweepRow",
 ]
@@ -111,9 +108,10 @@ class CycleReport:
     pulled from the cold bath and ``W`` the work consumed.  ``eta`` is the
     efficiency (engine) or coefficient of performance (refrigerator);
     ``eta_defined`` is False when the denominator is degenerate, in which
-    case ``eta`` holds the analytic limiting value.  ``power`` is
-    ``W / (2 tau + thermalization_time)`` for finite-time cycles and NaN for
-    adiabatic ones.  ``err`` is the summed round-off bound of the two stroke
+    case ``eta`` holds the analytic limiting value.  ``power`` is ``W``
+    over the cycle period, twice the stroke's own duration plus
+    ``thermalization_time``, for finite-time cycles and NaN for adiabatic
+    ones.  ``err`` is the summed round-off bound of the two stroke
     frictions (0.0 for adiabatic cycles).  ``tail_estimate`` is the
     truncation tail of the population-frozen heat sum only; the strokes'
     friction tails are not in it.  ``tail_warning`` is set by that tail
@@ -260,6 +258,14 @@ _MACHINES = {
 }
 
 
+def _machine(name: str) -> _Machine:
+    """The bookkeeping of machine ``name``; ValueError for an unknown one."""
+    try:
+        return _MACHINES[name]
+    except KeyError:
+        raise ValueError(f"machine must be 'engine' or 'refrigerator', got {name!r}") from None
+
+
 def _operands(stack: np.ndarray) -> list:
     """The operands stacked on the first axis of ``stack``; one-element
     operands as numpy scalars, which broadcast alike but skip the array
@@ -374,8 +380,11 @@ def _stroke(
     """``(table, period)`` of stroke ``traj``: its checked spectral table and
     the cycle period.  Compression starts from the cold state, expansion from
     the hot one; reversal leaves the spectral power unchanged, so one table
-    serves both."""
-    period = _cycle_time(traj.duration, thermalization_time)
+    serves both.  The period counts both strokes at the profile's own
+    duration, plus ``thermalization_time``."""
+    if not thermalization_time >= 0:
+        raise ValueError("thermalization_time must be non-negative")
+    period = 2.0 * traj.duration + thermalization_time
     table = spectral_table(traj, cfg)
     _stroke_cutoff(cfg, table)
     return table, period
@@ -392,7 +401,7 @@ def _cell(
 ) -> SimpleNamespace:
     """One cycle of ``machine``, adiabatic without a trajectory: the one-cell
     :func:`_cycles` grid, after the warnings its flags call for."""
-    m = _MACHINES[machine]
+    m = _machine(machine)
     tables = periods = ()
     if traj is not None:
         table, period = _stroke(cfg, traj, thermalization_time)
@@ -417,66 +426,32 @@ def _cell(
     return g
 
 
-def adiabatic_engine(
-    cfg: CavityConfig, baths: BathPair, include_casimir: bool = True
-) -> CycleReport:
-    """Population-frozen engine cycle; efficiency equals ``eps`` exactly."""
-    return _reports(_cell(cfg, baths, "engine", include_casimir=include_casimir))[0]
-
-
-def nonadiabatic_engine(
+def otto_cycle(
     cfg: CavityConfig,
     baths: BathPair,
-    traj: Trajectory,
+    traj: Trajectory | None = None,
     *,
+    machine: str = "engine",
     include_casimir: bool = True,
     thermalization_time: float = 0.0,
 ) -> CycleReport:
-    """Finite-time engine cycle with friction from both strokes.
+    """One cycle of ``machine`` (``"engine"`` or ``"refrigerator"``).
 
-    The heat intake is reduced by the compression-stroke friction
-    ``E_F(A)`` (the expansion stroke deposits its friction after the hot
-    contact, where it does not touch Q); both frictions reduce the work.
+    Without ``traj`` the strokes are population-frozen: the engine's
+    efficiency is ``eps`` and the refrigerator's COP ``1/eps - 1``, exactly.
+    With ``traj`` both strokes run along it and deposit friction.  The
+    engine's heat intake loses the compression-stroke friction ``E_F(A)``
+    (the expansion stroke deposits its friction after the hot contact,
+    where it does not touch Q).  The refrigerator's heat drawn from the
+    cold bath loses the expansion-stroke friction ``E_F(C)``.  Both
+    frictions reduce the engine's work and add to the refrigerator's.
+    ``thermalization_time`` (non-negative) adds to a finite-time cycle's
+    period, which sets its power.
     """
     return _reports(_cell(
-        cfg, baths, "engine", traj, include_casimir=include_casimir,
+        cfg, baths, machine, traj, include_casimir=include_casimir,
         thermalization_time=thermalization_time,
     ))[0]
-
-
-def adiabatic_refrigerator(
-    cfg: CavityConfig, baths: BathPair, include_casimir: bool = True
-) -> CycleReport:
-    """Population-frozen refrigerator; COP equals ``1/eps - 1`` exactly."""
-    return _reports(_cell(cfg, baths, "refrigerator", include_casimir=include_casimir))[0]
-
-
-def nonadiabatic_refrigerator(
-    cfg: CavityConfig,
-    baths: BathPair,
-    traj: Trajectory,
-    *,
-    include_casimir: bool = True,
-    thermalization_time: float = 0.0,
-) -> CycleReport:
-    """Finite-time refrigerator: friction eats the cooling and adds to the bill.
-
-    The heat drawn from the cold bath loses the expansion-stroke friction
-    ``E_F(C)``; the work consumed gains both frictions.
-    """
-    return _reports(_cell(
-        cfg, baths, "refrigerator", traj, include_casimir=include_casimir,
-        thermalization_time=thermalization_time,
-    ))[0]
-
-
-def _cycle_time(tau: float, thermalization_time: float) -> float:
-    """Cycle period ``2 tau + thermalization_time``, both strokes counted."""
-    if not tau > 0:
-        raise ValueError("tau must be positive")
-    if not thermalization_time >= 0:
-        raise ValueError("thermalization_time must be non-negative")
-    return 2.0 * tau + thermalization_time
 
 
 @dataclass(frozen=True)
@@ -494,8 +469,7 @@ def _sweep_grid(cfg, baths, taus, traj_family, epsilons, machine, thermalization
                 include_casimir=True) -> tuple[SimpleNamespace, list[float], tuple]:
     """:func:`sweep` up to its rows: the :func:`_cycles` grid, the sorted taus
     and each tau's failure (None where it succeeded), warnings silenced."""
-    if machine not in _MACHINES:
-        raise ValueError(f"machine must be 'engine' or 'refrigerator', got {machine!r}")
+    _machine(machine)
     if not baths or len(taus) == 0 or not epsilons:
         raise ValueError("sweep needs non-empty bath, epsilon and tau grids")
     cavities = [replace(cfg, epsilon=eps) for eps in epsilons]
@@ -532,7 +506,7 @@ def sweep(
     is built once), the tails of all products are fitted in one pass, and
     the bookkeeping of all cells is one pass of array
     arithmetic over the (bath, eps, tau) grid, doing a single cell's
-    floating-point operations, so a row equals the single-cell call bit for
+    floating-point operations, so a row equals :func:`otto_cycle` bit for
     bit.  The population-frozen sums of each (bath, eps) pair are cached.
     Rows come out in a fixed order: outer bath ratio, then epsilon, then
     tau ascending.  A tau whose trajectory, table or cycle period fails is

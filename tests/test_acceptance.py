@@ -14,8 +14,7 @@ import pytest
 from casotto.cli import parse_config, run as cli_run
 from casotto.cycle import (
     BathPair,
-    adiabatic_engine,
-    adiabatic_refrigerator,
+    otto_cycle,
     sweep,
 )
 from casotto.fock_oracle import validate_friction, verify_trace_identities
@@ -53,7 +52,7 @@ def test_criterion_01_adiabatic_engine_identity():
     worst = 0.0
     for eps in (0.01, 0.06):
         for baths in (BathPair(2.0, 1.0), BathPair(5.0, 0.7), BathPair(1.0, 0.17)):
-            r = adiabatic_engine(cavity(eps, 64), baths)
+            r = otto_cycle(cavity(eps, 64), baths)
             worst = max(worst, abs(r.eta - eps))
     elapsed = time.time() - t0
     report(
@@ -65,7 +64,7 @@ def test_criterion_01_adiabatic_engine_identity():
 
 def test_criterion_02_adiabatic_refrigerator_identity():
     t0 = time.time()
-    r = adiabatic_refrigerator(cavity(0.06, 64), BathPair(2.0, 1.9))
+    r = otto_cycle(cavity(0.06, 64), BathPair(2.0, 1.9), machine="refrigerator")
     dev = abs(r.eta - (1.0 / 0.06 - 1.0))
     elapsed = time.time() - t0
     report(
@@ -79,7 +78,7 @@ def test_criterion_03_carnot_matching():
     worst = 0.0
     for beta_A, ratio in ((2.0, 0.3), (1.0, 0.83), (3.0, 0.62)):
         baths = BathPair(beta_A, ratio * beta_A)
-        r = adiabatic_engine(cavity(1.0 - ratio, 64), baths)
+        r = otto_cycle(cavity(1.0 - ratio, 64), baths)
         worst = max(worst, abs(r.eta - baths.carnot_efficiency))
     report(
         "C3 Carnot matching at eps = 1 - beta_C/beta_A",

@@ -12,10 +12,7 @@ from casotto.cycle import (
     BathPair,
     ConditionWarning,
     CycleReport,
-    adiabatic_engine,
-    adiabatic_refrigerator,
-    nonadiabatic_engine,
-    nonadiabatic_refrigerator,
+    otto_cycle,
     sweep,
 )
 from casotto.friction import TruncationWarning, friction_energy, spectral_table
@@ -120,7 +117,7 @@ class TestBathPair:
 class TestAdiabaticEngine:
     @pytest.mark.parametrize("eps", [0.01, 0.06])
     def test_efficiency_equals_compression_ratio(self, eps):
-        report = adiabatic_engine(cfg(eps=eps), ENGINE_BATHS)
+        report = otto_cycle(cfg(eps=eps), ENGINE_BATHS)
         assert abs(report.eta - eps) < 1e-12
         assert report.mode == "engine"
 
@@ -128,14 +125,14 @@ class TestAdiabaticEngine:
         # compression tuned to the bath ratio saturates the Carnot value
         for beta_A, ratio in ((2.0, 0.3), (1.0, 0.83), (3.0, 0.6)):
             baths = BathPair(beta_A, ratio * beta_A)
-            report = adiabatic_engine(cfg(eps=1.0 - ratio, K=32), baths)
+            report = otto_cycle(cfg(eps=1.0 - ratio, K=32), baths)
             assert abs(report.eta - baths.carnot_efficiency) < 1e-12
 
     def test_equal_occupations_give_zero_heat_and_work(self):
         # beta_C * w(L1) == beta_A * w holds exactly for eps = 0.5, ratio 0.5
         # (binary-exact arithmetic), so the occupation differences vanish
         # term by term
-        report = adiabatic_engine(cfg(eps=0.5), BathPair(2.0, 1.0))
+        report = otto_cycle(cfg(eps=0.5), BathPair(2.0, 1.0))
         assert report.Q == 0.0
         assert report.W == 0.0
         assert not report.eta_defined
@@ -145,61 +142,61 @@ class TestAdiabaticEngine:
         # compressed-cavity occupations are lower, so heat and work are both
         # negative
         with pytest.warns(ConditionWarning):
-            report = adiabatic_engine(cfg(eps=0.5), BathPair(1.0, 1.0))
+            report = otto_cycle(cfg(eps=0.5), BathPair(1.0, 1.0))
         assert report.Q < 0.0
         assert report.W < 0.0
         assert report.mode == "dissipator"
 
     def test_condition_warning_outside_engine_window(self):
         with pytest.warns(ConditionWarning):
-            adiabatic_engine(cfg(eps=0.4), BathPair(1.0, 0.9))
+            otto_cycle(cfg(eps=0.4), BathPair(1.0, 0.9))
 
     def test_engine_convention_relations(self):
-        report = adiabatic_engine(cfg(eps=0.05, K=48), ENGINE_BATHS)
+        report = otto_cycle(cfg(eps=0.05, K=48), ENGINE_BATHS)
         assert report.Q == pytest.approx(report.E_C - report.E_B, rel=1e-12)
         assert report.W == pytest.approx(
             (report.E_A - report.E_B) + (report.E_C - report.E_D), rel=1e-12
         )
 
     def test_casimir_toggle_leaves_heat_and_work_bitwise(self):
-        a = adiabatic_engine(cfg(), ENGINE_BATHS, include_casimir=True)
-        b = adiabatic_engine(cfg(), ENGINE_BATHS, include_casimir=False)
+        a = otto_cycle(cfg(), ENGINE_BATHS, include_casimir=True)
+        b = otto_cycle(cfg(), ENGINE_BATHS, include_casimir=False)
         assert a.Q == b.Q and a.W == b.W
         assert a.E_A != b.E_A  # the offsets do land in the stroke energies
 
 
 class TestAdiabaticRefrigerator:
     def test_cop_identity(self):
-        report = adiabatic_refrigerator(cfg(eps=0.06), BathPair(2.0, 1.9))
+        report = otto_cycle(cfg(eps=0.06), BathPair(2.0, 1.9), machine="refrigerator")
         assert abs(report.eta - (1.0 / 0.06 - 1.0)) < 1e-12
         assert report.eta == pytest.approx(15.6666666666667, rel=1e-10)
         assert report.mode == "refrigerator"
 
     def test_boundary_saturation_gives_zero_heat(self):
-        report = adiabatic_refrigerator(cfg(eps=0.5), BathPair(2.0, 1.0))
+        report = otto_cycle(cfg(eps=0.5), BathPair(2.0, 1.0), machine="refrigerator")
         assert report.Q == 0.0
 
     def test_condition_warning(self):
         with pytest.warns(ConditionWarning):
-            adiabatic_refrigerator(cfg(eps=0.06), BathPair(2.0, 1.0))
+            otto_cycle(cfg(eps=0.06), BathPair(2.0, 1.0), machine="refrigerator")
 
 
 class TestNonadiabaticEngine:
     def test_large_tau_recovers_adiabatic(self):
-        ad = adiabatic_engine(cfg(K=32), ENGINE_BATHS)
-        na = nonadiabatic_engine(cfg(K=32), ENGINE_BATHS, quintic(60.0))
+        ad = otto_cycle(cfg(K=32), ENGINE_BATHS)
+        na = otto_cycle(cfg(K=32), ENGINE_BATHS, quintic(60.0))
         assert na.eta == pytest.approx(ad.eta, abs=1e-8)
         assert na.Q == pytest.approx(ad.Q, rel=1e-9)
         assert na.W == pytest.approx(ad.W, rel=1e-7)
 
     def test_efficiency_below_adiabatic(self):
-        report = nonadiabatic_engine(cfg(K=32), ENGINE_BATHS, quintic(1.0))
+        report = otto_cycle(cfg(K=32), ENGINE_BATHS, quintic(1.0))
         assert report.eta < report.eta_adiabatic
         assert report.mode == "engine"
         assert report.E_F_A > 0 and report.E_F_C > 0
 
     def test_sudden_stroke_kills_the_engine(self):
-        report = nonadiabatic_engine(cfg(K=48), ENGINE_BATHS, quintic(0.05))
+        report = otto_cycle(cfg(K=48), ENGINE_BATHS, quintic(0.05))
         assert report.W < 0
         assert report.mode == "dissipator"
 
@@ -209,13 +206,13 @@ class TestNonadiabaticEngine:
         # the heat, hence the moderate stroke time)
         diffs = []
         for eps in (0.04, 0.02, 0.01):
-            r = nonadiabatic_engine(cfg(eps=eps, K=24), ENGINE_BATHS, quintic(3.0))
+            r = otto_cycle(cfg(eps=eps, K=24), ENGINE_BATHS, quintic(3.0))
             diffs.append(abs(r.eta - r.eta_second_order))
         assert diffs[0] / diffs[1] == pytest.approx(8.0, rel=0.25)
         assert diffs[1] / diffs[2] == pytest.approx(8.0, rel=0.25)
 
     def test_hot_friction_uses_reversed_stroke(self):
-        r = nonadiabatic_engine(cfg(K=24), ENGINE_BATHS, quintic(1.0))
+        r = otto_cycle(cfg(K=24), ENGINE_BATHS, quintic(1.0))
         assert r.q_convention.startswith("Q = Q_adiabatic - E_F(cold")
 
     @pytest.mark.parametrize("machine", ["engine", "refrigerator"])
@@ -224,14 +221,14 @@ class TestNonadiabaticEngine:
         # work of both strokes; the refrigerator draws heat at the cold
         # contact (D -> A) and pays for both strokes
         if machine == "engine":
-            r = nonadiabatic_engine(cfg(K=24), ENGINE_BATHS, quintic(1.0))
+            r = otto_cycle(cfg(K=24), ENGINE_BATHS, quintic(1.0))
             assert r.Q == pytest.approx(r.E_C - r.E_B, rel=1e-12)
             assert r.W == pytest.approx(
                 (r.E_A - r.E_B) + (r.E_C - r.E_D), rel=1e-12
             )
         else:
-            r = nonadiabatic_refrigerator(
-                cfg(eps=0.06, K=24), BathPair(2.0, 1.9), quintic(1.0)
+            r = otto_cycle(
+                cfg(eps=0.06, K=24), BathPair(2.0, 1.9), quintic(1.0), machine="refrigerator"
             )
             assert r.Q == pytest.approx(r.E_A - r.E_D, rel=1e-12)
             assert r.W == pytest.approx(
@@ -242,7 +239,7 @@ class TestNonadiabaticEngine:
     def test_efficiency_ordering_in_tau(self):
         taus = [0.5, 1.0, 2.0, 4.0, 8.0]
         etas = [
-            nonadiabatic_engine(cfg(K=24), ENGINE_BATHS, quintic(t)).eta
+            otto_cycle(cfg(K=24), ENGINE_BATHS, quintic(t)).eta
             for t in taus
         ]
         assert all(a <= b + 1e-14 for a, b in zip(etas, etas[1:]))
@@ -253,43 +250,41 @@ class TestNonadiabaticRefrigerator:
     BATHS = BathPair(2.0, 1.9)
 
     def test_cop_below_adiabatic(self):
-        r = nonadiabatic_refrigerator(cfg(eps=0.06, K=32), self.BATHS, quintic(2.0))
+        r = otto_cycle(cfg(eps=0.06, K=32), self.BATHS, quintic(2.0), machine="refrigerator")
         assert r.eta <= r.eta_adiabatic
         assert r.mode == "refrigerator"
 
     def test_sudden_stroke_stops_cooling(self):
-        r = nonadiabatic_refrigerator(cfg(eps=0.06, K=48), self.BATHS, quintic(0.05))
+        r = otto_cycle(cfg(eps=0.06, K=48), self.BATHS, quintic(0.05), machine="refrigerator")
         assert r.Q < 0
         assert r.mode == "dissipator"
 
     def test_slow_limit_recovers_adiabatic(self):
-        ad = adiabatic_refrigerator(cfg(eps=0.06, K=32), self.BATHS)
-        na = nonadiabatic_refrigerator(cfg(eps=0.06, K=32), self.BATHS, quintic(80.0))
+        ad = otto_cycle(cfg(eps=0.06, K=32), self.BATHS, machine="refrigerator")
+        na = otto_cycle(cfg(eps=0.06, K=32), self.BATHS, quintic(80.0), machine="refrigerator")
         assert na.eta == pytest.approx(ad.eta, rel=1e-6)
 
     def test_cop_improves_with_similar_baths(self):
         cops = []
         for ratio in (0.95, 0.97, 0.99):
             baths = BathPair(2.0, 2.0 * ratio)
-            r = nonadiabatic_refrigerator(cfg(eps=0.06, K=32), baths, quintic(3.0))
+            r = otto_cycle(cfg(eps=0.06, K=32), baths, quintic(3.0), machine="refrigerator")
             cops.append(r.eta)
         assert cops[0] < cops[1] < cops[2]
 
 
+# (machine, traj): each machine population-frozen, then at a finite tau
 ENTRY_POINTS = [
-    pytest.param(lambda c, b: adiabatic_engine(c, b), id="adiabatic_engine"),
-    pytest.param(lambda c, b: nonadiabatic_engine(c, b, quintic(1.0)),
-                 id="nonadiabatic_engine"),
-    pytest.param(lambda c, b: adiabatic_refrigerator(c, b),
-                 id="adiabatic_refrigerator"),
-    pytest.param(lambda c, b: nonadiabatic_refrigerator(c, b, quintic(1.0)),
-                 id="nonadiabatic_refrigerator"),
+    pytest.param("engine", None, id="adiabatic_engine"),
+    pytest.param("engine", quintic(1.0), id="nonadiabatic_engine"),
+    pytest.param("refrigerator", None, id="adiabatic_refrigerator"),
+    pytest.param("refrigerator", quintic(1.0), id="nonadiabatic_refrigerator"),
 ]
 
 
 class TestConditionWarning:
-    @pytest.mark.parametrize("call", ENTRY_POINTS)
-    def test_one_warning_attributed_to_the_caller(self, call):
+    @pytest.mark.parametrize("machine, traj", ENTRY_POINTS)
+    def test_one_warning_attributed_to_the_caller(self, machine, traj):
         # BathPair(1.0, 1.0) lies outside the engine window at eps = 0.06 and
         # BathPair(2.0, 1.0) outside the refrigerator's; each entry point warns
         # only about its own machine
@@ -297,32 +292,32 @@ class TestConditionWarning:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             for b in baths:
-                call(cfg(eps=0.06, K=16), b)
+                otto_cycle(cfg(eps=0.06, K=16), b, traj, machine=machine)
         conditions = [w for w in caught if issubclass(w.category, ConditionWarning)]
         assert len(conditions) == 1
         assert conditions[0].filename == __file__
 
 
 class TestTruncationWarning:
-    @pytest.mark.parametrize("call", ENTRY_POINTS[1::2])
-    def test_friction_warnings_attributed_to_the_caller(self, call):
+    @pytest.mark.parametrize("machine, traj", ENTRY_POINTS[1::2])
+    def test_friction_warnings_attributed_to_the_caller(self, machine, traj):
         # at K = 16 the friction sums' tails exceed tail_tol; the
         # population-frozen sums at beta 2 do not
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            report = call(cfg(K=16), ENGINE_BATHS)
+            report = otto_cycle(cfg(K=16), ENGINE_BATHS, traj, machine=machine)
         assert report.tail_warning
         truncations = [w for w in caught if issubclass(w.category, TruncationWarning)]
         assert truncations
         assert all(w.filename == __file__ for w in truncations)
 
-    @pytest.mark.parametrize("call", ENTRY_POINTS[0::2])
-    def test_population_frozen_tail_attributed_to_the_caller(self, call):
+    @pytest.mark.parametrize("machine, traj", ENTRY_POINTS[0::2])
+    def test_population_frozen_tail_attributed_to_the_caller(self, machine, traj):
         # hot baths at K = 4 leave a large population-frozen tail; the
         # refrigerator also warns that the pair is outside its window
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            report = call(cfg(K=4), BathPair(0.2, 0.1))
+            report = otto_cycle(cfg(K=4), BathPair(0.2, 0.1), traj, machine=machine)
         assert report.tail_warning
         assert any(issubclass(w.category, TruncationWarning) for w in caught)
         assert all(w.filename == __file__ for w in caught)
@@ -332,14 +327,14 @@ class TestInfinitePopulationFrozenTail:
     """A population-frozen tail that does not decay (estimate inf) flags and
     warns, as an infinite friction tail does."""
 
-    @pytest.mark.parametrize("call, cell", [
-        (adiabatic_engine, (cfg(K=4), BathPair(1e-4, 1e-4 * 0.99))),
-        (adiabatic_refrigerator, (cfg(K=16), BathPair(1e-3, 1e-3 * 0.99))),
+    @pytest.mark.parametrize("machine, cell", [
+        ("engine", (cfg(K=4), BathPair(1e-4, 1e-4 * 0.99))),
+        ("refrigerator", (cfg(K=16), BathPair(1e-3, 1e-3 * 0.99))),
     ], ids=["engine-K4", "refrigerator-K16"])
-    def test_flags_and_warns(self, call, cell):
+    def test_flags_and_warns(self, machine, cell):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            report = call(*cell)
+            report = otto_cycle(*cell, machine=machine)
         assert report.tail_estimate == math.inf
         assert report.tail_warning
         truncations = [w for w in caught if issubclass(w.category, TruncationWarning)]
@@ -355,12 +350,13 @@ class TestInfinitePopulationFrozenTail:
 
 class TestReportError:
     def test_adiabatic_reports_carry_zero_error(self):
-        assert adiabatic_engine(cfg(K=16), ENGINE_BATHS).err == 0.0
-        assert adiabatic_refrigerator(cfg(eps=0.06, K=16), BathPair(2.0, 1.9)).err == 0.0
+        assert otto_cycle(cfg(K=16), ENGINE_BATHS).err == 0.0
+        fridge = otto_cycle(cfg(eps=0.06, K=16), BathPair(2.0, 1.9), machine="refrigerator")
+        assert fridge.err == 0.0
 
     def test_finite_time_error_sums_both_strokes(self):
         traj = quintic(1.0)
-        r = nonadiabatic_engine(cfg(K=16), ENGINE_BATHS, traj)
+        r = otto_cycle(cfg(K=16), ENGINE_BATHS, traj)
         strokes = [
             friction_module.friction_energy(cfg(K=16), ThermalBath(beta), traj)
             for beta in (ENGINE_BATHS.beta_A, ENGINE_BATHS.beta_C)
@@ -372,35 +368,34 @@ class TestReportError:
 class TestPower:
     def test_period_counts_both_strokes(self):
         for tau in (2.0, 4.0):
-            r = nonadiabatic_engine(cfg(K=32), ENGINE_BATHS, quintic(tau))
+            r = otto_cycle(cfg(K=32), ENGINE_BATHS, quintic(tau))
             assert r.power == r.W / (2.0 * tau)
 
     def test_validation(self):
         for thermalization_time in (-1.0, math.nan):
-            with pytest.raises(ValueError, match="thermalization_time"):
-                nonadiabatic_engine(cfg(K=16), ENGINE_BATHS, quintic(1.0),
-                                    thermalization_time=thermalization_time)
+            with pytest.raises(ValueError, match="thermalization_time must be non-negative"):
+                otto_cycle(cfg(K=16), ENGINE_BATHS, quintic(1.0),
+                           thermalization_time=thermalization_time)
 
-    @pytest.mark.parametrize("runner", [nonadiabatic_engine, nonadiabatic_refrigerator])
+    @pytest.mark.parametrize("machine, traj", ENTRY_POINTS[1::2])
     @pytest.mark.parametrize("thermalization_time", [-2.0, -5.0, math.nan])
     def test_finite_time_cycles_reject_negative_thermalization(
-        self, runner, thermalization_time
+        self, machine, traj, thermalization_time
     ):
         # -2 would divide by zero at tau = 1, -5 would flip the power's sign
         with pytest.raises(ValueError, match="thermalization_time"):
-            runner(cfg(eps=0.06, K=16), BathPair(2.0, 1.9), quintic(1.0),
-                   thermalization_time=thermalization_time)
+            otto_cycle(cfg(eps=0.06, K=16), BathPair(2.0, 1.9), traj, machine=machine,
+                       thermalization_time=thermalization_time)
 
     def test_finite_time_power_charges_thermalization(self):
-        r = nonadiabatic_engine(cfg(K=16), ENGINE_BATHS, quintic(1.0),
-                                thermalization_time=2.0)
+        r = otto_cycle(cfg(K=16), ENGINE_BATHS, quintic(1.0), thermalization_time=2.0)
         assert r.power == r.W / 4.0
 
 
 class TestSweep:
     def test_single_cell_matches_direct_call(self):
         rows = sweep(cfg(K=16), [ENGINE_BATHS], [1.0], quintic)
-        direct = nonadiabatic_engine(cfg(K=16), ENGINE_BATHS, quintic(1.0))
+        direct = otto_cycle(cfg(K=16), ENGINE_BATHS, quintic(1.0))
         assert len(rows) == 1
         assert rows[0].report.eta == direct.eta
         assert rows[0].report.W == direct.W
@@ -444,7 +439,7 @@ class TestSweep:
         assert all("no profile" in r.error for r in rows if r.report is None)
         for r in rows:
             if r.report is not None:
-                direct = nonadiabatic_engine(
+                direct = otto_cycle(
                     cfg(K=8, eps=r.epsilon), BathPair(2.0, 2.0 * r.beta_ratio),
                     quintic(r.tau_omega1),
                 )
@@ -495,7 +490,6 @@ class TestSweep:
                 raise RuntimeError("no profile")
             return quintic(tau)
 
-        run = nonadiabatic_engine if machine == "engine" else nonadiabatic_refrigerator
         baths = [BathPair(2.0, 2.0 * r) for r in ratios]
         base = cfg(K=256)
         rows = sweep(base, baths, [2.0, 0.5, 1.0], family, epsilons=[0.01, 0.005],
@@ -507,7 +501,8 @@ class TestSweep:
             try:
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
-                    direct, error = run(cell, bath, family(row.tau_omega1)), ""
+                    direct = otto_cycle(cell, bath, family(row.tau_omega1), machine=machine)
+                    error = ""
             except RuntimeError as exc:
                 direct, error = None, str(exc)
             assert row.error == error
@@ -543,7 +538,7 @@ class TestSweep:
         cycle_module._otto_sums.cache_clear()
         for _ in range(2):
             with pytest.warns(TruncationWarning, match="increase n_modes"):
-                assert adiabatic_engine(hot, baths).tail_warning
+                assert otto_cycle(hot, baths).tail_warning
         assert cycle_module._otto_sums.cache_info().hits == 1
         sums = cycle_module._otto_sums(hot, baths)
         assert type(sums) is tuple and len(sums) == 7
@@ -583,8 +578,11 @@ class TestSweep:
             sweep(cfg(K=8), [ENGINE_BATHS], [], quintic)
         with pytest.raises(ValueError):
             sweep(cfg(K=8), [ENGINE_BATHS], [1.0], quintic, epsilons=[])
-        with pytest.raises(ValueError):
+        # the sweep and the single cell name an unknown machine alike
+        with pytest.raises(ValueError, match="machine must be .* got 'laser'"):
             sweep(cfg(K=8), [ENGINE_BATHS], [1.0], quintic, machine="laser")
+        with pytest.raises(ValueError, match="machine must be .* got 'fridge'"):
+            otto_cycle(cfg(K=8), ENGINE_BATHS, machine="fridge")
 
 
 # vacuum cold bath, both baths vacuum (Q_ad = W_ad = 0: a degenerate
@@ -639,8 +637,6 @@ class TestScalarReference:
     @pytest.mark.parametrize("machine", ["engine", "refrigerator"])
     @pytest.mark.parametrize("include_casimir", [True, False])
     def test_single_cells_equal_the_scalar_reference(self, machine, include_casimir):
-        finite = nonadiabatic_engine if machine == "engine" else nonadiabatic_refrigerator
-        frozen = adiabatic_engine if machine == "engine" else adiabatic_refrigerator
         degenerate, tails = [], []
         # at 4 modes the near-infinite temperatures leave a non-decaying
         # population-frozen tail (estimate inf)
@@ -648,13 +644,13 @@ class TestScalarReference:
         for c, bath in cells + [(cfg(K=4), BathPair(1e-4, 1e-4 * 0.99))]:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                got = frozen(c, bath, include_casimir=include_casimir)
+                got = otto_cycle(c, bath, machine=machine, include_casimir=include_casimir)
                 assert repr(got) == repr(
                     reference_cycle(c, bath, machine, include_casimir=include_casimir))
                 degenerate.append(not got.eta_defined)
                 tails.append(got.tail_estimate)
-                got = finite(c, bath, quintic(0.7), include_casimir=include_casimir,
-                             thermalization_time=0.5)
+                got = otto_cycle(c, bath, quintic(0.7), machine=machine,
+                                 include_casimir=include_casimir, thermalization_time=0.5)
             expected = reference_cycle(c, bath, machine, quintic(0.7),
                                        include_casimir=include_casimir,
                                        thermalization_time=0.5)
@@ -667,26 +663,25 @@ class TestOverflowingBath:
     """Population-frozen sums that overflow raise, naming the bath."""
 
     # each machine at a bath ratio inside its window
-    @pytest.mark.parametrize("runner, ratio", [(adiabatic_engine, 0.5),
-                                               (adiabatic_refrigerator, 0.995)])
-    def test_adiabatic_cycles_raise(self, runner, ratio):
+    @pytest.mark.parametrize("machine, ratio", [("engine", 0.5), ("refrigerator", 0.995)])
+    def test_adiabatic_cycles_raise(self, machine, ratio):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="beta_A = 1e-320 overflows the population-frozen"):
-                runner(cfg(K=4), BathPair(1e-320, ratio * 1e-320))
+                otto_cycle(cfg(K=4), BathPair(1e-320, ratio * 1e-320), machine=machine)
 
-    @pytest.mark.parametrize("runner, ratio", [(nonadiabatic_engine, 0.5),
-                                               (nonadiabatic_refrigerator, 0.995)])
-    def test_finite_time_cycles_raise(self, runner, ratio):
+    @pytest.mark.parametrize("machine, ratio", [("engine", 0.5), ("refrigerator", 0.995)])
+    def test_finite_time_cycles_raise(self, machine, ratio):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="beta_A = 1e-307 overflows"):
-                runner(cfg(K=256), BathPair(1e-307, ratio * 1e-307), quintic(1.0))
+                otto_cycle(cfg(K=256), BathPair(1e-307, ratio * 1e-307), quintic(1.0),
+                           machine=machine)
 
     def test_hot_bath_is_named(self):
         # at K = 256 the hot bath's sums overflow while the cold one's hold
         with pytest.raises(ValueError, match="beta_C = 1e-307 overflows"):
-            adiabatic_engine(cfg(K=256), BathPair(1.0, 1e-307))
+            otto_cycle(cfg(K=256), BathPair(1.0, 1e-307))
 
     def test_sweep_raises_rather_than_recording_rows(self):
         with warnings.catch_warnings():
@@ -697,10 +692,8 @@ class TestOverflowingBath:
 
 class TestCasimirCancellation:
     def test_nonadiabatic_toggle_bitwise(self):
-        on = nonadiabatic_engine(cfg(K=16), ENGINE_BATHS, quintic(1.0),
-                                 include_casimir=True)
-        off = nonadiabatic_engine(cfg(K=16), ENGINE_BATHS, quintic(1.0),
-                                  include_casimir=False)
+        on = otto_cycle(cfg(K=16), ENGINE_BATHS, quintic(1.0), include_casimir=True)
+        off = otto_cycle(cfg(K=16), ENGINE_BATHS, quintic(1.0), include_casimir=False)
         assert on.Q == off.Q
         assert on.W == off.W
         assert on.eta == off.eta

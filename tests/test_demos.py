@@ -1,8 +1,10 @@
-"""The demos that show the static cavity, drive the four cycle entry
-points, the friction energy with its analytic bound and the shortcut
-stroke, and cross-check in Fock space run to completion."""
+"""The demos that show the static cavity, drive the Otto cycle as engine
+and refrigerator, the friction energy with its analytic bound and the
+shortcut stroke, and cross-check in Fock space run to completion; so does
+the README's library example."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +12,19 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def _run_python(*args):
+    """Run the interpreter on ``args`` from the repository root, with the
+    package's source first on the path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH", "")) if p
+    )
+    return subprocess.run(
+        [sys.executable, *args],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+    )
 
 
 @pytest.mark.parametrize("demo", [
@@ -22,12 +37,13 @@ ROOT = Path(__file__).resolve().parents[1]
     "07_fock_crosscheck.py",
 ])
 def test_demo_runs(demo):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH", "")) if p
-    )
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / demo)],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
-    )
+    proc = _run_python(str(ROOT / "demos" / demo))
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_library_example_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library example\n", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    proc = _run_python("-c", code)
     assert proc.returncode == 0, proc.stderr

@@ -12,13 +12,14 @@ def test_checkout_against_itself_differs_nowhere():
     )
     assert proc.returncode == 0, proc.stderr
     *lines, last = proc.stdout.splitlines()
-    # the README commands, four extra requests, the 103 seed-1 benchmark
+    # the README commands, five extra requests, the 103 seed-1 benchmark
     # requests and one sampled profile
-    assert len(lines) > 103 + 5
+    assert len(lines) > 103 + 6
     assert last == f"requests whose output differs: 0 of {len(lines)}"
     for line in lines:
         change, parent, command = line.split(" ", 2)
         assert change == parent and len(change) == 64
     commands = [line.split(" ", 2)[2] for line in lines]
     assert "sweep --tau-grid 1e-200:1:3log --modes 4" in commands
+    assert "engine --family shortcut --tau 1 --modes 8" in commands
     assert any(c.startswith("friction --family sampled") for c in commands)

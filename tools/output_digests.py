@@ -29,6 +29,8 @@ EXTRA = [
     # at a beta_A that is no power of two, r * beta_A / beta_A is not r
     "sweep --tau-grid 1:2:2 --beta-a 3 --beta-ratio 0.05,0.1 --modes 8",
     "engine --tau 1 --beta-a 3 --beta-ratio 0.05 --modes 8",
+    # a shortcut stroke lasts tau + 2 L0, which sets the power
+    "engine --family shortcut --tau 1 --modes 8",
 ]
 
 
