@@ -10,9 +10,12 @@ is stated directly through ``--L0`` in natural units.
 
 Value resolution order: command-line flag > ``CASOTTO_<FLAG>`` environment
 variable > config file (flat ``key = value`` text, ``#`` comments) >
-built-in default.  Unknown keys anywhere are hard errors.  Exit status: 0
-success (``--help`` included), 2 usage error, 3 numerical failure or out of
-memory (partial output is flagged).
+built-in default.  Unknown keys anywhere are hard errors.  Each option's
+type, default and range are declared once, in ``_OPTION_SPECS``; the header
+echoes a comma list (``epsilon``, ``beta-ratio``, ``n``) as its shortest
+round-trip numbers, so ``--epsilon 0.010,1e-2`` echoes ``0.01,0.01``.  Exit
+status: 0 success (``--help`` included), 2 usage error, 3 numerical failure
+or out of memory (partial output is flagged).
 
 Output is deterministic: fixed summation orders inside the library, 17
 significant digits, no timestamps.  Identical configurations produce
@@ -44,43 +47,77 @@ ENV_PREFIX = "CASOTTO_"
 # cavity length of every command but shortcut-check: omega_1 = pi/L0 = 1
 _L0 = math.pi
 
-COMMANDS = (
-    "friction",
-    "bound",
-    "engine",
-    "refrigerator",
-    "sweep",
-    "shortcut-check",
-    "oracle",
-)
 
-# flag name -> (type, default, help); shared across commands that use them
+def _list_of(typ) -> Callable[[str], tuple]:
+    """The type of a comma list of at least one ``typ``."""
+    def parse(raw: str) -> tuple:
+        values = tuple(typ(tok) for tok in raw.split(",") if tok.strip())
+        if not values:
+            raise ValueError(raw)
+        return values
+    return parse
+
+
+class _Grid(str):
+    """The text of a ``lo:hi:N[log]`` grid, echoed as typed, with its points."""
+
+    def __new__(cls, raw: str):
+        grid = super().__new__(cls, raw)
+        grid.points = _parse_grid(raw)
+        return grid
+
+
+def _one_of(*choices: str) -> tuple:
+    """The rule of an option that takes one of ``choices``."""
+    return choices.__contains__, "be one of " + " | ".join(choices)
+
+
+_POSITIVE = (lambda v: v > 0, "be positive")
+_POSITIVE_FINITE = (lambda v: 0 < v < math.inf, "be positive and finite")
+_AT_LEAST_ONE = (lambda v: v >= 1, "be >= 1")
+
+# flag name -> (type, default, help, rule), shared across the commands that
+# take it.  The type turns the option's text into its value, the default is
+# that value, and the rule, None or (predicate, what the value must do),
+# holds for each element of a list.
 _OPTION_SPECS: dict[str, tuple] = {
-    "tau": (float, 1.0, "stroke duration in units of 1/omega_1"),
-    "beta": (float, 1.0, "inverse bath temperature in units of 1/omega_1 ('inf' for vacuum)"),
-    "beta-a": (float, 1.0, "cold-bath inverse temperature (units 1/omega_1)"),
-    "beta-ratio": (str, "0.5", "comma list of beta_C/beta_A ratios"),
-    "epsilon": (str, "0.01", "compression ratio(s), comma list where a grid is accepted"),
-    "modes": (int, 64, "mode cutoff K"),
-    "tail-tol": (float, 1e-6, "relative mode-sum tail tolerance"),
-    "family": (str, "quintic", "trajectory family: quintic | shortcut | sampled"),
-    "trajectory-file": (str, "", "two-column 't, delta' file for --family sampled"),
-    "tau-grid": (str, "", "sweep grid lo:hi:N with optional 'log' suffix"),
-    "mode": (str, "engine", "machine type for sweep: engine | refrigerator"),
-    "output": (str, "-", "output file path, '-' for stdout"),
-    "L0": (float, 1.0, "cavity length for shortcut-check (natural units)"),
-    "n": (str, "2,4,10", "comma list of harmonic indices for shortcut-check"),
-    "points": (int, 200, "time samples per trace for shortcut-check"),
-    "fock-modes": (int, 2, "retained modes in the oracle"),
-    "n-max": (int, 8, "per-mode occupation cutoff of --check identities"),
-    "dt": (float, 0.01, "oracle evolution step (units 1/omega_1)"),
-    "check": (str, "friction", "oracle check: friction | identities"),
-    "thermalization-time": (float, 0.0, "bath-contact time charged to the cycle period"),
+    "tau": (float, 1.0, "stroke duration in units of 1/omega_1", _POSITIVE_FINITE),
+    "beta": (float, 1.0, "inverse bath temperature in units of 1/omega_1 ('inf' for vacuum)",
+             _POSITIVE),
+    # the hot bath is beta-ratio * beta-a: at inf both baths are the vacuum
+    "beta-a": (float, 1.0, "cold-bath inverse temperature (units 1/omega_1)", _POSITIVE_FINITE),
+    "beta-ratio": (_list_of(float), (0.5,), "comma list of beta_C/beta_A ratios",
+                   (lambda v: 0 < v <= 1, "lie in (0, 1]")),
+    "epsilon": (_list_of(float), (0.01,),
+                "compression ratio(s), comma list where a grid is accepted",
+                (lambda v: 0 < v < 1, "lie in (0, 1)")),
+    "modes": (int, 64, "mode cutoff K", _AT_LEAST_ONE),
+    "tail-tol": (float, 1e-6, "relative mode-sum tail tolerance", _POSITIVE),
+    "family": (str, "quintic", "trajectory family: quintic | shortcut | sampled",
+               _one_of("quintic", "shortcut", "sampled")),
+    "trajectory-file": (str, "", "two-column 't, delta' file for --family sampled", None),
+    "tau-grid": (_Grid, "", "sweep grid lo:hi:N with optional 'log' suffix",
+                 (lambda v: v.points[0] > 0, "start above 0")),
+    "mode": (str, "engine", "machine type for sweep: engine | refrigerator",
+             _one_of("engine", "refrigerator")),
+    "output": (str, "-", "output file path, '-' for stdout", None),
+    "L0": (float, 1.0, "cavity length for shortcut-check (natural units)", _POSITIVE_FINITE),
+    "n": (_list_of(int), (2, 4, 10), "comma list of harmonic indices for shortcut-check",
+          (lambda v: v >= 0, "be non-negative")),
+    "points": (int, 200, "time samples per trace for shortcut-check", _AT_LEAST_ONE),
+    "fock-modes": (int, 2, "retained modes in the oracle", _AT_LEAST_ONE),
+    "n-max": (int, 8, "per-mode occupation cutoff of --check identities", _AT_LEAST_ONE),
+    "dt": (float, 0.01, "oracle evolution step (units 1/omega_1)", _POSITIVE),
+    "check": (str, "friction", "oracle check: friction | identities",
+              _one_of("friction", "identities")),
+    "thermalization-time": (float, 0.0, "bath-contact time charged to the cycle period",
+                            (lambda v: v >= 0, "be non-negative")),
 }
 
 # lower-cased flag -> flag: CASOTTO_L0 names the mixed-case --L0
 _ENV_FLAGS = {flag.lower(): flag for flag in _OPTION_SPECS}
 
+# command -> its options, in the order of the usage line's command choices
 _COMMAND_OPTIONS: dict[str, tuple[str, ...]] = {
     "friction": ("tau", "beta", "epsilon", "modes", "tail-tol", "family",
                  "trajectory-file", "output"),
@@ -98,6 +135,7 @@ _COMMAND_OPTIONS: dict[str, tuple[str, ...]] = {
     "oracle": ("tau", "beta", "epsilon", "family", "trajectory-file",
                "fock-modes", "n-max", "dt", "check", "output"),
 }
+COMMANDS = tuple(_COMMAND_OPTIONS)
 
 
 class UsageError(Exception):
@@ -117,15 +155,18 @@ class RunConfig:
 
 
 def _coerce(key: str, raw: str):
-    typ = _OPTION_SPECS[key][0]
+    """The value of option ``key`` from its text, checked against its rule."""
+    typ, _, _, rule = _OPTION_SPECS[key]
     try:
-        if typ is float:
-            return float(raw)
-        if typ is int:
-            return int(raw)
-        return str(raw)
+        value = typ(raw)
     except ValueError as exc:
         raise UsageError(f"invalid value for '{key}': {raw!r}") from exc
+    if rule is not None:
+        holds, what = rule
+        for item in value if isinstance(value, tuple) else (value,):
+            if not holds(item):
+                raise UsageError(f"{key} must {what}, got {item!r}")
+    return value
 
 
 def _parse_config_file(path: str, allowed: Sequence[str]) -> dict[str, str]:
@@ -160,8 +201,9 @@ def _parser(command: str) -> argparse.ArgumentParser:
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", default=None, help="flat key = value file")
     for flag in _COMMAND_OPTIONS[command]:
-        typ, default, helptext = _OPTION_SPECS[flag]
-        parser.add_argument(f"--{flag}", default=None, help=f"{helptext} (default {default})")
+        _, default, helptext, _ = _OPTION_SPECS[flag]
+        shown = _fmt(default) if isinstance(default, tuple) else default
+        parser.add_argument(f"--{flag}", default=None, help=f"{helptext} (default {shown})")
     return parser
 
 
@@ -189,10 +231,7 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
     for key in os.environ:
         if not key.startswith(ENV_PREFIX):
             continue
-        name = key[len(ENV_PREFIX):].lower().replace("_", "-")
-        if name in ("config", "command"):
-            continue
-        flag = _ENV_FLAGS.get(name)
+        flag = _ENV_FLAGS.get(key[len(ENV_PREFIX):].lower().replace("_", "-"))
         if flag is None:
             raise UsageError(f"unknown environment variable {key}")
         if flag in allowed:
@@ -200,16 +239,10 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
 
     options: dict[str, object] = {}
     for flag in allowed:
-        typ, default, _ = _OPTION_SPECS[flag]
         raw = getattr(ns, flag.replace("-", "_"))
-        if raw is not None:
-            options[flag] = _coerce(flag, raw)
-        elif flag in env_values:
-            options[flag] = _coerce(flag, env_values[flag])
-        elif flag in file_values:
-            options[flag] = _coerce(flag, file_values[flag])
-        else:
-            options[flag] = default
+        if raw is None:
+            raw = env_values.get(flag, file_values.get(flag))
+        options[flag] = _OPTION_SPECS[flag][1] if raw is None else _coerce(flag, raw)
 
     cfg = RunConfig(command=known, options=options)
     _validate(cfg)
@@ -233,28 +266,6 @@ def _pre_scan_command(argv: Sequence[str]) -> str:
         if "=" not in tok and tok not in ("-h", "--help"):
             next(tokens, None)
     raise UsageError(f"missing command; choose from {', '.join(COMMANDS)}")
-
-
-def _parse_float_list(raw: str, key: str) -> list[float]:
-    """Comma list of floats, at least one."""
-    try:
-        values = [float(tok) for tok in str(raw).split(",") if tok.strip()]
-    except ValueError:
-        values = []
-    if not values:
-        raise UsageError(f"{key} must be a non-empty comma list of numbers, got {raw!r}")
-    return values
-
-
-def _parse_harmonics(raw: str) -> list[int]:
-    """Comma list of non-negative harmonic indices, at least one."""
-    try:
-        harmonics = [int(tok) for tok in str(raw).split(",") if tok.strip()]
-    except ValueError:
-        harmonics = []
-    if not harmonics or min(harmonics) < 0:
-        raise UsageError(f"n must be a comma list of non-negative integers, got {raw!r}")
-    return harmonics
 
 
 def _parse_grid(raw: str) -> list[float]:
@@ -283,70 +294,24 @@ def _parse_grid(raw: str) -> list[float]:
     return [lo + step * i for i in range(n)]
 
 
-def _single(opts, key: str) -> float:
-    values = _parse_float_list(str(opts[key]), key)
-    if len(values) != 1:
-        raise UsageError(f"this command takes a single {key}")
-    return values[0]
-
-
 def _validate(cfg: RunConfig) -> None:
+    """The rules that join two options, or an option and the command."""
     opts = cfg.options
-    if "epsilon" in opts:
-        for e in _parse_float_list(str(opts["epsilon"]), "epsilon"):
-            if not 0.0 < e < 1.0:
-                raise UsageError(f"epsilon must lie in (0, 1), got {e}")
     if cfg.command != "sweep":  # the only command that takes lists
         for key in ("epsilon", "beta-ratio"):
-            if key in opts:
-                _single(opts, key)
-    for key in ("beta", "beta-a", "tail-tol"):
-        if key in opts and not float(opts[key]) > 0:
-            raise UsageError(f"{key} must be positive, got {opts[key]}")
-    # the hot bath is beta-ratio * beta-a: at inf both baths are the vacuum
-    if "beta-a" in opts and not math.isfinite(float(opts["beta-a"])):
-        raise UsageError(f"beta-a must be finite, got {opts['beta-a']}")
-    if "beta-ratio" in opts:
-        for r in _parse_float_list(str(opts["beta-ratio"]), "beta-ratio"):
-            if not 0.0 < r <= 1.0:
-                raise UsageError(f"beta-ratio must lie in (0, 1], got {r}")
-    if "tau" in opts and not 0 < float(opts["tau"]) < math.inf:
-        raise UsageError("tau must be positive and finite")
-    if "modes" in opts and int(opts["modes"]) < 1:
-        raise UsageError("modes must be >= 1")
-    if "thermalization-time" in opts and not float(opts["thermalization-time"]) >= 0:
-        raise UsageError("thermalization-time must be non-negative")
-    if "points" in opts and int(opts["points"]) < 1:
-        raise UsageError("points must be >= 1")
-    if "L0" in opts and not 0 < float(opts["L0"]) < math.inf:
-        raise UsageError("L0 must be positive and finite")
-    if cfg.command == "oracle":
-        for key in ("fock-modes", "n-max"):
-            if int(opts[key]) < 1:
-                raise UsageError(f"{key} must be >= 1")
-        if not float(opts["dt"]) > 0:
-            raise UsageError("dt must be positive")
-    if "n" in opts:
-        _parse_harmonics(str(opts["n"]))
-    if "mode" in opts and opts["mode"] not in ("engine", "refrigerator"):
-        raise UsageError("mode must be engine or refrigerator")
-    if "check" in opts and opts["check"] not in ("friction", "identities"):
-        raise UsageError("check must be friction or identities")
-    if "family" in opts:
-        fam = str(opts["family"])
-        if fam not in ("quintic", "shortcut", "sampled"):
-            raise UsageError(f"unknown trajectory family {fam!r}")
-        if fam == "sampled":
-            path = str(opts.get("trajectory-file", ""))
-            if not path:
-                raise UsageError("--family sampled requires --trajectory-file")
-            if not Path(path).is_file():
-                raise UsageError(f"trajectory file not found or not a file: {path}")
-    if cfg.command == "sweep":
-        if not str(opts.get("tau-grid", "")):
-            raise UsageError("sweep requires --tau-grid lo:hi:N[log]")
-        if not _parse_grid(str(opts["tau-grid"]))[0] > 0:
-            raise UsageError(f"tau-grid must start above 0, got {opts['tau-grid']!r}")
+            if len(opts.get(key, ())) > 1:
+                raise UsageError(f"this command takes a single {key}")
+    elif not opts["tau-grid"]:
+        raise UsageError("sweep requires --tau-grid lo:hi:N[log]")
+    if opts.get("family") == "sampled":
+        path = opts["trajectory-file"]
+        if not path:
+            raise UsageError("--family sampled requires --trajectory-file")
+        if not Path(path).is_file():
+            raise UsageError(f"trajectory file not found or not a file: {path}")
+        # a sampled stroke spans its file, so a second tau would repeat a row
+        if cfg.command == "sweep" and len(opts["tau-grid"].points) > 1:
+            raise UsageError("a sampled stroke ignores tau: --tau-grid must have one point")
 
 
 # ---------------------------------------------------------------------------
@@ -358,17 +323,17 @@ def _cavity(opts, epsilon: float) -> CavityConfig:
     return CavityConfig(
         L0=_L0,
         epsilon=epsilon,
-        n_modes=int(opts["modes"]),
-        tail_tol=float(opts.get("tail-tol", _OPTION_SPECS["tail-tol"][1])),
+        n_modes=opts["modes"],
+        tail_tol=opts.get("tail-tol", _OPTION_SPECS["tail-tol"][1]),
     )
 
 
 def _trajectory_family(opts) -> Callable[[float], Trajectory]:
-    """tau -> stroke profile of the configured family; a sampled file is read
-    once and serves every tau."""
-    fam = str(opts["family"])
+    """tau -> stroke profile of the configured family; a sampled stroke
+    spans its file and ignores tau."""
+    fam = opts["family"]
     if fam == "sampled":
-        path = str(opts["trajectory-file"])
+        path = opts["trajectory-file"]
         try:
             fixed = from_samples(path)
         except (OSError, UnicodeDecodeError) as exc:
@@ -380,11 +345,14 @@ def _trajectory_family(opts) -> Callable[[float], Trajectory]:
 
 
 def _trajectory(opts) -> Trajectory:
-    return _trajectory_family(opts)(float(opts["tau"]))
+    return _trajectory_family(opts)(opts["tau"])
 
 
 def _fmt(value) -> str:
-    """An option or note value: a float at 17 significant digits."""
+    """An option or note value: a float at 17 significant digits, a list as
+    its shortest round-trip floats."""
+    if isinstance(value, tuple):
+        return ",".join(map(repr, value))
     return "%.17g" % value if isinstance(value, float) else str(value)
 
 
@@ -466,7 +434,7 @@ def _warn_if_beyond_perturbative(opts) -> None:
     too large for the second-order treatment."""
     if "epsilon" not in opts:
         return
-    eps = max(_parse_float_list(str(opts["epsilon"]), "epsilon"))
+    eps = max(opts["epsilon"])
     if eps > PERTURBATIVE_EPSILON_MAX:
         _warn(
             f"epsilon = {eps} exceeds {PERTURBATIVE_EPSILON_MAX}: the friction "
@@ -486,7 +454,7 @@ def run(cfg: RunConfig, stream=None) -> int:
     out = io.StringIO()
     status = _RUNNERS[cfg.command](cfg, out)
     text = out.getvalue()
-    target = str(opts.get("output", "-"))
+    target = opts.get("output", "-")
     if stream is not None:
         stream.write(text)
     elif target == "-":
@@ -498,9 +466,9 @@ def run(cfg: RunConfig, stream=None) -> int:
 
 def _run_friction(cfg: RunConfig, out) -> int:
     opts = cfg.options
-    cavity = _cavity(opts, _single(opts, "epsilon"))
+    cavity = _cavity(opts, opts["epsilon"][0])
     traj = _trajectory(opts)
-    bath = ThermalBath(float(opts["beta"]))
+    bath = ThermalBath(opts["beta"])
     # through the module attribute, so that a wrapped friction.spectral_table sees it
     table = _friction.spectral_table(traj, cavity)
     result = friction_energy(cavity, bath, traj, table=table)
@@ -521,8 +489,8 @@ def _run_friction(cfg: RunConfig, out) -> int:
 
 def _run_bound(cfg: RunConfig, out) -> int:
     opts = cfg.options
-    cavity = _cavity(opts, _single(opts, "epsilon"))
-    tau, beta = float(opts["tau"]), float(opts["beta"])
+    cavity = _cavity(opts, opts["epsilon"][0])
+    tau, beta = opts["tau"], opts["beta"]
     value = friction_bound(cavity, ThermalBath(beta), _trajectory(opts))
     _write_table(cfg, out, _BOUND_TABLE, [(tau, beta, cavity.epsilon, value)])
     return 0
@@ -530,20 +498,18 @@ def _run_bound(cfg: RunConfig, out) -> int:
 
 def _run_cycle(cfg: RunConfig, out) -> int:
     opts = cfg.options
-    ratios = _parse_float_list(str(opts["beta-ratio"]), "beta-ratio")
-    epsilons = _parse_float_list(str(opts["epsilon"]), "epsilon")
-    beta_a = float(opts["beta-a"])
+    ratios, epsilons, beta_a = opts["beta-ratio"], opts["epsilon"], opts["beta-a"]
     baths = [BathPair(beta_a, r * beta_a) for r in ratios]
     cavity = _cavity(opts, epsilons[0])
     family = _trajectory_family(opts)
-    thermalization_time = float(opts["thermalization-time"])
+    thermalization_time = opts["thermalization-time"]
     if cfg.command == "sweep":
         g, taus, failures = _sweep_grid(
-            cavity, baths, _parse_grid(str(opts["tau-grid"])), family, epsilons,
-            str(opts["mode"]), thermalization_time,
+            cavity, baths, opts["tau-grid"].points, family, epsilons, opts["mode"],
+            thermalization_time,
         )
     else:  # _validate has left one ratio and one epsilon
-        taus, failures = [float(opts["tau"])], (None,)
+        taus, failures = [opts["tau"]], (None,)
         g = _cell(cavity, baths[0], cfg.command, family(taus[0]), include_casimir=True,
                   thermalization_time=thermalization_time)
     # every coordinate, as requested, formatted once and every column listed
@@ -566,12 +532,10 @@ def _run_cycle(cfg: RunConfig, out) -> int:
 
 def _run_shortcut_check(cfg: RunConfig, out) -> int:
     opts = cfg.options
-    L0 = float(opts["L0"])
-    tau = float(opts["tau"])
-    points = int(opts["points"])
-    traj = shortcut(quintic(tau), L0)
+    L0, points = opts["L0"], opts["points"]
+    traj = shortcut(quintic(opts["tau"]), L0)
     rows = []
-    for n in _parse_harmonics(str(opts["n"])):
+    for n in opts["n"]:
         for i in range(points + 1):
             t = traj.t_start + traj.duration * i / points
             rows.append((n, t, *partial_spectral_integral(traj, n, L0, t)))
@@ -588,19 +552,19 @@ _ORACLE_FLAGS = {
 def _run_oracle(cfg: RunConfig, out) -> int:
     opts = cfg.options
     cavity = CavityConfig(
-        L0=_L0, epsilon=_single(opts, "epsilon"), n_modes=int(opts["fock-modes"])
+        L0=_L0, epsilon=opts["epsilon"][0], n_modes=opts["fock-modes"]
     )
-    identities = str(opts["check"]) == "identities"
-    beta = float(opts["beta"])
+    identities = opts["check"] == "identities"
+    beta = opts["beta"]
     try:
         if identities:
             # through the module attribute: perfbench/tracing.py wraps a
             # cli.verify_trace_identities name with a hook that reads a
             # .dimension off the second argument, now the cavity
-            report = _fock_oracle.verify_trace_identities(beta, cavity, int(opts["n-max"]))
+            report = _fock_oracle.verify_trace_identities(beta, cavity, opts["n-max"])
         else:
             traj = _trajectory(opts)
-            comparison = validate_friction(cavity, ThermalBath(beta), traj, float(opts["dt"]))
+            comparison = validate_friction(cavity, ThermalBath(beta), traj, opts["dt"])
     except OracleRangeError as exc:
         flags = " or ".join(f"--{_ORACLE_FLAGS[name]}" for name in exc.names)
         raise UsageError(f"{exc} (change {flags})") from exc

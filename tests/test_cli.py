@@ -34,7 +34,7 @@ class TestParsing:
         assert cfg.command == "friction"
         assert cfg.options["tau"] == 1.0
         assert cfg.options["beta"] == 1.0
-        assert cfg.options["epsilon"] == "0.01"
+        assert cfg.options["epsilon"] == (0.01,)
         assert cfg.options["modes"] == 64
 
     def test_defaults_fill_in(self):
@@ -48,7 +48,7 @@ class TestParsing:
         cfg = parse_config(
             ["friction", "--config", str(conf), "--epsilon", "0.01"]
         )
-        assert cfg.options["epsilon"] == "0.01"
+        assert cfg.options["epsilon"] == (0.01,)
         assert cfg.options["modes"] == 32
 
     def test_env_overrides_config_but_not_flags(self, tmp_path, monkeypatch):
@@ -101,6 +101,15 @@ class TestParsing:
         with pytest.raises(UsageError):
             parse_config(["friction"])
 
+    @pytest.mark.parametrize("name", ["CASOTTO_CONFIG", "CASOTTO_COMMAND"])
+    def test_config_and_command_are_no_env_vars(self, tmp_path, monkeypatch, capsys, name):
+        # --config and the command are no options, so no variable mirrors them
+        conf = tmp_path / "run.conf"
+        conf.write_text("modes = 4\n")
+        monkeypatch.setenv(name, str(conf) if name == "CASOTTO_CONFIG" else "friction")
+        assert main(["bound"]) == 2
+        assert capsys.readouterr().err == f"casotto: unknown environment variable {name}\n"
+
     def test_epsilon_out_of_range(self):
         with pytest.raises(UsageError):
             parse_config(["friction", "--epsilon", "1.5"])
@@ -110,6 +119,8 @@ class TestParsing:
         out, err = capsys.readouterr()
         assert out.startswith("usage: casotto") and "--tau" in out
         assert err == ""
+        # a list default reads as typed, not as the tuple it is stored as
+        assert "(default 0.01)" in " ".join(out.split())
         assert main(["friction", "--frobnicate"]) == 2
 
     def test_missing_command(self):
@@ -175,6 +186,20 @@ class TestParsing:
         with pytest.raises(UsageError):
             parse_config(["sweep"])
 
+    def test_sampled_sweep_takes_one_tau(self, tmp_path, capsys):
+        # a sampled stroke spans its file, so a second tau would repeat a row
+        samples = tmp_path / "stroke.csv"
+        samples.write_text("".join(f"{t / 10!r},{(t / 10) ** 2 * (3 - t / 5)!r}\n"
+                                   for t in range(11)))
+        argv = ["sweep", "--family", "sampled", "--trajectory-file", str(samples),
+                "--modes", "16", "--tau-grid"]
+        assert main([*argv, "0.5:4:3"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "--tau-grid must have one point" in err
+        status, text = capture([*argv, "0.5:4:1"])
+        assert status == 0
+        assert len([l for l in text.splitlines() if l[:1].isdigit()]) == 1
+
     @pytest.mark.parametrize("command", ["engine", "refrigerator"])
     def test_negative_thermalization_time_is_a_usage_error(self, command):
         assert main([command, "--tau", "1", "--thermalization-time", "-2"]) == 2
@@ -217,6 +242,12 @@ class TestParsing:
         ["sweep", "--tau-grid", "1:2:2", "--mode", "bogus"],
         ["oracle", "--check", "bogus"],
         ["friction", "--family", "bogus"],
+        ["friction", "--tau", "nan"],
+        ["friction", "--beta", "nan"],
+        ["engine", "--beta-a", "nan"],
+        ["friction", "--tail-tol", "nan"],
+        ["oracle", "--dt", "nan"],
+        ["shortcut-check", "--L0", "nan"],
     ], ids=["points-zero", "points-negative", "n-not-integer", "n-negative", "n-empty",
             "tail-tol-zero", "beta-ratio-above-one", "beta-ratio-zero", "beta-a-negative",
             "sweep-beta-ratio-above-one", "beta-minus-inf", "friction-two-epsilons",
@@ -225,7 +256,8 @@ class TestParsing:
             "grid-bound-not-number", "fock-modes-zero", "n-max-zero", "dt-zero",
             "integrator-order-removed", "L0-zero", "L0-inf", "epsilon-empty",
             "beta-ratio-empty", "grid-at-zero", "grid-below-zero", "beta-a-inf",
-            "tau-inf", "modes-zero", "sweep-mode-bogus", "check-bogus", "family-bogus"])
+            "tau-inf", "modes-zero", "sweep-mode-bogus", "check-bogus", "family-bogus",
+            "tau-nan", "beta-nan", "beta-a-nan", "tail-tol-nan", "dt-nan", "L0-nan"])
     def test_shortcut_check_rejects_bad_samples(self, argv):
         # out-of-range values are usage errors (status 2), caught before the
         # library's own ValueError would turn them into numerical failures (3)
@@ -396,14 +428,23 @@ class TestRuns:
         _, second = capture(argv)
         assert first == second
 
-    def test_round_trip_of_echoed_config(self, tmp_path):
-        argv = ["engine", "--tau", "2.0", "--beta-a", "2.0", "--beta-ratio",
-                "0.5", "--epsilon", "0.01", "--modes", "12"]
+    @pytest.mark.parametrize("argv, epsilon", [
+        (["engine", "--tau", "2.0", "--beta-a", "2.0", "--beta-ratio", "0.5",
+          "--epsilon", "0.01", "--modes", "12"], "0.01"),
+        (["sweep", "--tau-grid", "0.5:2:3log", "--beta-ratio", "0.3,0.5",
+          "--epsilon", "0.01,0.06", "--modes", "12"], "0.01,0.06"),
+        # a list echoes as its shortest round-trip floats
+        (["sweep", "--tau-grid", "1:2:2", "--epsilon", "0.010,1e-2", "--modes", "12"],
+         "0.01,0.01"),
+    ], ids=["engine", "sweep-lists", "sweep-non-canonical"])
+    def test_round_trip_of_echoed_config(self, tmp_path, argv, epsilon):
         cfg = parse_config(argv)
         buf = io.StringIO()
-        # 12 modes leave both the population-frozen and the friction tail large
-        with pytest.warns(TruncationWarning):
+        # 12 modes leave both the population-frozen and the friction tail
+        # large; a sweep carries that in its tail_warning column instead
+        with pytest.warns(TruncationWarning) if argv[0] == "engine" else warnings.catch_warnings():
             run(cfg, stream=buf)
+        assert f"# epsilon = {epsilon}" in buf.getvalue().splitlines()
         conf_lines = []
         for line in buf.getvalue().splitlines():
             if line.startswith("# column") or not line.startswith("# "):
@@ -414,7 +455,7 @@ class TestRuns:
                 conf_lines.append(body)
         conf = tmp_path / "echo.conf"
         conf.write_text("\n".join(l for l in conf_lines if not l.startswith("casotto")))
-        cfg2 = parse_config(["engine", "--config", str(conf)])
+        cfg2 = parse_config([argv[0], "--config", str(conf)])
         assert cfg2 == cfg
 
     def test_sweep_csv_matches_eta_shape(self):

@@ -12,9 +12,9 @@ def test_checkout_against_itself_differs_nowhere():
     )
     assert proc.returncode == 0, proc.stderr
     *lines, last = proc.stdout.splitlines()
-    # the README commands, five extra requests, the 103 seed-1 benchmark
-    # requests and one sampled profile
-    assert len(lines) > 103 + 6
+    # the README commands, 13 extra requests, the 103 seed-1 benchmark
+    # requests, one sampled profile and one sampled sweep
+    assert len(lines) > 103 + 13 + 2
     assert last == f"requests whose output differs: 0 of {len(lines)}"
     for line in lines:
         change, parent, command = line.split(" ", 2)
@@ -23,3 +23,6 @@ def test_checkout_against_itself_differs_nowhere():
     assert "sweep --tau-grid 1e-200:1:3log --modes 4" in commands
     assert "engine --family shortcut --tau 1 --modes 8" in commands
     assert any(c.startswith("friction --family sampled") for c in commands)
+    assert any(c.startswith("sweep --family sampled") for c in commands)
+    assert "friction --epsilon 0.010 --modes 4" in commands
+    assert all(f"{command} --help" in commands for command in ("friction", "shortcut-check"))

@@ -31,20 +31,29 @@ EXTRA = [
     "engine --tau 1 --beta-a 3 --beta-ratio 0.05 --modes 8",
     # a shortcut stroke lasts tau + 2 L0, which sets the power
     "engine --family shortcut --tau 1 --modes 8",
+    # a list option echoes as its shortest round-trip floats
+    "friction --epsilon 0.010 --modes 4",
+    # --help prints on stdout and exits 0
+    "friction --help", "bound --help", "engine --help", "refrigerator --help",
+    "sweep --help", "shortcut-check --help", "oracle --help",
 ]
 
 
 def requests(samples: Path) -> list[list[str]]:
     """The README's ``casotto`` lines, ``EXTRA``, the seed-1 benchmark
-    requests and a sampled profile (``# bound = none``)."""
+    requests, a sampled profile (``# bound = none``) and a sampled sweep
+    over more than one tau."""
     sys.path.insert(0, str(HERE / "perfbench"))
     import workloads
 
     readme = (HERE / "README.md").read_text(encoding="utf-8").replace("\\\n", " ")
     lines = [ln.split()[1:] for ln in readme.splitlines() if ln.startswith("casotto ")]
     bench = [list(r.argv) for name in workloads.NAMES for r in workloads.build(name, seed=1)]
-    sampled = ["friction", "--family", "sampled", "--trajectory-file", str(samples), "--modes", "8"]
-    return lines + [ln.split() for ln in EXTRA] + bench + [sampled]
+    sampled = ["--family", "sampled", "--trajectory-file", str(samples)]
+    return lines + [ln.split() for ln in EXTRA] + bench + [
+        ["friction", *sampled, "--modes", "8"],
+        ["sweep", *sampled, "--tau-grid", "0.5:4:3", "--modes", "16"],
+    ]
 
 
 def serve() -> None:
