@@ -37,7 +37,7 @@ from typing import Callable, Sequence
 from . import __version__
 from . import fock_oracle as _fock_oracle
 from . import friction as _friction
-from .cycle import BathPair, _cell, _listed, _sweep_grid
+from .cycle import BathPair, _checked, _cycles, _listed
 from .friction import friction_bound, friction_energy, mode_breakdown, partial_spectral_integral
 from .fock_oracle import OracleRangeError, validate_friction
 from .spectrum import PERTURBATIVE_EPSILON_MAX, CavityConfig, ThermalBath, _warn
@@ -501,29 +501,27 @@ def _run_cycle(cfg: RunConfig, out) -> int:
     ratios, epsilons, beta_a = opts["beta-ratio"], opts["epsilon"], opts["beta-a"]
     baths = [BathPair(beta_a, r * beta_a) for r in ratios]
     cavity = _cavity(opts, epsilons[0])
-    family = _trajectory_family(opts)
-    thermalization_time = opts["thermalization-time"]
-    if cfg.command == "sweep":
-        g, taus, failures = _sweep_grid(
-            cavity, baths, opts["tau-grid"].points, family, epsilons, opts["mode"],
-            thermalization_time,
-        )
-    else:  # _validate has left one ratio and one epsilon
-        taus, failures = [opts["tau"]], (None,)
-        g = _cell(cavity, baths[0], cfg.command, family(taus[0]), include_casimir=True,
-                  thermalization_time=thermalization_time)
+    sweep = cfg.command == "sweep"
+    # only sweep has --mode: engine and refrigerator name their machine
+    g = _cycles(
+        cavity, baths, opts.get("mode", cfg.command), _trajectory_family(opts),
+        opts["tau-grid"].points if sweep else (opts["tau"],), epsilons,
+        thermalization_time=opts["thermalization-time"],
+    )
+    if not sweep:  # _validate has left one ratio and one epsilon
+        _checked(g, cavity, baths[0])
     # every coordinate, as requested, formatted once and every column listed
     # once, in cycle.sweep's row order; omega_1 = 1, so tau is tau_omega1
     B, E, T = g.shape
     floats = _listed(g, g.Q, g.W, g.eta, g.eta_ad, g.power, g.ef_a, g.ef_c)
     runs, warned = _listed(g, g.runs, g.tail_warning, dtype=bool)
     rows = zip(
-        ["%.17g" % tau for tau in taus] * (B * E),
+        ["%.17g" % tau for tau in g.taus] * (B * E),
         [text for text in ("%.17g" % ratio for ratio in ratios) for _ in range(E * T)],
-        [text for text in ("%.17g" % eps for eps in epsilons) for _ in taus] * B,
+        [text for text in ("%.17g" % eps for eps in epsilons) for _ in g.taus] * B,
         *floats[:5], [g.machine if r else "dissipator" for r in runs], *floats[5:], warned,
     )
-    failed = [failure is not None for failure in failures]
+    failed = [failure is not None for failure in g.failures]
     if any(failed):
         rows = [(*row[:3], *_FAILED_CELL) if bad else row for row, bad in zip(rows, failed * B * E)]
     _write_table(cfg, out, _CYCLE_TABLE, rows)
@@ -545,7 +543,8 @@ def _run_shortcut_check(cfg: RunConfig, out) -> int:
 
 # oracle parameter -> the flag that sets it
 _ORACLE_FLAGS = {
-    "n_max": "n-max", "beta": "beta", "dt": "dt", "epsilon": "epsilon", "n_modes": "fock-modes",
+    "n_max": "n-max", "beta": "beta", "tau": "tau", "dt": "dt", "epsilon": "epsilon",
+    "n_modes": "fock-modes",
 }
 
 

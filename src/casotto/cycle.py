@@ -40,7 +40,6 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .friction import (
-    SpectralTable,
     TruncationWarning,
     _per_bath,
     _stroke_cutoff,
@@ -258,14 +257,6 @@ _MACHINES = {
 }
 
 
-def _machine(name: str) -> _Machine:
-    """The bookkeeping of machine ``name``; ValueError for an unknown one."""
-    try:
-        return _MACHINES[name]
-    except KeyError:
-        raise ValueError(f"machine must be 'engine' or 'refrigerator', got {name!r}") from None
-
-
 def _operands(stack: np.ndarray) -> list:
     """The operands stacked on the first axis of ``stack``; one-element
     operands as numpy scalars, which broadcast alike but skip the array
@@ -274,27 +265,54 @@ def _operands(stack: np.ndarray) -> list:
 
 
 def _cycles(
-    cavities: Sequence[CavityConfig],
+    cfg: CavityConfig,
     baths: Sequence[BathPair],
     machine: str,
-    tables: Sequence[SpectralTable | None] = (),
-    periods: Sequence[float] = (),
+    family: Callable[[float], Trajectory] | None = None,
+    taus: Iterable[float] = (),
+    epsilons: Iterable[float] | None = None,
     *,
-    include_casimir: bool,
+    include_casimir: bool = True,
+    thermalization_time: float = 0.0,
 ) -> SimpleNamespace:
     """Cycles of ``machine`` over a (bath, eps, tau) grid, each rule run once.
 
-    ``cavities`` (one per eps) differ only in epsilon.  Without ``tables``
-    the strokes are adiabatic (one tau column, zero friction, NaN power);
-    else tau ``t`` takes both frictions from the checked ``tables[t]`` (None
-    for a failed tau: NaN cells) and has cycle period ``periods[t]``.  Each
-    (table, bath) product is taken once, in one :func:`_per_bath` call.
-    Returns arrays that broadcast to the grid's ``shape``, no per-cell object;
-    the flags and tail estimates (per unit ``eps**2``) of strokes A and C
-    are empty without ``tables``.
+    The cavities are ``cfg`` at each of ``epsilons`` (``cfg.epsilon`` when
+    None).  Without ``family`` the strokes are adiabatic (one tau column,
+    zero friction, NaN power).  Else each tau, ascending, builds its stroke
+    ``family(tau)``, checks ``thermalization_time``, and takes the stroke's
+    checked spectral table; compression starts from the cold state,
+    expansion from the hot one, and reversal leaves the spectral power
+    unchanged, so one table serves both.  The cycle period counts both
+    strokes at the profile's own duration, plus ``thermalization_time``.  A
+    tau that fails has NaN cells, and its exception is recorded in
+    ``failures`` (None where the tau succeeded), not raised.  Each (table,
+    bath) product is taken once, in one :func:`_per_bath` call.  Returns
+    arrays that broadcast to the grid's ``shape``, no per-cell object; the
+    flags and tail estimates (per unit ``eps**2``) of strokes A and C are
+    empty without ``family``.
     """
-    m = _MACHINES[machine]
-    cfg = cavities[0]
+    m = _MACHINES.get(machine)
+    if m is None:
+        raise ValueError(f"machine must be 'engine' or 'refrigerator', got {machine!r}")
+    epsilons = [cfg.epsilon] if epsilons is None else list(epsilons)
+    taus = sorted(map(float, taus))
+    if not baths or not epsilons or (family is not None and not taus):
+        raise ValueError("sweep needs non-empty bath, epsilon and tau grids")
+    # cfg itself at its own eps: a copy costs a one-cell request 2 us
+    cavities = [cfg if eps == cfg.epsilon else replace(cfg, epsilon=eps) for eps in epsilons]
+    strokes = []  # (table, period, failure) per tau
+    for tau in taus if family is not None else ():
+        try:
+            traj = family(tau)
+            if not thermalization_time >= 0:
+                raise ValueError("thermalization_time must be non-negative")
+            table = spectral_table(traj, cfg)
+            _stroke_cutoff(cfg, table)
+            strokes.append((table, 2.0 * traj.duration + thermalization_time, None))
+        except Exception as exc:  # a failing tau is recorded, not raised
+            strokes.append((None, math.nan, exc))
+    tables, periods, failures = zip(*strokes) if strokes else ((), (), (None,))
     B, E, T = len(baths), len(cavities), max(len(tables), 1)
     sums = np.array([_otto_sums(c, bath, machine) for bath in baths for c in cavities])
     Q_ad, W_ad, tail, w0_nA, w1_nA, w1_nC, w0_nC = _operands(sums.T.reshape(7, B, E, 1))
@@ -338,7 +356,7 @@ def _cycles(
         power=power, ef_a=ef_a, ef_c=ef_c, tail_warning=tail_warning, runs=m.runs(Q, W),
         defined=defined, Q_ad=Q_ad, tail=tail, otto_flag=otto_flag, stroke_flags=stroke_flags,
         stroke_tails=stroke_tails, err_a=err_a, err_c=err_c,
-        energies=(w0_nA, w1_nA, w1_nC, w0_nC, e0, e1),
+        energies=(w0_nA, w1_nA, w1_nC, w0_nC, e0, e1), taus=taus, failures=failures,
     )
 
 
@@ -374,38 +392,12 @@ def _reports(g: SimpleNamespace) -> list[CycleReport]:
     ]
 
 
-def _stroke(
-    cfg: CavityConfig, traj: Trajectory, thermalization_time: float
-) -> tuple[SpectralTable, float]:
-    """``(table, period)`` of stroke ``traj``: its checked spectral table and
-    the cycle period.  Compression starts from the cold state, expansion from
-    the hot one; reversal leaves the spectral power unchanged, so one table
-    serves both.  The period counts both strokes at the profile's own
-    duration, plus ``thermalization_time``."""
-    if not thermalization_time >= 0:
-        raise ValueError("thermalization_time must be non-negative")
-    period = 2.0 * traj.duration + thermalization_time
-    table = spectral_table(traj, cfg)
-    _stroke_cutoff(cfg, table)
-    return table, period
-
-
-def _cell(
-    cfg: CavityConfig,
-    baths: BathPair,
-    machine: str,
-    traj: Trajectory | None = None,
-    *,
-    include_casimir: bool,
-    thermalization_time: float = 0.0,
-) -> SimpleNamespace:
-    """One cycle of ``machine``, adiabatic without a trajectory: the one-cell
-    :func:`_cycles` grid, after the warnings its flags call for."""
-    m = _machine(machine)
-    tables = periods = ()
-    if traj is not None:
-        table, period = _stroke(cfg, traj, thermalization_time)
-        tables, periods = (table,), (period,)
+def _checked(g: SimpleNamespace, cfg: CavityConfig, baths: BathPair) -> SimpleNamespace:
+    """One-cell grid ``g`` of ``cfg`` and ``baths``, once its stroke's failure
+    is raised and the warnings its flags call for are issued."""
+    if g.failures[0] is not None:
+        raise g.failures[0]
+    m = _MACHINES[g.machine]
     if not m.in_window(baths.ratio, cfg.epsilon):
         _warn(
             m.window_text.format(
@@ -413,7 +405,6 @@ def _cell(
             ),
             ConditionWarning,
         )
-    g = _cycles([cfg], [baths], machine, tables, periods, include_casimir=include_casimir)
     if g.otto_flag:
         _warn(
             f"mode-sum tail estimate {g.tail:.3e} exceeds tail_tol * |Q| "
@@ -448,10 +439,11 @@ def otto_cycle(
     ``thermalization_time`` (non-negative) adds to a finite-time cycle's
     period, which sets its power.
     """
-    return _reports(_cell(
-        cfg, baths, machine, traj, include_casimir=include_casimir,
-        thermalization_time=thermalization_time,
-    ))[0]
+    # the fixed profile as a one-tau family; its tau is never read
+    family = None if traj is None else lambda tau: traj
+    g = _cycles(cfg, [baths], machine, family, (0.0,), include_casimir=include_casimir,
+                thermalization_time=thermalization_time)
+    return _reports(_checked(g, cfg, baths))[0]
 
 
 @dataclass(frozen=True)
@@ -463,28 +455,6 @@ class SweepRow:
     epsilon: float
     report: CycleReport | None
     error: str = ""
-
-
-def _sweep_grid(cfg, baths, taus, traj_family, epsilons, machine, thermalization_time,
-                include_casimir=True) -> tuple[SimpleNamespace, list[float], tuple]:
-    """:func:`sweep` up to its rows: the :func:`_cycles` grid, the sorted taus
-    and each tau's failure (None where it succeeded), warnings silenced."""
-    _machine(machine)
-    if not baths or len(taus) == 0 or not epsilons:
-        raise ValueError("sweep needs non-empty bath, epsilon and tau grids")
-    cavities = [replace(cfg, epsilon=eps) for eps in epsilons]
-    taus = sorted(float(t) for t in taus)
-    strokes = []  # (table, period, failure) per tau
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for tau in taus:
-            try:
-                strokes.append((*_stroke(cfg, traj_family(tau), thermalization_time), None))
-            except Exception as exc:  # a failing tau is recorded, not raised
-                strokes.append((None, math.nan, exc))
-        tables, periods, failures = zip(*strokes)
-        grid = _cycles(cavities, baths, machine, tables, periods, include_casimir=include_casimir)
-    return grid, taus, failures
 
 
 def sweep(
@@ -514,10 +484,12 @@ def sweep(
     silenced.
     """
     eps_list = list(epsilons) if epsilons is not None else [cfg.epsilon]
-    grid, taus, failures = _sweep_grid(cfg, baths, taus, traj_family, eps_list, machine,
-                                       thermalization_time, include_casimir)
-    where = [(tau * cfg.omega1, bath.ratio, e) for bath in baths for e in eps_list for tau in taus]
-    cells = zip(where, _reports(grid), failures * (len(baths) * len(eps_list)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        g = _cycles(cfg, baths, machine, traj_family, taus, eps_list,
+                    include_casimir=include_casimir, thermalization_time=thermalization_time)
+    where = [(tau * cfg.omega1, bath.ratio, e) for bath in baths for e in eps_list for tau in g.taus]
+    cells = zip(where, _reports(g), g.failures * (len(baths) * len(eps_list)))
     return [
         SweepRow(*at, report) if failure is None else SweepRow(*at, None, error=str(failure))
         for at, report, failure in cells

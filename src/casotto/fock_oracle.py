@@ -66,6 +66,9 @@ __all__ = [
 ]
 
 _DIM_CAP = 10**5
+# the most steps a stroke takes: 10**6 steps of 2 modes take 4-6 s on a
+# 2-core Xeon host
+_STEP_CAP = 10**6
 _FRICTION_MODES_MAX = 64
 
 
@@ -73,7 +76,7 @@ class OracleRangeError(ValueError):
     """An input outside the range the oracle is valid in.
 
     ``names`` are the parameters whose change brings it back in range:
-    ``n_modes``, ``n_max``, ``dt``, ``beta`` or ``epsilon``.
+    ``n_modes``, ``n_max``, ``tau``, ``dt``, ``beta`` or ``epsilon``.
     """
 
     def __init__(self, message: str, *names: str) -> None:
@@ -174,7 +177,13 @@ def _propagator(
     if not dt > 0:
         raise ValueError("dt must be positive")
     w_max = mode_frequencies(cfg.n_modes, cfg.L0)[-1]
-    n_steps = max(1, math.ceil(traj.duration / dt))
+    steps = traj.duration / dt
+    if not steps <= _STEP_CAP:
+        raise OracleRangeError(
+            f"a stroke lasting {traj.duration:.3g} takes {steps:.3g} steps of "
+            f"dt = {dt:.3g}, more than the cap {_STEP_CAP}", "tau", "dt"
+        )
+    n_steps = max(1, math.ceil(steps))
     dt = traj.duration / n_steps
     if dt * w_max > 0.1 + 1e-12:
         raise OracleRangeError(f"dt * omega_max = {dt * w_max:.3g} > 0.1; shrink dt", "dt")
@@ -367,8 +376,11 @@ def verify_trace_identities(beta: float, cfg: CavityConfig, n_max: int) -> Ident
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     if cfg.n_modes < 3:
         raise OracleRangeError("identity battery needs at least 3 retained modes", "n_modes")
-    dimension = (n_max + 1) ** cfg.n_modes
-    if dimension > _DIM_CAP:
+    # n_max >= 1, so from _DIM_CAP.bit_length() modes on even 2**n_modes
+    # exceeds the cap: the power is formed only below that
+    large = cfg.n_modes >= _DIM_CAP.bit_length()
+    dimension = f"{n_max + 1}**{cfg.n_modes}" if large else (n_max + 1) ** cfg.n_modes
+    if large or dimension > _DIM_CAP:
         raise OracleRangeError(
             f"truncated dimension {dimension} exceeds cap {_DIM_CAP}", "n_max", "n_modes"
         )

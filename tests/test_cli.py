@@ -639,7 +639,7 @@ class TestRuns:
         assert captured.out == ""
         assert captured.err == "casotto: Unable to allocate 11.5 GiB\n"
 
-    @pytest.mark.parametrize("command", ["friction", "engine", "bound"])
+    @pytest.mark.parametrize("command", ["friction", "engine", "refrigerator", "bound"])
     def test_tau_beyond_floating_point_fails_with_one_message(self, capsys, command):
         # tau**5 underflows: no nan output and no numpy RuntimeWarnings
         with warnings.catch_warnings():
@@ -689,14 +689,27 @@ class TestRuns:
             (["--check", "identities", "--fock-modes", "2"], "--fock-modes"),
             (["--check", "identities", "--fock-modes", "9", "--n-max", "9"], "--n-max"),
             (["--fock-modes", "65"], "--fock-modes"),
+            # 1e62 and 1e300 steps: over the step cap, before the first step
+            (["--tau", "1e60"], "--tau"),
+            (["--dt", "1e-300"], "--dt"),
         ],
         ids=["defaults", "epsilon", "dt", "identity-modes", "fock-dimension-over-cap",
-             "friction-modes-over-cap"],
+             "friction-modes-over-cap", "tau-steps-over-cap", "dt-steps-over-cap"],
     )
     def test_oracle_range_errors_are_usage_errors(self, capsys, argv, flag):
         assert main(["oracle", *argv]) == 2
         message = capsys.readouterr().err
         assert message.startswith("casotto: ") and flag in message
+
+    def test_identity_dimension_over_cap_is_refused_without_forming_it(self):
+        # 9**100000000000 states: the power itself would never finish
+        argv = ["oracle", "--check", "identities", "--fock-modes", "100000000000"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "casotto.cli", *argv],
+            env=_child_env(), capture_output=True, text=True, timeout=5,
+        )
+        assert proc.returncode == 2
+        assert "--n-max" in proc.stderr and "--fock-modes" in proc.stderr
 
     def test_oracle_friction_runs_at_its_defaults(self):
         # the friction check has no Fock cutoff, so --beta 1 --n-max 8 is fine

@@ -17,7 +17,7 @@ from casotto.cycle import (
 )
 from casotto.friction import TruncationWarning, friction_energy, spectral_table
 from casotto.spectrum import CavityConfig, ThermalBath, casimir_energy
-from casotto.trajectory import quintic
+from casotto.trajectory import PPoly, Trajectory, quintic
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore::casotto.friction.TruncationWarning"
@@ -421,6 +421,20 @@ class TestSweep:
         assert len(rows) == 1
         assert rows[0].report is None
         assert "boom" in rows[0].error
+
+    def test_stroke_failing_its_table_check_raises_in_a_cell_and_is_recorded_in_a_sweep(self):
+        # a quintic scaled to half height fails the unit-displacement check
+        # of its spectral table: one cell raises it, a sweep records it
+        def half(tau):
+            delta = quintic(tau).delta
+            return Trajectory(PPoly(0.5 * delta.c, delta.x), label="half")
+
+        for machine in ("engine", "refrigerator"):
+            with pytest.raises(ValueError, match="unit displacement, got 0.5"):
+                otto_cycle(cfg(K=8), ENGINE_BATHS, half(1.0), machine=machine)
+            rows = sweep(cfg(K=8), [ENGINE_BATHS], [1.0, 2.0], half, machine=machine)
+            assert [row.report for row in rows] == [None, None]
+            assert all("unit displacement, got 0.5" in row.error for row in rows)
 
     def test_rows_keep_bath_epsilon_tau_order(self):
         baths = [BathPair(2.0, 0.4), BathPair(2.0, 1.0)]

@@ -459,6 +459,17 @@ class TestEvolve:
             _propagator(cfg, quintic(1.0), 0.2, _static_parts(cfg))
         assert caught.value.names == ("dt",)
 
+    def test_step_count_cap_names_tau_and_dt(self, monkeypatch):
+        # 1e62 steps of the default dt: refused before the first step
+        # exponential is taken, not after hours of them
+        def no_steps(A):
+            raise AssertionError("the stroke was stepped")
+
+        monkeypatch.setattr(fock_oracle, "_expm", no_steps)
+        with pytest.raises(OracleRangeError, match="more than the cap") as caught:
+            validate_friction(cavity(), ThermalBath(2.0), quintic(1e60))
+        assert caught.value.names == ("tau", "dt")
+
     @pytest.mark.parametrize("dt", [0.0, -0.01, math.nan])
     def test_step_must_be_positive(self, dt):
         cfg = cavity()

@@ -12,9 +12,9 @@ def test_checkout_against_itself_differs_nowhere():
     )
     assert proc.returncode == 0, proc.stderr
     *lines, last = proc.stdout.splitlines()
-    # the README commands, 13 extra requests, the 103 seed-1 benchmark
+    # the README commands, 17 extra requests, the 103 seed-1 benchmark
     # requests, one sampled profile and one sampled sweep
-    assert len(lines) > 103 + 13 + 2
+    assert len(lines) > 103 + 17 + 2
     assert last == f"requests whose output differs: 0 of {len(lines)}"
     for line in lines:
         change, parent, command = line.split(" ", 2)

@@ -1,12 +1,14 @@
-"""Digest every fixed request's exit status and stdout, to check byte identity.
+"""Digest every fixed request's exit status, stdout and stderr, to check byte identity.
 
     python3 tools/output_digests.py [--parent DIR]
 
 Each checkout runs the requests through its own ``casotto.cli.main`` in a
-subprocess of its own, stdout captured (``--output`` included) and stderr
-dropped.  One line per request: the sha256 over (status, stdout) of this
-checkout, then of the parent DIR, then the request.  With ``--parent`` the
-last line counts the requests whose digests differ.
+subprocess of its own, stdout (``--output`` included) and stderr captured,
+every warning shown (``warnings.simplefilter("always")``).  A warning names
+the first frame outside casotto, this script's, on both sides.  One line
+per request: the sha256 over (status, stdout, stderr) of this checkout,
+then of the parent DIR, then the request.  With ``--parent`` the last line
+counts the requests whose digests differ.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
@@ -36,6 +39,14 @@ EXTRA = [
     # --help prints on stdout and exits 0
     "friction --help", "bound --help", "engine --help", "refrigerator --help",
     "sweep --help", "shortcut-check --help", "oracle --help",
+    # stderr: baths outside the machine's window with a failing stroke (the
+    # error alone), then with the population-frozen tail flagged (a
+    # ConditionWarning, then a TruncationWarning)
+    "engine --tau 1e-200 --beta-ratio 0.999 --modes 8",
+    "refrigerator --tau 1e-200 --beta-ratio 0.995 --modes 8",
+    "refrigerator --beta-ratio 0.5 --modes 8",
+    # baths outside the window whose population-frozen sums overflow
+    "engine --beta-a 1e-307 --beta-ratio 0.999 --modes 256",
 ]
 
 
@@ -62,12 +73,14 @@ def serve() -> None:
 
     real_run = cli.run
     cli.run = lambda cfg: real_run(cfg, stream=sys.stdout)  # stdout even under --output
+    warnings.simplefilter("always")
     digests = []
     for argv in json.load(sys.stdin):
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):  # stderr goes to the parent's pipe
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             status = cli.main(argv)
-        digests.append(hashlib.sha256(f"{status}\n{out.getvalue()}".encode()).hexdigest())
+        text = f"{status}\n{out.getvalue()}\0{err.getvalue()}"
+        digests.append(hashlib.sha256(text.encode()).hexdigest())
     print(json.dumps([cli.__file__, digests]))
 
 
