@@ -19,9 +19,10 @@ sc = shortcut(quintic(tau), L0)
 print(f"profile domain: [{sc.t_start:g}, {sc.t_end:g}] (duration tau + 2 L0)")
 
 print("\nresonant spectral amplitudes (all vanish):")
-for n in (1, 2, 4, 10):
-    amp = spectral_amplitudes(sc, n * math.pi / L0)
-    print(f"  n={n:>2}: C = {amp.C:+.2e}   S = {amp.S:+.2e}")
+harmonics = (1, 2, 4, 10)
+amp = spectral_amplitudes(sc, [n * math.pi / L0 for n in harmonics])
+for n, C, S in zip(harmonics, amp.C, amp.S):
+    print(f"  n={n:>2}: C = {C:+.2e}   S = {S:+.2e}")
 
 print("\nrunning amplitudes for n = 2 (create, then reabsorb):")
 for frac in (0.0, 0.2, 0.4, 0.6, 0.8, 1.0):

@@ -197,6 +197,7 @@ def _parser(command: str) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="casotto",
         description="moving-wall cavity cycle thermodynamics",
+        allow_abbrev=False,
     )
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", default=None, help="flat key = value file")
@@ -211,8 +212,10 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
     """Resolve a command line into a :class:`RunConfig`.
 
     Precedence: flag > environment > config file > default.  The resolved
-    configuration is echoed into every output header and re-parses to the
-    same RunConfig.  Each command's parser is built once and reused; the
+    configuration is echoed into every output header; with each line's
+    leading ``# `` dropped and the version, column and result lines removed,
+    it re-parses to the same RunConfig.  Flags are matched by their whole
+    name only.  Each command's parser is built once and reused; the
     environment and the config file are read afresh on every call.  A help
     request prints the usage and raises ``SystemExit(0)``.
     """

@@ -82,7 +82,6 @@ from .trajectory import PPoly, Trajectory, _ascending_sum
 
 __all__ = [
     "SpectralAmplitudes",
-    "SpectralTable",
     "FrictionResult",
     "TruncationWarning",
     "spectral_amplitudes",
@@ -100,40 +99,21 @@ class TruncationWarning(UserWarning):
 
 @dataclass(frozen=True)
 class SpectralAmplitudes:
-    """Cosine/sine amplitudes of the wall velocity at one frequency.
+    """Cosine/sine amplitudes of the wall velocity, one entry per frequency.
 
     ``C = integral ddelta(t) cos(omega t) dt`` and likewise ``S`` with sine;
-    ``err`` bounds the round-off of each.  At ``omega = 0`` the
-    cosine amplitude is the net displacement and ``S`` vanishes.
+    ``err`` bounds the round-off of each.  At ``omega = 0`` the cosine
+    amplitude is the net displacement and ``S`` vanishes.
     """
 
-    omega: float
-    C: float
-    S: float
-    err: float
-
-    @property
-    def power(self) -> float:
-        """Spectral power ``C**2 + S**2``."""
-        return self.C * self.C + self.S * self.S
-
-
-@dataclass(frozen=True)
-class SpectralTable:
-    """Amplitudes of one trajectory on the grid ``n * pi / L0``, n = 0..2K.
-
-    Precomputing the grid lets one table serve every mode pair (the needed
-    sums and differences of equidistant frequencies are again grid points)
-    and every bath and compression ratio.
-    """
-
-    omega1: float
+    omegas: np.ndarray
     C: np.ndarray
     S: np.ndarray
     err: np.ndarray
 
     @property
     def power(self) -> np.ndarray:
+        """Spectral power ``C**2 + S**2``."""
         return self.C * self.C + self.S * self.S
 
     @property
@@ -141,10 +121,6 @@ class SpectralTable:
         """Round-off bound of ``power``: the amplitude bounds propagated to
         first and second order."""
         return 2.0 * (np.abs(self.C) + np.abs(self.S)) * self.err + 2.0 * self.err**2
-
-    @property
-    def n_max(self) -> int:
-        return len(self.C) - 1
 
 
 @dataclass(frozen=True)
@@ -284,21 +260,21 @@ def _fourier(v: PPoly, omegas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (np.exp(1j * w * x0) * J).sum(axis=1), _EPS * bound.sum(axis=1)
 
 
-def spectral_amplitudes(traj: Trajectory, omega: float) -> SpectralAmplitudes:
-    """Cosine and sine amplitudes of ``ddelta`` at one frequency."""
-    if not 0.0 <= omega < math.inf:
-        raise ValueError(f"omega must be finite and non-negative, got {omega}")
-    F, err = _fourier(traj.delta.derivative(), [omega])
-    return SpectralAmplitudes(
-        omega=omega, C=float(F[0].real), S=float(F[0].imag), err=float(err[0])
-    )
+def spectral_amplitudes(traj: Trajectory, omegas) -> SpectralAmplitudes:
+    """Amplitudes of ``ddelta`` at a scalar or 1-D array of frequencies."""
+    w = np.atleast_1d(np.asarray(omegas, dtype=float))
+    if w.ndim != 1 or not ((w >= 0.0) & (w < math.inf)).all():
+        raise ValueError(f"omegas must be finite, non-negative and at most 1-D, got {omegas}")
+    F, err = _fourier(traj.delta.derivative(), w)
+    return SpectralAmplitudes(omegas=w, C=F.real, S=F.imag, err=err)
 
 
-def spectral_table(traj: Trajectory, cfg: CavityConfig) -> SpectralTable:
+def spectral_table(traj: Trajectory, cfg: CavityConfig) -> SpectralAmplitudes:
     """Amplitudes at every multiple of ``pi/L0`` up to ``2 * cfg.n_modes``."""
-    w1 = cfg.omega1
-    F, err = _fourier(traj.delta.derivative(), np.arange(2 * cfg.n_modes + 1) * w1)
-    return SpectralTable(omega1=w1, C=F.real, S=F.imag, err=err)
+    # valid by construction: no detour through spectral_amplitudes' checks
+    w = np.arange(2 * cfg.n_modes + 1) * cfg.omega1
+    F, err = _fourier(traj.delta.derivative(), w)
+    return SpectralAmplitudes(omegas=w, C=F.real, S=F.imag, err=err)
 
 
 def partial_spectral_integral(
@@ -463,28 +439,23 @@ def _bath_kernel(L0: float, K: int, beta: float) -> tuple[np.ndarray, np.ndarray
     return value, error
 
 
-def _check_table(cfg: CavityConfig, table: SpectralTable) -> int:
-    """The cutoff K of ``cfg``, once ``table`` is known to serve it."""
-    K = cfg.n_modes
-    if table.n_max < 2 * K:
-        raise ValueError(
-            f"spectral table covers n <= {table.n_max}, need {2 * K}"
-        )
-    if not math.isclose(table.omega1, cfg.omega1, rel_tol=1e-12):
-        raise ValueError("spectral table was built for a different cavity")
-    return K
-
-
-def _stroke_cutoff(cfg: CavityConfig, table: SpectralTable) -> int:
-    """The cutoff K of ``cfg``, once ``table`` is known to serve it and to
-    describe a stroke of unit net displacement (either direction)."""
+def _stroke_cutoff(cfg: CavityConfig, table: SpectralAmplitudes) -> int:
+    """The cutoff K of ``cfg``, once ``table`` is known to describe a stroke of
+    unit net displacement (either direction) on the grid ``n * pi / L0`` up
+    to n = 2K at least; the grid is judged by its length, step and 2K-th point."""
     # the zero-frequency cosine amplitude is the net displacement
     disp = float(table.C[0])
     if abs(abs(disp) - 1.0) > 1e-6:
         raise ValueError(
             f"trajectory must be normalised to unit displacement, got {disp:.6g}"
         )
-    return _check_table(cfg, table)
+    K = cfg.n_modes
+    w = table.omegas
+    if len(w) < 2 * K + 1:
+        raise ValueError(f"spectral table covers n <= {len(w) - 1}, need {2 * K}")
+    if not math.isclose(w[1], cfg.omega1, rel_tol=1e-12) or w[2 * K] != 2 * K * w[1]:
+        raise ValueError("spectral table was built for a different cavity")
+    return K
 
 
 def _truncation_flag(tail, value_per_eps2, eps2, err, tail_tol):
@@ -541,7 +512,7 @@ def friction_energy(
     bath: ThermalBath,
     traj: Trajectory,
     *,
-    table: SpectralTable | None = None,
+    table: SpectralAmplitudes | None = None,
 ) -> FrictionResult:
     """Friction energy of one stroke of ``traj`` starting from a thermal state.
 
@@ -575,16 +546,17 @@ def friction_energy(
 
 @np.errstate(over="ignore", invalid="ignore")
 def mode_breakdown(
-    cfg: CavityConfig, bath: ThermalBath, table: SpectralTable
+    cfg: CavityConfig, bath: ThermalBath, table: SpectralAmplitudes
 ) -> list[tuple[int, float, float, float]]:
     """Per-mode rows ``(k, diag, create, scatter)`` of ``E_F``, scaled by ``eps**2``.
 
     ``diag`` is mode k's single-mode pair creation, ``create`` its pair
     creation with the other modes and ``scatter`` its scattering; the rows
-    sum to :func:`friction_energy`'s ``value``.  One ``O(K**2)`` pass.
-    Raises ValueError where the terms overflow.
+    sum to :func:`friction_energy`'s ``value``, and ``table`` must pass the
+    same checks.  One ``O(K**2)`` pass.  Raises ValueError where the terms
+    overflow.
     """
-    K = _check_table(cfg, table)
+    K = _stroke_cutoff(cfg, table)
     N = occupations(bath.beta, mode_frequencies(K, cfg.L0))
     modes = np.arange(1, K + 1)
     (i_d, diag), (i_c, create), (i_s, scatter) = _pair_layout(modes, K, cfg.omega1)

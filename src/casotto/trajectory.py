@@ -92,10 +92,10 @@ class PPoly:
 
 def _ascending_sum(c: np.ndarray, s: np.ndarray) -> np.ndarray:
     """``sum_m c[k - m] * s**m``, accumulated from the constant term up."""
-    value, power = 0.0 + c[-1], s
+    value, power = 0.0 + c[-1], 1.0
     for row in c[-2::-1]:
+        power = power * s  # no power past the last term, which could overflow
         value = value + row * power
-        power = power * s
     return value
 
 

@@ -212,10 +212,8 @@ def test_criterion_09_shortcut_cancellation():
     L0 = 1.0
     K = 40
     sc = shortcut(quintic(1.0), L0)
-    worst_amp = 0.0
-    for n in range(1, 2 * K + 1):
-        amp = spectral_amplitudes(sc, n * math.pi / L0)
-        worst_amp = max(worst_amp, abs(amp.C), abs(amp.S))
+    amp = spectral_amplitudes(sc, np.arange(1, 2 * K + 1) * math.pi / L0)
+    worst_amp = float(np.max(np.abs([amp.C, amp.S])))
     cfg = cavity(0.01, K, L0=L0)
     bath = ThermalBath(1.0)
     ef_shortcut = friction_energy(cfg, bath, sc).value

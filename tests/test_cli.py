@@ -84,11 +84,15 @@ class TestParsing:
             parse_config(argv)
         assert main(argv) == 2
 
-    def test_unknown_config_key_is_hard_error(self, tmp_path):
+    def test_unknown_config_key_is_hard_error(self, tmp_path, capsys):
         conf = tmp_path / "run.conf"
         conf.write_text("frobnicate = 3\n")
         with pytest.raises(UsageError):
             parse_config(["friction", "--config", str(conf)])
+        # blank and comment lines are skipped; a line without '=' is refused
+        conf.write_text("\n# a comment\nbeta 2\n")
+        assert main(["friction", "--config", str(conf)]) == 2
+        assert "expected 'key = value'" in capsys.readouterr().err
 
     def test_env_var_of_mixed_case_flag(self, monkeypatch):
         # CASOTTO_<FLAG> is upper case, so --L0 is matched case-insensitively
@@ -161,6 +165,15 @@ class TestParsing:
     def test_numerical_tuning_flags_are_rejected(self, flag):
         with pytest.raises(UsageError):
             parse_config(["sweep", "--tau-grid", "1:2:2", flag, "4"])
+
+    @pytest.mark.parametrize("argv", [
+        ["friction", "--bet", "2", "--modes", "4"],
+        ["sweep", "--tau-g", "1:2:2", "--modes", "4"],
+    ], ids=["friction", "sweep"])
+    def test_abbreviated_flags_are_usage_errors(self, argv, capsys):
+        # as they are when given as a CASOTTO_ variable or a config key
+        assert main(argv) == 2
+        assert capsys.readouterr().out == ""
 
     def test_oracle_takes_no_modes(self, tmp_path):
         # the oracle's mode count is --fock-modes; a K cutoff would be ignored
@@ -700,6 +713,15 @@ class TestRuns:
         assert main(["oracle", *argv]) == 2
         message = capsys.readouterr().err
         assert message.startswith("casotto: ") and flag in message
+
+    def test_oracle_step_cap_writes_one_line(self, capsys):
+        # the stroke's end is evaluated before the cap; no overflow warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["oracle", "--tau", "1e60"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("casotto: ") and captured.err.count("\n") == 1
 
     def test_identity_dimension_over_cap_is_refused_without_forming_it(self):
         # 9**100000000000 states: the power itself would never finish

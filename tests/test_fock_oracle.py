@@ -363,6 +363,8 @@ class TestThermalState:
             thermal_state(1.0, FockSpace(n_modes=1, n_max=8), cavity(K=1))
         with pytest.raises(OracleRangeError, match="thermal weight"):
             verify_trace_identities(1.0, cavity(K=3), 8)
+        with pytest.raises(ValueError, match="beta must be positive"):
+            verify_trace_identities(-1.0, cavity(K=3), 8)
 
     def test_unit_trace(self):
         fock = FockSpace(n_modes=2, n_max=8)

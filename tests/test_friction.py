@@ -15,7 +15,7 @@ from casotto import cli
 from casotto import friction as friction_module
 from casotto.friction import (
     FrictionResult,
-    SpectralTable,
+    SpectralAmplitudes,
     TruncationWarning,
     _acceleration_variation,
     _bath_kernel,
@@ -55,19 +55,19 @@ def make_cfg(K=8, eps=0.01):
 class TestSpectralAmplitudes:
     def test_zero_frequency_gives_net_displacement(self):
         amp = spectral_amplitudes(quintic(2.0), 0.0)
-        assert amp.C == pytest.approx(1.0, rel=1e-12)
-        assert amp.S == pytest.approx(0.0, abs=1e-12)
+        assert amp.C[0] == pytest.approx(1.0, rel=1e-12)
+        assert amp.S[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_frequency_shortcut(self):
         amp = spectral_amplitudes(shortcut(quintic(1.0), 1.0), 0.0)
-        assert amp.C == pytest.approx(1.0, rel=1e-9)
-        assert abs(amp.S) < 1e-12
+        assert amp.C[0] == pytest.approx(1.0, rel=1e-9)
+        assert abs(amp.S[0]) < 1e-12
 
     def test_shortcut_resonances_vanish(self):
         sc = shortcut(quintic(1.0), 1.0)
         for n in (2, 4, 10):
             amp = spectral_amplitudes(sc, n * math.pi)
-            assert abs(amp.C) < 1e-10 and abs(amp.S) < 1e-10
+            assert abs(amp.C[0]) < 1e-10 and abs(amp.S[0]) < 1e-10
 
     def test_power_matches_2d_identity(self):
         tr = quintic(1.0)
@@ -80,7 +80,7 @@ class TestSpectralAmplitudes:
             omega,
             SPEC,
         )
-        assert amp.power == pytest.approx(two_d.value, rel=1e-9)
+        assert amp.power[0] == pytest.approx(two_d.value, rel=1e-9)
 
     def test_rejects_negative_frequency(self):
         with pytest.raises(ValueError):
@@ -91,6 +91,28 @@ class TestSpectralAmplitudes:
     def test_rejects_non_finite_frequency(self, omega):
         with pytest.raises(ValueError, match="finite"):
             spectral_amplitudes(quintic(1.0), omega)
+
+    def test_scalar_gives_one_element_arrays_and_2d_is_refused(self):
+        amp = spectral_amplitudes(quintic(1.0), 2.0)
+        assert isinstance(amp, SpectralAmplitudes)
+        for field in (amp.omegas, amp.C, amp.S, amp.err, amp.power, amp.power_err):
+            assert isinstance(field, np.ndarray) and field.shape == (1,)
+        assert amp.omegas[0] == 2.0
+        with pytest.raises(ValueError, match="at most 1-D"):
+            spectral_amplitudes(quintic(1.0), [[1.0, 2.0]])
+
+    @pytest.mark.parametrize("make", [
+        lambda: quintic(1.3),
+        lambda: shortcut(quintic(1.0), 1.0),
+        lambda: sampled_quintic(21),
+    ], ids=["quintic", "shortcut", "sampled"])
+    def test_on_the_grid_equals_the_table(self, make):
+        tr = make()
+        cfg = CavityConfig(L0=0.9, epsilon=0.01, n_modes=24)
+        table = spectral_table(tr, cfg)
+        amp = spectral_amplitudes(tr, np.arange(2 * cfg.n_modes + 1) * cfg.omega1)
+        for name in ("omegas", "C", "S", "err"):
+            assert np.array_equal(getattr(amp, name), getattr(table, name)), name
 
 
 def mp_amplitude(traj, omega):
@@ -158,7 +180,7 @@ class TestClosedForm:
         tr = quintic(tau)
         amp = spectral_amplitudes(tr, x / tau)
         ref = mp_amplitude(tr, x / tau)
-        assert abs(complex(amp.C, amp.S) - ref) <= 1e-12 * abs(ref) + amp.err
+        assert abs(complex(amp.C[0], amp.S[0]) - ref) <= 1e-12 * abs(ref) + amp.err[0]
 
     @pytest.mark.parametrize("omega", [0.0, 0.7, math.pi, 5.3, 40.0])
     @pytest.mark.parametrize("make", [
@@ -170,7 +192,7 @@ class TestClosedForm:
         tr = make()
         amp = spectral_amplitudes(tr, omega)
         ref = split_quadrature(tr, omega)
-        assert abs(complex(amp.C, amp.S) - ref) <= 1e-12
+        assert abs(complex(amp.C[0], amp.S[0]) - ref) <= 1e-12
 
     @pytest.mark.parametrize("make", [
         lambda: quintic(1.3),
@@ -183,7 +205,7 @@ class TestClosedForm:
         cfg = CavityConfig(L0=0.9, epsilon=0.01, n_modes=24)
         fwd = spectral_table(tr, cfg)
         rev = spectral_table(reverse(tr), cfg)
-        w = np.arange(fwd.n_max + 1) * fwd.omega1
+        w = fwd.omegas
         expected = -np.exp(1j * w * (tr.t_start + tr.t_end)) * (fwd.C - 1j * fwd.S)
         assert np.max(np.abs(rev.C + 1j * rev.S - expected)) <= 1e-14
 
@@ -204,13 +226,13 @@ class TestClosedForm:
         # piece) cells on both sides of the Taylor / integration-by-parts switch
         tr = make(tau)
         table = spectral_table(tr, CavityConfig(L0=math.pi, epsilon=0.01, n_modes=16))
-        w = np.arange(table.n_max + 1) * table.omega1
+        w = table.omegas
         taylor = np.outer(w, np.diff(tr.delta.x)) < friction_module._TAYLOR_BELOW
         assert taylor.any() and not taylor.all()
         # each piece's last Taylor and first integration-by-parts frequency,
         # and the ends of the grid
         first = np.argmin(taylor, axis=0)
-        picked = {0, table.n_max, *first.tolist(), *(first - 1).tolist()}
+        picked = {0, len(table.omegas) - 1, *first.tolist(), *(first - 1).tolist()}
         for n in sorted(k for k in picked if k >= 0):
             ref = mp_amplitude(tr, w[n])
             deviation = abs(complex(table.C[n], table.S[n]) - ref)
@@ -232,7 +254,7 @@ class TestManyPieces:
         # a product over every piece's moment columns held about 126 MiB
         assert peak < 40 * 2**20
         v = tr.delta.derivative()
-        w = np.arange(table.n_max + 1) * table.omega1
+        w = table.omegas
         pieces = sum(
             friction_module._fourier(PPoly(v.c[:, i : i + 1], v.x[i : i + 2]), w)[0]
             for i in range(v.c.shape[1])
@@ -295,6 +317,8 @@ class TestPartialSpectralIntegral:
         sc = shortcut(quintic(1.0), 1.0)
         with pytest.raises(ValueError):
             partial_spectral_integral(sc, 2, 1.0, sc.t_end + 0.1)
+        with pytest.raises(ValueError, match="non-negative integer"):
+            partial_spectral_integral(quintic(1.0), 1.5, 1.0, 0.5)
 
     @pytest.mark.parametrize("L0", [0.0, -1.0, math.inf, math.nan])
     def test_rejects_a_length_that_is_not_positive_and_finite(self, L0):
@@ -513,7 +537,7 @@ class TestFrictionEnergy:
         # static wall has zero net displacement; bypass the gate by a
         # one-displacement check on the amplitudes instead
         amp = spectral_amplitudes(flat, 2.0)
-        assert amp.power == pytest.approx(0.0, abs=1e-28)
+        assert amp.power[0] == pytest.approx(0.0, abs=1e-28)
 
     def test_frozen_oracle_value(self):
         res = friction_energy(make_cfg(), ThermalBath(1.0), quintic(1.0))
@@ -617,6 +641,13 @@ class TestFrictionEnergy:
         half = Trajectory(PPoly(0.5 * quintic(1.0).delta.c, [0.0, 1.0]), label="half")
         with pytest.raises(ValueError, match="unit displacement"):
             friction_energy(cfg, ThermalBath(1.0), half, table=spectral_table(half, cfg))
+
+    def test_mode_breakdown_rejects_unnormalised_profile(self):
+        # its rows sum to friction_energy's value, so it takes the same checks
+        cfg = make_cfg()
+        half = Trajectory(PPoly(0.5 * quintic(1.0).delta.c, [0.0, 1.0]), label="half")
+        with pytest.raises(ValueError, match="unit displacement, got 0.5"):
+            mode_breakdown(cfg, ThermalBath(1.0), spectral_table(half, cfg))
 
     def test_tail_estimate_and_warning(self):
         cfg = CavityConfig(L0=math.pi, epsilon=0.01, n_modes=16, tail_tol=1e-12)
@@ -825,7 +856,7 @@ class TestPerBathMemo:
         C[1:] *= 2.0  # keeps the unit displacement at n = 0
         changed = dataclasses.replace(table, C=C)
         res = friction_energy(cfg, bath, tr, table=changed)
-        fresh = SpectralTable(table.omega1, C, table.S, table.err)
+        fresh = SpectralAmplitudes(table.omegas, C, table.S, table.err)
         assert repr(res) == repr(friction_energy(cfg, bath, tr, table=fresh))
         assert res.value != first.value
 

@@ -12,9 +12,9 @@ def test_checkout_against_itself_differs_nowhere():
     )
     assert proc.returncode == 0, proc.stderr
     *lines, last = proc.stdout.splitlines()
-    # the README commands, 17 extra requests, the 103 seed-1 benchmark
+    # the README commands, 20 extra requests, the 103 seed-1 benchmark
     # requests, one sampled profile and one sampled sweep
-    assert len(lines) > 103 + 17 + 2
+    assert len(lines) > 103 + 20 + 2
     assert last == f"requests whose output differs: 0 of {len(lines)}"
     for line in lines:
         change, parent, command = line.split(" ", 2)
@@ -25,4 +25,7 @@ def test_checkout_against_itself_differs_nowhere():
     assert any(c.startswith("friction --family sampled") for c in commands)
     assert any(c.startswith("sweep --family sampled") for c in commands)
     assert "friction --epsilon 0.010 --modes 4" in commands
+    for command in ("friction --bet 2 --modes 4", "sweep --tau-g 1:2:2 --modes 4",
+                    "oracle --tau 1e60"):
+        assert command in commands
     assert all(f"{command} --help" in commands for command in ("friction", "shortcut-check"))

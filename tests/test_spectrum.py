@@ -154,6 +154,13 @@ class TestEffectiveLength:
     def test_singular_flux(self):
         with pytest.raises(SingularFluxError):
             effective_length(math.pi / 2.0, 1.0, 1.0, 1.0)
+        # inputs outside the mirror picture are refused before the flux
+        with pytest.raises(ValueError, match="E_J must be positive"):
+            effective_length(0.0, 0.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match="E_l must be non-negative"):
+            effective_length(0.0, 1.0, -1.0, 1.0)
+        with pytest.raises(ValueError, match="L0 must be positive"):
+            effective_length(0.0, 1.0, 1.0, 0.0)
 
     def test_floor_is_configurable(self):
         f = math.pi / 2.0 - 1e-4
@@ -172,6 +179,8 @@ class TestConfigs:
             CavityConfig(L0=1.0, epsilon=1.0)
         with pytest.raises(ValueError):
             CavityConfig(L0=1.0, epsilon=0.1, n_modes=0)
+        with pytest.raises(ValueError, match="tail_tol must be positive"):
+            CavityConfig(math.pi, 0.01, 8, tail_tol=0.0)
 
     def test_derived_lengths(self):
         cfg = CavityConfig(L0=math.pi, epsilon=0.25)

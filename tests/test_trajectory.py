@@ -1,5 +1,6 @@
 import io
 import math
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -159,12 +160,15 @@ class TestShortcut:
         sc = shortcut(quintic(1.0), 1.0)
         for n in (2, 4, 10):
             amp = spectral_amplitudes(sc, n * math.pi)
-            assert abs(amp.C) < 1e-10
-            assert abs(amp.S) < 1e-10
+            assert abs(amp.C[0]) < 1e-10
+            assert abs(amp.S[0]) < 1e-10
 
     def test_rejects_ramp_with_nonflat_ends(self):
         with pytest.raises(ValueError):
             shortcut(linear_ramp(1.0), 1.0)
+        # a flat ramp has flat ends but no displacement
+        with pytest.raises(ValueError, match="endpoint values coincide"):
+            shortcut(Trajectory(PPoly([[0.5]], [0.0, 1.0])), 1.0)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("L0", [math.inf, -math.inf, math.nan, 0.0, -1.0])
@@ -233,11 +237,15 @@ class TestFromSamples:
     def test_rejects_malformed_rows(self):
         with pytest.raises(ValueError):
             from_samples(io.StringIO("0,0\n0.5\n1,1\n2,2\n"))
+        with pytest.raises(ValueError, match="need at least 4 samples"):
+            from_samples(io.StringIO("0,0\n0.5,0.5\n1,1\n"))
 
 
 def test_domain_validation():
     with pytest.raises(ValueError):
         Trajectory(PPoly([[0.0]], [1.0, 1.0]))
+    with pytest.raises(ValueError, match="domain must be finite"):
+        Trajectory(PPoly([[1.0]], [0.0, math.inf]))
     with pytest.raises(TypeError):
         Trajectory(lambda t: t)
 
@@ -311,6 +319,12 @@ class TestPPolyAgainstScipy:
             t = np.concatenate([rng.uniform(x[0], x[-1], 25), x, [x[0] - 0.7, x[-1] + 0.9]])
             _close(ours(t), theirs(t))
             _close(ours(float(x[-1])), theirs(float(x[-1])))
+
+    def test_no_power_past_the_last_term(self):
+        # (1e52)**6 overflows, but no term of a quintic needs it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert quintic(1e52).delta(np.array([1e52])).tolist() == [1.0]
 
     def test_right_continuous_with_closed_last_piece(self):
         p = PPoly([[1.0, 2.0, 3.0]], [0.0, 1.0, 2.0, 3.0])
@@ -442,7 +456,7 @@ class TestTaylorShift:
         assert np.max(np.abs(sc.ddelta(ends))) < 1e-12
         assert np.max(np.abs(sc.delta(ends) - [0.0, 1.0])) < 1e-12
         table = spectral_table(sc, CavityConfig(L0=L0, epsilon=0.01, n_modes=16))
-        n = np.arange(1, table.n_max + 1)
+        n = np.arange(1, len(table.omegas))
         assert np.all(np.hypot(table.C[n], table.S[n]) <= table.err[n])
 
     def test_double_reverse_restores_the_coefficients(self):

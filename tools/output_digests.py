@@ -47,6 +47,10 @@ EXTRA = [
     "refrigerator --beta-ratio 0.5 --modes 8",
     # baths outside the window whose population-frozen sums overflow
     "engine --beta-a 1e-307 --beta-ratio 0.999 --modes 256",
+    # abbreviated flags are usage errors
+    "friction --bet 2 --modes 4", "sweep --tau-g 1:2:2 --modes 4",
+    # refused at the step cap with one line on stderr, no overflow warning
+    "oracle --tau 1e60",
 ]
 
 
