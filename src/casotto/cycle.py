@@ -107,7 +107,10 @@ class CycleReport:
     pulled from the cold bath and ``W`` the work consumed.  ``eta`` is the
     efficiency (engine) or coefficient of performance (refrigerator);
     ``eta_defined`` is False when the denominator is degenerate, in which
-    case ``eta`` holds the analytic limiting value.  ``power`` is ``W``
+    case ``eta`` holds the analytic limiting value.  ``eta_second_order``
+    is the engine's ``eta_adiabatic - (E_F_A + E_F_C) / Q_adiabatic``, with
+    ``Q_adiabatic`` the population-frozen heat; it is NaN for the
+    refrigerator and where ``Q_adiabatic`` is 0.  ``power`` is ``W``
     over the cycle period, twice the stroke's own duration plus
     ``thermalization_time``, for finite-time cycles and NaN for adiabatic
     ones.  ``err`` is the summed round-off bound of the two stroke
@@ -201,62 +204,6 @@ def _safe_ratio(num, den, limit):
     return np.where(defined, ratio, limit)[()], defined
 
 
-@dataclass(frozen=True)
-class _Machine:
-    """What tells the engine's bookkeeping from the refrigerator's.
-
-    ``heat`` and ``work`` take the population-frozen value and the two
-    stroke frictions (E_F(A), E_F(C)); each keeps its own floating-point
-    association.  ``merit`` orders (Q, W) as (numerator, denominator) of
-    the figure of merit, whose population-frozen value is ``limit(eps)``.
-    These and ``runs`` work elementwise on arrays; ``in_window`` takes one
-    bath ratio and one eps.
-    """
-
-    heat: Callable
-    work: Callable
-    merit: Callable
-    limit: Callable
-    runs: Callable
-    in_window: Callable[[float, float], bool]
-    window_text: str
-    q_convention: str
-    second_order: Callable | None = None
-
-
-_MACHINES = {
-    "engine": _Machine(
-        heat=lambda Q_ad, ef_a, ef_c: Q_ad - ef_a,
-        work=lambda W_ad, ef_a, ef_c: W_ad - (ef_a + ef_c),
-        merit=lambda Q, W: (W, Q),
-        limit=lambda eps: eps,
-        runs=lambda Q, W: (Q > 0) & (W > 0),
-        # Q_ad > 0 requires beta_C * w_k(L1) <= beta_A * w_k, i.e. the Otto
-        # efficiency eps must not exceed the Carnot efficiency 1 - beta_C/beta_A
-        in_window=lambda ratio, eps: ratio <= 1.0 - eps,
-        window_text=(
-            "bath ratio beta_C/beta_A = {ratio:.4g} exceeds 1 - eps = {rest:.4g}: "
-            "no positive heat intake, not an engine regime"
-        ),
-        q_convention="Q = Q_adiabatic - E_F(cold compression stroke)",
-        second_order=lambda eta_ad, Q_ad, friction: eta_ad - friction / Q_ad,
-    ),
-    "refrigerator": _Machine(
-        heat=lambda Q_ad, ef_a, ef_c: Q_ad - ef_c,
-        work=lambda W_ad, ef_a, ef_c: W_ad + ef_a + ef_c,
-        merit=lambda Q, W: (Q, W),
-        limit=lambda eps: 1.0 / eps - 1.0,
-        runs=lambda Q, W: Q > 0,
-        in_window=lambda ratio, eps: 1.0 - eps <= ratio <= 1.0,
-        window_text=(
-            "refrigerator needs 1 - eps <= beta_C/beta_A <= 1, got {ratio:.4g} "
-            "with eps = {eps:.4g}"
-        ),
-        q_convention="Q = Q_adiabatic - E_F(hot expansion stroke)",
-    ),
-}
-
-
 def _operands(stack: np.ndarray) -> list:
     """The operands stacked on the first axis of ``stack``; one-element
     operands as numpy scalars, which broadcast alike but skip the array
@@ -292,8 +239,7 @@ def _cycles(
     flags and tail estimates (per unit ``eps**2``) of strokes A and C are
     empty without ``family``.
     """
-    m = _MACHINES.get(machine)
-    if m is None:
+    if machine not in ("engine", "refrigerator"):
         raise ValueError(f"machine must be 'engine' or 'refrigerator', got {machine!r}")
     epsilons = [cfg.epsilon] if epsilons is None else list(epsilons)
     taus = sorted(map(float, taus))
@@ -346,14 +292,20 @@ def _cycles(
             stroke_tails = (tail_a, tail_c)
             tail_warning = tail_warning | stroke_flags[0] | stroke_flags[1]
             (period,) = _operands(np.array([periods]))
-        Q = m.heat(Q_ad, ef_a, ef_c)
-        W = m.work(W_ad, ef_a, ef_c)
-        eta_ad, _ = _safe_ratio(*m.merit(Q_ad, W_ad), m.limit(eps))
-        eta, defined = _safe_ratio(*m.merit(Q, W), eta_ad)
+        if machine == "engine":
+            Q, W = Q_ad - ef_a, W_ad - (ef_a + ef_c)
+            eta_ad, _ = _safe_ratio(W_ad, Q_ad, eps)
+            eta, defined = _safe_ratio(W, Q, eta_ad)
+            runs = (Q > 0) & (W > 0)
+        else:
+            Q, W = Q_ad - ef_c, W_ad + ef_a + ef_c
+            eta_ad, _ = _safe_ratio(Q_ad, W_ad, 1.0 / eps - 1.0)
+            eta, defined = _safe_ratio(Q, W, eta_ad)
+            runs = Q > 0
         power = W / period
     return SimpleNamespace(
         shape=(B, E, T), machine=machine, n_modes=cfg.n_modes, Q=Q, W=W, eta=eta, eta_ad=eta_ad,
-        power=power, ef_a=ef_a, ef_c=ef_c, tail_warning=tail_warning, runs=m.runs(Q, W),
+        power=power, ef_a=ef_a, ef_c=ef_c, tail_warning=tail_warning, runs=runs,
         defined=defined, Q_ad=Q_ad, tail=tail, otto_flag=otto_flag, stroke_flags=stroke_flags,
         stroke_tails=stroke_tails, err_a=err_a, err_c=err_c,
         energies=(w0_nA, w1_nA, w1_nC, w0_nC, e0, e1), taus=taus, failures=failures,
@@ -372,12 +324,13 @@ def _listed(grid: SimpleNamespace, *arrays, dtype=float) -> list[list]:
 
 def _reports(g: SimpleNamespace) -> list[CycleReport]:
     """One :class:`CycleReport` per cell of a :func:`_cycles` grid, in (bath, eps, tau) order."""
-    m = _MACHINES[g.machine]
     w0_nA, w1_nA, w1_nC, w0_nC, e0, e1 = g.energies
     with np.errstate(all="ignore"):
-        eta2 = math.nan
-        if m.second_order is not None:
-            eta2 = np.where(g.Q_ad != 0.0, m.second_order(g.eta_ad, g.Q_ad, g.ef_a + g.ef_c), eta2)
+        if g.machine == "engine":
+            eta2 = np.where(g.Q_ad != 0.0, g.eta_ad - (g.ef_a + g.ef_c) / g.Q_ad, math.nan)
+            q_convention = "Q = Q_adiabatic - E_F(cold compression stroke)"
+        else:
+            eta2, q_convention = math.nan, "Q = Q_adiabatic - E_F(hot expansion stroke)"
         floats = _listed(
             g, w0_nA + e0, w1_nA + g.ef_a + e1, w1_nC + e1, w0_nC + g.ef_c + e0,
             g.Q, g.W, g.eta, g.eta_ad, g.power, g.ef_a, g.ef_c, eta2, g.tail, g.err_a + g.err_c,
@@ -386,7 +339,7 @@ def _reports(g: SimpleNamespace) -> list[CycleReport]:
     return [
         CycleReport(
             *f[:9], g.machine if runs else "dissipator", f[9], f[10], g.n_modes, defined_,
-            f[11], f[12], warned, m.q_convention, f[13],
+            f[11], f[12], warned, q_convention, f[13],
         )
         for *f, defined_, warned, runs in zip(*floats, *flags)
     ]
@@ -397,14 +350,16 @@ def _checked(g: SimpleNamespace, cfg: CavityConfig, baths: BathPair) -> SimpleNa
     is raised and the warnings its flags call for are issued."""
     if g.failures[0] is not None:
         raise g.failures[0]
-    m = _MACHINES[g.machine]
-    if not m.in_window(baths.ratio, cfg.epsilon):
-        _warn(
-            m.window_text.format(
-                ratio=baths.ratio, eps=cfg.epsilon, rest=1.0 - cfg.epsilon
-            ),
-            ConditionWarning,
-        )
+    ratio, eps = baths.ratio, cfg.epsilon
+    if g.machine == "engine":
+        # Q_ad > 0 requires beta_C * w_k(L1) <= beta_A * w_k, i.e. the Otto
+        # efficiency eps must not exceed the Carnot efficiency 1 - beta_C/beta_A
+        if not ratio <= 1.0 - eps:
+            _warn(f"bath ratio beta_C/beta_A = {ratio:.4g} exceeds 1 - eps = {1.0 - eps:.4g}: "
+                  "no positive heat intake, not an engine regime", ConditionWarning)
+    elif not 1.0 - eps <= ratio <= 1.0:
+        _warn(f"refrigerator needs 1 - eps <= beta_C/beta_A <= 1, got {ratio:.4g} "
+              f"with eps = {eps:.4g}", ConditionWarning)
     if g.otto_flag:
         _warn(
             f"mode-sum tail estimate {g.tail:.3e} exceeds tail_tol * |Q| "
@@ -439,8 +394,8 @@ def otto_cycle(
     ``thermalization_time`` (non-negative) adds to a finite-time cycle's
     period, which sets its power.
     """
-    # the fixed profile as a one-tau family; its tau is never read
-    family = None if traj is None else lambda tau: traj
+    # the fixed profile as the family of the one tau 0.0
+    family = None if traj is None else {0.0: traj}.get
     g = _cycles(cfg, [baths], machine, family, (0.0,), include_casimir=include_casimir,
                 thermalization_time=thermalization_time)
     return _reports(_checked(g, cfg, baths))[0]
@@ -470,8 +425,9 @@ def sweep(
 ) -> list[SweepRow]:
     """Cycle reports over a (bath, epsilon, tau) grid.
 
-    Every tau's trajectory and spectral table are built first (three arrays
-    of ``2K + 1`` floats per tau).  Then, one distinct bath temperature at a
+    Every tau's trajectory and spectral table are built first (one
+    ``SpectralAmplitudes`` record per tau: ``omegas``, ``C``, ``S`` and
+    ``err``, each ``2K + 1`` floats).  Then, one distinct bath temperature at a
     time, each table takes one product with its friction kernel (each kernel
     is built once), the tails of all products are fitted in one pass, and
     the bookkeeping of all cells is one pass of array

@@ -11,6 +11,7 @@ derivative with respect to ``L``, the antisymmetric inter-mode couplings
 from __future__ import annotations
 
 import math
+import operator
 import os
 import sys
 import warnings
@@ -77,10 +78,14 @@ class CavityConfig:
     tail_tol: float = 1e-6
 
     def __post_init__(self) -> None:
-        if not self.L0 > 0:
-            raise ValueError(f"L0 must be positive, got {self.L0}")
+        if not 0 < self.L0 < math.inf:
+            raise ValueError(f"L0 must be positive and finite, got {self.L0}")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
+        try:
+            operator.index(self.n_modes)
+        except TypeError:
+            raise ValueError(f"n_modes must be an integer, got {self.n_modes!r}") from None
         if self.n_modes < 1:
             raise ValueError(f"n_modes must be >= 1, got {self.n_modes}")
         if not self.tail_tol > 0:

@@ -297,6 +297,25 @@ class TestConditionWarning:
         assert len(conditions) == 1
         assert conditions[0].filename == __file__
 
+    @pytest.mark.parametrize("machine, r, text", [
+        ("engine", 0.5, None),
+        ("engine", np.nextafter(0.5, 1), "bath ratio beta_C/beta_A = 0.5 exceeds 1 - eps = 0.5: "
+                                         "no positive heat intake, not an engine regime"),
+        ("refrigerator", 0.5, None),
+        ("refrigerator", 1.0, None),
+        ("refrigerator", np.nextafter(0.5, 0),
+         "refrigerator needs 1 - eps <= beta_C/beta_A <= 1, got 0.5 with eps = 0.5"),
+    ], ids=["engine-edge", "engine-past", "refrigerator-low-edge", "refrigerator-high-edge",
+            "refrigerator-past"])
+    def test_window_edges_and_texts(self, machine, r, text):
+        # at eps = 0.5 the engine's window ends at r = 0.5, where the
+        # refrigerator's begins; one ulp past an edge warns with the full text
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            otto_cycle(cfg(eps=0.5, K=16), BathPair(2.0, 2.0 * r), machine=machine)
+        conditions = [str(w.message) for w in caught if issubclass(w.category, ConditionWarning)]
+        assert conditions == ([] if text is None else [text])
+
 
 class TestTruncationWarning:
     @pytest.mark.parametrize("machine, traj", ENTRY_POINTS[1::2])

@@ -181,6 +181,14 @@ class TestConfigs:
             CavityConfig(L0=1.0, epsilon=0.1, n_modes=0)
         with pytest.raises(ValueError, match="tail_tol must be positive"):
             CavityConfig(math.pi, 0.01, 8, tail_tol=0.0)
+        # rejected here, not at a later call under another name
+        for L0 in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="L0 must be positive and finite"):
+                CavityConfig(L0, 0.01)
+        for n_modes in (16.5, 16.0, "16"):
+            with pytest.raises(ValueError, match="n_modes must be an integer"):
+                CavityConfig(math.pi, 0.01, n_modes=n_modes)
+        assert CavityConfig(math.pi, 0.01, n_modes=np.int64(16)).n_modes == 16
 
     def test_derived_lengths(self):
         cfg = CavityConfig(L0=math.pi, epsilon=0.25)
