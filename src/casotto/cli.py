@@ -24,8 +24,6 @@ byte-identical files.
 
 from __future__ import annotations
 
-import argparse
-import functools
 import io
 import math
 import os
@@ -35,11 +33,9 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from . import __version__
-from . import fock_oracle as _fock_oracle
 from . import friction as _friction
 from .cycle import BathPair, _checked, _cycles, _listed
 from .friction import friction_bound, friction_energy, mode_breakdown, partial_spectral_integral
-from .fock_oracle import OracleRangeError, validate_friction
 from .spectrum import PERTURBATIVE_EPSILON_MAX, CavityConfig, ThermalBath, _warn
 from .trajectory import Trajectory, from_samples, quintic, shortcut
 
@@ -191,21 +187,18 @@ def _parse_config_file(path: str, allowed: Sequence[str]) -> dict[str, str]:
     return values
 
 
-@functools.lru_cache(maxsize=None)
-def _parser(command: str) -> argparse.ArgumentParser:
-    """The argument parser of one command, built on first use."""
-    parser = argparse.ArgumentParser(
-        prog="casotto",
-        description="moving-wall cavity cycle thermodynamics",
-        allow_abbrev=False,
-    )
-    parser.add_argument("command", choices=COMMANDS)
-    parser.add_argument("--config", default=None, help="flat key = value file")
+def _usage(command: str | None) -> str:
+    """Each option of ``command`` with its help and default, or the commands."""
+    if command not in COMMANDS:
+        return ("usage: casotto COMMAND [--OPTION VALUE ...]\nmoving-wall cavity cycle "
+                f"thermodynamics\ncommands: {', '.join(COMMANDS)}\n")
+    lines = [f"usage: casotto {command} [--OPTION VALUE ...]",
+             f"  --{'config':20}flat key = value file"]
     for flag in _COMMAND_OPTIONS[command]:
         _, default, helptext, _ = _OPTION_SPECS[flag]
         shown = _fmt(default) if isinstance(default, tuple) else default
-        parser.add_argument(f"--{flag}", default=None, help=f"{helptext} (default {shown})")
-    return parser
+        lines.append(f"  --{flag:20}{helptext} (default {shown})")
+    return "\n".join(lines) + "\n"
 
 
 def parse_config(argv: Sequence[str]) -> RunConfig:
@@ -214,21 +207,38 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
     Precedence: flag > environment > config file > default.  The resolved
     configuration is echoed into every output header; with each line's
     leading ``# `` dropped and the version, column and result lines removed,
-    it re-parses to the same RunConfig.  Flags are matched by their whole
-    name only.  Each command's parser is built once and reused; the
-    environment and the config file are read afresh on every call.  A help
-    request prints the usage and raises ``SystemExit(0)``.
+    it re-parses to the same RunConfig.  ``-h``/``--help`` prints the usage
+    on stdout and raises ``SystemExit(0)``.  Any other token starting with
+    ``-`` is an option, ``--flag=VALUE`` or ``--flag`` then its value, matched
+    by its whole name; a repeated option keeps its last value.  The first
+    other token is the command.
     """
-    known = _pre_scan_command(argv)
-    allowed = _COMMAND_OPTIONS[known]
-    try:
-        ns = _parser(known).parse_args(argv)
-    except SystemExit as exc:
-        if exc.code:
-            raise UsageError("bad command line") from exc
-        raise  # --help: argparse has printed the usage
-
-    file_values = {} if ns.config is None else _parse_config_file(ns.config, allowed)
+    commands, flags, wants_help = [], {}, False
+    tokens = iter(argv)
+    for tok in tokens:
+        if tok in ("-h", "--help"):
+            wants_help = True
+        elif tok.startswith("-"):
+            name, eq, value = tok.partition("=")
+            flags[name] = value if eq else next(tokens, None)
+        else:
+            commands.append(tok)
+    command = next(iter(commands), None)
+    if wants_help:
+        sys.stdout.write(_usage(command))
+        raise SystemExit(0)
+    if command not in COMMANDS:
+        what = "missing command" if command is None else f"unknown command {command!r}"
+        raise UsageError(f"{what}; choose from {', '.join(COMMANDS)}")
+    if len(commands) > 1:
+        raise UsageError(f"unexpected argument {commands[1]!r} after the command {command}")
+    allowed = _COMMAND_OPTIONS[command]
+    for name, value in flags.items():
+        if not (name == "--config" or name.startswith("--") and name[2:] in allowed):
+            raise UsageError(f"{command} takes no option {name}")
+        if value is None:
+            raise UsageError(f"option {name} needs a value")
+    file_values = _parse_config_file(flags["--config"], allowed) if "--config" in flags else {}
 
     env_values: dict[str, str] = {}
     for key in os.environ:
@@ -242,33 +252,14 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
 
     options: dict[str, object] = {}
     for flag in allowed:
-        raw = getattr(ns, flag.replace("-", "_"))
+        raw = flags.get("--" + flag)
         if raw is None:
             raw = env_values.get(flag, file_values.get(flag))
         options[flag] = _OPTION_SPECS[flag][1] if raw is None else _coerce(flag, raw)
 
-    cfg = RunConfig(command=known, options=options)
+    cfg = RunConfig(command=command, options=options)
     _validate(cfg)
     return cfg
-
-
-def _pre_scan_command(argv: Sequence[str]) -> str:
-    """The first token that is neither an option nor an option's value.
-
-    Every option but ``-h``/``--help`` takes a value, so an option token
-    without ``=`` consumes the next token.
-    """
-    tokens = iter(argv)
-    for tok in tokens:
-        if not tok.startswith("-"):
-            if tok not in COMMANDS:
-                raise UsageError(
-                    f"unknown command {tok!r}; choose from {', '.join(COMMANDS)}"
-                )
-            return tok
-        if "=" not in tok and tok not in ("-h", "--help"):
-            next(tokens, None)
-    raise UsageError(f"missing command; choose from {', '.join(COMMANDS)}")
 
 
 def _parse_grid(raw: str) -> list[float]:
@@ -552,6 +543,8 @@ _ORACLE_FLAGS = {
 
 
 def _run_oracle(cfg: RunConfig, out) -> int:
+    from . import fock_oracle  # only this command runs it
+
     opts = cfg.options
     cavity = CavityConfig(
         L0=_L0, epsilon=opts["epsilon"][0], n_modes=opts["fock-modes"]
@@ -560,14 +553,11 @@ def _run_oracle(cfg: RunConfig, out) -> int:
     beta = opts["beta"]
     try:
         if identities:
-            # through the module attribute: perfbench/tracing.py wraps a
-            # cli.verify_trace_identities name with a hook that reads a
-            # .dimension off the second argument, now the cavity
-            report = _fock_oracle.verify_trace_identities(beta, cavity, opts["n-max"])
+            report = fock_oracle.verify_trace_identities(beta, cavity, opts["n-max"])
         else:
             traj = _trajectory(opts)
-            comparison = validate_friction(cavity, ThermalBath(beta), traj, opts["dt"])
-    except OracleRangeError as exc:
+            comparison = fock_oracle.validate_friction(cavity, ThermalBath(beta), traj, opts["dt"])
+    except fock_oracle.OracleRangeError as exc:
         flags = " or ".join(f"--{_ORACLE_FLAGS[name]}" for name in exc.names)
         raise UsageError(f"{exc} (change {flags})") from exc
     if identities:

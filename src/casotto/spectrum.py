@@ -80,6 +80,8 @@ class CavityConfig:
     def __post_init__(self) -> None:
         if not 0 < self.L0 < math.inf:
             raise ValueError(f"L0 must be positive and finite, got {self.L0}")
+        if not math.pi / self.L0 < math.inf:
+            raise ValueError(f"L0 = {self.L0} is too small: its fundamental pi/L0 overflows")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
         try:

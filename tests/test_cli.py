@@ -127,6 +127,37 @@ class TestParsing:
         assert "(default 0.01)" in " ".join(out.split())
         assert main(["friction", "--frobnicate"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        "friction --tau", "friction --beta-a 2", "friction friction", "frobnicate",
+        "--modes 4", "friction --bet 2", "-t 1 friction",
+    ], ids=["no-value", "other-commands-option", "second-command", "unknown-command",
+            "no-command", "abbreviation", "short-option"])
+    def test_bad_command_line_is_one_stderr_line(self, argv, capsys):
+        assert main(argv.split()) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("casotto: ") and err.count("\n") == 1 and err.endswith("\n")
+
+    def test_help_without_a_command_lists_the_commands(self, capsys):
+        assert main(["--help"]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and out.startswith("usage: casotto")
+        assert all(command in out for command in cli.COMMANDS)
+
+    @pytest.mark.parametrize("argv", [["--help", "friction"], ["friction", "--tau=2", "--help"],
+                                      ["-h", "friction"]])
+    def test_help_anywhere_prints_the_usage_of_the_command(self, argv, capsys):
+        assert main(["friction", "--help"]) == 0
+        expected = capsys.readouterr().out
+        assert main(argv) == 0
+        assert capsys.readouterr() == (expected, "")
+        assert "--tail-tol" in expected and "--beta-a" not in expected
+
+    def test_an_option_takes_the_next_token_as_its_value(self):
+        # --tau -1 is a value that breaks the tau rule, not a missing value
+        with pytest.raises(UsageError, match="tau must be positive and finite, got -1.0"):
+            parse_config(["friction", "--tau", "-1"])
+
     def test_missing_command(self):
         with pytest.raises(UsageError):
             parse_config(["--tau", "1.0"])
@@ -807,12 +838,15 @@ def test_cli_import_loads_no_scipy(tmp_path):
     assert loaded == "[]"
 
 
-def test_cli_import_leaves_out_the_quadrature_oracle():
-    # casotto.quadrature is the tests' reference integrator; no command runs it
+@pytest.mark.parametrize("module", ["casotto.quadrature", "casotto.fock_oracle", "argparse"])
+def test_cli_import_loads_no_oracle_and_no_argparse(module):
+    # casotto.quadrature is the tests' reference integrator, which no command
+    # runs; only the oracle command imports casotto.fock_oracle; the command
+    # line is parsed without argparse
     env = _child_env()
     code = (
         "import sys, casotto, casotto.cli; "
-        "print('casotto.quadrature' in sys.modules)"
+        f"print({module!r} in sys.modules)"
     )
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

@@ -185,6 +185,8 @@ class TestConfigs:
         for L0 in (math.inf, math.nan):
             with pytest.raises(ValueError, match="L0 must be positive and finite"):
                 CavityConfig(L0, 0.01)
+        with pytest.raises(ValueError, match="L0 = 1e-320 is too small"):
+            CavityConfig(1e-320, 0.01, 8)
         for n_modes in (16.5, 16.0, "16"):
             with pytest.raises(ValueError, match="n_modes must be an integer"):
                 CavityConfig(math.pi, 0.01, n_modes=n_modes)

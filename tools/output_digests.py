@@ -47,8 +47,12 @@ EXTRA = [
     "refrigerator --beta-ratio 0.5 --modes 8",
     # baths outside the window whose population-frozen sums overflow
     "engine --beta-a 1e-307 --beta-ratio 0.999 --modes 256",
-    # abbreviated flags are usage errors
+    # bad command lines are one usage-error line on stderr: abbreviated
+    # flags, a missing value, another command's option, a second command
     "friction --bet 2 --modes 4", "sweep --tau-g 1:2:2 --modes 4",
+    "friction --tau", "friction --beta-a 2", "friction friction",
+    # --help with no command lists the commands
+    "--help",
     # refused at the step cap with one line on stderr, no overflow warning
     "oracle --tau 1e60",
 ]
